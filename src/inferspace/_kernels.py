@@ -1,65 +1,29 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Batched bilinear interpolation over the spacing coordinates of a 2D grid.
 
-Two loops dominate runtime: batched bilinear interpolation (evaluation and
-push-forward of 2D densities) and the empirical-campaign accumulation (tens of
-thousands of narrow separable lognormal joints folded onto one grid).  Both
-carry an ``@njit`` implementation and an equivalent vectorized numpy one.
-
-Backend selection: numba is used when importable, unless the environment
-variable ``INFERSPACE_NO_NUMBA`` is set to a nonempty value, in which case the
-numpy fallback runs.  ``backend()`` reports which path is active.  Both
-implementations stay importable for parity tests and benchmarks.
+Evaluating and pushing forward 2D densities both interpolate one table at
+many scattered points; this is the vectorized numpy kernel they share.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 
-class PerformanceWarning(UserWarning):
-    """Numba was not importable; pure-numpy fallbacks are in use."""
-
-
-_DISABLED = bool(os.environ.get("INFERSPACE_NO_NUMBA", ""))
-
-try:  # pragma: no cover - exercised via environment
-    if _DISABLED:
-        raise ImportError("numba disabled via INFERSPACE_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-    if not _DISABLED:
-        warnings.warn(
-            "numba not importable; falling back to pure-numpy kernels",
-            PerformanceWarning,
-            stacklevel=2,
-        )
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        """No-op decorator stand-in when numba is unavailable."""
-
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 def backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# bilinear interpolation over the spacing coordinates of a 2D grid
-# ---------------------------------------------------------------------------
+def bilinear_many(ux, uy, values, px, py):
+    """Interpolate ``values`` (over sorted coords ux, uy) at points (px, py).
 
-def _bilinear_many_numpy(ux, uy, values, px, py):
+    Points must already be clipped to the box; interpolation is linear along
+    each axis and exact at nodes.
+    """
+    ux = np.ascontiguousarray(ux, dtype=np.float64)
+    uy = np.ascontiguousarray(uy, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    px = np.ascontiguousarray(px, dtype=np.float64)
+    py = np.ascontiguousarray(py, dtype=np.float64)
     nx = ux.size
     ny = uy.size
     ix = np.clip(np.searchsorted(ux, px, side="right") - 1, 0, nx - 2)
@@ -78,155 +42,3 @@ def _bilinear_many_numpy(ux, uy, values, px, py):
         + (1.0 - tx) * ty * v01
         + tx * ty * v11
     )
-
-
-@njit(cache=True)
-def _cell_index(u, p, n):  # pragma: no cover - numba compiled
-    # rightmost cell whose left node is <= p, clamped to [0, n-2]
-    lo = 0
-    hi = n - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if u[mid] <= p:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-@njit(cache=True)
-def _bilinear_many_numba(ux, uy, values, px, py):  # pragma: no cover - numba compiled
-    nx = ux.size
-    ny = uy.size
-    out = np.empty(px.size, dtype=np.float64)
-    for k in range(px.size):
-        ix = _cell_index(ux, px[k], nx)
-        iy = _cell_index(uy, py[k], ny)
-        tx = (px[k] - ux[ix]) / (ux[ix + 1] - ux[ix])
-        ty = (py[k] - uy[iy]) / (uy[iy + 1] - uy[iy])
-        if tx < 0.0:
-            tx = 0.0
-        elif tx > 1.0:
-            tx = 1.0
-        if ty < 0.0:
-            ty = 0.0
-        elif ty > 1.0:
-            ty = 1.0
-        out[k] = (
-            (1.0 - tx) * (1.0 - ty) * values[ix, iy]
-            + tx * (1.0 - ty) * values[ix + 1, iy]
-            + (1.0 - tx) * ty * values[ix, iy + 1]
-            + tx * ty * values[ix + 1, iy + 1]
-        )
-    return out
-
-
-def bilinear_many(ux, uy, values, px, py):
-    """Interpolate ``values`` (over sorted coords ux, uy) at points (px, py).
-
-    Points must already be clipped to the box; interpolation is linear along
-    each axis and exact at nodes.
-    """
-    ux = np.ascontiguousarray(ux, dtype=np.float64)
-    uy = np.ascontiguousarray(uy, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    px = np.ascontiguousarray(px, dtype=np.float64)
-    py = np.ascontiguousarray(py, dtype=np.float64)
-    if HAS_NUMBA:
-        return _bilinear_many_numba(ux, uy, values, px, py)
-    return _bilinear_many_numpy(ux, uy, values, px, py)
-
-
-# ---------------------------------------------------------------------------
-# empirical-campaign accumulation: sum of normalized separable lognormal joints
-# ---------------------------------------------------------------------------
-#
-# Experiment i contributes the separable density
-#     a_i(x) * b_i(y),   a_i(x) = (1/x) exp(-(ln x - c_i)^2 / (2 s^2)),
-# normalized over the grid box, evaluated only on the band |ln x - c| <= nsig*s
-# (the omitted tail mass is below exp(-nsig^2/2) ~ 1e-18 of the total).
-
-def _lognormal_band_numpy(u, w, center, sigma, nsig):
-    # side="left" on both bounds to match the numba binary search exactly
-    lo = np.searchsorted(u, center - nsig * sigma, side="left")
-    hi = np.searchsorted(u, center + nsig * sigma, side="left")
-    if hi <= lo:
-        return lo, None, 0.0
-    band = u[lo:hi]
-    vals = np.exp(-band - 0.5 * ((band - center) / sigma) ** 2)
-    mass = float(np.dot(vals, w[lo:hi]))
-    return lo, vals, mass
-
-
-def _accumulate_campaign_numpy(acc, ux, wx, uy, wy, cx, cy, sx, sy, nsig):
-    bad = 0
-    for i in range(cx.size):
-        lox, a, ma = _lognormal_band_numpy(ux, wx, cx[i], sx, nsig)
-        loy, b, mb = _lognormal_band_numpy(uy, wy, cy[i], sy, nsig)
-        if a is None or b is None or ma <= 0.0 or mb <= 0.0:
-            bad += 1
-            continue
-        acc[lox : lox + a.size, loy : loy + b.size] += np.outer(a, b) / (ma * mb)
-    return bad
-
-
-@njit(cache=True)
-def _accumulate_campaign_numba(acc, ux, wx, uy, wy, cx, cy, sx, sy, nsig):  # pragma: no cover
-    nx = ux.size
-    ny = uy.size
-    bad = 0
-    for i in range(cx.size):
-        xlo = np.searchsorted(ux, cx[i] - nsig * sx)
-        xhi = np.searchsorted(ux, cx[i] + nsig * sx)
-        ylo = np.searchsorted(uy, cy[i] - nsig * sy)
-        yhi = np.searchsorted(uy, cy[i] + nsig * sy)
-        if xhi <= xlo or yhi <= ylo:
-            bad += 1
-            continue
-        a = np.empty(xhi - xlo, dtype=np.float64)
-        ma = 0.0
-        for j in range(xlo, xhi):
-            t = (ux[j] - cx[i]) / sx
-            v = np.exp(-ux[j] - 0.5 * t * t)
-            a[j - xlo] = v
-            ma += v * wx[j]
-        b = np.empty(yhi - ylo, dtype=np.float64)
-        mb = 0.0
-        for k in range(ylo, yhi):
-            t = (uy[k] - cy[i]) / sy
-            v = np.exp(-uy[k] - 0.5 * t * t)
-            b[k - ylo] = v
-            mb += v * wy[k]
-        if ma <= 0.0 or mb <= 0.0:
-            bad += 1
-            continue
-        inv = 1.0 / (ma * mb)
-        for j in range(a.size):
-            aj = a[j] * inv
-            for k in range(b.size):
-                acc[xlo + j, ylo + k] += aj * b[k]
-    return bad
-
-
-def accumulate_campaign(acc, ux, wx, uy, wy, cx, cy, sx, sy, nsig=9.0):
-    """Fold ``cx.size`` normalized lognormal-product joints into ``acc``.
-
-    ``ux, uy`` are log-coordinates of the grid nodes, ``wx, wy`` the
-    coordinate quadrature weights, ``cx, cy`` the per-experiment log-centers,
-    ``sx, sy`` the instrument log-widths.  Returns the number of experiments
-    whose density had no support on the grid (these are not accumulated).
-    """
-    args = (
-        np.ascontiguousarray(ux, dtype=np.float64),
-        np.ascontiguousarray(wx, dtype=np.float64),
-        np.ascontiguousarray(uy, dtype=np.float64),
-        np.ascontiguousarray(wy, dtype=np.float64),
-        np.ascontiguousarray(cx, dtype=np.float64),
-        np.ascontiguousarray(cy, dtype=np.float64),
-        float(sx),
-        float(sy),
-        float(nsig),
-    )
-    if HAS_NUMBA:
-        return _accumulate_campaign_numba(acc, *args)
-    return _accumulate_campaign_numpy(acc, *args)

@@ -170,33 +170,45 @@ class MeasurementModel:
 
 def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
     """Unnormalized density values of the model on one axis."""
+    if model.kind == BOXCAR and math.isfinite(model.width):
+        lo = model.center - model.width
+        hi = model.center + model.width
+        if hi <= axis.lower or lo >= axis.upper:
+            raise InvalidBounds(
+                f"boxcar [{lo}, {hi}] does not meet the axis {axis.name!r} box"
+            )
+    return measurement_profiles(model, axis, model.center)
+
+
+def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.ndarray:
+    """The model's unnormalized profile on one axis at each of ``centers``.
+
+    ``model.center`` is ignored.  An array of k centers gives one row per
+    center, shape (k, count); a scalar gives one profile.  A boxcar that
+    misses the box gives a row of zeros.
+    """
     kind = model.kind if math.isfinite(model.width) else NONINFORMATIVE
     x = axis.nodes
+    c = np.asarray(centers, dtype=float)[..., None]
     if kind == NONINFORMATIVE:
-        return noninformative_profile(axis)
+        return np.broadcast_to(noninformative_profile(axis), c.shape[:-1] + x.shape).copy()
     if kind == GAUSSIAN:
         if axis.spacing == LOGARITHMIC:
             raise ModelAxisMismatch(
                 f"axis {axis.name!r}: a gaussian cannot model a positivity-"
                 "constrained quantity; use lognormal"
             )
-        t = (x - model.center) / model.width
+        t = (x - c) / model.width
         return np.exp(-0.5 * t * t)
     if kind == LOGNORMAL:
         if axis.lower <= 0.0:
             raise ModelAxisMismatch(
                 f"axis {axis.name!r}: lognormal needs a positive box"
             )
-        t = np.log(x / model.center) / model.width
+        t = np.log(x / c) / model.width
         return np.exp(-0.5 * t * t) / x
     # boxcar: the noninformative prior restricted between the bounds
-    lo = model.center - model.width
-    hi = model.center + model.width
-    if hi <= axis.lower or lo >= axis.upper:
-        raise InvalidBounds(
-            f"boxcar [{lo}, {hi}] does not meet the axis {axis.name!r} box"
-        )
-    return noninformative_profile(axis) * _overlap_fraction(axis, lo, hi)
+    return noninformative_profile(axis) * _overlap_fraction(axis, c - model.width, c + model.width)
 
 
 def null_information_density(grid: Grid, frame: str = "") -> Density:

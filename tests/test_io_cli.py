@@ -324,6 +324,20 @@ class TestCliInference:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_build_theory_set_t_on_the_default_grid(self, tmp_path, capsys):
+        """Experiments whose length lands outside the L box still carry a
+        little mass on it, so none is dropped."""
+        out = str(tmp_path / "emp.json")
+        code, doc = run_cli(["build-theory", "--mode", "set_T", "--out", out], capsys)
+        assert code == 0
+        assert math.isclose(doc["mass"], doc["n_experiments"], rel_tol=1e-9)
+
+    def test_build_theory_negative_seed_exits_config(self, tmp_path, capsys):
+        code = main(["build-theory", "--n", "5", "--seed", "-1", "--out", str(tmp_path / "t")])
+        assert "master seed" in capsys.readouterr().err
+        assert code == 2
+        assert not list(tmp_path.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # CLI: auxiliary commands

@@ -1,27 +1,16 @@
-"""Backend parity: the numba kernels and the numpy fallbacks must agree.
+"""The bilinear interpolation kernel against an independent oracle, and the
+import-time state of the package."""
 
-Both implementations are importable regardless of which one ``backend()``
-selects, so parity runs in process; the environment switch itself is checked
-in subprocesses with a fresh interpreter.
-"""
-
-import os
 import subprocess
 import sys
 import textwrap
 
 import numpy as np
 from numpy.testing import assert_allclose
+from scipy.interpolate import RegularGridInterpolator
 
-from inferspace import HAS_NUMBA, backend
-from inferspace._kernels import (
-    _accumulate_campaign_numba,
-    _accumulate_campaign_numpy,
-    _bilinear_many_numba,
-    _bilinear_many_numpy,
-    accumulate_campaign,
-    bilinear_many,
-)
+from inferspace import backend
+from inferspace._kernels import bilinear_many
 
 
 def _bilinear_case(seed=7, n_points=4000):
@@ -34,157 +23,35 @@ def _bilinear_case(seed=7, n_points=4000):
     return ux, uy, values, px, py
 
 
-def _campaign_case(seed=11, n=400):
-    rng = np.random.default_rng(seed)
-    ux = np.linspace(-1.0, 2.0, 181)
-    uy = np.linspace(-0.5, 0.5, 161)
-    wx = np.full(181, (ux[-1] - ux[0]) / 180.0)
-    wy = np.full(161, (uy[-1] - uy[0]) / 160.0)
-    # spread wide enough that some 9-sigma bands miss the grid entirely
-    cx = rng.uniform(-2.5, 3.5, n)
-    cy = rng.uniform(-1.5, 1.5, n)
-    return ux, wx, uy, wy, cx, cy, 0.05, 0.03
-
-
 class TestBilinearParity:
-    def test_backends_agree_on_random_points(self):
+    def test_matches_scipy_on_random_points(self):
         ux, uy, values, px, py = _bilinear_case()
-        a = _bilinear_many_numpy(ux, uy, values, px, py)
-        b = _bilinear_many_numba(ux, uy, values, px, py)
-        assert_allclose(a, b, rtol=1e-14, atol=0.0)
+        oracle = RegularGridInterpolator((ux, uy), values, method="linear")
+        expected = oracle(np.column_stack([px, py]))
+        assert_allclose(bilinear_many(ux, uy, values, px, py), expected, rtol=1e-13, atol=0.0)
 
-    def test_both_backends_are_exact_at_nodes(self):
+    def test_exact_at_nodes(self):
         ux, uy, values, _, _ = _bilinear_case()
         gx, gy = np.meshgrid(ux, uy, indexing="ij")
-        for impl in (_bilinear_many_numpy, _bilinear_many_numba):
-            got = impl(ux, uy, values, gx.ravel(), gy.ravel())
-            assert np.array_equal(got.reshape(values.shape), values)
-
-    def test_dispatcher_matches_the_active_backend(self):
-        ux, uy, values, px, py = _bilinear_case(seed=8)
-        expected = (
-            _bilinear_many_numba if HAS_NUMBA else _bilinear_many_numpy
-        )(ux, uy, values, px, py)
-        assert_allclose(bilinear_many(ux, uy, values, px, py), expected, rtol=0, atol=0)
-
-
-class TestCampaignParity:
-    def test_backends_accumulate_the_same_density(self):
-        ux, wx, uy, wy, cx, cy, sx, sy = _campaign_case()
-        acc_np = np.zeros((ux.size, uy.size))
-        acc_nb = np.zeros((ux.size, uy.size))
-        bad_np = _accumulate_campaign_numpy(acc_np, ux, wx, uy, wy, cx, cy, sx, sy, 9.0)
-        bad_nb = _accumulate_campaign_numba(acc_nb, ux, wx, uy, wy, cx, cy, sx, sy, 9.0)
-        assert bad_np == bad_nb
-        assert bad_np > 0  # the case deliberately includes off-grid centers
-        assert_allclose(acc_nb, acc_np, rtol=1e-12, atol=1e-300)
-
-    def test_dispatcher_counts_skipped_experiments(self):
-        ux, wx, uy, wy, _, _, sx, sy = _campaign_case()
-        acc = np.zeros((ux.size, uy.size))
-        cx = np.array([-50.0, 0.5, 50.0])
-        cy = np.array([0.0, 0.0, 0.0])
-        bad = accumulate_campaign(acc, ux, wx, uy, wy, cx, cy, sx, sy)
-        assert bad == 2
-        assert acc.sum() > 0.0
+        got = bilinear_many(ux, uy, values, gx.ravel(), gy.ravel())
+        assert np.array_equal(got.reshape(values.shape), values)
 
 
 class TestBackendSelection:
     def test_backend_reports_what_is_loaded(self):
-        assert backend() == ("numba" if HAS_NUMBA else "numpy")
+        assert backend() == "numpy"
 
-    def test_environment_flag_forces_the_numpy_path(self):
+    def test_import_emits_no_warning(self):
         code = textwrap.dedent(
             """
             import warnings
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 import inferspace
-            assert inferspace.HAS_NUMBA is False
-            assert inferspace.backend() == "numpy"
-            relevant = [w for w in caught
-                        if issubclass(w.category, inferspace.PerformanceWarning)]
-            assert not relevant, "a deliberate disable must not warn"
+            assert not caught, [str(w.message) for w in caught]
             print("ok")
             """
         )
-        env = dict(os.environ, INFERSPACE_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "ok"
-
-    def test_missing_numba_warns_and_falls_back(self):
-        code = textwrap.dedent(
-            """
-            import sys, warnings
-            sys.modules["numba"] = None  # makes 'import numba' raise ImportError
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                import inferspace
-            assert inferspace.HAS_NUMBA is False
-            assert inferspace.backend() == "numpy"
-            relevant = [w for w in caught
-                        if issubclass(w.category, inferspace.PerformanceWarning)]
-            assert len(relevant) == 1, caught
-            print("ok")
-            """
-        )
-        env = {k: v for k, v in os.environ.items() if k != "INFERSPACE_NO_NUMBA"}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "ok"
-
-    def test_campaign_is_backend_independent(self):
-        """The same seeded campaign built on the numpy path must match the
-        in-process result to round-off."""
-        script = textwrap.dedent(
-            """
-            from inferspace import Axis, FallingBodyLaw, Grid, LOGNORMAL
-            from inferspace import MeasurementModel, SET_L, run_campaign
-            grid = Grid.of(
-                Axis.logarithmic("L", 1.0, 10.0, 101),
-                Axis.logarithmic("T", 0.4515, 1.4279, 101),
-            )
-            law = FallingBodyLaw(g=9.81, sigma_theory=1e-3)
-            instruments = [
-                MeasurementModel(parameter="L", kind=LOGNORMAL, center=1.0, width=0.05),
-                MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.05),
-            ]
-            theory = run_campaign(law, instruments, 60, SET_L, 33, grid)
-            print(repr(float(theory.joint.values.sum())))
-            print(repr(float(theory.joint.values[50, 50])))
-            """
-        )
-        from inferspace import (
-            LOGNORMAL,
-            SET_L,
-            Axis,
-            FallingBodyLaw,
-            Grid,
-            MeasurementModel,
-            run_campaign,
-        )
-
-        grid = Grid.of(
-            Axis.logarithmic("L", 1.0, 10.0, 101),
-            Axis.logarithmic("T", 0.4515, 1.4279, 101),
-        )
-        law = FallingBodyLaw(g=9.81, sigma_theory=1e-3)
-        instruments = [
-            MeasurementModel(parameter="L", kind=LOGNORMAL, center=1.0, width=0.05),
-            MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.05),
-        ]
-        local = run_campaign(law, instruments, 60, SET_L, 33, grid)
-
-        env = dict(os.environ, INFERSPACE_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        total, node = (float(s) for s in out.stdout.split())
-        assert_allclose(total, float(local.joint.values.sum()), rtol=1e-12)
-        assert_allclose(node, float(local.joint.values[50, 50]), rtol=1e-12)

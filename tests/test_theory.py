@@ -1,11 +1,15 @@
 """Falling-body law, simulated campaigns, and analytic theories."""
 
+import math
+
 import numpy as np
 import pytest
 
 from inferspace import (
     BOXCAR,
+    GAUSSIAN,
     LOGNORMAL,
+    NONINFORMATIVE,
     SET_L,
     SET_T,
     Axis,
@@ -14,10 +18,12 @@ from inferspace import (
     FallingBodyLaw,
     Grid,
     GridMismatch,
+    InvalidBounds,
     MeasurementModel,
     OutOfDomain,
     SliceCountMismatch,
     UnnormalizedSlice,
+    ZeroMass,
     accumulate_theory,
     analytic_fall_theory,
     conditional_density,
@@ -34,6 +40,7 @@ from inferspace import (
     simulate_experiment,
     theory_from_conditional,
 )
+from inferspace.theory import _BLOCK_BYTES
 
 G = 9.81
 
@@ -148,26 +155,60 @@ def test_accumulation_order_independent():
     assert np.max(np.abs(forward.joint.values - backward.joint.values)) / peak < 1e-12
 
 
-def test_campaign_matches_streamed_accumulation():
-    """The banded fast path reproduces the one-experiment-at-a-time fold."""
+# Instruments per kind as (L, T) (kind, width) pairs; "noninformative" means
+# the time axis observes nothing.  A gaussian needs linear axes.
+_CAMPAIGN_KINDS = {
+    "lognormal": ((LOGNORMAL, 0.05), (LOGNORMAL, 0.05)),
+    "gaussian": ((GAUSSIAN, 0.5), (GAUSSIAN, 0.05)),
+    "boxcar": ((BOXCAR, 0.5), (BOXCAR, 0.05)),
+    "noninformative": ((LOGNORMAL, 0.05), (NONINFORMATIVE, math.inf)),
+}
+
+
+def _campaign_instruments(kind):
+    return [
+        MeasurementModel(parameter=name, kind=k, center=1.0, width=w)
+        for name, (k, w) in zip(("L", "T"), _CAMPAIGN_KINDS[kind])
+    ]
+
+
+def _reference_experiment(law, instruments, mode, seed, grid):
+    """Campaign experiment i run on its own, with ``seed = master_seed ⊕ i``:
+    one uniform for the independent value, then the instrument noises."""
+    i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
+    return simulate_experiment(
+        law, instruments, _draw_i(i_axis, seed), mode, seed=_skip_one_uniform(seed), grid=grid
+    )
+
+
+@pytest.mark.parametrize("mode", [SET_L, SET_T])
+@pytest.mark.parametrize(
+    "spacing, kind",
+    [
+        (spacing, kind)
+        for spacing in ("log", "linear")
+        for kind in _CAMPAIGN_KINDS
+        if not (spacing == "log" and kind == "gaussian")
+    ],
+)
+def test_campaign_matches_streamed_accumulation(spacing, kind, mode):
+    """The blocked campaign reproduces the one-experiment-at-a-time fold."""
+    make = Axis.logarithmic if spacing == "log" else Axis.linear
+    # L = ½gT² maps the box of the independent axis into that of the other
+    # one, so every experiment has mass on the grid, boxcar readings included.
+    t_box = (0.25, 2.5) if mode == SET_L else (0.35, 2.0)
+    grid = Grid.of(make("L", 0.5, 20.0, 151), make("T", *t_box, 151))
+    rows = _BLOCK_BYTES // (8 * 151)
+    n = rows + 83  # a full block and a partial one
+    assert n % rows
     law = FallingBodyLaw(sigma_theory=1e-3)
-    grid = _fall_grid(181)
-    theory = run_campaign(law, _instruments(), 40, SET_L, master_seed=77, grid=grid)
-    assert integrate(theory.joint) == pytest.approx(40.0, rel=1e-12)
+    instruments = _campaign_instruments(kind)
+    theory = run_campaign(law, instruments, n, mode, master_seed=77, grid=grid)
+    assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
 
     mu = null_information_density(grid)
-    results = (
-        simulate_experiment(
-            law,
-            _instruments(),
-            _draw_i(grid.axes[0], 77 ^ i),
-            SET_L,
-            seed=_skip_one_uniform(77 ^ i),
-            grid=grid,
-        )
-        for i in range(40)
-    )
-    slow = accumulate_theory(results, mu)
+    experiments = (_reference_experiment(law, instruments, mode, 77 ^ i, grid) for i in range(n))
+    slow = accumulate_theory(experiments, mu)
     peak = slow.joint.values.max()
     assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
 
@@ -175,6 +216,8 @@ def test_campaign_matches_streamed_accumulation():
 def _draw_i(axis: Axis, seed: int) -> float:
     rng = np.random.default_rng(seed)
     u = rng.uniform()
+    if axis.spacing == "linear":
+        return float(axis.lower + (axis.upper - axis.lower) * u)
     return float(axis.lower * (axis.upper / axis.lower) ** u)
 
 
@@ -182,6 +225,40 @@ def _skip_one_uniform(seed: int) -> np.random.Generator:
     rng = np.random.default_rng(seed)
     rng.uniform()
     return rng
+
+
+@pytest.mark.parametrize(
+    "instruments",
+    [
+        # 1e-3 lognormal: a length of 30 sits hundreds of widths off a box
+        # that ends at 20, and its density underflows to zero there.
+        [
+            MeasurementModel(parameter="L", kind=LOGNORMAL, center=1.0, width=1e-3),
+            MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=1e-3),
+        ],
+        # a boxcar reading whose window misses the box
+        [
+            MeasurementModel(parameter="L", kind=BOXCAR, center=1.0, width=0.5),
+            MeasurementModel(parameter="T", kind=BOXCAR, center=1.0, width=0.05),
+        ],
+    ],
+    ids=["lognormal", "boxcar"],
+)
+def test_campaign_counts_experiments_without_mass(instruments):
+    """set_T up to T = 2.5 reaches L = 30.7.  The campaign counts the
+    experiments with no mass on the grid and raises ZeroMass with that count."""
+    law = FallingBodyLaw()
+    grid = _fall_grid(101)
+    n = 200
+    dropped = 0
+    for i in range(n):
+        try:
+            normalize(_reference_experiment(law, instruments, SET_T, 5 ^ i, grid).density)
+        except (InvalidBounds, ZeroMass):
+            dropped += 1
+    assert 0 < dropped < n
+    with pytest.raises(ZeroMass, match=rf"^{dropped} of {n} experiment"):
+        run_campaign(law, instruments, n, SET_T, master_seed=5, grid=grid)
 
 
 def test_campaign_mu_must_share_grid():
