@@ -20,6 +20,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .density import Density, integrate, require_same_space
 from .errors import (
+    ConfigInvalid,
+    EmptyInput,
     NegativeScalar,
     NeutralZero,
     NotNormalized,
@@ -234,8 +236,11 @@ def check_axioms(
 
     Equality axioms are scored by the maximum pointwise discrepancy relative
     to the peak value; support axioms are scored by the number of violating
-    nodes (so any nonzero count fails regardless of ``tol``).
+    nodes (so any nonzero count fails regardless of ``tol``).  An empty
+    batch raises EmptyInput rather than passing vacuously.
     """
+    if len(triples) == 0:
+        raise EmptyInput("no triples to check; an empty batch would pass vacuously")
     eq_names = (
         "or_commutative",
         "or_associative",
@@ -297,6 +302,8 @@ def sample_axiom_triples(
     axioms are exercised on genuine zeros.  With ``grades=True`` values are
     membership grades in [0, 1] (what the max/min realization models).
     """
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     triples = []
     for _ in range(n):

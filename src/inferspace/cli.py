@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration problems (bad arguments, malformed
 files, impossible grids), 3 numerical failures (contradictory measurements,
-empty slices, unattainable tolerances).
+readings off the grid, empty slices, unattainable tolerances).
 
 Shorthand grammars:
   axis         NAME:SPACING:LOWER:UPPER:COUNT      (spacing lin|log)
@@ -246,7 +246,7 @@ _BUILD_DEFAULTS = {
     "sigma_theory": 1e-3,
     "sigma_length": 0.05,
     "sigma_time": 0.05,
-    "out": "theory.json",
+    "out": "theory.npz",
     "compare_analytic": False,
 }
 _BUILD_GRID = ("L:log:0.5:20:300", "T:log:0.25:2.5:300")
@@ -269,9 +269,9 @@ def _cmd_build_theory(args: argparse.Namespace) -> int:
         MeasurementModel(parameter=time_name, kind=LOGNORMAL, center=1.0, width=p.sigma_time),
     ]
     theory = run_campaign(law, instruments, int(p.n), p.mode, int(p.seed), grid)
-    write_theory(theory, p.out)
+    written = write_theory(theory, p.out)
     report = {
-        "out": p.out,
+        "out": str(written),
         "n_experiments": int(p.n),
         "mode": p.mode,
         "mass": integrate(theory.joint),
@@ -299,7 +299,7 @@ _ANALYTIC_DEFAULTS = {
     "frame": "linear",
     "g": 9.81,
     "sigma": 1e-3,
-    "out": "analytic-theory.json",
+    "out": "analytic-theory.npz",
 }
 
 
@@ -315,13 +315,13 @@ def _cmd_analytic_theory(args: argparse.Namespace) -> int:
         time_axis=grid.names[1],
     )
     theory = analytic_fall_theory(law, grid, frame=p.frame)
-    write_theory(theory, p.out)
-    _emit({"out": p.out, "frame": p.frame, "mass": integrate(theory.joint)})
+    written = write_theory(theory, p.out)
+    _emit({"out": str(written), "frame": p.frame, "mass": integrate(theory.joint)})
     return 0
 
 
 _INFER_DEFAULTS = {
-    "theory": "theory.json",
+    "theory": "theory.npz",
     "measure": None,  # required
     "query": None,
     "out": None,
@@ -335,12 +335,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     theory = read_theory(p.theory)
     grid = theory.joint.grid
     models = [parse_measurement(s) for s in p.measure]
-    rho = measurement_density(models[0], grid, frame=theory.joint.frame)
-    for model in models[1:]:
-        rho = and_combine(
-            rho, measurement_density(model, grid, frame=theory.joint.frame), theory.mu
-        )
-    post = intersect(theory, rho)
+    post = intersect(theory, *models)
     query = _default_query(grid, models, p.query)
     summary = post.summarize(query if grid.ndim > 1 else None)
     if p.out:
@@ -350,7 +345,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 _PREDICT_DEFAULTS = {
-    "theory": "theory.json",
+    "theory": "theory.npz",
     "known": None,  # required
     "query": None,
     "out": None,
@@ -381,18 +376,21 @@ _BENFORD_DEFAULTS = {
 
 def _cmd_benford(args: argparse.Namespace) -> int:
     p = _merge(args, _BENFORD_DEFAULTS)
+    n = int(p.n)
+    if n < 0:
+        raise ConfigInvalid(f"--n must be >= 0 (0 skips the sampled check), got {n}")
     probs = benford_digit_probabilities()
     report: dict = {
         "digits": {str(d): float(probs[d - 1]) for d in range(1, 10)}
     }
-    if int(p.n) > 0:
+    if n > 0:
         spec = PriorSpec(JEFFREYS, bounds=((float(p.lower), float(p.upper)),))
-        draws = sample_prior(spec, int(p.n), int(p.seed))
+        draws = sample_prior(spec, n, int(p.seed))
         leading = (draws / 10.0 ** np.floor(np.log10(draws))).astype(int)
         freqs = np.bincount(leading, minlength=10)[1:10] / len(draws)
         report["sampled"] = {str(d): float(freqs[d - 1]) for d in range(1, 10)}
         report["max_abs_error"] = float(np.max(np.abs(freqs - probs)))
-        report["n"] = int(p.n)
+        report["n"] = n
     _emit(report)
     return 0
 
@@ -502,8 +500,8 @@ _CONVERT_DEFAULTS = {
 def _cmd_convert(args: argparse.Namespace) -> int:
     p = _merge(args, _CONVERT_DEFAULTS)
     if not p.src or not p.out:
-        raise ConfigInvalid("convert needs --in SRC.json and --out DEST.{json,csv}")
-    d = read_density(p.src)
+        raise ConfigInvalid("convert needs --in SRC.{json,npz} and --out DEST.{json,csv}")
+    d = read_theory(p.src).joint if p.src.endswith(".npz") else read_density(p.src)
     mass_before = integrate(d)
     if p.map:
         maps = {}
@@ -561,6 +559,9 @@ def _add_grid_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", help='"default" or two axis shorthands joined by a comma')
 
 
+_THEORY_HELP = "theory file <base>.npz (a version-1 <base>.json is read too)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inferspace",
@@ -577,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sigma-theory", type=float, dest="sigma_theory")
     sp.add_argument("--sigma-length", type=float, dest="sigma_length", help="length instrument width")
     sp.add_argument("--sigma-time", type=float, dest="sigma_time", help="time instrument width")
-    sp.add_argument("--out", help="output path (sidecars .mu.json, .provenance.json)")
+    sp.add_argument("--out", help="theory file, written as <base>.npz")
     sp.add_argument(
         "--compare-analytic",
         action=argparse.BooleanOptionalAction,
@@ -593,12 +594,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--frame", choices=["linear", "log"])
     sp.add_argument("--g", type=float)
     sp.add_argument("--sigma", type=float, help="ridge width in log space")
-    sp.add_argument("--out")
+    sp.add_argument("--out", help="theory file, written as <base>.npz")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_analytic_theory)
 
     sp = sub.add_parser("infer", help="intersect a theory with measurements")
-    sp.add_argument("--theory", help="theory JSON path")
+    sp.add_argument("--theory", help=_THEORY_HELP)
     sp.add_argument(
         "--measure",
         "--measurement",
@@ -612,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_infer)
 
     sp = sub.add_parser("predict", help="posterior for one axis given another")
-    sp.add_argument("--theory")
+    sp.add_argument("--theory", help=_THEORY_HELP)
     sp.add_argument("--known", help="AXIS:KIND:CENTER:WIDTH")
     sp.add_argument("--query", help="axis to summarize (default: the other one)")
     sp.add_argument("--out")
@@ -647,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "convert", help="push a density file through coordinate maps and/or reformat it"
     )
-    sp.add_argument("--in", dest="src", help="input density JSON")
+    sp.add_argument("--in", dest="src", help="density .json, or theory .npz (exports its joint)")
     sp.add_argument("--out", help="output path, format by extension (.json or .csv)")
     sp.add_argument("--map", action="append", help="AXIS:KIND[:ARGS] (repeatable)")
     sp.add_argument("--match-tol", type=float, dest="match_tol", help="image-box slack")

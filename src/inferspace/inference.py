@@ -29,6 +29,7 @@ from .errors import (
     EnvelopeFailure,
     InvalidGrid,
     OutOfDomain,
+    ZeroMass,
     ZeroSlice,
 )
 from .grids import LOGARITHMIC, Axis, Grid
@@ -62,13 +63,53 @@ class Posterior:
         return summarize(d, levels=levels)
 
 
-def intersect(theory: TheoryDensity, rho: Density) -> Posterior:
-    """Conjoin a theory with a measurement state and normalize.
+def _off_grid(m: Density | MeasurementModel, grid: Grid) -> OutOfDomain:
+    """The error for a measurement that has no mass on the grid."""
+    if isinstance(m, MeasurementModel):
+        ax = grid.axes[grid.axis_index(m.parameter)]
+        return OutOfDomain(
+            f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) lies "
+            f"off the grid: it has no mass on {m.parameter} in [{ax.lower!r}, {ax.upper!r}]"
+        )
+    box = ", ".join(f"{ax.name} in [{ax.lower!r}, {ax.upper!r}]" for ax in grid.axes)
+    return OutOfDomain(f"the measurement density has no mass on the grid box {box}")
 
-    Raises ZeroMass when theory and measurement have disjoint support: the
-    measurement contradicts the theory outright.
+
+def intersect(
+    theory: TheoryDensity,
+    rho: Density | MeasurementModel,
+    *more: Density | MeasurementModel,
+) -> Posterior:
+    """Conjoin a theory with one or more measurements and normalize.
+
+    Each measurement is a density on the theory's grid or a model to build
+    one from.  The measurements are ANDed together first, then with the
+    theory.  When the result has no mass, raises OutOfDomain if a
+    measurement itself has none on the grid (the reading lies off the
+    grid), else ZeroMass: the measurements contradict each other or the
+    theory.
     """
-    return Posterior(and_combine(theory.joint, rho, theory.mu))
+    grid, frame = theory.joint.grid, theory.joint.frame
+
+    def density(m: Density | MeasurementModel) -> Density:
+        if isinstance(m, MeasurementModel):
+            return measurement_density(m, grid, frame=frame)
+        return m
+
+    combined = density(rho)
+    for m in more:
+        combined = and_combine(combined, density(m), theory.mu)
+    try:
+        return Posterior(and_combine(theory.joint, combined, theory.mu))
+    except ZeroMass as exc:
+        # The cause is worked out only on failure, so a posterior pays for no
+        # extra quadrature and holds no measurement density beyond the AND.
+        for m in (rho, *more):
+            if not integrate(density(m)) > 0.0:
+                raise _off_grid(m, grid) from exc
+        if more and not integrate(combined) > 0.0:
+            raise ZeroMass("the measurements contradict each other: their AND has no mass") from exc
+        raise ZeroMass(f"the measurement contradicts the theory: {exc}") from exc
 
 
 def predict(
@@ -81,11 +122,7 @@ def predict(
     ``known`` may be a measurement model (turned into a density spanning the
     theory's grid) or a ready-made measurement density.
     """
-    if isinstance(known, MeasurementModel):
-        rho = measurement_density(known, theory.joint.grid, frame=theory.joint.frame)
-    else:
-        rho = known
-    post = intersect(theory, rho)
+    post = intersect(theory, known)
     if post.density.grid.ndim == 1:
         return post
     return Posterior(post.marginal(query))

@@ -2,21 +2,32 @@
 
 Densities travel as self-describing JSON: axis headers, frame label,
 normalization flag, and the value array flattened row-major over axis order.
-A theory is three such files side by side: the joint (the path you name), its
-null-information density (``<base>.mu.json``), and a small provenance record
-(``<base>.provenance.json``).  CSV export is one row per node for plotting.
+CSV export is one row per node for plotting.  Both are export formats.
+
+A theory is one uncompressed ``<base>.npz`` archive: the ``joint`` and ``mu``
+value arrays (float64, bit-exact) and a ``header``, a 0-d string array holding
+JSON with the format name and version, the axis headers, the frame, both
+normalization flags and the provenance record.  It is written to a temporary
+file in the target's directory, synced, and renamed onto the target, so the
+target is always either whole or absent.  A version-1 theory, a density JSON
+``<base>.json`` with ``<base>.mu.json`` and ``<base>.provenance.json`` beside
+it, is still read when no ``<base>.npz`` exists.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from .density import Density
-from .errors import IOFailure, SchemaError
+from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid
 from .theory import Provenance, TheoryDensity
 
@@ -110,29 +121,141 @@ def write_csv(d: Density, path: str | Path) -> None:
 # theories
 # ---------------------------------------------------------------------------
 
-def _theory_paths(path: str | Path) -> tuple[Path, Path, Path]:
+THEORY_FORMAT_NAME = "inferspace-theory"
+THEORY_FORMAT_VERSION = 2
+_THEORY_MEMBERS = ("header", "joint", "mu")
+
+
+def _theory_path(path: str | Path) -> Path:
+    """The file a theory named ``path`` lives in: ``<base>.npz``, where a
+    ``.json`` or ``.npz`` suffix is stripped to find ``<base>``."""
     path = Path(path)
-    base = path.with_suffix("") if path.suffix == ".json" else path
-    joint = base.with_name(base.name + ".json")
-    mu = base.with_name(base.name + ".mu.json")
-    prov = base.with_name(base.name + ".provenance.json")
-    return joint, mu, prov
+    base = path.with_suffix("") if path.suffix in (".json", ".npz") else path
+    return base.with_name(base.name + ".npz")
 
 
-def write_theory(t: TheoryDensity, path: str | Path) -> None:
-    joint_path, mu_path, prov_path = _theory_paths(path)
-    write_density(t.joint, joint_path)
-    write_density(t.mu, mu_path)
+def _theory_header(t: TheoryDensity) -> str:
+    return json.dumps(
+        {
+            "format": THEORY_FORMAT_NAME,
+            "version": THEORY_FORMAT_VERSION,
+            "axes": [ax.to_header() for ax in t.joint.grid.axes],
+            "frame": t.joint.frame,
+            "normalized": {"joint": t.joint.normalized, "mu": t.mu.normalized},
+            "provenance": t.provenance.as_dict(),
+        }
+    )
+
+
+def write_theory(t: TheoryDensity, path: str | Path) -> Path:
+    """Write ``t`` atomically to ``<base>.npz`` and return that path."""
+    target = _theory_path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with prov_path.open("w", encoding="utf-8") as fh:
-            json.dump(t.provenance.as_dict(), fh, indent=2)
-            fh.write("\n")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(
+                    fh,
+                    header=np.array(_theory_header(t)),
+                    joint=t.joint.values,
+                    mu=t.mu.values,
+                )
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
-        raise IOFailure(f"cannot write {prov_path}: {exc}") from exc
+        raise IOFailure(f"cannot write {target}: {exc}") from exc
+    return target
+
+
+def _header(raw: np.ndarray) -> dict:
+    if raw.ndim != 0 or raw.dtype.kind != "U":
+        raise SchemaError(f"header is {raw.dtype}{raw.shape}, expected a 0-d string")
+    try:
+        header = json.loads(str(raw))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SchemaError(f"header is a JSON {type(header).__name__}, expected an object")
+    if header.get("format") != THEORY_FORMAT_NAME:
+        raise SchemaError(f"not a theory archive: format is {header.get('format')!r}")
+    if header.get("version") != THEORY_FORMAT_VERSION:
+        raise SchemaError(f"unsupported theory version {header.get('version')!r}")
+    return header
+
+
+def _values(archive, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    values = archive[name]
+    if values.dtype != np.float64 or values.shape != shape:
+        raise SchemaError(
+            f"member {name!r} is {values.dtype}{values.shape}, expected float64{shape}"
+        )
+    # Frozen, so Density shares the freshly read array instead of copying it.
+    values.setflags(write=False)
+    return values
+
+
+def _theory_from_archive(archive) -> TheoryDensity:
+    missing = [m for m in _THEORY_MEMBERS if m not in archive.files]
+    if missing:
+        raise SchemaError(f"not a theory archive: missing member(s) {missing}")
+    header = _header(archive["header"])
+    try:
+        grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
+        frame = str(header["frame"])
+        flags = header["normalized"]
+        normalized = bool(flags["joint"]), bool(flags["mu"])
+        provenance = Provenance.from_dict(header["provenance"])
+    except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed theory header: {exc!r}") from exc
+    joint = _values(archive, "joint", grid.shape)
+    mu = _values(archive, "mu", grid.shape)
+    try:
+        return TheoryDensity(
+            Density(grid, joint, frame=frame, normalized=normalized[0]),
+            Density(grid, mu, frame=frame, normalized=normalized[1]),
+            provenance,
+        )
+    except InferenceSpaceError as exc:
+        raise SchemaError(f"invalid theory values: {exc}") from exc
 
 
 def read_theory(path: str | Path) -> TheoryDensity:
-    joint_path, mu_path, prov_path = _theory_paths(path)
+    """Read the theory at ``<base>.npz``, or a version-1 ``<base>.json``
+    triple when there is no ``<base>.npz``."""
+    target = _theory_path(path)
+    legacy = target.with_suffix(".json")
+    if not target.exists() and legacy.exists():
+        return _read_theory_v1(legacy)
+    # A damaged zip fails in np.load or on reading a member, depending on
+    # where the damage is; a file of another kind fails in np.load.
+    damaged = (EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+    try:
+        archive = np.load(target, allow_pickle=False)
+    except OSError as exc:
+        raise IOFailure(f"cannot read {target}: {exc}") from exc
+    except damaged as exc:
+        raise SchemaError(f"{target} is not a theory archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise SchemaError(f"{target} holds a bare array, not a theory archive")
+    with archive:
+        try:
+            return _theory_from_archive(archive)
+        except SchemaError as exc:
+            raise SchemaError(f"{target}: {exc}") from exc
+        except damaged as exc:
+            raise SchemaError(f"{target} is a damaged theory archive: {exc}") from exc
+
+
+def _read_theory_v1(joint_path: Path) -> TheoryDensity:
+    base = joint_path.with_suffix("")
+    mu_path = base.with_name(base.name + ".mu.json")
+    prov_path = base.with_name(base.name + ".provenance.json")
     joint = read_density(joint_path)
     mu = read_density(mu_path)
     try:

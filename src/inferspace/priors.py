@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import Density
-from .errors import InvalidBounds, ModelAxisMismatch
+from .errors import ConfigInvalid, InvalidBounds, ModelAxisMismatch
 from .grids import LOGARITHMIC, Axis, Grid
 
 JEFFREYS = "jeffreys_reciprocal"
@@ -259,6 +259,8 @@ def sample_prior(spec: PriorSpec, n: int, seed: int) -> np.ndarray:
     """
     if spec.bounds is None:
         raise InvalidBounds("sampling needs explicit bounds on the PriorSpec")
+    if seed < 0:
+        raise ConfigInvalid(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if spec.kind == SPHERICAL:
         if len(spec.bounds) != 2:

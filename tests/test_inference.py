@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from inferspace import (
+    BOXCAR,
     GAUSSIAN,
     LOGNORMAL,
     Axis,
@@ -117,8 +118,40 @@ class TestIntersect:
         )
         far = np.where((axl.nodes >= 8.0) & (axl.nodes <= 10.0), 1.0, 0.0)
         rho = Density(grid, np.outer(far, np.ones(axt.count)))
-        with pytest.raises(ZeroMass):
+        with pytest.raises(ZeroMass, match="contradicts the theory"):
             intersect(theory, rho)
+
+    def test_reading_off_the_grid_raises_out_of_domain(self):
+        """A reading with no mass on the box lies off the grid; that is not a
+        contradiction with the theory, and the error names axis, reading and box."""
+        theory = _fall_theory(sigma=0.05, nl=61, nt=61)
+        off = MeasurementModel(parameter="T", kind=LOGNORMAL, center=5.0, width=0.001)
+        with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid.* \[0\.6, 1\.6\]"):
+            intersect(theory, off)
+        with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid"):
+            predict(theory, off, "L")
+        with pytest.raises(OutOfDomain, match=r"no mass on the grid box L in \[2\.0, 12\.0\]"):
+            intersect(theory, measurement_density(off, theory.joint.grid))
+
+    def test_several_measurements_are_anded_before_the_theory(self):
+        theory = _fall_theory(sigma=0.05, nl=121, nt=121)
+        grid = theory.joint.grid
+        t = MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1)
+        length = MeasurementModel(parameter="L", kind=LOGNORMAL, center=4.9, width=0.05)
+        rho = and_combine(
+            measurement_density(t, grid), measurement_density(length, grid), theory.mu
+        )
+        both = intersect(theory, t, length)
+        assert np.array_equal(both.density.values, intersect(theory, rho).density.values)
+
+    def test_measurements_contradicting_each_other_raise_zero_mass(self):
+        theory = _fall_theory(sigma=0.05, nl=121, nt=121)
+        with pytest.raises(ZeroMass, match="contradict each other"):
+            intersect(
+                theory,
+                MeasurementModel(parameter="T", kind=BOXCAR, center=0.7, width=0.01),
+                MeasurementModel(parameter="T", kind=BOXCAR, center=1.4, width=0.01),
+            )
 
 
 # ---------------------------------------------------------------------------

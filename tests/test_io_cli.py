@@ -6,27 +6,43 @@ codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from inferspace import (
+    JEFFREYS,
+    LOGNORMAL,
+    SET_L,
     Axis,
     Density,
+    FallingBodyLaw,
     Grid,
     IOFailure,
+    MeasurementModel,
+    PriorSpec,
     Provenance,
     SchemaError,
     TheoryDensity,
+    analytic_fall_theory,
     density_from_dict,
     density_to_dict,
     grids_equal,
     integrate,
+    make_prior,
     normalize,
     null_information_density,
     read_density,
     read_theory,
+    run_campaign,
+    theory_from_conditional,
     write_csv,
     write_density,
     write_theory,
@@ -141,38 +157,171 @@ class TestCsvExport:
 # theory files
 # ---------------------------------------------------------------------------
 
+def _sample_theory(kind="empirical"):
+    joint = _sample_density()
+    return TheoryDensity(
+        joint=joint,
+        mu=null_information_density(joint.grid, frame="lab"),
+        provenance=Provenance(kind=kind, n_experiments=7, master_seed=123),
+    )
+
+
+def assert_same_theory(back: TheoryDensity, theory: TheoryDensity) -> None:
+    """Bit for bit: grids, value bytes, frames, flags and provenance."""
+    for b, t in ((back.joint, theory.joint), (back.mu, theory.mu)):
+        assert b.grid.axes == t.grid.axes
+        assert b.values.dtype == np.float64 and b.values.tobytes() == t.values.tobytes()
+        assert b.frame == t.frame
+        assert b.normalized is t.normalized
+    assert back.provenance == theory.provenance
+
+
+def _analytic_linear(grid):
+    return analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid)
+
+
+def _analytic_log(grid):
+    return analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid, frame="log")
+
+
+def _campaign(grid):
+    instruments = [MeasurementModel("L", LOGNORMAL, 1.0, 0.05),
+                   MeasurementModel("T", LOGNORMAL, 1.0, 0.05)]
+    return run_campaign(FallingBodyLaw(9.81, 1e-3), instruments, 60, SET_L, 5, grid)
+
+
+def _from_conditional(grid):
+    i_ax, d_ax = grid.axes
+    decay = np.arange(d_ax.count)
+    slices = [normalize(Density(Grid.of(d_ax), np.exp(-decay / (k + 3))))
+              for k in range(i_ax.count)]
+    return theory_from_conditional(slices, make_prior(PriorSpec(JEFFREYS), Grid.of(i_ax)))
+
+
 class TestTheoryFiles:
-    def test_sidecars_and_round_trip(self, tmp_path):
-        joint = _sample_density()
-        theory = TheoryDensity(
-            joint=joint,
-            mu=null_information_density(joint.grid, frame="lab"),
-            provenance=Provenance(kind="empirical", n_experiments=7, master_seed=123),
-        )
-        base = tmp_path / "theory.json"
-        write_theory(theory, base)
-        assert base.exists()
-        assert (tmp_path / "theory.mu.json").exists()
-        assert (tmp_path / "theory.provenance.json").exists()
-        back = read_theory(base)
+    def test_one_file_and_round_trip(self, tmp_path):
+        theory = _sample_theory()
+        written = write_theory(theory, tmp_path / "theory.json")
+        assert written == tmp_path / "theory.npz"
+        assert sorted(os.listdir(tmp_path)) == ["theory.npz"]
+        back = read_theory(tmp_path / "theory.json")
         assert np.array_equal(back.joint.values, theory.joint.values)
         assert np.array_equal(back.mu.values, theory.mu.values)
         assert back.provenance.kind == "empirical"
         assert back.provenance.n_experiments == 7
         assert back.provenance.master_seed == 123
+        assert_same_theory(back, theory)
 
-    def test_missing_provenance_sidecar_raises(self, tmp_path):
-        joint = _sample_density()
-        theory = TheoryDensity(
-            joint=joint,
-            mu=null_information_density(joint.grid, frame="lab"),
-            provenance=Provenance(kind="analytic"),
-        )
-        base = tmp_path / "theory.json"
-        write_theory(theory, base)
-        (tmp_path / "theory.provenance.json").unlink()
+    def test_missing_theory_file_raises(self, tmp_path):
+        write_theory(_sample_theory("analytic"), tmp_path / "theory.json")
+        (tmp_path / "theory.npz").unlink()
         with pytest.raises(IOFailure):
-            read_theory(base)
+            read_theory(tmp_path / "theory.json")
+
+    @pytest.mark.parametrize("name", ["theory", "theory.json", "theory.npz"])
+    def test_every_spelling_names_one_file(self, tmp_path, name):
+        assert write_theory(_sample_theory(), tmp_path / name) == tmp_path / "theory.npz"
+        for spelling in ("theory", "theory.json", "theory.npz"):
+            assert_same_theory(read_theory(tmp_path / spelling), _sample_theory())
+
+    @pytest.mark.parametrize(
+        "build",
+        [_analytic_linear, _analytic_log, _campaign, _from_conditional],
+        ids=["analytic-linear", "analytic-log", "campaign", "from-conditional"],
+    )
+    def test_constructed_theories_round_trip_bit_exact(self, tmp_path, build):
+        grid = Grid.of(
+            Axis.logarithmic("L", 1.0, 10.0, 61), Axis.logarithmic("T", 0.4515, 1.4279, 53)
+        )
+        theory = build(grid)
+        write_theory(theory, tmp_path / "t")
+        assert_same_theory(read_theory(tmp_path / "t"), theory)
+
+    @pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, raised):
+        """The array write dies halfway through the second member: an absent
+        target stays absent, a present one keeps its old bytes, and the
+        temporary file is gone either way."""
+        real = np.lib.format.write_array
+
+        def dies_mid_file(fp, array, *args, **kwargs):
+            if array is theory.mu.values:
+                fp.write(b"\x93NUMPY partial")
+                raise raised("disk full")
+            return real(fp, array, *args, **kwargs)
+
+        theory = _sample_theory()
+        target = tmp_path / "theory.npz"
+        monkeypatch.setattr(np.lib.format, "write_array", dies_mid_file)
+        with pytest.raises(IOFailure if raised is OSError else raised):
+            write_theory(theory, target)
+        assert os.listdir(tmp_path) == []
+
+        monkeypatch.setattr(np.lib.format, "write_array", real)
+        old = _sample_theory("analytic")
+        write_theory(old, target)
+        before = target.read_bytes()
+        monkeypatch.setattr(np.lib.format, "write_array", dies_mid_file)
+        with pytest.raises(IOFailure if raised is OSError else raised):
+            write_theory(theory, target)
+        assert os.listdir(tmp_path) == ["theory.npz"]
+        assert target.read_bytes() == before
+        monkeypatch.setattr(np.lib.format, "write_array", real)
+        assert_same_theory(read_theory(target), old)
+
+    def test_version_one_json_triple_still_reads(self, tmp_path, capsys):
+        grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 201),
+                       Axis.logarithmic("T", 0.4515, 1.4279, 201))
+        theory = analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid)
+        write_density(theory.joint, tmp_path / "old.json")
+        write_density(theory.mu, tmp_path / "old.mu.json")
+        (tmp_path / "old.provenance.json").write_text(json.dumps({"kind": "analytic"}))
+        assert_same_theory(read_theory(tmp_path / "old"), theory)
+        code, doc = run_cli(
+            ["infer", "--theory", str(tmp_path / "old.json"),
+             "--measure", "T:lognormal:1.0:0.05"],
+            capsys,
+        )
+        assert code == 0
+        assert abs(doc["mode"] / 4.905 - 1.0) < 0.025
+        assert not (tmp_path / "old.npz").exists()
+
+
+_names = st.sampled_from(["L", "T", "x", "time (s)", "λ"])
+
+
+@st.composite
+def _theories(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=2, unique=True))
+    axes = []
+    for name in names:
+        lower = draw(st.floats(1e-3, 1e3))
+        upper = lower * draw(st.floats(1.001, 1e3))
+        count = draw(st.integers(2, 6))
+        units = draw(st.text(max_size=4))
+        make = draw(st.sampled_from([Axis.linear, Axis.logarithmic]))
+        axes.append(make(name, lower, upper, count, units))
+    grid = Grid.of(*axes)
+    values = hnp.arrays(
+        np.float64, grid.shape,
+        elements=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+    )
+    frame = draw(st.text(max_size=8))
+    flags = st.booleans()
+    seeds = st.none() | st.integers(0, 2**63 - 1)
+    return TheoryDensity(
+        joint=Density(grid, draw(values), frame=frame, normalized=draw(flags)),
+        mu=Density(grid, draw(values), frame=frame, normalized=draw(flags)),
+        provenance=Provenance(draw(st.text(max_size=12)), draw(seeds), draw(seeds)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_theories())
+def test_theory_file_round_trip_is_bit_exact(theory):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_theory(theory, Path(tmp) / "t")
+        assert_same_theory(read_theory(path), theory)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +341,8 @@ class TestCliInference:
         assert code == 0
         assert doc["frame"] == "linear"
         assert doc["mass"] > 0.0
-        assert (tmp_path / "th.mu.json").exists()
+        assert doc["out"] == str(tmp_path / "th.npz")
+        assert (tmp_path / "th.npz").exists()
 
         out = str(tmp_path / "posterior-L.json")
         code, doc = run_cli(
@@ -317,12 +467,10 @@ class TestCliInference:
             "--seed",
             "21",
         ]
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
+        assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
+        assert main(args + ["--out", str(tmp_path / "b")]) == 0
         capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_build_theory_set_t_on_the_default_grid(self, tmp_path, capsys):
         """Experiments whose length lands outside the L box still carry a
@@ -337,6 +485,83 @@ class TestCliInference:
         assert "master seed" in capsys.readouterr().err
         assert code == 2
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv", [["benford", "--n", "10", "--seed", "-1"], ["axioms", "--seed", "-1"]]
+    )
+    def test_negative_seed_exits_config(self, argv, capsys):
+        code = main(argv)
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["axioms", "--triples", "0"], ["axioms", "--triples", "-3"], ["benford", "--n", "-5"]],
+    )
+    def test_empty_or_negative_counts_exit_config(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_reading_off_the_grid_exits_numerical(self, tmp_path, capsys):
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
+        code = main(["predict", "--theory", th, "--known", "T:lognormal:5.0:0.001"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "T=5.0" in err and "off the grid" in err and "[0.4515, 1.4279]" in err
+
+    def test_reading_against_the_theory_exits_numerical(self, tmp_path, capsys):
+        """Both readings lie on the grid, but the theory puts no mass where
+        T = 0.5 s and L = 9.5 m meet."""
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
+        code = main(["infer", "--theory", th, "--measure", "T:boxcar:0.5:0.01",
+                     "--measure", "L:boxcar:9.5:0.1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "contradicts the theory" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "not-a-zip", "empty", "wrong-format", "wrong-version",
+         "missing-member", "bare-array", "wrong-shape", "non-finite"],
+    )
+    def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
+        th = tmp_path / "th.npz"
+        write_theory(_sample_theory(), th)
+        with np.load(th) as z:
+            members = {k: z[k] for k in z.files}
+        header = json.loads(str(members["header"]))
+        if damage == "truncated":
+            th.write_bytes(th.read_bytes()[: th.stat().st_size // 2])
+        elif damage == "not-a-zip":
+            th.write_text("{}")
+        elif damage == "empty":
+            th.write_bytes(b"")
+        elif damage in ("wrong-format", "wrong-version"):
+            if damage == "wrong-format":
+                header["format"] = "inferspace-density"
+            else:
+                header["version"] = 1
+            np.savez(th, **{**members, "header": np.array(json.dumps(header))})
+        elif damage == "missing-member":
+            del members["mu"]
+            np.savez(th, **members)
+        elif damage == "bare-array":
+            with th.open("wb") as fh:
+                np.save(fh, members["joint"])
+        elif damage == "wrong-shape":
+            np.savez(th, **{**members, "mu": members["mu"][:-1]})
+        else:
+            members["joint"][0, 0] = np.nan
+            np.savez(th, **members)
+        code = main(["infer", "--theory", str(th), "--measure", "T:lognormal:1:0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {th}")
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +728,21 @@ class TestCliConvert:
         code = main(["convert", "--in", src, "--out", out, "--map", "zz:log"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_theory_joint_exports(self, tmp_path, capsys, suffix):
+        theory = _sample_theory()
+        write_theory(theory, tmp_path / "th")
+        out = tmp_path / f"joint{suffix}"
+        code, doc = run_cli(["convert", "--in", str(tmp_path / "th.npz"), "--out", str(out)],
+                            capsys)
+        assert code == 0
+        assert doc["nodes"] == theory.joint.grid.node_count
+        assert doc["mass_after"] == doc["mass_before"] == integrate(theory.joint)
+        if suffix == ".json":
+            assert np.array_equal(read_density(out).values, theory.joint.values)
+        else:
+            assert len(out.read_text().strip().splitlines()) == 1 + 23 * 17
 
     def test_missing_input_flag_exits_config(self, tmp_path, capsys):
         code = main(["convert", "--out", str(tmp_path / "o.json")])
