@@ -1,7 +1,7 @@
-"""Batched bilinear interpolation over the spacing coordinates of a 2D grid.
+"""Multilinear interpolation over the spacing coordinates of a 1D or 2D grid.
 
-Evaluating and pushing forward 2D densities both interpolate one table at
-many scattered points; this is the vectorized numpy kernel they share.
+Evaluating and pushing forward densities both interpolate one table of node
+values at many points; this is the vectorized numpy kernel they share.
 """
 
 from __future__ import annotations
@@ -13,32 +13,37 @@ def backend() -> str:
     return "numpy"
 
 
-def bilinear_many(ux, uy, values, px, py):
-    """Interpolate ``values`` (over sorted coords ux, uy) at points (px, py).
+def _locate(nodes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left node index of each point's cell and its clipped fraction across it."""
+    i = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, nodes.size - 2)
+    t = np.clip((u - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
+    return i, t
 
-    Points must already be clipped to the box; interpolation is linear along
-    each axis and exact at nodes.
+
+def interpolate(nodes, values, points) -> np.ndarray:
+    """Interpolate ``values`` over the tensor grid ``nodes`` at ``points``.
+
+    ``nodes`` holds one or two ascending node arrays and ``values`` has shape
+    ``(len(n) for n in nodes)``.  ``points`` holds one coordinate array per
+    axis; they broadcast together and the result has their broadcast shape, so
+    scattered points ``(x, y)`` and a tensor product ``(x[:, None], y[None, :])``
+    take the same path.  Points should already be clipped to the box.
+    Interpolation is linear along each axis and exact at nodes.
     """
-    ux = np.ascontiguousarray(ux, dtype=np.float64)
-    uy = np.ascontiguousarray(uy, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    px = np.ascontiguousarray(px, dtype=np.float64)
-    py = np.ascontiguousarray(py, dtype=np.float64)
-    nx = ux.size
-    ny = uy.size
-    ix = np.clip(np.searchsorted(ux, px, side="right") - 1, 0, nx - 2)
-    iy = np.clip(np.searchsorted(uy, py, side="right") - 1, 0, ny - 2)
-    tx = (px - ux[ix]) / (ux[ix + 1] - ux[ix])
-    ty = (py - uy[iy]) / (uy[iy + 1] - uy[iy])
-    tx = np.clip(tx, 0.0, 1.0)
-    ty = np.clip(ty, 0.0, 1.0)
-    v00 = values[ix, iy]
-    v10 = values[ix + 1, iy]
-    v01 = values[ix, iy + 1]
-    v11 = values[ix + 1, iy + 1]
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    located = [
+        _locate(np.asarray(n, dtype=np.float64), np.asarray(p, dtype=np.float64))
+        for n, p in zip(nodes, points, strict=True)
+    ]
+    if len(located) == 1:
+        (i, t), = located
+        return (1.0 - t) * values.take(i) + t * values.take(i + 1)
+    (i0, t0), (i1, t1) = located
+    stride = len(nodes[1])
+    flat = i0 * stride + i1
     return (
-        (1.0 - tx) * (1.0 - ty) * v00
-        + tx * (1.0 - ty) * v10
-        + (1.0 - tx) * ty * v01
-        + tx * ty * v11
+        (1.0 - t0) * (1.0 - t1) * values.take(flat)
+        + t0 * (1.0 - t1) * values.take(flat + stride)
+        + (1.0 - t0) * t1 * values.take(flat + 1)
+        + t0 * t1 * values.take(flat + stride + 1)
     )

@@ -19,7 +19,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._kernels import bilinear_many
+from ._kernels import interpolate
 from .density import Density, default_frame, evaluate
 from .errors import DomainMismatch, InvalidGrid, SingularJacobian
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
@@ -189,7 +189,13 @@ def compose(m1: CoordinateMap, m2: CoordinateMap) -> CoordinateMap:
 @dataclass(frozen=True, eq=False)
 class Map2D:
     """A 2D coordinate change (x, y) ↦ (u, v) with analytic Jacobian
-    determinant of the forward map."""
+    determinant of the forward map.
+
+    ``inverse`` and ``det_forward`` must broadcast their array arguments as
+    numpy ufuncs do: the push-forward hands ``inverse`` a column of u and a
+    row of v, and ``det_forward`` the preimages it returned, which may keep
+    those shapes.
+    """
 
     kind: str
     forward: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -286,51 +292,22 @@ def _push_2d(d, m, target_grid, frame, outside, match_tol):
     ax0, ax1 = d.grid.axes
     tu, tv = target_grid.axes
     if m.separable is not None:
-        mx, my = m.separable
-        mx.check_domain(ax0)
-        my.check_domain(ax1)
-        x = np.asarray(mx.inverse(tu.nodes), dtype=float)
-        y = np.asarray(my.inverse(tv.nodes), dtype=float)
-        x, in_x = _clip_or_flag(ax0, x, outside, match_tol)
-        y, in_y = _clip_or_flag(ax1, y, outside, match_tol)
-        jx = mx.jacobian(x)
-        jy = my.jacobian(y)
-        vals = _evaluate_product_points(d, x, y) / np.multiply.outer(jx, jy)
-        if outside == "zero":
-            vals *= np.multiply.outer(in_x, in_y)
-        return Density(target_grid, vals, frame=frame)
-
-    uu = np.broadcast_to(tu.nodes[:, None], (tu.count, tv.count)).ravel()
-    vv = np.broadcast_to(tv.nodes[None, :], (tu.count, tv.count)).ravel()
-    x, y = m.inverse(uu, vv)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, in_x = _clip_or_flag(ax0, x, outside, match_tol)
-    y, in_y = _clip_or_flag(ax1, y, outside, match_tol)
+        for factor, ax in zip(m.separable, d.grid.axes):
+            factor.check_domain(ax)
+    # A column of u and a row of v: preimages, masks and Jacobians broadcast
+    # from them, so a separable map keeps a column and a row throughout.
+    x, y = m.inverse(tu.nodes[:, None], tv.nodes[None, :])
+    x, in_x = _clip_or_flag(ax0, np.asarray(x, dtype=float), outside, match_tol)
+    y, in_y = _clip_or_flag(ax1, np.asarray(y, dtype=float), outside, match_tol)
     det = np.asarray(m.det_forward(x, y), dtype=float)
     if not np.all(np.isfinite(det)) or np.any(det == 0.0):
         raise SingularJacobian(f"{m.kind!r} map has a singular Jacobian at some preimages")
-    u0 = ax0.param_of(x)
-    u1 = ax1.param_of(y)
-    vals = bilinear_many(ax0.param_nodes, ax1.param_nodes, d.values, u0, u1) / det
-    vals = np.where(in_x & in_y, vals, 0.0) if outside == "zero" else vals
-    return Density(target_grid, vals.reshape(target_grid.shape), frame=frame)
-
-
-def _evaluate_product_points(d: Density, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Bilinear values of a 2D density on the tensor grid xs × ys, computed as
-    two 1D interpolation passes."""
-    ax0, ax1 = d.grid.axes
-    u0 = ax0.param_of(xs)
-    u1 = ax1.param_of(ys)
-    p0 = ax0.param_nodes
-    p1 = ax1.param_nodes
-    i0 = np.clip(np.searchsorted(p0, u0, side="right") - 1, 0, ax0.count - 2)
-    t0 = np.clip((u0 - p0[i0]) / (p0[i0 + 1] - p0[i0]), 0.0, 1.0)
-    rows = d.values[i0] * (1.0 - t0)[:, None] + d.values[i0 + 1] * t0[:, None]
-    i1 = np.clip(np.searchsorted(p1, u1, side="right") - 1, 0, ax1.count - 2)
-    t1 = np.clip((u1 - p1[i1]) / (p1[i1 + 1] - p1[i1]), 0.0, 1.0)
-    return rows[:, i1] * (1.0 - t1)[None, :] + rows[:, i1 + 1] * t1[None, :]
+    vals = interpolate(
+        (ax0.param_nodes, ax1.param_nodes), d.values, (ax0.param_of(x), ax1.param_of(y))
+    ) / det
+    if outside == "zero":
+        vals = np.where(in_x & in_y, vals, 0.0)
+    return Density(target_grid, np.broadcast_to(vals, target_grid.shape), frame=frame)
 
 
 # ---------------------------------------------------------------------------

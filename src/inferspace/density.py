@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._kernels import bilinear_many
+from ._kernels import interpolate
 from .config import DEFAULT_TOLERANCES
 from .errors import (
     GridMismatch,
@@ -182,24 +182,19 @@ def evaluate(d: Density, points: np.ndarray) -> np.ndarray:
     coordinate and exact at nodes.  Points outside the box raise OutOfDomain.
     """
     pts = np.asarray(points, dtype=np.float64)
-    scalar = False
+    scalar = pts.ndim == d.grid.ndim - 1
     if d.grid.ndim == 1:
-        if pts.ndim == 0:
-            pts = pts[None]
-            scalar = True
-        ax = d.grid.axes[0]
-        d.grid.require_inside((pts,))
-        u = ax.param_of(ax.clip(pts))
-        out = np.interp(u, ax.param_nodes, d.values)
+        cols = (pts.reshape(1) if scalar else pts,)
     else:
-        if pts.ndim == 1:
-            if pts.shape != (2,):
-                raise OutOfDomain(f"a single 2D point needs 2 coordinates, got {pts.shape}")
-            pts = pts[None, :]
-            scalar = True
-        ax0, ax1 = d.grid.axes
-        d.grid.require_inside((pts[:, 0], pts[:, 1]))
-        u0 = ax0.param_of(ax0.clip(pts[:, 0]))
-        u1 = ax1.param_of(ax1.clip(pts[:, 1]))
-        out = bilinear_many(ax0.param_nodes, ax1.param_nodes, d.values, u0, u1)
+        if scalar and pts.shape != (2,):
+            raise OutOfDomain(f"a single 2D point needs 2 coordinates, got {pts.shape}")
+        pts = pts.reshape(1, 2) if scalar else pts
+        cols = (pts[:, 0], pts[:, 1])
+    d.grid.require_inside(cols)
+    axes = d.grid.axes
+    out = interpolate(
+        tuple(ax.param_nodes for ax in axes),
+        d.values,
+        tuple(ax.param_of(ax.clip(c)) for ax, c in zip(axes, cols)),
+    )
     return float(out[0]) if scalar else out

@@ -7,17 +7,20 @@ CSV export is one row per node for plotting.  Both are export formats.
 A theory is one uncompressed ``<base>.npz`` archive: the ``joint`` and ``mu``
 value arrays (float64, bit-exact) and a ``header``, a 0-d string array holding
 JSON with the format name and version, the axis headers, the frame, both
-normalization flags and the provenance record.  It is written to a temporary
-file in the target's directory, synced, and renamed onto the target, so the
-target is always either whole or absent.  A version-1 theory, a density JSON
+normalization flags and the provenance record.  A version-1 theory, a density JSON
 ``<base>.json`` with ``<base>.mu.json`` and ``<base>.provenance.json`` beside
 it, is still read when no ``<base>.npz`` exists.
+
+Every writer goes through a temporary file in the target's directory that is
+synced and renamed onto the target, so the target is always either whole or
+absent.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import zipfile
@@ -33,6 +36,29 @@ from .theory import Provenance, TheoryDensity
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
+
+
+@contextlib.contextmanager
+def _replacing(target: Path, mode: str = "wb"):
+    """Yield a file opened in ``mode`` whose contents replace ``target`` in
+    one rename once the block ends; on any failure the target is untouched
+    and the temporary file is removed.  An OSError becomes IOFailure."""
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, mode, **text) as fh:
+                yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IOFailure(f"cannot write {target}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +95,9 @@ def density_from_dict(doc: dict) -> Density:
 
 
 def write_density(d: Density, path: str | Path) -> None:
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8") as fh:
-            json.dump(density_to_dict(d), fh)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
+    with _replacing(Path(path), "w") as fh:
+        json.dump(density_to_dict(d), fh)
+        fh.write("\n")
 
 
 def read_density(path: str | Path) -> Density:
@@ -96,25 +118,14 @@ def read_density(path: str | Path) -> Density:
 
 def write_csv(d: Density, path: str | Path) -> None:
     """One row per node: axis coordinates then the density value."""
-    path = Path(path)
-    try:
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(d.grid.names) + ["density"])
-            if d.grid.ndim == 1:
-                xs = d.grid.axes[0].nodes
-                for x, v in zip(xs, d.values):
-                    writer.writerow([repr(float(x)), repr(float(v))])
-            else:
-                xs = d.grid.axes[0].nodes
-                ys = d.grid.axes[1].nodes
-                for i, x in enumerate(xs):
-                    for jj, y in enumerate(ys):
-                        writer.writerow(
-                            [repr(float(x)), repr(float(y)), repr(float(d.values[i, jj]))]
-                        )
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
+    header = io.StringIO()  # axis names may need CSV quoting
+    csv.writer(header).writerow([*d.grid.names, "density"])
+    *outer, inner = ([repr(c) for c in ax.nodes.tolist()] for ax in d.grid.axes)
+    prefixes = [f"{x}," for x in outer[0]] if outer else [""]
+    with _replacing(Path(path), "w") as fh:
+        fh.write(header.getvalue())
+        for prefix, row in zip(prefixes, d.values.reshape(len(prefixes), -1)):
+            fh.write("".join([f"{prefix}{y},{v!r}\r\n" for y, v in zip(inner, row.tolist())]))
 
 
 # ---------------------------------------------------------------------------
@@ -150,26 +161,8 @@ def _theory_header(t: TheoryDensity) -> str:
 def write_theory(t: TheoryDensity, path: str | Path) -> Path:
     """Write ``t`` atomically to ``<base>.npz`` and return that path."""
     target = _theory_path(path)
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    header=np.array(_theory_header(t)),
-                    joint=t.joint.values,
-                    mu=t.mu.values,
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IOFailure(f"cannot write {target}: {exc}") from exc
+    with _replacing(target) as fh:
+        np.savez(fh, header=np.array(_theory_header(t)), joint=t.joint.values, mu=t.mu.values)
     return target
 
 

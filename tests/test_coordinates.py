@@ -19,8 +19,10 @@ from inferspace import (
     normalize,
     null_information_density,
     power_map,
+    product_map,
     push_forward,
     reciprocal_map,
+    shear_map,
     verify_invariance,
 )
 
@@ -170,3 +172,81 @@ def test_invariance_nonlinear_within_interpolation_error(factory):
     assert rep.within(1e-4), (rep.or_discrepancy, rep.and_discrepancy)
     # Interpolation error is genuine here, not rounding.
     assert rep.or_discrepancy > 0.0 or rep.and_discrepancy > 0.0
+
+
+# ---------------------------------------------------------------------------
+# 2D push-forward
+# ---------------------------------------------------------------------------
+
+def _bump(x, y):
+    return np.exp(-((np.log(x) - 0.1) ** 2) / 0.3 - ((np.log(y) + 0.2) ** 2) / 0.5)
+
+
+def test_separable_nonaffine_push_matches_analytic_pullback():
+    """(u, v) = (x², 1/y) on log axes: q(u, v) = p(√u, 1/v) / (2√u · v²)."""
+    src = Grid.of(Axis.logarithmic("x", 0.5, 2.0, 401), Axis.logarithmic("y", 0.5, 4.0, 401))
+    p = Density.from_callable(src, _bump)
+    # Coarser image axes, so target nodes fall between source nodes.
+    target = Grid.of(Axis.logarithmic("u", 0.25, 4.0, 151), Axis.logarithmic("v", 0.25, 2.0, 137))
+    pushed = push_forward(p, product_map(power_map(2.0), reciprocal_map()), target)
+    u, v = target.meshes()
+    expected = _bump(np.sqrt(u), 1.0 / v) / (2.0 * np.sqrt(u) * v * v)
+    assert np.max(np.abs(pushed.values - expected)) < 1e-4 * expected.max()
+    assert integrate(pushed) == pytest.approx(integrate(p), rel=1e-4)
+
+
+def _shear_case():
+    src = Grid.of(Axis.linear("x", 0.5, 2.0, 61), Axis.linear("y", 0.0, 1.0, 41))
+    rng = np.random.default_rng(12)
+    p = Density(src, rng.uniform(0.1, 2.0, src.shape))
+    target = Grid.of(src.axes[0], Axis.linear("v", 0.0, 1.5, 97))
+    return p, target
+
+
+def test_shear_push_is_evaluate_at_preimages_over_the_jacobian():
+    p, target = _shear_case()
+    m = shear_map()
+    pushed = push_forward(p, m, target, outside="zero")
+    u, v = (c.ravel() for c in np.meshgrid(*(ax.nodes for ax in target.axes), indexing="ij"))
+    x, y = m.inverse(u, v)
+    inside = y <= p.grid.axes[1].upper
+    pts = np.column_stack([x[inside], y[inside]])
+    expected = evaluate(p, pts) / m.det_forward(x[inside], y[inside])
+    assert np.array_equal(pushed.values.ravel()[inside], expected)
+
+
+def test_outside_zero_in_2d_zeroes_exactly_the_nodes_that_leave_the_box():
+    p, target = _shear_case()
+    pushed = push_forward(p, shear_map(), target, outside="zero")
+    u, v = np.meshgrid(*(ax.nodes for ax in target.axes), indexing="ij")
+    leaves = v / u > p.grid.axes[1].upper * (1.0 + 1e-9)
+    assert leaves.any() and not leaves.all()
+    assert np.array_equal(pushed.values == 0.0, leaves)
+    with pytest.raises(DomainMismatch):
+        push_forward(p, shear_map(), target)
+
+
+def test_separable_factor_domain_is_checked():
+    src = Grid.of(Axis.linear("x", -1.0, 1.0, 11), Axis.linear("y", 0.0, 1.0, 11))
+    p = Density(src, np.ones(src.shape))
+    target = Grid.of(Axis.linear("u", -1.0, 0.0, 11), Axis.linear("v", 0.0, 1.0, 11))
+    with pytest.raises(DomainMismatch, match="'log' map domain"):
+        push_forward(p, product_map(log_map(), affine_map(1.0)), target)
+
+
+def test_separable_push_keeps_a_column_and_a_row():
+    """The factors' inverses see a column of u and a row of v, never the mesh."""
+    seen = []
+
+    def factor(scale):
+        def inverse(w):
+            seen.append(np.shape(w))
+            return w / scale
+        return custom_map(lambda x: scale * x, inverse, lambda x: scale + 0.0 * x)
+
+    src = Grid.of(Axis.linear("x", 0.0, 1.0, 21), Axis.linear("y", 0.0, 1.0, 31))
+    p = Density(src, np.ones(src.shape))
+    target = Grid.of(Axis.linear("u", 0.0, 2.0, 41), Axis.linear("v", 0.0, 3.0, 51))
+    pushed = push_forward(p, product_map(factor(2.0), factor(3.0)), target)
+    assert seen == [(41, 1), (1, 51)]
+    np.testing.assert_allclose(pushed.values, 1.0 / 6.0, rtol=1e-15)

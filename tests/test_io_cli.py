@@ -152,6 +152,77 @@ class TestCsvExport:
         assert lines[0] == "x,density"
         assert len(lines) == 12
 
+    def test_exact_text_of_a_small_export(self, tmp_path):
+        """Shortest round-trip reprs, first axis outermost, CRLF line ends."""
+        grid = Grid.of(Axis.linear("x", -1.0, 0.5, 3), Axis.logarithmic("y", 1.0, 4.0, 3))
+        vals = np.array([[0.0, 0.25, 1e-300], [2.0, 1.0 / 3.0, 7.5], [3e10, 0.1, 5.0]])
+        path = tmp_path / "d.csv"
+        write_csv(Density(grid, vals), path)
+        assert path.read_bytes() == (
+            b"x,y,density\r\n"
+            b"-1.0,1.0,0.0\r\n-1.0,2.0,0.25\r\n-1.0,4.0,1e-300\r\n"
+            b"-0.25,1.0,2.0\r\n-0.25,2.0,0.3333333333333333\r\n-0.25,4.0,7.5\r\n"
+            b"0.5,1.0,30000000000.0\r\n0.5,2.0,0.1\r\n0.5,4.0,5.0\r\n"
+        )
+
+    def test_axis_names_are_quoted_when_needed(self, tmp_path):
+        grid = Grid.of(Axis.linear('a,"b"', 0.0, 1.0, 2))
+        path = tmp_path / "d.csv"
+        write_csv(Density(grid, np.array([1.0, 2.0])), path)
+        assert path.read_bytes() == b'"a,""b""",density\r\n0.0,1.0\r\n1.0,2.0\r\n'
+
+
+class _DiesPartway:
+    """A file that writes until ``limit`` characters have gone out, then
+    writes half of the next chunk and raises ``raised``."""
+
+    def __init__(self, fh, raised, limit=1000):
+        self.fh, self.raised, self.left = fh, raised, limit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def write(self, chunk):
+        if len(chunk) > self.left:
+            self.fh.write(chunk[: len(chunk) // 2])
+            self.fh.flush()
+            raise self.raised("disk full")
+        self.left -= len(chunk)
+        return self.fh.write(chunk)
+
+
+@pytest.mark.parametrize("writer", [write_density, write_csv])
+@pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt])
+def test_failed_density_write_leaves_no_partial_file(tmp_path, monkeypatch, writer, raised):
+    """The write dies partway: an absent target stays absent, a present one
+    keeps its old bytes, and no temporary file is left either way."""
+    real_fdopen = os.fdopen
+
+    def dying_fdopen(*args, **kwargs):
+        return _DiesPartway(real_fdopen(*args, **kwargs), raised)
+
+    expected = IOFailure if raised is OSError else raised
+    target = tmp_path / ("d.json" if writer is write_density else "d.csv")
+    monkeypatch.setattr(os, "fdopen", dying_fdopen)
+    with pytest.raises(expected):
+        writer(_sample_density(), target)
+    assert os.listdir(tmp_path) == []
+
+    monkeypatch.setattr(os, "fdopen", real_fdopen)
+    writer(gaussian_density(Axis.linear("x", 0.0, 1.0, 11), 0.5, 0.2), target)
+    before = target.read_bytes()
+    monkeypatch.setattr(os, "fdopen", dying_fdopen)
+    with pytest.raises(expected):
+        writer(_sample_density(), target)
+    assert os.listdir(tmp_path) == [target.name]
+    assert target.read_bytes() == before
+
 
 # ---------------------------------------------------------------------------
 # theory files
