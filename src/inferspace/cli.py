@@ -53,8 +53,10 @@ from .density import Density, integrate, marginalize, normalize
 from .errors import (
     ConfigInvalid,
     ConfigurationError,
+    InvalidGrid,
     IOFailure,
     NumericalError,
+    SingularJacobian,
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 from .inference import borel_kolmogorov_demo, conditional_density, intersect, predict, summarize
@@ -170,7 +172,8 @@ def parse_map(spec: str) -> tuple[str, CoordinateMap]:
             return axis, affine_map(float(args[0]), float(args[1]) if len(args) > 1 else 0.0)
         if kind == "power" and len(args) == 1:
             return axis, power_map(float(args[0]))
-    except ValueError as exc:
+    except (ValueError, InvalidGrid, SingularJacobian) as exc:
+        # A degenerate argument is a bad option, whatever the map calls it.
         raise ConfigInvalid(f"map {spec!r}: {exc}") from exc
     raise ConfigInvalid(
         f"map {spec!r}: expected AXIS:reciprocal, AXIS:log[:x0], AXIS:exp[:y0], "
@@ -200,6 +203,50 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+# What a config-file value must be, by the type its command-line option
+# parses to: a description for the error, and the test.
+_CONFIG_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+
+
+def _option_type(action: argparse.Action) -> type:
+    """The type an option's values parse to: int, float, bool, str, or list
+    for a repeatable option."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return bool
+    if isinstance(action, argparse._AppendAction):
+        return list
+    return action.type or str
+
+
+def _check_config(cfg: dict, options: dict) -> dict:
+    """Config values checked against their options' types and choices.
+
+    A null value counts as absent; an integer given for a float option
+    becomes a float, as on the command line.
+    """
+    checked = {}
+    for key, value in cfg.items():
+        if value is None:
+            continue
+        action = options[key]
+        kind = _option_type(action)
+        what, ok = _CONFIG_TYPES[kind]
+        if not ok(value):
+            raise ConfigInvalid(f"config key {key!r} must be {what}, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ConfigInvalid(
+                f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
+            )
+        checked[key] = float(value) if kind is float else value
+    return checked
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
     """Resolve each option as: explicit flag, else config file, else default."""
     cfg = {}
@@ -208,6 +255,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
         unknown = sorted(set(cfg) - set(defaults))
         if unknown:
             raise ConfigInvalid(f"unknown config key(s) {unknown}; valid: {sorted(defaults)}")
+        cfg = _check_config(cfg, args.options)
     merged = {}
     for key, fallback in defaults.items():
         value = getattr(args, key, None)
@@ -551,7 +599,10 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
+    """Add ``--config``; call it after the subcommand's other options, whose
+    actions it records for checking config-file values."""
     sp.add_argument("--config", help="JSON file with option defaults")
+    sp.set_defaults(options={a.dest: a for a in sp._actions})
 
 
 def _add_grid_options(sp: argparse.ArgumentParser) -> None:

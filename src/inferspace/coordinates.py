@@ -114,8 +114,8 @@ def reciprocal_map() -> CoordinateMap:
 
 def log_map(x0: float = 1.0) -> CoordinateMap:
     """y = ln(x / x0) on x > 0; x0 sets the unit the log is taken against."""
-    if x0 <= 0.0:
-        raise InvalidGrid(f"log map reference x0 must be > 0, got {x0!r}")
+    if not (x0 > 0.0 and math.isfinite(x0)):
+        raise InvalidGrid(f"log map reference x0 must be finite and > 0, got {x0!r}")
     return CoordinateMap(
         kind="log",
         forward=lambda x: np.log(x / x0),
@@ -127,8 +127,8 @@ def log_map(x0: float = 1.0) -> CoordinateMap:
 
 def exp_map(y0: float = 1.0) -> CoordinateMap:
     """y = y0 · e^x (inverse of the log map)."""
-    if y0 <= 0.0:
-        raise InvalidGrid(f"exp map scale y0 must be > 0, got {y0!r}")
+    if not (y0 > 0.0 and math.isfinite(y0)):
+        raise InvalidGrid(f"exp map scale y0 must be finite and > 0, got {y0!r}")
     return CoordinateMap(
         kind="exp",
         forward=lambda x: y0 * np.exp(x),

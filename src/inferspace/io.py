@@ -228,21 +228,28 @@ def read_theory(path: str | Path) -> TheoryDensity:
     # A damaged zip fails in np.load or on reading a member, depending on
     # where the damage is; a file of another kind fails in np.load.
     damaged = (EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+    # The file is opened here, not by np.load: np.load leaves a file it
+    # opened itself open when the zip directory is damaged.
     try:
-        archive = np.load(target, allow_pickle=False)
+        fh = target.open("rb")
     except OSError as exc:
         raise IOFailure(f"cannot read {target}: {exc}") from exc
-    except damaged as exc:
-        raise SchemaError(f"{target} is not a theory archive: {exc}") from exc
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise SchemaError(f"{target} holds a bare array, not a theory archive")
-    with archive:
+    with fh:
         try:
-            return _theory_from_archive(archive)
-        except SchemaError as exc:
-            raise SchemaError(f"{target}: {exc}") from exc
+            archive = np.load(fh, allow_pickle=False)
+        except OSError as exc:
+            raise IOFailure(f"cannot read {target}: {exc}") from exc
         except damaged as exc:
-            raise SchemaError(f"{target} is a damaged theory archive: {exc}") from exc
+            raise SchemaError(f"{target} is not a theory archive: {exc}") from exc
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise SchemaError(f"{target} holds a bare array, not a theory archive")
+        with archive:
+            try:
+                return _theory_from_archive(archive)
+            except SchemaError as exc:
+                raise SchemaError(f"{target}: {exc}") from exc
+            except damaged as exc:
+                raise SchemaError(f"{target} is a damaged theory archive: {exc}") from exc
 
 
 def _read_theory_v1(joint_path: Path) -> TheoryDensity:

@@ -205,7 +205,8 @@ def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.nda
             raise ModelAxisMismatch(
                 f"axis {axis.name!r}: lognormal needs a positive box"
             )
-        t = np.log(x / c) / model.width
+        # one log per node and one per center, not one per (center, node) pair
+        t = (np.log(x) - np.log(c)) / model.width
         return np.exp(-0.5 * t * t) / x
     # boxcar: the noninformative prior restricted between the bounds
     return noninformative_profile(axis) * _overlap_fraction(axis, c - model.width, c + model.width)

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._kernels import pcg64_states
 from .density import Density, integrate, normalize, require_same_space
 from .errors import (
     ConfigInvalid,
@@ -30,8 +31,10 @@ from .errors import (
     UnnormalizedSlice,
     ZeroMass,
 )
-from .grids import LOGARITHMIC, Grid
+from .grids import LOGARITHMIC, Axis, Grid
 from .priors import (
+    BOXCAR,
+    GAUSSIAN,
     JEFFREYS,
     LOGNORMAL,
     NONINFORMATIVE,
@@ -150,51 +153,71 @@ def _instruments_by_axis(instruments: Sequence[MeasurementModel], grid: Grid) ->
     return by_axis
 
 
-def _true_values(law: FallingBodyLaw, mode: str, i_value: float) -> dict[str, float]:
+def _true_values(law: FallingBodyLaw, mode: str, i_value: np.ndarray) -> dict[str, np.ndarray]:
     if mode == SET_L:
-        return {law.length_axis: float(i_value), law.time_axis: float(law.fall_time(i_value))}
-    return {law.time_axis: float(i_value), law.length_axis: float(law.fall_length(i_value))}
+        return {law.length_axis: i_value, law.time_axis: law.fall_time(i_value)}
+    return {law.time_axis: i_value, law.length_axis: law.fall_length(i_value)}
 
 
-def _draw_observation(model: MeasurementModel, true: float, rng: np.random.Generator) -> float:
-    """Observed value around the true one under the instrument's noise.
+def _independent_values(axis: Axis, u: np.ndarray) -> np.ndarray:
+    """Independent values for uniforms ``u`` under the noninformative prior
+    on their axis: reciprocal on logarithmic axes, uniform on linear ones."""
+    if axis.spacing == LOGARITHMIC:
+        return jeffreys_ppf(u, axis.lower, axis.upper)
+    return axis.lower + (axis.upper - axis.lower) * u
+
+
+def _noise_kind(model: MeasurementModel) -> str:
+    return model.kind if math.isfinite(model.width) else NONINFORMATIVE
+
+
+def _no_draw() -> float:
+    return math.nan
+
+
+def _noise_draw(model: MeasurementModel, rng: np.random.Generator):
+    """The ``rng`` method that draws one raw variate of the instrument's noise:
+    a standard normal for lognormal and gaussian, a uniform for boxcar.
 
     Noninformative instruments (including any with infinite width) observe
-    nothing and consume no randomness.
+    nothing: their draw is NaN and consumes no randomness.
     """
-    kind = model.kind if math.isfinite(model.width) else NONINFORMATIVE
+    kind = _noise_kind(model)
     if kind == NONINFORMATIVE:
-        return math.nan
+        return _no_draw
+    return rng.random if kind == BOXCAR else rng.standard_normal
+
+
+def _observe(model: MeasurementModel, true: np.ndarray, variate: np.ndarray) -> np.ndarray:
+    """Readings around the true values, from raw variates of the instrument's noise."""
+    kind = _noise_kind(model)
+    w = model.width
+    if kind == NONINFORMATIVE:
+        return np.full(np.shape(true), math.nan)
     if kind == LOGNORMAL:
-        return float(true * math.exp(model.width * rng.standard_normal()))
-    if kind == "gaussian":
-        return float(true + model.width * rng.standard_normal())
-    # boxcar: uniform within the instrument window
-    return float(true + rng.uniform(-model.width, model.width))
+        return true * np.exp(w * variate)
+    if kind == GAUSSIAN:
+        return true + w * variate
+    # boxcar: uniform within the instrument window, as rng.uniform(-w, w)
+    return true + (-w + 2.0 * w * variate)
 
 
-def _draw_observations(
-    grid: Grid, by_axis: dict, true: dict[str, float], rng: np.random.Generator
-) -> dict[str, float]:
-    """One instrument reading per axis, drawn in grid-axis order."""
-    return {ax.name: _draw_observation(by_axis[ax.name], true[ax.name], rng) for ax in grid.axes}
+def _raw_variates(bitgen: np.random.PCG64, draws, seeds: list[int]) -> np.ndarray:
+    """One row per seed: the variates ``draws`` take in turn from the stream
+    of ``default_rng(seed)``.
 
-
-def _draw_experiment(
-    law: FallingBodyLaw, mode: str, grid: Grid, by_axis: dict, rng: np.random.Generator
-) -> dict[str, float]:
-    """The readings of one campaign experiment.
-
-    The first draw is the independent value, from the noninformative prior on
-    its axis: reciprocal on logarithmic axes, uniform on linear ones.
+    ``draws`` are methods of a generator over ``bitgen``, which is put in each
+    seed's starting state, so one generator serves every seed.
     """
-    i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
-    u = rng.uniform()
-    if i_axis.spacing == LOGARITHMIC:
-        i_value = float(jeffreys_ppf(u, i_axis.lower, i_axis.upper))
-    else:
-        i_value = float(i_axis.lower + (i_axis.upper - i_axis.lower) * u)
-    return _draw_observations(grid, by_axis, _true_values(law, mode, i_value), rng)
+    state = bitgen.state
+    inner = state["state"]
+    rows = []
+    for s, inc in zip(*pcg64_states(seeds)):
+        inner["state"] = s
+        inner["inc"] = inc
+        bitgen.state = state
+        rows.append([draw() for draw in draws])
+    return np.array(rows)
 
 
 def simulate_experiment(
@@ -223,16 +246,25 @@ def simulate_experiment(
             f"independent value {i_value!r} outside axis {i_axis.name!r} box "
             f"[{i_axis.lower}, {i_axis.upper}]"
         )
-    true = _true_values(law, mode, i_value)
+    true = _true_values(law, mode, np.array([float(i_value)]))
     by_axis = _instruments_by_axis(instruments, grid)
-    observed = _draw_observations(grid, by_axis, true, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    observed = {}
+    for ax in grid.axes:
+        model = by_axis[ax.name]
+        observed[ax.name] = float(_observe(model, true[ax.name], _noise_draw(model, rng)())[0])
     factors = [
         measurement_profile(replace(by_axis[ax.name], center=observed[ax.name]), ax)
         for ax in grid.axes
     ]
     vals = factors[0] if grid.ndim == 1 else np.multiply.outer(factors[0], factors[1])
     density = Density(grid, vals, frame=frame)
-    return ExperimentResult(density=density, mode=mode, true_values=true, observed=observed)
+    return ExperimentResult(
+        density=density,
+        mode=mode,
+        true_values={name: float(v[0]) for name, v in true.items()},
+        observed=observed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +302,15 @@ def run_campaign(
 ) -> TheoryDensity:
     """Simulate and accumulate a whole measurement campaign.
 
-    Experiment i runs from its own generator seeded ``master_seed ⊕ i``; the
-    first draw picks the independent value from the noninformative prior on
-    its axis, subsequent draws are the instrument noises.  Experiments are
-    therefore independent and the campaign is reproducible from the master
-    seed alone (and could be accumulated in any order or in parallel).
+    Experiment i draws from the stream of ``default_rng(master_seed ⊕ i)``:
+    first a uniform that picks the independent value from the noninformative
+    prior on its axis, then one noise variate per informative instrument in
+    grid-axis order.  Experiments are therefore independent and the campaign
+    is reproducible from the master seed alone (and could be accumulated in
+    any order or in parallel).  The streams are not built one generator per
+    experiment: ``_kernels.pcg64_states`` computes a block's starting states
+    in bulk and one generator is put in each in turn, which a test pins to
+    ``default_rng`` bit for bit.  The readings are then computed as arrays.
 
     The result equals folding ``simulate_experiment`` through
     ``accumulate_theory``.  Every experiment density is separable, so a block
@@ -298,17 +334,19 @@ def run_campaign(
 
     ax0, ax1 = grid.axes
     m0, m1 = by_axis[ax0.name], by_axis[ax1.name]
+    i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    draws = [rng.random, _noise_draw(m0, rng), _noise_draw(m1, rng)]
     rows = max(1, _BLOCK_BYTES // (8 * max(grid.shape)))
     acc = np.zeros(grid.shape)
     dropped = 0
     for start in range(0, n_experiments, rows):
-        block = range(start, min(start + rows, n_experiments))
-        observed = [
-            _draw_experiment(law, mode, grid, by_axis, np.random.default_rng(master_seed ^ i))
-            for i in block
-        ]
-        a = measurement_profiles(m0, ax0, [o[ax0.name] for o in observed])
-        b = measurement_profiles(m1, ax1, [o[ax1.name] for o in observed])
+        seeds = [master_seed ^ i for i in range(start, min(start + rows, n_experiments))]
+        u, z0, z1 = _raw_variates(bitgen, draws, seeds).T
+        true = _true_values(law, mode, _independent_values(i_axis, u))
+        a = measurement_profiles(m0, ax0, _observe(m0, true[ax0.name], z0))
+        b = measurement_profiles(m1, ax1, _observe(m1, true[ax1.name], z1))
         mass = (a @ ax0.weights) * (b @ ax1.weights)
         kept = np.isfinite(mass) & (mass > 0.0)
         dropped += int(np.count_nonzero(~kept))

@@ -22,6 +22,7 @@ from inferspace import (
     LOGNORMAL,
     SET_L,
     Axis,
+    ConfigurationError,
     Density,
     FallingBodyLaw,
     Grid,
@@ -47,7 +48,7 @@ from inferspace import (
     write_density,
     write_theory,
 )
-from inferspace.cli import main
+from inferspace.cli import main, parse_axis, parse_grid, parse_map, parse_measurement
 
 from conftest import gaussian_density
 
@@ -551,6 +552,25 @@ class TestCliInference:
         assert code == 0
         assert math.isclose(doc["mass"], doc["n_experiments"], rel_tol=1e-9)
 
+    def test_build_theory_seed_past_the_seed_pool_rebuilds_its_theory(self, tmp_path, capsys):
+        """A seed wider than numpy's four-word seed pool is recorded as given
+        and rebuilds the same theory."""
+        seed = 2**200
+        out = tmp_path / "emp"
+        code, doc = run_cli(
+            ["build-theory", "--grid", "L:log:1:10:101,T:log:0.4515:1.4279:101", "--n", "40",
+             "--seed", str(seed), "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        theory = read_theory(out)
+        assert theory.provenance.master_seed == seed
+        rebuilt = run_campaign(FallingBodyLaw(), [
+            MeasurementModel(parameter="L", kind=LOGNORMAL, center=1.0, width=0.05),
+            MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.05),
+        ], 40, SET_L, seed, theory.joint.grid)
+        assert np.array_equal(rebuilt.joint.values, theory.joint.values)
+
     def test_build_theory_negative_seed_exits_config(self, tmp_path, capsys):
         code = main(["build-theory", "--n", "5", "--seed", "-1", "--out", str(tmp_path / "t")])
         assert "master seed" in capsys.readouterr().err
@@ -734,6 +754,54 @@ class TestCliAuxiliary:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n", "abc"),
+            ("sigma_length", "0.05"),
+            ("n", 2.7),
+            ("seed", 1.9),
+            ("compare_analytic", "no"),
+            ("n", True),
+            ("g", False),
+            ("axis", "L:log:1:10:101"),
+            ("axis", ["L:log:1:10:101", 5]),
+            ("out", 5),
+            ("mode", "set_X"),
+        ],
+    )
+    def test_mistyped_config_value_exits_config(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "emp"
+        code = main(
+            ["build-theory", "--grid", "L:log:1:10:101,T:log:0.4515:1.4279:101",
+             "--config", str(cfg), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config key {key!r}" in err
+        assert not out.with_suffix(".npz").exists()
+
+    def test_config_values_of_the_right_type_are_accepted(self, tmp_path, capsys):
+        """An integer serves a float option, and null means the default."""
+        cfg = tmp_path / "good.json"
+        cfg.write_text(json.dumps({
+            "axis": ["L:log:1:10:101", "T:log:0.4515:1.4279:101"],
+            "n": 20,
+            "mode": "set_T",
+            "g": 10,
+            "compare_analytic": True,
+            "seed": None,
+        }))
+        code, doc = run_cli(
+            ["build-theory", "--config", str(cfg), "--out", str(tmp_path / "emp")], capsys
+        )
+        assert code == 0
+        assert doc["n_experiments"] == 20
+        assert doc["mode"] == "set_T"
+        assert "kl_sym_vs_analytic" in doc
+
 
 # ---------------------------------------------------------------------------
 # CLI: convert
@@ -800,6 +868,20 @@ class TestCliConvert:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["x:affine:0", "x:affine:nan", "x:affine:1:inf", "x:power:0", "x:power:nan",
+         "x:log:0", "x:log:nan", "x:exp:-1", "x:exp:inf"],
+    )
+    def test_degenerate_map_argument_exits_config(self, tmp_path, capsys, spec):
+        src, _ = self._write_lognormal(tmp_path)
+        out = tmp_path / "o.json"
+        code = main(["convert", "--in", src, "--out", str(out), "--map", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"map {spec!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     def test_theory_joint_exports(self, tmp_path, capsys, suffix):
         theory = _sample_theory()
@@ -819,3 +901,40 @@ class TestCliConvert:
         code = main(["convert", "--out", str(tmp_path / "o.json")])
         capsys.readouterr()
         assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# shorthand parsers
+# ---------------------------------------------------------------------------
+
+_SHORTHAND_NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "-1", "2", "301", "0.5", "1e-300", "1e400", "nan", "inf",
+                     "-inf", "abc", ""]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+)
+_SHORTHAND_WORDS = st.sampled_from(
+    ["lin", "log", "LOG", "gaussian", "lognormal", "boxcar", "noninformative", "reciprocal",
+     "exp", "affine", "power", "default"]
+)
+_SHORTHANDS = st.one_of(
+    # NAME:WORD:NUMBERS..., the shape of every grammar
+    st.tuples(st.sampled_from(["L", "x", ""]), _SHORTHAND_WORDS,
+              st.lists(_SHORTHAND_NUMBERS, max_size=4))
+    .map(lambda t: ":".join([t[0], t[1], *t[2]])),
+    # any tokens at all
+    st.lists(st.one_of(_SHORTHAND_WORDS, _SHORTHAND_NUMBERS, st.text(max_size=5)), max_size=7)
+    .map(":".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SHORTHANDS)
+def test_shorthand_parsers_parse_or_raise_a_configuration_error(spec):
+    """Whatever the tokens, a shorthand parses or is refused as configuration
+    (exit 2), never with a numerical error or a stray exception."""
+    for parse in (parse_axis, parse_measurement, parse_map, lambda s: parse_grid(s.split(","))):
+        try:
+            parse(spec)
+        except ConfigurationError:
+            pass

@@ -181,18 +181,24 @@ def _reference_experiment(law, instruments, mode, seed, grid):
     )
 
 
-@pytest.mark.parametrize("mode", [SET_L, SET_T])
+_CAMPAIGN_CASES = [
+    (spacing, kind, mode)
+    for spacing in ("log", "linear")
+    for kind in _CAMPAIGN_KINDS
+    if not (spacing == "log" and kind == "gaussian")
+    for mode in (SET_L, SET_T)
+]
+
+
 @pytest.mark.parametrize(
-    "spacing, kind",
-    [
-        (spacing, kind)
-        for spacing in ("log", "linear")
-        for kind in _CAMPAIGN_KINDS
-        if not (spacing == "log" and kind == "gaussian")
-    ],
+    "spacing, kind, mode, master_seed",
+    [pytest.param(*case, 77, id="-".join(case)) for case in _CAMPAIGN_CASES]
+    # Seeds past 2¹²⁸ hash more entropy words than numpy's seed pool holds.
+    + [pytest.param(*case, 2**200, id="-".join(case) + "-seed2**200") for case in _CAMPAIGN_CASES],
 )
-def test_campaign_matches_streamed_accumulation(spacing, kind, mode):
-    """The blocked campaign reproduces the one-experiment-at-a-time fold."""
+def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed):
+    """The blocked campaign reproduces the one-experiment-at-a-time fold,
+    whose experiment i draws from ``default_rng(master_seed ^ i)``."""
     make = Axis.logarithmic if spacing == "log" else Axis.linear
     # L = ½gT² maps the box of the independent axis into that of the other
     # one, so every experiment has mass on the grid, boxcar readings included.
@@ -203,11 +209,13 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode):
     assert n % rows
     law = FallingBodyLaw(sigma_theory=1e-3)
     instruments = _campaign_instruments(kind)
-    theory = run_campaign(law, instruments, n, mode, master_seed=77, grid=grid)
+    theory = run_campaign(law, instruments, n, mode, master_seed=master_seed, grid=grid)
     assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
 
     mu = null_information_density(grid)
-    experiments = (_reference_experiment(law, instruments, mode, 77 ^ i, grid) for i in range(n))
+    experiments = (
+        _reference_experiment(law, instruments, mode, master_seed ^ i, grid) for i in range(n)
+    )
     slow = accumulate_theory(experiments, mu)
     peak = slow.joint.values.max()
     assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
@@ -259,6 +267,16 @@ def test_campaign_counts_experiments_without_mass(instruments):
     assert 0 < dropped < n
     with pytest.raises(ZeroMass, match=rf"^{dropped} of {n} experiment"):
         run_campaign(law, instruments, n, SET_T, master_seed=5, grid=grid)
+
+
+def test_campaign_builds_no_generator_per_experiment(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_campaign called default_rng")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    theory = run_campaign(FallingBodyLaw(), _instruments(), 50, SET_L, master_seed=3,
+                          grid=_fall_grid(61))
+    assert integrate(theory.joint) == pytest.approx(50, rel=1e-12)
 
 
 def test_campaign_mu_must_share_grid():
