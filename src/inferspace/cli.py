@@ -59,7 +59,7 @@ from .errors import (
     SingularJacobian,
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
-from .inference import borel_kolmogorov_demo, conditional_density, intersect, predict, summarize
+from .inference import borel_kolmogorov_demo, conditional_density, intersect
 from .io import read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
     BOXCAR,
@@ -376,22 +376,6 @@ _INFER_DEFAULTS = {
 }
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
-    p = _merge(args, _INFER_DEFAULTS)
-    if not p.measure:
-        raise ConfigInvalid("pass at least one --measure AXIS:KIND:CENTER:WIDTH")
-    theory = read_theory(p.theory)
-    grid = theory.joint.grid
-    models = [parse_measurement(s) for s in p.measure]
-    post = intersect(theory, *models)
-    query = _default_query(grid, models, p.query)
-    summary = post.summarize(query if grid.ndim > 1 else None)
-    if p.out:
-        write_density(post.marginal(query) if grid.ndim > 1 else post.density, p.out)
-    _emit(summary.as_dict())
-    return 0
-
-
 _PREDICT_DEFAULTS = {
     "theory": "theory.npz",
     "known": None,  # required
@@ -400,17 +384,28 @@ _PREDICT_DEFAULTS = {
 }
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
-    p = _merge(args, _PREDICT_DEFAULTS)
-    if not p.known:
-        raise ConfigInvalid("pass --known AXIS:KIND:CENTER:WIDTH")
+def _cmd_infer(args: argparse.Namespace) -> int:
+    """``infer``; also ``predict``, which is ``infer`` with its one
+    ``--known`` reading as the measurement."""
+    if args.command == "predict":
+        p = _merge(args, _PREDICT_DEFAULTS)
+        if not p.known:
+            raise ConfigInvalid("pass --known AXIS:KIND:CENTER:WIDTH")
+        specs = [p.known]
+    else:
+        p = _merge(args, _INFER_DEFAULTS)
+        if not p.measure:
+            raise ConfigInvalid("pass at least one --measure AXIS:KIND:CENTER:WIDTH")
+        specs = p.measure
     theory = read_theory(p.theory)
-    model = parse_measurement(p.known)
-    query = _default_query(theory.joint.grid, [model], p.query)
-    post = predict(theory, model, query)
+    grid = theory.joint.grid
+    models = [parse_measurement(s) for s in specs]
+    post = intersect(theory, *models)
+    query = _default_query(grid, models, p.query)
+    summary = post.summarize(query if grid.ndim > 1 else None)
     if p.out:
-        write_density(post.density, p.out)
-    _emit(summarize(post.density).as_dict())
+        write_density(post.marginal(query) if grid.ndim > 1 else post.density, p.out)
+    _emit(summary.as_dict())
     return 0
 
 
@@ -610,7 +605,7 @@ def _add_grid_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", help='"default" or two axis shorthands joined by a comma')
 
 
-_THEORY_HELP = "theory file <base>.npz (a version-1 <base>.json is read too)"
+_THEORY_HELP = "theory file <base>.npz (format version 3; version 2 is read too)"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -669,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--query", help="axis to summarize (default: the other one)")
     sp.add_argument("--out")
     _add_common(sp)
-    sp.set_defaults(handler=_cmd_predict)
+    sp.set_defaults(handler=_cmd_infer)
 
     sp = sub.add_parser("benford", help="first-digit law from the scale-invariant prior")
     sp.add_argument("--lower", type=float, help="sampling box lower bound")

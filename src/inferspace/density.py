@@ -145,9 +145,12 @@ def normalize(d: Density, tol: float = DEFAULT_TOLERANCES.normalization) -> Dens
     if not np.isfinite(m) or m <= 0.0:
         raise ZeroMass(f"cannot normalize density with mass {m!r}")
     vals = d.values / m
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite("normalization overflowed; mass too small")
-    out = d.with_values(vals, normalized=True)
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    vals.setflags(write=False)
+    try:
+        out = d.with_values(vals, normalized=True)
+    except NonFinite as exc:
+        raise NonFinite("normalization overflowed; mass too small") from exc
     # Contract check rather than belt-and-braces: quadrature is linear, so
     # the renormalized mass can only miss 1 through float rounding.
     if abs(integrate(out) - 1.0) > tol:

@@ -28,12 +28,20 @@ from .errors import (
     DomainMismatch,
     EnvelopeFailure,
     InvalidGrid,
+    NeutralZero,
     OutOfDomain,
     ZeroMass,
     ZeroSlice,
 )
 from .grids import LOGARITHMIC, Axis, Grid
-from .priors import BOXCAR, MeasurementModel, measurement_density
+from .priors import (
+    BOXCAR,
+    LOGNORMAL,
+    MeasurementModel,
+    measurement_density,
+    measurement_profile,
+    noninformative_profile,
+)
 from .theory import TheoryDensity
 
 
@@ -63,16 +71,107 @@ class Posterior:
         return summarize(d, levels=levels)
 
 
-def _off_grid(m: Density | MeasurementModel, grid: Grid) -> OutOfDomain:
-    """The error for a measurement that has no mass on the grid."""
-    if isinstance(m, MeasurementModel):
-        ax = grid.axes[grid.axis_index(m.parameter)]
+def _no_mass(m: MeasurementModel, ax: Axis) -> OutOfDomain | ZeroMass:
+    """The error for a reading whose profile has no mass on its axis: off the
+    grid, or, with its centre in the box, too narrow for the nodes there."""
+    if not ax.lower <= m.center <= ax.upper:
         return OutOfDomain(
             f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) lies "
             f"off the grid: it has no mass on {m.parameter} in [{ax.lower!r}, {ax.upper!r}]"
         )
-    box = ", ".join(f"{ax.name} in [{ax.lower!r}, {ax.upper!r}]" for ax in grid.axes)
-    return OutOfDomain(f"the measurement density has no mass on the grid box {box}")
+    j = min(max(int(np.searchsorted(ax.nodes, m.center)), 1), ax.count - 1)
+    lo, hi = ax.nodes[j - 1], ax.nodes[j]
+    if m.kind == LOGNORMAL:
+        spacing, unit = math.log(hi / lo), f"ln {m.parameter}"
+    else:
+        spacing, unit = hi - lo, m.parameter
+    return ZeroMass(
+        f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) is "
+        f"under-resolved: its profile underflows to zero at every node of {m.parameter}, "
+        f"whose spacing at {m.center!r} is {spacing:.3g} in {unit}, against the width {m.width!r}"
+    )
+
+
+def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
+    """fₖ = ∏ₘ ρₘ,ₖ/μₖ on each axis k of the theory, over the readings m.
+
+    ρₘ,ₖ is reading m's profile if it measures axis k, else the
+    noninformative profile of axis k.  The checks here are the whole failure
+    diagnosis of the readings, all but the last on 1D arrays: a profile
+    without mass, readings whose product on one axis has none, and μ = 0
+    where the joint times the readings is positive (NeutralZero).
+    """
+    if not models:
+        return []
+    grid = theory.joint.grid
+    on_axis = [[] for _ in grid.axes]
+    for m in models:
+        k = grid.axis_index(m.parameter)
+        ax = grid.axes[k]
+        profile = measurement_profile(m, ax)
+        if not np.dot(profile, ax.weights) > 0.0:
+            raise _no_mass(m, ax)
+        on_axis[k].append(profile)
+    rhos = [
+        profiles + [noninformative_profile(ax)] * (len(models) - len(profiles))
+        for ax, profiles in zip(grid.axes, on_axis)
+    ]
+    products = [np.prod(r, axis=0) for r in rhos]
+    for ax, product in zip(grid.axes, products):
+        if not np.dot(product, ax.weights) > 0.0:
+            raise ZeroMass("the measurements contradict each other: their AND has no mass")
+    undefined = _undefined_nodes(theory, products)
+    if undefined:
+        raise NeutralZero(
+            f"the theory times the readings is positive on {undefined} node(s) where μ vanishes"
+        )
+    factors = []
+    for mu_k, r in zip(theory.mu_factors, rhos):
+        f = np.ones(mu_k.size)
+        for rho in r:
+            f *= np.divide(rho, mu_k, out=np.zeros(mu_k.size), where=mu_k > 0.0)
+        factors.append(f)
+    return factors
+
+
+def _undefined_nodes(theory: TheoryDensity, products) -> int:
+    """How many nodes have μ = 0 but joint · ⊗ₖ productₖ > 0.
+
+    Only the slices where some μₖ vanishes are read, so a μ without zeros
+    costs no pass over the joint.
+    """
+    ndim = theory.joint.grid.ndim
+    count = 0
+    for k, mu_k in enumerate(theory.mu_factors):
+        idx = np.flatnonzero(mu_k == 0.0)
+        if idx.size == 0:
+            continue
+        num = np.take(theory.joint.values, idx, axis=k)
+        for a, (mu_a, p) in enumerate(zip(theory.mu_factors, products)):
+            if a == k:
+                p = p[idx]
+            elif a < k:
+                p = p * (mu_a > 0.0)  # those nodes were counted on axis a
+            num = num * p.reshape((-1,) + (1,) * (ndim - 1 - a))
+        count += int(np.count_nonzero(num > 0.0))
+    return count
+
+
+def _scaled(d: Density, factors) -> Density:
+    """``d`` times the outer product of ``factors``, one per axis.  A factor
+    of all ones, such as an unmeasured axis under its noninformative μ,
+    costs no pass over the grid."""
+    vals = d.values
+    for k, f in enumerate(factors):
+        if np.all(f == 1.0):
+            continue
+        f = f.reshape((-1,) + (1,) * (d.grid.ndim - 1 - k))
+        vals = np.multiply(vals, f, out=vals) if vals.flags.writeable else vals * f
+    if vals is d.values:
+        return d
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    vals.setflags(write=False)
+    return d.with_values(vals)
 
 
 def intersect(
@@ -82,32 +181,46 @@ def intersect(
 ) -> Posterior:
     """Conjoin a theory with one or more measurements and normalize.
 
-    Each measurement is a density on the theory's grid or a model to build
-    one from.  The measurements are ANDed together first, then with the
-    theory.  When the result has no mass, raises OutOfDomain if a
-    measurement itself has none on the grid (the reading lies off the
-    grid), else ZeroMass: the measurements contradict each other or the
-    theory.
+    A measurement is a model of one reading or a density on the theory's
+    grid.  With μ = ⊗ₖ μₖ, ANDing the theory with readings m is one
+    broadcast scaling of the joint,
+
+        σ = joint · ⊗ₖ fₖ,   fₖ = ∏ₘ ρₘ,ₖ / μₖ,
+
+    where ρₘ,ₖ is reading m's profile on axis k, or the noninformative
+    profile of axis k if m measures another axis.  This is exactly the dense
+    fold joint · ∏ₘ ρₘ / μᴹ.  A density measurement is ANDed with the dense
+    μ by ``and_combine``.
+
+    Raises OutOfDomain for a reading off the grid, ZeroMass for a reading in
+    the box that no node resolves, ZeroMass when the measurements contradict
+    each other or the theory, and NeutralZero where μ vanishes but the
+    theory times the readings does not.
     """
-    grid, frame = theory.joint.grid, theory.joint.frame
+    measurements = (rho, *more)
+    models = [m for m in measurements if isinstance(m, MeasurementModel)]
+    densities = [m for m in measurements if not isinstance(m, MeasurementModel)]
+    factors = _reading_factors(theory, models)
+    mu = theory.mu if densities else None
 
-    def density(m: Density | MeasurementModel) -> Density:
-        if isinstance(m, MeasurementModel):
-            return measurement_density(m, grid, frame=frame)
-        return m
+    def conjoin(base: Density) -> Density:
+        sigma = _scaled(base, factors)
+        for d in densities:
+            sigma = and_combine(sigma, d, mu)
+        return sigma
 
-    combined = density(rho)
-    for m in more:
-        combined = and_combine(combined, density(m), theory.mu)
     try:
-        return Posterior(and_combine(theory.joint, combined, theory.mu))
+        return Posterior(conjoin(theory.joint))
     except ZeroMass as exc:
-        # The cause is worked out only on failure, so a posterior pays for no
-        # extra quadrature and holds no measurement density beyond the AND.
-        for m in (rho, *more):
-            if not integrate(density(m)) > 0.0:
-                raise _off_grid(m, grid) from exc
-        if more and not integrate(combined) > 0.0:
+        # A density measurement is diagnosed only on failure, so a posterior
+        # pays for no extra pass over the grid.
+        for d in densities:
+            if not integrate(d) > 0.0:
+                box = ", ".join(f"{ax.name} in [{ax.lower!r}, {ax.upper!r}]" for ax in d.grid.axes)
+                raise OutOfDomain(
+                    f"the measurement density has no mass on the grid box {box}"
+                ) from exc
+        if densities and more and not integrate(conjoin(mu)) > 0.0:
             raise ZeroMass("the measurements contradict each other: their AND has no mass") from exc
         raise ZeroMass(f"the measurement contradicts the theory: {exc}") from exc
 

@@ -4,12 +4,14 @@ Densities travel as self-describing JSON: axis headers, frame label,
 normalization flag, and the value array flattened row-major over axis order.
 CSV export is one row per node for plotting.  Both are export formats.
 
-A theory is one uncompressed ``<base>.npz`` archive: the ``joint`` and ``mu``
-value arrays (float64, bit-exact) and a ``header``, a 0-d string array holding
-JSON with the format name and version, the axis headers, the frame, both
-normalization flags and the provenance record.  A version-1 theory, a density JSON
-``<base>.json`` with ``<base>.mu.json`` and ``<base>.provenance.json`` beside
-it, is still read when no ``<base>.npz`` exists.
+A theory is one uncompressed ``<base>.npz`` archive, format version 3: the
+``joint`` value array, one ``mu_<k>`` array per axis k holding μ's factor on
+that axis (all float64, bit-exact), and a ``header``, a 0-d string array
+holding JSON with the format name and version, the axis headers, the frame,
+the joint's normalization flag and the provenance record.  A version-2
+archive, which held μ as one dense ``mu`` array, is still read: its μ is
+factored, and one that is not an outer product is refused.  The version-1
+JSON triple is not read.
 
 Every writer goes through a temporary file in the target's directory that is
 synced and renamed onto the target, so the target is always either whole or
@@ -30,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .density import Density
-from .errors import InferenceSpaceError, IOFailure, SchemaError
+from .errors import ConfigInvalid, InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid
-from .theory import Provenance, TheoryDensity
+from .theory import Provenance, TheoryDensity, separable_factors
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
@@ -133,8 +135,7 @@ def write_csv(d: Density, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 THEORY_FORMAT_NAME = "inferspace-theory"
-THEORY_FORMAT_VERSION = 2
-_THEORY_MEMBERS = ("header", "joint", "mu")
+THEORY_FORMAT_VERSION = 3
 
 
 def _theory_path(path: str | Path) -> Path:
@@ -152,7 +153,7 @@ def _theory_header(t: TheoryDensity) -> str:
             "version": THEORY_FORMAT_VERSION,
             "axes": [ax.to_header() for ax in t.joint.grid.axes],
             "frame": t.joint.frame,
-            "normalized": {"joint": t.joint.normalized, "mu": t.mu.normalized},
+            "normalized": t.joint.normalized,
             "provenance": t.provenance.as_dict(),
         }
     )
@@ -161,8 +162,9 @@ def _theory_header(t: TheoryDensity) -> str:
 def write_theory(t: TheoryDensity, path: str | Path) -> Path:
     """Write ``t`` atomically to ``<base>.npz`` and return that path."""
     target = _theory_path(path)
+    factors = {f"mu_{k}": f for k, f in enumerate(t.mu_factors)}
     with _replacing(target) as fh:
-        np.savez(fh, header=np.array(_theory_header(t)), joint=t.joint.values, mu=t.mu.values)
+        np.savez(fh, header=np.array(_theory_header(t)), joint=t.joint.values, **factors)
     return target
 
 
@@ -177,7 +179,7 @@ def _header(raw: np.ndarray) -> dict:
         raise SchemaError(f"header is a JSON {type(header).__name__}, expected an object")
     if header.get("format") != THEORY_FORMAT_NAME:
         raise SchemaError(f"not a theory archive: format is {header.get('format')!r}")
-    if header.get("version") != THEORY_FORMAT_VERSION:
+    if header.get("version") not in (2, THEORY_FORMAT_VERSION):
         raise SchemaError(f"unsupported theory version {header.get('version')!r}")
     return header
 
@@ -193,38 +195,45 @@ def _values(archive, name: str, shape: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def _theory_from_archive(archive) -> TheoryDensity:
-    missing = [m for m in _THEORY_MEMBERS if m not in archive.files]
+def _members(archive, names) -> None:
+    missing = [m for m in names if m not in archive.files]
     if missing:
         raise SchemaError(f"not a theory archive: missing member(s) {missing}")
+
+
+def _theory_from_archive(archive) -> TheoryDensity:
+    _members(archive, ("header", "joint"))
     header = _header(archive["header"])
+    v2 = header["version"] == 2
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
         frame = str(header["frame"])
-        flags = header["normalized"]
-        normalized = bool(flags["joint"]), bool(flags["mu"])
+        flag = header["normalized"]
+        normalized = bool(flag["joint"] if v2 else flag)
         provenance = Provenance.from_dict(header["provenance"])
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
+    if v2:
+        mu_shapes = {"mu": grid.shape}
+    else:
+        mu_shapes = {f"mu_{k}": (ax.count,) for k, ax in enumerate(grid.axes)}
+    _members(archive, mu_shapes)
     joint = _values(archive, "joint", grid.shape)
-    mu = _values(archive, "mu", grid.shape)
+    mu = [_values(archive, name, shape) for name, shape in mu_shapes.items()]
     try:
-        return TheoryDensity(
-            Density(grid, joint, frame=frame, normalized=normalized[0]),
-            Density(grid, mu, frame=frame, normalized=normalized[1]),
-            provenance,
-        )
+        joint = Density(grid, joint, frame=frame, normalized=normalized)
+        if v2:
+            mu = separable_factors(Density(grid, mu[0], frame=frame))
+        return TheoryDensity(joint, mu, provenance)
+    except ConfigInvalid as exc:
+        raise SchemaError(f"the version-2 member 'mu' cannot be factored: {exc}") from exc
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
 
 
 def read_theory(path: str | Path) -> TheoryDensity:
-    """Read the theory at ``<base>.npz``, or a version-1 ``<base>.json``
-    triple when there is no ``<base>.npz``."""
+    """Read the theory at ``<base>.npz`` (format version 3 or 2)."""
     target = _theory_path(path)
-    legacy = target.with_suffix(".json")
-    if not target.exists() and legacy.exists():
-        return _read_theory_v1(legacy)
     # A damaged zip fails in np.load or on reading a member, depending on
     # where the damage is; a file of another kind fails in np.load.
     damaged = (EOFError, ValueError, zipfile.BadZipFile, zlib.error)
@@ -250,19 +259,3 @@ def read_theory(path: str | Path) -> TheoryDensity:
                 raise SchemaError(f"{target}: {exc}") from exc
             except damaged as exc:
                 raise SchemaError(f"{target} is a damaged theory archive: {exc}") from exc
-
-
-def _read_theory_v1(joint_path: Path) -> TheoryDensity:
-    base = joint_path.with_suffix("")
-    mu_path = base.with_name(base.name + ".mu.json")
-    prov_path = base.with_name(base.name + ".provenance.json")
-    joint = read_density(joint_path)
-    mu = read_density(mu_path)
-    try:
-        with prov_path.open("r", encoding="utf-8") as fh:
-            prov = Provenance.from_dict(json.load(fh))
-    except OSError as exc:
-        raise IOFailure(f"cannot read {prov_path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed provenance record {prov_path}: {exc}") from exc
-    return TheoryDensity(joint, mu, prov)

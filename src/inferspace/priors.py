@@ -36,6 +36,11 @@ NONINFORMATIVE = "noninformative"
 _PRIOR_KINDS = (JEFFREYS, UNIFORM, SPHERICAL)
 _MODEL_KINDS = (GAUSSIAN, LOGNORMAL, BOXCAR, NONINFORMATIVE)
 
+# The narrowest lognormal float64 can represent.  Its width is a spread of
+# ln x, and ln x is resolved only to float64's epsilon: a narrower profile is
+# a spike between neighbouring doubles.
+_LOGNORMAL_MIN_WIDTH = float(np.finfo(np.float64).eps)
+
 
 # ---------------------------------------------------------------------------
 # priors
@@ -81,34 +86,45 @@ def _overlap_fraction(axis: Axis, lo: float, hi: float) -> np.ndarray:
     return np.maximum(right - left, 0.0) / np.diff(edges)
 
 
-def make_prior(spec: PriorSpec, grid: Grid, frame: str = "") -> Density:
-    """Evaluate the prior on the grid, truncated to its bounds (or the box)."""
+def prior_factors(spec: PriorSpec, grid: Grid) -> tuple[np.ndarray, ...]:
+    """The prior as one factor per axis, truncated to its bounds (or the box).
+
+    Every prior kind here is separable: the prior on the grid is the outer
+    product of these factors.
+    """
     if spec.bounds is not None and len(spec.bounds) != grid.ndim:
         raise InvalidBounds(
             f"{len(spec.bounds)} bound pair(s) for a {grid.ndim}D grid"
         )
     if spec.kind == SPHERICAL:
-        return _spherical_prior(spec, grid, frame)
-
-    factors = []
-    for i, ax in enumerate(grid.axes):
-        if spec.kind == JEFFREYS:
+        shapes = _spherical_shapes(grid)
+    elif spec.kind == JEFFREYS:
+        for ax in grid.axes:
             if ax.lower <= 0.0:
                 raise InvalidBounds(
                     f"axis {ax.name!r}: the reciprocal prior needs a positive box"
                 )
-            prof = 1.0 / ax.nodes
-        else:
-            prof = np.ones(ax.count)
-        prof = prof * _bounds_factor(spec, i, ax)
-        factors.append(prof)
-    vals = factors[0] if grid.ndim == 1 else np.multiply.outer(factors[0], factors[1])
-    return Density(grid, vals, frame=frame)
+        shapes = [1.0 / ax.nodes for ax in grid.axes]
+    else:
+        shapes = [np.ones(ax.count) for ax in grid.axes]
+    if spec.bounds is None:
+        return tuple(shapes)
+    return tuple(
+        shape * _bounds_factor(spec, i, ax) for i, (shape, ax) in enumerate(zip(shapes, grid.axes))
+    )
+
+
+def outer_values(factors) -> np.ndarray:
+    """The grid array of a separable density: the outer product of its factors."""
+    return factors[0] if len(factors) == 1 else np.multiply.outer(factors[0], factors[1])
+
+
+def make_prior(spec: PriorSpec, grid: Grid, frame: str = "") -> Density:
+    """Evaluate the prior on the grid, truncated to its bounds (or the box)."""
+    return Density(grid, outer_values(prior_factors(spec, grid)), frame=frame)
 
 
 def _bounds_factor(spec: PriorSpec, i: int, ax: Axis) -> np.ndarray:
-    if spec.bounds is None:
-        return np.ones(ax.count)
     lo, hi = spec.bounds[i]
     if lo < ax.lower - 1e-12 * abs(ax.lower) or hi > ax.upper + 1e-12 * abs(ax.upper):
         raise InvalidBounds(
@@ -118,7 +134,7 @@ def _bounds_factor(spec: PriorSpec, i: int, ax: Axis) -> np.ndarray:
     return _overlap_fraction(ax, lo, hi)
 
 
-def _spherical_prior(spec: PriorSpec, grid: Grid, frame: str) -> Density:
+def _spherical_shapes(grid: Grid) -> list[np.ndarray]:
     if grid.ndim != 2:
         raise InvalidBounds("the spherical position prior lives on a 2D (r, θ) grid")
     r_ax, th_ax = grid.axes
@@ -126,12 +142,7 @@ def _spherical_prior(spec: PriorSpec, grid: Grid, frame: str) -> Density:
         raise InvalidBounds(f"radius axis {r_ax.name!r} must start at r >= 0")
     if th_ax.lower < 0.0 or th_ax.upper > math.pi + 1e-12:
         raise InvalidBounds(f"polar axis {th_ax.name!r} must stay inside [0, π]")
-    vals = np.multiply.outer(r_ax.nodes**2, np.sin(th_ax.nodes))
-    if spec.bounds is not None:
-        vals = vals * np.multiply.outer(
-            _bounds_factor(spec, 0, r_ax), _bounds_factor(spec, 1, th_ax)
-        )
-    return Density(grid, vals, frame=frame)
+    return [r_ax.nodes**2, np.sin(th_ax.nodes)]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +177,11 @@ class MeasurementModel:
                 raise InvalidBounds(
                     f"lognormal measurement center must be > 0, got {self.center!r}"
                 )
+            if self.kind == LOGNORMAL and self.width < _LOGNORMAL_MIN_WIDTH:
+                raise InvalidBounds(
+                    f"the {self.parameter} lognormal width {self.width!r} cannot be "
+                    f"represented in float64: it must be >= {_LOGNORMAL_MIN_WIDTH:.3g}"
+                )
 
 
 def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
@@ -185,31 +201,34 @@ def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.nda
 
     ``model.center`` is ignored.  An array of k centers gives one row per
     center, shape (k, count); a scalar gives one profile.  A boxcar that
-    misses the box gives a row of zeros.
+    misses the box gives a row of zeros.  A node many widths from a center
+    overflows (x − c)/width on the way; its value is then the 0 it rounds
+    to, without a warning.
     """
     kind = model.kind if math.isfinite(model.width) else NONINFORMATIVE
     x = axis.nodes
     c = np.asarray(centers, dtype=float)[..., None]
     if kind == NONINFORMATIVE:
         return np.broadcast_to(noninformative_profile(axis), c.shape[:-1] + x.shape).copy()
-    if kind == GAUSSIAN:
-        if axis.spacing == LOGARITHMIC:
-            raise ModelAxisMismatch(
-                f"axis {axis.name!r}: a gaussian cannot model a positivity-"
-                "constrained quantity; use lognormal"
-            )
-        t = (x - c) / model.width
-        return np.exp(-0.5 * t * t)
-    if kind == LOGNORMAL:
-        if axis.lower <= 0.0:
-            raise ModelAxisMismatch(
-                f"axis {axis.name!r}: lognormal needs a positive box"
-            )
-        # one log per node and one per center, not one per (center, node) pair
-        t = (np.log(x) - np.log(c)) / model.width
-        return np.exp(-0.5 * t * t) / x
-    # boxcar: the noninformative prior restricted between the bounds
-    return noninformative_profile(axis) * _overlap_fraction(axis, c - model.width, c + model.width)
+    if kind == GAUSSIAN and axis.spacing == LOGARITHMIC:
+        raise ModelAxisMismatch(
+            f"axis {axis.name!r}: a gaussian cannot model a positivity-"
+            "constrained quantity; use lognormal"
+        )
+    if kind == LOGNORMAL and axis.lower <= 0.0:
+        raise ModelAxisMismatch(f"axis {axis.name!r}: lognormal needs a positive box")
+    with np.errstate(over="ignore"):
+        if kind == GAUSSIAN:
+            t = (x - c) / model.width
+            return np.exp(-0.5 * t * t)
+        if kind == LOGNORMAL:
+            # one log per node and one per center, not one per (center, node) pair
+            t = (np.log(x) - np.log(c)) / model.width
+            return np.exp(-0.5 * t * t) / x
+        # boxcar: the noninformative prior restricted between the bounds
+        return noninformative_profile(axis) * _overlap_fraction(
+            axis, c - model.width, c + model.width
+        )
 
 
 def null_information_density(grid: Grid, frame: str = "") -> Density:
@@ -217,8 +236,7 @@ def null_information_density(grid: Grid, frame: str = "") -> Density:
     flat on linear ones.  This is the density carrying no information in the
     coordinates the grid itself uses."""
     factors = [noninformative_profile(ax) for ax in grid.axes]
-    vals = factors[0] if grid.ndim == 1 else np.multiply.outer(factors[0], factors[1])
-    return Density(grid, vals, frame=frame)
+    return Density(grid, outer_values(factors), frame=frame)
 
 
 def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") -> Density:
@@ -233,8 +251,7 @@ def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") ->
         measurement_profile(model, ax) if i == idx else noninformative_profile(ax)
         for i, ax in enumerate(grid.axes)
     ]
-    vals = factors[0] if grid.ndim == 1 else np.multiply.outer(factors[0], factors[1])
-    return Density(grid, vals, frame=frame)
+    return Density(grid, outer_values(factors), frame=frame)
 
 
 # ---------------------------------------------------------------------------

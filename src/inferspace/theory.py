@@ -8,7 +8,9 @@ noninformative prior reproduce — up to instrument blur — the analytic theory
 here the free-fall law L = ½gT² wrapped in a narrow lognormal ridge.
 
 Theories carry their null-information density μ alongside the joint, because
-every later conjunction needs the same μ the theory was built against.
+every later conjunction needs the same μ the theory was built against.  Every
+μ here is separable (the Jeffreys 1/(LT), the flat log-frame μ, μ(i)⊗μ(d)),
+so a theory keeps it as one factor per axis.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .errors import (
     EmptyInput,
     GridMismatch,
     InvalidGrid,
+    NegativeDensity,
+    NonFinite,
     OutOfDomain,
     SliceCountMismatch,
     UnnormalizedSlice,
@@ -41,10 +45,11 @@ from .priors import (
     MeasurementModel,
     PriorSpec,
     jeffreys_ppf,
-    make_prior,
     measurement_profile,
     measurement_profiles,
     noninformative_profile,
+    outer_values,
+    prior_factors,
 )
 
 SET_L = "set_L"
@@ -113,16 +118,78 @@ class Provenance:
         )
 
 
+def _frozen_factor(axis: Axis, factor) -> np.ndarray:
+    f = np.asarray(factor, dtype=np.float64)
+    if f.shape != (axis.count,):
+        raise InvalidGrid(
+            f"μ factor of shape {f.shape} for axis {axis.name!r} of {axis.count} nodes"
+        )
+    if not np.all(np.isfinite(f)):
+        raise NonFinite(f"the μ factor on axis {axis.name!r} must be finite")
+    if np.any(f < 0.0):
+        raise NegativeDensity(
+            f"the μ factor on axis {axis.name!r} must be >= 0, min is {f.min()!r}"
+        )
+    if f.flags.writeable or not f.flags.c_contiguous:
+        f = np.array(f)
+        f.setflags(write=False)
+    return f
+
+
 @dataclass(frozen=True, eq=False)
 class TheoryDensity:
-    """A joint density over (independent, dependent) plus its μ and origin."""
+    """A joint density over (independent, dependent), its μ and its origin.
+
+    μ is kept as one factor per axis: ``mu_factors[k]`` is a frozen float64
+    array over axis k, and μ on the grid is their outer product.
+    """
 
     joint: Density
-    mu: Density
+    mu_factors: tuple[np.ndarray, ...]
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        require_same_space(self.joint, self.mu)
+        axes = self.joint.grid.axes
+        if len(self.mu_factors) != len(axes):
+            raise InvalidGrid(f"{len(self.mu_factors)} μ factor(s) for a {len(axes)}D grid")
+        factors = tuple(_frozen_factor(ax, f) for ax, f in zip(axes, self.mu_factors))
+        object.__setattr__(self, "mu_factors", factors)
+
+    @property
+    def mu(self) -> Density:
+        """μ as a dense density on the joint's grid and frame, built on each
+        access for the generic algebra."""
+        values = outer_values(self.mu_factors)
+        values.setflags(write=False)
+        return Density(self.joint.grid, values, frame=self.joint.frame)
+
+
+def separable_factors(d: Density) -> tuple[np.ndarray, ...]:
+    """One factor per axis whose outer product is ``d`` to rounding.
+
+    The factors are ``d``'s column and row through its largest value, the
+    row divided by that value, so neither can overflow.  Raises ConfigInvalid
+    when some value differs from the outer product by more than 1e-12 of
+    itself (values below float64's normal range are compared to 1e-12 times
+    its smallest normal number).
+    """
+    rtol = 1e-12
+    v = d.values
+    if v.ndim == 1:
+        return (v,)
+    i, j = np.unravel_index(np.argmax(v), v.shape)
+    peak = v[i, j]
+    col, row = v[:, j], v[i, :] / peak if peak > 0.0 else v[i, :]
+    product = np.multiply.outer(col, row)
+    err = np.abs(product - v)
+    bad = err > rtol * (v + np.finfo(np.float64).tiny)
+    if np.any(bad):
+        k = np.unravel_index(np.argmax(np.where(bad, err, 0.0)), v.shape)
+        raise ConfigInvalid(
+            f"the density is not an outer product of per-axis factors: at node "
+            f"{tuple(map(int, k))} it is {v[k]!r}, the product of its factors {product[k]!r}"
+        )
+    return col, row
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,17 +256,31 @@ def _noise_draw(model: MeasurementModel, rng: np.random.Generator):
 
 
 def _observe(model: MeasurementModel, true: np.ndarray, variate: np.ndarray) -> np.ndarray:
-    """Readings around the true values, from raw variates of the instrument's noise."""
+    """Readings around the true values, from raw variates of the instrument's noise.
+
+    A reading that float64 cannot represent (one that overflows, or a
+    lognormal one that underflows to 0) means the width is too wide to
+    simulate: ConfigInvalid names the instrument and its width.
+    """
     kind = _noise_kind(model)
     w = model.width
     if kind == NONINFORMATIVE:
         return np.full(np.shape(true), math.nan)
-    if kind == LOGNORMAL:
-        return true * np.exp(w * variate)
-    if kind == GAUSSIAN:
-        return true + w * variate
-    # boxcar: uniform within the instrument window, as rng.uniform(-w, w)
-    return true + (-w + 2.0 * w * variate)
+    with np.errstate(over="ignore"):
+        if kind == LOGNORMAL:
+            readings = true * np.exp(w * variate)
+        elif kind == GAUSSIAN:
+            readings = true + w * variate
+        else:
+            # boxcar: uniform within the instrument window, as rng.uniform(-w, w)
+            readings = true + (-w + 2.0 * w * variate)
+    bad = ~np.isfinite(readings) | ((readings <= 0.0) if kind == LOGNORMAL else False)
+    if np.any(bad):
+        raise ConfigInvalid(
+            f"the {model.parameter} instrument ({kind}, width {w!r}) is too wide to "
+            f"simulate: a reading comes out as {float(readings[bad][0])!r}"
+        )
+    return readings
 
 
 def _raw_variates(bitgen: np.random.PCG64, draws, seeds: list[int]) -> np.ndarray:
@@ -257,8 +338,7 @@ def simulate_experiment(
         measurement_profile(replace(by_axis[ax.name], center=observed[ax.name]), ax)
         for ax in grid.axes
     ]
-    vals = factors[0] if grid.ndim == 1 else np.multiply.outer(factors[0], factors[1])
-    density = Density(grid, vals, frame=frame)
+    density = Density(grid, outer_values(factors), frame=frame)
     return ExperimentResult(
         density=density,
         mode=mode,
@@ -276,8 +356,10 @@ def accumulate_theory(results: Iterable[ExperimentResult], mu: Density) -> Theor
 
     Normalizing per experiment weights every experiment equally regardless of
     instrument sharpness; the theory's mass then counts experiments exactly.
-    Accepts any iterable and accumulates streamingly.
+    Accepts any iterable and accumulates streamingly.  ``mu`` must be an
+    outer product of per-axis factors (``separable_factors``).
     """
+    factors = separable_factors(mu)
     acc = np.zeros(mu.grid.shape)
     n = 0
     for r in results:
@@ -287,7 +369,7 @@ def accumulate_theory(results: Iterable[ExperimentResult], mu: Density) -> Theor
     if n == 0:
         raise EmptyInput("no experiments to accumulate")
     joint = Density(mu.grid, acc, frame=mu.frame)
-    return TheoryDensity(joint, mu, Provenance("empirical", n_experiments=n))
+    return TheoryDensity(joint, factors, Provenance("empirical", n_experiments=n))
 
 
 def run_campaign(
@@ -318,6 +400,9 @@ def run_campaign(
     ``B`` are the per-axis profiles, scaled so that each experiment carries
     unit mass.  An experiment whose density has no finite positive mass on
     the grid cannot be normalized; ``ZeroMass`` then reports how many.
+
+    ``mu`` defaults to the Jeffreys 1/(LT); one given must be an outer
+    product of per-axis factors (``separable_factors``).
     """
     if n_experiments <= 0:
         raise EmptyInput(f"need at least one experiment, got {n_experiments}")
@@ -326,9 +411,11 @@ def run_campaign(
     if master_seed < 0:
         raise ConfigInvalid(f"master seed must be >= 0, got {master_seed}")
     if mu is None:
-        mu = make_prior(PriorSpec(JEFFREYS), grid, frame=frame)
+        mu_factors = prior_factors(PriorSpec(JEFFREYS), grid)
     elif mu.grid.axes != grid.axes:
         raise GridMismatch("mu must live on the campaign grid")
+    else:
+        mu_factors, frame = separable_factors(mu), mu.frame
     _locate_fall_axes(law, grid)
     by_axis = _instruments_by_axis(instruments, grid)
 
@@ -355,8 +442,8 @@ def run_campaign(
     if dropped:
         raise ZeroMass(f"{dropped} of {n_experiments} experiment(s) have no mass on the grid")
     return TheoryDensity(
-        Density(grid, acc, frame=mu.frame),
-        mu,
+        Density(grid, acc, frame=frame),
+        mu_factors,
         Provenance("empirical", n_experiments=n_experiments, master_seed=master_seed),
     )
 
@@ -389,7 +476,7 @@ def analytic_fall_theory(
         zeta = np.log(lv / (0.5 * law.g * tv * tv))
         vals = (k / (lv * tv)) * np.exp(-0.5 * (zeta / sigma) ** 2)
         vals = np.broadcast_to(vals, grid.shape)
-        mu = make_prior(PriorSpec(JEFFREYS), grid, frame=label)
+        mu = prior_factors(PriorSpec(JEFFREYS), grid)
         joint = Density(grid, vals.copy(), frame=label)
     elif frame == "log":
         if grid.ndim != 2:
@@ -399,7 +486,7 @@ def analytic_fall_theory(
         zeta = (lam + math.log(l0)) - math.log(0.5 * law.g) - 2.0 * (tau + math.log(t0))
         vals = k * np.exp(-0.5 * (zeta / sigma) ** 2)
         joint = Density(grid, np.broadcast_to(vals, grid.shape).copy(), frame=label)
-        mu = Density(grid, np.ones(grid.shape), frame=label)
+        mu = tuple(np.ones(ax.count) for ax in grid.axes)
     else:
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
     return TheoryDensity(joint, mu, Provenance("analytic"))
@@ -445,5 +532,4 @@ def theory_from_conditional(
     mu_d_vals = noninformative_profile(d_axis) if mu_d is None else mu_d.values
     if mu_d is not None and mu_d.grid.axes != (d_axis,):
         raise GridMismatch("mu_d must live on the dependent axis")
-    mu = Density(grid, np.multiply.outer(mu_i.values, mu_d_vals), frame=frame)
-    return TheoryDensity(joint, mu, Provenance("from_conditional"))
+    return TheoryDensity(joint, (mu_i.values, mu_d_vals), Provenance("from_conditional"))

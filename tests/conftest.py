@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from inferspace import Axis, Density, Grid, normalize
+
+# Property tests draw the same examples on every run, so a tier-1 verdict
+# cannot change between runs of the same code; no deadline, since a slow
+# machine is not a failing example.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

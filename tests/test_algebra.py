@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from inferspace import (
     Axis,
@@ -197,3 +200,27 @@ def test_symmetric_kl_properties():
     assert symmetric_kl(a, a) == pytest.approx(0.0, abs=1e-12)
     assert symmetric_kl(a, b) > 0.0
     assert symmetric_kl(a, b) == pytest.approx(symmetric_kl(b, a), rel=1e-12)
+
+
+@st.composite
+def _grids(draw):
+    axes = []
+    for name in ("x", "y")[: draw(st.integers(1, 2))]:
+        lower = draw(st.floats(0.01, 100.0))
+        upper = lower * draw(st.floats(1.01, 1e3))
+        make = draw(st.sampled_from([Axis.linear, Axis.logarithmic]))
+        axes.append(make(name, lower, upper, draw(st.integers(2, 9))))
+    return Grid.of(*axes)
+
+
+@settings(max_examples=60)
+@given(_grids(), st.data())
+def test_axioms_hold_on_random_grids(grid, data):
+    """OR/AND commutativity, associativity, distributivity and μ neutrality,
+    with a random positive μ, and the max/min realization beside it."""
+    mu = Density(grid, data.draw(hnp.arrays(np.float64, grid.shape, elements=st.floats(0.1, 10.0))))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    report = check_axioms(Realization.sum_product(mu), sample_axiom_triples(grid, 4, seed))
+    assert report.all_passed, report.as_dict()
+    grades = sample_axiom_triples(grid, 4, seed, grades=True)
+    assert check_axioms(Realization.max_min(grid), grades).all_passed

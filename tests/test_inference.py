@@ -5,19 +5,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from inferspace import (
     BOXCAR,
     GAUSSIAN,
     LOGNORMAL,
+    NONINFORMATIVE,
     Axis,
     Density,
     EnvelopeFailure,
     FallingBodyLaw,
     Grid,
+    InferenceSpaceError,
     InvalidGrid,
     MeasurementModel,
+    NeutralZero,
     OutOfDomain,
     Posterior,
     Provenance,
@@ -40,8 +46,10 @@ from inferspace import (
     push_forward,
     reciprocal_map,
     sample_posterior,
+    separable_factors,
     shear_map,
     summarize,
+    theory_from_conditional,
     total_variation,
 )
 
@@ -113,7 +121,7 @@ class TestIntersect:
         joint = Density(grid, np.outer(narrow / axl.nodes, 1.0 / axt.nodes))
         theory = TheoryDensity(
             joint=joint,
-            mu=null_information_density(grid),
+            mu_factors=separable_factors(null_information_density(grid)),
             provenance=Provenance(kind="analytic"),
         )
         far = np.where((axl.nodes >= 8.0) & (axl.nodes <= 10.0), 1.0, 0.0)
@@ -141,8 +149,11 @@ class TestIntersect:
         rho = and_combine(
             measurement_density(t, grid), measurement_density(length, grid), theory.mu
         )
-        both = intersect(theory, t, length)
-        assert np.array_equal(both.density.values, intersect(theory, rho).density.values)
+        both = intersect(theory, t, length).density.values
+        dense = intersect(theory, rho).density.values
+        # the readings are ANDed as 1D factors, the dense rho with and_combine:
+        # the same product, rounded in another order
+        assert np.max(np.abs(both - dense)) <= 1e-12 * np.max(dense)
 
     def test_measurements_contradicting_each_other_raise_zero_mass(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
@@ -152,6 +163,98 @@ class TestIntersect:
                 MeasurementModel(parameter="T", kind=BOXCAR, center=0.7, width=0.01),
                 MeasurementModel(parameter="T", kind=BOXCAR, center=1.4, width=0.01),
             )
+
+
+    def test_reading_in_the_box_narrower_than_its_nodes_is_under_resolved(self):
+        """A reading inside the box whose profile underflows at every node is
+        not off the grid: the error names its width and the node spacing."""
+        theory = _fall_theory(sigma=0.05, nl=41, nt=41, l_box=(1.0, 10.0), t_box=(0.45, 1.43))
+        narrow = MeasurementModel(parameter="T", kind=LOGNORMAL, center=0.9871, width=1e-4)
+        with pytest.raises(ZeroMass, match=r"T=0\.9871 .*under-resolved.*spacing at 0\.9871 is "
+                                           r"0\.0289 in ln T, against the width 0\.0001"):
+            intersect(theory, narrow)
+
+
+    def test_mu_vanishing_only_where_the_theory_has_no_mass_is_harmless(self):
+        """μ(i) = 0 on nodes where the conditional theory has no mass: ANDing a
+        reading that is positive there is defined and equals the dense AND."""
+        i_ax = Axis.logarithmic("L", 1.0, 10.0, 21)
+        d_ax = Axis.logarithmic("T", 0.45, 1.43, 19)
+        mu_i = np.ones(21)
+        mu_i[:5] = 0.0
+        shape = normalize(Density(Grid.of(d_ax), np.exp(-((np.log(d_ax.nodes) / 0.2) ** 2))))
+        theory = theory_from_conditional([shape] * 21, Density(Grid.of(i_ax), mu_i))
+        reading = MeasurementModel("L", LOGNORMAL, 3.0, 0.5)
+        rho = measurement_density(reading, theory.joint.grid, frame=theory.joint.frame)
+        factored = intersect(theory, reading).density.values
+        dense = intersect(theory, rho).density.values
+        assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
+
+    def test_mu_vanishing_where_the_theory_has_mass_is_neutral_zero(self):
+        """Where μ = 0 but the joint times the reading is not, the AND is
+        undefined; a node where both factors of μ vanish counts once."""
+        grid = Grid.of(Axis.linear("L", 1.0, 2.0, 7), Axis.linear("T", 1.0, 2.0, 5))
+        mu_l, mu_t = np.ones(7), np.ones(5)
+        mu_l[[0, 3]] = 0.0
+        mu_t[[1]] = 0.0
+        theory = TheoryDensity(Density(grid, np.ones((7, 5))), [mu_l, mu_t],
+                               Provenance("analytic"))
+        reading = MeasurementModel("T", GAUSSIAN, 1.5, 0.3)
+        # 2 rows of 5 and 1 column of 7 nodes, which share 2 nodes
+        with pytest.raises(NeutralZero, match=r"on 15 node\(s\)"):
+            and_combine(theory.joint, measurement_density(reading, grid), theory.mu)
+        with pytest.raises(NeutralZero, match=r"on 15 node\(s\)"):
+            intersect(theory, reading)
+
+
+@st.composite
+def _theories_and_readings(draw):
+    axes = []
+    for name in ("L", "T"):
+        lower = draw(st.floats(0.1, 10.0))
+        upper = lower * draw(st.floats(1.5, 100.0))
+        make = draw(st.sampled_from([Axis.linear, Axis.logarithmic]))
+        axes.append(make(name, lower, upper, draw(st.integers(3, 40))))
+    grid = Grid.of(*axes)
+    joint = Density(grid, draw(hnp.arrays(np.float64, grid.shape, elements=st.floats(0.0, 10.0))))
+    # some μ values of exactly 1 make some, not all, of a factor's entries 1
+    levels = st.floats(0.1, 10.0) | st.sampled_from([0.5, 1.0, 2.0])
+    mu = [draw(hnp.arrays(np.float64, ax.count, elements=levels)) for ax in axes]
+    readings = []
+    for _ in range(draw(st.integers(1, 3))):
+        ax = draw(st.sampled_from(axes))
+        kinds = [LOGNORMAL, BOXCAR, NONINFORMATIVE]
+        kinds += [GAUSSIAN] if ax.spacing == "linear" else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == NONINFORMATIVE:
+            readings.append(MeasurementModel(ax.name, kind))
+            continue
+        center = ax.lower + (ax.upper - ax.lower) * draw(st.floats(0.0, 1.0))
+        scale = 1.0 if kind == LOGNORMAL else ax.upper - ax.lower
+        width = scale * draw(st.floats(0.02, 2.0))
+        readings.append(MeasurementModel(ax.name, kind, center, width))
+    return TheoryDensity(joint, mu, Provenance("analytic")), readings
+
+
+@settings(max_examples=150)
+@given(_theories_and_readings())
+def test_factored_and_equals_the_dense_fold(case):
+    """ANDing readings as 1D factors gives the dense fold joint·∏ρₘ/μᴹ, one
+    and_combine per reading, to 1e-12 of the peak; where the fold has no
+    posterior, neither has the factored AND."""
+    theory, readings = case
+    grid, mu = theory.joint.grid, theory.mu
+    try:
+        combined = measurement_density(readings[0], grid)
+        for m in readings[1:]:
+            combined = and_combine(combined, measurement_density(m, grid), mu)
+        dense = normalize(and_combine(theory.joint, combined, mu)).values
+    except InferenceSpaceError as exc:
+        with pytest.raises(type(exc)):
+            intersect(theory, *readings)
+        return
+    factored = intersect(theory, *readings).density.values
+    assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +305,7 @@ class TestPredict:
         target = Grid.of(to_cm.separable[0].image_axis(axl, name="L"), axt)
         scaled = TheoryDensity(
             joint=push_forward(theory.joint, to_cm, target),
-            mu=push_forward(theory.mu, to_cm, target),
+            mu_factors=separable_factors(push_forward(theory.mu, to_cm, target)),
             provenance=theory.provenance,
         )
         rho_cm = push_forward(rho, to_cm, target)

@@ -8,11 +8,12 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -38,8 +39,8 @@ from inferspace import (
     grids_equal,
     integrate,
     make_prior,
+    noninformative_profile,
     normalize,
-    null_information_density,
     read_density,
     read_theory,
     run_campaign,
@@ -233,18 +234,20 @@ def _sample_theory(kind="empirical"):
     joint = _sample_density()
     return TheoryDensity(
         joint=joint,
-        mu=null_information_density(joint.grid, frame="lab"),
+        mu_factors=[noninformative_profile(ax) for ax in joint.grid.axes],
         provenance=Provenance(kind=kind, n_experiments=7, master_seed=123),
     )
 
 
 def assert_same_theory(back: TheoryDensity, theory: TheoryDensity) -> None:
-    """Bit for bit: grids, value bytes, frames, flags and provenance."""
-    for b, t in ((back.joint, theory.joint), (back.mu, theory.mu)):
-        assert b.grid.axes == t.grid.axes
-        assert b.values.dtype == np.float64 and b.values.tobytes() == t.values.tobytes()
-        assert b.frame == t.frame
-        assert b.normalized is t.normalized
+    """Bit for bit: grid, joint and μ factor bytes, frame, flag and provenance."""
+    assert back.joint.grid.axes == theory.joint.grid.axes
+    assert len(back.mu_factors) == len(theory.mu_factors)
+    for b, t in ((back.joint.values, theory.joint.values),
+                 *zip(back.mu_factors, theory.mu_factors)):
+        assert b.dtype == np.float64 and b.shape == t.shape and b.tobytes() == t.tobytes()
+    assert back.joint.frame == theory.joint.frame
+    assert back.joint.normalized is theory.joint.normalized
     assert back.provenance == theory.provenance
 
 
@@ -311,13 +314,13 @@ class TestTheoryFiles:
 
     @pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, raised):
-        """The array write dies halfway through the second member: an absent
-        target stays absent, a present one keeps its old bytes, and the
-        temporary file is gone either way."""
+        """The array write dies partway through the member ``mu_0``, after
+        ``joint``: an absent target stays absent, a present one keeps its old
+        bytes, and the temporary file is gone either way."""
         real = np.lib.format.write_array
 
         def dies_mid_file(fp, array, *args, **kwargs):
-            if array is theory.mu.values:
+            if array is theory.mu_factors[0]:
                 fp.write(b"\x93NUMPY partial")
                 raise raised("disk full")
             return real(fp, array, *args, **kwargs)
@@ -341,22 +344,67 @@ class TestTheoryFiles:
         monkeypatch.setattr(np.lib.format, "write_array", real)
         assert_same_theory(read_theory(target), old)
 
-    def test_version_one_json_triple_still_reads(self, tmp_path, capsys):
-        grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 201),
-                       Axis.logarithmic("T", 0.4515, 1.4279, 201))
+    def test_version_one_json_triple_is_not_read(self, tmp_path, capsys):
+        """The version-1 theory, a density JSON with ``.mu.json`` and
+        ``.provenance.json`` beside it, is refused: the error names the
+        ``<base>.npz`` that is missing."""
+        grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 21),
+                       Axis.logarithmic("T", 0.4515, 1.4279, 21))
         theory = analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid)
         write_density(theory.joint, tmp_path / "old.json")
         write_density(theory.mu, tmp_path / "old.mu.json")
         (tmp_path / "old.provenance.json").write_text(json.dumps({"kind": "analytic"}))
-        assert_same_theory(read_theory(tmp_path / "old"), theory)
-        code, doc = run_cli(
-            ["infer", "--theory", str(tmp_path / "old.json"),
-             "--measure", "T:lognormal:1.0:0.05"],
-            capsys,
+        with pytest.raises(IOFailure, match="old.npz"):
+            read_theory(tmp_path / "old")
+        code = main(["infer", "--theory", str(tmp_path / "old.json"),
+                     "--measure", "T:lognormal:1.0:0.05"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(tmp_path / "old.npz") in captured.err
+
+    @pytest.mark.parametrize(
+        "build", [_analytic_linear, _analytic_log, _campaign, _from_conditional],
+        ids=["analytic-linear", "analytic-log", "campaign", "from-conditional"],
+    )
+    def test_version_two_file_reads_its_dense_mu_as_factors(self, tmp_path, build):
+        grid = Grid.of(
+            Axis.logarithmic("L", 1.0, 10.0, 31), Axis.logarithmic("T", 0.4515, 1.4279, 27)
         )
-        assert code == 0
-        assert abs(doc["mode"] / 4.905 - 1.0) < 0.025
-        assert not (tmp_path / "old.npz").exists()
+        theory = build(grid)
+        _write_version_two(tmp_path / "v2.npz", theory.joint, theory.mu.values,
+                           theory.provenance)
+        back = read_theory(tmp_path / "v2.npz")
+        assert back.joint.values.tobytes() == theory.joint.values.tobytes()
+        assert back.provenance == theory.provenance
+        peak = theory.mu.values.max()
+        assert np.max(np.abs(back.mu.values - theory.mu.values)) <= 1e-15 * peak
+
+    def test_version_two_file_with_a_non_separable_mu_exits_config(self, tmp_path, capsys):
+        theory = _sample_theory()
+        mu = theory.mu.values.copy()
+        mu[3, 4] *= 1.001
+        _write_version_two(tmp_path / "v2.npz", theory.joint, mu, theory.provenance)
+        with pytest.raises(SchemaError, match="'mu' cannot be factored"):
+            read_theory(tmp_path / "v2.npz")
+        code = main(["infer", "--theory", str(tmp_path / "v2.npz"),
+                     "--measure", "T:gaussian:1:0.1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'v2.npz'}") and "(3, 4)" in err
+
+
+def _write_version_two(path, joint, mu_values, provenance):
+    """A theory file as format version 2 wrote it: μ as one dense member."""
+    header = {
+        "format": "inferspace-theory",
+        "version": 2,
+        "axes": [ax.to_header() for ax in joint.grid.axes],
+        "frame": joint.frame,
+        "normalized": {"joint": joint.normalized, "mu": False},
+        "provenance": provenance.as_dict(),
+    }
+    np.savez(path, header=np.array(json.dumps(header)), joint=joint.values, mu=mu_values)
 
 
 _names = st.sampled_from(["L", "T", "x", "time (s)", "λ"])
@@ -378,22 +426,48 @@ def _theories(draw):
         np.float64, grid.shape,
         elements=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
     )
+    factors = [
+        draw(hnp.arrays(np.float64, ax.count, elements=st.floats(0.0, 1e300)))
+        for ax in axes
+    ]
     frame = draw(st.text(max_size=8))
-    flags = st.booleans()
     seeds = st.none() | st.integers(0, 2**63 - 1)
     return TheoryDensity(
-        joint=Density(grid, draw(values), frame=frame, normalized=draw(flags)),
-        mu=Density(grid, draw(values), frame=frame, normalized=draw(flags)),
+        joint=Density(grid, draw(values), frame=frame, normalized=draw(st.booleans())),
+        mu_factors=factors,
         provenance=Provenance(draw(st.text(max_size=12)), draw(seeds), draw(seeds)),
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_theories())
 def test_theory_file_round_trip_is_bit_exact(theory):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_theory(theory, Path(tmp) / "t")
         assert_same_theory(read_theory(path), theory)
+
+
+@settings(max_examples=60)
+@given(_theories(), st.data())
+def test_version_two_file_with_a_separable_mu_reads_back_its_factors(theory, data):
+    """A version-2 file's dense μ is factored as its column and row through
+    its largest value, the row divided by that value.  When the second
+    factor holds powers of two up to 1 and the first one's peak is normal
+    even after scaling by them, that division is exact, so the factors read
+    back bit for bit."""
+    *first, last = theory.mu_factors
+    if first:
+        assume(first[0].max() >= 1e-280)
+        exponents = data.draw(hnp.arrays(np.int64, last.shape, elements=st.integers(-60, 0)))
+        exponents[data.draw(st.integers(0, last.size - 1))] = 0
+        last = np.ldexp(1.0, exponents)
+    factors = (*first, last)
+    mu = factors[0] if not first else np.multiply.outer(*factors)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v2.npz"
+        _write_version_two(path, theory.joint, mu, theory.provenance)
+        back = read_theory(path)
+    assert_same_theory(back, TheoryDensity(theory.joint, factors, theory.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +678,41 @@ class TestCliInference:
         assert code == 3
         assert "T=5.0" in err and "off the grid" in err and "[0.4515, 1.4279]" in err
 
+    def test_under_resolved_reading_in_the_box_exits_numerical(self, tmp_path, capsys):
+        """T = 0.9871 lies in the box, but a width of 1e-4 underflows at every
+        node of a 41-node axis: the error says so instead of "off the grid"."""
+        th = str(tmp_path / "th")
+        grid = "L:log:1:10:41,T:log:0.45:1.43:41"
+        run_cli(["analytic-theory", "--grid", grid, "--sigma", "0.05", "--out", th], capsys)
+        code = main(["infer", "--theory", th, "--measure", "T:lognormal:0.9871:1e-4"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "off the grid" not in err
+        assert "under-resolved" in err and "width 0.0001" in err and "spacing at 0.9871" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["infer", "--measure", "T:lognormal:1.0:1e-300"], "T lognormal width 1e-300"),
+            (["build-theory", "--n", "5", "--sigma-length", "500"],
+             "L instrument (lognormal, width 500.0)"),
+        ],
+        ids=["infer-narrow", "build-wide"],
+    )
+    def test_unrepresentable_lognormal_width_exits_config(self, tmp_path, capsys, argv, named):
+        grid = "L:log:1:10:41,T:log:0.45:1.43:41"
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", grid, "--sigma", "0.05", "--out", th], capsys)
+        where = ["--theory", th] if argv[0] == "infer" else ["--grid", grid, "--out", th]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, *where])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_reading_against_the_theory_exits_numerical(self, tmp_path, capsys):
         """Both readings lie on the grid, but the theory puts no mass where
         T = 0.5 s and L = 9.5 m meet."""
@@ -618,7 +727,8 @@ class TestCliInference:
     @pytest.mark.parametrize(
         "damage",
         ["truncated", "not-a-zip", "empty", "wrong-format", "wrong-version",
-         "missing-member", "bare-array", "wrong-shape", "non-finite"],
+         "missing-member", "bare-array", "wrong-shape", "non-finite", "factor-dtype",
+         "factor-non-finite", "factor-negative"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
         th = tmp_path / "th.npz"
@@ -639,13 +749,18 @@ class TestCliInference:
                 header["version"] = 1
             np.savez(th, **{**members, "header": np.array(json.dumps(header))})
         elif damage == "missing-member":
-            del members["mu"]
+            del members["mu_1"]
             np.savez(th, **members)
         elif damage == "bare-array":
             with th.open("wb") as fh:
                 np.save(fh, members["joint"])
         elif damage == "wrong-shape":
-            np.savez(th, **{**members, "mu": members["mu"][:-1]})
+            np.savez(th, **{**members, "mu_0": members["mu_0"][:-1]})
+        elif damage == "factor-dtype":
+            np.savez(th, **{**members, "mu_1": members["mu_1"].astype(np.float32)})
+        elif damage in ("factor-non-finite", "factor-negative"):
+            members["mu_0"][2] = np.inf if damage == "factor-non-finite" else -1.0
+            np.savez(th, **members)
         else:
             members["joint"][0, 0] = np.nan
             np.savez(th, **members)
@@ -928,7 +1043,7 @@ _SHORTHANDS = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(_SHORTHANDS)
 def test_shorthand_parsers_parse_or_raise_a_configuration_error(spec):
     """Whatever the tokens, a shorthand parses or is refused as configuration

@@ -73,7 +73,7 @@ def grids_and_points(draw):
     return nodes, values, axes_points
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(grids_and_points())
 def test_tensor_call_equals_scattered_call_and_matches_scipy(case):
     nodes, values, axes_points = case
@@ -120,7 +120,7 @@ def test_pcg64_states_start_default_rng_at_word_boundaries(seed):
     _assert_starts_default_rng([seed])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(st.one_of(st.integers(0, 2**32), st.integers(0, 2**256 - 1)),
                 min_size=1, max_size=6))
 def test_pcg64_states_start_default_rng(seeds):

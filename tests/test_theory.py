@@ -13,14 +13,19 @@ from inferspace import (
     SET_L,
     SET_T,
     Axis,
+    ConfigInvalid,
     Density,
     EmptyInput,
     FallingBodyLaw,
     Grid,
     GridMismatch,
     InvalidBounds,
+    InvalidGrid,
     MeasurementModel,
+    NegativeDensity,
+    NonFinite,
     OutOfDomain,
+    Provenance,
     SliceCountMismatch,
     UnnormalizedSlice,
     ZeroMass,
@@ -37,7 +42,9 @@ from inferspace import (
     product_map,
     push_forward,
     run_campaign,
+    separable_factors,
     simulate_experiment,
+    TheoryDensity,
     theory_from_conditional,
 )
 from inferspace.theory import _BLOCK_BYTES
@@ -285,6 +292,58 @@ def test_campaign_mu_must_share_grid():
     other = null_information_density(_fall_grid(62))
     with pytest.raises(GridMismatch):
         run_campaign(law, _instruments(), 3, SET_L, master_seed=1, grid=grid, mu=other)
+
+
+def test_campaign_and_accumulation_refuse_a_non_separable_mu():
+    grid = _fall_grid(61)
+    values = null_information_density(grid).values.copy()
+    values[10, 20] *= 1.5
+    lumpy = Density(grid, values)
+    with pytest.raises(ConfigInvalid, match=r"not an outer product.*\(10, 20\)"):
+        run_campaign(FallingBodyLaw(), _instruments(), 3, SET_L, master_seed=1, grid=grid,
+                     mu=lumpy)
+    result = simulate_experiment(FallingBodyLaw(), _instruments(), 2.0, SET_L, seed=1, grid=grid)
+    with pytest.raises(ConfigInvalid, match="not an outer product"):
+        accumulate_theory([result], lumpy)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_separable_factors_rebuild_a_product_to_rounding(spacing):
+    axis = Axis.linear if spacing == "linear" else Axis.logarithmic
+    grid = Grid.of(axis("x", 0.5, 4.0, 37), axis("y", 1.0, 3.0, 29))
+    x, y = (ax.nodes for ax in grid.axes)
+    a, b = np.exp(-x) * (x > 1.0), 1.0 / (y * y)  # zeros in one factor
+    values = np.multiply.outer(a, b)
+    f0, f1 = separable_factors(Density(grid, values))
+    assert f1.max() == 1.0
+    assert np.all(np.abs(np.multiply.outer(f0, f1) - values) <= 4e-16 * values)
+
+
+def test_theory_density_checks_and_freezes_its_mu_factors():
+    joint = Density(_fall_grid(11), np.ones((11, 11)))
+    ones = np.ones(11)
+    theory = TheoryDensity(joint, [ones, ones], Provenance("analytic"))
+    assert all(not f.flags.writeable for f in theory.mu_factors)
+    ones[0] = 5.0
+    assert theory.mu_factors[0][0] == 1.0
+    assert theory.mu.values.shape == (11, 11) and theory.mu.frame == joint.frame
+    for factors, error in (
+        ([np.ones(11)], InvalidGrid),
+        ([np.ones(11), np.ones(10)], InvalidGrid),
+        ([np.ones(11), np.full(11, np.nan)], NonFinite),
+        ([np.ones(11), -np.ones(11)], NegativeDensity),
+    ):
+        with pytest.raises(error):
+            TheoryDensity(joint, factors, Provenance("analytic"))
+
+
+def test_too_wide_instrument_is_refused_by_name_and_width():
+    """A lognormal width so wide that e^(width·z) overflows or underflows
+    gives readings float64 cannot hold: the campaign refuses the width
+    instead of dropping the experiments."""
+    grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 41), Axis.logarithmic("T", 0.45, 1.43, 41))
+    with pytest.raises(ConfigInvalid, match=r"the L instrument \(lognormal, width 500\.0\)"):
+        run_campaign(FallingBodyLaw(), _instruments(sigma_l=500.0), 5, SET_L, 20260819, grid)
 
 
 def test_analytic_theory_ridge_is_exact_lognormal():
