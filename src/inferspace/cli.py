@@ -12,11 +12,14 @@ Shorthand grammars:
   map          AXIS:KIND[:ARGS]                    (reciprocal | log[:x0] |
                exp[:y0] | affine:a[:b] | power:k)
 
+Built-in defaults are declared once, on the argparse options.
 Every subcommand accepts ``--config FILE`` holding a JSON object whose keys
-are option names; explicit flags win over the file, the file wins over
-built-in defaults.  A bare filename is also looked up in the directory named
-by the INFERSPACE_CONFIG_DIR environment variable.  All stochastic commands
-take an explicit ``--seed`` and are reproducible from it.
+are option names; its values become the subcommand's defaults, so explicit
+flags win over the file (a repeatable flag replaces the file's list rather
+than extending it), and the file wins over built-in defaults.  A bare
+filename is also looked up in the directory named by the
+INFERSPACE_CONFIG_DIR environment variable.  All stochastic commands take an
+explicit ``--seed`` and are reproducible from it.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ def _option_type(action: argparse.Action) -> type:
     for a repeatable option."""
     if isinstance(action, argparse.BooleanOptionalAction):
         return bool
-    if isinstance(action, argparse._AppendAction):
+    if isinstance(action, _Replace):
         return list
     return action.type or str
 
@@ -247,24 +250,6 @@ def _check_config(cfg: dict, options: dict) -> dict:
     return checked
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Resolve each option as: explicit flag, else config file, else default."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg = _load_config(args.config)
-        unknown = sorted(set(cfg) - set(defaults))
-        if unknown:
-            raise ConfigInvalid(f"unknown config key(s) {unknown}; valid: {sorted(defaults)}")
-        cfg = _check_config(cfg, args.options)
-    merged = {}
-    for key, fallback in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = cfg.get(key, fallback)
-        merged[key] = value
-    return argparse.Namespace(**merged)
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -284,24 +269,10 @@ def _default_query(grid: Grid, models, requested: str | None) -> str:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-_BUILD_DEFAULTS = {
-    "axis": None,
-    "grid": None,
-    "n": 2000,
-    "mode": SET_L,
-    "seed": 20260819,
-    "g": 9.81,
-    "sigma_theory": 1e-3,
-    "sigma_length": 0.05,
-    "sigma_time": 0.05,
-    "out": "theory.npz",
-    "compare_analytic": False,
-}
 _BUILD_GRID = ("L:log:0.5:20:300", "T:log:0.25:2.5:300")
 
 
-def _cmd_build_theory(args: argparse.Namespace) -> int:
-    p = _merge(args, _BUILD_DEFAULTS)
+def _cmd_build_theory(p: argparse.Namespace) -> int:
     grid = parse_grid(_resolve_axes(p.axis, p.grid, _BUILD_GRID))
     if grid.ndim != 2:
         raise ConfigInvalid("building a theory needs two axes: length then time")
@@ -341,18 +312,9 @@ def _cmd_build_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-_ANALYTIC_DEFAULTS = {
-    "axis": None,
-    "grid": None,
-    "frame": "linear",
-    "g": 9.81,
-    "sigma": 1e-3,
-    "out": "analytic-theory.npz",
-}
 
 
-def _cmd_analytic_theory(args: argparse.Namespace) -> int:
-    p = _merge(args, _ANALYTIC_DEFAULTS)
+def _cmd_analytic_theory(p: argparse.Namespace) -> int:
     grid = parse_grid(_resolve_axes(p.axis, p.grid, _DEFAULT_FALL_GRID))
     if grid.ndim != 2:
         raise ConfigInvalid("the fall theory needs two axes: length then time")
@@ -368,32 +330,18 @@ def _cmd_analytic_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-_INFER_DEFAULTS = {
-    "theory": "theory.npz",
-    "measure": None,  # required
-    "query": None,
-    "out": None,
-}
 
 
-_PREDICT_DEFAULTS = {
-    "theory": "theory.npz",
-    "known": None,  # required
-    "query": None,
-    "out": None,
-}
 
 
-def _cmd_infer(args: argparse.Namespace) -> int:
+def _cmd_infer(p: argparse.Namespace) -> int:
     """``infer``; also ``predict``, which is ``infer`` with its one
     ``--known`` reading as the measurement."""
-    if args.command == "predict":
-        p = _merge(args, _PREDICT_DEFAULTS)
+    if p.command == "predict":
         if not p.known:
             raise ConfigInvalid("pass --known AXIS:KIND:CENTER:WIDTH")
         specs = [p.known]
     else:
-        p = _merge(args, _INFER_DEFAULTS)
         if not p.measure:
             raise ConfigInvalid("pass at least one --measure AXIS:KIND:CENTER:WIDTH")
         specs = p.measure
@@ -409,16 +357,9 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENFORD_DEFAULTS = {
-    "lower": 1.0,
-    "upper": 1e6,
-    "n": 0,
-    "seed": 20260819,
-}
 
 
-def _cmd_benford(args: argparse.Namespace) -> int:
-    p = _merge(args, _BENFORD_DEFAULTS)
+def _cmd_benford(p: argparse.Namespace) -> int:
     n = int(p.n)
     if n < 0:
         raise ConfigInvalid(f"--n must be >= 0 (0 skips the sampled check), got {n}")
@@ -438,17 +379,9 @@ def _cmd_benford(args: argparse.Namespace) -> int:
     return 0
 
 
-_PARADOX_DEFAULTS = {
-    "count": 300,
-    "slice_value": 1.0,
-    "width_cells": 2.0,
-    "sigma_sum": 0.35,
-    "sigma_diff": 0.7,
-}
 
 
-def _cmd_paradox(args: argparse.Namespace) -> int:
-    p = _merge(args, _PARADOX_DEFAULTS)
+def _cmd_paradox(p: argparse.Namespace) -> int:
     lim = math.exp(1.4)
     x_axis = Axis.logarithmic("x", 1.0 / lim, lim, int(p.count))
     y_axis = Axis.logarithmic("y", 1.0 / lim, lim, int(p.count))
@@ -498,18 +431,10 @@ def _cmd_paradox(args: argparse.Namespace) -> int:
     return 0
 
 
-_AXIOMS_DEFAULTS = {
-    "axis": None,
-    "grid": None,
-    "triples": 25,
-    "seed": 20260819,
-    "tol": 1e-12,
-}
 _AXIOMS_GRID = ("x:log:0.1:10:27", "y:lin:0:1:25")
 
 
-def _cmd_axioms(args: argparse.Namespace) -> int:
-    p = _merge(args, _AXIOMS_DEFAULTS)
+def _cmd_axioms(p: argparse.Namespace) -> int:
     grid = parse_grid(_resolve_axes(p.axis, p.grid, _AXIOMS_GRID))
     mu = null_information_density(grid)
     sum_product = check_axioms(
@@ -532,16 +457,9 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     return 0
 
 
-_CONVERT_DEFAULTS = {
-    "src": None,  # required
-    "out": None,  # required
-    "map": None,
-    "match_tol": 1e-9,
-}
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
-    p = _merge(args, _CONVERT_DEFAULTS)
+def _cmd_convert(p: argparse.Namespace) -> int:
     if not p.src or not p.out:
         raise ConfigInvalid("convert needs --in SRC.{json,npz} and --out DEST.{json,csv}")
     d = read_theory(p.src).joint if p.src.endswith(".npz") else read_density(p.src)
@@ -593,19 +511,28 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Replace(argparse.Action):
+    """A repeatable option whose flags replace its default list rather than
+    extend it, as ``append`` would: a config file's list is a default too."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        items = [] if items is self.default else items
+        setattr(namespace, self.dest, [*items, values])
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    """Add ``--config``; call it after the subcommand's other options, whose
-    actions it records for checking config-file values."""
     sp.add_argument("--config", help="JSON file with option defaults")
-    sp.set_defaults(options={a.dest: a for a in sp._actions})
+    sp.set_defaults(parser=sp)
 
 
 def _add_grid_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--axis", action="append", help="NAME:SPACING:LOWER:UPPER:COUNT (repeatable)")
+    sp.add_argument("--axis", action=_Replace, help="NAME:SPACING:LOWER:UPPER:COUNT (repeatable)")
     sp.add_argument("--grid", help='"default" or two axis shorthands joined by a comma')
 
 
 _THEORY_HELP = "theory file <base>.npz (format version 3; version 2 is read too)"
+_SEED = 20260819
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -617,19 +544,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("build-theory", help="simulate a fall campaign and accumulate it")
     _add_grid_options(sp)
-    sp.add_argument("--n", type=int, help="number of experiments")
-    sp.add_argument("--mode", choices=[SET_L, SET_T], help="which parameter experiments set")
-    sp.add_argument("--seed", type=int, help="master seed")
-    sp.add_argument("--g", type=float, help="gravitational acceleration")
-    sp.add_argument("--sigma-theory", type=float, dest="sigma_theory")
-    sp.add_argument("--sigma-length", type=float, dest="sigma_length", help="length instrument width")
-    sp.add_argument("--sigma-time", type=float, dest="sigma_time", help="time instrument width")
-    sp.add_argument("--out", help="theory file, written as <base>.npz")
+    sp.add_argument("--n", type=int, default=2000, help="number of experiments")
+    sp.add_argument(
+        "--mode", choices=[SET_L, SET_T], default=SET_L, help="which parameter experiments set"
+    )
+    sp.add_argument("--seed", type=int, default=_SEED, help="master seed")
+    sp.add_argument("--g", type=float, default=9.81, help="gravitational acceleration")
+    sp.add_argument("--sigma-theory", type=float, default=1e-3)
+    sp.add_argument("--sigma-length", type=float, default=0.05, help="length instrument width")
+    sp.add_argument("--sigma-time", type=float, default=0.05, help="time instrument width")
+    sp.add_argument("--out", default="theory.npz", help="theory file, written as <base>.npz")
     sp.add_argument(
         "--compare-analytic",
         action=argparse.BooleanOptionalAction,
-        dest="compare_analytic",
-        default=None,
+        default=False,
         help="report symmetric KL against the instrument-blurred analytic ridge",
     )
     _add_common(sp)
@@ -637,21 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analytic-theory", help="write the closed-form fall theory")
     _add_grid_options(sp)
-    sp.add_argument("--frame", choices=["linear", "log"])
-    sp.add_argument("--g", type=float)
-    sp.add_argument("--sigma", type=float, help="ridge width in log space")
-    sp.add_argument("--out", help="theory file, written as <base>.npz")
+    sp.add_argument("--frame", choices=["linear", "log"], default="linear")
+    sp.add_argument("--g", type=float, default=9.81)
+    sp.add_argument("--sigma", type=float, default=1e-3, help="ridge width in log space")
+    sp.add_argument(
+        "--out", default="analytic-theory.npz", help="theory file, written as <base>.npz"
+    )
     _add_common(sp)
     sp.set_defaults(handler=_cmd_analytic_theory)
 
     sp = sub.add_parser("infer", help="intersect a theory with measurements")
-    sp.add_argument("--theory", help=_THEORY_HELP)
+    sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
     sp.add_argument(
-        "--measure",
-        "--measurement",
-        action="append",
-        dest="measure",
-        help="AXIS:KIND:CENTER:WIDTH (repeatable)",
+        "--measure", "--measurement", action=_Replace, help="AXIS:KIND:CENTER:WIDTH (repeatable)"
     )
     sp.add_argument("--query", help="axis to summarize (default: the unmeasured one)")
     sp.add_argument("--out", help="write the queried marginal density here")
@@ -659,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_infer)
 
     sp = sub.add_parser("predict", help="posterior for one axis given another")
-    sp.add_argument("--theory", help=_THEORY_HELP)
+    sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
     sp.add_argument("--known", help="AXIS:KIND:CENTER:WIDTH")
     sp.add_argument("--query", help="axis to summarize (default: the other one)")
     sp.add_argument("--out")
@@ -667,27 +593,29 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_infer)
 
     sp = sub.add_parser("benford", help="first-digit law from the scale-invariant prior")
-    sp.add_argument("--lower", type=float, help="sampling box lower bound")
-    sp.add_argument("--upper", type=float, help="sampling box upper bound")
-    sp.add_argument("--n", type=int, help="empirical check sample count (0 = analytic only)")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--lower", type=float, default=1.0, help="sampling box lower bound")
+    sp.add_argument("--upper", type=float, default=1e6, help="sampling box upper bound")
+    sp.add_argument(
+        "--n", type=int, default=0, help="empirical check sample count (0 = analytic only)"
+    )
+    sp.add_argument("--seed", type=int, default=_SEED)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_benford)
 
     sp = sub.add_parser("paradox", help="conditioning on a slice vs a thin band, two frames")
-    sp.add_argument("--count", type=int, help="nodes per axis")
-    sp.add_argument("--slice-value", type=float, dest="slice_value")
-    sp.add_argument("--width-cells", type=float, dest="width_cells")
-    sp.add_argument("--sigma-sum", type=float, dest="sigma_sum")
-    sp.add_argument("--sigma-diff", type=float, dest="sigma_diff")
+    sp.add_argument("--count", type=int, default=300, help="nodes per axis")
+    sp.add_argument("--slice-value", type=float, default=1.0)
+    sp.add_argument("--width-cells", type=float, default=2.0)
+    sp.add_argument("--sigma-sum", type=float, default=0.35)
+    sp.add_argument("--sigma-diff", type=float, default=0.7)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_paradox)
 
     sp = sub.add_parser("axioms", help="check the OR/AND axioms on sampled densities")
     _add_grid_options(sp)
-    sp.add_argument("--triples", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--tol", type=float)
+    sp.add_argument("--triples", type=int, default=25)
+    sp.add_argument("--seed", type=int, default=_SEED)
+    sp.add_argument("--tol", type=float, default=1e-12)
     _add_common(sp)
     sp.set_defaults(handler=_cmd_axioms)
 
@@ -696,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--in", dest="src", help="density .json, or theory .npz (exports its joint)")
     sp.add_argument("--out", help="output path, format by extension (.json or .csv)")
-    sp.add_argument("--map", action="append", help="AXIS:KIND[:ARGS] (repeatable)")
-    sp.add_argument("--match-tol", type=float, dest="match_tol", help="image-box slack")
+    sp.add_argument("--map", action=_Replace, help="AXIS:KIND[:ARGS] (repeatable)")
+    sp.add_argument("--match-tol", type=float, default=1e-9, help="image-box slack")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_convert)
 
@@ -708,11 +636,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The file's values become the subcommand's defaults; parsing
+            # again then lets explicit flags win over them.
+            sp = args.parser
+            options = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+            cfg = _load_config(args.config)
+            unknown = sorted(set(cfg) - set(options))
+            if unknown:
+                raise ConfigInvalid(f"unknown config key(s) {unknown}; valid: {sorted(options)}")
+            sp.set_defaults(**_check_config(cfg, options))
+            args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IOFailure as exc:
+    except (ConfigurationError, IOFailure, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

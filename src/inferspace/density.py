@@ -53,10 +53,12 @@ class Density:
             raise InvalidGrid(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        # min and max see any NaN or infinity without a grid-sized temporary.
+        lo, hi = vals.min(), vals.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise NonFinite("density values must be finite")
-        if np.any(vals < 0.0):
-            raise NegativeDensity(f"density values must be >= 0, min is {vals.min()!r}")
+        if lo < 0.0:
+            raise NegativeDensity(f"density values must be >= 0, min is {lo!r}")
         # Own a frozen C-contiguous copy; arrays arriving already frozen are
         # shared (they came from another Density and cannot change).
         if vals.flags.writeable:
@@ -81,6 +83,8 @@ class Density:
         """Evaluate ``fn`` on broadcastable node meshes and wrap the result."""
         vals = np.asarray(fn(*grid.meshes()), dtype=np.float64)
         vals = np.broadcast_to(vals, grid.shape).copy()
+        # Frozen, so the Density shares this copy instead of making another.
+        vals.setflags(write=False)
         return Density(grid, vals, frame=frame, normalized=normalized)
 
     # -- basics -------------------------------------------------------------

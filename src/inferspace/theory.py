@@ -452,6 +452,14 @@ def run_campaign(
 # analytic theory
 # ---------------------------------------------------------------------------
 
+def _gaussian_ridge(zeta: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(−½(ζ/σ)²), computed in place over ``zeta``."""
+    zeta /= sigma
+    np.square(zeta, out=zeta)
+    zeta *= -0.5
+    return np.exp(zeta, out=zeta)
+
+
 def analytic_fall_theory(
     law: FallingBodyLaw,
     grid: Grid,
@@ -469,26 +477,40 @@ def analytic_fall_theory(
     """
     sigma = law.sigma_theory
     k = law.constant
+    # Built in place, with at most two grid-sized arrays live.  A g or sigma
+    # so extreme that the ridge over- or underflows is not warned about: it
+    # leaves no mass, which is refused below.
     if frame == "linear":
         il, it = _locate_fall_axes(law, grid)
         mesh = grid.meshes()
         lv, tv = mesh[il], mesh[it]
-        zeta = np.log(lv / (0.5 * law.g * tv * tv))
-        vals = (k / (lv * tv)) * np.exp(-0.5 * (zeta / sigma) ** 2)
-        vals = np.broadcast_to(vals, grid.shape)
+        with np.errstate(all="ignore"):
+            vals = lv / (0.5 * law.g * tv * tv)
+            _gaussian_ridge(np.log(vals, out=vals), sigma)
+            scale = lv * tv
+            vals *= np.divide(k, scale, out=scale)
         mu = prior_factors(PriorSpec(JEFFREYS), grid)
-        joint = Density(grid, vals.copy(), frame=label)
     elif frame == "log":
         if grid.ndim != 2:
             raise InvalidGrid("the log-frame theory lives on a 2D grid")
         l0, t0 = log_refs
         lam, tau = grid.meshes()
-        zeta = (lam + math.log(l0)) - math.log(0.5 * law.g) - 2.0 * (tau + math.log(t0))
-        vals = k * np.exp(-0.5 * (zeta / sigma) ** 2)
-        joint = Density(grid, np.broadcast_to(vals, grid.shape).copy(), frame=label)
+        with np.errstate(all="ignore"):
+            vals = (lam + math.log(l0)) - math.log(0.5 * law.g) - 2.0 * (tau + math.log(t0))
+            _gaussian_ridge(vals, sigma)
+            vals *= k
         mu = tuple(np.ones(ax.count) for ax in grid.axes)
     else:
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    vals.setflags(write=False)
+    joint = Density(grid, vals, frame=label)
+    if not integrate(joint) > 0.0:
+        box = ", ".join(f"{ax.name} in [{ax.lower}, {ax.upper}]" for ax in grid.axes)
+        raise ZeroMass(
+            f"the fall law {law.length_axis} = ½·g·{law.time_axis}² with g={law.g!r} and "
+            f"sigma={sigma!r} puts no mass on the box {box}"
+        )
     return TheoryDensity(joint, mu, Provenance("analytic"))
 
 

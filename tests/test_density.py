@@ -33,6 +33,17 @@ def test_values_validated():
         Density(grid, np.ones(4))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[1.0, np.nan, 1.0, -1.0, 1.0], [1.0, np.inf, 1.0, -1.0, 1.0], [1.0, -np.inf, 1.0, 1.0, 1.0]],
+    ids=["nan", "+inf", "-inf"],
+)
+def test_non_finite_values_raise_non_finite_even_beside_negative_ones(bad):
+    grid = Grid.of(Axis.linear("x", 0.0, 1.0, 5))
+    with pytest.raises(NonFinite, match="^density values must be finite$"):
+        Density(grid, np.array(bad))
+
+
 def test_values_are_frozen():
     grid = Grid.of(Axis.linear("x", 0.0, 1.0, 5))
     d = Density(grid, np.ones(5))

@@ -713,6 +713,36 @@ class TestCliInference:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--grid", "L:log:1:2:50,T:log:5:10:50"],
+            ["--frame", "log", "--grid", "L:log:1:2:50,T:log:5:10:50"],
+            ["--g", "1e-320"],
+            ["--sigma", "1e-300", "--grid", "L:log:1:10:101,T:log:0.45:1.43:101"],
+        ],
+        ids=["box-off-the-ridge", "log-frame-box-off-the-ridge", "tiny-g", "tiny-sigma"],
+    )
+    def test_theory_with_no_mass_exits_numerical(self, tmp_path, capsys, argv):
+        """A box the ridge misses, or a g or sigma the ridge over- or
+        underflows on, leaves no mass: refused, with no file and no warning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analytic-theory", *argv, "--out", str(tmp_path / "th")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "fall law L = ½·g·T²" in captured.err and "no mass on the box L in [" in captured.err
+        assert not caught
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_too_large_to_allocate_exits_config(self, capsys):
+        code = main(["paradox", "--count", "1000000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "allocate" in captured.err
+
     def test_reading_against_the_theory_exits_numerical(self, tmp_path, capsys):
         """Both readings lie on the grid, but the theory puts no mass where
         T = 0.5 s and L = 9.5 m meet."""
@@ -868,6 +898,74 @@ class TestCliAuxiliary:
         code = main(["benford", "--config", str(cfg)])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, valid",
+        [
+            ("build-theory", ["axis", "compare_analytic", "g", "grid", "mode", "n", "out",
+                              "seed", "sigma_length", "sigma_theory", "sigma_time"]),
+            ("analytic-theory", ["axis", "frame", "g", "grid", "out", "sigma"]),
+            ("infer", ["measure", "out", "query", "theory"]),
+            ("predict", ["known", "out", "query", "theory"]),
+            ("benford", ["lower", "n", "seed", "upper"]),
+            ("paradox", ["count", "sigma_diff", "sigma_sum", "slice_value", "width_cells"]),
+            ("axioms", ["axis", "grid", "seed", "tol", "triples"]),
+            ("convert", ["map", "match_tol", "out", "src"]),
+        ],
+    )
+    def test_unknown_config_key_lists_the_subcommands_options(
+        self, tmp_path, capsys, command, valid
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"bogus": 1}))
+        code = main([command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: unknown config key(s) ['bogus']; valid: {valid}\n"
+
+    @pytest.mark.parametrize("key, value", [("handler", 1), ("parser", 1), ("config", "x")])
+    def test_parser_internals_are_not_config_keys(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["benford", "--config", str(cfg)])
+        assert code == 2
+        assert f"unknown config key(s) [{key!r}]" in capsys.readouterr().err
+
+    def test_axis_flags_replace_a_config_axis_list(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"axis": ["L:log:1:10:31", "T:log:0.4515:1.4279:31"]}))
+        th = tmp_path / "th"
+        code, _ = run_cli(
+            ["analytic-theory", "--config", str(cfg), "--sigma", "0.05", "--out", str(th),
+             "--axis", "L:log:1:10:21", "--axis", "T:log:0.4515:1.4279:23"],
+            capsys,
+        )
+        assert code == 0
+        assert read_theory(th).joint.grid.shape == (21, 23)
+
+    def test_measure_flags_replace_a_config_measure_list(self, tmp_path, capsys):
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
+        cfg = tmp_path / "readings.json"
+        cfg.write_text(json.dumps({"measure": ["T:lognormal:1.0:0.05"], "query": "T"}))
+        flagged = ["infer", "--theory", th, "--measure", "L:lognormal:4.9:0.05"]
+        code, from_both = run_cli([*flagged, "--config", str(cfg)], capsys)
+        assert code == 0
+        _, from_flag = run_cli([*flagged, "--query", "T"], capsys)
+        _, from_file = run_cli(["infer", "--theory", th, "--config", str(cfg)], capsys)
+        assert from_both == from_flag
+        assert from_file != from_flag
+
+    def test_negated_flag_beats_a_config_true(self, tmp_path, capsys):
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({"compare_analytic": True, "n": 5}))
+        code, doc = run_cli(
+            ["build-theory", "--grid", "L:log:1:10:41,T:log:0.45:1.43:41", "--config", str(cfg),
+             "--no-compare-analytic", "--out", str(tmp_path / "emp")],
+            capsys,
+        )
+        assert code == 0
+        assert "kl_sym_vs_analytic" not in doc
 
     @pytest.mark.parametrize(
         "key, value",

@@ -373,6 +373,14 @@ def test_analytic_theory_ridge_is_exact_lognormal():
         assert vertex_tau == pytest.approx(np.log(law.fall_time(l_ax.nodes[i])), abs=1e-10)
 
 
+@pytest.mark.parametrize("frame", ["linear", "log"])
+def test_analytic_theory_off_the_box_raises_zero_mass(frame):
+    """L = ½gT² misses the box L in [1, 2], T in [5, 10] entirely."""
+    grid = Grid.of(Axis.logarithmic("L", 1.0, 2.0, 50), Axis.logarithmic("T", 5.0, 10.0, 50))
+    with pytest.raises(ZeroMass, match=r"no mass on the box L in \[1\.0, 2\.0\], T in"):
+        analytic_fall_theory(FallingBodyLaw(), grid, frame=frame)
+
+
 def test_analytic_theory_marginals_are_noninformative():
     law = FallingBodyLaw(sigma_theory=0.03)
     grid = _fall_grid(301)
