@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .density import Density, integrate, require_same_space
 from .errors import (
     ConfigInvalid,
@@ -94,21 +93,17 @@ def fuzzy_and(p: Density, q: Density) -> Density:
 # information content
 # ---------------------------------------------------------------------------
 
-def information_content(
-    p: Density,
-    mu: Density,
-    norm_tol: float = 1e-6,
-) -> float:
+def information_content(p: Density, mu: Density) -> float:
     """Shannon information of ``p`` relative to the null-information μ:
     I = ∫ p ln(p / μ̂) with μ̂ the box-normalized μ.
 
     The μ-relative form is what survives coordinate changes; the bare
-    ∫ p ln p does not.  ``p`` must arrive normalized; μ is normalized here.
-    Nodes with p = 0 contribute 0 (the 0·ln 0 limit).
+    ∫ p ln p does not.  ``p`` must arrive normalized, to 1e-6; μ is
+    normalized here.  Nodes with p = 0 contribute 0 (the 0·ln 0 limit).
     """
     require_same_space(p, mu)
     mass = integrate(p)
-    if abs(mass - 1.0) > norm_tol:
+    if abs(mass - 1.0) > 1e-6:
         raise NotNormalized(f"information content needs a normalized density, mass is {mass!r}")
     mu_mass = integrate(mu)
     if not np.isfinite(mu_mass) or mu_mass <= 0.0:
@@ -135,18 +130,18 @@ def total_variation(p: Density, q: Density) -> float:
     return 0.5 * integrate(diff)
 
 
-def symmetric_kl(p: Density, q: Density, floor: float = 1e-6) -> float:
+def symmetric_kl(p: Density, q: Density) -> float:
     """Symmetrized Kullback–Leibler divergence with a uniform mixture floor.
 
     Both densities are mixed with a normalized uniform component of weight
-    ``floor`` before the divergence is taken, so empty cells on either side
+    1e-6 before the divergence is taken, so empty cells on either side
     stay finite; the result is an upper-bounded proxy that still vanishes iff
     the densities agree.
     """
     require_same_space(p, q)
     flat = 1.0 / p.grid.box_volume
-    pf = (p.values + floor * flat) / (1.0 + floor)
-    qf = (q.values + floor * flat) / (1.0 + floor)
+    pf = (p.values + 1e-6 * flat) / (1.0 + 1e-6)
+    qf = (q.values + 1e-6 * flat) / (1.0 + 1e-6)
     w = p.grid.cell_volumes()
     ratio = np.log(pf / qf)
     return float(np.sum((pf - qf) * ratio * w))
@@ -230,7 +225,7 @@ def _rel_diff(a: Density, b: Density) -> float:
 def check_axioms(
     realization: Realization,
     triples: Sequence[tuple[Density, Density, Density]],
-    tol: float = DEFAULT_TOLERANCES.exact,
+    tol: float = 1e-12,
 ) -> AxiomReport:
     """Verify the algebra axioms on sampled triples.
 
@@ -294,11 +289,10 @@ def sample_axiom_triples(
     n: int,
     seed: int,
     grades: bool = False,
-    zero_fraction: float = 0.25,
 ) -> list[tuple[Density, Density, Density]]:
     """Random density triples for the axiom checker.
 
-    A ``zero_fraction`` of nodes is zeroed in each sample so the support
+    A quarter of the nodes is zeroed in each sample so the support
     axioms are exercised on genuine zeros.  With ``grades=True`` values are
     membership grades in [0, 1] (what the max/min realization models).
     """
@@ -310,7 +304,7 @@ def sample_axiom_triples(
         ds = []
         for _ in range(3):
             vals = rng.uniform(0.0, 1.0 if grades else 10.0, size=grid.shape)
-            mask = rng.uniform(size=grid.shape) < zero_fraction
+            mask = rng.uniform(size=grid.shape) < 0.25
             vals[mask] = 0.0
             ds.append(Density(grid, vals))
         triples.append(tuple(ds))

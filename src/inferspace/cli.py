@@ -34,7 +34,6 @@ import numpy as np
 
 from .algebra import (
     Realization,
-    and_combine,
     check_axioms,
     sample_axiom_triples,
     symmetric_kl,
@@ -52,7 +51,7 @@ from .coordinates import (
     reciprocal_map,
     shear_map,
 )
-from .density import Density, integrate, marginalize, normalize
+from .density import Density, integrate, normalize
 from .errors import (
     ConfigInvalid,
     ConfigurationError,
@@ -62,7 +61,7 @@ from .errors import (
     SingularJacobian,
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
-from .inference import borel_kolmogorov_demo, conditional_density, intersect
+from .inference import band_conditional, borel_kolmogorov_demo, intersect
 from .io import read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
     BOXCAR,
@@ -73,7 +72,6 @@ from .priors import (
     MeasurementModel,
     PriorSpec,
     benford_digit_probabilities,
-    measurement_density,
     null_information_density,
     sample_prior,
 )
@@ -277,21 +275,16 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
     if grid.ndim != 2:
         raise ConfigInvalid("building a theory needs two axes: length then time")
     length_name, time_name = grid.names
-    law = FallingBodyLaw(
-        g=p.g,
-        sigma_theory=p.sigma_theory,
-        length_axis=length_name,
-        time_axis=time_name,
-    )
+    law = FallingBodyLaw(g=p.g, length_axis=length_name, time_axis=time_name)
     instruments = [
         MeasurementModel(parameter=length_name, kind=LOGNORMAL, center=1.0, width=p.sigma_length),
         MeasurementModel(parameter=time_name, kind=LOGNORMAL, center=1.0, width=p.sigma_time),
     ]
-    theory = run_campaign(law, instruments, int(p.n), p.mode, int(p.seed), grid)
+    theory = run_campaign(law, instruments, p.n, p.mode, p.seed, grid)
     written = write_theory(theory, p.out)
     report = {
         "out": str(written),
-        "n_experiments": int(p.n),
+        "n_experiments": p.n,
         "mode": p.mode,
         "mass": integrate(theory.joint),
     }
@@ -312,8 +305,6 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
     return 0
 
 
-
-
 def _cmd_analytic_theory(p: argparse.Namespace) -> int:
     grid = parse_grid(_resolve_axes(p.axis, p.grid, _DEFAULT_FALL_GRID))
     if grid.ndim != 2:
@@ -328,10 +319,6 @@ def _cmd_analytic_theory(p: argparse.Namespace) -> int:
     written = write_theory(theory, p.out)
     _emit({"out": str(written), "frame": p.frame, "mass": integrate(theory.joint)})
     return 0
-
-
-
-
 
 
 def _cmd_infer(p: argparse.Namespace) -> int:
@@ -357,36 +344,31 @@ def _cmd_infer(p: argparse.Namespace) -> int:
     return 0
 
 
-
-
 def _cmd_benford(p: argparse.Namespace) -> int:
-    n = int(p.n)
-    if n < 0:
-        raise ConfigInvalid(f"--n must be >= 0 (0 skips the sampled check), got {n}")
+    if p.n < 0:
+        raise ConfigInvalid(f"--n must be >= 0 (0 skips the sampled check), got {p.n}")
     probs = benford_digit_probabilities()
     report: dict = {
         "digits": {str(d): float(probs[d - 1]) for d in range(1, 10)}
     }
-    if n > 0:
-        spec = PriorSpec(JEFFREYS, bounds=((float(p.lower), float(p.upper)),))
-        draws = sample_prior(spec, n, int(p.seed))
+    if p.n > 0:
+        spec = PriorSpec(JEFFREYS, bounds=((p.lower, p.upper),))
+        draws = sample_prior(spec, p.n, p.seed)
         leading = (draws / 10.0 ** np.floor(np.log10(draws))).astype(int)
         freqs = np.bincount(leading, minlength=10)[1:10] / len(draws)
         report["sampled"] = {str(d): float(freqs[d - 1]) for d in range(1, 10)}
         report["max_abs_error"] = float(np.max(np.abs(freqs - probs)))
-        report["n"] = n
+        report["n"] = p.n
     _emit(report)
     return 0
 
 
-
-
 def _cmd_paradox(p: argparse.Namespace) -> int:
     lim = math.exp(1.4)
-    x_axis = Axis.logarithmic("x", 1.0 / lim, lim, int(p.count))
-    y_axis = Axis.logarithmic("y", 1.0 / lim, lim, int(p.count))
+    x_axis = Axis.logarithmic("x", 1.0 / lim, lim, p.count)
+    y_axis = Axis.logarithmic("y", 1.0 / lim, lim, p.count)
     grid = Grid.of(x_axis, y_axis)
-    a, b = float(p.sigma_sum), float(p.sigma_diff)
+    a, b = p.sigma_sum, p.sigma_diff
 
     def correlated(x, y):
         u, v = np.log(x), np.log(y)
@@ -394,27 +376,20 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
 
     joint = normalize(Density.from_callable(grid, correlated))
     mu = null_information_density(grid)
-    y0 = float(p.slice_value)
-    curved = borel_kolmogorov_demo(joint, mu, shear_map(), y0, width_cells=float(p.width_cells))
+    y0 = p.slice_value
+    curved = borel_kolmogorov_demo(joint, mu, shear_map(), y0, width_cells=p.width_cells)
     control = borel_kolmogorov_demo(
-        joint, mu, affine_map_2d(1.0, 0.0, 2.0, 0.0), y0, width_cells=float(p.width_cells)
+        joint, mu, affine_map_2d(1.0, 0.0, 2.0, 0.0), y0, width_cells=p.width_cells
     )
 
     # Width sweep: the AND-band conditional converges to the exact slice as
     # the band thins, which is the sense in which AND recovers conditioning.
-    native_slice = conditional_density(joint, y_axis.name, y0)
-    j = int(np.argmin(np.abs(y_axis.nodes - y0)))
-    cell = y_axis.cell_boundaries[j + 1] - y_axis.cell_boundaries[j]
-    recovery = {}
-    for cells in (8.0, 4.0, 2.0):
-        band = measurement_density(
-            MeasurementModel(parameter=y_axis.name, kind=BOXCAR, center=y0, width=cells * cell),
-            grid,
-            frame=joint.frame,
+    recovery = {
+        str(cells): total_variation(
+            curved.native_conditional, band_conditional(joint, mu, y0, cells)[0]
         )
-        sigma = and_combine(joint, band, mu)
-        band_cond = normalize(marginalize(sigma, x_axis.name))
-        recovery[str(cells)] = total_variation(native_slice, band_cond)
+        for cells in (8.0, 4.0, 2.0)
+    }
 
     _emit(
         {
@@ -439,13 +414,13 @@ def _cmd_axioms(p: argparse.Namespace) -> int:
     mu = null_information_density(grid)
     sum_product = check_axioms(
         Realization.sum_product(mu),
-        sample_axiom_triples(grid, int(p.triples), int(p.seed)),
-        tol=float(p.tol),
+        sample_axiom_triples(grid, p.triples, p.seed),
+        tol=p.tol,
     )
     max_min = check_axioms(
         Realization.max_min(grid),
-        sample_axiom_triples(grid, int(p.triples), int(p.seed) + 1, grades=True),
-        tol=float(p.tol),
+        sample_axiom_triples(grid, p.triples, p.seed + 1, grades=True),
+        tol=p.tol,
     )
     _emit(
         {
@@ -455,8 +430,6 @@ def _cmd_axioms(p: argparse.Namespace) -> int:
         }
     )
     return 0
-
-
 
 
 def _cmd_convert(p: argparse.Namespace) -> int:
@@ -476,19 +449,9 @@ def _cmd_convert(p: argparse.Namespace) -> int:
             raise ConfigInvalid(f"map axis(es) {unknown} not on the grid {list(d.grid.names)}")
         identity = affine_map(1.0, 0.0)
         per_axis = [maps.get(ax.name, identity) for ax in d.grid.axes]
-        images = [
-            m.image_axis(ax, name=ax.name)
-            for m, ax in zip(per_axis, d.grid.axes)
-        ]
-        if d.grid.ndim == 1:
-            d = push_forward(d, per_axis[0], Grid.of(images[0]), match_tol=float(p.match_tol))
-        else:
-            d = push_forward(
-                d,
-                product_map(per_axis[0], per_axis[1]),
-                Grid.of(*images),
-                match_tol=float(p.match_tol),
-            )
+        images = [m.image_axis(ax, name=ax.name) for m, ax in zip(per_axis, d.grid.axes)]
+        whole = per_axis[0] if d.grid.ndim == 1 else product_map(*per_axis)
+        d = push_forward(d, whole, Grid.of(*images))
     if p.out.endswith(".csv"):
         write_csv(d, p.out)
     elif p.out.endswith(".json"):
@@ -550,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, default=_SEED, help="master seed")
     sp.add_argument("--g", type=float, default=9.81, help="gravitational acceleration")
-    sp.add_argument("--sigma-theory", type=float, default=1e-3)
     sp.add_argument("--sigma-length", type=float, default=0.05, help="length instrument width")
     sp.add_argument("--sigma-time", type=float, default=0.05, help="time instrument width")
     sp.add_argument("--out", default="theory.npz", help="theory file, written as <base>.npz")
@@ -625,7 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--in", dest="src", help="density .json, or theory .npz (exports its joint)")
     sp.add_argument("--out", help="output path, format by extension (.json or .csv)")
     sp.add_argument("--map", action=_Replace, help="AXIS:KIND[:ARGS] (repeatable)")
-    sp.add_argument("--match-tol", type=float, default=1e-9, help="image-box slack")
     _add_common(sp)
     sp.set_defaults(handler=_cmd_convert)
 

@@ -15,7 +15,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from ._kernels import interpolate
-from .config import DEFAULT_TOLERANCES
 from .errors import (
     GridMismatch,
     InvalidGrid,
@@ -78,14 +77,13 @@ class Density:
         grid: Grid,
         fn: Callable[..., np.ndarray],
         frame: str = "",
-        normalized: bool = False,
     ) -> "Density":
         """Evaluate ``fn`` on broadcastable node meshes and wrap the result."""
         vals = np.asarray(fn(*grid.meshes()), dtype=np.float64)
         vals = np.broadcast_to(vals, grid.shape).copy()
         # Frozen, so the Density shares this copy instead of making another.
         vals.setflags(write=False)
-        return Density(grid, vals, frame=frame, normalized=normalized)
+        return Density(grid, vals, frame=frame)
 
     # -- basics -------------------------------------------------------------
 
@@ -139,7 +137,7 @@ def integrate(
     return float(weights[0] @ d.values @ weights[1])
 
 
-def normalize(d: Density, tol: float = DEFAULT_TOLERANCES.normalization) -> Density:
+def normalize(d: Density) -> Density:
     """Scale ``d`` to unit mass over the box.
 
     Raises ZeroMass when the density carries no mass to scale, NonFinite if
@@ -157,8 +155,8 @@ def normalize(d: Density, tol: float = DEFAULT_TOLERANCES.normalization) -> Dens
         raise NonFinite("normalization overflowed; mass too small") from exc
     # Contract check rather than belt-and-braces: quadrature is linear, so
     # the renormalized mass can only miss 1 through float rounding.
-    if abs(integrate(out) - 1.0) > tol:
-        raise ZeroMass(f"normalization failed to reach unit mass within {tol}")
+    if abs(integrate(out) - 1.0) > 1e-9:
+        raise ZeroMass("normalization failed to reach unit mass within 1e-09")
     return out
 
 

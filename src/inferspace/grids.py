@@ -257,7 +257,7 @@ class Grid:
                     f"[{a.lower}, {a.upper}], e.g. {bad.flat[0]!r}"
                 )
 
-    def validate_weight_sums(self, rtol: float = 1e-12) -> None:
+    def validate_weight_sums(self) -> None:
         """Check each axis integrates its own noninformative profile exactly:
         the box length on linear axes, ln(upper/lower) for 1/x on log axes."""
         for a in self.axes:
@@ -265,7 +265,7 @@ class Grid:
                 total, expect = float(np.sum(a.weights)), a.length
             else:
                 total, expect = float(np.sum(a.weights / a.nodes)), math.log(a.upper / a.lower)
-            if abs(total - expect) > rtol * expect:
+            if abs(total - expect) > 1e-12 * expect:
                 raise InvalidGrid(
                     f"axis {a.name!r}: weights integrate the noninformative "
                     f"profile to {total!r}, expected {expect!r}"

@@ -62,13 +62,13 @@ class Posterior:
     def marginal(self, name: str) -> Density:
         return marginalize(self.density, name)
 
-    def summarize(self, name: str | None = None, levels=(0.68, 0.95)) -> "Summary":
+    def summarize(self, name: str | None = None) -> "Summary":
         d = self.density
         if d.grid.ndim > 1:
             if name is None:
                 raise InvalidGrid("a joint posterior needs an axis name to summarize")
             d = self.marginal(name)
-        return summarize(d, levels=levels)
+        return summarize(d)
 
 
 def _no_mass(m: MeasurementModel, ax: Axis) -> OutOfDomain | ZeroMass:
@@ -262,10 +262,19 @@ def conditional_density(joint: Density, fixed_axis: str, fixed_value: float) -> 
         pts = np.column_stack([fixed_col, free_ax.nodes])
     else:
         pts = np.column_stack([free_ax.nodes, fixed_col])
-    vals = evaluate(joint, pts)
+    return _normalized_slice(
+        joint, free_ax, pts, f"joint density vanishes along {fixed_axis}={fixed_value!r}"
+    )
+
+
+def _normalized_slice(d: Density, free_ax: Axis, pts: np.ndarray, empty: str) -> Density:
+    """``d`` at ``pts``, one point per node of ``free_ax``, normalized as a
+    density over ``free_ax``; ZeroSlice with the message ``empty`` if it has
+    no mass there."""
+    vals = evaluate(d, pts)
     mass = float(np.dot(vals, free_ax.weights))
     if mass <= 0.0:
-        raise ZeroSlice(f"joint density vanishes along {fixed_axis}={fixed_value!r}")
+        raise ZeroSlice(empty)
     return Density(Grid.of(free_ax), vals / mass, frame=free_ax.name, normalized=True)
 
 
@@ -335,8 +344,9 @@ def _refined_argmax(ax: Axis, vals: np.ndarray) -> float:
     return float(ax.nodes[j])
 
 
-def summarize(d: Density, levels=(0.68, 0.95)) -> Summary:
-    """Mean, spread, median, modes, and central intervals of a 1D density."""
+def summarize(d: Density) -> Summary:
+    """Mean, spread, median, modes, and the central 68% and 95% intervals of
+    a 1D density."""
     if d.grid.ndim != 1:
         raise InvalidGrid("summaries are for 1D densities; marginalize first")
     dn = d if d.normalized else normalize(d)
@@ -347,14 +357,15 @@ def summarize(d: Density, levels=(0.68, 0.95)) -> Summary:
     mean = float(np.sum(x * pv * w))
     var = float(np.sum((x - mean) ** 2 * pv * w))
     sd = math.sqrt(max(var, 0.0))
+    central = (0.68, 0.95)
     qs = [0.5]
-    for lv in levels:
-        qs += [0.5 * (1.0 - lv), 0.5 * (1.0 + lv)]
+    for c in central:
+        qs += [0.5 * (1.0 - c), 0.5 * (1.0 + c)]
     quts = _quantiles(ax, pv, qs)
     median = float(quts[0])
-    intervals = {}
-    for i, lv in enumerate(levels):
-        intervals[float(lv)] = (float(quts[1 + 2 * i]), float(quts[2 + 2 * i]))
+    intervals = {
+        c: (float(quts[1 + 2 * i]), float(quts[2 + 2 * i])) for i, c in enumerate(central)
+    }
     mode = _refined_argmax(ax, pv)
     if ax.spacing == LOGARITHMIC:
         mode_log = _refined_argmax(ax, pv * x)
@@ -455,14 +466,18 @@ class ParadoxReport:
         }
 
 
-def _mapped_grid(joint: Density, m: Map2D, v_name: str, v_count: int | None) -> Grid:
+def _mapped_grid(joint: Density, m: Map2D) -> Grid:
+    """The joint's first axis and an axis ``v`` over the image of the second.
+
+    A separable map whose second factor has a representable image axis gets
+    the exact node-for-node image: pushes are then interpolation free and the
+    band comparison measures pure frame equivariance.  Any other map gets
+    4·(n₀ + n₁) nodes over the range of v on the box's corners.
+    """
     ax0, ax1 = joint.grid.axes
-    if v_count is None and m.separable is not None:
-        # A separable map whose second factor has a representable image axis
-        # gets the exact node-for-node image: pushes are then interpolation
-        # free and the band comparison measures pure frame equivariance.
+    if m.separable is not None:
         try:
-            return Grid.of(ax0, m.separable[1].image_axis(ax1, name=v_name))
+            return Grid.of(ax0, m.separable[1].image_axis(ax1, name="v"))
         except DomainMismatch:
             pass
     vs = []
@@ -473,11 +488,11 @@ def _mapped_grid(joint: Density, m: Map2D, v_name: str, v_count: int | None) -> 
     vlo, vhi = min(vs), max(vs)
     if not vhi > vlo:
         raise InvalidGrid(f"map collapses the second coordinate: range [{vlo}, {vhi}]")
-    count = v_count if v_count is not None else 4 * (ax0.count + ax1.count)
+    count = 4 * (ax0.count + ax1.count)
     if ax0.spacing == LOGARITHMIC and ax1.spacing == LOGARITHMIC and vlo > 0.0:
-        v_axis = Axis.logarithmic(v_name, vlo, vhi, count)
+        v_axis = Axis.logarithmic("v", vlo, vhi, count)
     else:
-        v_axis = Axis.linear(v_name, vlo, vhi, count)
+        v_axis = Axis.linear("v", vlo, vhi, count)
     return Grid.of(ax0, v_axis)
 
 
@@ -487,9 +502,6 @@ def borel_kolmogorov_demo(
     map2d: Map2D,
     slice_value: float,
     width_cells: float = 2.0,
-    target_grid: Grid | None = None,
-    v_name: str = "v",
-    v_count: int | None = None,
 ) -> ParadoxReport:
     """Condition on the second axis two ways, in two coordinate frames.
 
@@ -523,9 +535,7 @@ def borel_kolmogorov_demo(
     if np.max(np.abs(u_probe - probe_x)) > 1e-9 * scale:
         raise InvalidGrid("the demonstration needs a map that fixes the first coordinate")
 
-    tg = target_grid if target_grid is not None else _mapped_grid(joint, map2d, v_name, v_count)
-    if tg.axes[0] != ax0:
-        raise InvalidGrid("the mapped grid must reuse the joint's first axis")
+    tg = _mapped_grid(joint, map2d)
     lab = f"mapped:{map2d.kind}"
     pushed = push_forward(joint, map2d, tg, frame=lab, outside="zero")
     mu_pushed = push_forward(mu, map2d, tg, frame=lab, outside="zero")
@@ -537,36 +547,25 @@ def borel_kolmogorov_demo(
     # image curve v = v(x, y0) and renormalize over the shared axis.
     x_nodes = ax0.nodes
     _, v_curve = map2d.forward(x_nodes, np.full(ax0.count, float(slice_value)))
-    curve_vals = evaluate(pushed, np.column_stack([x_nodes, v_curve]))
-    curve_mass = float(np.dot(curve_vals, ax0.weights))
-    if curve_mass <= 0.0:
-        raise ZeroSlice("pushed density vanishes along the image curve")
-    mapped_cond = Density(
-        Grid.of(ax0), curve_vals / curve_mass, frame=ax0.name, normalized=True
+    mapped_cond = _normalized_slice(
+        pushed,
+        ax0,
+        np.column_stack([x_nodes, v_curve]),
+        "pushed density vanishes along the image curve",
     )
     tv_naive = total_variation(native, mapped_cond)
 
     # Band conditioning: AND with a thin boxcar around y0, in both frames.
-    j = int(np.argmin(np.abs(ax1.nodes - slice_value)))
-    bnd = ax1.cell_boundaries
-    width = width_cells * (bnd[j + 1] - bnd[j])
-    band_model = MeasurementModel(
-        parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
-    )
-    band_rho = measurement_density(band_model, joint.grid, frame=joint.frame)
-    sigma = and_combine(joint, band_rho, mu)
-    band_native = normalize(marginalize(sigma, ax0.name))
-
+    band_native, band_rho, width = band_conditional(joint, mu, slice_value, width_cells)
     band_rho_pushed = push_forward(band_rho, map2d, tg, frame=lab, outside="zero")
-    sigma_pushed = and_combine(pushed, band_rho_pushed, mu_pushed)
-    band_mapped = normalize(marginalize(sigma_pushed, ax0.name))
+    band_mapped = _and_marginal(pushed, band_rho_pushed, mu_pushed)
     tv_band = total_variation(band_native, band_mapped)
 
     return ParadoxReport(
         map_kind=map2d.kind,
         slice_axis=ax1.name,
         slice_value=float(slice_value),
-        band_width=float(width),
+        band_width=width,
         tv_naive=tv_naive,
         tv_band=tv_band,
         native_conditional=native,
@@ -574,3 +573,31 @@ def borel_kolmogorov_demo(
         band_native=band_native,
         band_mapped=band_mapped,
     )
+
+
+def band_conditional(
+    joint: Density, mu: Density, slice_value: float, width_cells: float
+) -> tuple[Density, Density, float]:
+    """Condition a 2D joint on a band of its second axis around ``slice_value``.
+
+    The band is a boxcar reading ``width_cells`` cells wide, the cell being
+    that of the second axis's node nearest ``slice_value``.  The joint is
+    ANDed with it, marginalized onto the first axis and normalized.  Returns
+    the conditional, the band as a measurement density on the joint's grid,
+    and the band's width.  As the band thins, the conditional approaches the
+    exact slice ``conditional_density``.
+    """
+    ax1 = joint.grid.axes[1]
+    j = int(np.argmin(np.abs(ax1.nodes - slice_value)))
+    bnd = ax1.cell_boundaries
+    width = width_cells * (bnd[j + 1] - bnd[j])
+    band_model = MeasurementModel(
+        parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
+    )
+    band_rho = measurement_density(band_model, joint.grid, frame=joint.frame)
+    return _and_marginal(joint, band_rho, mu), band_rho, float(width)
+
+
+def _and_marginal(joint: Density, rho: Density, mu: Density) -> Density:
+    """joint AND rho, marginalized onto the first axis and normalized."""
+    return normalize(marginalize(and_combine(joint, rho, mu), joint.grid.names[0]))

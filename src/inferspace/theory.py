@@ -70,14 +70,12 @@ class FallingBodyLaw:
     """Free fall from rest: L = ½ g T², with a lognormal theory width.
 
     ``sigma_theory`` is the log-space half-width of the ridge the analytic
-    theory wraps around the law; ``constant`` is the overall multiplicative
-    factor, conventionally 1 (theory amplitudes carry no information here).
-    Axis names locate length and time on joint grids.
+    theory wraps around the law.  Axis names locate length and time on joint
+    grids.
     """
 
     g: float = 9.81
     sigma_theory: float = 1e-3
-    constant: float = 1.0
     length_axis: str = "L"
     time_axis: str = "T"
 
@@ -464,19 +462,15 @@ def analytic_fall_theory(
     law: FallingBodyLaw,
     grid: Grid,
     frame: str = "linear",
-    log_refs: tuple[float, float] = (1.0, 1.0),
-    label: str = "",
 ) -> TheoryDensity:
     """The lognormal ridge around L = ½gT², with μ = 1/(LT).
 
     ``frame="linear"`` expects axes named by the law (any spacing); the
     marginals are then proportional to 1/L and 1/T.  ``frame="log"`` expects
-    linear axes carrying λ = ln(L/L₀), τ = ln(T/T₀) in (length, time) order
-    with ``log_refs = (L₀, T₀)``; there the ridge is a plain Gaussian band
-    and μ is constant.
+    linear axes carrying λ = ln L, τ = ln T in (length, time) order; there
+    the ridge is a plain Gaussian band and μ is constant.
     """
     sigma = law.sigma_theory
-    k = law.constant
     # Built in place, with at most two grid-sized arrays live.  A g or sigma
     # so extreme that the ridge over- or underflows is not warned about: it
     # leaves no mass, which is refused below.
@@ -488,23 +482,21 @@ def analytic_fall_theory(
             vals = lv / (0.5 * law.g * tv * tv)
             _gaussian_ridge(np.log(vals, out=vals), sigma)
             scale = lv * tv
-            vals *= np.divide(k, scale, out=scale)
+            vals *= np.divide(1.0, scale, out=scale)
         mu = prior_factors(PriorSpec(JEFFREYS), grid)
     elif frame == "log":
         if grid.ndim != 2:
             raise InvalidGrid("the log-frame theory lives on a 2D grid")
-        l0, t0 = log_refs
         lam, tau = grid.meshes()
         with np.errstate(all="ignore"):
-            vals = (lam + math.log(l0)) - math.log(0.5 * law.g) - 2.0 * (tau + math.log(t0))
+            vals = lam - math.log(0.5 * law.g) - 2.0 * tau
             _gaussian_ridge(vals, sigma)
-            vals *= k
         mu = tuple(np.ones(ax.count) for ax in grid.axes)
     else:
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    joint = Density(grid, vals, frame=label)
+    joint = Density(grid, vals)
     if not integrate(joint) > 0.0:
         box = ", ".join(f"{ax.name} in [{ax.lower}, {ax.upper}]" for ax in grid.axes)
         raise ZeroMass(
@@ -522,13 +514,13 @@ def theory_from_conditional(
     cond: Sequence[Density],
     mu_i: Density,
     mu_d: Density | None = None,
-    norm_tol: float = 1e-9,
 ) -> TheoryDensity:
     """Assemble θ(i, d) = θ(d | i) · μ(i) from per-node conditional slices.
 
-    ``cond`` holds one normalized 1D density over the dependent axis per node
-    of ``mu_i``'s axis.  The joint's μ is μ(i) ⊗ μ(d); by default μ(d) is the
-    noninformative prior implied by the dependent axis's spacing.
+    ``cond`` holds one 1D density over the dependent axis per node of
+    ``mu_i``'s axis, each normalized to 1e-9.  The joint's μ is μ(i) ⊗ μ(d);
+    by default μ(d) is the noninformative prior implied by the dependent
+    axis's spacing.
     """
     if mu_i.grid.ndim != 1:
         raise InvalidGrid("mu_i must live on the 1D independent axis")
@@ -545,8 +537,8 @@ def theory_from_conditional(
     for idx, sl in enumerate(cond):
         require_same_space(sl, first)
         m = integrate(sl)
-        if abs(m - 1.0) > norm_tol:
-            raise UnnormalizedSlice(f"slice {idx} has mass {m!r}, expected 1 ± {norm_tol}")
+        if abs(m - 1.0) > 1e-9:
+            raise UnnormalizedSlice(f"slice {idx} has mass {m!r}, expected 1 ± 1e-09")
         joint_vals[idx, :] = mu_i.values[idx] * sl.values
     grid = Grid.of(i_axis, d_axis)
     frame = f"{i_axis.name},{d_axis.name}"

@@ -69,6 +69,19 @@ def test_custom_map_rejects_zero_derivative():
         m.jacobian(np.array([0.0]))
 
 
+def test_1d_push_through_a_vanishing_derivative_is_singular():
+    """A 1D push shares the 2D body: a preimage where dy/dx = 0 raises there."""
+    m = custom_map(
+        forward=lambda x: x**3,
+        inverse=lambda y: np.cbrt(y),
+        dforward=lambda x: 3.0 * x * x,
+    )
+    grid = Grid.of(Axis.linear("x", -1.0, 1.0, 21))
+    p = Density(grid, np.ones(21))
+    with pytest.raises(SingularJacobian, match="'custom' map has a singular Jacobian at some"):
+        push_forward(p, m, grid)
+
+
 def test_reciprocal_pushforward_of_jeffreys():
     """1/T on a log axis maps to 1/nu on the reciprocal log axis.
 

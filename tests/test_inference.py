@@ -34,6 +34,7 @@ from inferspace import (
     affine_map_2d,
     analytic_fall_theory,
     and_combine,
+    band_conditional,
     borel_kolmogorov_demo,
     conditional_density,
     intersect,
@@ -528,6 +529,22 @@ def _correlated_joint(count=201, sigma_sum=1.0, sigma_diff=0.4):
 
 
 class TestBorelKolmogorovDemo:
+    def test_band_conditional_is_the_demos_native_band(self):
+        """The demo conditions on its band through ``band_conditional``: the
+        boxcar is ``width_cells`` cells of the node nearest the slice, and
+        the conditional is the AND marginalized onto the first axis."""
+        joint, mu = _correlated_joint(count=101)
+        report = borel_kolmogorov_demo(joint, mu, shear_map(), 1.05, width_cells=3.0)
+        cond, band, width = band_conditional(joint, mu, 1.05, 3.0)
+        assert np.array_equal(cond.values, report.band_native.values)
+        assert width == report.band_width
+        y = joint.grid.axes[1]
+        j = int(np.argmin(np.abs(y.nodes - 1.05)))
+        assert width == 3.0 * (y.cell_boundaries[j + 1] - y.cell_boundaries[j])
+        expected = normalize(marginalize(and_combine(joint, band, mu), "x"))
+        assert np.array_equal(cond.values, expected.values)
+        assert cond.normalized and cond.grid.axes == (joint.grid.axes[0],)
+
     def test_affine_control_shows_no_paradox(self):
         """A pure rescale has constant Jacobian, so both naive slicing and
         band conditioning agree across frames to round-off."""

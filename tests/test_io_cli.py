@@ -903,14 +903,14 @@ class TestCliAuxiliary:
         "command, valid",
         [
             ("build-theory", ["axis", "compare_analytic", "g", "grid", "mode", "n", "out",
-                              "seed", "sigma_length", "sigma_theory", "sigma_time"]),
+                              "seed", "sigma_length", "sigma_time"]),
             ("analytic-theory", ["axis", "frame", "g", "grid", "out", "sigma"]),
             ("infer", ["measure", "out", "query", "theory"]),
             ("predict", ["known", "out", "query", "theory"]),
             ("benford", ["lower", "n", "seed", "upper"]),
             ("paradox", ["count", "sigma_diff", "sigma_sum", "slice_value", "width_cells"]),
             ("axioms", ["axis", "grid", "seed", "tol", "triples"]),
-            ("convert", ["map", "match_tol", "out", "src"]),
+            ("convert", ["map", "out", "src"]),
         ],
     )
     def test_unknown_config_key_lists_the_subcommands_options(
@@ -922,6 +922,18 @@ class TestCliAuxiliary:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == f"error: unknown config key(s) ['bogus']; valid: {valid}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["build-theory", "--sigma-theory", "1e-3"], ["convert", "--match-tol", "1e-9"]],
+    )
+    def test_options_that_changed_nothing_are_rejected(self, argv, capsys):
+        """``build-theory --sigma-theory`` never reached the campaign and
+        ``convert --match-tol`` never changed an output, so both are gone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("handler", 1), ("parser", 1), ("config", "x")])
     def test_parser_internals_are_not_config_keys(self, tmp_path, capsys, key, value):

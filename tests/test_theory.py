@@ -350,7 +350,7 @@ def test_analytic_theory_ridge_is_exact_lognormal():
     """Along each length the T-profile of L·T·θ is a Gaussian in log T.
 
     A parabola through the three log-values around the maximum therefore
-    recovers the ridge height k and the width σ exactly (up to rounding),
+    recovers the ridge height 1 and the width σ exactly (up to rounding),
     and its vertex sits at the fall time of that length.
     """
     law = FallingBodyLaw(sigma_theory=0.01)
@@ -369,7 +369,7 @@ def test_analytic_theory_ridge_is_exact_lognormal():
         assert sigma == pytest.approx(law.sigma_theory / 2.0, rel=1e-10)
         vertex_tau = tau[j] + 0.5 * h * (y0 - y2) / (y0 - 2 * y1 + y2)
         peak_log = y1 + (y0 - y2) ** 2 / (16.0 * (y1 - 0.5 * (y0 + y2)))
-        assert np.exp(peak_log) == pytest.approx(law.constant, rel=1e-10)
+        assert np.exp(peak_log) == pytest.approx(1.0, rel=1e-10)
         assert vertex_tau == pytest.approx(np.log(law.fall_time(l_ax.nodes[i])), abs=1e-10)
 
 
