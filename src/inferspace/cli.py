@@ -12,14 +12,9 @@ Shorthand grammars:
   map          AXIS:KIND[:ARGS]                    (reciprocal | log[:x0] |
                exp[:y0] | affine:a[:b] | power:k)
 
-Built-in defaults are declared once, on the argparse options.
-Every subcommand accepts ``--config FILE`` holding a JSON object whose keys
-are option names; its values become the subcommand's defaults, so explicit
-flags win over the file (a repeatable flag replaces the file's list rather
-than extending it), and the file wins over built-in defaults.  A bare
-filename is also looked up in the directory named by the
-INFERSPACE_CONFIG_DIR environment variable.  All stochastic commands take an
-explicit ``--seed`` and are reproducible from it.
+Each option's built-in default is declared once, on its argparse option,
+and its value reaches the handler through the flag alone.  All stochastic
+commands take an explicit ``--seed`` and are reproducible from it.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -90,8 +84,8 @@ _MEASUREMENT_KINDS = (GAUSSIAN, LOGNORMAL, BOXCAR, NONINFORMATIVE)
 # aliased (the quadrature picks up a relative error of about
 # 2·exp(−2π²(σ/h)²) per marginal, so h must stay below roughly 1.7σ).
 _DEFAULT_FALL_GRID = (
-    "L:log:1.0:10.0:1401",
-    "T:log:0.45152364098573:1.4278431229270645:1401",
+    "L:log:1.0:10.0:1401,"
+    "T:log:0.45152364098573:1.4278431229270645:1401"
 )
 
 
@@ -118,21 +112,12 @@ def parse_axis(spec: str) -> Axis:
     return Axis(name=name, spacing=spacing, lower=lo, upper=hi, count=count)
 
 
-def _resolve_axes(axis_specs, grid_spec, fallback) -> list[str]:
-    """Pick the axis shorthands from --axis, --grid, or the command default."""
-    if axis_specs:
-        return list(axis_specs)
-    if grid_spec:
-        if grid_spec == "default":
-            return list(_DEFAULT_FALL_GRID)
-        return grid_spec.split(",")
-    return list(fallback)
-
-
-def parse_grid(specs) -> Grid:
-    if not specs:
-        raise ConfigInvalid("no axes given; pass --axis NAME:SPACING:LOWER:UPPER:COUNT")
-    return Grid.of(*[parse_axis(s) for s in specs])
+def parse_grid(spec: str) -> Grid:
+    """A grid from ``"default"`` (the built-in fall grid) or axis shorthands
+    joined by commas."""
+    if spec == "default":
+        spec = _DEFAULT_FALL_GRID
+    return Grid.of(*[parse_axis(s) for s in spec.split(",")])
 
 
 def parse_measurement(spec: str) -> MeasurementModel:
@@ -182,72 +167,6 @@ def parse_map(spec: str) -> tuple[str, CoordinateMap]:
     )
 
 
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-def _load_config(path: str) -> dict:
-    cfg_dir = os.environ.get("INFERSPACE_CONFIG_DIR")
-    if cfg_dir and not os.path.isabs(path) and os.sep not in path:
-        candidate = os.path.join(cfg_dir, path)
-        if os.path.exists(candidate) or not os.path.exists(path):
-            path = candidate
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IOFailure(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigInvalid(f"config {path} must hold a JSON object")
-    return doc
-
-
-# What a config-file value must be, by the type its command-line option
-# parses to: a description for the error, and the test.
-_CONFIG_TYPES = {
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    list: ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
-}
-
-
-def _option_type(action: argparse.Action) -> type:
-    """The type an option's values parse to: int, float, bool, str, or list
-    for a repeatable option."""
-    if isinstance(action, argparse.BooleanOptionalAction):
-        return bool
-    if isinstance(action, _Replace):
-        return list
-    return action.type or str
-
-
-def _check_config(cfg: dict, options: dict) -> dict:
-    """Config values checked against their options' types and choices.
-
-    A null value counts as absent; an integer given for a float option
-    becomes a float, as on the command line.
-    """
-    checked = {}
-    for key, value in cfg.items():
-        if value is None:
-            continue
-        action = options[key]
-        kind = _option_type(action)
-        what, ok = _CONFIG_TYPES[kind]
-        if not ok(value):
-            raise ConfigInvalid(f"config key {key!r} must be {what}, got {value!r}")
-        if action.choices is not None and value not in action.choices:
-            raise ConfigInvalid(
-                f"config key {key!r} must be one of {list(action.choices)}, got {value!r}"
-            )
-        checked[key] = float(value) if kind is float else value
-    return checked
-
-
 def _emit(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -267,11 +186,11 @@ def _default_query(grid: Grid, models, requested: str | None) -> str:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-_BUILD_GRID = ("L:log:0.5:20:300", "T:log:0.25:2.5:300")
+_BUILD_GRID = "L:log:0.5:20:300,T:log:0.25:2.5:300"
 
 
 def _cmd_build_theory(p: argparse.Namespace) -> int:
-    grid = parse_grid(_resolve_axes(p.axis, p.grid, _BUILD_GRID))
+    grid = parse_grid(p.grid)
     if grid.ndim != 2:
         raise ConfigInvalid("building a theory needs two axes: length then time")
     length_name, time_name = grid.names
@@ -306,7 +225,7 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
 
 
 def _cmd_analytic_theory(p: argparse.Namespace) -> int:
-    grid = parse_grid(_resolve_axes(p.axis, p.grid, _DEFAULT_FALL_GRID))
+    grid = parse_grid(p.grid)
     if grid.ndim != 2:
         raise ConfigInvalid("the fall theory needs two axes: length then time")
     law = FallingBodyLaw(
@@ -406,11 +325,11 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
     return 0
 
 
-_AXIOMS_GRID = ("x:log:0.1:10:27", "y:lin:0:1:25")
+_AXIOMS_GRID = "x:log:0.1:10:27,y:lin:0:1:25"
 
 
 def _cmd_axioms(p: argparse.Namespace) -> int:
-    grid = parse_grid(_resolve_axes(p.axis, p.grid, _AXIOMS_GRID))
+    grid = parse_grid(p.grid)
     mu = null_information_density(grid)
     sum_product = check_axioms(
         Realization.sum_product(mu),
@@ -474,26 +393,7 @@ def _cmd_convert(p: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-class _Replace(argparse.Action):
-    """A repeatable option whose flags replace its default list rather than
-    extend it, as ``append`` would: a config file's list is a default too."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        items = getattr(namespace, self.dest)
-        items = [] if items is self.default else items
-        setattr(namespace, self.dest, [*items, values])
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON file with option defaults")
-    sp.set_defaults(parser=sp)
-
-
-def _add_grid_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--axis", action=_Replace, help="NAME:SPACING:LOWER:UPPER:COUNT (repeatable)")
-    sp.add_argument("--grid", help='"default" or two axis shorthands joined by a comma')
-
-
+_GRID_HELP = '"default" or two axis shorthands joined by a comma'
 _THEORY_HELP = "theory file <base>.npz (format version 3; version 2 is read too)"
 _SEED = 20260819
 
@@ -506,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("build-theory", help="simulate a fall campaign and accumulate it")
-    _add_grid_options(sp)
+    sp.add_argument("--grid", default=_BUILD_GRID, help=_GRID_HELP)
     sp.add_argument("--n", type=int, default=2000, help="number of experiments")
     sp.add_argument(
         "--mode", choices=[SET_L, SET_T], default=SET_L, help="which parameter experiments set"
@@ -522,28 +422,23 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="report symmetric KL against the instrument-blurred analytic ridge",
     )
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_build_theory)
 
     sp = sub.add_parser("analytic-theory", help="write the closed-form fall theory")
-    _add_grid_options(sp)
+    sp.add_argument("--grid", default=_DEFAULT_FALL_GRID, help=_GRID_HELP)
     sp.add_argument("--frame", choices=["linear", "log"], default="linear")
     sp.add_argument("--g", type=float, default=9.81)
     sp.add_argument("--sigma", type=float, default=1e-3, help="ridge width in log space")
     sp.add_argument(
         "--out", default="analytic-theory.npz", help="theory file, written as <base>.npz"
     )
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_analytic_theory)
 
     sp = sub.add_parser("infer", help="intersect a theory with measurements")
     sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
-    sp.add_argument(
-        "--measure", "--measurement", action=_Replace, help="AXIS:KIND:CENTER:WIDTH (repeatable)"
-    )
+    sp.add_argument("--measure", action="append", help="AXIS:KIND:CENTER:WIDTH (repeatable)")
     sp.add_argument("--query", help="axis to summarize (default: the unmeasured one)")
     sp.add_argument("--out", help="write the queried marginal density here")
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_infer)
 
     sp = sub.add_parser("predict", help="posterior for one axis given another")
@@ -551,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--known", help="AXIS:KIND:CENTER:WIDTH")
     sp.add_argument("--query", help="axis to summarize (default: the other one)")
     sp.add_argument("--out")
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_infer)
 
     sp = sub.add_parser("benford", help="first-digit law from the scale-invariant prior")
@@ -561,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=0, help="empirical check sample count (0 = analytic only)"
     )
     sp.add_argument("--seed", type=int, default=_SEED)
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_benford)
 
     sp = sub.add_parser("paradox", help="conditioning on a slice vs a thin band, two frames")
@@ -570,15 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width-cells", type=float, default=2.0)
     sp.add_argument("--sigma-sum", type=float, default=0.35)
     sp.add_argument("--sigma-diff", type=float, default=0.7)
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_paradox)
 
     sp = sub.add_parser("axioms", help="check the OR/AND axioms on sampled densities")
-    _add_grid_options(sp)
+    sp.add_argument("--grid", default=_AXIOMS_GRID, help=_GRID_HELP)
     sp.add_argument("--triples", type=int, default=25)
     sp.add_argument("--seed", type=int, default=_SEED)
     sp.add_argument("--tol", type=float, default=1e-12)
-    _add_common(sp)
     sp.set_defaults(handler=_cmd_axioms)
 
     sp = sub.add_parser(
@@ -586,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--in", dest="src", help="density .json, or theory .npz (exports its joint)")
     sp.add_argument("--out", help="output path, format by extension (.json or .csv)")
-    sp.add_argument("--map", action=_Replace, help="AXIS:KIND[:ARGS] (repeatable)")
-    _add_common(sp)
+    sp.add_argument("--map", action="append", help="AXIS:KIND[:ARGS] (repeatable)")
     sp.set_defaults(handler=_cmd_convert)
 
     return parser
@@ -597,17 +487,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            # The file's values become the subcommand's defaults; parsing
-            # again then lets explicit flags win over them.
-            sp = args.parser
-            options = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
-            cfg = _load_config(args.config)
-            unknown = sorted(set(cfg) - set(options))
-            if unknown:
-                raise ConfigInvalid(f"unknown config key(s) {unknown}; valid: {sorted(options)}")
-            sp.set_defaults(**_check_config(cfg, options))
-            args = parser.parse_args(argv)
         return args.handler(args)
     except (ConfigurationError, IOFailure, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

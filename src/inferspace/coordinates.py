@@ -63,7 +63,8 @@ class CoordinateMap:
         """The axis whose nodes are exactly the images of ``axis``'s nodes.
 
         Only kinds whose image of a linear/log axis is again a linear/log
-        axis support this; composed and custom maps need an explicit target.
+        axis support this (``_IMAGE_KINDS``); composed and custom maps need
+        an explicit target grid.
         """
         self.check_domain(axis)
         a = float(self.forward(np.asarray(axis.lower)))
@@ -73,7 +74,8 @@ class CoordinateMap:
         if spacing is None:
             raise DomainMismatch(
                 f"{self.kind!r} map of a {axis.spacing} axis has no linear/log image axis; "
-                "pass an explicit target grid"
+                f"the map kinds with one on a {axis.spacing} axis are "
+                f"{_IMAGE_KINDS[axis.spacing]}"
             )
         out = Axis(name or f"{self.kind}_{axis.name}", spacing, lo, hi, axis.count)
         img = np.sort(self.forward(axis.nodes))
@@ -84,6 +86,14 @@ class CoordinateMap:
                 f"{spacing} image axis"
             )
         return out
+
+
+# The map kinds whose image of an axis of each spacing is a linear/log axis,
+# as ``_image_spacing`` decides them.
+_IMAGE_KINDS = {
+    LINEAR: "affine and exp",
+    LOGARITHMIC: "log, reciprocal, power, and affine with a > 0 and b = 0",
+}
 
 
 def _image_spacing(kind: str, spacing: str, m: "CoordinateMap") -> str | None:

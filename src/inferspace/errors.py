@@ -134,15 +134,11 @@ class EnvelopeFailure(NumericalError):
 # ---------------------------------------------------------------------------
 
 class SchemaError(ConfigurationError):
-    """A density or config file does not match the interchange schema."""
+    """A density or theory file does not match the interchange schema."""
 
 
 class IOFailure(InferenceSpaceError):
     """An interchange file could not be read or written."""
-
-
-class UnknownCommand(ConfigurationError):
-    """The CLI was asked for a subcommand that does not exist."""
 
 
 class ConfigInvalid(ConfigurationError):

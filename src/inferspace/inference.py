@@ -36,6 +36,7 @@ from .errors import (
 from .grids import LOGARITHMIC, Axis, Grid
 from .priors import (
     BOXCAR,
+    GAUSSIAN,
     LOGNORMAL,
     MeasurementModel,
     measurement_density,
@@ -71,14 +72,9 @@ class Posterior:
         return summarize(d)
 
 
-def _no_mass(m: MeasurementModel, ax: Axis) -> OutOfDomain | ZeroMass:
-    """The error for a reading whose profile has no mass on its axis: off the
-    grid, or, with its centre in the box, too narrow for the nodes there."""
-    if not ax.lower <= m.center <= ax.upper:
-        return OutOfDomain(
-            f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) lies "
-            f"off the grid: it has no mass on {m.parameter} in [{ax.lower!r}, {ax.upper!r}]"
-        )
+def _no_mass(m: MeasurementModel, ax: Axis) -> ZeroMass:
+    """The error for a reading in the box whose profile has no mass on its
+    axis: it is too narrow for the nodes there."""
     j = min(max(int(np.searchsorted(ax.nodes, m.center)), 1), ax.count - 1)
     lo, hi = ax.nodes[j - 1], ax.nodes[j]
     if m.kind == LOGNORMAL:
@@ -97,8 +93,9 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
 
     ρₘ,ₖ is reading m's profile if it measures axis k, else the
     noninformative profile of axis k.  The checks here are the whole failure
-    diagnosis of the readings, all but the last on 1D arrays: a profile
-    without mass, readings whose product on one axis has none, and μ = 0
+    diagnosis of the readings, all but the last on 1D arrays: a reading
+    centred off its axis, a profile without mass, readings whose product on
+    one axis has none, and μ = 0
     where the joint times the readings is positive (NeutralZero).
     """
     if not models:
@@ -109,6 +106,15 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
         k = grid.axis_index(m.parameter)
         ax = grid.axes[k]
         profile = measurement_profile(m, ax)
+        centred_off = not ax.lower <= m.center <= ax.upper
+        if m.kind in (GAUSSIAN, LOGNORMAL) and math.isfinite(m.width) and centred_off:
+            # Only the reading's far tail reaches the box, and the posterior
+            # would pile up at the box's edge.
+            raise OutOfDomain(
+                f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) lies "
+                f"off the grid: its centre is outside {m.parameter} in "
+                f"[{ax.lower!r}, {ax.upper!r}]"
+            )
         if not np.dot(profile, ax.weights) > 0.0:
             raise _no_mass(m, ax)
         on_axis[k].append(profile)
@@ -192,10 +198,10 @@ def intersect(
     fold joint · ∏ₘ ρₘ / μᴹ.  A density measurement is ANDed with the dense
     μ by ``and_combine``.
 
-    Raises OutOfDomain for a reading off the grid, ZeroMass for a reading in
-    the box that no node resolves, ZeroMass when the measurements contradict
-    each other or the theory, and NeutralZero where μ vanishes but the
-    theory times the readings does not.
+    Raises OutOfDomain for a gaussian or lognormal reading centred off the
+    grid, ZeroMass for a reading in the box that no node resolves, ZeroMass
+    when the measurements contradict each other or the theory, and
+    NeutralZero where μ vanishes but the theory times the readings does not.
     """
     measurements = (rho, *more)
     models = [m for m in measurements if isinstance(m, MeasurementModel)]

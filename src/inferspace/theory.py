@@ -377,8 +377,6 @@ def run_campaign(
     mode: str,
     master_seed: int,
     grid: Grid,
-    mu: Density | None = None,
-    frame: str = "",
 ) -> TheoryDensity:
     """Simulate and accumulate a whole measurement campaign.
 
@@ -398,9 +396,7 @@ def run_campaign(
     ``B`` are the per-axis profiles, scaled so that each experiment carries
     unit mass.  An experiment whose density has no finite positive mass on
     the grid cannot be normalized; ``ZeroMass`` then reports how many.
-
-    ``mu`` defaults to the Jeffreys 1/(LT); one given must be an outer
-    product of per-axis factors (``separable_factors``).
+    The theory's μ is the Jeffreys 1/(LT).
     """
     if n_experiments <= 0:
         raise EmptyInput(f"need at least one experiment, got {n_experiments}")
@@ -408,12 +404,6 @@ def run_campaign(
         raise InvalidGrid(f"mode must be {SET_L!r} or {SET_T!r}, got {mode!r}")
     if master_seed < 0:
         raise ConfigInvalid(f"master seed must be >= 0, got {master_seed}")
-    if mu is None:
-        mu_factors = prior_factors(PriorSpec(JEFFREYS), grid)
-    elif mu.grid.axes != grid.axes:
-        raise GridMismatch("mu must live on the campaign grid")
-    else:
-        mu_factors, frame = separable_factors(mu), mu.frame
     _locate_fall_axes(law, grid)
     by_axis = _instruments_by_axis(instruments, grid)
 
@@ -440,8 +430,8 @@ def run_campaign(
     if dropped:
         raise ZeroMass(f"{dropped} of {n_experiments} experiment(s) have no mass on the grid")
     return TheoryDensity(
-        Density(grid, acc, frame=frame),
-        mu_factors,
+        Density(grid, acc),
+        prior_factors(PriorSpec(JEFFREYS), grid),
         Provenance("empirical", n_experiments=n_experiments, master_seed=master_seed),
     )
 

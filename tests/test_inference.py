@@ -131,7 +131,7 @@ class TestIntersect:
             intersect(theory, rho)
 
     def test_reading_off_the_grid_raises_out_of_domain(self):
-        """A reading with no mass on the box lies off the grid; that is not a
+        """A reading centred outside the box lies off the grid; that is not a
         contradiction with the theory, and the error names axis, reading and box."""
         theory = _fall_theory(sigma=0.05, nl=61, nt=61)
         off = MeasurementModel(parameter="T", kind=LOGNORMAL, center=5.0, width=0.001)

@@ -678,6 +678,18 @@ class TestCliInference:
         assert code == 3
         assert "T=5.0" in err and "off the grid" in err and "[0.4515, 1.4279]" in err
 
+    def test_reading_centred_off_the_grid_exits_numerical(self, tmp_path, capsys):
+        """Only the far tail of a reading at T = 9.0 reaches the box, where it
+        would pile the L posterior up at the box's edge, L = 10."""
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
+        code = main(["infer", "--theory", th, "--measure", "T:lognormal:9.0:0.05"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "the reading T=9.0 (lognormal, width 0.05) lies off the grid" in captured.err
+        assert "T in [0.4515, 1.4279]" in captured.err
+
     def test_under_resolved_reading_in_the_box_exits_numerical(self, tmp_path, capsys):
         """T = 0.9871 lies in the box, but a width of 1e-4 underflows at every
         node of a 41-node axis: the error says so instead of "off the grid"."""
@@ -833,199 +845,25 @@ class TestCliAuxiliary:
         recovery = doc["slice_recovery_tv_by_width_cells"]
         assert recovery["8.0"] > recovery["4.0"] > recovery["2.0"]
 
-    def test_config_file_supplies_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({"n": 30, "seed": 5}))
-        out = str(tmp_path / "emp.json")
-        code, doc = run_cli(
-            [
-                "build-theory",
-                "--grid",
-                "L:log:1:10:101,T:log:0.4515:1.4279:101",
-                "--config",
-                str(cfg),
-                "--out",
-                out,
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert doc["n_experiments"] == 30
-
-    def test_flags_beat_config(self, tmp_path, capsys):
-        cfg = tmp_path / "bench.json"
-        cfg.write_text(json.dumps({"n": 30}))
-        out = str(tmp_path / "emp.json")
-        code, doc = run_cli(
-            [
-                "build-theory",
-                "--grid",
-                "L:log:1:10:101,T:log:0.4515:1.4279:101",
-                "--config",
-                str(cfg),
-                "--n",
-                "12",
-                "--out",
-                out,
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert doc["n_experiments"] == 12
-
-    def test_config_dir_environment_lookup(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "site.json").write_text(json.dumps({"n": 17, "seed": 2}))
-        monkeypatch.setenv("INFERSPACE_CONFIG_DIR", str(tmp_path))
-        out = str(tmp_path / "emp.json")
-        code, doc = run_cli(
-            [
-                "build-theory",
-                "--grid",
-                "L:log:1:10:101,T:log:0.4515:1.4279:101",
-                "--config",
-                "site.json",
-                "--out",
-                out,
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert doc["n_experiments"] == 17
-
-    def test_unknown_config_key_exits_config(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code = main(["benford", "--config", str(cfg)])
-        capsys.readouterr()
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "command, valid",
-        [
-            ("build-theory", ["axis", "compare_analytic", "g", "grid", "mode", "n", "out",
-                              "seed", "sigma_length", "sigma_time"]),
-            ("analytic-theory", ["axis", "frame", "g", "grid", "out", "sigma"]),
-            ("infer", ["measure", "out", "query", "theory"]),
-            ("predict", ["known", "out", "query", "theory"]),
-            ("benford", ["lower", "n", "seed", "upper"]),
-            ("paradox", ["count", "sigma_diff", "sigma_sum", "slice_value", "width_cells"]),
-            ("axioms", ["axis", "grid", "seed", "tol", "triples"]),
-            ("convert", ["map", "out", "src"]),
-        ],
-    )
-    def test_unknown_config_key_lists_the_subcommands_options(
-        self, tmp_path, capsys, command, valid
-    ):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        code = main([command, "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.err == f"error: unknown config key(s) ['bogus']; valid: {valid}\n"
-
     @pytest.mark.parametrize(
         "argv",
-        [["build-theory", "--sigma-theory", "1e-3"], ["convert", "--match-tol", "1e-9"]],
+        [
+            ["build-theory", "--sigma-theory", "1e-3"],
+            ["convert", "--match-tol", "1e-9"],
+            ["benford", "--config", "site.json"],
+            ["axioms", "--axis", "x:lin:0:1:9"],
+            ["infer", "--measurement", "T:lognormal:1.0:0.05"],
+        ],
     )
-    def test_options_that_changed_nothing_are_rejected(self, argv, capsys):
+    def test_removed_options_are_rejected(self, argv, capsys):
         """``build-theory --sigma-theory`` never reached the campaign and
-        ``convert --match-tol`` never changed an output, so both are gone."""
+        ``convert --match-tol`` never changed an output; ``--config`` was a
+        second way in for every value, ``--axis`` one for ``--grid`` and
+        ``--measurement`` a second spelling of ``--measure``.  All are gone."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value", [("handler", 1), ("parser", 1), ("config", "x")])
-    def test_parser_internals_are_not_config_keys(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({key: value}))
-        code = main(["benford", "--config", str(cfg)])
-        assert code == 2
-        assert f"unknown config key(s) [{key!r}]" in capsys.readouterr().err
-
-    def test_axis_flags_replace_a_config_axis_list(self, tmp_path, capsys):
-        cfg = tmp_path / "grid.json"
-        cfg.write_text(json.dumps({"axis": ["L:log:1:10:31", "T:log:0.4515:1.4279:31"]}))
-        th = tmp_path / "th"
-        code, _ = run_cli(
-            ["analytic-theory", "--config", str(cfg), "--sigma", "0.05", "--out", str(th),
-             "--axis", "L:log:1:10:21", "--axis", "T:log:0.4515:1.4279:23"],
-            capsys,
-        )
-        assert code == 0
-        assert read_theory(th).joint.grid.shape == (21, 23)
-
-    def test_measure_flags_replace_a_config_measure_list(self, tmp_path, capsys):
-        th = str(tmp_path / "th")
-        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
-        cfg = tmp_path / "readings.json"
-        cfg.write_text(json.dumps({"measure": ["T:lognormal:1.0:0.05"], "query": "T"}))
-        flagged = ["infer", "--theory", th, "--measure", "L:lognormal:4.9:0.05"]
-        code, from_both = run_cli([*flagged, "--config", str(cfg)], capsys)
-        assert code == 0
-        _, from_flag = run_cli([*flagged, "--query", "T"], capsys)
-        _, from_file = run_cli(["infer", "--theory", th, "--config", str(cfg)], capsys)
-        assert from_both == from_flag
-        assert from_file != from_flag
-
-    def test_negated_flag_beats_a_config_true(self, tmp_path, capsys):
-        cfg = tmp_path / "cmp.json"
-        cfg.write_text(json.dumps({"compare_analytic": True, "n": 5}))
-        code, doc = run_cli(
-            ["build-theory", "--grid", "L:log:1:10:41,T:log:0.45:1.43:41", "--config", str(cfg),
-             "--no-compare-analytic", "--out", str(tmp_path / "emp")],
-            capsys,
-        )
-        assert code == 0
-        assert "kl_sym_vs_analytic" not in doc
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("n", "abc"),
-            ("sigma_length", "0.05"),
-            ("n", 2.7),
-            ("seed", 1.9),
-            ("compare_analytic", "no"),
-            ("n", True),
-            ("g", False),
-            ("axis", "L:log:1:10:101"),
-            ("axis", ["L:log:1:10:101", 5]),
-            ("out", 5),
-            ("mode", "set_X"),
-        ],
-    )
-    def test_mistyped_config_value_exits_config(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({key: value}))
-        out = tmp_path / "emp"
-        code = main(
-            ["build-theory", "--grid", "L:log:1:10:101,T:log:0.4515:1.4279:101",
-             "--config", str(cfg), "--out", str(out)]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert f"config key {key!r}" in err
-        assert not out.with_suffix(".npz").exists()
-
-    def test_config_values_of_the_right_type_are_accepted(self, tmp_path, capsys):
-        """An integer serves a float option, and null means the default."""
-        cfg = tmp_path / "good.json"
-        cfg.write_text(json.dumps({
-            "axis": ["L:log:1:10:101", "T:log:0.4515:1.4279:101"],
-            "n": 20,
-            "mode": "set_T",
-            "g": 10,
-            "compare_analytic": True,
-            "seed": None,
-        }))
-        code, doc = run_cli(
-            ["build-theory", "--config", str(cfg), "--out", str(tmp_path / "emp")], capsys
-        )
-        assert code == 0
-        assert doc["n_experiments"] == 20
-        assert doc["mode"] == "set_T"
-        assert "kl_sym_vs_analytic" in doc
 
 
 # ---------------------------------------------------------------------------
@@ -1107,6 +945,20 @@ class TestCliConvert:
         assert f"map {spec!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["x:affine:2:1", "x:exp"])
+    def test_map_without_an_image_axis_names_the_kinds_with_one(self, tmp_path, capsys, spec):
+        """``convert`` takes no target grid, so the refusal names the map kinds
+        that do have an image of a logarithmic axis."""
+        src, _ = self._write_lognormal(tmp_path)
+        out = tmp_path / "o.csv"
+        code = main(["convert", "--in", src, "--out", str(out), "--map", spec])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "of a logarithmic axis has no linear/log image axis" in err
+        assert "log, reciprocal, power, and affine with a > 0 and b = 0" in err
+        assert "target grid" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     def test_theory_joint_exports(self, tmp_path, capsys, suffix):
         theory = _sample_theory()
@@ -1158,7 +1010,7 @@ _SHORTHANDS = st.one_of(
 def test_shorthand_parsers_parse_or_raise_a_configuration_error(spec):
     """Whatever the tokens, a shorthand parses or is refused as configuration
     (exit 2), never with a numerical error or a stray exception."""
-    for parse in (parse_axis, parse_measurement, parse_map, lambda s: parse_grid(s.split(","))):
+    for parse in (parse_axis, parse_measurement, parse_map, parse_grid):
         try:
             parse(spec)
         except ConfigurationError:

@@ -286,24 +286,13 @@ def test_campaign_builds_no_generator_per_experiment(monkeypatch):
     assert integrate(theory.joint) == pytest.approx(50, rel=1e-12)
 
 
-def test_campaign_mu_must_share_grid():
-    law = FallingBodyLaw()
-    grid = _fall_grid(61)
-    other = null_information_density(_fall_grid(62))
-    with pytest.raises(GridMismatch):
-        run_campaign(law, _instruments(), 3, SET_L, master_seed=1, grid=grid, mu=other)
-
-
-def test_campaign_and_accumulation_refuse_a_non_separable_mu():
+def test_accumulation_refuses_a_non_separable_mu():
     grid = _fall_grid(61)
     values = null_information_density(grid).values.copy()
     values[10, 20] *= 1.5
     lumpy = Density(grid, values)
-    with pytest.raises(ConfigInvalid, match=r"not an outer product.*\(10, 20\)"):
-        run_campaign(FallingBodyLaw(), _instruments(), 3, SET_L, master_seed=1, grid=grid,
-                     mu=lumpy)
     result = simulate_experiment(FallingBodyLaw(), _instruments(), 2.0, SET_L, seed=1, grid=grid)
-    with pytest.raises(ConfigInvalid, match="not an outer product"):
+    with pytest.raises(ConfigInvalid, match=r"not an outer product.*\(10, 20\)"):
         accumulate_theory([result], lumpy)
 
 
