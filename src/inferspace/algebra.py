@@ -177,8 +177,8 @@ class Realization:
         return Realization(SUM_PRODUCT, mu)
 
     @staticmethod
-    def max_min(grid: Grid, frame: str = "") -> "Realization":
-        ones = Density.from_callable(grid, lambda *m: np.ones(grid.shape), frame=frame)
+    def max_min(grid: Grid) -> "Realization":
+        ones = Density.from_callable(grid, lambda *m: np.ones(grid.shape))
         return Realization(MAX_MIN, ones)
 
     @staticmethod

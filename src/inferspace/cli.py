@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -45,7 +46,7 @@ from .coordinates import (
     reciprocal_map,
     shear_map,
 )
-from .density import Density, integrate, normalize
+from .density import Density, integrate, marginalize, normalize
 from .errors import (
     ConfigInvalid,
     ConfigurationError,
@@ -55,7 +56,7 @@ from .errors import (
     SingularJacobian,
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
-from .inference import band_conditional, borel_kolmogorov_demo, intersect
+from .inference import band_conditional, borel_kolmogorov_demo, intersect, summarize
 from .io import read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
     BOXCAR,
@@ -168,7 +169,18 @@ def parse_map(spec: str) -> tuple[str, CoordinateMap]:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    """Print the report; a stdout that cannot take it, closed or full, is
+    an IOFailure."""
+    try:
+        print(json.dumps(doc, indent=2))
+        sys.stdout.flush()
+    except OSError as exc:
+        # The report stays in stdout's buffer: point the stream at the null
+        # device, so the interpreter's flush at exit does not fail on it again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise IOFailure(f"cannot write the report: {exc}") from exc
 
 
 def _default_query(grid: Grid, models, requested: str | None) -> str:
@@ -255,11 +267,11 @@ def _cmd_infer(p: argparse.Namespace) -> int:
     grid = theory.joint.grid
     models = [parse_measurement(s) for s in specs]
     post = intersect(theory, *models)
-    query = _default_query(grid, models, p.query)
-    summary = post.summarize(query if grid.ndim > 1 else None)
+    if grid.ndim > 1:
+        post = marginalize(post, _default_query(grid, models, p.query))
     if p.out:
-        write_density(post.marginal(query) if grid.ndim > 1 else post.density, p.out)
-    _emit(summary.as_dict())
+        write_density(post, p.out)
+    _emit(summarize(post).as_dict())
     return 0
 
 
@@ -394,7 +406,7 @@ def _cmd_convert(p: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _GRID_HELP = '"default" or two axis shorthands joined by a comma'
-_THEORY_HELP = "theory file <base>.npz (format version 3; version 2 is read too)"
+_THEORY_HELP = "theory file <base>.npz (format version 3)"
 _SEED = 20260819
 
 

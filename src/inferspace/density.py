@@ -73,17 +73,13 @@ class Density:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_callable(
-        grid: Grid,
-        fn: Callable[..., np.ndarray],
-        frame: str = "",
-    ) -> "Density":
+    def from_callable(grid: Grid, fn: Callable[..., np.ndarray]) -> "Density":
         """Evaluate ``fn`` on broadcastable node meshes and wrap the result."""
         vals = np.asarray(fn(*grid.meshes()), dtype=np.float64)
         vals = np.broadcast_to(vals, grid.shape).copy()
         # Frozen, so the Density shares this copy instead of making another.
         vals.setflags(write=False)
-        return Density(grid, vals, frame=frame)
+        return Density(grid, vals)
 
     # -- basics -------------------------------------------------------------
 

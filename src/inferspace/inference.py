@@ -1,10 +1,13 @@
 """Inference as conjunction: posteriors, predictions, and conditioning.
 
 Inference here is one operation: AND the theory with whatever is known, then
-read off the axis of interest.  Conditioning on an exact value is the
-degenerate limit of ANDing with an ever-thinner band, and keeping that limit
-honest across coordinate changes is what the curved-slice demonstration at the
-bottom of this module is about.
+read off the axis of interest.  The AND of a state of information with
+another is itself a state of information, so ``intersect`` returns the
+posterior as a plain normalized ``Density``, and ``predict`` returns its
+marginal on one axis, ready for ``summarize``.  Conditioning on an exact
+value is the degenerate limit of ANDing with an ever-thinner band, and
+keeping that limit honest across coordinate changes is what the
+curved-slice demonstration at the bottom of this module is about.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .coordinates import Map2D, push_forward
 from .density import (
     Density,
     evaluate,
-    integrate,
     marginalize,
     normalize,
     require_same_space,
@@ -47,30 +49,8 @@ from .theory import TheoryDensity
 
 
 # ---------------------------------------------------------------------------
-# posteriors
+# the AND of a theory with readings
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Posterior:
-    """A normalized state of knowledge; normalizes its density on creation."""
-
-    density: Density
-
-    def __post_init__(self) -> None:
-        if not self.density.normalized:
-            object.__setattr__(self, "density", normalize(self.density))
-
-    def marginal(self, name: str) -> Density:
-        return marginalize(self.density, name)
-
-    def summarize(self, name: str | None = None) -> "Summary":
-        d = self.density
-        if d.grid.ndim > 1:
-            if name is None:
-                raise InvalidGrid("a joint posterior needs an axis name to summarize")
-            d = self.marginal(name)
-        return summarize(d)
-
 
 def _no_mass(m: MeasurementModel, ax: Axis) -> ZeroMass:
     """The error for a reading in the box whose profile has no mass on its
@@ -98,8 +78,6 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
     one axis has none, and μ = 0
     where the joint times the readings is positive (NeutralZero).
     """
-    if not models:
-        return []
     grid = theory.joint.grid
     on_axis = [[] for _ in grid.axes]
     for m in models:
@@ -181,70 +159,36 @@ def _scaled(d: Density, factors) -> Density:
 
 
 def intersect(
-    theory: TheoryDensity,
-    rho: Density | MeasurementModel,
-    *more: Density | MeasurementModel,
-) -> Posterior:
-    """Conjoin a theory with one or more measurements and normalize.
+    theory: TheoryDensity, reading: MeasurementModel, *more: MeasurementModel
+) -> Density:
+    """The theory ANDed with one or more readings, normalized.
 
-    A measurement is a model of one reading or a density on the theory's
-    grid.  With μ = ⊗ₖ μₖ, ANDing the theory with readings m is one
-    broadcast scaling of the joint,
+    With μ = ⊗ₖ μₖ, ANDing the theory with readings m is one broadcast
+    scaling of the joint,
 
         σ = joint · ⊗ₖ fₖ,   fₖ = ∏ₘ ρₘ,ₖ / μₖ,
 
     where ρₘ,ₖ is reading m's profile on axis k, or the noninformative
     profile of axis k if m measures another axis.  This is exactly the dense
-    fold joint · ∏ₘ ρₘ / μᴹ.  A density measurement is ANDed with the dense
-    μ by ``and_combine``.
+    fold joint · ∏ₘ ρₘ / μᴹ.  A measurement given as a density on the
+    theory's grid is ANDed by ``and_combine(theory.joint, rho, theory.mu)``.
 
     Raises OutOfDomain for a gaussian or lognormal reading centred off the
     grid, ZeroMass for a reading in the box that no node resolves, ZeroMass
-    when the measurements contradict each other or the theory, and
-    NeutralZero where μ vanishes but the theory times the readings does not.
+    when the readings contradict each other or the theory, and NeutralZero
+    where μ vanishes but the theory times the readings does not.
     """
-    measurements = (rho, *more)
-    models = [m for m in measurements if isinstance(m, MeasurementModel)]
-    densities = [m for m in measurements if not isinstance(m, MeasurementModel)]
-    factors = _reading_factors(theory, models)
-    mu = theory.mu if densities else None
-
-    def conjoin(base: Density) -> Density:
-        sigma = _scaled(base, factors)
-        for d in densities:
-            sigma = and_combine(sigma, d, mu)
-        return sigma
-
+    sigma = _scaled(theory.joint, _reading_factors(theory, [reading, *more]))
     try:
-        return Posterior(conjoin(theory.joint))
+        return sigma if sigma.normalized else normalize(sigma)
     except ZeroMass as exc:
-        # A density measurement is diagnosed only on failure, so a posterior
-        # pays for no extra pass over the grid.
-        for d in densities:
-            if not integrate(d) > 0.0:
-                box = ", ".join(f"{ax.name} in [{ax.lower!r}, {ax.upper!r}]" for ax in d.grid.axes)
-                raise OutOfDomain(
-                    f"the measurement density has no mass on the grid box {box}"
-                ) from exc
-        if densities and more and not integrate(conjoin(mu)) > 0.0:
-            raise ZeroMass("the measurements contradict each other: their AND has no mass") from exc
         raise ZeroMass(f"the measurement contradicts the theory: {exc}") from exc
 
 
-def predict(
-    theory: TheoryDensity,
-    known: MeasurementModel | Density,
-    query: str,
-) -> Posterior:
-    """What the theory says about ``query`` given one known measurement.
-
-    ``known`` may be a measurement model (turned into a density spanning the
-    theory's grid) or a ready-made measurement density.
-    """
-    post = intersect(theory, known)
-    if post.density.grid.ndim == 1:
-        return post
-    return Posterior(post.marginal(query))
+def predict(theory: TheoryDensity, known: MeasurementModel, query: str) -> Density:
+    """What the theory says about ``query`` given one known reading: the
+    normalized marginal of their AND on that axis."""
+    return marginalize(intersect(theory, known), query)
 
 
 def conditional_density(joint: Density, fixed_axis: str, fixed_value: float) -> Density:

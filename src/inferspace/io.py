@@ -8,10 +8,9 @@ A theory is one uncompressed ``<base>.npz`` archive, format version 3: the
 ``joint`` value array, one ``mu_<k>`` array per axis k holding μ's factor on
 that axis (all float64, bit-exact), and a ``header``, a 0-d string array
 holding JSON with the format name and version, the axis headers, the frame,
-the joint's normalization flag and the provenance record.  A version-2
-archive, which held μ as one dense ``mu`` array, is still read: its μ is
-factored, and one that is not an outer product is refused.  The version-1
-JSON triple is not read.
+the joint's normalization flag and the provenance record.  Only version 3 is
+read; a file of an older version is refused, and rerunning the command that
+wrote it rebuilds it.
 
 Every writer goes through a temporary file in the target's directory that is
 synced and renamed onto the target, so the target is always either whole or
@@ -32,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .density import Density
-from .errors import ConfigInvalid, InferenceSpaceError, IOFailure, SchemaError
+from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid
-from .theory import Provenance, TheoryDensity, separable_factors
+from .theory import Provenance, TheoryDensity
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
@@ -179,7 +178,7 @@ def _header(raw: np.ndarray) -> dict:
         raise SchemaError(f"header is a JSON {type(header).__name__}, expected an object")
     if header.get("format") != THEORY_FORMAT_NAME:
         raise SchemaError(f"not a theory archive: format is {header.get('format')!r}")
-    if header.get("version") not in (2, THEORY_FORMAT_VERSION):
+    if header.get("version") != THEORY_FORMAT_VERSION:
         raise SchemaError(f"unsupported theory version {header.get('version')!r}")
     return header
 
@@ -204,35 +203,26 @@ def _members(archive, names) -> None:
 def _theory_from_archive(archive) -> TheoryDensity:
     _members(archive, ("header", "joint"))
     header = _header(archive["header"])
-    v2 = header["version"] == 2
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
         frame = str(header["frame"])
-        flag = header["normalized"]
-        normalized = bool(flag["joint"] if v2 else flag)
+        normalized = bool(header["normalized"])
         provenance = Provenance.from_dict(header["provenance"])
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
-    if v2:
-        mu_shapes = {"mu": grid.shape}
-    else:
-        mu_shapes = {f"mu_{k}": (ax.count,) for k, ax in enumerate(grid.axes)}
-    _members(archive, mu_shapes)
+    mu_names = [f"mu_{k}" for k in range(grid.ndim)]
+    _members(archive, mu_names)
     joint = _values(archive, "joint", grid.shape)
-    mu = [_values(archive, name, shape) for name, shape in mu_shapes.items()]
+    mu = [_values(archive, name, (ax.count,)) for name, ax in zip(mu_names, grid.axes)]
     try:
         joint = Density(grid, joint, frame=frame, normalized=normalized)
-        if v2:
-            mu = separable_factors(Density(grid, mu[0], frame=frame))
         return TheoryDensity(joint, mu, provenance)
-    except ConfigInvalid as exc:
-        raise SchemaError(f"the version-2 member 'mu' cannot be factored: {exc}") from exc
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
 
 
 def read_theory(path: str | Path) -> TheoryDensity:
-    """Read the theory at ``<base>.npz`` (format version 3 or 2)."""
+    """Read the theory at ``<base>.npz`` (format version 3)."""
     target = _theory_path(path)
     # A damaged zip fails in np.load or on reading a member, depending on
     # where the damage is; a file of another kind fails in np.load.

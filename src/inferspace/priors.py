@@ -119,9 +119,9 @@ def outer_values(factors) -> np.ndarray:
     return factors[0] if len(factors) == 1 else np.multiply.outer(factors[0], factors[1])
 
 
-def make_prior(spec: PriorSpec, grid: Grid, frame: str = "") -> Density:
+def make_prior(spec: PriorSpec, grid: Grid) -> Density:
     """Evaluate the prior on the grid, truncated to its bounds (or the box)."""
-    return Density(grid, outer_values(prior_factors(spec, grid)), frame=frame)
+    return Density(grid, outer_values(prior_factors(spec, grid)))
 
 
 def _bounds_factor(spec: PriorSpec, i: int, ax: Axis) -> np.ndarray:
@@ -231,12 +231,12 @@ def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.nda
         )
 
 
-def null_information_density(grid: Grid, frame: str = "") -> Density:
+def null_information_density(grid: Grid) -> Density:
     """μ matched to the grid's working coordinates: 1/x on logarithmic axes,
     flat on linear ones.  This is the density carrying no information in the
     coordinates the grid itself uses."""
     factors = [noninformative_profile(ax) for ax in grid.axes]
-    return Density(grid, outer_values(factors), frame=frame)
+    return Density(grid, outer_values(factors))
 
 
 def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") -> Density:

@@ -162,34 +162,6 @@ class TheoryDensity:
         return Density(self.joint.grid, values, frame=self.joint.frame)
 
 
-def separable_factors(d: Density) -> tuple[np.ndarray, ...]:
-    """One factor per axis whose outer product is ``d`` to rounding.
-
-    The factors are ``d``'s column and row through its largest value, the
-    row divided by that value, so neither can overflow.  Raises ConfigInvalid
-    when some value differs from the outer product by more than 1e-12 of
-    itself (values below float64's normal range are compared to 1e-12 times
-    its smallest normal number).
-    """
-    rtol = 1e-12
-    v = d.values
-    if v.ndim == 1:
-        return (v,)
-    i, j = np.unravel_index(np.argmax(v), v.shape)
-    peak = v[i, j]
-    col, row = v[:, j], v[i, :] / peak if peak > 0.0 else v[i, :]
-    product = np.multiply.outer(col, row)
-    err = np.abs(product - v)
-    bad = err > rtol * (v + np.finfo(np.float64).tiny)
-    if np.any(bad):
-        k = np.unravel_index(np.argmax(np.where(bad, err, 0.0)), v.shape)
-        raise ConfigInvalid(
-            f"the density is not an outer product of per-axis factors: at node "
-            f"{tuple(map(int, k))} it is {v[k]!r}, the product of its factors {product[k]!r}"
-        )
-    return col, row
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """One simulated experiment: its joint density and what was drawn."""
@@ -306,7 +278,6 @@ def simulate_experiment(
     mode: str,
     seed: int | np.random.Generator,
     grid: Grid,
-    frame: str = "",
 ) -> ExperimentResult:
     """Run one fall experiment at the given independent value.
 
@@ -336,7 +307,7 @@ def simulate_experiment(
         measurement_profile(replace(by_axis[ax.name], center=observed[ax.name]), ax)
         for ax in grid.axes
     ]
-    density = Density(grid, outer_values(factors), frame=frame)
+    density = Density(grid, outer_values(factors))
     return ExperimentResult(
         density=density,
         mode=mode,
@@ -349,25 +320,27 @@ def simulate_experiment(
 # accumulation
 # ---------------------------------------------------------------------------
 
-def accumulate_theory(results: Iterable[ExperimentResult], mu: Density) -> TheoryDensity:
+def accumulate_theory(results: Iterable[ExperimentResult]) -> TheoryDensity:
     """OR-fold experiment densities into a theory, normalizing each first.
 
     Normalizing per experiment weights every experiment equally regardless of
     instrument sharpness; the theory's mass then counts experiments exactly.
-    Accepts any iterable and accumulates streamingly.  ``mu`` must be an
-    outer product of per-axis factors (``separable_factors``).
+    Accepts any iterable and accumulates streamingly.  The experiments share
+    the first one's grid and frame, and the theory's μ is the Jeffreys
+    1/(LT), as ``run_campaign``'s is.
     """
-    factors = separable_factors(mu)
-    acc = np.zeros(mu.grid.shape)
-    n = 0
-    for r in results:
-        require_same_space(r.density, mu)
-        acc += normalize(r.density).values
-        n += 1
-    if n == 0:
+    densities = (normalize(r.density) for r in results)
+    first = next(densities, None)
+    if first is None:
         raise EmptyInput("no experiments to accumulate")
-    joint = Density(mu.grid, acc, frame=mu.frame)
-    return TheoryDensity(joint, factors, Provenance("empirical", n_experiments=n))
+    acc, n = first.values.copy(), 1
+    for d in densities:
+        require_same_space(d, first)
+        acc += d.values
+        n += 1
+    joint = Density(first.grid, acc, frame=first.frame)
+    mu = prior_factors(PriorSpec(JEFFREYS), first.grid)
+    return TheoryDensity(joint, mu, Provenance("empirical", n_experiments=n))
 
 
 def run_campaign(
@@ -457,8 +430,9 @@ def analytic_fall_theory(
 
     ``frame="linear"`` expects axes named by the law (any spacing); the
     marginals are then proportional to 1/L and 1/T.  ``frame="log"`` expects
-    linear axes carrying λ = ln L, τ = ln T in (length, time) order; there
-    the ridge is a plain Gaussian band and μ is constant.
+    linear axes carrying λ = ln L, τ = ln T in (length, time) order, and
+    refuses a logarithmic axis with InvalidGrid; there the ridge is a plain
+    Gaussian band and μ is constant.
     """
     sigma = law.sigma_theory
     # Built in place, with at most two grid-sized arrays live.  A g or sigma
@@ -477,6 +451,13 @@ def analytic_fall_theory(
     elif frame == "log":
         if grid.ndim != 2:
             raise InvalidGrid("the log-frame theory lives on a 2D grid")
+        for ax in grid.axes:
+            if ax.spacing == LOGARITHMIC:
+                # The ridge would be evaluated on raw L and T values.
+                raise InvalidGrid(
+                    f"the log-frame theory needs linear axes carrying λ = ln L and "
+                    f"τ = ln T, but axis {ax.name!r} is logarithmic"
+                )
         lam, tau = grid.meshes()
         with np.errstate(all="ignore"):
             vals = lam - math.log(0.5 * law.g) - 2.0 * tau

@@ -222,18 +222,18 @@ def test_criterion_6_tight_measurements_invert_the_law():
         ),
     )
     t0 = time.perf_counter()
-    mode_l = predict(
+    mode_l = summarize(predict(
         theory,
         MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=1e-3),
         "L",
-    ).summarize().mode
+    )).mode
     t_forward = time.perf_counter() - t0
     t0 = time.perf_counter()
-    mode_t = predict(
+    mode_t = summarize(predict(
         theory,
         MeasurementModel(parameter="L", kind=LOGNORMAL, center=4.905, width=1e-3),
         "T",
-    ).summarize().mode
+    )).mode
     t_reverse = time.perf_counter() - t0
     err_l = abs(mode_l / 4.905 - 1.0)
     err_t = abs(mode_t / 1.0 - 1.0)

@@ -25,7 +25,6 @@ from inferspace import (
     MeasurementModel,
     NeutralZero,
     OutOfDomain,
-    Posterior,
     Provenance,
     TheoryDensity,
     ZeroMass,
@@ -40,6 +39,7 @@ from inferspace import (
     intersect,
     marginalize,
     measurement_density,
+    noninformative_profile,
     normalize,
     null_information_density,
     predict,
@@ -47,7 +47,6 @@ from inferspace import (
     push_forward,
     reciprocal_map,
     sample_posterior,
-    separable_factors,
     shear_map,
     summarize,
     theory_from_conditional,
@@ -81,14 +80,14 @@ def _fall_theory(sigma, nl=301, nt=301, l_box=(2.0, 12.0), t_box=(0.6, 1.6)):
 
 class TestIntersect:
     def test_noninformative_measurement_returns_the_theory(self):
-        """Conjoining with mu itself adds nothing: the posterior is the
-        normalized theory."""
+        """Conjoining with a noninformative reading adds nothing: the
+        posterior is the normalized theory."""
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
-        post = intersect(theory, theory.mu)
+        post = intersect(theory, MeasurementModel("T", NONINFORMATIVE))
         expected = normalize(theory.joint)
         # atol forgives round-off in the far tails, where the ridge has
         # underflowed to denormals
-        assert_allclose(post.density.values, expected.values, rtol=1e-12, atol=1e-300)
+        assert_allclose(post.values, expected.values, rtol=1e-12, atol=1e-300)
 
     def test_order_of_the_two_densities_is_irrelevant(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
@@ -96,19 +95,17 @@ class TestIntersect:
             MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1),
             theory.joint.grid,
         )
-        forward = intersect(theory, rho)
-        swapped = Posterior(and_combine(rho, theory.joint, theory.mu))
-        assert_allclose(forward.density.values, swapped.density.values, rtol=1e-12)
+        forward = normalize(and_combine(theory.joint, rho, theory.mu))
+        swapped = normalize(and_combine(rho, theory.joint, theory.mu))
+        assert_allclose(forward.values, swapped.values, rtol=1e-12)
 
     def test_posterior_is_normalized_on_construction(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
-        rho = measurement_density(
-            MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1),
-            theory.joint.grid,
+        post = intersect(
+            theory, MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1)
         )
-        post = intersect(theory, rho)
-        assert post.density.normalized
-        assert math.isclose(post.density.mass(), 1.0, rel_tol=1e-9)
+        assert post.normalized
+        assert math.isclose(post.mass(), 1.0, rel_tol=1e-9)
 
     def test_contradictory_measurement_raises(self):
         """A measurement with no support in common with the theory is a flat
@@ -122,13 +119,12 @@ class TestIntersect:
         joint = Density(grid, np.outer(narrow / axl.nodes, 1.0 / axt.nodes))
         theory = TheoryDensity(
             joint=joint,
-            mu_factors=separable_factors(null_information_density(grid)),
+            mu_factors=[noninformative_profile(ax) for ax in grid.axes],
             provenance=Provenance(kind="analytic"),
         )
-        far = np.where((axl.nodes >= 8.0) & (axl.nodes <= 10.0), 1.0, 0.0)
-        rho = Density(grid, np.outer(far, np.ones(axt.count)))
+        far = MeasurementModel(parameter="L", kind=BOXCAR, center=9.0, width=1.0)
         with pytest.raises(ZeroMass, match="contradicts the theory"):
-            intersect(theory, rho)
+            intersect(theory, far)
 
     def test_reading_off_the_grid_raises_out_of_domain(self):
         """A reading centred outside the box lies off the grid; that is not a
@@ -139,8 +135,6 @@ class TestIntersect:
             intersect(theory, off)
         with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid"):
             predict(theory, off, "L")
-        with pytest.raises(OutOfDomain, match=r"no mass on the grid box L in \[2\.0, 12\.0\]"):
-            intersect(theory, measurement_density(off, theory.joint.grid))
 
     def test_several_measurements_are_anded_before_the_theory(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
@@ -150,8 +144,8 @@ class TestIntersect:
         rho = and_combine(
             measurement_density(t, grid), measurement_density(length, grid), theory.mu
         )
-        both = intersect(theory, t, length).density.values
-        dense = intersect(theory, rho).density.values
+        both = intersect(theory, t, length).values
+        dense = normalize(and_combine(theory.joint, rho, theory.mu)).values
         # the readings are ANDed as 1D factors, the dense rho with and_combine:
         # the same product, rounded in another order
         assert np.max(np.abs(both - dense)) <= 1e-12 * np.max(dense)
@@ -187,8 +181,8 @@ class TestIntersect:
         theory = theory_from_conditional([shape] * 21, Density(Grid.of(i_ax), mu_i))
         reading = MeasurementModel("L", LOGNORMAL, 3.0, 0.5)
         rho = measurement_density(reading, theory.joint.grid, frame=theory.joint.frame)
-        factored = intersect(theory, reading).density.values
-        dense = intersect(theory, rho).density.values
+        factored = intersect(theory, reading).values
+        dense = normalize(and_combine(theory.joint, rho, theory.mu)).values
         assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
 
     def test_mu_vanishing_where_the_theory_has_mass_is_neutral_zero(self):
@@ -254,7 +248,7 @@ def test_factored_and_equals_the_dense_fold(case):
         with pytest.raises(type(exc)):
             intersect(theory, *readings)
         return
-    factored = intersect(theory, *readings).density.values
+    factored = intersect(theory, *readings).values
     assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
 
 
@@ -265,24 +259,24 @@ def test_factored_and_equals_the_dense_fold(case):
 class TestPredict:
     def test_noninformative_known_recovers_the_theory_marginal(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
-        post = predict(theory, theory.mu, query="T")
+        post = predict(theory, MeasurementModel("T", NONINFORMATIVE), query="T")
         expected = normalize(marginalize(theory.joint, "T"))
-        assert_allclose(post.density.values, expected.values, rtol=1e-10)
+        assert_allclose(post.values, expected.values, rtol=1e-10)
 
     def test_accepts_a_measurement_model_directly(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
         model = MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1)
         via_model = predict(theory, model, query="L")
         rho = measurement_density(model, theory.joint.grid, frame=theory.joint.frame)
-        via_density = predict(theory, rho, query="L")
-        assert_allclose(via_model.density.values, via_density.density.values, rtol=1e-12)
+        via_density = normalize(marginalize(and_combine(theory.joint, rho, theory.mu), "L"))
+        assert_allclose(via_model.values, via_density.values, rtol=1e-12)
 
     def test_tight_time_measurement_centers_length_on_the_law(self):
         """Knowing T = 1.0 s almost exactly pins L at g/2 = 4.905 m, the value
         the quadrature oracle finds for the exact posterior mode."""
         theory = _fall_theory(sigma=0.005, nl=901, nt=901)
         model = MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.005)
-        summary = predict(theory, model, query="L").summarize()
+        summary = summarize(predict(theory, model, query="L"))
         assert abs(summary.mode / LENGTH_MODE_GIVEN_UNIT_TIME - 1.0) < 5e-3
 
     def test_tight_length_measurement_centers_time_on_the_law(self):
@@ -290,7 +284,7 @@ class TestPredict:
         model = MeasurementModel(
             parameter="L", kind=LOGNORMAL, center=4.905, width=0.005
         )
-        summary = predict(theory, model, query="T").summarize()
+        summary = summarize(predict(theory, model, query="T"))
         assert abs(summary.mode / TIME_MODE_GIVEN_HALF_G - 1.0) < 5e-3
 
     def test_posterior_marginal_is_scale_equivariant(self):
@@ -298,25 +292,25 @@ class TestPredict:
         and must move the length posterior by exactly the unit factor."""
         theory = _fall_theory(sigma=0.02, nl=241, nt=241)
         model = MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.05)
-        rho = measurement_density(model, theory.joint.grid, frame=theory.joint.frame)
-        post = intersect(theory, rho)
+        post = intersect(theory, model)
 
-        to_cm = product_map(affine_map(100.0), affine_map(1.0))
+        to_cm = affine_map(100.0)
         axl, axt = theory.joint.grid.axes
-        target = Grid.of(to_cm.separable[0].image_axis(axl, name="L"), axt)
+        l_cm = to_cm.image_axis(axl, name="L")
+        target = Grid.of(l_cm, axt)
+        mu_l = Density(Grid.of(axl), theory.mu_factors[0])
         scaled = TheoryDensity(
-            joint=push_forward(theory.joint, to_cm, target),
-            mu_factors=separable_factors(push_forward(theory.mu, to_cm, target)),
+            joint=push_forward(theory.joint, product_map(to_cm, affine_map(1.0)), target),
+            mu_factors=(push_forward(mu_l, to_cm, Grid.of(l_cm)).values, theory.mu_factors[1]),
             provenance=theory.provenance,
         )
-        rho_cm = push_forward(rho, to_cm, target)
-        post_cm = intersect(scaled, rho_cm)
+        post_cm = intersect(scaled, model)
 
         assert_allclose(
-            post_cm.marginal("T").values, post.marginal("T").values, rtol=1e-10
+            marginalize(post_cm, "T").values, marginalize(post, "T").values, rtol=1e-10
         )
-        mode_m = post.summarize("L").mode
-        mode_cm = post_cm.summarize("L").mode
+        mode_m = summarize(marginalize(post, "L")).mode
+        mode_cm = summarize(marginalize(post_cm, "L")).mode
         assert_allclose(mode_cm, 100.0 * mode_m, rtol=1e-10)
 
 
@@ -425,10 +419,10 @@ class TestSummaries:
 
     def test_two_dimensional_summary_needs_an_axis_name(self):
         theory = _fall_theory(sigma=0.05, nl=61, nt=61)
-        post = intersect(theory, theory.mu)
+        post = intersect(theory, MeasurementModel("T", NONINFORMATIVE))
         with pytest.raises(InvalidGrid):
-            post.summarize()
-        s = post.summarize("T")
+            summarize(post)
+        s = summarize(marginalize(post, "T"))
         assert s.axis == "T"
 
     def test_gaussian_summary_matches_its_parameters(self):
@@ -474,11 +468,11 @@ class TestSamplePosterior:
 
     def test_two_dimensional_samples_follow_the_marginal(self):
         theory = _fall_theory(sigma=0.1, nl=121, nt=121)
-        post = intersect(theory, theory.mu)
-        draws = sample_posterior(post.density, 20_000, seed=9)
+        post = intersect(theory, MeasurementModel("T", NONINFORMATIVE))
+        draws = sample_posterior(post, 20_000, seed=9)
         assert draws.shape == (20_000, 2)
-        axl = post.density.grid.axes[0]
-        m = post.marginal("L")
+        axl = post.grid.axes[0]
+        m = marginalize(post, "L")
         cell_mass = m.values * axl.weights
         counts, _ = np.histogram(draws[:, 0], bins=axl.cell_boundaries)
         tv = 0.5 * np.abs(counts / draws.shape[0] - cell_mass).sum()

@@ -7,17 +7,20 @@ codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import inferspace
 from inferspace import (
     JEFFREYS,
     LOGNORMAL,
@@ -256,7 +259,10 @@ def _analytic_linear(grid):
 
 
 def _analytic_log(grid):
-    return analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid, frame="log")
+    """The log-frame theory on the same box: linear λ = ln L, τ = ln T axes."""
+    axes = [Axis.linear(ax.name, math.log(ax.lower), math.log(ax.upper), ax.count)
+            for ax in grid.axes]
+    return analytic_fall_theory(FallingBodyLaw(9.81, 0.05), Grid.of(*axes), frame="log")
 
 
 def _campaign(grid):
@@ -363,35 +369,20 @@ class TestTheoryFiles:
         assert captured.out == ""
         assert str(tmp_path / "old.npz") in captured.err
 
-    @pytest.mark.parametrize(
-        "build", [_analytic_linear, _analytic_log, _campaign, _from_conditional],
-        ids=["analytic-linear", "analytic-log", "campaign", "from-conditional"],
-    )
-    def test_version_two_file_reads_its_dense_mu_as_factors(self, tmp_path, build):
-        grid = Grid.of(
-            Axis.logarithmic("L", 1.0, 10.0, 31), Axis.logarithmic("T", 0.4515, 1.4279, 27)
-        )
-        theory = build(grid)
+    def test_version_two_file_is_not_read(self, tmp_path, capsys):
+        """A version-2 file, which held μ as one dense member, is refused by
+        the reader and by ``infer``; rerunning its command rebuilds it."""
+        theory = _sample_theory()
         _write_version_two(tmp_path / "v2.npz", theory.joint, theory.mu.values,
                            theory.provenance)
-        back = read_theory(tmp_path / "v2.npz")
-        assert back.joint.values.tobytes() == theory.joint.values.tobytes()
-        assert back.provenance == theory.provenance
-        peak = theory.mu.values.max()
-        assert np.max(np.abs(back.mu.values - theory.mu.values)) <= 1e-15 * peak
-
-    def test_version_two_file_with_a_non_separable_mu_exits_config(self, tmp_path, capsys):
-        theory = _sample_theory()
-        mu = theory.mu.values.copy()
-        mu[3, 4] *= 1.001
-        _write_version_two(tmp_path / "v2.npz", theory.joint, mu, theory.provenance)
-        with pytest.raises(SchemaError, match="'mu' cannot be factored"):
+        with pytest.raises(SchemaError, match="unsupported theory version 2"):
             read_theory(tmp_path / "v2.npz")
         code = main(["infer", "--theory", str(tmp_path / "v2.npz"),
                      "--measure", "T:gaussian:1:0.1"])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 2
-        assert err.startswith(f"error: {tmp_path / 'v2.npz'}") and "(3, 4)" in err
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'v2.npz'}: unsupported theory version 2\n"
 
 
 def _write_version_two(path, joint, mu_values, provenance):
@@ -445,29 +436,6 @@ def test_theory_file_round_trip_is_bit_exact(theory):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_theory(theory, Path(tmp) / "t")
         assert_same_theory(read_theory(path), theory)
-
-
-@settings(max_examples=60)
-@given(_theories(), st.data())
-def test_version_two_file_with_a_separable_mu_reads_back_its_factors(theory, data):
-    """A version-2 file's dense μ is factored as its column and row through
-    its largest value, the row divided by that value.  When the second
-    factor holds powers of two up to 1 and the first one's peak is normal
-    even after scaling by them, that division is exact, so the factors read
-    back bit for bit."""
-    *first, last = theory.mu_factors
-    if first:
-        assume(first[0].max() >= 1e-280)
-        exponents = data.draw(hnp.arrays(np.int64, last.shape, elements=st.integers(-60, 0)))
-        exponents[data.draw(st.integers(0, last.size - 1))] = 0
-        last = np.ldexp(1.0, exponents)
-    factors = (*first, last)
-    mu = factors[0] if not first else np.multiply.outer(*factors)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "v2.npz"
-        _write_version_two(path, theory.joint, mu, theory.provenance)
-        back = read_theory(path)
-    assert_same_theory(back, TheoryDensity(theory.joint, factors, theory.provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +697,8 @@ class TestCliInference:
         "argv",
         [
             ["--grid", "L:log:1:2:50,T:log:5:10:50"],
-            ["--frame", "log", "--grid", "L:log:1:2:50,T:log:5:10:50"],
+            ["--frame", "log", "--grid",
+             "L:lin:0:0.6931471805599453:50,T:lin:1.6094379124341003:2.302585092994046:50"],
             ["--g", "1e-320"],
             ["--sigma", "1e-300", "--grid", "L:log:1:10:101,T:log:0.45:1.43:101"],
         ],
@@ -746,6 +715,22 @@ class TestCliInference:
         assert captured.out == ""
         assert "fall law L = ½·g·T²" in captured.err and "no mass on the box L in [" in captured.err
         assert not caught
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "grid, named",
+        [("L:log:1:10:41,T:log:0.45:1.43:41", "'L'"), ("L:lin:0:2.3:41,T:log:0.45:1.43:41", "'T'")],
+        ids=["both-log", "time-log"],
+    )
+    def test_log_frame_on_a_logarithmic_axis_exits_config(self, tmp_path, capsys, grid, named):
+        """The log frame reads its axes as λ = ln L and τ = ln T: on a
+        log-spaced axis its ridge would be evaluated on raw L and T values."""
+        code = main(["analytic-theory", "--frame", "log", "--grid", grid,
+                     "--out", str(tmp_path / "th")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"but axis {named} is logarithmic" in captured.err
         assert not list(tmp_path.iterdir())
 
     def test_grid_too_large_to_allocate_exits_config(self, capsys):
@@ -864,6 +849,31 @@ class TestCliAuxiliary:
             main(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
+def test_a_stdout_that_cannot_take_the_report_exits_config(sink):
+    """A report written to a pipe nobody reads, or to a full device, exits 2
+    with one error line: no traceback, and nothing from the interpreter's
+    flush at exit."""
+    src = Path(inferspace.__file__).resolve().parents[1]
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    argv = [sys.executable, "-c", "import sys; from inferspace.cli import main; sys.exit(main())",
+            "benford"]
+    if sink == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        out = os.fdopen(write_end, "wb")
+    else:
+        out = open("/dev/full", "wb")
+    with out:
+        result = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=env, text=True,
+                                timeout=120)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: cannot write the report: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_jeffreys_reciprocal_pair_consistency():
     m = reciprocal_map()
     img = m.image_axis(ax, name="nu")
     pushed = push_forward(p, m, Grid.of(img))
-    direct = normalize(make_prior(PriorSpec(JEFFREYS), Grid.of(img), frame=pushed.frame))
+    direct = normalize(make_prior(PriorSpec(JEFFREYS), Grid.of(img)))
     rel = np.abs(pushed.values - direct.values) / direct.values.max()
     assert rel.max() < 1e-6
 

@@ -1,6 +1,7 @@
 """Falling-body law, simulated campaigns, and analytic theories."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from inferspace import (
     product_map,
     push_forward,
     run_campaign,
-    separable_factors,
     simulate_experiment,
     TheoryDensity,
     theory_from_conditional,
@@ -133,31 +133,29 @@ def test_missing_instrument_rejected():
 def test_accumulated_mass_counts_experiments():
     law = FallingBodyLaw()
     grid = _fall_grid(101)
-    mu = null_information_density(grid)
     results = [
         simulate_experiment(law, _instruments(), 2.0 + i, SET_L, seed=i, grid=grid)
         for i in range(7)
     ]
-    theory = accumulate_theory(results, mu)
+    theory = accumulate_theory(results)
     assert integrate(theory.joint) == pytest.approx(7.0, rel=1e-12)
     assert theory.provenance.n_experiments == 7
 
-    single = accumulate_theory(results[:1], mu)
+    single = accumulate_theory(results[:1])
     assert integrate(single.joint) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(EmptyInput):
-        accumulate_theory([], mu)
+        accumulate_theory([])
 
 
 def test_accumulation_order_independent():
     law = FallingBodyLaw()
     grid = _fall_grid(101)
-    mu = null_information_density(grid)
     results = [
         simulate_experiment(law, _instruments(), 1.0 + i, SET_L, seed=i, grid=grid)
         for i in range(6)
     ]
-    forward = accumulate_theory(results, mu)
-    backward = accumulate_theory(results[::-1], mu)
+    forward = accumulate_theory(results)
+    backward = accumulate_theory(results[::-1])
     peak = forward.joint.values.max()
     assert np.max(np.abs(forward.joint.values - backward.joint.values)) / peak < 1e-12
 
@@ -219,13 +217,14 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed
     theory = run_campaign(law, instruments, n, mode, master_seed=master_seed, grid=grid)
     assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
 
-    mu = null_information_density(grid)
     experiments = (
         _reference_experiment(law, instruments, mode, master_seed ^ i, grid) for i in range(n)
     )
-    slow = accumulate_theory(experiments, mu)
+    slow = accumulate_theory(experiments)
     peak = slow.joint.values.max()
     assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
+    for fold_mu, campaign_mu in zip(slow.mu_factors, theory.mu_factors):
+        assert fold_mu.tobytes() == campaign_mu.tobytes()
 
 
 def _draw_i(axis: Axis, seed: int) -> float:
@@ -286,28 +285,6 @@ def test_campaign_builds_no_generator_per_experiment(monkeypatch):
     assert integrate(theory.joint) == pytest.approx(50, rel=1e-12)
 
 
-def test_accumulation_refuses_a_non_separable_mu():
-    grid = _fall_grid(61)
-    values = null_information_density(grid).values.copy()
-    values[10, 20] *= 1.5
-    lumpy = Density(grid, values)
-    result = simulate_experiment(FallingBodyLaw(), _instruments(), 2.0, SET_L, seed=1, grid=grid)
-    with pytest.raises(ConfigInvalid, match=r"not an outer product.*\(10, 20\)"):
-        accumulate_theory([result], lumpy)
-
-
-@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
-def test_separable_factors_rebuild_a_product_to_rounding(spacing):
-    axis = Axis.linear if spacing == "linear" else Axis.logarithmic
-    grid = Grid.of(axis("x", 0.5, 4.0, 37), axis("y", 1.0, 3.0, 29))
-    x, y = (ax.nodes for ax in grid.axes)
-    a, b = np.exp(-x) * (x > 1.0), 1.0 / (y * y)  # zeros in one factor
-    values = np.multiply.outer(a, b)
-    f0, f1 = separable_factors(Density(grid, values))
-    assert f1.max() == 1.0
-    assert np.all(np.abs(np.multiply.outer(f0, f1) - values) <= 4e-16 * values)
-
-
 def test_theory_density_checks_and_freezes_its_mu_factors():
     joint = Density(_fall_grid(11), np.ones((11, 11)))
     ones = np.ones(11)
@@ -364,9 +341,15 @@ def test_analytic_theory_ridge_is_exact_lognormal():
 
 @pytest.mark.parametrize("frame", ["linear", "log"])
 def test_analytic_theory_off_the_box_raises_zero_mass(frame):
-    """L = ½gT² misses the box L in [1, 2], T in [5, 10] entirely."""
-    grid = Grid.of(Axis.logarithmic("L", 1.0, 2.0, 50), Axis.logarithmic("T", 5.0, 10.0, 50))
-    with pytest.raises(ZeroMass, match=r"no mass on the box L in \[1\.0, 2\.0\], T in"):
+    """L = ½gT² misses the box L in [1, 2], T in [5, 10] entirely; in the log
+    frame the same box is λ = ln L in [0, ln 2], τ = ln T in [ln 5, ln 10]."""
+    if frame == "linear":
+        grid = Grid.of(Axis.logarithmic("L", 1.0, 2.0, 50), Axis.logarithmic("T", 5.0, 10.0, 50))
+    else:
+        grid = Grid.of(Axis.linear("L", 0.0, math.log(2.0), 50),
+                       Axis.linear("T", math.log(5.0), math.log(10.0), 50))
+    lower, upper = grid.axes[0].lower, grid.axes[0].upper
+    with pytest.raises(ZeroMass, match=re.escape(f"no mass on the box L in [{lower}, {upper}], T in")):
         analytic_fall_theory(FallingBodyLaw(), grid, frame=frame)
 
 
