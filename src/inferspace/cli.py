@@ -168,19 +168,28 @@ def parse_map(spec: str) -> tuple[str, CoordinateMap]:
     )
 
 
-def _emit(doc: dict) -> None:
-    """Print the report; a stdout that cannot take it, closed or full, is
-    an IOFailure."""
+def _silence(stream) -> None:
+    """Point a stream that failed a write at the null device.  What it could
+    not write stays in its buffer, and the interpreter's flush at exit would
+    fail on it again."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
+
+
+def _write_stdout(text: str, what: str) -> None:
+    """Write and flush ``text``; a stdout that cannot take it, closed or
+    full, is an IOFailure naming ``what`` was lost."""
     try:
-        print(json.dumps(doc, indent=2))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # The report stays in stdout's buffer: point the stream at the null
-        # device, so the interpreter's flush at exit does not fail on it again.
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        raise IOFailure(f"cannot write the report: {exc}") from exc
+        _silence(sys.stdout)
+        raise IOFailure(f"cannot write {what}: {exc}") from exc
+
+
+def _emit(doc: dict) -> None:
+    _write_stdout(json.dumps(doc, indent=2) + "\n", "the report")
 
 
 def _default_query(grid: Grid, models, requested: str | None) -> str:
@@ -495,17 +504,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    """Report ``exc`` on stderr and return the exit code.  A stderr that
+    cannot take the line loses it; the code still says what went wrong."""
+    try:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError:
+        _silence(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse prints --help into stdout's buffer and ignores a failed
+            # write; a help that cannot be written is an IOFailure, not exit 0.
+            if exc.code == 0:
+                _write_stdout("", "the help")
+            raise
         return args.handler(args)
     except (ConfigurationError, IOFailure, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

@@ -73,17 +73,17 @@ def noninformative_profile(axis: Axis) -> np.ndarray:
     return np.ones(axis.count)
 
 
-def _overlap_fraction(axis: Axis, lo: float, hi: float) -> np.ndarray:
-    """Fraction of each node's quadrature cell covered by [lo, hi].
+def _overlap_fraction(axis: Axis, lo: float, hi: float, window: slice = slice(None)) -> np.ndarray:
+    """Fraction of each node's quadrature cell covered by [lo, hi], for the
+    nodes in ``window``.
 
     Wide intervals give the exact 0/1 indicator except at the two straddled
     edge cells; intervals thinner than a cell keep their full mass in that
     cell instead of vanishing between nodes.
     """
     edges = axis.cell_boundaries
-    left = np.maximum(edges[:-1], lo)
-    right = np.minimum(edges[1:], hi)
-    return np.maximum(right - left, 0.0) / np.diff(edges)
+    left, right = edges[:-1][window], edges[1:][window]
+    return np.maximum(np.minimum(right, hi) - np.maximum(left, lo), 0.0) / (right - left)
 
 
 def prior_factors(spec: PriorSpec, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -193,23 +193,13 @@ def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
             raise InvalidBounds(
                 f"boxcar [{lo}, {hi}] does not meet the axis {axis.name!r} box"
             )
-    return measurement_profiles(model, axis, model.center)
+    return measurement_profiles(model, axis, model.center, slice(None))
 
 
-def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.ndarray:
-    """The model's unnormalized profile on one axis at each of ``centers``.
-
-    ``model.center`` is ignored.  An array of k centers gives one row per
-    center, shape (k, count); a scalar gives one profile.  A boxcar that
-    misses the box gives a row of zeros.  A node many widths from a center
-    overflows (x − c)/width on the way; its value is then the 0 it rounds
-    to, without a warning.
-    """
+def _profile_kind(model: MeasurementModel, axis: Axis) -> str:
+    """The model's kind as profiled on ``axis``, refusing a kind the axis
+    cannot carry."""
     kind = model.kind if math.isfinite(model.width) else NONINFORMATIVE
-    x = axis.nodes
-    c = np.asarray(centers, dtype=float)[..., None]
-    if kind == NONINFORMATIVE:
-        return np.broadcast_to(noninformative_profile(axis), c.shape[:-1] + x.shape).copy()
     if kind == GAUSSIAN and axis.spacing == LOGARITHMIC:
         raise ModelAxisMismatch(
             f"axis {axis.name!r}: a gaussian cannot model a positivity-"
@@ -217,6 +207,26 @@ def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.nda
         )
     if kind == LOGNORMAL and axis.lower <= 0.0:
         raise ModelAxisMismatch(f"axis {axis.name!r}: lognormal needs a positive box")
+    return kind
+
+
+def measurement_profiles(
+    model: MeasurementModel, axis: Axis, centers, window: slice
+) -> np.ndarray:
+    """The model's unnormalized profile at each of ``centers``, on the nodes
+    of ``axis`` in ``window``.
+
+    ``model.center`` is ignored.  An array of k centers gives one row per
+    center, shape (k, nodes in window); a scalar gives one profile.  A boxcar
+    that misses the box gives a row of zeros.  A node many widths from a
+    center overflows (x − c)/width on the way; its value is then the 0 it
+    rounds to, without a warning.
+    """
+    kind = _profile_kind(model, axis)
+    x = axis.nodes[window]
+    c = np.asarray(centers, dtype=float)[..., None]
+    if kind == NONINFORMATIVE:
+        return np.broadcast_to(noninformative_profile(axis)[window], c.shape[:-1] + x.shape).copy()
     with np.errstate(over="ignore"):
         if kind == GAUSSIAN:
             t = (x - c) / model.width
@@ -226,9 +236,58 @@ def measurement_profiles(model: MeasurementModel, axis: Axis, centers) -> np.nda
             t = (np.log(x) - np.log(c)) / model.width
             return np.exp(-0.5 * t * t) / x
         # boxcar: the noninformative prior restricted between the bounds
-        return noninformative_profile(axis) * _overlap_fraction(
-            axis, c - model.width, c + model.width
+        return noninformative_profile(axis)[window] * _overlap_fraction(
+            axis, c - model.width, c + model.width, window
         )
+
+
+# 2·ln 2⁵³: a gaussian factor exp(−t²/2) falls below 2⁻⁵³ of exp(−t₀²/2)
+# once t² exceeds t₀² by this much.
+_WINDOW_T2 = 106.0 * math.log(2.0)
+
+
+def profile_windows(model: MeasurementModel, axis: Axis, centers) -> tuple[np.ndarray, np.ndarray]:
+    """Node index bounds ``lo``, ``hi`` of each center's profile window.
+
+    Outside nodes ``lo:hi`` the model's profile at that center is below 2⁻⁵³
+    of its largest value on the axis's nodes, so dropping it changes no
+    float64 sum that the largest value enters.  The largest value sits at
+    the node nearest the center, which is the box edge for a center past
+    it; so an off-box reading keeps its mass on the edge nodes.  With t the
+    distance from the center in widths and t₀ that of the nearest node:
+
+    - gaussian keeps t² ≤ t₀² + 2 ln 2⁵³, with t in x;
+    - lognormal does the same in ln x, plus 2 ln(upper/lower) for its 1/x
+      factor, which varies by at most upper/lower over the box;
+    - boxcar keeps exactly the cells its interval [c − w, c + w] overlaps;
+    - noninformative keeps the whole axis.
+
+    ``tools/oracles/campaign_window.py`` derives these half-widths.
+    """
+    kind = _profile_kind(model, axis)
+    c = np.asarray(centers, dtype=float)
+    w = model.width
+    if kind == NONINFORMATIVE:
+        return np.zeros(c.shape, dtype=np.intp), np.full(c.shape, axis.count, dtype=np.intp)
+    if kind == BOXCAR:
+        edges = axis.cell_boundaries
+        return (
+            np.searchsorted(edges[1:], c - w, side="right"),
+            np.searchsorted(edges[:-1], c + w, side="left"),
+        )
+    slack = _WINDOW_T2
+    u, uc = axis.nodes, c
+    if kind == LOGNORMAL:
+        slack += 2.0 * math.log(axis.upper / axis.lower)
+        u, uc = np.log(u), np.log(uc)
+    j = np.clip(np.searchsorted(u, uc), 1, axis.count - 1)
+    with np.errstate(over="ignore"):
+        t0 = np.minimum(np.abs(uc - u[j - 1]), np.abs(u[j] - uc)) / w
+        reach = w * np.sqrt(t0 * t0 + slack)
+    return (
+        np.searchsorted(u, uc - reach, side="left"),
+        np.searchsorted(u, uc + reach, side="right"),
+    )
 
 
 def null_information_density(grid: Grid) -> Density:

@@ -851,16 +851,21 @@ class TestCliAuxiliary:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+def _run_cli_process(argv, stdout, stderr) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter with the given output streams."""
+    src = Path(inferspace.__file__).resolve().parents[1]
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    cmd = [sys.executable, "-c", "import sys; from inferspace.cli import main; sys.exit(main())",
+           *argv]
+    return subprocess.run(cmd, stdout=stdout, stderr=stderr, env=env, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("sink", ["closed-pipe", "full-device"])
 def test_a_stdout_that_cannot_take_the_report_exits_config(sink):
     """A report written to a pipe nobody reads, or to a full device, exits 2
     with one error line: no traceback, and nothing from the interpreter's
     flush at exit."""
-    src = Path(inferspace.__file__).resolve().parents[1]
-    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    argv = [sys.executable, "-c", "import sys; from inferspace.cli import main; sys.exit(main())",
-            "benford"]
     if sink == "closed-pipe":
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -868,12 +873,36 @@ def test_a_stdout_that_cannot_take_the_report_exits_config(sink):
     else:
         out = open("/dev/full", "wb")
     with out:
-        result = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=env, text=True,
-                                timeout=120)
+        result = _run_cli_process(["benford"], out, subprocess.PIPE)
     assert result.returncode == 2
     assert result.stderr.startswith("error: cannot write the report: ")
     assert len(result.stderr.splitlines()) == 1
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        (["--help"], "stdout"),
+        (["infer", "--theory", "nothere", "--measure", "T:gaussian:1:0.1"], "stderr"),
+    ],
+    ids=["help-to-full-stdout", "error-to-full-stderr"],
+)
+def test_a_full_device_on_help_or_error_exits_config(argv, full):
+    """The help printed to a full stdout, and an error line printed to a full
+    stderr, exit 2 without a traceback: neither exits 0 with nothing written
+    nor 1 from the failed print."""
+    with open("/dev/full", "wb") as sink:
+        if full == "stdout":
+            result = _run_cli_process(argv, sink, subprocess.PIPE)
+        else:
+            result = _run_cli_process(argv, subprocess.PIPE, sink)
+    assert result.returncode == 2
+    visible = result.stderr if full == "stdout" else result.stdout
+    assert "Traceback" not in visible and "Exception ignored" not in visible
+    if full == "stdout":
+        assert result.stderr.startswith("error: cannot write the help: ")
+        assert len(result.stderr.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Noninformative priors, measurement models, first-digit law, sampling."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from inferspace import (
     JEFFREYS,
@@ -30,6 +34,7 @@ from inferspace import (
     sample_prior,
     total_variation,
 )
+from inferspace.priors import measurement_profiles, profile_windows
 
 # log10(1 + 1/d); derived in tools/oracles/benford_probs.py
 BENFORD = [
@@ -205,3 +210,81 @@ def test_sample_prior_uniform_mean():
     draws = sample_prior(spec, 100_000, seed=8)
     assert draws.mean() == pytest.approx(0.5, abs=0.005)
     assert draws.min() >= 0.0 and draws.max() <= 1.0
+
+
+def _dense_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
+    """The model's profile on every node of ``axis``, written out per kind."""
+    x, c, w = axis.nodes, model.center, model.width
+    if model.kind == NONINFORMATIVE:
+        return 1.0 / x if axis.spacing == "logarithmic" else np.ones_like(x)
+    with np.errstate(over="ignore"):
+        if model.kind == GAUSSIAN:
+            return np.exp(-0.5 * ((x - c) / w) ** 2)
+        if model.kind == LOGNORMAL:
+            return np.exp(-0.5 * ((np.log(x) - math.log(c)) / w) ** 2) / x
+    edges = axis.cell_boundaries
+    overlap = np.array([
+        max(min(right, c + w) - max(left, c - w), 0.0) / (right - left)
+        for left, right in zip(edges[:-1], edges[1:])
+    ])
+    return overlap / x if axis.spacing == "logarithmic" else overlap
+
+
+@st.composite
+def _axis_and_reading(draw, name):
+    """An axis and one reading on it: centred inside the box, straddling an
+    edge, or up to 40 widths past one, where the profile underflows."""
+    spacing = draw(st.sampled_from(["linear", "logarithmic"]))
+    kinds = [LOGNORMAL, BOXCAR, NONINFORMATIVE] + ([GAUSSIAN] if spacing == "linear" else [])
+    kind = draw(st.sampled_from(kinds))
+    lower = draw(st.floats(0.1, 5.0))
+    upper = lower * draw(st.floats(1.5, 100.0))
+    axis = Axis(name, spacing, lower, upper, draw(st.integers(2, 150)))
+    if kind == NONINFORMATIVE:
+        return axis, MeasurementModel(name, kind)
+    log = kind == LOGNORMAL
+    span = math.log(upper / lower) if log else upper - lower
+    width = span * 10.0 ** draw(st.floats(-3.5, 0.5))
+    place = draw(st.sampled_from(["inside", "straddle", "past"]))
+    if place == "inside":
+        u = (math.log(lower) if log else lower) + span * draw(st.floats(0.0, 1.0))
+    else:
+        outward = draw(st.sampled_from([-1.0, 1.0]))
+        edge = upper if outward > 0 else lower
+        k = draw(st.floats(-2.0, 2.0) if place == "straddle" else st.floats(2.0, 40.0))
+        u = (math.log(edge) if log else edge) + outward * k * width
+    return axis, MeasurementModel(name, kind, math.exp(u) if log else u, width)
+
+
+@settings(max_examples=300)
+@given(_axis_and_reading("x"), _axis_and_reading("y"))
+def test_windowed_profile_matches_the_dense_one(first, second):
+    """Each axis's profile, kept only on its window, drops nodes below 2⁻⁵³ of
+    its largest node value; its mass agrees with the dense full-axis mass to
+    a few ε, and the normalized product to 1e-12 of its peak."""
+    factors = []
+    for axis, model in (first, second):
+        dense = _dense_profile(model, axis)
+        (lo,), (hi,) = profile_windows(model, axis, np.array([model.center]))
+        window = slice(lo, hi)
+        kept = np.zeros(axis.count)
+        kept[window] = measurement_profiles(model, axis, model.center, window)
+        outside = np.ones(axis.count, dtype=bool)
+        outside[window] = False
+        peak = dense.max()
+        # Below 2⁵³ times the smallest normal float, 2⁻⁵³ of the peak is
+        # subnormal, and rounding alone can exceed it.
+        assume(peak == 0.0 or peak >= 2.0**53 * np.finfo(float).tiny)
+        assert np.all(dense[outside] < 2.0**-53 * peak) or peak == 0.0
+        dense_mass = dense @ axis.weights
+        kept_mass = kept[window] @ axis.weights[window]
+        if peak == 0.0:
+            # a boxcar that misses the box, or a profile that underflows at
+            # every node, has no mass either way
+            assert kept_mass == 0.0
+            return
+        assert abs(kept_mass - dense_mass) <= 8 * np.finfo(float).eps * dense_mass
+        factors.append((dense / dense_mass, kept / kept_mass))
+    (dense0, kept0), (dense1, kept1) = factors
+    dense = np.multiply.outer(dense0, dense1)
+    assert np.max(np.abs(np.multiply.outer(kept0, kept1) - dense)) <= 1e-12 * dense.max()

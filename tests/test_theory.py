@@ -47,6 +47,7 @@ from inferspace import (
     TheoryDensity,
     theory_from_conditional,
 )
+from inferspace.priors import profile_windows
 from inferspace.theory import _BLOCK_BYTES
 
 G = 9.81
@@ -225,6 +226,32 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed
     assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
     for fold_mu, campaign_mu in zip(slow.mu_factors, theory.mu_factors):
         assert fold_mu.tobytes() == campaign_mu.tobytes()
+
+
+def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
+    """On the CLI's build box, set_T reaches T = 2.5 and so L = 30.7 on an L
+    axis that ends at 20.  Readings past L = 20 still put dense mass on the
+    edge rows; the windowed campaign keeps it and matches the dense fold."""
+    grid = _fall_grid(300)
+    n = _BLOCK_BYTES // (8 * 300) + 83
+    law = FallingBodyLaw()
+    instruments = _instruments()
+    theory = run_campaign(law, instruments, n, SET_T, master_seed=20260819, grid=grid)
+    assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
+
+    experiments = [
+        _reference_experiment(law, instruments, SET_T, 20260819 ^ i, grid) for i in range(n)
+    ]
+    past = [e for e in experiments if e.observed["L"] > 20.0]
+    assert len(past) >= 5
+    for e in past:
+        # normalizes, so it has mass; a tenth or more of it on the L = 20 row
+        assert (normalize(e.density).values * grid.cell_volumes())[-1].sum() > 0.1
+    lo, hi = profile_windows(instruments[0], grid.axes[0], [e.observed["L"] for e in past])
+    assert np.all(lo < hi) and np.all(hi == grid.axes[0].count)
+    slow = accumulate_theory(experiments)
+    peak = slow.joint.values.max()
+    assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
 
 
 def _draw_i(axis: Axis, seed: int) -> float:
