@@ -128,9 +128,36 @@ def integrate(
             weights.append(ax.weights)
     if region:
         raise UnknownAxis(f"region names {sorted(region)} not on grid {d.grid.names}")
-    if d.grid.ndim == 1:
-        return float(np.dot(d.values, weights[0]))
-    return float(weights[0] @ d.values @ weights[1])
+    return _mass(d.values, weights)
+
+
+def _mass(values: np.ndarray, weights) -> float:
+    if values.ndim == 1:
+        return float(np.dot(values, weights[0]))
+    return float(weights[0] @ values @ weights[1])
+
+
+def scale_to_unit_mass(values: np.ndarray, weights, out: np.ndarray) -> np.ndarray:
+    """Write ``values`` divided by their mass under the per-axis ``weights``
+    into ``out`` (which may be ``values``) and return it.
+
+    Raises ZeroMass when the values carry no finite positive mass to scale,
+    NonFinite if scaling overflows.
+    """
+    m = _mass(values, weights)
+    if not np.isfinite(m) or m <= 0.0:
+        raise ZeroMass(f"cannot normalize density with mass {m!r}")
+    np.divide(values, m, out=out)
+    unit = _mass(out, weights)
+    # The weights are positive, so the mass is finite exactly when every
+    # scaled value is.
+    if not np.isfinite(unit):
+        raise NonFinite("normalization overflowed; mass too small")
+    # Contract check rather than belt-and-braces: quadrature is linear, so
+    # the renormalized mass can only miss 1 through float rounding.
+    if abs(unit - 1.0) > 1e-9:
+        raise ZeroMass("normalization failed to reach unit mass within 1e-09")
+    return out
 
 
 def normalize(d: Density) -> Density:
@@ -139,21 +166,10 @@ def normalize(d: Density) -> Density:
     Raises ZeroMass when the density carries no mass to scale, NonFinite if
     scaling overflows.
     """
-    m = integrate(d)
-    if not np.isfinite(m) or m <= 0.0:
-        raise ZeroMass(f"cannot normalize density with mass {m!r}")
-    vals = d.values / m
+    vals = scale_to_unit_mass(d.values, d.grid.weight_arrays(), np.empty(d.values.shape))
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    try:
-        out = d.with_values(vals, normalized=True)
-    except NonFinite as exc:
-        raise NonFinite("normalization overflowed; mass too small") from exc
-    # Contract check rather than belt-and-braces: quadrature is linear, so
-    # the renormalized mass can only miss 1 through float rounding.
-    if abs(integrate(out) - 1.0) > 1e-9:
-        raise ZeroMass("normalization failed to reach unit mass within 1e-09")
-    return out
+    return d.with_values(vals, normalized=True)
 
 
 def marginalize(d: Density, keep: str) -> Density:

@@ -62,6 +62,13 @@ SET_T = "set_T"
 # on the 300² build grid a block of 109 spans about 75 L and 150 T nodes, a
 # ninth of the grid.  Larger blocks widen the union and hold more memory.
 _BLOCK_BYTES = 1 << 18
+# Rows of the grid per block of ``analytic_fall_theory``'s ridge, evaluated on
+# the union of the rows' bands of nonzero nodes.  On a slanted ridge that
+# union widens with every row, while each block costs a few numpy calls: on
+# the default 1401² grid at σ = 1e-3 one row's band is 49 of the 1401 T nodes
+# and a block of 32 rows spans 80 (64 rows span 112 and measured 10% slower,
+# 16 rows no faster).
+_RIDGE_BLOCK_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,31 @@ def _gaussian_ridge(zeta: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(zeta, out=zeta)
 
 
+def _ridge_blocks(coords, length_index: int, log_half_g: float, sigma: float):
+    """The (rows, cols) slices of the grid where the ridge can be nonzero,
+    one per block of ``_RIDGE_BLOCK_ROWS`` rows.
+
+    ``coords`` are the two axes' nodes as ln L and ln T (or λ and τ), and
+    ζ = ln L − ln ½g − 2 ln T.  exp(−½(ζ/σ)²) is an exact float64 zero
+    wherever |ζ| > σ·√(2·746), so each row's nonzero nodes lie in one range
+    of the other axis, found by ``searchsorted`` and widened by one node on
+    each side for the rounding between this separable ζ and the formula the
+    values are computed with.  A block's columns are the union of its rows'.
+    """
+    rows, cols = coords
+    p, q = (1.0, -2.0) if length_index == 0 else (-2.0, 1.0)
+    reach = sigma * math.sqrt(2.0 * 746.0)  # inf for a σ above about 4.6e306
+    centre = log_half_g - p * rows
+    ends = ((centre - reach) / q, (centre + reach) / q)
+    lo = np.searchsorted(cols, np.minimum(*ends), side="left") - 1
+    hi = np.searchsorted(cols, np.maximum(*ends), side="right") + 1
+    starts = np.arange(0, rows.size, _RIDGE_BLOCK_ROWS)
+    first = np.maximum(np.minimum.reduceat(lo, starts), 0)
+    last = np.minimum(np.maximum.reduceat(hi, starts), cols.size)
+    for start, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()):
+        yield slice(start, start + _RIDGE_BLOCK_ROWS), slice(c0, c1)
+
+
 def analytic_fall_theory(
     law: FallingBodyLaw,
     grid: Grid,
@@ -465,21 +497,28 @@ def analytic_fall_theory(
     linear axes carrying λ = ln L, τ = ln T in (length, time) order, and
     refuses a logarithmic axis with InvalidGrid; there the ridge is a plain
     Gaussian band and μ is constant.
+
+    The ridge is evaluated only on blocks of nodes where float64 can hold a
+    nonzero value (``_ridge_blocks``); every other node is an exact zero,
+    as the formula would give there.  ``tools/oracles/ridge_support.py``
+    locates float64's exp underflow and checks the bands over a σ sweep.
     """
     sigma = law.sigma_theory
-    # Built in place, with at most two grid-sized arrays live.  A g or sigma
-    # so extreme that the ridge over- or underflows is not warned about: it
-    # leaves no mass, which is refused below.
+    log_half_g = math.log(0.5 * law.g)
     if frame == "linear":
-        il, it = _locate_fall_axes(law, grid)
-        mesh = grid.meshes()
-        lv, tv = mesh[il], mesh[it]
-        with np.errstate(all="ignore"):
+        il, _ = _locate_fall_axes(law, grid)
+        # Refuses a box that is not positive, so every ln below is finite.
+        mu = prior_factors(PriorSpec(JEFFREYS), grid)
+        coords = [np.log(ax.nodes) for ax in grid.axes]
+
+        def ridge(x0, x1):
+            lv, tv = (x0, x1) if il == 0 else (x1, x0)
             vals = lv / (0.5 * law.g * tv * tv)
             _gaussian_ridge(np.log(vals, out=vals), sigma)
             scale = lv * tv
             vals *= np.divide(1.0, scale, out=scale)
-        mu = prior_factors(PriorSpec(JEFFREYS), grid)
+            return vals
+
     elif frame == "log":
         if grid.ndim != 2:
             raise InvalidGrid("the log-frame theory lives on a 2D grid")
@@ -490,13 +529,22 @@ def analytic_fall_theory(
                     f"the log-frame theory needs linear axes carrying λ = ln L and "
                     f"τ = ln T, but axis {ax.name!r} is logarithmic"
                 )
-        lam, tau = grid.meshes()
-        with np.errstate(all="ignore"):
-            vals = lam - math.log(0.5 * law.g) - 2.0 * tau
-            _gaussian_ridge(vals, sigma)
+        il = 0
         mu = tuple(np.ones(ax.count) for ax in grid.axes)
+        coords = [ax.nodes for ax in grid.axes]
+
+        def ridge(lam, tau):
+            return _gaussian_ridge(lam - log_half_g - 2.0 * tau, sigma)
+
     else:
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
+    # A g or sigma so extreme that the ridge over- or underflows is not
+    # warned about: it leaves no mass, which is refused below.
+    nodes0, nodes1 = (ax.nodes for ax in grid.axes)
+    vals = np.zeros(grid.shape)
+    with np.errstate(all="ignore"):
+        for rows, cols in _ridge_blocks(coords, il, log_half_g, sigma):
+            vals[rows, cols] = ridge(nodes0[rows, None], nodes1[None, cols])
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
     joint = Density(grid, vals)

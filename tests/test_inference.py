@@ -2,6 +2,7 @@
 curved-slice conditioning demonstration."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from inferspace import (
     theory_from_conditional,
     total_variation,
 )
+from inferspace.inference import _reading_factors, _share_on_box
 
 from conftest import boxcar_density, gaussian_density
 
@@ -136,6 +138,30 @@ class TestIntersect:
         with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid"):
             predict(theory, off, "L")
 
+    @pytest.mark.parametrize(
+        "axis, kind, center, width",
+        [
+            (Axis.logarithmic("T", 0.4515, 1.4279, 201), LOGNORMAL, 1.45, 0.3),
+            (Axis.logarithmic("T", 0.4515, 1.4279, 201), LOGNORMAL, 9.0, 0.3),
+            (Axis.logarithmic("T", 0.4515, 1.4279, 201), LOGNORMAL, 0.3, 0.2),
+            (Axis.linear("T", 0.0, 2.3, 41), LOGNORMAL, 3.0, 0.5),
+            (Axis.linear("T", 0.5, 2.0, 41), GAUSSIAN, 2.4, 0.3),
+            (Axis.linear("T", 0.5, 2.0, 41), GAUSSIAN, -1.0, 0.5),
+        ],
+    )
+    def test_share_of_an_off_box_reading_matches_quadrature(self, axis, kind, center, width):
+        """The closed form of a reading's mass on the box, against the
+        trapezoid rule on its density in x over 400001 points of the box."""
+        x = np.linspace(axis.lower, axis.upper, 400001)
+        if kind == LOGNORMAL:
+            x = x[x > 0.0]  # the reading has under 1e-150 of its mass below x[1]
+            t, jac = (np.log(x) - math.log(center)) / width, 1.0 / (x * width)
+        else:
+            t, jac = (x - center) / width, 1.0 / width
+        expected = np.trapezoid(np.exp(-0.5 * t * t) * jac, x) / math.sqrt(2.0 * math.pi)
+        share = _share_on_box(MeasurementModel("T", kind, center, width), axis)
+        assert share == pytest.approx(expected, rel=1e-6)
+
     def test_several_measurements_are_anded_before_the_theory(self):
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
         grid = theory.joint.grid
@@ -218,38 +244,66 @@ def _theories_and_readings(draw):
     readings = []
     for _ in range(draw(st.integers(1, 3))):
         ax = draw(st.sampled_from(axes))
-        kinds = [LOGNORMAL, BOXCAR, NONINFORMATIVE]
+        kinds = [BOXCAR, LOGNORMAL, NONINFORMATIVE]
         kinds += [GAUSSIAN] if ax.spacing == "linear" else []
         kind = draw(st.sampled_from(kinds))
         if kind == NONINFORMATIVE:
             readings.append(MeasurementModel(ax.name, kind))
             continue
-        center = ax.lower + (ax.upper - ax.lower) * draw(st.floats(0.0, 1.0))
-        scale = 1.0 if kind == LOGNORMAL else ax.upper - ax.lower
-        width = scale * draw(st.floats(0.02, 2.0))
+        # anywhere in any node's cell, the outer cells included, counted from
+        # either end of the axis so that both ends are drawn alike
+        j, t = draw(st.integers(0, ax.count - 1)), draw(st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            j, t = ax.count - 1 - j, 1.0 - t
+        lo, hi = ax.cell_boundaries[j : j + 2]
+        center = lo + (hi - lo) * t
+        # from about one node spacing, in the reading's own coordinate, to
+        # over three times the box
+        span = math.log(ax.upper / ax.lower) if kind == LOGNORMAL else ax.upper - ax.lower
+        width = span / (ax.count - 1) * 2.0 ** draw(st.integers(0, 7))
         readings.append(MeasurementModel(ax.name, kind, center, width))
     return TheoryDensity(joint, mu, Provenance("analytic")), readings
 
 
-@settings(max_examples=150)
-@given(_theories_and_readings())
-def test_factored_and_equals_the_dense_fold(case):
+def _window_kinds(theory, readings):
+    """Where each axis's window of nonzero reading factors lies: strictly
+    inside the axis, from its low edge, or up to its high edge."""
+    kinds = []
+    for f in _reading_factors(theory, readings):
+        nonzero = np.flatnonzero(f)
+        low, high = nonzero[0] == 0, nonzero[-1] == f.size - 1
+        if not (low and high):
+            kinds.append("low edge" if low else "high edge" if high else "inside")
+    return kinds
+
+
+def test_factored_and_equals_the_dense_fold():
     """ANDing readings as 1D factors gives the dense fold joint·∏ρₘ/μᴹ, one
     and_combine per reading, to 1e-12 of the peak; where the fold has no
-    posterior, neither has the factored AND."""
-    theory, readings = case
-    grid, mu = theory.joint.grid, theory.mu
-    try:
-        combined = measurement_density(readings[0], grid)
-        for m in readings[1:]:
-            combined = and_combine(combined, measurement_density(m, grid), mu)
-        dense = normalize(and_combine(theory.joint, combined, mu)).values
-    except InferenceSpaceError as exc:
-        with pytest.raises(type(exc)):
-            intersect(theory, *readings)
-        return
-    factored = intersect(theory, *readings).values
-    assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
+    posterior, neither has the factored AND.  The drawn cases include
+    windows of nonzero factors strictly inside an axis and at either edge."""
+    windows = Counter()
+
+    @settings(max_examples=150)
+    @given(_theories_and_readings())
+    def check(case):
+        theory, readings = case
+        grid, mu = theory.joint.grid, theory.mu
+        try:
+            combined = measurement_density(readings[0], grid)
+            for m in readings[1:]:
+                combined = and_combine(combined, measurement_density(m, grid), mu)
+            dense = normalize(and_combine(theory.joint, combined, mu)).values
+        except InferenceSpaceError as exc:
+            with pytest.raises(type(exc)):
+                intersect(theory, *readings)
+            return
+        factored = intersect(theory, *readings).values
+        assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
+        windows.update(_window_kinds(theory, readings))
+
+    check()
+    assert all(windows[k] for k in ("inside", "low edge", "high edge")), windows
 
 
 # ---------------------------------------------------------------------------

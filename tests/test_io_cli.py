@@ -7,10 +7,12 @@ codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -658,6 +660,29 @@ class TestCliInference:
         assert "the reading T=9.0 (lognormal, width 0.05) lies off the grid" in captured.err
         assert "T in [0.4515, 1.4279]" in captured.err
 
+    @pytest.mark.parametrize(
+        "reading, share",
+        [("1.45:0.3", None), ("9.0:0.3", "4.2e-10"), ("9.0:0.005", "0")],
+    )
+    def test_reading_centred_off_the_box_is_refused_by_its_share_on_it(
+        self, tmp_path, capsys, reading, share
+    ):
+        """A reading centred just past T = 1.4279 still has 48% of its mass
+        on the box, Φ(−0.051) − Φ(−3.89) in ln T, and is ANDed; one with
+        under 1% there is refused, and the error gives its share."""
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
+        code = main(["infer", "--theory", th, "--measure", f"T:lognormal:{reading}"])
+        captured = capsys.readouterr()
+        if share is None:
+            assert code == 0
+            assert json.loads(captured.out)["axis"] == "L"
+            return
+        assert code == 3
+        assert captured.out == ""
+        assert "lies off the grid" in captured.err
+        assert captured.err.rstrip().endswith(f"with {share} of its mass on the box")
+
     def test_under_resolved_reading_in_the_box_exits_numerical(self, tmp_path, capsys):
         """T = 0.9871 lies in the box, but a width of 1e-4 underflows at every
         node of a 41-node axis: the error says so instead of "off the grid"."""
@@ -755,7 +780,7 @@ class TestCliInference:
         "damage",
         ["truncated", "not-a-zip", "empty", "wrong-format", "wrong-version",
          "missing-member", "bare-array", "wrong-shape", "non-finite", "factor-dtype",
-         "factor-non-finite", "factor-negative"],
+         "factor-non-finite", "factor-negative", "bit-flip"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
         th = tmp_path / "th.npz"
@@ -788,6 +813,16 @@ class TestCliInference:
         elif damage in ("factor-non-finite", "factor-negative"):
             members["mu_0"][2] = np.inf if damage == "factor-non-finite" else -1.0
             np.savez(th, **members)
+        elif damage == "bit-flip":
+            # The archive is stored uncompressed: flip one byte of the joint's
+            # values, past the member's local header and the .npy header.
+            with zipfile.ZipFile(th) as z:
+                info = z.getinfo("joint.npy")
+            raw = bytearray(th.read_bytes())
+            name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+            start = info.header_offset + 30 + name_len + extra_len
+            raw[start + info.file_size - 8] ^= 0x01
+            th.write_bytes(bytes(raw))
         else:
             members["joint"][0, 0] = np.nan
             np.savez(th, **members)
@@ -795,6 +830,8 @@ class TestCliInference:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: {th}")
+        if damage == "bit-flip":
+            assert "Bad CRC-32 for file 'joint.npy'" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,60 @@ def test_analytic_theory_off_the_box_raises_zero_mass(frame):
     lower, upper = grid.axes[0].lower, grid.axes[0].upper
     with pytest.raises(ZeroMass, match=re.escape(f"no mass on the box L in [{lower}, {upper}], T in")):
         analytic_fall_theory(FallingBodyLaw(), grid, frame=frame)
+    # the formula evaluated at every node has no mass there either
+    assert not np.any(_dense_ridge(FallingBodyLaw(), grid, frame))
+
+
+def _dense_ridge(law, grid, frame):
+    """The ridge's formula evaluated at every node of the grid."""
+    sigma = law.sigma_theory
+    with np.errstate(all="ignore"):
+        if frame == "linear":
+            mesh = grid.meshes()
+            lv, tv = mesh[grid.axis_index("L")], mesh[grid.axis_index("T")]
+            zeta = np.log(lv / (0.5 * law.g * tv * tv))
+            return np.exp(-0.5 * np.square(zeta / sigma)) * (1.0 / (lv * tv))
+        lam, tau = grid.meshes()
+        zeta = lam - math.log(0.5 * law.g) - 2.0 * tau
+        return np.exp(-0.5 * np.square(zeta / sigma))
+
+
+_DEFAULT_L = Axis.logarithmic("L", 1.0, 10.0, 1401)
+_DEFAULT_T = Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 1401)
+
+
+@pytest.mark.parametrize(
+    "axes, sigma, frame",
+    [
+        *(((_DEFAULT_L, _DEFAULT_T), s, "linear") for s in (1e-300, 1e-4, 1e-3, 3.0, 1e300)),
+        ((Axis.logarithmic("L", 1.0, 10.0, 401), Axis.logarithmic("T", 0.3, 2.0, 389)), 1e-3,
+         "linear"),
+        ((Axis.linear("L", 0.5, 20.0, 301), Axis.linear("T", 0.25, 2.5, 257)), 1e-2, "linear"),
+        ((_DEFAULT_L, Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 97)), 1e-3,
+         "linear"),
+        ((Axis.logarithmic("L", 0.5, 20.0, 300), Axis.logarithmic("T", 0.25, 2.5, 300)), 0.158,
+         "linear"),
+        ((_DEFAULT_T, _DEFAULT_L), 1e-3, "linear"),
+        ((Axis.linear("L", 0.0, math.log(10.0), 701),
+          Axis.linear("T", math.log(0.4515), math.log(1.4279), 653)), 1e-3, "log"),
+    ],
+    ids=["sigma-1e-300", "sigma-1e-4", "sigma-1e-3", "sigma-3", "sigma-1e300", "leaves-the-box",
+         "linear-axes", "97-T-nodes", "build-grid-wide", "T-first", "log-frame"],
+)
+def test_banded_ridge_equals_the_formula_at_every_node(axes, sigma, frame):
+    """The ridge is evaluated only where float64 can hold a nonzero value;
+    every node, evaluated or not, holds exactly what the formula gives."""
+    law = FallingBodyLaw(sigma_theory=sigma)
+    grid = Grid.of(*axes)
+    theory = analytic_fall_theory(law, grid, frame=frame)
+    assert np.array_equal(theory.joint.values, _dense_ridge(law, grid, frame))
+
+
+def test_analytic_theory_on_a_box_reaching_zero_is_refused():
+    """The formula is not finite at L = 0, and μ = 1/(LT) is refused there."""
+    grid = Grid.of(Axis.linear("L", 0.0, 10.0, 51), Axis.logarithmic("T", 0.45, 1.43, 51))
+    with pytest.raises(InvalidBounds, match="'L': the reciprocal prior needs a positive box"):
+        analytic_fall_theory(FallingBodyLaw(), grid)
 
 
 def test_analytic_theory_marginals_are_noninformative():
