@@ -12,6 +12,7 @@ realization on sampled triples, and a deliberately broken realization
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -232,8 +233,12 @@ def check_axioms(
     Equality axioms are scored by the maximum pointwise discrepancy relative
     to the peak value; support axioms are scored by the number of violating
     nodes (so any nonzero count fails regardless of ``tol``).  An empty
-    batch raises EmptyInput rather than passing vacuously.
+    batch raises EmptyInput rather than passing vacuously, and a ``tol`` that
+    is not finite or is below 0, which would fail or pass every check
+    whatever its discrepancy, raises ConfigInvalid.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigInvalid(f"tol must be finite and >= 0, got {tol!r}")
     if len(triples) == 0:
         raise EmptyInput("no triples to check; an empty batch would pass vacuously")
     eq_names = (

@@ -304,6 +304,10 @@ def _cmd_benford(p: argparse.Namespace) -> int:
 
 
 def _cmd_paradox(p: argparse.Namespace) -> int:
+    for flag, value in (("--sigma-sum", p.sigma_sum), ("--sigma-diff", p.sigma_diff),
+                        ("--width-cells", p.width_cells)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigInvalid(f"{flag} must be finite and > 0, got {value}")
     lim = math.exp(1.4)
     x_axis = Axis.logarithmic("x", 1.0 / lim, lim, p.count)
     y_axis = Axis.logarithmic("y", 1.0 / lim, lim, p.count)

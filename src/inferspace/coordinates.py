@@ -63,8 +63,8 @@ class CoordinateMap:
         """The axis whose nodes are exactly the images of ``axis``'s nodes.
 
         Only kinds whose image of a linear/log axis is again a linear/log
-        axis support this (``_IMAGE_KINDS``); composed and custom maps need
-        an explicit target grid.
+        axis support this (``_IMAGE_KINDS``); other maps need an explicit
+        target grid.
         """
         self.check_domain(axis)
         a = float(self.forward(np.asarray(axis.lower)))
@@ -170,26 +170,6 @@ def power_map(k: float) -> CoordinateMap:
         inverse=lambda y: np.power(y, 1.0 / k),
         dforward=lambda x: k * np.power(x, k - 1.0),
         domain=(0.0, math.inf),
-    )
-
-
-def custom_map(
-    forward: Callable,
-    inverse: Callable,
-    dforward: Callable,
-    domain: tuple[float, float] = (-math.inf, math.inf),
-) -> CoordinateMap:
-    return CoordinateMap("custom", forward, inverse, dforward, domain)
-
-
-def compose(m1: CoordinateMap, m2: CoordinateMap) -> CoordinateMap:
-    """The map x ↦ m2(m1(x)); Jacobians multiply by the chain rule."""
-    return CoordinateMap(
-        kind="composed",
-        forward=lambda x: m2.forward(m1.forward(x)),
-        inverse=lambda y: m1.inverse(m2.inverse(y)),
-        dforward=lambda x: m2.dforward(m1.forward(x)) * m1.dforward(x),
-        domain=m1.domain,
     )
 
 

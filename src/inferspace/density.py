@@ -89,9 +89,6 @@ class Density:
     def mass(self) -> float:
         return integrate(self)
 
-    def max_value(self) -> float:
-        return float(self.values.max())
-
 
 def require_same_space(p: Density, q: Density) -> None:
     """Raise GridMismatch unless p and q share grid and frame."""

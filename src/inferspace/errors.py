@@ -109,24 +109,12 @@ class EmptyInput(ConfigurationError):
     """An accumulation was requested over zero experiments."""
 
 
-class SliceCountMismatch(ConfigurationError):
-    """Conditional slices do not match the independent axis node count."""
-
-
-class UnnormalizedSlice(NumericalError):
-    """A conditional slice does not integrate to one."""
-
-
 # ---------------------------------------------------------------------------
 # inference
 # ---------------------------------------------------------------------------
 
 class ZeroSlice(NumericalError):
     """A conditional was requested along a slice with no mass."""
-
-
-class EnvelopeFailure(NumericalError):
-    """Rejection sampling accepts too rarely against the grid-max envelope."""
 
 
 # ---------------------------------------------------------------------------

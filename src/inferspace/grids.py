@@ -271,6 +271,3 @@ class Grid:
                     f"profile to {total!r}, expected {expect!r}"
                 )
 
-
-def grids_equal(a: Grid, b: Grid) -> bool:
-    return a.axes == b.axes

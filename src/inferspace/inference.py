@@ -29,7 +29,6 @@ from .density import (
 )
 from .errors import (
     DomainMismatch,
-    EnvelopeFailure,
     InvalidGrid,
     NeutralZero,
     OutOfDomain,
@@ -358,52 +357,6 @@ def summarize(d: Density) -> Summary:
         mode_log=mode_log,
         intervals=intervals,
     )
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def sample_posterior(
-    d: Density,
-    n: int,
-    seed: int,
-    chunk: int = 65536,
-    min_acceptance: float = 1e-6,
-) -> np.ndarray:
-    """Draw exact samples by rejection against the node-max envelope.
-
-    Interpolated values never exceed the largest node value, so proposing
-    uniformly over the box and accepting with probability p/max is exact.
-    Raises EnvelopeFailure when the acceptance rate is too low to be useful
-    (density far too peaked for its box).
-    """
-    if n <= 0:
-        raise InvalidGrid(f"need a positive sample count, got {n}")
-    dn = d if d.normalized else normalize(d)
-    top = dn.max_value()
-    rng = np.random.default_rng(seed)
-    axes = dn.grid.axes
-    ndim = dn.grid.ndim
-    out: list[np.ndarray] = []
-    got = 0
-    proposed = 0
-    budget = max(10 * chunk, int(math.ceil(n / min_acceptance)))
-    while got < n:
-        if proposed >= budget:
-            raise EnvelopeFailure(
-                f"acceptance rate below {min_acceptance}: {got} of {n} samples "
-                f"after {proposed} proposals"
-            )
-        cols = [rng.uniform(ax.lower, ax.upper, chunk) for ax in axes]
-        pts = cols[0] if ndim == 1 else np.column_stack(cols)
-        pv = evaluate(dn, pts)
-        accept = rng.uniform(0.0, top, chunk) < pv
-        out.append(pts[accept])
-        got += int(accept.sum())
-        proposed += chunk
-    stacked = np.concatenate(out, axis=0)
-    return stacked[:n]
 
 
 # ---------------------------------------------------------------------------

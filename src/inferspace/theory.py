@@ -16,13 +16,13 @@ so a theory keeps it as one factor per axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ._kernels import pcg64_states
-from .density import Density, integrate, normalize, require_same_space
+from .density import Density, integrate
 from .errors import (
     ConfigInvalid,
     EmptyInput,
@@ -30,9 +30,6 @@ from .errors import (
     InvalidGrid,
     NegativeDensity,
     NonFinite,
-    OutOfDomain,
-    SliceCountMismatch,
-    UnnormalizedSlice,
     ZeroMass,
 )
 from .grids import LOGARITHMIC, Axis, Grid
@@ -45,9 +42,7 @@ from .priors import (
     MeasurementModel,
     PriorSpec,
     jeffreys_ppf,
-    measurement_profile,
     measurement_profiles,
-    noninformative_profile,
     outer_values,
     prior_factors,
     profile_windows,
@@ -105,7 +100,7 @@ class FallingBodyLaw:
 
 @dataclass(frozen=True)
 class Provenance:
-    kind: str  # empirical | analytic | from_conditional
+    kind: str  # empirical | analytic
     n_experiments: int | None = None
     master_seed: int | None = None
 
@@ -172,18 +167,8 @@ class TheoryDensity:
         return Density(self.joint.grid, values, frame=self.joint.frame)
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentResult:
-    """One simulated experiment: its joint density and what was drawn."""
-
-    density: Density
-    mode: str
-    true_values: dict[str, float]
-    observed: dict[str, float]
-
-
 # ---------------------------------------------------------------------------
-# simulation
+# simulated campaigns
 # ---------------------------------------------------------------------------
 
 def _locate_fall_axes(law: FallingBodyLaw, grid: Grid) -> tuple[int, int]:
@@ -281,78 +266,6 @@ def _raw_variates(bitgen: np.random.PCG64, draws, seeds: list[int]) -> np.ndarra
     return np.array(rows)
 
 
-def simulate_experiment(
-    law: FallingBodyLaw,
-    instruments: Sequence[MeasurementModel],
-    i_value: float,
-    mode: str,
-    seed: int | np.random.Generator,
-    grid: Grid,
-) -> ExperimentResult:
-    """Run one fall experiment at the given independent value.
-
-    ``mode`` fixes which parameter the experimenter sets: ``set_L`` drops from
-    a chosen length, ``set_T`` exposes for a chosen time; the law supplies the
-    other true value.  Instruments are matched to axes by their ``parameter``
-    name; their ``center`` templates are ignored and replaced by the drawn
-    observations.  Observations are drawn in grid-axis order.
-    """
-    if mode not in (SET_L, SET_T):
-        raise InvalidGrid(f"mode must be {SET_L!r} or {SET_T!r}, got {mode!r}")
-    il, it = _locate_fall_axes(law, grid)
-    i_axis = grid.axes[il] if mode == SET_L else grid.axes[it]
-    if not (i_axis.lower <= i_value <= i_axis.upper):
-        raise OutOfDomain(
-            f"independent value {i_value!r} outside axis {i_axis.name!r} box "
-            f"[{i_axis.lower}, {i_axis.upper}]"
-        )
-    true = _true_values(law, mode, np.array([float(i_value)]))
-    by_axis = _instruments_by_axis(instruments, grid)
-    rng = np.random.default_rng(seed)
-    observed = {}
-    for ax in grid.axes:
-        model = by_axis[ax.name]
-        observed[ax.name] = float(_observe(model, true[ax.name], _noise_draw(model, rng)())[0])
-    factors = [
-        measurement_profile(replace(by_axis[ax.name], center=observed[ax.name]), ax)
-        for ax in grid.axes
-    ]
-    density = Density(grid, outer_values(factors))
-    return ExperimentResult(
-        density=density,
-        mode=mode,
-        true_values={name: float(v[0]) for name, v in true.items()},
-        observed=observed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# accumulation
-# ---------------------------------------------------------------------------
-
-def accumulate_theory(results: Iterable[ExperimentResult]) -> TheoryDensity:
-    """OR-fold experiment densities into a theory, normalizing each first.
-
-    Normalizing per experiment weights every experiment equally regardless of
-    instrument sharpness; the theory's mass then counts experiments exactly.
-    Accepts any iterable and accumulates streamingly.  The experiments share
-    the first one's grid and frame, and the theory's μ is the Jeffreys
-    1/(LT), as ``run_campaign``'s is.
-    """
-    densities = (normalize(r.density) for r in results)
-    first = next(densities, None)
-    if first is None:
-        raise EmptyInput("no experiments to accumulate")
-    acc, n = first.values.copy(), 1
-    for d in densities:
-        require_same_space(d, first)
-        acc += d.values
-        n += 1
-    joint = Density(first.grid, acc, frame=first.frame)
-    mu = prior_factors(PriorSpec(JEFFREYS), first.grid)
-    return TheoryDensity(joint, mu, Provenance("empirical", n_experiments=n))
-
-
 def run_campaign(
     law: FallingBodyLaw,
     instruments: Sequence[MeasurementModel],
@@ -373,8 +286,10 @@ def run_campaign(
     in bulk and one generator is put in each in turn, which a test pins to
     ``default_rng`` bit for bit.  The readings are then computed as arrays.
 
-    The result equals folding ``simulate_experiment`` through
-    ``accumulate_theory`` to within 2⁻⁵³ of each experiment's peak.  All
+    The result equals the one-experiment-at-a-time OR-fold, which adds each
+    experiment's joint density (the outer product of its instruments'
+    ``measurement_profile`` at its readings), normalized, to within 2⁻⁵³ of
+    each experiment's peak.  All
     readings are drawn first, block by block, into two arrays.  The
     experiments are then sorted by their axis-0 reading (OR is a sum, so the
     order is free) and added a block at a time.  Every experiment density is
@@ -555,46 +470,3 @@ def analytic_fall_theory(
             f"sigma={sigma!r} puts no mass on the box {box}"
         )
     return TheoryDensity(joint, mu, Provenance("analytic"))
-
-
-# ---------------------------------------------------------------------------
-# theories from conditionals
-# ---------------------------------------------------------------------------
-
-def theory_from_conditional(
-    cond: Sequence[Density],
-    mu_i: Density,
-    mu_d: Density | None = None,
-) -> TheoryDensity:
-    """Assemble θ(i, d) = θ(d | i) · μ(i) from per-node conditional slices.
-
-    ``cond`` holds one 1D density over the dependent axis per node of
-    ``mu_i``'s axis, each normalized to 1e-9.  The joint's μ is μ(i) ⊗ μ(d);
-    by default μ(d) is the noninformative prior implied by the dependent
-    axis's spacing.
-    """
-    if mu_i.grid.ndim != 1:
-        raise InvalidGrid("mu_i must live on the 1D independent axis")
-    i_axis = mu_i.grid.axes[0]
-    if len(cond) != i_axis.count:
-        raise SliceCountMismatch(
-            f"{len(cond)} slices for {i_axis.count} independent-axis nodes"
-        )
-    first = cond[0]
-    if first.grid.ndim != 1:
-        raise InvalidGrid("conditional slices must live on the 1D dependent axis")
-    d_axis = first.grid.axes[0]
-    joint_vals = np.empty((i_axis.count, d_axis.count))
-    for idx, sl in enumerate(cond):
-        require_same_space(sl, first)
-        m = integrate(sl)
-        if abs(m - 1.0) > 1e-9:
-            raise UnnormalizedSlice(f"slice {idx} has mass {m!r}, expected 1 ± 1e-09")
-        joint_vals[idx, :] = mu_i.values[idx] * sl.values
-    grid = Grid.of(i_axis, d_axis)
-    frame = f"{i_axis.name},{d_axis.name}"
-    joint = Density(grid, joint_vals, frame=frame)
-    mu_d_vals = noninformative_profile(d_axis) if mu_d is None else mu_d.values
-    if mu_d is not None and mu_d.grid.axes != (d_axis,):
-        raise GridMismatch("mu_d must live on the dependent axis")
-    return TheoryDensity(joint, (mu_i.values, mu_d_vals), Provenance("from_conditional"))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from inferspace import Axis, Density, Grid, normalize
+from inferspace import (Axis, Density, Grid, Provenance, TheoryDensity, noninformative_profile,
+                        normalize)
 
 # Property tests draw the same examples on every run, so a tier-1 verdict
 # cannot change between runs of the same code; no deadline, since a slow
@@ -44,3 +45,13 @@ def boxcar_density(axis: Axis, lower: float, upper: float) -> Density:
     grid = Grid.of(axis)
     vals = np.where((axis.nodes >= lower) & (axis.nodes <= upper), 1.0, 0.0)
     return normalize(Density(grid, vals))
+
+
+def conditional_theory(slices, mu_i: Density) -> TheoryDensity:
+    """θ(i, d) = θ(d | i) · μ(i): one normalized 1D density over d per node of
+    μ(i)'s axis.  The theory's μ is μ(i) ⊗ μ(d), μ(d) noninformative."""
+    (i_axis,), (d_axis,) = mu_i.grid.axes, slices[0].grid.axes
+    joint = mu_i.values[:, None] * np.array([s.values for s in slices])
+    return TheoryDensity(Density(Grid.of(i_axis, d_axis), joint),
+                         (mu_i.values, noninformative_profile(d_axis)),
+                         Provenance("from_conditional"))

@@ -10,7 +10,6 @@ from inferspace import (
     Grid,
     InvalidGrid,
     UnknownAxis,
-    grids_equal,
 )
 
 
@@ -100,8 +99,8 @@ def test_grids_equal_and_header_roundtrip():
     g1 = Grid.of(ax, Axis.linear("T", 0.0, 2.0, 33))
     g2 = Grid.of(ax, Axis.linear("T", 0.0, 2.0, 33))
     g3 = Grid.of(ax, Axis.linear("T", 0.0, 2.0, 34))
-    assert grids_equal(g1, g2)
-    assert not grids_equal(g1, g3)
+    assert g1 == g2
+    assert g1 != g3
 
 
 def test_contains_and_clip():

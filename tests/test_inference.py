@@ -18,7 +18,6 @@ from inferspace import (
     NONINFORMATIVE,
     Axis,
     Density,
-    EnvelopeFailure,
     FallingBodyLaw,
     Grid,
     InferenceSpaceError,
@@ -47,15 +46,13 @@ from inferspace import (
     product_map,
     push_forward,
     reciprocal_map,
-    sample_posterior,
     shear_map,
     summarize,
-    theory_from_conditional,
     total_variation,
 )
 from inferspace.inference import _reading_factors, _share_on_box
 
-from conftest import boxcar_density, gaussian_density
+from conftest import boxcar_density, conditional_theory, gaussian_density
 
 LAW = FallingBodyLaw(g=9.81, length_axis="L", time_axis="T")
 
@@ -204,7 +201,7 @@ class TestIntersect:
         mu_i = np.ones(21)
         mu_i[:5] = 0.0
         shape = normalize(Density(Grid.of(d_ax), np.exp(-((np.log(d_ax.nodes) / 0.2) ** 2))))
-        theory = theory_from_conditional([shape] * 21, Density(Grid.of(i_ax), mu_i))
+        theory = conditional_theory([shape] * 21, Density(Grid.of(i_ax), mu_i))
         reading = MeasurementModel("L", LOGNORMAL, 3.0, 0.5)
         rho = measurement_density(reading, theory.joint.grid, frame=theory.joint.frame)
         factored = intersect(theory, reading).values
@@ -486,65 +483,6 @@ class TestSummaries:
         assert math.isclose(s.sd, 0.05, rel_tol=1e-4)
         assert math.isclose(s.mode, 0.5, abs_tol=1e-6)
         assert math.isclose(s.median, 0.5, abs_tol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-class TestSamplePosterior:
-    def test_uniform_density_accepts_nearly_everything(self):
-        ax = Axis.linear("x", 0.0, 1.0, 101)
-        d = boxcar_density(ax, 0.0, 1.0)
-        draws = sample_posterior(d, 20_000, seed=5)
-        assert draws.shape == (20_000,)
-        assert draws.min() >= 0.0 and draws.max() <= 1.0
-        assert abs(draws.mean() - 0.5) < 0.01
-
-    def test_gaussian_sample_moments(self):
-        ax = Axis.linear("x", 0.0, 1.0, 801)
-        d = gaussian_density(ax, 0.5, 0.05)
-        draws = sample_posterior(d, 100_000, seed=42)
-        assert abs(draws.mean() - 0.5) < 8e-4
-        assert abs(draws.std() - 0.05) < 1e-3
-
-    def test_histogram_distance_shrinks_with_sample_size(self):
-        ax = Axis.linear("x", 0.0, 1.0, 201)
-        d = normalize(gaussian_density(ax, 0.5, 0.08))
-        cell_mass = d.values * ax.weights
-        edges = ax.cell_boundaries
-        tvs = []
-        for n in (1_000, 10_000, 100_000):
-            draws = sample_posterior(d, n, seed=2718)
-            counts, _ = np.histogram(draws, bins=edges)
-            tvs.append(0.5 * np.abs(counts / n - cell_mass).sum())
-        assert tvs[0] > tvs[1] > tvs[2]
-
-    def test_two_dimensional_samples_follow_the_marginal(self):
-        theory = _fall_theory(sigma=0.1, nl=121, nt=121)
-        post = intersect(theory, MeasurementModel("T", NONINFORMATIVE))
-        draws = sample_posterior(post, 20_000, seed=9)
-        assert draws.shape == (20_000, 2)
-        axl = post.grid.axes[0]
-        m = marginalize(post, "L")
-        cell_mass = m.values * axl.weights
-        counts, _ = np.histogram(draws[:, 0], bins=axl.cell_boundaries)
-        tv = 0.5 * np.abs(counts / draws.shape[0] - cell_mass).sum()
-        assert tv < 0.03
-
-    def test_nonpositive_count_raises(self):
-        ax = Axis.linear("x", 0.0, 1.0, 11)
-        d = boxcar_density(ax, 0.0, 1.0)
-        with pytest.raises(InvalidGrid):
-            sample_posterior(d, 0, seed=1)
-
-    def test_hopeless_envelope_raises(self):
-        """A spike narrow enough makes uniform proposals useless; the sampler
-        must give up loudly instead of spinning."""
-        ax = Axis.linear("x", 0.0, 1.0, 20_001)
-        d = gaussian_density(ax, 0.5, 1e-5)
-        with pytest.raises(EnvelopeFailure):
-            sample_posterior(d, 50, seed=3, chunk=2048, min_acceptance=1e-3)
 
 
 # ---------------------------------------------------------------------------

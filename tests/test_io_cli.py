@@ -41,7 +41,6 @@ from inferspace import (
     analytic_fall_theory,
     density_from_dict,
     density_to_dict,
-    grids_equal,
     integrate,
     make_prior,
     noninformative_profile,
@@ -49,14 +48,13 @@ from inferspace import (
     read_density,
     read_theory,
     run_campaign,
-    theory_from_conditional,
     write_csv,
     write_density,
     write_theory,
 )
 from inferspace.cli import main, parse_axis, parse_grid, parse_map, parse_measurement
 
-from conftest import gaussian_density
+from conftest import conditional_theory, gaussian_density
 
 
 def _sample_density():
@@ -87,7 +85,7 @@ class TestDensityFiles:
         path = tmp_path / "d.json"
         write_density(d, path)
         back = read_density(path)
-        assert grids_equal(back.grid, d.grid)
+        assert back.grid == d.grid
         assert np.array_equal(back.values, d.values)
         assert back.frame == "lab"
         assert back.normalized is True
@@ -278,7 +276,7 @@ def _from_conditional(grid):
     decay = np.arange(d_ax.count)
     slices = [normalize(Density(Grid.of(d_ax), np.exp(-decay / (k + 3))))
               for k in range(i_ax.count)]
-    return theory_from_conditional(slices, make_prior(PriorSpec(JEFFREYS), Grid.of(i_ax)))
+    return conditional_theory(slices, make_prior(PriorSpec(JEFFREYS), Grid.of(i_ax)))
 
 
 class TestTheoryFiles:
@@ -866,6 +864,24 @@ class TestCliAuxiliary:
         assert doc["affine_control"]["tv_naive"] <= 1e-9
         recovery = doc["slice_recovery_tv_by_width_cells"]
         assert recovery["8.0"] > recovery["4.0"] > recovery["2.0"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_axioms_tolerance_must_be_finite_and_nonnegative(self, tol, capsys):
+        """nan or -1 would fail every check and inf pass every one."""
+        code = main(["axioms", "--triples", "2", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"tol must be finite and >= 0, got {float(tol)!r}" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--sigma-sum", "--sigma-diff", "--width-cells"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_paradox_widths_must_be_finite_and_positive(self, flag, value, capsys):
+        code = main(["paradox", "--count", "21", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be finite and > 0, got {float(value)}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +26,8 @@ from inferspace import (
     MeasurementModel,
     NegativeDensity,
     NonFinite,
-    OutOfDomain,
     Provenance,
-    SliceCountMismatch,
-    UnnormalizedSlice,
     ZeroMass,
-    accumulate_theory,
     analytic_fall_theory,
     conditional_density,
     integrate,
@@ -43,12 +40,12 @@ from inferspace import (
     product_map,
     push_forward,
     run_campaign,
-    simulate_experiment,
     TheoryDensity,
-    theory_from_conditional,
 )
 from inferspace.priors import profile_windows
 from inferspace.theory import _BLOCK_BYTES
+
+from conftest import conditional_theory
 
 G = 9.81
 
@@ -76,89 +73,76 @@ def test_law_roundtrip():
 
 
 def test_sharp_boxcar_experiment_lands_on_the_law():
-    """Near-noiseless instruments put all mass within a cell of the truth."""
+    """Near-noiseless instruments put every experiment's mass within a cell
+    of its true (L, T), which lies on the law."""
     law = FallingBodyLaw()
     grid = _fall_grid(201)
     instruments = [
         MeasurementModel(parameter="L", kind=BOXCAR, center=1.0, width=1e-9),
         MeasurementModel(parameter="T", kind=BOXCAR, center=1.0, width=1e-9),
     ]
-    res = simulate_experiment(law, instruments, 4.905, SET_L, seed=5, grid=grid)
-    d = normalize(res.density)
-    l_marg = normalize(marginalize(d, "L"))
-    t_marg = normalize(marginalize(d, "T"))
+    theory = run_campaign(law, instruments, 50, SET_L, master_seed=5, grid=grid)
     l_ax, t_ax = grid.axes
-    l_mode = l_ax.nodes[np.argmax(l_marg.values)]
-    t_mode = t_ax.nodes[np.argmax(t_marg.values)]
-    cell = np.log(l_ax.nodes[1] / l_ax.nodes[0])
-    assert abs(np.log(l_mode / 4.905)) <= cell
-    assert abs(np.log(t_mode / 1.0)) <= cell
-    assert res.true_values == {"L": 4.905, "T": law.fall_time(4.905)}
+    cell_l = np.log(l_ax.nodes[1] / l_ax.nodes[0])
+    cell_t = np.log(t_ax.nodes[1] / t_ax.nodes[0])
+    lv, tv = grid.meshes()
+    assert integrate(theory.joint) == pytest.approx(50, rel=1e-12)
+    nonzero = theory.joint.values > 0.0
+    # A node's cell-sized neighbourhood meets L = ½gT² iff this holds.
+    assert np.all(np.abs(np.log(lv / law.fall_length(tv)))[nonzero] <= cell_l + 2.0 * cell_t)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_experiment_density_centers_on_observations(seed):
+    """A one-experiment campaign is that experiment's density, which peaks
+    at the experiment's readings."""
     law = FallingBodyLaw()
     grid = _fall_grid(401)
-    res = simulate_experiment(law, _instruments(0.02, 0.02), 3.0, SET_L, seed=seed, grid=grid)
+    instruments = _instruments(0.02, 0.02)
+    theory = run_campaign(law, instruments, 1, SET_L, master_seed=seed, grid=grid)
+    _, readings = _reference_experiment(law, instruments, SET_L, seed, grid)
     for name in ("L", "T"):
-        obs = res.observed[name]
-        marg = marginalize(normalize(res.density), name)
+        marg = marginalize(theory.joint, name)
         peak = marg.grid.axes[0].nodes[np.argmax(marg.values)]
         # The lognormal density mode sits at obs·exp(-w²), far under a cell here.
-        assert abs(np.log(peak / obs)) < 0.02
+        assert abs(np.log(peak / readings[name])) < 0.02
 
 
 def test_set_t_mode_swaps_independent_axis():
+    """In set_T the experiment's uniform picks T from its axis and the law
+    gives L: a near-noiseless experiment peaks at (½gT², T)."""
     law = FallingBodyLaw()
-    grid = _fall_grid(101)
-    res = simulate_experiment(law, _instruments(), 1.3, SET_T, seed=9, grid=grid)
-    assert res.true_values["T"] == 1.3
-    assert res.true_values["L"] == pytest.approx(law.fall_length(1.3))
-
-
-def test_out_of_box_independent_value():
-    law = FallingBodyLaw()
-    grid = _fall_grid(51)
-    with pytest.raises(OutOfDomain):
-        simulate_experiment(law, _instruments(), 100.0, SET_L, seed=1, grid=grid)
+    # L = ½gT² maps this T box into the L box.
+    grid = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 101), Axis.logarithmic("T", 0.35, 2.0, 101))
+    instruments = [
+        MeasurementModel(parameter="L", kind=BOXCAR, center=1.0, width=1e-9),
+        MeasurementModel(parameter="T", kind=BOXCAR, center=1.0, width=1e-9),
+    ]
+    theory = run_campaign(law, instruments, 1, SET_T, master_seed=9, grid=grid)
+    t_true = 0.35 * (2.0 / 0.35) ** np.random.default_rng(9).random()
+    il, it = np.unravel_index(np.argmax(theory.joint.values), grid.shape)
+    l_ax, t_ax = grid.axes
+    assert abs(np.log(t_ax.nodes[it] / t_true)) <= np.log(t_ax.nodes[1] / t_ax.nodes[0])
+    assert abs(np.log(l_ax.nodes[il] / law.fall_length(t_true))) <= np.log(
+        l_ax.nodes[1] / l_ax.nodes[0])
 
 
 def test_missing_instrument_rejected():
     law = FallingBodyLaw()
     grid = _fall_grid(51)
     with pytest.raises(GridMismatch):
-        simulate_experiment(law, _instruments()[:1], 1.0, SET_L, seed=1, grid=grid)
+        run_campaign(law, _instruments()[:1], 1, SET_L, master_seed=1, grid=grid)
 
 
 def test_accumulated_mass_counts_experiments():
     law = FallingBodyLaw()
     grid = _fall_grid(101)
-    results = [
-        simulate_experiment(law, _instruments(), 2.0 + i, SET_L, seed=i, grid=grid)
-        for i in range(7)
-    ]
-    theory = accumulate_theory(results)
-    assert integrate(theory.joint) == pytest.approx(7.0, rel=1e-12)
-    assert theory.provenance.n_experiments == 7
-
-    single = accumulate_theory(results[:1])
-    assert integrate(single.joint) == pytest.approx(1.0, rel=1e-12)
+    for n in (1, 7):
+        theory = run_campaign(law, _instruments(), n, SET_L, master_seed=3, grid=grid)
+        assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
+        assert theory.provenance.n_experiments == n
     with pytest.raises(EmptyInput):
-        accumulate_theory([])
-
-
-def test_accumulation_order_independent():
-    law = FallingBodyLaw()
-    grid = _fall_grid(101)
-    results = [
-        simulate_experiment(law, _instruments(), 1.0 + i, SET_L, seed=i, grid=grid)
-        for i in range(6)
-    ]
-    forward = accumulate_theory(results)
-    backward = accumulate_theory(results[::-1])
-    peak = forward.joint.values.max()
-    assert np.max(np.abs(forward.joint.values - backward.joint.values)) / peak < 1e-12
+        run_campaign(law, _instruments(), 0, SET_L, master_seed=3, grid=grid)
 
 
 # Instruments per kind as (L, T) (kind, width) pairs; "noninformative" means
@@ -180,11 +164,42 @@ def _campaign_instruments(kind):
 
 def _reference_experiment(law, instruments, mode, seed, grid):
     """Campaign experiment i run on its own, with ``seed = master_seed ⊕ i``:
-    one uniform for the independent value, then the instrument noises."""
+    its joint density and its readings by axis name.
+
+    Written from public pieces only, so that it checks how the campaign draws
+    its readings: one uniform picks the independent value from the
+    noninformative prior on its axis, the law gives the other true value,
+    and each informative instrument then takes one noise variate, in
+    grid-axis order.  A noninformative instrument reads nothing."""
+    rng = np.random.default_rng(seed)
     i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
-    return simulate_experiment(
-        law, instruments, _draw_i(i_axis, seed), mode, seed=_skip_one_uniform(seed), grid=grid
-    )
+    lo, hi, u = i_axis.lower, i_axis.upper, rng.random()
+    i_value = lo + (hi - lo) * u if i_axis.spacing == "linear" else lo * (hi / lo) ** u
+    if mode == SET_L:
+        true = {law.length_axis: i_value, law.time_axis: float(law.fall_time(i_value))}
+    else:
+        true = {law.time_axis: i_value, law.length_axis: float(law.fall_length(i_value))}
+    by_axis = {m.parameter: m for m in instruments}
+    readings, profiles = {}, []
+    for ax in grid.axes:
+        m, t = by_axis[ax.name], true[ax.name]
+        if m.kind == NONINFORMATIVE:
+            readings[ax.name] = math.nan
+            profiles.append(measurement_profile(m, ax))
+            continue
+        if m.kind == LOGNORMAL:
+            readings[ax.name] = t * math.exp(m.width * rng.standard_normal())
+        elif m.kind == GAUSSIAN:
+            readings[ax.name] = t + m.width * rng.standard_normal()
+        else:
+            readings[ax.name] = t + rng.uniform(-m.width, m.width)
+        profiles.append(measurement_profile(replace(m, center=readings[ax.name]), ax))
+    return Density(grid, np.multiply.outer(*profiles)), readings
+
+
+def _or_fold(densities):
+    """The OR of experiment densities, each normalized first: their sum."""
+    return sum(normalize(d).values for d in densities)
 
 
 _CAMPAIGN_CASES = [
@@ -218,14 +233,13 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed
     theory = run_campaign(law, instruments, n, mode, master_seed=master_seed, grid=grid)
     assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
 
-    experiments = (
-        _reference_experiment(law, instruments, mode, master_seed ^ i, grid) for i in range(n)
+    slow = _or_fold(
+        _reference_experiment(law, instruments, mode, master_seed ^ i, grid)[0] for i in range(n)
     )
-    slow = accumulate_theory(experiments)
-    peak = slow.joint.values.max()
-    assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
-    for fold_mu, campaign_mu in zip(slow.mu_factors, theory.mu_factors):
-        assert fold_mu.tobytes() == campaign_mu.tobytes()
+    assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
+    # μ is the Jeffreys 1/(LT)
+    for ax, campaign_mu in zip(grid.axes, theory.mu_factors):
+        assert campaign_mu.tobytes() == (1.0 / ax.nodes).tobytes()
 
 
 def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
@@ -242,30 +256,15 @@ def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
     experiments = [
         _reference_experiment(law, instruments, SET_T, 20260819 ^ i, grid) for i in range(n)
     ]
-    past = [e for e in experiments if e.observed["L"] > 20.0]
+    past = [(d, r) for d, r in experiments if r["L"] > 20.0]
     assert len(past) >= 5
-    for e in past:
+    for d, _ in past:
         # normalizes, so it has mass; a tenth or more of it on the L = 20 row
-        assert (normalize(e.density).values * grid.cell_volumes())[-1].sum() > 0.1
-    lo, hi = profile_windows(instruments[0], grid.axes[0], [e.observed["L"] for e in past])
+        assert (normalize(d).values * grid.cell_volumes())[-1].sum() > 0.1
+    lo, hi = profile_windows(instruments[0], grid.axes[0], [r["L"] for _, r in past])
     assert np.all(lo < hi) and np.all(hi == grid.axes[0].count)
-    slow = accumulate_theory(experiments)
-    peak = slow.joint.values.max()
-    assert np.max(np.abs(theory.joint.values - slow.joint.values)) / peak < 1e-12
-
-
-def _draw_i(axis: Axis, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    u = rng.uniform()
-    if axis.spacing == "linear":
-        return float(axis.lower + (axis.upper - axis.lower) * u)
-    return float(axis.lower * (axis.upper / axis.lower) ** u)
-
-
-def _skip_one_uniform(seed: int) -> np.random.Generator:
-    rng = np.random.default_rng(seed)
-    rng.uniform()
-    return rng
+    slow = _or_fold(d for d, _ in experiments)
+    assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -294,7 +293,7 @@ def test_campaign_counts_experiments_without_mass(instruments):
     dropped = 0
     for i in range(n):
         try:
-            normalize(_reference_experiment(law, instruments, SET_T, 5 ^ i, grid).density)
+            normalize(_reference_experiment(law, instruments, SET_T, 5 ^ i, grid)[0])
         except (InvalidBounds, ZeroMass):
             dropped += 1
     assert 0 < dropped < n
@@ -480,33 +479,6 @@ def test_analytic_conditional_mode_on_the_law():
         assert abs(np.log(mode / law.fall_time(length))) <= cell
 
 
-def test_theory_from_conditional_separable():
-    i_ax = Axis.linear("I", 0.0, 1.0, 11)
-    d_ax = Axis.linear("D", 0.0, 2.0, 21)
-    slice_shape = normalize(
-        Density.from_callable(Grid.of(d_ax), lambda d: np.exp(-((d - 1.0) ** 2) / 0.08))
-    )
-    mu_i = null_information_density(Grid.of(i_ax))
-    theory = theory_from_conditional([slice_shape] * 11, mu_i)
-    expected = np.multiply.outer(mu_i.values, slice_shape.values)
-    np.testing.assert_allclose(theory.joint.values, expected, rtol=1e-14)
-    # Marginal over the dependent axis gives back mu_i.
-    marg = marginalize(theory.joint, "I")
-    np.testing.assert_allclose(marg.values, mu_i.values, rtol=0, atol=1e-9)
-
-
-def test_theory_from_conditional_validation():
-    i_ax = Axis.linear("I", 0.0, 1.0, 5)
-    d_ax = Axis.linear("D", 0.0, 2.0, 9)
-    good = normalize(Density(Grid.of(d_ax), np.ones(9)))
-    bad = Density(Grid.of(d_ax), 2.0 * np.ones(9))
-    mu_i = null_information_density(Grid.of(i_ax))
-    with pytest.raises(SliceCountMismatch):
-        theory_from_conditional([good] * 4, mu_i)
-    with pytest.raises(UnnormalizedSlice):
-        theory_from_conditional([good] * 4 + [bad], mu_i)
-
-
 def test_boxed_conditionals_equal_or_accumulation():
     """Constant slices per i-box match OR-folding box-supported experiments.
 
@@ -527,7 +499,7 @@ def test_boxed_conditionals_equal_or_accumulation():
         for c in (0.4, 0.8, 1.2, 1.6, 1.0)
     ]
     cond = [shapes[i // 5] for i in range(25)]
-    built = theory_from_conditional(cond, mu_i)
+    built = conditional_theory(cond, mu_i)
 
     edges = i_ax.cell_boundaries
     pieces = []
