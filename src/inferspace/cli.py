@@ -308,6 +308,8 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
                         ("--width-cells", p.width_cells)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigInvalid(f"{flag} must be finite and > 0, got {value}")
+    if not math.isfinite(p.slice_value):
+        raise ConfigInvalid(f"--slice-value must be finite, got {p.slice_value}")
     lim = math.exp(1.4)
     x_axis = Axis.logarithmic("x", 1.0 / lim, lim, p.count)
     y_axis = Axis.logarithmic("y", 1.0 / lim, lim, p.count)

@@ -182,8 +182,7 @@ def intersect(
     fold joint · ∏ₘ ρₘ / μᴹ.  σ is an exact zero wherever some fₖ is, so it
     is scaled and normalized only on the window that runs from the first to
     the last nonzero entry of each fₖ, and the rest of the theory's grid
-    holds zeros.  A measurement given as a density on the theory's grid is
-    ANDed by ``and_combine(theory.joint, rho, theory.mu)``.
+    holds zeros.
 
     Raises OutOfDomain for a gaussian or lognormal reading centred off the
     grid with under 1% of its mass on the box, ZeroMass for a reading in

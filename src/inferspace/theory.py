@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import pcg64_states
 from .density import Density, integrate
 from .errors import (
     ConfigInvalid,
@@ -203,34 +202,21 @@ def _noise_kind(model: MeasurementModel) -> str:
     return model.kind if math.isfinite(model.width) else NONINFORMATIVE
 
 
-def _no_draw() -> float:
-    return math.nan
-
-
-def _noise_draw(model: MeasurementModel, rng: np.random.Generator):
-    """The ``rng`` method that draws one raw variate of the instrument's noise:
+def _observe(model: MeasurementModel, true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Readings around the true values, one noise variate each from ``rng``:
     a standard normal for lognormal and gaussian, a uniform for boxcar.
 
     Noninformative instruments (including any with infinite width) observe
-    nothing: their draw is NaN and consumes no randomness.
-    """
-    kind = _noise_kind(model)
-    if kind == NONINFORMATIVE:
-        return _no_draw
-    return rng.random if kind == BOXCAR else rng.standard_normal
-
-
-def _observe(model: MeasurementModel, true: np.ndarray, variate: np.ndarray) -> np.ndarray:
-    """Readings around the true values, from raw variates of the instrument's noise.
-
-    A reading that float64 cannot represent (one that overflows, or a
-    lognormal one that underflows to 0) means the width is too wide to
-    simulate: ConfigInvalid names the instrument and its width.
+    nothing: their readings are NaN and consume no randomness.  A reading
+    that float64 cannot represent (one that overflows, or a lognormal one
+    that underflows to 0) means the width is too wide to simulate:
+    ConfigInvalid names the instrument and its width.
     """
     kind = _noise_kind(model)
     w = model.width
     if kind == NONINFORMATIVE:
-        return np.full(np.shape(true), math.nan)
+        return np.full(true.shape, math.nan)
+    variate = rng.random(true.size) if kind == BOXCAR else rng.standard_normal(true.size)
     with np.errstate(over="ignore"):
         if kind == LOGNORMAL:
             readings = true * np.exp(w * variate)
@@ -248,24 +234,6 @@ def _observe(model: MeasurementModel, true: np.ndarray, variate: np.ndarray) -> 
     return readings
 
 
-def _raw_variates(bitgen: np.random.PCG64, draws, seeds: list[int]) -> np.ndarray:
-    """One row per seed: the variates ``draws`` take in turn from the stream
-    of ``default_rng(seed)``.
-
-    ``draws`` are methods of a generator over ``bitgen``, which is put in each
-    seed's starting state, so one generator serves every seed.
-    """
-    state = bitgen.state
-    inner = state["state"]
-    rows = []
-    for s, inc in zip(*pcg64_states(seeds)):
-        inner["state"] = s
-        inner["inc"] = inc
-        bitgen.state = state
-        rows.append([draw() for draw in draws])
-    return np.array(rows)
-
-
 def run_campaign(
     law: FallingBodyLaw,
     instruments: Sequence[MeasurementModel],
@@ -276,33 +244,30 @@ def run_campaign(
 ) -> TheoryDensity:
     """Simulate and accumulate a whole measurement campaign.
 
-    Experiment i draws from the stream of ``default_rng(master_seed ⊕ i)``:
-    first a uniform that picks the independent value from the noninformative
-    prior on its axis, then one noise variate per informative instrument in
-    grid-axis order.  Experiments are therefore independent and the campaign
-    is reproducible from the master seed alone (and could be accumulated in
-    any order or in parallel).  The streams are not built one generator per
-    experiment: ``_kernels.pcg64_states`` computes a block's starting states
-    in bulk and one generator is put in each in turn, which a test pins to
-    ``default_rng`` bit for bit.  The readings are then computed as arrays.
+    The campaign draws from the one generator ``default_rng(master_seed)``:
+    first ``n_experiments`` uniforms that pick the independent values from
+    the noninformative prior on its axis, then, for each informative
+    instrument in grid-axis order, one noise variate per experiment.  The
+    experiments are therefore independent and identically distributed, and
+    the campaign is reproducible from the master seed alone.  The readings
+    are computed as arrays.
 
     The result equals the one-experiment-at-a-time OR-fold, which adds each
     experiment's joint density (the outer product of its instruments'
     ``measurement_profile`` at its readings), normalized, to within 2⁻⁵³ of
-    each experiment's peak.  All
-    readings are drawn first, block by block, into two arrays.  The
-    experiments are then sorted by their axis-0 reading (OR is a sum, so the
-    order is free) and added a block at a time.  Every experiment density is
-    separable, so a block adds ``Aᵀ·B`` to the joint, where the rows of ``A``
-    and ``B`` are the per-axis profiles, scaled so that each experiment
-    carries unit mass.  The profiles are evaluated only on the block's node
-    window on each axis, the union of its experiments' ``profile_windows``,
-    and the product lands on that window of the joint; outside it each
-    profile is below 2⁻⁵³ of its largest node value, and the joint keeps an
-    exact zero where every experiment's window misses.  An experiment whose
-    density has no finite positive mass on the grid cannot be normalized;
-    ``ZeroMass`` then reports how many.  The theory's μ is the Jeffreys
-    1/(LT).
+    each experiment's peak.  The experiments are sorted by their axis-0
+    reading (OR is a sum, so the order is free) and added a block at a
+    time.  Every experiment density is separable, so a block adds ``Aᵀ·B``
+    to the joint, where the rows of ``A`` and ``B`` are the per-axis
+    profiles, scaled so that each experiment carries unit mass.  The
+    profiles are evaluated only on the block's node window on each axis,
+    the union of its experiments' ``profile_windows``, and the product lands
+    on that window of the joint; outside it each profile is below 2⁻⁵³ of
+    its largest node value, and the joint keeps an exact zero where every
+    experiment's window misses.  An experiment whose density has no finite
+    positive mass on the grid cannot be normalized; ``ZeroMass`` then
+    reports how many.  The theory's μ is the Jeffreys 1/(LT), which refuses
+    a box that is not positive before anything is drawn.
     """
     if n_experiments <= 0:
         raise EmptyInput(f"need at least one experiment, got {n_experiments}")
@@ -312,24 +277,18 @@ def run_campaign(
         raise ConfigInvalid(f"master seed must be >= 0, got {master_seed}")
     _locate_fall_axes(law, grid)
     by_axis = _instruments_by_axis(instruments, grid)
+    mu = prior_factors(PriorSpec(JEFFREYS), grid)
 
     ax0, ax1 = grid.axes
     m0, m1 = by_axis[ax0.name], by_axis[ax1.name]
     i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    draws = [rng.random, _noise_draw(m0, rng), _noise_draw(m1, rng)]
+    rng = np.random.default_rng(master_seed)
+    true = _true_values(law, mode, _independent_values(i_axis, rng.random(n_experiments)))
+    r0 = _observe(m0, true[ax0.name], rng)
+    r1 = _observe(m1, true[ax1.name], rng)
+
     rows = max(1, _BLOCK_BYTES // (8 * max(grid.shape)))
     starts = range(0, n_experiments, rows)
-    r0, r1 = np.empty(n_experiments), np.empty(n_experiments)
-    for start in starts:
-        block = slice(start, start + rows)
-        seeds = [master_seed ^ i for i in range(start, min(start + rows, n_experiments))]
-        u, z0, z1 = _raw_variates(bitgen, draws, seeds).T
-        true = _true_values(law, mode, _independent_values(i_axis, u))
-        r0[block] = _observe(m0, true[ax0.name], z0)
-        r1[block] = _observe(m1, true[ax1.name], z1)
-
     order = np.argsort(r0, kind="stable")
     r0, r1 = r0[order], r1[order]
     windows = zip(
@@ -350,7 +309,7 @@ def run_campaign(
         raise ZeroMass(f"{dropped} of {n_experiments} experiment(s) have no mass on the grid")
     return TheoryDensity(
         Density(grid, acc),
-        prior_factors(PriorSpec(JEFFREYS), grid),
+        mu,
         Provenance("empirical", n_experiments=n_experiments, master_seed=master_seed),
     )
 

@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from numpy.testing import assert_allclose
 
 import inferspace
 from inferspace import (
@@ -619,6 +618,17 @@ class TestCliInference:
         assert code == 2
         assert not list(tmp_path.iterdir())
 
+    def test_build_theory_non_positive_box_exits_config(self, tmp_path, capsys):
+        """The Jeffreys μ refuses an L box reaching below 0 before any reading
+        is drawn, so the error names the box, not a simulated reading."""
+        code = main(["build-theory", "--n", "50", "--grid", "L:lin:-1:10:41,T:log:0.45:1.43:41",
+                     "--out", str(tmp_path / "t")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: axis 'L': the reciprocal prior needs a positive box\n"
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv", [["benford", "--n", "10", "--seed", "-1"], ["axioms", "--seed", "-1"]]
     )
@@ -697,7 +707,7 @@ class TestCliInference:
         "argv, named",
         [
             (["infer", "--measure", "T:lognormal:1.0:1e-300"], "T lognormal width 1e-300"),
-            (["build-theory", "--n", "5", "--sigma-length", "500"],
+            (["build-theory", "--n", "200", "--sigma-length", "500"],
              "L instrument (lognormal, width 500.0)"),
         ],
         ids=["infer-narrow", "build-wide"],
@@ -874,14 +884,20 @@ class TestCliAuxiliary:
         assert captured.out == ""
         assert f"tol must be finite and >= 0, got {float(tol)!r}" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--sigma-sum", "--sigma-diff", "--width-cells"])
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    def test_paradox_widths_must_be_finite_and_positive(self, flag, value, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, must",
+        [pytest.param(flag, value, "finite and > 0", id=f"{value}-{flag}")
+         for flag in ("--sigma-sum", "--sigma-diff", "--width-cells")
+         for value in ("0", "-1", "nan", "inf")]
+        + [pytest.param("--slice-value", value, "finite", id=f"{value}---slice-value")
+           for value in ("nan", "inf")],
+    )
+    def test_paradox_widths_must_be_finite_and_positive(self, flag, value, must, capsys):
         code = main(["paradox", "--count", "21", flag, value])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {flag} must be finite and > 0, got {float(value)}\n"
+        assert captured.err == f"error: {flag} must be {must}, got {float(value)}\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,5 +1,5 @@
-"""The multilinear interpolation kernel against an independent oracle, the bulk
-generator seeding against numpy, and the import-time state of the package."""
+"""The multilinear interpolation kernel against an independent oracle, and the
+import-time state of the package."""
 
 import subprocess
 import sys
@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import RegularGridInterpolator
 
 from inferspace import backend
-from inferspace._kernels import interpolate, pcg64_states
+from inferspace._kernels import interpolate
 
 
 def _case(ndim, seed=7, n_points=4000):
@@ -89,43 +89,6 @@ def test_tensor_call_equals_scattered_call_and_matches_scipy(case):
     oracle = RegularGridInterpolator(nodes, values, method="linear")
     expected = oracle(np.column_stack([m.ravel() for m in mesh]))
     assert_allclose(scattered, expected, rtol=1e-9, atol=1e-9 * float(values.max(initial=0.0)))
-
-
-# Seeds at the word boundaries of numpy's SeedSequence: one word, two, three,
-# the largest that fits its pool of four, and five or more words.
-_EDGE_SEEDS = {
-    "0": 0, "2**32-1": 2**32 - 1, "2**32": 2**32, "2**64": 2**64,
-    "2**128-1": 2**128 - 1, "2**128": 2**128, "2**200": 2**200,
-}
-
-
-def _assert_starts_default_rng(seeds):
-    states, incs = pcg64_states(seeds)
-    assert len(states) == len(incs) == len(seeds)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for seed, state, inc in zip(seeds, states, incs):
-        reference = np.random.default_rng(seed)
-        assert reference.bit_generator.state["state"] == {"state": state, "inc": inc}
-        full = bitgen.state
-        full["state"] = {"state": state, "inc": inc}
-        bitgen.state = full
-        assert rng.random() == reference.random()
-        assert rng.standard_normal() == reference.standard_normal()
-        assert rng.random() == reference.random()
-
-
-@pytest.mark.parametrize("seed", _EDGE_SEEDS.values(), ids=_EDGE_SEEDS.keys())
-def test_pcg64_states_start_default_rng_at_word_boundaries(seed):
-    _assert_starts_default_rng([seed])
-
-
-@settings(max_examples=200)
-@given(st.lists(st.one_of(st.integers(0, 2**32), st.integers(0, 2**256 - 1)),
-                min_size=1, max_size=6))
-def test_pcg64_states_start_default_rng(seeds):
-    """One call seeds short and long entropy alike, the edge seeds included."""
-    _assert_starts_default_rng(seeds + list(_EDGE_SEEDS.values()))
 
 
 class TestBackendSelection:

@@ -100,7 +100,7 @@ def test_experiment_density_centers_on_observations(seed):
     grid = _fall_grid(401)
     instruments = _instruments(0.02, 0.02)
     theory = run_campaign(law, instruments, 1, SET_L, master_seed=seed, grid=grid)
-    _, readings = _reference_experiment(law, instruments, SET_L, seed, grid)
+    (readings,) = _reference_readings(law, instruments, SET_L, seed, 1, grid)
     for name in ("L", "T"):
         marg = marginalize(theory.joint, name)
         peak = marg.grid.axes[0].nodes[np.argmax(marg.values)]
@@ -162,39 +162,49 @@ def _campaign_instruments(kind):
     ]
 
 
-def _reference_experiment(law, instruments, mode, seed, grid):
-    """Campaign experiment i run on its own, with ``seed = master_seed ⊕ i``:
-    its joint density and its readings by axis name.
+def _reference_readings(law, instruments, mode, master_seed, n, grid):
+    """A campaign's n experiments' readings, one dict by axis name each.
 
     Written from public pieces only, so that it checks how the campaign draws
-    its readings: one uniform picks the independent value from the
-    noninformative prior on its axis, the law gives the other true value,
-    and each informative instrument then takes one noise variate, in
-    grid-axis order.  A noninformative instrument reads nothing."""
-    rng = np.random.default_rng(seed)
+    its readings from the one generator ``default_rng(master_seed)``: n
+    uniforms pick the independent values from the noninformative prior on
+    their axis, the law gives the other true values, and each informative
+    instrument then takes n noise variates, in grid-axis order.  Experiment i
+    takes the i-th of each.  A noninformative instrument reads nothing."""
+    rng = np.random.default_rng(master_seed)
     i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
-    lo, hi, u = i_axis.lower, i_axis.upper, rng.random()
+    lo, hi, u = i_axis.lower, i_axis.upper, rng.random(n)
     i_value = lo + (hi - lo) * u if i_axis.spacing == "linear" else lo * (hi / lo) ** u
     if mode == SET_L:
-        true = {law.length_axis: i_value, law.time_axis: float(law.fall_time(i_value))}
+        true = {law.length_axis: i_value, law.time_axis: law.fall_time(i_value)}
     else:
-        true = {law.time_axis: i_value, law.length_axis: float(law.fall_length(i_value))}
+        true = {law.time_axis: i_value, law.length_axis: law.fall_length(i_value)}
     by_axis = {m.parameter: m for m in instruments}
-    readings, profiles = {}, []
+    readings = {}
     for ax in grid.axes:
         m, t = by_axis[ax.name], true[ax.name]
         if m.kind == NONINFORMATIVE:
-            readings[ax.name] = math.nan
-            profiles.append(measurement_profile(m, ax))
-            continue
-        if m.kind == LOGNORMAL:
-            readings[ax.name] = t * math.exp(m.width * rng.standard_normal())
+            readings[ax.name] = np.full(n, math.nan)
+        elif m.kind == LOGNORMAL:
+            readings[ax.name] = t * np.exp(m.width * rng.standard_normal(n))
         elif m.kind == GAUSSIAN:
-            readings[ax.name] = t + m.width * rng.standard_normal()
+            readings[ax.name] = t + m.width * rng.standard_normal(n)
         else:
-            readings[ax.name] = t + rng.uniform(-m.width, m.width)
-        profiles.append(measurement_profile(replace(m, center=readings[ax.name]), ax))
-    return Density(grid, np.multiply.outer(*profiles)), readings
+            readings[ax.name] = t + rng.uniform(-m.width, m.width, n)
+    return [{name: float(r[i]) for name, r in readings.items()} for i in range(n)]
+
+
+def _reference_experiment(instruments, reading, grid):
+    """One experiment's joint density: the outer product of its instruments'
+    profiles at its readings."""
+    by_axis = {m.parameter: m for m in instruments}
+    profiles = []
+    for ax in grid.axes:
+        m = by_axis[ax.name]
+        if m.kind != NONINFORMATIVE:
+            m = replace(m, center=reading[ax.name])
+        profiles.append(measurement_profile(m, ax))
+    return Density(grid, np.multiply.outer(*profiles))
 
 
 def _or_fold(densities):
@@ -218,8 +228,8 @@ _CAMPAIGN_CASES = [
     + [pytest.param(*case, 2**200, id="-".join(case) + "-seed2**200") for case in _CAMPAIGN_CASES],
 )
 def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed):
-    """The blocked campaign reproduces the one-experiment-at-a-time fold,
-    whose experiment i draws from ``default_rng(master_seed ^ i)``."""
+    """The blocked campaign reproduces the one-experiment-at-a-time fold
+    of the experiments drawn from ``default_rng(master_seed)``."""
     make = Axis.logarithmic if spacing == "log" else Axis.linear
     # L = ½gT² maps the box of the independent axis into that of the other
     # one, so every experiment has mass on the grid, boxcar readings included.
@@ -234,7 +244,8 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed
     assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
 
     slow = _or_fold(
-        _reference_experiment(law, instruments, mode, master_seed ^ i, grid)[0] for i in range(n)
+        _reference_experiment(instruments, r, grid)
+        for r in _reference_readings(law, instruments, mode, master_seed, n, grid)
     )
     assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
     # μ is the Jeffreys 1/(LT)
@@ -253,17 +264,16 @@ def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
     theory = run_campaign(law, instruments, n, SET_T, master_seed=20260819, grid=grid)
     assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
 
-    experiments = [
-        _reference_experiment(law, instruments, SET_T, 20260819 ^ i, grid) for i in range(n)
-    ]
-    past = [(d, r) for d, r in experiments if r["L"] > 20.0]
+    readings = _reference_readings(law, instruments, SET_T, 20260819, n, grid)
+    past = [r for r in readings if r["L"] > 20.0]
     assert len(past) >= 5
-    for d, _ in past:
-        # normalizes, so it has mass; a tenth or more of it on the L = 20 row
-        assert (normalize(d).values * grid.cell_volumes())[-1].sum() > 0.1
-    lo, hi = profile_windows(instruments[0], grid.axes[0], [r["L"] for _, r in past])
+    for r in past:
+        # normalizes, so it has mass, and its largest values lie on the L = 20 row
+        values = normalize(_reference_experiment(instruments, r, grid)).values
+        assert values[-1].max() == values.max()
+    lo, hi = profile_windows(instruments[0], grid.axes[0], [r["L"] for r in past])
     assert np.all(lo < hi) and np.all(hi == grid.axes[0].count)
-    slow = _or_fold(d for d, _ in experiments)
+    slow = _or_fold(_reference_experiment(instruments, r, grid) for r in readings)
     assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
 
 
@@ -291,9 +301,9 @@ def test_campaign_counts_experiments_without_mass(instruments):
     grid = _fall_grid(101)
     n = 200
     dropped = 0
-    for i in range(n):
+    for r in _reference_readings(law, instruments, SET_T, 5, n, grid):
         try:
-            normalize(_reference_experiment(law, instruments, SET_T, 5 ^ i, grid)[0])
+            normalize(_reference_experiment(instruments, r, grid))
         except (InvalidBounds, ZeroMass):
             dropped += 1
     assert 0 < dropped < n
@@ -302,13 +312,42 @@ def test_campaign_counts_experiments_without_mass(instruments):
 
 
 def test_campaign_builds_no_generator_per_experiment(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("run_campaign called default_rng")
+    """A campaign draws from one generator, seeded by its master seed."""
+    seeds = []
+    default_rng = np.random.default_rng
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    def counting(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
     theory = run_campaign(FallingBodyLaw(), _instruments(), 50, SET_L, master_seed=3,
                           grid=_fall_grid(61))
     assert integrate(theory.joint) == pytest.approx(50, rel=1e-12)
+    assert seeds == [3]
+
+
+# Seeds at the word boundaries of numpy's SeedSequence: one word, two, three,
+# the largest that fits its pool of four, and five or more words.
+_EDGE_SEEDS = {
+    "0": 0, "2**32-1": 2**32 - 1, "2**32": 2**32, "2**64": 2**64,
+    "2**128-1": 2**128 - 1, "2**128": 2**128, "2**200": 2**200,
+}
+
+
+@pytest.mark.parametrize("seed", _EDGE_SEEDS.values(), ids=_EDGE_SEEDS.keys())
+def test_campaign_draws_from_its_master_seed_at_word_boundaries(seed):
+    """A master seed of any size reaches ``default_rng`` unchanged, so its
+    campaign is the fold of its reference experiments, and rebuilds bit for
+    bit from the seed."""
+    law = FallingBodyLaw()
+    grid = _fall_grid(61)
+    theory = run_campaign(law, _instruments(), 20, SET_L, master_seed=seed, grid=grid)
+    readings = _reference_readings(law, _instruments(), SET_L, seed, 20, grid)
+    slow = _or_fold(_reference_experiment(_instruments(), r, grid) for r in readings)
+    assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
+    again = run_campaign(law, _instruments(), 20, SET_L, master_seed=seed, grid=grid)
+    assert again.joint.values.tobytes() == theory.joint.values.tobytes()
 
 
 def test_theory_density_checks_and_freezes_its_mu_factors():
@@ -332,10 +371,11 @@ def test_theory_density_checks_and_freezes_its_mu_factors():
 def test_too_wide_instrument_is_refused_by_name_and_width():
     """A lognormal width so wide that e^(width·z) overflows or underflows
     gives readings float64 cannot hold: the campaign refuses the width
-    instead of dropping the experiments."""
+    instead of dropping the experiments.  Any draw with |z| > 1.5 does so,
+    and 200 experiments all miss that with a chance below 1e-12."""
     grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 41), Axis.logarithmic("T", 0.45, 1.43, 41))
     with pytest.raises(ConfigInvalid, match=r"the L instrument \(lognormal, width 500\.0\)"):
-        run_campaign(FallingBodyLaw(), _instruments(sigma_l=500.0), 5, SET_L, 20260819, grid)
+        run_campaign(FallingBodyLaw(), _instruments(sigma_l=500.0), 200, SET_L, 20260819, grid)
 
 
 def test_analytic_theory_ridge_is_exact_lognormal():
