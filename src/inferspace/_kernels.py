@@ -1,8 +1,11 @@
 """Vectorized numpy kernels shared across the package.
 
-``interpolate``: multilinear interpolation over the spacing coordinates of a
-1D or 2D grid.  Evaluating and pushing forward densities both interpolate one
-table of node values at many points.
+Multilinear interpolation over the spacing coordinates of a 1D or 2D grid, in
+two steps: ``locate`` finds each point's cell and its corner weights, and
+``interpolate`` reads a table of node values through them.  Evaluating a
+density does both once.  A push-forward locates the target nodes' preimages
+once per map and target grid, then interpolates every density it pushes that
+way through the same corners.
 """
 
 from __future__ import annotations
@@ -14,37 +17,47 @@ def backend() -> str:
     return "numpy"
 
 
-def _locate(nodes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cell(nodes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left node index of each point's cell and its clipped fraction across it."""
     i = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, nodes.size - 2)
     t = np.clip((u - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
     return i, t
 
 
-def interpolate(nodes, values, points) -> np.ndarray:
-    """Interpolate ``values`` over the tensor grid ``nodes`` at ``points``.
+def locate(nodes, points) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """Where ``points`` sit on the tensor grid ``nodes``.
 
-    ``nodes`` holds one or two ascending node arrays and ``values`` has shape
-    ``(len(n) for n in nodes)``.  ``points`` holds one coordinate array per
-    axis; they broadcast together and the result has their broadcast shape, so
-    scattered points ``(x, y)`` and a tensor product ``(x[:, None], y[None, :])``
-    take the same path.  Points should already be clipped to the box.
-    Interpolation is linear along each axis and exact at nodes.
+    ``nodes`` holds one or two ascending node arrays.  ``points`` holds one
+    coordinate array per axis; they broadcast together, so scattered points
+    ``(x, y)`` and a tensor product ``(x[:, None], y[None, :])`` take the same
+    path.  Points should already be clipped to the box.  Returns the row-major
+    flat index of each point's lower corner node and, per corner of its cell,
+    that corner's offset from it and its weight.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    located = [
-        _locate(np.asarray(n, dtype=np.float64), np.asarray(p, dtype=np.float64))
+    cells = [
+        _cell(np.asarray(n, dtype=np.float64), np.asarray(p, dtype=np.float64))
         for n, p in zip(nodes, points, strict=True)
     ]
-    if len(located) == 1:
-        (i, t), = located
-        return (1.0 - t) * values.take(i) + t * values.take(i + 1)
-    (i0, t0), (i1, t1) = located
+    if len(cells) == 1:
+        (i, t), = cells
+        return i, ((0, 1.0 - t), (1, t))
+    (i0, t0), (i1, t1) = cells
     stride = len(nodes[1])
-    flat = i0 * stride + i1
-    return (
-        (1.0 - t0) * (1.0 - t1) * values.take(flat)
-        + t0 * (1.0 - t1) * values.take(flat + stride)
-        + (1.0 - t0) * t1 * values.take(flat + 1)
-        + t0 * t1 * values.take(flat + stride + 1)
+    s0, s1 = 1.0 - t0, 1.0 - t1
+    # The corner order fixes the summation order of ``interpolate``.
+    return i0 * stride + i1, (
+        (0, s0 * s1), (stride, t0 * s1), (1, s0 * t1), (stride + 1, t0 * t1)
     )
+
+
+def interpolate(located, values) -> np.ndarray:
+    """Interpolate ``values``, of shape ``(len(n) for n in nodes)``, at the
+    points ``locate`` found.  The result has the points' broadcast shape;
+    interpolation is linear along each axis and exact at nodes."""
+    values = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    flat, corners = located
+    (offset, weight), *rest = corners
+    out = weight * values[offset:].take(flat)
+    for offset, weight in rest:
+        out += weight * values[offset:].take(flat)
+    return out

@@ -20,9 +20,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._kernels import interpolate
+from ._kernels import interpolate, locate
 from .density import Density, default_frame
-from .errors import DomainMismatch, InvalidGrid, SingularJacobian
+from .errors import DomainMismatch, GridMismatch, InvalidGrid, SingularJacobian
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 
 
@@ -182,10 +182,11 @@ class Map2D:
     """A 2D coordinate change (x, y) ↦ (u, v) with analytic Jacobian
     determinant of the forward map.
 
-    ``inverse`` and ``det_forward`` must broadcast their array arguments as
-    numpy ufuncs do: the push-forward hands ``inverse`` a column of u and a
-    row of v, and ``det_forward`` the preimages it returned, which may keep
-    those shapes.
+    ``forward``, ``inverse`` and ``det_forward`` must broadcast their array
+    arguments as numpy ufuncs do: the push-forward hands ``inverse`` a column
+    of u and a row of v, and ``det_forward`` the preimages it returned, which
+    may keep those shapes; the paradox demonstration probes ``forward`` with
+    a column of x and a row of y.
     """
 
     kind: str
@@ -243,12 +244,52 @@ def push_forward(
     maps of rectangles need, since their images are not rectangles.
 
     A 1D map is pushed as a one-axis inverse with |dy/dx| as its Jacobian
-    determinant, through the same body as a 2D map.
+    determinant, through the same body as a 2D map.  This is ``pull_back``
+    then ``PullBack.apply``; to push several densities on one grid through
+    one map, build the pull-back once and apply it to each.
     """
+    return pull_back(d.grid, m, target_grid, outside).apply(d, frame)
+
+
+@dataclass(frozen=True, eq=False)
+class PullBack:
+    """Where the push-forward of densities on ``source`` through one map
+    reads them: the located preimages of ``target``'s nodes, the forward
+    Jacobian determinant there, and, with ``outside="zero"``, which
+    preimages lie inside the source box (``None`` otherwise)."""
+
+    source: Grid
+    target: Grid
+    located: tuple
+    det: np.ndarray
+    inside: np.ndarray | None
+
+    def apply(self, d: Density, frame: str = "") -> Density:
+        """The push-forward of ``d``, a density on ``source``, onto ``target``."""
+        if d.grid.axes != self.source.axes:
+            raise GridMismatch(
+                f"a pull-back from {self.source.names}{self.source.shape} cannot push "
+                f"a density on {d.grid.names}{d.grid.shape}"
+            )
+        vals = interpolate(self.located, d.values) / self.det
+        if self.inside is not None:
+            vals = np.where(self.inside, vals, 0.0)
+        frame = frame or default_frame(self.target)
+        return Density(self.target, np.broadcast_to(vals, self.target.shape), frame=frame)
+
+
+def pull_back(
+    source: Grid,
+    m: CoordinateMap | Map2D,
+    target_grid: Grid,
+    outside: Literal["error", "zero"] = "error",
+) -> PullBack:
+    """Locate the preimages of ``target_grid``'s nodes under ``m`` on
+    ``source``, as ``push_forward`` does, once for any number of densities."""
     ndim = 1 if isinstance(m, CoordinateMap) else 2
-    if d.grid.ndim != ndim or target_grid.ndim != ndim:
+    if source.ndim != ndim or target_grid.ndim != ndim:
         raise InvalidGrid(f"{ndim}D maps push {ndim}D densities")
-    axes = d.grid.axes
+    axes = source.axes
     nodes = [ax.nodes for ax in target_grid.axes]
     if ndim == 1:
         factors = (m,)
@@ -266,15 +307,12 @@ def push_forward(
     det = np.asarray(det_forward(*pre), dtype=float)
     if not np.all(np.isfinite(det)) or np.any(det == 0.0):
         raise SingularJacobian(f"{m.kind!r} map has a singular Jacobian at some preimages")
-    vals = interpolate(
+    located = locate(
         tuple(ax.param_nodes for ax in axes),
-        d.values,
         tuple(ax.param_of(x) for ax, x in zip(axes, pre)),
-    ) / det
-    if outside == "zero":
-        vals = np.where(functools.reduce(np.logical_and, inside), vals, 0.0)
-    frame = frame or default_frame(target_grid)
-    return Density(target_grid, np.broadcast_to(vals, target_grid.shape), frame=frame)
+    )
+    mask = functools.reduce(np.logical_and, inside) if outside == "zero" else None
+    return PullBack(source, target_grid, located, det, mask)
 
 
 def _clip_or_flag(ax: Axis, x, outside: str):

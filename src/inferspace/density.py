@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from ._kernels import interpolate
+from ._kernels import interpolate, locate
 from .errors import (
     GridMismatch,
     InvalidGrid,
@@ -206,9 +206,9 @@ def evaluate(d: Density, points: np.ndarray) -> np.ndarray:
         cols = (pts[:, 0], pts[:, 1])
     d.grid.require_inside(cols)
     axes = d.grid.axes
-    out = interpolate(
+    located = locate(
         tuple(ax.param_nodes for ax in axes),
-        d.values,
         tuple(ax.param_of(ax.clip(c)) for ax, c in zip(axes, cols)),
     )
+    out = interpolate(located, d.values)
     return float(out[0]) if scalar else out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import and_combine, total_variation
-from .coordinates import Map2D, push_forward
+from .coordinates import Map2D, pull_back
 from .density import (
     Density,
     evaluate,
@@ -28,14 +28,13 @@ from .density import (
     scale_to_unit_mass,
 )
 from .errors import (
-    DomainMismatch,
     InvalidGrid,
     NeutralZero,
     OutOfDomain,
     ZeroMass,
     ZeroSlice,
 )
-from .grids import LOGARITHMIC, Axis, Grid
+from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 from .priors import (
     BOXCAR,
     GAUSSIAN,
@@ -399,31 +398,55 @@ class ParadoxReport:
 def _mapped_grid(joint: Density, m: Map2D) -> Grid:
     """The joint's first axis and an axis ``v`` over the image of the second.
 
-    A separable map whose second factor has a representable image axis gets
-    the exact node-for-node image: pushes are then interpolation free and the
-    band comparison measures pure frame equivariance.  Any other map gets
-    4·(n₀ + n₁) nodes over the range of v on the box's corners.
+    One probe of ``m.forward`` over the joint's nodes finds the image of the
+    node lattice.  If those images land on a uniform lattice in v's spacing
+    coordinate (ln v when both axes are logarithmic and v > 0, else v; the
+    other spacing is tried next), to 1e-6 lattice steps, ``v`` is that
+    lattice from the smallest image to the largest.  Every target node then
+    pulls back onto a source node, up to rounding, so pushes are interpolation
+    free and the band comparison measures pure frame equivariance.  This is
+    ``image_axis`` for a separable map, and for the shear (x, x·y) on log–log
+    axes of equal steps it is a log axis of 2n − 1 nodes.  A map whose images
+    miss every lattice, or whose lattice would be larger, gets 4·(n₀ + n₁)
+    nodes over the range of its images.
     """
     ax0, ax1 = joint.grid.axes
-    if m.separable is not None:
-        try:
-            return Grid.of(ax0, m.separable[1].image_axis(ax1, name="v"))
-        except DomainMismatch:
-            pass
-    vs = []
-    for cx in (ax0.lower, ax0.upper):
-        for cy in (ax1.lower, ax1.upper):
-            _, v = m.forward(np.array([cx]), np.array([cy]))
-            vs.append(float(v[0]))
-    vlo, vhi = min(vs), max(vs)
+    with np.errstate(all="ignore"):
+        _, v = m.forward(ax0.nodes[:, None], ax1.nodes[None, :])
+    v = np.asarray(v, dtype=float).ravel()
+    if not np.all(np.isfinite(v)):
+        raise InvalidGrid(f"{m.kind!r} map sends some nodes of the box to a non-finite v")
+    vlo, vhi = float(v.min()), float(v.max())
     if not vhi > vlo:
         raise InvalidGrid(f"map collapses the second coordinate: range [{vlo}, {vhi}]")
     count = 4 * (ax0.count + ax1.count)
-    if ax0.spacing == LOGARITHMIC and ax1.spacing == LOGARITHMIC and vlo > 0.0:
-        v_axis = Axis.logarithmic("v", vlo, vhi, count)
-    else:
-        v_axis = Axis.linear("v", vlo, vhi, count)
-    return Grid.of(ax0, v_axis)
+    spacings = [LINEAR]
+    if vlo > 0.0:
+        both_log = ax0.spacing == LOGARITHMIC and ax1.spacing == LOGARITHMIC
+        spacings.insert(0 if both_log else 1, LOGARITHMIC)
+    for spacing in spacings:
+        steps = _lattice_steps(np.log(v) if spacing == LOGARITHMIC else v, count - 1)
+        if steps is not None:
+            return Grid.of(ax0, Axis("v", spacing, vlo, vhi, steps + 1))
+    return Grid.of(ax0, Axis("v", spacings[0], vlo, vhi, count))
+
+
+def _lattice_steps(s: np.ndarray, most: int) -> int | None:
+    """The number of steps of the uniform lattice from min(s) to max(s) on
+    which every value of ``s`` lies to 1e-6 steps, if it has at most
+    ``most``; the step is the smallest gap between distinct values."""
+    s = np.sort(s)
+    lo, span = s[0], s[-1] - s[0]
+    gaps = np.diff(s)
+    # Gaps below this are rounding between images of one lattice point.
+    gaps = gaps[gaps > 1e-9 * max(span, abs(s[0]), abs(s[-1]))]
+    if gaps.size == 0:
+        return None
+    steps = round(span / float(gaps.min()))
+    if not 1 <= steps <= most:
+        return None
+    k = (s - lo) * (steps / span)
+    return steps if float(np.max(np.abs(k - np.round(k)))) <= 1e-6 else None
 
 
 def borel_kolmogorov_demo(
@@ -441,9 +464,13 @@ def borel_kolmogorov_demo(
     coordinate), the two disagree whenever the map's Jacobian varies along the
     event — same event, same density, different answers.  Band conditioning
     replaces the exact event by AND with a thin boxcar of finite width; pushed
-    through the same map, its marginal agrees between frames up to
-    interpolation error, because a conjunction of states is frame-covariant
-    while a zero-width slice is not.
+    through the same map, its marginal agrees between frames, because a
+    conjunction of states is frame-covariant while a zero-width slice is not.
+    On a map whose image of the node lattice is itself a lattice
+    (``_mapped_grid``), such as the shear on log–log axes of equal steps, the
+    pushes are interpolation free and the agreement is to round-off;
+    elsewhere it is up to interpolation error.  The joint, μ and the band
+    are pushed through one pull-back of the map.
 
     The map must keep the first coordinate fixed (u = x), so the two frames
     share an axis along which the conditionals can be compared.
@@ -465,10 +492,10 @@ def borel_kolmogorov_demo(
     if np.max(np.abs(u_probe - probe_x)) > 1e-9 * scale:
         raise InvalidGrid("the demonstration needs a map that fixes the first coordinate")
 
-    tg = _mapped_grid(joint, map2d)
     lab = f"mapped:{map2d.kind}"
-    pushed = push_forward(joint, map2d, tg, frame=lab, outside="zero")
-    mu_pushed = push_forward(mu, map2d, tg, frame=lab, outside="zero")
+    push = pull_back(joint.grid, map2d, _mapped_grid(joint, map2d), outside="zero")
+    pushed = push.apply(joint, frame=lab)
+    mu_pushed = push.apply(mu, frame=lab)
 
     # Naive conditioning, original frame: slice at y = y0.
     native = conditional_density(joint, ax1.name, slice_value)
@@ -487,7 +514,7 @@ def borel_kolmogorov_demo(
 
     # Band conditioning: AND with a thin boxcar around y0, in both frames.
     band_native, band_rho, width = band_conditional(joint, mu, slice_value, width_cells)
-    band_rho_pushed = push_forward(band_rho, map2d, tg, frame=lab, outside="zero")
+    band_rho_pushed = push.apply(band_rho, frame=lab)
     band_mapped = _and_marginal(pushed, band_rho_pushed, mu_pushed)
     tv_band = total_variation(band_native, band_mapped)
 

@@ -14,6 +14,7 @@ from numpy.testing import assert_allclose
 from inferspace import (
     BOXCAR,
     GAUSSIAN,
+    LOGARITHMIC,
     LOGNORMAL,
     NONINFORMATIVE,
     Axis,
@@ -22,6 +23,7 @@ from inferspace import (
     Grid,
     InferenceSpaceError,
     InvalidGrid,
+    Map2D,
     MeasurementModel,
     NeutralZero,
     OutOfDomain,
@@ -36,6 +38,7 @@ from inferspace import (
     band_conditional,
     borel_kolmogorov_demo,
     conditional_density,
+    exp_map,
     intersect,
     marginalize,
     measurement_density,
@@ -50,7 +53,7 @@ from inferspace import (
     summarize,
     total_variation,
 )
-from inferspace.inference import _reading_factors, _share_on_box
+from inferspace.inference import _mapped_grid, _reading_factors, _share_on_box
 
 from conftest import boxcar_density, conditional_theory, gaussian_density
 
@@ -560,7 +563,62 @@ class TestBorelKolmogorovDemo:
         joint, mu = _correlated_joint()
         report = borel_kolmogorov_demo(joint, mu, shear_map(), 1.0)
         assert report.tv_naive > 0.01
-        assert report.tv_band < 1e-3
+        assert report.tv_band <= 1e-9
+
+    def test_shear_on_equal_log_steps_gets_its_node_matched_image(self):
+        """ln v = ln x + ln y, so with equal steps the image of the node
+        lattice is a log axis of 2n - 1 nodes over [lo², hi²], and every
+        target node inside the image pulls back onto a source node."""
+        joint, _ = _correlated_joint(count=101)
+        x, y = joint.grid.axes
+        u, v = _mapped_grid(joint, shear_map()).axes
+        assert u == x
+        assert (v.spacing, v.count) == (LOGARITHMIC, 2 * 101 - 1)
+        assert (v.lower, v.upper) == (y.lower * y.lower, y.upper * y.upper)
+        pre_y = v.nodes[None, :] / u.nodes[:, None]
+        inside = y.contains(pre_y, rtol=1e-9)
+        cells = (np.log(pre_y[inside]) - y.param_nodes[0]) / (y.param_nodes[1] - y.param_nodes[0])
+        assert inside.sum() == 101 * 101
+        assert np.max(np.abs(cells - np.round(cells))) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "spacing, factor",
+        [("log", affine_map(2.0, 0.0)), ("linear", exp_map()), ("linear", affine_map(-2.0, 1.0))],
+        ids=["rescale-on-log", "exp-on-linear", "affine-on-linear"],
+    )
+    def test_separable_map_gets_its_image_axis(self, spacing, factor):
+        """The probe finds the image axis of the second factor, node for
+        node, whichever spacing it has."""
+        if spacing == "log":
+            joint, _ = _correlated_joint(count=101)
+        else:
+            grid = Grid.of(Axis.linear("x", -1.0, 1.0, 31), Axis.linear("y", -1.0, 2.0, 41))
+            joint = Density(grid, np.ones(grid.shape))
+        v = _mapped_grid(joint, product_map(affine_map(1.0), factor)).axes[1]
+        image = factor.image_axis(joint.grid.axes[1], name="v")
+        assert v == image
+        assert np.array_equal(v.nodes, image.nodes)
+
+    def test_map_off_every_lattice_falls_back_to_an_interpolated_grid(self):
+        """(u, v) = (x, x + y) fixes x, but x + y is on no lattice in v or
+        ln v: the target gets 4·(n₀ + n₁) nodes and the pushes interpolate."""
+        joint, mu = _correlated_joint(count=41)
+        sum_map = Map2D(
+            kind="sum",
+            forward=lambda x, y: (x, x + y),
+            inverse=lambda u, v: (u, v - u),
+            det_forward=lambda x, y: np.ones(np.broadcast(x, y).shape),
+        )
+        x, y = joint.grid.axes
+        v = _mapped_grid(joint, sum_map).axes[1]
+        assert (v.spacing, v.count) == (LOGARITHMIC, 4 * (41 + 41))
+        assert (v.lower, v.upper) == (x.lower + y.lower, x.upper + y.upper)
+        # The map's Jacobian is 1, so both frames agree up to interpolation
+        # error, which is no longer zero.
+        report = borel_kolmogorov_demo(joint, mu, sum_map, 1.0)
+        assert report.map_kind == "sum"
+        assert 0.0 < report.tv_naive < 1e-2
+        assert 0.0 < report.tv_band < 1e-2
 
     def test_band_conditionals_converge_to_the_slice(self):
         joint, mu = _correlated_joint()

@@ -51,7 +51,14 @@ from inferspace import (
     write_density,
     write_theory,
 )
-from inferspace.cli import main, parse_axis, parse_grid, parse_map, parse_measurement
+from inferspace.cli import (
+    _paradox_conclusion,
+    main,
+    parse_axis,
+    parse_grid,
+    parse_map,
+    parse_measurement,
+)
 
 from conftest import conditional_theory, gaussian_density
 
@@ -874,6 +881,21 @@ class TestCliAuxiliary:
         assert doc["affine_control"]["tv_naive"] <= 1e-9
         recovery = doc["slice_recovery_tv_by_width_cells"]
         assert recovery["8.0"] > recovery["4.0"] > recovery["2.0"]
+
+    @pytest.mark.parametrize("tv_band, agrees", [(1e-15, True), (0.3, False), (0.5, False)])
+    @pytest.mark.parametrize(
+        "recovery, shrinks",
+        [((3e-3, 6e-4, 1e-4), True), ((0.44, 0.44, 0.27), False), ((1e-3, 2e-3, 1e-4), False)],
+    )
+    def test_paradox_conclusion_follows_the_numbers(self, tv_band, agrees, recovery, shrinks):
+        """Each clause states what its numbers show: tv_band against
+        tv_naive = 0.3, and a sweep that shrinks at every thinner band."""
+        text = _paradox_conclusion(0.3, tv_band, dict(zip(("8.0", "4.0", "2.0"), recovery)))
+        assert ("band conditioning agreed across frames" in text) is agrees
+        assert ("no less than slice conditioning's tv_naive" in text) is not agrees
+        assert ("converges to the exact slice as the band thins" in text) is shrinks
+        assert ("does not near the exact slice at every thinner band of the "
+                "8.0/4.0/2.0-cell sweep" in text) is not shrinks
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_axioms_tolerance_must_be_finite_and_nonnegative(self, tol, capsys):

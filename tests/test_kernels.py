@@ -1,5 +1,5 @@
-"""The multilinear interpolation kernel against an independent oracle, and the
-import-time state of the package."""
+"""The multilinear interpolation kernel (locate, then interpolate) against an
+independent oracle, and the import-time state of the package."""
 
 import subprocess
 import sys
@@ -14,7 +14,11 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import RegularGridInterpolator
 
 from inferspace import backend
-from inferspace._kernels import interpolate
+from inferspace._kernels import interpolate, locate
+
+
+def _interp(nodes, values, points):
+    return interpolate(locate(nodes, points), values)
 
 
 def _case(ndim, seed=7, n_points=4000):
@@ -34,22 +38,22 @@ class TestInterpolate:
         nodes, values, points = _case(ndim)
         oracle = RegularGridInterpolator(nodes, values, method="linear")
         expected = oracle(np.column_stack(points))
-        assert_allclose(interpolate(nodes, values, points), expected, rtol=1e-13, atol=0.0)
+        assert_allclose(_interp(nodes, values, points), expected, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
     def test_exact_at_nodes(self, ndim):
         nodes, values, _ = _case(ndim)
         mesh = np.meshgrid(*nodes, indexing="ij")
-        got = interpolate(nodes, values, tuple(m.ravel() for m in mesh))
+        got = _interp(nodes, values, tuple(m.ravel() for m in mesh))
         assert np.array_equal(got.reshape(values.shape), values)
 
     def test_result_has_the_broadcast_shape_of_the_points(self):
         nodes, values, _ = _case(2)
         x = np.linspace(-1.0, 1.0, 5)
         y = np.linspace(1.0, 4.0, 3)
-        assert interpolate(nodes, values, (x[:, None], y[None, :])).shape == (5, 3)
-        assert interpolate(nodes, values, (x[:, None], np.float64(2.0))).shape == (5, 1)
-        assert interpolate(nodes[:1], values[:, 0], (x,)).shape == (5,)
+        assert _interp(nodes, values, (x[:, None], y[None, :])).shape == (5, 3)
+        assert _interp(nodes, values, (x[:, None], np.float64(2.0))).shape == (5, 1)
+        assert _interp(nodes[:1], values[:, 0], (x,)).shape == (5,)
 
 
 def _strictly_increasing(draw, n):
@@ -78,11 +82,11 @@ def grids_and_points(draw):
 def test_tensor_call_equals_scattered_call_and_matches_scipy(case):
     nodes, values, axes_points = case
     mesh = np.meshgrid(*axes_points, indexing="ij")
-    scattered = interpolate(nodes, values, tuple(m.ravel() for m in mesh))
+    scattered = _interp(nodes, values, tuple(m.ravel() for m in mesh))
     if len(nodes) == 1:
-        tensor = interpolate(nodes, values, axes_points)
+        tensor = _interp(nodes, values, axes_points)
     else:
-        tensor = interpolate(nodes, values, (axes_points[0][:, None], axes_points[1][None, :]))
+        tensor = _interp(nodes, values, (axes_points[0][:, None], axes_points[1][None, :]))
     assert tensor.shape == mesh[0].shape
     assert np.array_equal(tensor.ravel(), scattered)
 
