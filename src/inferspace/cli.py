@@ -436,7 +436,7 @@ def _cmd_convert(p: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _GRID_HELP = '"default" or two axis shorthands joined by a comma'
-_THEORY_HELP = "theory file <base>.npz (format version 3)"
+_THEORY_HELP = "theory file <base>.npz (format version 4)"
 _SEED = 20260819
 
 

@@ -4,13 +4,18 @@ Densities travel as self-describing JSON: axis headers, frame label,
 normalization flag, and the value array flattened row-major over axis order.
 CSV export is one row per node for plotting.  Both are export formats.
 
-A theory is one uncompressed ``<base>.npz`` archive, format version 3: the
-``joint`` value array, one ``mu_<k>`` array per axis k holding μ's factor on
-that axis (all float64, bit-exact), and a ``header``, a 0-d string array
-holding JSON with the format name and version, the axis headers, the frame,
-the joint's normalization flag and the provenance record.  Only version 3 is
-read; a file of an older version is refused, and rerunning the command that
-wrote it rebuilds it.
+A theory is one uncompressed ``<base>.npz`` archive, format version 4.  The
+joint is stored by its rows, ``values.reshape(-1, shape[-1])`` (a 1-D theory
+is one row): ``lo`` and ``hi`` (int64) hold each row's first and
+one-past-the-last nonzero column, ``lo == hi`` for an all-zero row, and
+``band`` (float64, 1-D) holds the values between them, row after row,
+interior zeros included.  One ``mu_<k>`` array per axis k holds μ's factor
+on that axis, and a ``header``, a 0-d string array, holds JSON with the
+format name and version, the axis headers, the frame, the joint's
+normalization flag and the provenance record.  Every value reads back bit for
+bit, into one dense frozen joint.  Only version 4 is read; a file of an
+older version is refused by its header's version, and rerunning the command
+that wrote it rebuilds it.
 
 Every writer goes through a temporary file in the target's directory that is
 synced and renamed onto the target, so the target is always either whole or
@@ -23,6 +28,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import zipfile
 import zlib
@@ -134,7 +140,10 @@ def write_csv(d: Density, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 THEORY_FORMAT_NAME = "inferspace-theory"
-THEORY_FORMAT_VERSION = 3
+THEORY_FORMAT_VERSION = 4
+# Rows whose bands are found together, so the mask of nonzero values stays a
+# small fraction of the joint.
+_BAND_BLOCK_ROWS = 64
 
 
 def _theory_path(path: str | Path) -> Path:
@@ -158,12 +167,32 @@ def _theory_header(t: TheoryDensity) -> str:
     )
 
 
+def _row_bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first and one-past-the-last column whose value is not +0.0
+    (bitwise, so a -0.0 is kept); ``lo == hi == 0`` for an all-zero row."""
+    ncols = rows.shape[1]
+    bits = rows.view(np.int64)
+    lo = np.zeros(len(rows), np.int64)
+    hi = np.zeros(len(rows), np.int64)
+    for start in range(0, len(rows), _BAND_BLOCK_ROWS):
+        block = slice(start, start + _BAND_BLOCK_ROWS)
+        nonzero = bits[block] != 0
+        found = nonzero.any(axis=1)
+        lo[block] = np.where(found, nonzero.argmax(axis=1), 0)
+        hi[block] = np.where(found, ncols - nonzero[:, ::-1].argmax(axis=1), 0)
+    return lo, hi
+
+
 def write_theory(t: TheoryDensity, path: str | Path) -> Path:
     """Write ``t`` atomically to ``<base>.npz`` and return that path."""
     target = _theory_path(path)
+    values = t.joint.values
+    rows = values.reshape(-1, values.shape[-1])
+    lo, hi = _row_bands(rows)
+    band = np.concatenate([row[a:b] for row, a, b in zip(rows, lo.tolist(), hi.tolist())])
     factors = {f"mu_{k}": f for k, f in enumerate(t.mu_factors)}
     with _replacing(target) as fh:
-        np.savez(fh, header=np.array(_theory_header(t)), joint=t.joint.values, **factors)
+        np.savez(fh, header=np.array(_theory_header(t)), lo=lo, hi=hi, band=band, **factors)
     return target
 
 
@@ -183,13 +212,33 @@ def _header(raw: np.ndarray) -> dict:
     return header
 
 
-def _values(archive, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _member(archive, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
     values = archive[name]
-    if values.dtype != np.float64 or values.shape != shape:
+    if values.dtype != dtype or values.shape != shape:
         raise SchemaError(
-            f"member {name!r} is {values.dtype}{values.shape}, expected float64{shape}"
+            f"member {name!r} is {values.dtype}{values.shape}, "
+            f"expected {np.dtype(dtype)}{shape}"
         )
-    # Frozen, so Density shares the freshly read array instead of copying it.
+    # Frozen, so TheoryDensity shares the freshly read array instead of copying it.
+    values.setflags(write=False)
+    return values
+
+
+def _joint_values(archive, shape: tuple[int, ...]) -> np.ndarray:
+    """The joint, scattered from its row bands into one zeroed array."""
+    ncols = shape[-1]
+    nrows = math.prod(shape[:-1])
+    lo = _member(archive, "lo", np.int64, (nrows,))
+    hi = _member(archive, "hi", np.int64, (nrows,))
+    if not np.all((lo >= 0) & (lo <= hi) & (hi <= ncols)):
+        raise SchemaError(f"row bands are not all 0 <= lo <= hi <= {ncols}")
+    band = _member(archive, "band", np.float64, (int((hi - lo).sum()),))
+    values = np.zeros(shape)
+    start = 0
+    for row, a, b in zip(values.reshape(nrows, ncols), lo.tolist(), hi.tolist()):
+        row[a:b] = band[start:start + b - a]
+        start += b - a
+    # Frozen, so Density shares the scattered array instead of copying it.
     values.setflags(write=False)
     return values
 
@@ -201,7 +250,9 @@ def _members(archive, names) -> None:
 
 
 def _theory_from_archive(archive) -> TheoryDensity:
-    _members(archive, ("header", "joint"))
+    # The version is checked before the members, so an older file is
+    # refused by its version rather than by the members it lacks.
+    _members(archive, ("header",))
     header = _header(archive["header"])
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
@@ -211,9 +262,10 @@ def _theory_from_archive(archive) -> TheoryDensity:
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
     mu_names = [f"mu_{k}" for k in range(grid.ndim)]
-    _members(archive, mu_names)
-    joint = _values(archive, "joint", grid.shape)
-    mu = [_values(archive, name, (ax.count,)) for name, ax in zip(mu_names, grid.axes)]
+    _members(archive, ("lo", "hi", "band", *mu_names))
+    joint = _joint_values(archive, grid.shape)
+    mu = [_member(archive, name, np.float64, (ax.count,))
+          for name, ax in zip(mu_names, grid.axes)]
     try:
         joint = Density(grid, joint, frame=frame, normalized=normalized)
         return TheoryDensity(joint, mu, provenance)
@@ -222,7 +274,7 @@ def _theory_from_archive(archive) -> TheoryDensity:
 
 
 def read_theory(path: str | Path) -> TheoryDensity:
-    """Read the theory at ``<base>.npz`` (format version 3)."""
+    """Read the theory at ``<base>.npz`` (format version 4)."""
     target = _theory_path(path)
     # A damaged zip fails in np.load or on reading a member, depending on
     # where the damage is; a file of another kind fails in np.load.

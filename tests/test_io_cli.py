@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
@@ -327,7 +328,7 @@ class TestTheoryFiles:
     @pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, raised):
         """The array write dies partway through the member ``mu_0``, after
-        ``joint``: an absent target stays absent, a present one keeps its old
+        ``band``: an absent target stays absent, a present one keeps its old
         bytes, and the temporary file is gone either way."""
         real = np.lib.format.write_array
 
@@ -390,6 +391,20 @@ class TestTheoryFiles:
         assert captured.out == ""
         assert captured.err == f"error: {tmp_path / 'v2.npz'}: unsupported theory version 2\n"
 
+    def test_version_three_file_is_not_read(self, tmp_path, capsys):
+        """A version-3 file, which held the joint as one dense member, is
+        refused by its header's version, not by the members it lacks."""
+        theory = _sample_theory()
+        _write_version_three(tmp_path / "v3.npz", theory)
+        with pytest.raises(SchemaError, match="unsupported theory version 3"):
+            read_theory(tmp_path / "v3.npz")
+        code = main(["infer", "--theory", str(tmp_path / "v3.npz"),
+                     "--measure", "T:gaussian:1:0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / 'v3.npz'}: unsupported theory version 3\n"
+
 
 def _write_version_two(path, joint, mu_values, provenance):
     """A theory file as format version 2 wrote it: μ as one dense member."""
@@ -404,7 +419,43 @@ def _write_version_two(path, joint, mu_values, provenance):
     np.savez(path, header=np.array(json.dumps(header)), joint=joint.values, mu=mu_values)
 
 
+def _write_version_three(path, theory):
+    """A theory file as format version 3 wrote it: the joint as one dense member."""
+    joint = theory.joint
+    header = {
+        "format": "inferspace-theory",
+        "version": 3,
+        "axes": [ax.to_header() for ax in joint.grid.axes],
+        "frame": joint.frame,
+        "normalized": joint.normalized,
+        "provenance": theory.provenance.as_dict(),
+    }
+    factors = {f"mu_{k}": f for k, f in enumerate(theory.mu_factors)}
+    np.savez(path, header=np.array(json.dumps(header)), joint=joint.values, **factors)
+
+
 _names = st.sampled_from(["L", "T", "x", "time (s)", "λ"])
+_positive = st.floats(5e-324, 1e300)
+
+
+@st.composite
+def _joint_layouts(draw, shape):
+    """Joint values laid out the ways a theory file stores differently: all
+    zero, every row dense, or each row a band of its own, which may be
+    empty, the whole row, or hold interior zeros."""
+    layout = draw(st.sampled_from(["zero", "dense", "banded"]))
+    if layout == "zero":
+        return np.zeros(shape)
+    values = draw(hnp.arrays(np.float64, shape, elements=_positive))
+    if layout == "banded":
+        rows = values.reshape(-1, shape[-1])
+        for row in rows:
+            a, b = sorted(draw(st.lists(st.integers(0, len(row)), min_size=2, max_size=2)))
+            row[:a] = 0.0
+            row[b:] = 0.0
+            holes = draw(hnp.arrays(np.bool_, len(row)))
+            row[holes & (np.arange(len(row)) > a) & (np.arange(len(row)) < b - 1)] = 0.0
+    return values
 
 
 @st.composite
@@ -419,10 +470,6 @@ def _theories(draw):
         make = draw(st.sampled_from([Axis.linear, Axis.logarithmic]))
         axes.append(make(name, lower, upper, count, units))
     grid = Grid.of(*axes)
-    values = hnp.arrays(
-        np.float64, grid.shape,
-        elements=st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
-    )
     factors = [
         draw(hnp.arrays(np.float64, ax.count, elements=st.floats(0.0, 1e300)))
         for ax in axes
@@ -430,18 +477,73 @@ def _theories(draw):
     frame = draw(st.text(max_size=8))
     seeds = st.none() | st.integers(0, 2**63 - 1)
     return TheoryDensity(
-        joint=Density(grid, draw(values), frame=frame, normalized=draw(st.booleans())),
+        joint=Density(grid, draw(_joint_layouts(grid.shape)), frame=frame,
+                      normalized=draw(st.booleans())),
         mu_factors=factors,
         provenance=Provenance(draw(st.text(max_size=12)), draw(seeds), draw(seeds)),
     )
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(_theories())
 def test_theory_file_round_trip_is_bit_exact(theory):
+    values = theory.joint.values
     with tempfile.TemporaryDirectory() as tmp:
         path = write_theory(theory, Path(tmp) / "t")
         assert_same_theory(read_theory(path), theory)
+        with np.load(path) as z:
+            lo, hi, band = z["lo"], z["hi"], z["band"]
+    # One band per row of values.reshape(-1, shape[-1]): a 1-D theory is one row.
+    rows = values.reshape(-1, values.shape[-1])
+    assert lo.shape == hi.shape == (len(rows),)
+    if values.ndim == 1:
+        assert lo.shape == (1,)
+    # Each band runs from its row's first nonzero value to its last.
+    for row, a, b in zip(rows, lo, hi):
+        nonzero = np.flatnonzero(row)
+        assert (a, b) == ((nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0))
+    assert band.size == int((hi - lo).sum())
+
+
+def _allocated(call):
+    """``call()`` and the peak bytes numpy and Python allocated during it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_theory_file_io_stays_within_its_memory_budget(tmp_path, monkeypatch):
+    """On the analytic theory, writing allocates at most 0.3 grid arrays
+    beyond the joint, and reading at most 1.1: the one scattered joint,
+    which Density shares instead of copying, and the band it came from."""
+    grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 401),
+                   Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 401))
+    theory = analytic_fall_theory(FallingBodyLaw(9.81, 1e-3), grid)
+    grid_bytes = theory.joint.values.nbytes
+    # A first round trip, so the modules they import are not counted.
+    path = write_theory(theory, tmp_path / "t")
+    read_theory(path)
+
+    _, written = _allocated(lambda: write_theory(theory, path))
+    joint_values = inferspace.io._joint_values
+    scattered = []
+
+    def keep(archive, shape):
+        scattered.append(joint_values(archive, shape))
+        return scattered[-1]
+
+    monkeypatch.setattr(inferspace.io, "_joint_values", keep)
+    back, read = _allocated(lambda: read_theory(path))
+    assert written <= 0.3 * grid_bytes
+    assert read <= 1.1 * grid_bytes
+    assert not back.joint.values.flags.writeable
+    assert back.joint.values is scattered[0]
+    assert_same_theory(back, theory)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +897,9 @@ class TestCliInference:
         "damage",
         ["truncated", "not-a-zip", "empty", "wrong-format", "wrong-version",
          "missing-member", "bare-array", "wrong-shape", "non-finite", "factor-dtype",
-         "factor-non-finite", "factor-negative", "bit-flip"],
+         "factor-non-finite", "factor-negative", "bit-flip", "lo-above-hi", "hi-past-row",
+         "negative-lo", "band-lengths", "lo-float", "hi-int32", "lo-length", "band-2d",
+         "band-float32", "missing-band"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
         th = tmp_path / "th.npz"
@@ -803,6 +907,37 @@ class TestCliInference:
         with np.load(th) as z:
             members = {k: z[k] for k in z.files}
         header = json.loads(str(members["header"]))
+        lo, hi, band = members["lo"], members["hi"], members["band"]
+        # What the error says, for the cases that damage the band members.
+        expected = {
+            "bit-flip": "Bad CRC-32 for file 'band.npy'",
+            "non-finite": "must be finite",
+            "bare-array": "bare array",
+            "missing-band": "missing member(s) ['band']",
+            "lo-above-hi": "0 <= lo <= hi <= 17",
+            "hi-past-row": "0 <= lo <= hi <= 17",
+            "negative-lo": "0 <= lo <= hi <= 17",
+            "band-lengths": "member 'band' is float64(390,), expected float64(391,)",
+            "lo-float": "member 'lo' is float64(23,), expected int64(23,)",
+            "hi-int32": "member 'hi' is int32(23,), expected int64(23,)",
+            "lo-length": "member 'lo' is int64(22,), expected int64(23,)",
+            "band-2d": "member 'band' is float64(1, 391), expected float64(391,)",
+            "band-float32": "member 'band' is float32(391,), expected float64(391,)",
+        }
+        damaged = {
+            # Each of these three leaves the band lengths summing to band.size.
+            "lo-above-hi": {"lo": np.where(np.arange(23) == 3, 9, lo),
+                            "hi": np.where(np.arange(23) == 3, 8, hi),
+                            "band": band[:band.size - 18]},
+            "hi-past-row": {"lo": lo + (np.arange(23) == 0), "hi": hi + (np.arange(23) == 0)},
+            "negative-lo": {"lo": lo - (np.arange(23) == 0), "hi": hi - (np.arange(23) == 0)},
+            "band-lengths": {"band": band[:-1]},
+            "lo-float": {"lo": lo.astype(np.float64)},
+            "hi-int32": {"hi": hi.astype(np.int32)},
+            "lo-length": {"lo": lo[:-1]},
+            "band-2d": {"band": band.reshape(1, -1)},
+            "band-float32": {"band": band.astype(np.float32)},
+        }
         if damage == "truncated":
             th.write_bytes(th.read_bytes()[: th.stat().st_size // 2])
         elif damage == "not-a-zip":
@@ -815,12 +950,12 @@ class TestCliInference:
             else:
                 header["version"] = 1
             np.savez(th, **{**members, "header": np.array(json.dumps(header))})
-        elif damage == "missing-member":
-            del members["mu_1"]
+        elif damage in ("missing-member", "missing-band"):
+            del members["mu_1" if damage == "missing-member" else "band"]
             np.savez(th, **members)
         elif damage == "bare-array":
             with th.open("wb") as fh:
-                np.save(fh, members["joint"])
+                np.save(fh, band)
         elif damage == "wrong-shape":
             np.savez(th, **{**members, "mu_0": members["mu_0"][:-1]})
         elif damage == "factor-dtype":
@@ -829,24 +964,26 @@ class TestCliInference:
             members["mu_0"][2] = np.inf if damage == "factor-non-finite" else -1.0
             np.savez(th, **members)
         elif damage == "bit-flip":
-            # The archive is stored uncompressed: flip one byte of the joint's
+            # The archive is stored uncompressed: flip one byte of the band's
             # values, past the member's local header and the .npy header.
             with zipfile.ZipFile(th) as z:
-                info = z.getinfo("joint.npy")
+                info = z.getinfo("band.npy")
             raw = bytearray(th.read_bytes())
             name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
             start = info.header_offset + 30 + name_len + extra_len
             raw[start + info.file_size - 8] ^= 0x01
             th.write_bytes(bytes(raw))
+        elif damage in damaged:
+            np.savez(th, **{**members, **damaged[damage]})
         else:
-            members["joint"][0, 0] = np.nan
+            band[0] = np.nan
             np.savez(th, **members)
         code = main(["infer", "--theory", str(th), "--measure", "T:lognormal:1:0.1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: {th}")
-        if damage == "bit-flip":
-            assert "Bad CRC-32 for file 'joint.npy'" in captured.err
+        if damage in expected:
+            assert expected[damage] in captured.err
 
 
 # ---------------------------------------------------------------------------
