@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import Density, integrate, require_same_space
+from .density import Density, _mass, integrate, require_same_space
 from .errors import (
     ConfigInvalid,
     EmptyInput,
@@ -114,10 +114,9 @@ def information_content(p: Density, mu: Density) -> float:
     pos = pv > 0.0
     if np.any(pos & (mv == 0.0)):
         raise SupportViolation("p is positive where the null-information density vanishes")
-    w = p.grid.cell_volumes()
     terms = np.zeros_like(pv)
-    terms[pos] = pv[pos] * np.log(pv[pos] / mv[pos]) * w[pos]
-    return float(np.sum(terms))
+    terms[pos] = pv[pos] * np.log(pv[pos] / mv[pos])
+    return _mass(terms, p.grid.weight_arrays())
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +126,7 @@ def information_content(p: Density, mu: Density) -> float:
 def total_variation(p: Density, q: Density) -> float:
     """Total variation distance ½∫|p − q| between two normalized densities."""
     require_same_space(p, q)
-    diff = p.with_values(np.abs(p.values - q.values))
-    return 0.5 * integrate(diff)
+    return 0.5 * _mass(np.abs(p.values - q.values), p.grid.weight_arrays())
 
 
 def symmetric_kl(p: Density, q: Density) -> float:
@@ -143,9 +141,7 @@ def symmetric_kl(p: Density, q: Density) -> float:
     flat = 1.0 / p.grid.box_volume
     pf = (p.values + 1e-6 * flat) / (1.0 + 1e-6)
     qf = (q.values + 1e-6 * flat) / (1.0 + 1e-6)
-    w = p.grid.cell_volumes()
-    ratio = np.log(pf / qf)
-    return float(np.sum((pf - qf) * ratio * w))
+    return _mass((pf - qf) * np.log(pf / qf), p.grid.weight_arrays())
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from ._kernels import interpolate, locate
+from .algebra import _rel_diff, and_combine, or_combine
 from .density import Density, default_frame
 from .errors import DomainMismatch, GridMismatch, InvalidGrid, SingularJacobian
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
@@ -44,13 +45,6 @@ class CoordinateMap:
     dforward: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float] = (-math.inf, math.inf)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """|dy/dx| at x; raises if it vanishes or is not finite."""
-        j = np.abs(np.asarray(self.dforward(np.asarray(x, dtype=float)), dtype=float))
-        if not np.all(np.isfinite(j)) or np.any(j == 0.0):
-            raise SingularJacobian(f"{self.kind!r} map has a singular Jacobian on the domain")
-        return j
-
     def check_domain(self, axis: Axis) -> None:
         lo, hi = self.domain
         if axis.lower < lo or axis.upper > hi:
@@ -62,53 +56,51 @@ class CoordinateMap:
     def image_axis(self, axis: Axis, name: str = "") -> Axis:
         """The axis whose nodes are exactly the images of ``axis``'s nodes.
 
-        Only kinds whose image of a linear/log axis is again a linear/log
-        axis support this (``_IMAGE_KINDS``); other maps need an explicit
-        target grid.
+        The images must lie on a uniform linear or log lattice of
+        ``axis.count`` nodes (``_lattice_axis``); other maps need an
+        explicit target grid.
         """
         self.check_domain(axis)
-        a = float(self.forward(np.asarray(axis.lower)))
-        b = float(self.forward(np.asarray(axis.upper)))
-        lo, hi = (a, b) if a < b else (b, a)
-        spacing = _image_spacing(self.kind, axis.spacing, self)
-        if spacing is None:
+        with np.errstate(all="ignore"):
+            images = self.forward(axis.nodes)
+        out = _lattice_axis(
+            name or f"{self.kind}_{axis.name}", images, axis.spacing == LOGARITHMIC, axis.count
+        )
+        if out is None or out.count != axis.count:
             raise DomainMismatch(
-                f"{self.kind!r} map of a {axis.spacing} axis has no linear/log image axis; "
-                f"the map kinds with one on a {axis.spacing} axis are "
-                f"{_IMAGE_KINDS[axis.spacing]}"
-            )
-        out = Axis(name or f"{self.kind}_{axis.name}", spacing, lo, hi, axis.count)
-        img = np.sort(self.forward(axis.nodes))
-        scale = max(abs(lo), abs(hi))
-        if np.max(np.abs(img - out.nodes)) > 1e-9 * scale:
-            raise DomainMismatch(
-                f"{self.kind!r} image of axis {axis.name!r} does not land on its "
-                f"{spacing} image axis"
+                f"{self.kind!r} images of the nodes of axis {axis.name!r} lie on no "
+                f"uniform linear or log lattice of {axis.count} nodes"
             )
         return out
 
 
-# The map kinds whose image of an axis of each spacing is a linear/log axis,
-# as ``_image_spacing`` decides them.
-_IMAGE_KINDS = {
-    LINEAR: "affine and exp",
-    LOGARITHMIC: "log, reciprocal, power, and affine with a > 0 and b = 0",
-}
+def _lattice_axis(name: str, images, log_first: bool, most: int) -> Axis | None:
+    """The axis ``name`` from the smallest image to the largest whose nodes
+    form a uniform lattice, in its spacing coordinate, on which every image
+    lies to 1e-6 steps, if one of at most ``most`` nodes exists.
 
-
-def _image_spacing(kind: str, spacing: str, m: "CoordinateMap") -> str | None:
-    if kind == "affine":
-        if spacing == LINEAR:
-            return LINEAR
-        # only a pure positive rescale keeps geometric nodes geometric
-        shift = float(m.forward(np.asarray(0.0)))
-        return LOGARITHMIC if shift == 0.0 and float(m.forward(np.asarray(1.0))) > 0.0 else None
-    if kind == "log" and spacing == LOGARITHMIC:
-        return LINEAR
-    if kind == "exp" and spacing == LINEAR:
-        return LOGARITHMIC
-    if kind in ("reciprocal", "power") and spacing == LOGARITHMIC:
-        return LOGARITHMIC
+    Both spacings are tried, ln first when ``log_first`` and every image is
+    > 0; the step is the smallest gap between distinct images.
+    """
+    s = np.sort(np.asarray(images, dtype=float).ravel())
+    if not (np.all(np.isfinite(s)) and s[-1] > s[0]):
+        return None
+    spacings = [LINEAR]
+    if s[0] > 0.0:
+        spacings.insert(0 if log_first else 1, LOGARITHMIC)
+    for spacing in spacings:
+        t = np.log(s) if spacing == LOGARITHMIC else s
+        lo, span = t[0], t[-1] - t[0]
+        gaps = np.diff(t)
+        # Gaps below this are rounding between images of one lattice point.
+        gaps = gaps[gaps > 1e-9 * max(span, abs(t[0]), abs(t[-1]))]
+        if gaps.size == 0:
+            continue
+        steps = round(span / float(gaps.min()))
+        if steps < most:
+            k = (t - lo) * (steps / span)
+            if float(np.max(np.abs(k - np.round(k)))) <= 1e-6:
+                return Axis(name, spacing, float(s[0]), float(s[-1]), steps + 1)
     return None
 
 
@@ -357,8 +349,6 @@ def verify_invariance(
     zero.
     Discrepancies are max pointwise differences relative to the peak.
     """
-    from .algebra import _rel_diff, and_combine, or_combine  # local import to avoid a cycle
-
     src = p.grid.axes[0]
     count = src.count if m.kind == "affine" else max(16, int(round(src.count * 0.75)))
     target = Grid.of(replace(m.image_axis(src), count=count))

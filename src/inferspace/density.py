@@ -10,7 +10,7 @@ frozen and every operation returns a new object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     NegativeDensity,
     NonFinite,
     OutOfDomain,
-    UnknownAxis,
     ZeroMass,
 )
 from .grids import Grid
@@ -86,9 +85,6 @@ class Density:
     def with_values(self, values: np.ndarray, normalized: bool = False) -> "Density":
         return Density(self.grid, values, frame=self.frame, normalized=normalized)
 
-    def mass(self) -> float:
-        return integrate(self)
-
 
 def require_same_space(p: Density, q: Density) -> None:
     """Raise GridMismatch unless p and q share grid and frame."""
@@ -105,27 +101,9 @@ def require_same_space(p: Density, q: Density) -> None:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def integrate(
-    d: Density,
-    region: Mapping[str, tuple[float | None, float | None]] | None = None,
-) -> float:
-    """Quadrature of ``d`` over the box, or over a per-axis subregion.
-
-    ``region`` maps axis names to (lower, upper) bounds; ``None`` inside a
-    bound means the box edge.  Cells straddling a region edge contribute the
-    exact measure of their overlap in the axis's spacing coordinate.
-    """
-    region = dict(region) if region else {}
-    weights = []
-    for ax in d.grid.axes:
-        if ax.name in region:
-            lo, hi = region.pop(ax.name)
-            weights.append(ax.region_weights(lo, hi))
-        else:
-            weights.append(ax.weights)
-    if region:
-        raise UnknownAxis(f"region names {sorted(region)} not on grid {d.grid.names}")
-    return _mass(d.values, weights)
+def integrate(d: Density) -> float:
+    """Quadrature of ``d`` over the box."""
+    return _mass(d.values, d.grid.weight_arrays())
 
 
 def _mass(values: np.ndarray, weights) -> float:

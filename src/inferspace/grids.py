@@ -13,7 +13,6 @@ stored row-major (first axis slowest).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -123,22 +122,6 @@ class Axis:
         """Coordinate length of the box on this axis."""
         return self.upper - self.lower
 
-    def region_weights(self, lower: float | None, upper: float | None) -> np.ndarray:
-        """Weights restricted to [lower, upper]: each cell's overlap with the
-        region, measured in the spacing coordinate.  Partial cells count
-        fractionally; edges aligned with cell boundaries are exact."""
-        lo = self.lower if lower is None else float(lower)
-        hi = self.upper if upper is None else float(upper)
-        if not lo < hi:
-            raise InvalidGrid(f"axis {self.name!r}: empty region [{lo}, {hi}]")
-        edges = self.param_of(self.cell_boundaries)
-        left = np.maximum(edges[:-1], self.param_of(max(lo, self.lower)))
-        right = np.minimum(edges[1:], self.param_of(min(hi, self.upper)))
-        du = np.maximum(right - left, 0.0)
-        if self.spacing == LINEAR:
-            return du
-        return self.nodes * du
-
     def contains(self, x: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
         """Boolean mask of coordinates inside the box, with edge slack."""
         x = np.asarray(x, dtype=float)
@@ -231,12 +214,6 @@ class Grid:
     def weight_arrays(self) -> tuple[np.ndarray, ...]:
         return tuple(a.weights for a in self.axes)
 
-    def cell_volumes(self) -> np.ndarray:
-        """Per-node quadrature weights over the full grid (tensor product)."""
-        if self.ndim == 1:
-            return self.axes[0].weights
-        return np.multiply.outer(self.axes[0].weights, self.axes[1].weights)
-
     def meshes(self) -> tuple[np.ndarray, ...]:
         """Node coordinate arrays broadcastable to the grid shape (sparse)."""
         if self.ndim == 1:
@@ -255,19 +232,5 @@ class Grid:
                 raise OutOfDomain(
                     f"axis {a.name!r}: {bad.size} point(s) outside "
                     f"[{a.lower}, {a.upper}], e.g. {bad.flat[0]!r}"
-                )
-
-    def validate_weight_sums(self) -> None:
-        """Check each axis integrates its own noninformative profile exactly:
-        the box length on linear axes, ln(upper/lower) for 1/x on log axes."""
-        for a in self.axes:
-            if a.spacing == LINEAR:
-                total, expect = float(np.sum(a.weights)), a.length
-            else:
-                total, expect = float(np.sum(a.weights / a.nodes)), math.log(a.upper / a.lower)
-            if abs(total - expect) > 1e-12 * expect:
-                raise InvalidGrid(
-                    f"axis {a.name!r}: weights integrate the noninformative "
-                    f"profile to {total!r}, expected {expect!r}"
                 )
 

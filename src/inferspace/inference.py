@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import and_combine, total_variation
-from .coordinates import Map2D, pull_back
+from .coordinates import Map2D, _lattice_axis, pull_back
 from .density import (
     Density,
     evaluate,
@@ -399,54 +399,32 @@ def _mapped_grid(joint: Density, m: Map2D) -> Grid:
     """The joint's first axis and an axis ``v`` over the image of the second.
 
     One probe of ``m.forward`` over the joint's nodes finds the image of the
-    node lattice.  If those images land on a uniform lattice in v's spacing
-    coordinate (ln v when both axes are logarithmic and v > 0, else v; the
-    other spacing is tried next), to 1e-6 lattice steps, ``v`` is that
-    lattice from the smallest image to the largest.  Every target node then
-    pulls back onto a source node, up to rounding, so pushes are interpolation
-    free and the band comparison measures pure frame equivariance.  This is
-    ``image_axis`` for a separable map, and for the shear (x, x·y) on log–log
-    axes of equal steps it is a log axis of 2n − 1 nodes.  A map whose images
-    miss every lattice, or whose lattice would be larger, gets 4·(n₀ + n₁)
-    nodes over the range of its images.
+    node lattice.  If those images land on a uniform lattice in v or ln v
+    (``_lattice_axis``, ln v first when both axes are logarithmic), ``v`` is
+    that lattice.  Every target node then pulls back onto a source node, up
+    to rounding, so pushes are interpolation free and the band comparison
+    measures pure frame equivariance.  This is ``image_axis`` for a separable
+    map, and for the shear (x, x·y) on log–log axes of equal steps it is a
+    log axis of 2n − 1 nodes.  A map whose images miss every lattice, or
+    whose lattice would be larger, gets 4·(n₀ + n₁) nodes over the range of
+    its images.
     """
     ax0, ax1 = joint.grid.axes
     with np.errstate(all="ignore"):
         _, v = m.forward(ax0.nodes[:, None], ax1.nodes[None, :])
-    v = np.asarray(v, dtype=float).ravel()
+    v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvalidGrid(f"{m.kind!r} map sends some nodes of the box to a non-finite v")
     vlo, vhi = float(v.min()), float(v.max())
     if not vhi > vlo:
         raise InvalidGrid(f"map collapses the second coordinate: range [{vlo}, {vhi}]")
+    both_log = ax0.spacing == LOGARITHMIC and ax1.spacing == LOGARITHMIC
     count = 4 * (ax0.count + ax1.count)
-    spacings = [LINEAR]
-    if vlo > 0.0:
-        both_log = ax0.spacing == LOGARITHMIC and ax1.spacing == LOGARITHMIC
-        spacings.insert(0 if both_log else 1, LOGARITHMIC)
-    for spacing in spacings:
-        steps = _lattice_steps(np.log(v) if spacing == LOGARITHMIC else v, count - 1)
-        if steps is not None:
-            return Grid.of(ax0, Axis("v", spacing, vlo, vhi, steps + 1))
-    return Grid.of(ax0, Axis("v", spacings[0], vlo, vhi, count))
-
-
-def _lattice_steps(s: np.ndarray, most: int) -> int | None:
-    """The number of steps of the uniform lattice from min(s) to max(s) on
-    which every value of ``s`` lies to 1e-6 steps, if it has at most
-    ``most``; the step is the smallest gap between distinct values."""
-    s = np.sort(s)
-    lo, span = s[0], s[-1] - s[0]
-    gaps = np.diff(s)
-    # Gaps below this are rounding between images of one lattice point.
-    gaps = gaps[gaps > 1e-9 * max(span, abs(s[0]), abs(s[-1]))]
-    if gaps.size == 0:
-        return None
-    steps = round(span / float(gaps.min()))
-    if not 1 <= steps <= most:
-        return None
-    k = (s - lo) * (steps / span)
-    return steps if float(np.max(np.abs(k - np.round(k)))) <= 1e-6 else None
+    axis = _lattice_axis("v", v, both_log, count)
+    if axis is None:
+        spacing = LOGARITHMIC if both_log and vlo > 0.0 else LINEAR
+        axis = Axis("v", spacing, vlo, vhi, count)
+    return Grid.of(ax0, axis)
 
 
 def borel_kolmogorov_demo(

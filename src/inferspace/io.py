@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .density import Density
+from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid
 from .theory import Provenance, TheoryDensity
@@ -98,7 +98,19 @@ def density_from_dict(doc: dict) -> Density:
         normalized = bool(doc.get("normalized", False))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed density document: {exc}") from exc
-    return Density(grid, values, frame=frame, normalized=normalized)
+    d = Density(grid, values, frame=frame, normalized=normalized)
+    _check_normalized_flag(d)
+    return d
+
+
+def _check_normalized_flag(d: Density) -> None:
+    """Refuse a density flagged normalized whose mass is more than 1e-9 from
+    1: the flag lets the AND and ``summarize`` skip normalizing.  The mass is
+    integrated only when the flag is set."""
+    if d.normalized:
+        mass = integrate(d)
+        if not abs(mass - 1.0) <= 1e-9:
+            raise SchemaError(f"the density is flagged normalized but its mass is {mass!r}")
 
 
 def write_density(d: Density, path: str | Path) -> None:
@@ -268,9 +280,11 @@ def _theory_from_archive(archive) -> TheoryDensity:
           for name, ax in zip(mu_names, grid.axes)]
     try:
         joint = Density(grid, joint, frame=frame, normalized=normalized)
-        return TheoryDensity(joint, mu, provenance)
+        theory = TheoryDensity(joint, mu, provenance)
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
+    _check_normalized_flag(joint)
+    return theory
 
 
 def read_theory(path: str | Path) -> TheoryDensity:

@@ -21,6 +21,7 @@ from inferspace import (
     affine_map,
     and_combine,
     evaluate,
+    exp_map,
     integrate,
     log_map,
     normalize,
@@ -43,17 +44,6 @@ def test_reciprocal_twice_is_identity():
     m = reciprocal_map()
     x = np.geomspace(0.1, 10.0, 50)
     np.testing.assert_allclose(m.forward(m.forward(x)), x, rtol=1e-12)
-
-
-def test_custom_map_rejects_zero_derivative():
-    m = CoordinateMap(
-        "custom",
-        forward=lambda x: x**3,
-        inverse=lambda y: np.cbrt(y),
-        dforward=lambda x: 3.0 * x * x,
-    )
-    with pytest.raises(SingularJacobian):
-        m.jacobian(np.array([0.0]))
 
 
 def test_1d_push_through_a_vanishing_derivative_is_singular():
@@ -138,6 +128,21 @@ def test_image_axis_rejects_shifted_log():
     ax = Axis.logarithmic("T", 0.1, 10.0, 51)
     with pytest.raises(DomainMismatch):
         affine_map(2.0, 1.0).image_axis(ax)
+
+
+def test_two_node_axis_has_an_image_axis_under_any_map():
+    """Two images always form a one-step lattice."""
+    ax = Axis.logarithmic("T", 0.1, 10.0, 2)
+    for m in (affine_map(2.0, 1.0), affine_map(-2.0, 1.0), exp_map(), power_map(0.5)):
+        img = m.image_axis(ax, name="y")
+        assert img.count == 2
+        np.testing.assert_array_equal(img.nodes, np.sort(m.forward(ax.nodes)))
+
+
+def test_image_axis_refuses_images_that_overflow():
+    """exp(1000) is not a float64: no lattice, and no overflow warning."""
+    with pytest.raises(DomainMismatch, match="lie on no uniform linear or log lattice"):
+        exp_map().image_axis(Axis.logarithmic("L", 1.0, 1000.0, 11))
 
 
 def test_outside_zero_policy():

@@ -124,13 +124,6 @@ def test_marginalize_keeps_mass():
     assert integrate(marginalize(d, "T")) == pytest.approx(integrate(d), rel=1e-12)
 
 
-def test_integrate_region():
-    ax = Axis.linear("x", 0.0, 1.0, 101)
-    d = Density(Grid.of(ax), np.ones(101))
-    assert integrate(d, {"x": (0.25, 0.75)}) == pytest.approx(0.5, abs=1e-12)
-    assert integrate(d, {"x": (None, 0.5)}) == pytest.approx(0.5, abs=1e-12)
-
-
 def test_evaluate_at_nodes_exact_1d():
     rng = np.random.default_rng(3)
     ax = Axis.logarithmic("x", 0.2, 7.0, 33)
@@ -169,10 +162,3 @@ def test_require_same_space_rejects_frames_and_grids():
     c = Density(g1, np.ones(5), frame="mapped:log")
     with pytest.raises(GridMismatch):
         require_same_space(a, c)
-
-
-def test_mass_property_matches_integrate():
-    rng = np.random.default_rng(1)
-    grid = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 31), Axis.linear("T", 0.0, 2.0, 29))
-    d = Density(grid, rng.uniform(0.0, 2.0, grid.shape))
-    assert d.mass() == pytest.approx(integrate(d), rel=0, abs=0)

@@ -51,15 +51,6 @@ def test_param_of_is_inverse_of_nodes():
     np.testing.assert_allclose(ax.param_of(ax.nodes), ax.param_nodes, atol=1e-13)
 
 
-def test_region_weights_partial_cells():
-    ax = Axis.linear("x", 0.0, 1.0, 11)
-    w = ax.region_weights(0.25, 0.75)
-    assert w.sum() == pytest.approx(0.5, abs=1e-12)
-    assert w.min() >= 0.0
-    full = ax.region_weights(None, None)
-    np.testing.assert_allclose(full, ax.weights, atol=0)
-
-
 def test_invalid_axes_rejected():
     with pytest.raises(InvalidGrid):
         Axis.linear("x", 1.0, 0.0, 10)  # reversed bounds
@@ -84,13 +75,18 @@ def test_grid_shape_and_axis_lookup():
 
 
 def test_cell_volumes_tile_box():
+    """The per-axis weights' outer product tiles the box, and each axis
+    integrates its own noninformative profile exactly: the box length on a
+    linear axis, ln(upper/lower) for 1/x on a log axis."""
     g = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 41), Axis.linear("T", 0.0, 2.0, 33))
-    vols = g.cell_volumes()
-    assert vols.shape == g.shape
     wl, wt = g.weight_arrays()
+    vols = np.multiply.outer(wl, wt)
+    assert vols.shape == g.shape
     assert vols.sum() == pytest.approx(wl.sum() * wt.sum(), rel=1e-12)
     assert vols.sum() == pytest.approx(g.box_volume, rel=1e-3)
-    g.validate_weight_sums()
+    ln_axis, lin_axis = g.axes
+    assert np.sum(wl / ln_axis.nodes) == pytest.approx(np.log(20.0 / 0.5), rel=1e-12)
+    assert np.sum(wt) == pytest.approx(lin_axis.length, rel=1e-12)
 
 
 def test_grids_equal_and_header_roundtrip():

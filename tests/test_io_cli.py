@@ -4,6 +4,7 @@ CLI tests call ``main(argv)`` in process and parse the JSON it prints; exit
 codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 """
 
+import contextlib
 import json
 import math
 import os
@@ -34,10 +35,12 @@ from inferspace import (
     Grid,
     IOFailure,
     MeasurementModel,
+    NonFinite,
     PriorSpec,
     Provenance,
     SchemaError,
     TheoryDensity,
+    ZeroMass,
     analytic_fall_theory,
     density_from_dict,
     density_to_dict,
@@ -136,6 +139,26 @@ class TestDensityFiles:
     def test_not_an_object_raises(self):
         with pytest.raises(SchemaError):
             density_from_dict([1, 2, 3])
+
+    def test_normalized_flag_needs_unit_mass(self, tmp_path, capsys):
+        """A document flagged normalized must carry unit mass to 1e-9, or
+        ``intersect`` and ``summarize`` would trust a wrong flag."""
+        d = _sample_density()
+        for factor in (1.0 + 1e-12, 1.0):
+            doc = density_to_dict(d.with_values(factor * d.values, normalized=True))
+            assert density_from_dict(doc).normalized is True
+        for factor in (1.0 + 1e-8, 2.0):
+            doc = density_to_dict(d.with_values(factor * d.values, normalized=True))
+            with pytest.raises(SchemaError, match="flagged normalized but its mass is"):
+                density_from_dict(doc)
+        write_density(d.with_values(2.0 * d.values, normalized=True), tmp_path / "d.json")
+        out = tmp_path / "o.csv"
+        code = main(["convert", "--in", str(tmp_path / "d.json"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "flagged normalized but its mass is 2.0" in captured.err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +380,21 @@ class TestTheoryFiles:
         monkeypatch.setattr(np.lib.format, "write_array", real)
         assert_same_theory(read_theory(target), old)
 
+    def test_joint_flagged_normalized_needs_unit_mass(self, tmp_path, capsys):
+        """A joint flagged normalized with mass 2 would pass through the AND
+        unscaled: the reader refuses it and ``infer`` exits 2."""
+        theory = _sample_theory()
+        joint = theory.joint.with_values(2.0 * theory.joint.values, normalized=True)
+        write_theory(TheoryDensity(joint, theory.mu_factors, theory.provenance), tmp_path / "th")
+        with pytest.raises(SchemaError, match="flagged normalized but its mass is 2.0"):
+            read_theory(tmp_path / "th")
+        code = main(["infer", "--theory", str(tmp_path / "th.npz"),
+                     "--measure", "T:gaussian:1:0.1", "--query", "L"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "flagged normalized but its mass is 2.0" in captured.err
+
     def test_version_one_json_triple_is_not_read(self, tmp_path, capsys):
         """The version-1 theory, a density JSON with ``.mu.json`` and
         ``.provenance.json`` beside it, is refused: the error names the
@@ -474,11 +512,14 @@ def _theories(draw):
         draw(hnp.arrays(np.float64, ax.count, elements=st.floats(0.0, 1e300)))
         for ax in axes
     ]
-    frame = draw(st.text(max_size=8))
+    joint = Density(grid, draw(_joint_layouts(grid.shape)), frame=draw(st.text(max_size=8)))
+    if draw(st.booleans()):
+        # A file may flag its joint normalized only at unit mass.
+        with np.errstate(all="ignore"), contextlib.suppress(ZeroMass, NonFinite):
+            joint = normalize(joint)
     seeds = st.none() | st.integers(0, 2**63 - 1)
     return TheoryDensity(
-        joint=Density(grid, draw(_joint_layouts(grid.shape)), frame=frame,
-                      normalized=draw(st.booleans())),
+        joint=joint,
         mu_factors=factors,
         provenance=Provenance(draw(st.text(max_size=12)), draw(seeds), draw(seeds)),
     )
@@ -1214,15 +1255,14 @@ class TestCliConvert:
 
     @pytest.mark.parametrize("spec", ["x:affine:2:1", "x:exp"])
     def test_map_without_an_image_axis_names_the_kinds_with_one(self, tmp_path, capsys, spec):
-        """``convert`` takes no target grid, so the refusal names the map kinds
-        that do have an image of a logarithmic axis."""
+        """``convert`` takes no target grid, so it refuses a map whose node
+        images lie on no lattice, and says so."""
         src, _ = self._write_lognormal(tmp_path)
         out = tmp_path / "o.csv"
         code = main(["convert", "--in", src, "--out", str(out), "--map", spec])
         err = capsys.readouterr().err
         assert code == 2
-        assert "of a logarithmic axis has no linear/log image axis" in err
-        assert "log, reciprocal, power, and affine with a > 0 and b = 0" in err
+        assert "images of the nodes of axis 'x' lie on no uniform linear or log lattice" in err
         assert "target grid" not in err
         assert not out.exists()
 

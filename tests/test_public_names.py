@@ -1,8 +1,11 @@
-"""Every public name has a caller outside the tests.
+"""Every public name, and every method and property, has a caller outside
+the tests.
 
 A name in ``inferspace.__all__`` stays only if the package itself uses it
 (outside ``__init__.py``), an acceptance test or the README quick start
-imports it, or the benchmark driver names it.  A name that only unit tests
+imports it, or the benchmark driver names it.  A method or property of a
+class in the package stays only if one of the same four reads it as an
+attribute.  A name that only unit tests
 call is dead weight: it goes, and a test that used it as an oracle keeps a
 copy of what it needs.
 """
@@ -24,6 +27,13 @@ EXEMPT = {
 }
 
 
+# Methods and properties kept without such a caller, with the reason.
+EXEMPT_MEMBERS = {
+    "TheoryDensity.mu": "the README documents and_combine(theory.joint, rho, theory.mu) "
+                        "as the way to AND a theory with the generic algebra",
+}
+
+
 def _loads(tree: ast.AST) -> set[str]:
     return {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -35,22 +45,52 @@ def _imports(tree: ast.AST) -> set[str]:
             for alias in node.names}
 
 
-def _callers() -> dict[str, set[str]]:
-    package = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            package |= _loads(ast.parse(path.read_text(encoding="utf-8")))
+def _attributes(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _sources() -> dict[str, list[str]]:
+    """The four callers outside the tests, as source texts."""
     (quick_start,) = re.findall(r"^```python\n(.*?)^```",
                                 (ROOT / "README.md").read_text(encoding="utf-8"),
                                 flags=re.M | re.S)
-    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
-    bench = (ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
     return {
-        "package": package,
+        "package": [path.read_text(encoding="utf-8")
+                    for path in PACKAGE.glob("*.py") if path.name != "__init__.py"],
+        "acceptance": [(ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")],
+        "README": [quick_start],
+        "perfbench": [(ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")],
+    }
+
+
+def _callers() -> dict[str, set[str]]:
+    """The public names each caller uses."""
+    sources = _sources()
+    (acceptance,), (quick_start,), (bench,) = (
+        sources[caller] for caller in ("acceptance", "README", "perfbench"))
+    return {
+        "package": set().union(*map(_loads, map(ast.parse, sources["package"]))),
         "acceptance": _imports(ast.parse(acceptance)),
         "README": _imports(ast.parse(quick_start)),
         "perfbench": set(re.findall(r"\w+", bench)),
     }
+
+
+def _attribute_callers() -> dict[str, set[str]]:
+    """The attribute names each caller reads."""
+    return {caller: set().union(*map(_attributes, map(ast.parse, texts)))
+            for caller, texts in _sources().items()}
+
+
+def _members() -> list[tuple[str, str]]:
+    """(class, member) for every method and property, dunders aside, of a
+    class defined in the package."""
+    return [(cls.name, fn.name)
+            for tree in map(ast.parse, _sources()["package"])
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))]
 
 
 def test_every_public_name_has_a_caller():
@@ -67,3 +107,21 @@ def test_exempt_names_are_public_and_still_uncalled():
     for name in EXEMPT:
         assert name in inferspace.__all__
         assert not any(name in found for found in callers.values()), name
+
+
+def test_every_method_and_property_has_a_caller():
+    callers = _attribute_callers()
+    uncalled = [f"{cls}.{name}" for cls, name in _members()
+                if f"{cls}.{name}" not in EXEMPT_MEMBERS
+                and not any(name in found for found in callers.values())]
+    assert uncalled == [], f"no caller outside the tests: {uncalled}"
+
+
+def test_exempt_members_exist_and_are_still_uncalled():
+    """An exemption lapses once the member gets a caller or is gone."""
+    callers = _attribute_callers()
+    members = {f"{cls}.{name}" for cls, name in _members()}
+    for qualified in EXEMPT_MEMBERS:
+        assert qualified in members
+        name = qualified.split(".")[1]
+        assert not any(name in found for found in callers.values()), qualified
