@@ -46,7 +46,7 @@ from .coordinates import (
     reciprocal_map,
     shear_map,
 )
-from .density import Density, integrate, marginalize, normalize
+from .density import Density, integrate, normalize
 from .errors import (
     ConfigInvalid,
     ConfigurationError,
@@ -56,7 +56,12 @@ from .errors import (
     SingularJacobian,
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
-from .inference import band_conditional, borel_kolmogorov_demo, intersect, summarize
+from .inference import (
+    _posterior_marginal,
+    band_conditional,
+    borel_kolmogorov_demo,
+    summarize,
+)
 from .io import read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
     BOXCAR,
@@ -263,7 +268,9 @@ def _cmd_analytic_theory(p: argparse.Namespace) -> int:
 
 def _cmd_infer(p: argparse.Namespace) -> int:
     """``infer``; also ``predict``, which is ``infer`` with its one
-    ``--known`` reading as the measurement."""
+    ``--known`` reading as the measurement.  The reported marginal is taken
+    from the theory's joint by one contraction; the posterior joint is never
+    built."""
     if p.command == "predict":
         if not p.known:
             raise ConfigInvalid("pass --known AXIS:KIND:CENTER:WIDTH")
@@ -273,11 +280,8 @@ def _cmd_infer(p: argparse.Namespace) -> int:
             raise ConfigInvalid("pass at least one --measure AXIS:KIND:CENTER:WIDTH")
         specs = p.measure
     theory = read_theory(p.theory)
-    grid = theory.joint.grid
     models = [parse_measurement(s) for s in specs]
-    post = intersect(theory, *models)
-    if grid.ndim > 1:
-        post = marginalize(post, _default_query(grid, models, p.query))
+    post = _posterior_marginal(theory, models, _default_query(theory.joint.grid, models, p.query))
     if p.out:
         write_density(post, p.out)
     _emit(summarize(post).as_dict())

@@ -116,14 +116,18 @@ def scale_to_unit_mass(values: np.ndarray, weights, out: np.ndarray) -> np.ndarr
     """Write ``values`` divided by their mass under the per-axis ``weights``
     into ``out`` (which may be ``values``) and return it.
 
-    Raises ZeroMass when the values carry no finite positive mass to scale,
-    NonFinite if scaling overflows.
+    Raises ZeroMass when the values carry no positive mass to scale,
+    NonFinite if the mass or the scaling overflows.
     """
-    m = _mass(values, weights)
-    if not np.isfinite(m) or m <= 0.0:
-        raise ZeroMass(f"cannot normalize density with mass {m!r}")
-    np.divide(values, m, out=out)
-    unit = _mass(out, weights)
+    # Overflow is refused below by name, not left to numpy's warning.
+    with np.errstate(over="ignore"):
+        m = _mass(values, weights)
+        if not np.isfinite(m):
+            raise NonFinite(f"cannot normalize density: its mass overflows float64 ({m!r})")
+        if m <= 0.0:
+            raise ZeroMass(f"cannot normalize density with mass {m!r}")
+        np.divide(values, m, out=out)
+        unit = _mass(out, weights)
     # The weights are positive, so the mass is finite exactly when every
     # scaled value is.
     if not np.isfinite(unit):
@@ -139,7 +143,7 @@ def normalize(d: Density) -> Density:
     """Scale ``d`` to unit mass over the box.
 
     Raises ZeroMass when the density carries no mass to scale, NonFinite if
-    scaling overflows.
+    its mass or the scaling overflows.
     """
     vals = scale_to_unit_mass(d.values, d.grid.weight_arrays(), np.empty(d.values.shape))
     # Frozen, so the Density shares this fresh array instead of copying it.

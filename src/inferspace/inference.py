@@ -3,8 +3,10 @@
 Inference here is one operation: AND the theory with whatever is known, then
 read off the axis of interest.  The AND of a state of information with
 another is itself a state of information, so ``intersect`` returns the
-posterior as a plain normalized ``Density``, and ``predict`` returns its
-marginal on one axis, ready for ``summarize``.  Conditioning on an exact
+posterior as a plain normalized ``Density``.  ``predict`` and the CLI's
+``infer`` and ``predict`` want only its marginal on one axis, ready for
+``summarize``; they take it from the theory's joint by one contraction,
+without building the 2D posterior.  Conditioning on an exact
 value is the degenerate limit of ANDing with an ever-thinner band, and
 keeping that limit honest across coordinate changes is what the
 curved-slice demonstration at the bottom of this module is about.
@@ -186,8 +188,9 @@ def intersect(
     Raises OutOfDomain for a gaussian or lognormal reading centred off the
     grid with under 1% of its mass on the box, ZeroMass for a reading in
     the box that no node resolves, ZeroMass when the readings contradict
-    each other or the theory, and NeutralZero where μ vanishes but the
-    theory times the readings does not.
+    each other or the theory, NeutralZero where μ vanishes but the theory
+    times the readings does not, and NonFinite when the AND's mass
+    overflows.
     """
     joint = theory.joint
     factors = _reading_factors(theory, [reading, *more])
@@ -201,19 +204,59 @@ def intersect(
         f = factors[k][window[k]].reshape((-1,) + (1,) * (joint.grid.ndim - 1 - k))
         src = np.multiply(src, f, out=sub)
     weights = [ax.weights[w] for ax, w in zip(joint.grid.axes, window)]
-    try:
-        scale_to_unit_mass(src, weights, out=sub)
-    except ZeroMass as exc:
-        raise ZeroMass(f"the measurement contradicts the theory: {exc}") from exc
+    _scale_posterior(src, weights, out=sub)
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
     return joint.with_values(vals, normalized=True)
 
 
+def _scale_posterior(values: np.ndarray, weights, out: np.ndarray) -> None:
+    """``scale_to_unit_mass`` of the theory ANDed with readings, where no
+    mass means the readings contradict the theory."""
+    try:
+        scale_to_unit_mass(values, weights, out=out)
+    except ZeroMass as exc:
+        raise ZeroMass(f"the measurement contradicts the theory: {exc}") from exc
+
+
+def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
+    """``marginalize(intersect(theory, *readings), query)`` without the
+    posterior joint.
+
+    σ = joint · ⊗ₖ fₖ, so its marginal on axis q is
+
+        f_q ⊙ (joint · (f_o ⊙ w_o)),
+
+    o the other axis and w_o its quadrature weights: one matrix–vector
+    product over ``intersect``'s window, then normalized.  It raises what
+    ``intersect`` raises, and UnknownAxis for a ``query`` the theory lacks.
+    """
+    grid = theory.joint.grid
+    q = grid.axis_index(query)
+    factors = _reading_factors(theory, readings)
+    window = tuple(_support(f) for f in factors)
+    ax, wq = grid.axes[q], window[q]
+    vals = np.zeros(ax.count)
+    sub, src = vals[wq], theory.joint.values[window]
+    # An overflow here leaves a mass that is not finite, which scaling refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid.ndim == 2:
+            o = 1 - q
+            f_w = factors[o][window[o]] * grid.axes[o].weights[window[o]]
+            src = src @ f_w if q == 0 else f_w @ src
+        np.multiply(src, factors[q][wq], out=sub)
+    _scale_posterior(sub, [ax.weights[wq]], out=sub)
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    vals.setflags(write=False)
+    frame = theory.joint.frame if grid.ndim == 1 else ax.name
+    return Density(Grid.of(ax), vals, frame=frame, normalized=True)
+
+
 def predict(theory: TheoryDensity, known: MeasurementModel, query: str) -> Density:
     """What the theory says about ``query`` given one known reading: the
-    normalized marginal of their AND on that axis."""
-    return marginalize(intersect(theory, known), query)
+    normalized marginal of their AND on that axis, taken from the joint
+    without building the posterior joint."""
+    return _posterior_marginal(theory, [known], query)
 
 
 def conditional_density(joint: Density, fixed_axis: str, fixed_value: float) -> Density:

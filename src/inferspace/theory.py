@@ -301,9 +301,12 @@ def run_campaign(
         a = measurement_profiles(m0, ax0, r0[block], w0)
         b = measurement_profiles(m1, ax1, r1[block], w1)
         mass = (a @ ax0.weights[w0]) * (b @ ax1.weights[w1])
-        kept = np.isfinite(mass) & (mass > 0.0)
+        # A mass of 0, or one so small that its reciprocal overflows, is none.
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = 1.0 / mass
+        kept = np.isfinite(scale) & (scale > 0.0)
         dropped += int(np.count_nonzero(~kept))
-        a *= np.divide(1.0, mass, out=np.zeros_like(mass), where=kept)[:, None]
+        a *= np.where(kept, scale, 0.0)[:, None]
         acc[w0, w1] += a.T @ b
     if dropped:
         raise ZeroMass(f"{dropped} of {n_experiments} experiment(s) have no mass on the grid")

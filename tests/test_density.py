@@ -94,6 +94,14 @@ def test_normalize_zero_mass_raises():
         normalize(Density(grid, np.zeros(9)))
 
 
+def test_normalize_names_an_overflowing_mass():
+    """A mass beyond float64 is refused as an overflow, not as zero mass,
+    and without numpy's overflow warning, which the suite makes an error."""
+    grid = Grid.of(Axis.logarithmic("x", 1.0, 1e6, 11), Axis.logarithmic("y", 1.0, 1e6, 11))
+    with pytest.raises(NonFinite, match=r"mass overflows float64 \(inf\)"):
+        normalize(Density(grid, np.full(grid.shape, 1e300)))
+
+
 def test_marginalize_then_normalize_commutes():
     rng = np.random.default_rng(23)
     grid = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 31), Axis.linear("T", 0.0, 2.0, 29))

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -17,6 +17,8 @@ from inferspace import (
     LOGARITHMIC,
     LOGNORMAL,
     NONINFORMATIVE,
+    SET_L,
+    SET_T,
     Axis,
     Density,
     FallingBodyLaw,
@@ -50,11 +52,13 @@ from inferspace import (
     product_map,
     push_forward,
     reciprocal_map,
+    run_campaign,
     shear_map,
     summarize,
     total_variation,
 )
-from inferspace.inference import _mapped_grid, _reading_factors, _share_on_box
+from inferspace.inference import (_mapped_grid, _posterior_marginal, _reading_factors,
+                                  _share_on_box)
 
 from conftest import boxcar_density, conditional_theory, gaussian_density
 
@@ -229,41 +233,49 @@ class TestIntersect:
             intersect(theory, reading)
 
 
-@st.composite
-def _theories_and_readings(draw):
-    axes = []
-    for name in ("L", "T"):
-        lower = draw(st.floats(0.1, 10.0))
-        upper = lower * draw(st.floats(1.5, 100.0))
-        make = draw(st.sampled_from([Axis.linear, Axis.logarithmic]))
-        axes.append(make(name, lower, upper, draw(st.integers(3, 40))))
+def _draw_axis(draw, name):
+    lower = draw(st.floats(0.1, 10.0))
+    upper = lower * draw(st.floats(1.5, 100.0))
+    make = draw(st.sampled_from([Axis.linear, Axis.logarithmic]))
+    return make(name, lower, upper, draw(st.integers(3, 40)))
+
+
+def _draw_random_theory(draw, axes, mu_levels=(0.5, 1.0, 2.0)):
     grid = Grid.of(*axes)
     joint = Density(grid, draw(hnp.arrays(np.float64, grid.shape, elements=st.floats(0.0, 10.0))))
     # some μ values of exactly 1 make some, not all, of a factor's entries 1
-    levels = st.floats(0.1, 10.0) | st.sampled_from([0.5, 1.0, 2.0])
+    levels = st.floats(0.1, 10.0) | st.sampled_from(mu_levels)
     mu = [draw(hnp.arrays(np.float64, ax.count, elements=levels)) for ax in axes]
-    readings = []
-    for _ in range(draw(st.integers(1, 3))):
-        ax = draw(st.sampled_from(axes))
-        kinds = [BOXCAR, LOGNORMAL, NONINFORMATIVE]
-        kinds += [GAUSSIAN] if ax.spacing == "linear" else []
-        kind = draw(st.sampled_from(kinds))
-        if kind == NONINFORMATIVE:
-            readings.append(MeasurementModel(ax.name, kind))
-            continue
-        # anywhere in any node's cell, the outer cells included, counted from
-        # either end of the axis so that both ends are drawn alike
-        j, t = draw(st.integers(0, ax.count - 1)), draw(st.floats(0.0, 1.0))
-        if draw(st.booleans()):
-            j, t = ax.count - 1 - j, 1.0 - t
-        lo, hi = ax.cell_boundaries[j : j + 2]
-        center = lo + (hi - lo) * t
-        # from about one node spacing, in the reading's own coordinate, to
-        # over three times the box
-        span = math.log(ax.upper / ax.lower) if kind == LOGNORMAL else ax.upper - ax.lower
-        width = span / (ax.count - 1) * 2.0 ** draw(st.integers(0, 7))
-        readings.append(MeasurementModel(ax.name, kind, center, width))
-    return TheoryDensity(joint, mu, Provenance("analytic")), readings
+    return TheoryDensity(joint, mu, Provenance("analytic"))
+
+
+def _draw_reading(draw, ax):
+    kinds = [BOXCAR, LOGNORMAL, NONINFORMATIVE]
+    kinds += [GAUSSIAN] if ax.spacing == "linear" else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == NONINFORMATIVE:
+        return MeasurementModel(ax.name, kind)
+    # anywhere in any node's cell, the outer cells included, counted from
+    # either end of the axis so that both ends are drawn alike
+    j, t = draw(st.integers(0, ax.count - 1)), draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        j, t = ax.count - 1 - j, 1.0 - t
+    lo, hi = ax.cell_boundaries[j : j + 2]
+    center = lo + (hi - lo) * t
+    # from about one node spacing, in the reading's own coordinate, to
+    # over three times the box
+    span = math.log(ax.upper / ax.lower) if kind == LOGNORMAL else ax.upper - ax.lower
+    width = span / (ax.count - 1) * 2.0 ** draw(st.integers(0, 7))
+    return MeasurementModel(ax.name, kind, center, width)
+
+
+@st.composite
+def _theories_and_readings(draw):
+    theory = _draw_random_theory(draw, [_draw_axis(draw, name) for name in ("L", "T")])
+    axes = theory.joint.grid.axes
+    readings = [_draw_reading(draw, draw(st.sampled_from(axes)))
+                for _ in range(draw(st.integers(1, 3)))]
+    return theory, readings
 
 
 def _window_kinds(theory, readings):
@@ -305,6 +317,97 @@ def test_factored_and_equals_the_dense_fold():
 
     check()
     assert all(windows[k] for k in ("inside", "low edge", "high edge")), windows
+
+
+def _draw_fall_grid(draw):
+    """L and T axes, each linear or logarithmic, around the fall law's ridge."""
+    lower = draw(st.floats(0.5, 5.0))
+    upper = lower * draw(st.floats(2.0, 20.0))
+    t_lower = math.sqrt(2.0 * lower / 9.81) * draw(st.floats(0.6, 1.0))
+    t_upper = math.sqrt(2.0 * upper / 9.81) * draw(st.floats(1.0, 1.5))
+    makes = st.sampled_from([Axis.linear, Axis.logarithmic])
+    return Grid.of(draw(makes)("L", lower, upper, draw(st.integers(5, 40))),
+                   draw(makes)("T", t_lower, t_upper, draw(st.integers(5, 40))))
+
+
+def _draw_off_box(draw, m, ax):
+    """A gaussian or lognormal reading moved to a centre off the box, from
+    well inside its reach to far out of it."""
+    k = draw(st.floats(0.1, 6.0)) * m.width
+    if m.kind == LOGNORMAL:
+        low, high = math.log(ax.lower) - k, math.log(ax.upper) + k
+        center = math.exp(low if draw(st.booleans()) else high)
+    else:
+        center = ax.lower - k if draw(st.booleans()) else ax.upper + k
+    return MeasurementModel(m.parameter, m.kind, center, m.width)
+
+
+@st.composite
+def _marginal_cases(draw):
+    """(kind, theory, readings, query): a random 2-D or 1-D theory whose μ
+    may vanish, the analytic fall ridge, or a small campaign, ANDed with one
+    to three readings, some centred off the box."""
+    kind = draw(st.sampled_from(["random", "1-D", "analytic", "empirical"]))
+    if kind in ("random", "1-D"):
+        names = ("L", "T") if kind == "random" else ("L",)
+        levels = (0.0, 0.5, 1.0, 2.0) if draw(st.booleans()) else (0.5, 1.0, 2.0)
+        theory = _draw_random_theory(draw, [_draw_axis(draw, name) for name in names], levels)
+    else:
+        grid = _draw_fall_grid(draw)
+        law = FallingBodyLaw(9.81, draw(st.sampled_from([0.05, 0.2])))
+        try:
+            if kind == "analytic":
+                theory = analytic_fall_theory(law, grid)
+            else:
+                width = draw(st.sampled_from([0.02, 0.1]))
+                instruments = [MeasurementModel("L", LOGNORMAL, 1.0, width),
+                               MeasurementModel("T", LOGNORMAL, 1.0, width)]
+                theory = run_campaign(law, instruments, draw(st.integers(1, 60)),
+                                      draw(st.sampled_from([SET_L, SET_T])), 7, grid)
+        except ZeroMass:
+            assume(False)
+    axes = theory.joint.grid.axes
+    readings = []
+    for _ in range(draw(st.integers(1, 3))):
+        ax = draw(st.sampled_from(axes))
+        m = _draw_reading(draw, ax)
+        if m.kind in (GAUSSIAN, LOGNORMAL) and draw(st.integers(0, 3)) == 0:
+            m = _draw_off_box(draw, m, ax)
+        readings.append(m)
+    return kind, theory, readings, draw(st.sampled_from(theory.joint.grid.names))
+
+
+def test_posterior_marginal_equals_the_marginal_of_the_posterior():
+    """The marginal taken from the joint by one contraction equals the
+    marginal of the normalized 2-D posterior to 1e-12 of its peak, on both
+    query axes, and refuses what the 2-D posterior refuses with the same
+    error.  The drawn cases include every kind of theory, windows at either
+    edge of an axis, and each refusal."""
+    seen = Counter()
+
+    @settings(max_examples=400)
+    @given(_marginal_cases())
+    def check(case):
+        kind, theory, readings, query = case
+        try:
+            expected = marginalize(intersect(theory, *readings), query).values
+        except InferenceSpaceError as exc:
+            with pytest.raises(InferenceSpaceError) as refused:
+                _posterior_marginal(theory, readings, query)
+            assert type(refused.value) is type(exc)
+            assert str(refused.value) == str(exc)
+            seen[type(exc).__name__] += 1
+            return
+        marginal = _posterior_marginal(theory, readings, query)
+        assert marginal.normalized
+        assert np.max(np.abs(marginal.values - expected)) <= 1e-12 * np.max(expected)
+        seen.update([kind, f"query axis {theory.joint.grid.axis_index(query)}"])
+        seen.update(_window_kinds(theory, readings))
+
+    check()
+    wanted = ["random", "1-D", "analytic", "empirical", "query axis 0", "query axis 1",
+              "inside", "low edge", "high edge", "OutOfDomain", "ZeroMass", "NeutralZero"]
+    assert all(seen[k] for k in wanted), seen
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from inferspace import (
     make_prior,
     noninformative_profile,
     normalize,
+    predict,
     read_density,
     read_theory,
     run_campaign,
@@ -515,7 +516,7 @@ def _theories(draw):
     joint = Density(grid, draw(_joint_layouts(grid.shape)), frame=draw(st.text(max_size=8)))
     if draw(st.booleans()):
         # A file may flag its joint normalized only at unit mass.
-        with np.errstate(all="ignore"), contextlib.suppress(ZeroMass, NonFinite):
+        with contextlib.suppress(ZeroMass, NonFinite):
             joint = normalize(joint)
     seeds = st.none() | st.integers(0, 2**63 - 1)
     return TheoryDensity(
@@ -585,6 +586,31 @@ def test_theory_file_io_stays_within_its_memory_budget(tmp_path, monkeypatch):
     assert not back.joint.values.flags.writeable
     assert back.joint.values is scattered[0]
     assert_same_theory(back, theory)
+
+
+def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
+    """On the analytic theory, ``predict`` allocates under 0.05 grid arrays:
+    its marginal is one contraction of the joint, and no posterior joint is
+    built.  A read then an ``infer``, in process, allocate at most 1.15: the
+    read's scattered joint and its band, and 1-D arrays."""
+    grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 401),
+                   Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 401))
+    theory = analytic_fall_theory(FallingBodyLaw(9.81, 1e-3), grid)
+    grid_bytes = theory.joint.values.nbytes
+    known = MeasurementModel("T", LOGNORMAL, 1.0, 0.005)
+    argv = ["infer", "--theory", str(write_theory(theory, tmp_path / "t")),
+            "--measure", "T:lognormal:1.0:0.005"]
+    # A first call of each, so the modules they import are not counted.
+    predict(theory, known, "L")
+    main(argv)
+    capsys.readouterr()
+
+    _, predicted = _allocated(lambda: predict(theory, known, "L"))
+    code, inferred = _allocated(lambda: main(argv))
+    assert json.loads(capsys.readouterr().out)["axis"] == "L"
+    assert code == 0
+    assert predicted < 0.05 * grid_bytes
+    assert inferred <= 1.15 * grid_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +694,29 @@ class TestCliInference:
         assert main(["infer", "--theory", th, "--measure", "Z:lognormal:1:0.1"]) == 2
         assert main(["infer", "--theory", th]) == 2
         capsys.readouterr()
+
+    def test_query_absent_from_a_1d_theory_exits_config(self, tmp_path, capsys):
+        """``--query`` must name an axis of the theory, on a 1-D theory as on
+        a 2-D one."""
+        ax = Axis.logarithmic("L", 1.0, 10.0, 101)
+        profile = noninformative_profile(ax)
+        theory = TheoryDensity(Density(Grid.of(ax), profile), [profile], Provenance("analytic"))
+        argv = ["infer", "--theory", str(write_theory(theory, tmp_path / "one")),
+                "--measure", "L:lognormal:3:0.1"]
+        code, doc = run_cli(argv, capsys)
+        assert code == 0 and doc["axis"] == "L"
+        assert main(argv + ["--query", "T"]) == 2
+        assert "no axis named 'T'" in capsys.readouterr().err
+
+    def test_overflowing_posterior_mass_exits_numerical(self, tmp_path, capsys):
+        """A theory whose AND with a reading has a mass beyond float64 is
+        refused as an overflow (exit 3), without numpy's warning."""
+        axes = [Axis.logarithmic(name, 1.0, 1e6, 11) for name in ("L", "T")]
+        theory = TheoryDensity(Density(Grid.of(*axes), np.full((11, 11), 1e300)),
+                               [noninformative_profile(ax) for ax in axes], Provenance("analytic"))
+        th = str(write_theory(theory, tmp_path / "huge"))
+        assert main(["infer", "--theory", th, "--measure", "T:noninformative"]) == 3
+        assert "mass overflows float64" in capsys.readouterr().err
 
     def test_missing_theory_file_exits_config(self, tmp_path, capsys):
         code = main(

@@ -134,6 +134,18 @@ def test_missing_instrument_rejected():
         run_campaign(law, _instruments()[:1], 1, SET_L, master_seed=1, grid=grid)
 
 
+def test_experiment_whose_mass_is_below_float64_reach_has_no_mass():
+    """A reading far narrower than its axis's nodes leaves an experiment a
+    mass whose reciprocal overflows: the campaign refuses it as having no
+    mass on the grid, without numpy's overflow warning."""
+    grid = Grid.of(Axis.linear("L", 1.0, 16.0, 5),
+                   Axis.logarithmic("T", 0.4515236409857309, 2.7091418459143854, 5))
+    instruments = [MeasurementModel("L", LOGNORMAL, 1.0, 0.02),
+                   MeasurementModel("T", LOGNORMAL, 1.0, 0.02)]
+    with pytest.raises(ZeroMass, match=r"of 5 experiment\(s\) have no mass on the grid"):
+        run_campaign(FallingBodyLaw(9.81, 0.05), instruments, 5, SET_T, master_seed=7, grid=grid)
+
+
 def test_accumulated_mass_counts_experiments():
     law = FallingBodyLaw()
     grid = _fall_grid(101)
