@@ -75,7 +75,14 @@ from .priors import (
     null_information_density,
     sample_prior,
 )
-from .theory import SET_L, SET_T, FallingBodyLaw, analytic_fall_theory, run_campaign
+from .theory import (
+    SET_L,
+    SET_T,
+    FallingBodyLaw,
+    _band_mass,
+    analytic_fall_theory,
+    run_campaign,
+)
 
 _SPACING_TOKENS = {
     "lin": LINEAR,
@@ -231,7 +238,7 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
         "out": str(written),
         "n_experiments": p.n,
         "mode": p.mode,
-        "mass": integrate(theory.joint),
+        "mass": _band_mass(theory),
     }
     if p.compare_analytic:
         # The empirical ridge is the theory ridge blurred by the instruments:
@@ -262,15 +269,15 @@ def _cmd_analytic_theory(p: argparse.Namespace) -> int:
     )
     theory = analytic_fall_theory(law, grid, frame=p.frame)
     written = write_theory(theory, p.out)
-    _emit({"out": str(written), "frame": p.frame, "mass": integrate(theory.joint)})
+    _emit({"out": str(written), "frame": p.frame, "mass": _band_mass(theory)})
     return 0
 
 
 def _cmd_infer(p: argparse.Namespace) -> int:
     """``infer``; also ``predict``, which is ``infer`` with its one
     ``--known`` reading as the measurement.  The reported marginal is taken
-    from the theory's joint by one contraction; the posterior joint is never
-    built."""
+    from the theory's row bands by one contraction; neither the joint nor the
+    posterior joint is built."""
     if p.command == "predict":
         if not p.known:
             raise ConfigInvalid("pass --known AXIS:KIND:CENTER:WIDTH")
@@ -281,7 +288,7 @@ def _cmd_infer(p: argparse.Namespace) -> int:
         specs = p.measure
     theory = read_theory(p.theory)
     models = [parse_measurement(s) for s in specs]
-    post = _posterior_marginal(theory, models, _default_query(theory.joint.grid, models, p.query))
+    post = _posterior_marginal(theory, models, _default_query(theory.grid, models, p.query))
     if p.out:
         write_density(post, p.out)
     _emit(summarize(post).as_dict())

@@ -5,10 +5,10 @@ read off the axis of interest.  The AND of a state of information with
 another is itself a state of information, so ``intersect`` returns the
 posterior as a plain normalized ``Density``.  ``predict`` and the CLI's
 ``infer`` and ``predict`` want only its marginal on one axis, ready for
-``summarize``; they take it from the theory's joint by one contraction,
-without building the 2D posterior.  Conditioning on an exact
-value is the degenerate limit of ANDing with an ever-thinner band, and
-keeping that limit honest across coordinate changes is what the
+``summarize``; they take it from the theory's row bands by one
+contraction, without building the joint or the 2D posterior.  Conditioning
+on an exact value is the degenerate limit of ANDing with an ever-thinner
+band, and keeping that limit honest across coordinate changes is what the
 curved-slice demonstration at the bottom of this module is about.
 """
 
@@ -97,7 +97,7 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
     one axis has none, and μ = 0
     where the joint times the readings is positive (NeutralZero).
     """
-    grid = theory.joint.grid
+    grid = theory.grid
     on_axis = [[] for _ in grid.axes]
     for m in models:
         k = grid.axis_index(m.parameter)
@@ -142,24 +142,18 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
 def _undefined_nodes(theory: TheoryDensity, products) -> int:
     """How many nodes have μ = 0 but joint · ⊗ₖ productₖ > 0.
 
-    Only the slices where some μₖ vanishes are read, so a μ without zeros
-    costs no pass over the joint.
+    Only the joint's band values are read, and only when some μₖ vanishes,
+    so a μ without zeros costs no pass over the joint.
     """
-    ndim = theory.joint.grid.ndim
-    count = 0
-    for k, mu_k in enumerate(theory.mu_factors):
-        idx = np.flatnonzero(mu_k == 0.0)
-        if idx.size == 0:
-            continue
-        num = np.take(theory.joint.values, idx, axis=k)
-        for a, (mu_a, p) in enumerate(zip(theory.mu_factors, products)):
-            if a == k:
-                p = p[idx]
-            elif a < k:
-                p = p * (mu_a > 0.0)  # those nodes were counted on axis a
-            num = num * p.reshape((-1,) + (1,) * (ndim - 1 - a))
-        count += int(np.count_nonzero(num > 0.0))
-    return count
+    vanishing = [mu_k == 0.0 for mu_k in theory.mu_factors]
+    if not any(v.any() for v in vanishing):
+        return 0
+    num, undefined = theory.band, False
+    nodes = np.unravel_index(theory._nodes(), theory.grid.shape)
+    for node, v, p in zip(nodes, vanishing, products):
+        num = num * p[node]
+        undefined = undefined | v[node]
+    return int(np.count_nonzero(undefined & (num > 0.0)))
 
 
 def _support(f: np.ndarray) -> slice:
@@ -227,28 +221,32 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
 
         f_q ⊙ (joint · (f_o ⊙ w_o)),
 
-    o the other axis and w_o its quadrature weights: one matrix–vector
-    product over ``intersect``'s window, then normalized.  It raises what
-    ``intersect`` raises, and UnknownAxis for a ``query`` the theory lacks.
+    o the other axis and w_o its quadrature weights, normalized over
+    ``intersect``'s window.  The contraction runs over the theory's band
+    values alone: a sum over each row's band for q = 0, a sum over each
+    column's values for q = 1 (and for a 1-D theory, whose one row is the
+    joint).  It raises what ``intersect`` raises, and UnknownAxis for a
+    ``query`` the theory lacks.
     """
-    grid = theory.joint.grid
+    grid = theory.grid
     q = grid.axis_index(query)
     factors = _reading_factors(theory, readings)
-    window = tuple(_support(f) for f in factors)
-    ax, wq = grid.axes[q], window[q]
-    vals = np.zeros(ax.count)
-    sub, src = vals[wq], theory.joint.values[window]
+    ax, wq = grid.axes[q], _support(factors[q])
     # An overflow here leaves a mass that is not finite, which scaling refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        if grid.ndim == 2:
-            o = 1 - q
-            f_w = factors[o][window[o]] * grid.axes[o].weights[window[o]]
-            src = src @ f_w if q == 0 else f_w @ src
-        np.multiply(src, factors[q][wq], out=sub)
+        if grid.ndim == 1:
+            src = theory._column_sums(np.ones(1))
+        elif q == 0:
+            src = theory._row_sums(factors[1] * grid.axes[1].weights)
+        else:
+            src = theory._column_sums(factors[0] * grid.axes[0].weights)
+        vals = np.zeros(ax.count)
+        sub = vals[wq]
+        np.multiply(src[wq], factors[q][wq], out=sub)
     _scale_posterior(sub, [ax.weights[wq]], out=sub)
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    frame = theory.joint.frame if grid.ndim == 1 else ax.name
+    frame = theory.frame if grid.ndim == 1 else ax.name
     return Density(Grid.of(ax), vals, frame=frame, normalized=True)
 
 

@@ -13,9 +13,10 @@ interior zeros included.  One ``mu_<k>`` array per axis k holds μ's factor
 on that axis, and a ``header``, a 0-d string array, holds JSON with the
 format name and version, the axis headers, the frame, the joint's
 normalization flag and the provenance record.  Every value reads back bit for
-bit, into one dense frozen joint.  Only version 4 is read; a file of an
-older version is refused by its header's version, and rerunning the command
-that wrote it rebuilds it.
+bit, and the arrays go straight into the ``TheoryDensity``, which holds the
+joint by the same bands: no dense joint is built.  Only version 4 is read; a
+file of an older version is refused by its header's version, and rerunning
+the command that wrote it rebuilds it.
 
 Every writer goes through a temporary file in the target's directory that is
 synced and renamed onto the target, so the target is always either whole or
@@ -39,7 +40,7 @@ import numpy as np
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid
-from .theory import Provenance, TheoryDensity
+from .theory import Provenance, TheoryDensity, _band_mass
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
@@ -99,18 +100,18 @@ def density_from_dict(doc: dict) -> Density:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed density document: {exc}") from exc
     d = Density(grid, values, frame=frame, normalized=normalized)
-    _check_normalized_flag(d)
+    _check_normalized_flag(d.normalized, lambda: integrate(d))
     return d
 
 
-def _check_normalized_flag(d: Density) -> None:
+def _check_normalized_flag(normalized: bool, mass) -> None:
     """Refuse a density flagged normalized whose mass is more than 1e-9 from
-    1: the flag lets the AND and ``summarize`` skip normalizing.  The mass is
-    integrated only when the flag is set."""
-    if d.normalized:
-        mass = integrate(d)
-        if not abs(mass - 1.0) <= 1e-9:
-            raise SchemaError(f"the density is flagged normalized but its mass is {mass!r}")
+    1: the flag lets the AND and ``summarize`` skip normalizing.  ``mass()``
+    is integrated only when the flag is set."""
+    if normalized:
+        m = mass()
+        if not abs(m - 1.0) <= 1e-9:
+            raise SchemaError(f"the density is flagged normalized but its mass is {m!r}")
 
 
 def write_density(d: Density, path: str | Path) -> None:
@@ -153,9 +154,6 @@ def write_csv(d: Density, path: str | Path) -> None:
 
 THEORY_FORMAT_NAME = "inferspace-theory"
 THEORY_FORMAT_VERSION = 4
-# Rows whose bands are found together, so the mask of nonzero values stays a
-# small fraction of the joint.
-_BAND_BLOCK_ROWS = 64
 
 
 def _theory_path(path: str | Path) -> Path:
@@ -171,40 +169,21 @@ def _theory_header(t: TheoryDensity) -> str:
         {
             "format": THEORY_FORMAT_NAME,
             "version": THEORY_FORMAT_VERSION,
-            "axes": [ax.to_header() for ax in t.joint.grid.axes],
-            "frame": t.joint.frame,
-            "normalized": t.joint.normalized,
+            "axes": [ax.to_header() for ax in t.grid.axes],
+            "frame": t.frame,
+            "normalized": t.normalized,
             "provenance": t.provenance.as_dict(),
         }
     )
 
 
-def _row_bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first and one-past-the-last column whose value is not +0.0
-    (bitwise, so a -0.0 is kept); ``lo == hi == 0`` for an all-zero row."""
-    ncols = rows.shape[1]
-    bits = rows.view(np.int64)
-    lo = np.zeros(len(rows), np.int64)
-    hi = np.zeros(len(rows), np.int64)
-    for start in range(0, len(rows), _BAND_BLOCK_ROWS):
-        block = slice(start, start + _BAND_BLOCK_ROWS)
-        nonzero = bits[block] != 0
-        found = nonzero.any(axis=1)
-        lo[block] = np.where(found, nonzero.argmax(axis=1), 0)
-        hi[block] = np.where(found, ncols - nonzero[:, ::-1].argmax(axis=1), 0)
-    return lo, hi
-
-
 def write_theory(t: TheoryDensity, path: str | Path) -> Path:
     """Write ``t`` atomically to ``<base>.npz`` and return that path."""
     target = _theory_path(path)
-    values = t.joint.values
-    rows = values.reshape(-1, values.shape[-1])
-    lo, hi = _row_bands(rows)
-    band = np.concatenate([row[a:b] for row, a, b in zip(rows, lo.tolist(), hi.tolist())])
     factors = {f"mu_{k}": f for k, f in enumerate(t.mu_factors)}
     with _replacing(target) as fh:
-        np.savez(fh, header=np.array(_theory_header(t)), lo=lo, hi=hi, band=band, **factors)
+        np.savez(fh, header=np.array(_theory_header(t)), lo=t.lo, hi=t.hi, band=t.band,
+                 **factors)
     return target
 
 
@@ -236,8 +215,9 @@ def _member(archive, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
     return values
 
 
-def _joint_values(archive, shape: tuple[int, ...]) -> np.ndarray:
-    """The joint, scattered from its row bands into one zeroed array."""
+def _bands(archive, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The joint's row bands ``lo``, ``hi`` and ``band``, each checked for its
+    dtype and shape, and the bands for lying within their rows."""
     ncols = shape[-1]
     nrows = math.prod(shape[:-1])
     lo = _member(archive, "lo", np.int64, (nrows,))
@@ -245,14 +225,7 @@ def _joint_values(archive, shape: tuple[int, ...]) -> np.ndarray:
     if not np.all((lo >= 0) & (lo <= hi) & (hi <= ncols)):
         raise SchemaError(f"row bands are not all 0 <= lo <= hi <= {ncols}")
     band = _member(archive, "band", np.float64, (int((hi - lo).sum()),))
-    values = np.zeros(shape)
-    start = 0
-    for row, a, b in zip(values.reshape(nrows, ncols), lo.tolist(), hi.tolist()):
-        row[a:b] = band[start:start + b - a]
-        start += b - a
-    # Frozen, so Density shares the scattered array instead of copying it.
-    values.setflags(write=False)
-    return values
+    return lo, hi, band
 
 
 def _members(archive, names) -> None:
@@ -275,15 +248,15 @@ def _theory_from_archive(archive) -> TheoryDensity:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
     mu_names = [f"mu_{k}" for k in range(grid.ndim)]
     _members(archive, ("lo", "hi", "band", *mu_names))
-    joint = _joint_values(archive, grid.shape)
+    lo, hi, band = _bands(archive, grid.shape)
     mu = [_member(archive, name, np.float64, (ax.count,))
           for name, ax in zip(mu_names, grid.axes)]
     try:
-        joint = Density(grid, joint, frame=frame, normalized=normalized)
-        theory = TheoryDensity(joint, mu, provenance)
+        theory = TheoryDensity(grid, lo, hi, band, mu, provenance,
+                               frame=frame, normalized=normalized)
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
-    _check_normalized_flag(joint)
+    _check_normalized_flag(normalized, lambda: _band_mass(theory))
     return theory
 
 

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .density import Density, integrate
+from .density import Density, default_frame
 from .errors import (
     ConfigInvalid,
     EmptyInput,
@@ -120,6 +121,15 @@ class Provenance:
         )
 
 
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values`` as a frozen C-contiguous array: shared if it already is
+    one, copied if not."""
+    if values.flags.writeable or not values.flags.c_contiguous:
+        values = np.array(values)
+        values.setflags(write=False)
+    return values
+
+
 def _frozen_factor(axis: Axis, factor) -> np.ndarray:
     f = np.asarray(factor, dtype=np.float64)
     if f.shape != (axis.count,):
@@ -132,38 +142,157 @@ def _frozen_factor(axis: Axis, factor) -> np.ndarray:
         raise NegativeDensity(
             f"the μ factor on axis {axis.name!r} must be >= 0, min is {f.min()!r}"
         )
-    if f.flags.writeable or not f.flags.c_contiguous:
-        f = np.array(f)
-        f.setflags(write=False)
-    return f
+    return _frozen(f)
+
+
+def _row_bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's first and one-past-the-last column whose value is not +0.0
+    (bitwise, so a -0.0 is kept), ``lo == hi == 0`` for an all-zero row, and
+    the values between them, row after row, interior zeros included."""
+    ncols = rows.shape[1]
+    nonzero = rows.view(np.int64) != 0
+    found = nonzero.any(axis=1)
+    lo = np.where(found, nonzero.argmax(axis=1), 0).astype(np.int64)
+    hi = np.where(found, ncols - nonzero[:, ::-1].argmax(axis=1), 0).astype(np.int64)
+    cols = np.arange(ncols)
+    return lo, hi, rows[(cols >= lo[:, None]) & (cols < hi[:, None])]
 
 
 @dataclass(frozen=True, eq=False)
 class TheoryDensity:
     """A joint density over (independent, dependent), its μ and its origin.
 
+    The joint is held as a theory file stores it, by its rows
+    ``values.reshape(-1, shape[-1])`` (a 1-D theory is one row): ``lo`` and
+    ``hi`` (int64) hold each row's first and one-past-the-last nonzero
+    column, ``lo == hi == 0`` for an all-zero row, and ``band`` (float64,
+    1-D) the values between them, row after row, interior zeros included.
+    Every other node is an exact zero.  ``joint`` builds the dense
+    ``Density`` on each access, for the generic algebra; ``from_joint``
+    takes the bands of one.
+
     μ is kept as one factor per axis: ``mu_factors[k]`` is a frozen float64
     array over axis k, and μ on the grid is their outer product.
     """
 
-    joint: Density
+    grid: Grid
+    lo: np.ndarray
+    hi: np.ndarray
+    band: np.ndarray
     mu_factors: tuple[np.ndarray, ...]
     provenance: Provenance
+    frame: str = ""
+    normalized: bool = False
 
     def __post_init__(self) -> None:
-        axes = self.joint.grid.axes
+        axes = self.grid.axes
         if len(self.mu_factors) != len(axes):
             raise InvalidGrid(f"{len(self.mu_factors)} μ factor(s) for a {len(axes)}D grid")
         factors = tuple(_frozen_factor(ax, f) for ax, f in zip(axes, self.mu_factors))
         object.__setattr__(self, "mu_factors", factors)
+        ncols = axes[-1].count
+        nrows = self.grid.node_count // ncols
+        lo, hi = (np.asarray(a, dtype=np.int64) for a in (self.lo, self.hi))
+        if lo.shape != (nrows,) or hi.shape != (nrows,):
+            raise InvalidGrid(f"row bounds of shapes {lo.shape} and {hi.shape} for {nrows} rows")
+        if not np.all((lo >= 0) & (lo <= hi) & (hi <= ncols)):
+            raise InvalidGrid(f"row bands are not all 0 <= lo <= hi <= {ncols}")
+        band = np.asarray(self.band, dtype=np.float64)
+        if band.shape != (int((hi - lo).sum()),):
+            raise InvalidGrid(f"band of shape {band.shape} for rows whose bands "
+                              f"hold {int((hi - lo).sum())} values")
+        # min and max see any NaN or infinity without a band-sized temporary.
+        if band.size:
+            least, most = band.min(), band.max()
+            if not (np.isfinite(least) and np.isfinite(most)):
+                raise NonFinite("density values must be finite")
+            if least < 0.0:
+                raise NegativeDensity(f"density values must be >= 0, min is {least!r}")
+        for name, values in (("lo", lo), ("hi", hi), ("band", band)):
+            object.__setattr__(self, name, _frozen(values))
+        if not self.frame:
+            object.__setattr__(self, "frame", default_frame(self.grid))
+
+    @classmethod
+    def from_joint(cls, joint: Density, mu_factors, provenance: Provenance) -> "TheoryDensity":
+        """The theory whose joint is the dense ``joint``, held by its bands."""
+        values = joint.values
+        lo, hi, band = _row_bands(values.reshape(-1, values.shape[-1]))
+        for a in (lo, hi, band):
+            # Frozen, so the theory shares these fresh arrays instead of copying them.
+            a.setflags(write=False)
+        return cls(joint.grid, lo, hi, band, mu_factors, provenance,
+                   frame=joint.frame, normalized=joint.normalized)
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Where each row's values start in ``band``, computed once per theory."""
+        lengths = self.hi - self.lo
+        return np.cumsum(lengths) - lengths
+
+    @cached_property
+    def _cols(self) -> np.ndarray:
+        """The column of each band value, computed once per theory.  It is
+        left writable, as np.bincount copies a read-only index array."""
+        cols = np.repeat(self.lo - self._starts, self.hi - self.lo)
+        cols += np.arange(cols.size)
+        return cols
+
+    def _nodes(self) -> np.ndarray:
+        """The index of each band value's node in the flattened grid."""
+        ncols = self.grid.shape[-1]
+        nodes = np.repeat(np.arange(0, self.grid.node_count, ncols), self.hi - self.lo)
+        nodes += self._cols
+        return nodes
+
+    def _row_sums(self, g: np.ndarray) -> np.ndarray:
+        """Σ over each row's band of band · g[column]: joint · g, one entry per row."""
+        product = g[self._cols]
+        product *= self.band
+        out = np.zeros(self.lo.size)
+        if product.size:
+            # reduceat's sum over an empty row would be the next row's first value.
+            full = self.hi > self.lo
+            out[full] = np.add.reduceat(product, self._starts[full])
+        return out
+
+    def _column_sums(self, h: np.ndarray) -> np.ndarray:
+        """Σ over each column of band · h[row]: h · joint, one entry per
+        column of the 2-D joint."""
+        product = np.repeat(h, self.hi - self.lo)
+        product *= self.band
+        return np.bincount(self._cols, product, minlength=self.grid.shape[-1])
+
+    @property
+    def joint(self) -> Density:
+        """The joint as a dense density on the grid, built on each access for
+        the generic algebra."""
+        if self.band.size == self.grid.node_count:
+            # Every row is full, so the band is the joint, row after row; the
+            # Density shares it, as it is frozen.
+            values = self.band.reshape(self.grid.shape)
+        else:
+            values = np.zeros(self.grid.shape)
+            values.ravel()[self._nodes()] = self.band
+            # Frozen, so the Density shares this fresh array instead of copying it.
+            values.setflags(write=False)
+        return Density(self.grid, values, frame=self.frame, normalized=self.normalized)
 
     @property
     def mu(self) -> Density:
-        """μ as a dense density on the joint's grid and frame, built on each
+        """μ as a dense density on the theory's grid and frame, built on each
         access for the generic algebra."""
         values = outer_values(self.mu_factors)
         values.setflags(write=False)
-        return Density(self.joint.grid, values, frame=self.joint.frame)
+        return Density(self.grid, values, frame=self.frame)
+
+
+def _band_mass(theory: TheoryDensity) -> float:
+    """Quadrature of the theory's joint over the box, from its bands: the
+    weighted column sums, then their weighted sum, in ``integrate``'s order."""
+    weights = theory.grid.weight_arrays()
+    h = np.ones(1) if theory.grid.ndim == 1 else weights[0]
+    return float(theory._column_sums(h) @ weights[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +439,7 @@ def run_campaign(
         acc[w0, w1] += a.T @ b
     if dropped:
         raise ZeroMass(f"{dropped} of {n_experiments} experiment(s) have no mass on the grid")
-    return TheoryDensity(
+    return TheoryDensity.from_joint(
         Density(grid, acc),
         mu,
         Provenance("empirical", n_experiments=n_experiments, master_seed=master_seed),
@@ -339,7 +468,7 @@ def _gaussian_ridge(zeta: np.ndarray, sigma: float) -> np.ndarray:
 
 def _ridge_blocks(coords, length_index: int, log_half_g: float, sigma: float):
     """The (rows, cols) slices of the grid where the ridge can be nonzero,
-    one per block of ``_RIDGE_BLOCK_ROWS`` rows.
+    one per block of ``_RIDGE_BLOCK_ROWS`` rows that has any such node.
 
     ``coords`` are the two axes' nodes as ln L and ln T (or λ and τ), and
     ζ = ln L − ln ½g − 2 ln T.  exp(−½(ζ/σ)²) is an exact float64 zero
@@ -359,7 +488,8 @@ def _ridge_blocks(coords, length_index: int, log_half_g: float, sigma: float):
     first = np.maximum(np.minimum.reduceat(lo, starts), 0)
     last = np.minimum(np.maximum.reduceat(hi, starts), cols.size)
     for start, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()):
-        yield slice(start, start + _RIDGE_BLOCK_ROWS), slice(c0, c1)
+        if c0 < c1:
+            yield slice(start, start + _RIDGE_BLOCK_ROWS), slice(c0, c1)
 
 
 def analytic_fall_theory(
@@ -377,7 +507,9 @@ def analytic_fall_theory(
 
     The ridge is evaluated only on blocks of nodes where float64 can hold a
     nonzero value (``_ridge_blocks``); every other node is an exact zero,
-    as the formula would give there.  ``tools/oracles/ridge_support.py``
+    as the formula would give there.  Each block is evaluated into an array
+    of its own size, and only its rows' bands are kept, so no grid-sized
+    array is built.  ``tools/oracles/ridge_support.py``
     locates float64's exp underflow and checks the bands over a σ sweep.
     """
     sigma = law.sigma_theory
@@ -417,18 +549,26 @@ def analytic_fall_theory(
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
     # A g or sigma so extreme that the ridge over- or underflows is not
     # warned about: it leaves no mass, which is refused below.
-    nodes0, nodes1 = (ax.nodes for ax in grid.axes)
-    vals = np.zeros(grid.shape)
+    (nodes0, nodes1), (w0, w1) = (ax.nodes for ax in grid.axes), grid.weight_arrays()
+    lo, hi, bands = np.zeros(grid.shape[0], np.int64), np.zeros(grid.shape[0], np.int64), []
+    mass = 0.0
     with np.errstate(all="ignore"):
         for rows, cols in _ridge_blocks(coords, il, log_half_g, sigma):
-            vals[rows, cols] = ridge(nodes0[rows, None], nodes1[None, cols])
-    # Frozen, so the Density shares this fresh array instead of copying it.
-    vals.setflags(write=False)
-    joint = Density(grid, vals)
-    if not integrate(joint) > 0.0:
+            block = ridge(nodes0[rows, None], nodes1[None, cols])
+            mass += w0[rows] @ block @ w1[cols]
+            a, b, band = _row_bands(block)
+            found = b > 0
+            lo[rows], hi[rows] = a + cols.start * found, b + cols.start * found
+            bands.append(band)
+    band = np.concatenate(bands) if bands else np.zeros(0)
+    for a in (lo, hi, band):
+        # Frozen, so the theory shares these fresh arrays instead of copying them.
+        a.setflags(write=False)
+    theory = TheoryDensity(grid, lo, hi, band, mu, Provenance("analytic"))
+    if not mass > 0.0:
         box = ", ".join(f"{ax.name} in [{ax.lower}, {ax.upper}]" for ax in grid.axes)
         raise ZeroMass(
             f"the fall law {law.length_axis} = ½·g·{law.time_axis}² with g={law.g!r} and "
             f"sigma={sigma!r} puts no mass on the box {box}"
         )
-    return TheoryDensity(joint, mu, Provenance("analytic"))
+    return theory

@@ -1,9 +1,13 @@
 """Shared grids and densities for the test suite."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import inferspace
 from inferspace import (Axis, Density, Grid, Provenance, TheoryDensity, noninformative_profile,
                         normalize)
 
@@ -12,6 +16,14 @@ from inferspace import (Axis, Density, Grid, Provenance, TheoryDensity, noninfor
 # machine is not a failing example.
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+# hypothesis also mixes into its draws constants from the source of every
+# local module in sys.modules (test modules aside), so which examples a
+# property test draws depends on which modules are loaded when it runs.
+# Every module of the package, the CLI included, is imported here, before
+# any test module, so that set is the same whichever tests are selected.
+PACKAGE_MODULES = [importlib.import_module(f"inferspace.{m.name}")
+                   for m in pkgutil.iter_modules(inferspace.__path__)]
 
 
 @pytest.fixture
@@ -52,6 +64,6 @@ def conditional_theory(slices, mu_i: Density) -> TheoryDensity:
     μ(i)'s axis.  The theory's μ is μ(i) ⊗ μ(d), μ(d) noninformative."""
     (i_axis,), (d_axis,) = mu_i.grid.axes, slices[0].grid.axes
     joint = mu_i.values[:, None] * np.array([s.values for s in slices])
-    return TheoryDensity(Density(Grid.of(i_axis, d_axis), joint),
-                         (mu_i.values, noninformative_profile(d_axis)),
-                         Provenance("from_conditional"))
+    return TheoryDensity.from_joint(Density(Grid.of(i_axis, d_axis), joint),
+                                    (mu_i.values, noninformative_profile(d_axis)),
+                                    Provenance("from_conditional"))

@@ -2,15 +2,19 @@
 curved-slice conditioning demonstration."""
 
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from hypothesis.internal.constants_ast import is_local_module_file
 from numpy.testing import assert_allclose
 
+import inferspace
 from inferspace import (
     BOXCAR,
     GAUSSIAN,
@@ -60,7 +64,7 @@ from inferspace import (
 from inferspace.inference import (_mapped_grid, _posterior_marginal, _reading_factors,
                                   _share_on_box)
 
-from conftest import boxcar_density, conditional_theory, gaussian_density
+from conftest import PACKAGE_MODULES, boxcar_density, conditional_theory, gaussian_density
 
 LAW = FallingBodyLaw(g=9.81, length_axis="L", time_axis="T")
 
@@ -124,7 +128,7 @@ class TestIntersect:
         axl, axt = grid.axes
         narrow = np.where((axl.nodes >= 2.0) & (axl.nodes <= 4.0), 1.0, 0.0)
         joint = Density(grid, np.outer(narrow / axl.nodes, 1.0 / axt.nodes))
-        theory = TheoryDensity(
+        theory = TheoryDensity.from_joint(
             joint=joint,
             mu_factors=[noninformative_profile(ax) for ax in grid.axes],
             provenance=Provenance(kind="analytic"),
@@ -223,8 +227,8 @@ class TestIntersect:
         mu_l, mu_t = np.ones(7), np.ones(5)
         mu_l[[0, 3]] = 0.0
         mu_t[[1]] = 0.0
-        theory = TheoryDensity(Density(grid, np.ones((7, 5))), [mu_l, mu_t],
-                               Provenance("analytic"))
+        theory = TheoryDensity.from_joint(Density(grid, np.ones((7, 5))), [mu_l, mu_t],
+                                          Provenance("analytic"))
         reading = MeasurementModel("T", GAUSSIAN, 1.5, 0.3)
         # 2 rows of 5 and 1 column of 7 nodes, which share 2 nodes
         with pytest.raises(NeutralZero, match=r"on 15 node\(s\)"):
@@ -246,7 +250,7 @@ def _draw_random_theory(draw, axes, mu_levels=(0.5, 1.0, 2.0)):
     # some μ values of exactly 1 make some, not all, of a factor's entries 1
     levels = st.floats(0.1, 10.0) | st.sampled_from(mu_levels)
     mu = [draw(hnp.arrays(np.float64, ax.count, elements=levels)) for ax in axes]
-    return TheoryDensity(joint, mu, Provenance("analytic"))
+    return TheoryDensity.from_joint(joint, mu, Provenance("analytic"))
 
 
 def _draw_reading(draw, ax):
@@ -410,6 +414,16 @@ def test_posterior_marginal_equals_the_marginal_of_the_posterior():
     assert all(seen[k] for k in wanted), seen
 
 
+def test_property_tests_draw_from_the_package_constants_alone():
+    """The local modules whose constants hypothesis mixes into its draws are
+    the package's, all loaded by ``conftest``: a test module that loaded
+    another would make the drawn examples depend on which tests are
+    selected."""
+    local = {Path(m.__file__).resolve() for m in list(sys.modules.values())
+             if getattr(m, "__file__", None) and is_local_module_file(m.__file__)}
+    assert local == {Path(m.__file__).resolve() for m in [*PACKAGE_MODULES, inferspace]}
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -457,7 +471,7 @@ class TestPredict:
         l_cm = to_cm.image_axis(axl, name="L")
         target = Grid.of(l_cm, axt)
         mu_l = Density(Grid.of(axl), theory.mu_factors[0])
-        scaled = TheoryDensity(
+        scaled = TheoryDensity.from_joint(
             joint=push_forward(theory.joint, product_map(to_cm, affine_map(1.0)), target),
             mu_factors=(push_forward(mu_l, to_cm, Grid.of(l_cm)).values, theory.mu_factors[1]),
             provenance=theory.provenance,

@@ -64,6 +64,7 @@ from inferspace.cli import (
     parse_map,
     parse_measurement,
 )
+from inferspace.inference import _posterior_marginal
 
 from conftest import conditional_theory, gaussian_density
 
@@ -266,7 +267,7 @@ def test_failed_density_write_leaves_no_partial_file(tmp_path, monkeypatch, writ
 
 def _sample_theory(kind="empirical"):
     joint = _sample_density()
-    return TheoryDensity(
+    return TheoryDensity.from_joint(
         joint=joint,
         mu_factors=[noninformative_profile(ax) for ax in joint.grid.axes],
         provenance=Provenance(kind=kind, n_experiments=7, master_seed=123),
@@ -386,7 +387,8 @@ class TestTheoryFiles:
         unscaled: the reader refuses it and ``infer`` exits 2."""
         theory = _sample_theory()
         joint = theory.joint.with_values(2.0 * theory.joint.values, normalized=True)
-        write_theory(TheoryDensity(joint, theory.mu_factors, theory.provenance), tmp_path / "th")
+        write_theory(TheoryDensity.from_joint(joint, theory.mu_factors, theory.provenance),
+                     tmp_path / "th")
         with pytest.raises(SchemaError, match="flagged normalized but its mass is 2.0"):
             read_theory(tmp_path / "th")
         code = main(["infer", "--theory", str(tmp_path / "th.npz"),
@@ -519,7 +521,7 @@ def _theories(draw):
         with contextlib.suppress(ZeroMass, NonFinite):
             joint = normalize(joint)
     seeds = st.none() | st.integers(0, 2**63 - 1)
-    return TheoryDensity(
+    return TheoryDensity.from_joint(
         joint=joint,
         mu_factors=factors,
         provenance=Provenance(draw(st.text(max_size=12)), draw(seeds), draw(seeds)),
@@ -547,6 +549,24 @@ def test_theory_file_round_trip_is_bit_exact(theory):
     assert band.size == int((hi - lo).sum())
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_bands_of_a_joint_rebuild_it_bit_for_bit(data):
+    """A theory holds a dense joint by its row bands: its ``joint`` rebuilds
+    every value, -0.0 included, for every layout a theory file stores."""
+    axes = [Axis.linear(name, 0.0, 1.0, data.draw(st.integers(1, 6)) + 1) for name in
+            data.draw(st.sampled_from([("x",), ("x", "y")]))]
+    grid = Grid.of(*axes)
+    values = data.draw(_joint_layouts(grid.shape))
+    if data.draw(st.booleans()):
+        values[tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)] *= -0.0
+    d = Density(grid, values, frame="lab", normalized=data.draw(st.booleans()))
+    theory = TheoryDensity.from_joint(d, [np.ones(ax.count) for ax in axes], Provenance("x"))
+    back = theory.joint
+    assert back.values.tobytes() == d.values.tobytes()
+    assert (back.grid, back.frame, back.normalized) == (d.grid, d.frame, d.normalized)
+
+
 def _allocated(call):
     """``call()`` and the peak bytes numpy and Python allocated during it."""
     tracemalloc.start()
@@ -559,32 +579,32 @@ def _allocated(call):
         tracemalloc.stop()
 
 
-def test_theory_file_io_stays_within_its_memory_budget(tmp_path, monkeypatch):
-    """On the analytic theory, writing allocates at most 0.3 grid arrays
-    beyond the joint, and reading at most 1.1: the one scattered joint,
-    which Density shares instead of copying, and the band it came from."""
+def test_theory_file_io_stays_within_its_memory_budget(tmp_path):
+    """On the analytic theory, building it allocates under 0.2 grid arrays
+    and writing at most 0.3, and reading at most 0.15: the row bands, which
+    the theory shares instead of copying, with no joint scattered from them.
+    A read and then an ``infer``'s marginal, in process, allocate at most
+    0.2: the bands, their column index, one product of the same length, and
+    1-D arrays."""
     grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 401),
                    Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 401))
-    theory = analytic_fall_theory(FallingBodyLaw(9.81, 1e-3), grid)
+    law, known = FallingBodyLaw(9.81, 1e-3), MeasurementModel("T", LOGNORMAL, 1.0, 0.005)
+    theory = analytic_fall_theory(law, grid)
     grid_bytes = theory.joint.values.nbytes
-    # A first round trip, so the modules they import are not counted.
+    # A first call of each, so the modules they import are not counted.
     path = write_theory(theory, tmp_path / "t")
-    read_theory(path)
+    _posterior_marginal(read_theory(path), [known], "L")
 
+    _, built = _allocated(lambda: analytic_fall_theory(law, grid))
     _, written = _allocated(lambda: write_theory(theory, path))
-    joint_values = inferspace.io._joint_values
-    scattered = []
-
-    def keep(archive, shape):
-        scattered.append(joint_values(archive, shape))
-        return scattered[-1]
-
-    monkeypatch.setattr(inferspace.io, "_joint_values", keep)
     back, read = _allocated(lambda: read_theory(path))
+    _, inferred = _allocated(lambda: _posterior_marginal(read_theory(path), [known], "L"))
+    assert built < 0.2 * grid_bytes
     assert written <= 0.3 * grid_bytes
-    assert read <= 1.1 * grid_bytes
+    assert read <= 0.15 * grid_bytes
+    assert inferred <= 0.2 * grid_bytes
     assert not back.joint.values.flags.writeable
-    assert back.joint.values is scattered[0]
+    assert not any(a.flags.writeable for a in (back.lo, back.hi, back.band))
     assert_same_theory(back, theory)
 
 
@@ -700,7 +720,8 @@ class TestCliInference:
         a 2-D one."""
         ax = Axis.logarithmic("L", 1.0, 10.0, 101)
         profile = noninformative_profile(ax)
-        theory = TheoryDensity(Density(Grid.of(ax), profile), [profile], Provenance("analytic"))
+        theory = TheoryDensity.from_joint(Density(Grid.of(ax), profile), [profile],
+                                          Provenance("analytic"))
         argv = ["infer", "--theory", str(write_theory(theory, tmp_path / "one")),
                 "--measure", "L:lognormal:3:0.1"]
         code, doc = run_cli(argv, capsys)
@@ -712,8 +733,9 @@ class TestCliInference:
         """A theory whose AND with a reading has a mass beyond float64 is
         refused as an overflow (exit 3), without numpy's warning."""
         axes = [Axis.logarithmic(name, 1.0, 1e6, 11) for name in ("L", "T")]
-        theory = TheoryDensity(Density(Grid.of(*axes), np.full((11, 11), 1e300)),
-                               [noninformative_profile(ax) for ax in axes], Provenance("analytic"))
+        theory = TheoryDensity.from_joint(Density(Grid.of(*axes), np.full((11, 11), 1e300)),
+                                          [noninformative_profile(ax) for ax in axes],
+                                          Provenance("analytic"))
         th = str(write_theory(theory, tmp_path / "huge"))
         assert main(["infer", "--theory", th, "--measure", "T:noninformative"]) == 3
         assert "mass overflows float64" in capsys.readouterr().err

@@ -43,7 +43,7 @@ from inferspace import (
     TheoryDensity,
 )
 from inferspace.priors import profile_windows
-from inferspace.theory import _BLOCK_BYTES
+from inferspace.theory import _BLOCK_BYTES, _band_mass, _row_bands
 
 from conftest import conditional_theory
 
@@ -152,6 +152,7 @@ def test_accumulated_mass_counts_experiments():
     for n in (1, 7):
         theory = run_campaign(law, _instruments(), n, SET_L, master_seed=3, grid=grid)
         assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
+        assert abs(_band_mass(theory) - integrate(theory.joint)) <= 1e-15 * n
         assert theory.provenance.n_experiments == n
     with pytest.raises(EmptyInput):
         run_campaign(law, _instruments(), 0, SET_L, master_seed=3, grid=grid)
@@ -365,7 +366,7 @@ def test_campaign_draws_from_its_master_seed_at_word_boundaries(seed):
 def test_theory_density_checks_and_freezes_its_mu_factors():
     joint = Density(_fall_grid(11), np.ones((11, 11)))
     ones = np.ones(11)
-    theory = TheoryDensity(joint, [ones, ones], Provenance("analytic"))
+    theory = TheoryDensity.from_joint(joint, [ones, ones], Provenance("analytic"))
     assert all(not f.flags.writeable for f in theory.mu_factors)
     ones[0] = 5.0
     assert theory.mu_factors[0][0] == 1.0
@@ -377,7 +378,30 @@ def test_theory_density_checks_and_freezes_its_mu_factors():
         ([np.ones(11), -np.ones(11)], NegativeDensity),
     ):
         with pytest.raises(error):
-            TheoryDensity(joint, factors, Provenance("analytic"))
+            TheoryDensity.from_joint(joint, factors, Provenance("analytic"))
+
+
+def test_theory_density_checks_and_freezes_its_bands():
+    """Rows of 3 nodes: the second empty, the first and third banded."""
+    grid = Grid.of(Axis.linear("L", 1.0, 2.0, 3), Axis.linear("T", 1.0, 2.0, 3))
+    lo, hi, band = np.array([0, 0, 1]), np.array([2, 0, 3]), np.array([1.0, 0.0, 2.0, -0.0])
+    mu = [np.ones(3), np.ones(3)]
+    theory = TheoryDensity(grid, lo, hi, band, mu, Provenance("analytic"))
+    assert all(not a.flags.writeable for a in (theory.lo, theory.hi, theory.band))
+    band[0] = 5.0
+    assert theory.joint.values.tobytes() == np.array(
+        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, -0.0]]).tobytes()
+    assert theory.frame == "L,T" and theory.normalized is False
+    for bands, error in (
+        ((lo[:2], hi[:2], band), InvalidGrid),
+        ((lo, np.array([2, 0, 4]), np.ones(5)), InvalidGrid),
+        ((np.array([1, 0, 1]), np.array([0, 0, 3]), np.ones(1)), InvalidGrid),
+        ((lo, hi, np.ones(3)), InvalidGrid),
+        ((lo, hi, np.array([1.0, np.inf, 1.0, 1.0])), NonFinite),
+        ((lo, hi, np.array([1.0, -1.0, 1.0, 1.0])), NegativeDensity),
+    ):
+        with pytest.raises(error):
+            TheoryDensity(grid, *bands, mu, Provenance("analytic"))
 
 
 def test_too_wide_instrument_is_refused_by_name_and_width():
@@ -471,11 +495,18 @@ _DEFAULT_T = Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 1401)
 )
 def test_banded_ridge_equals_the_formula_at_every_node(axes, sigma, frame):
     """The ridge is evaluated only where float64 can hold a nonzero value;
-    every node, evaluated or not, holds exactly what the formula gives."""
+    every node, evaluated or not, holds exactly what the formula gives.  The
+    theory's row bands are those of the formula's dense array, bit for bit,
+    and the mass taken from them is the dense joint's to 1e-15."""
     law = FallingBodyLaw(sigma_theory=sigma)
     grid = Grid.of(*axes)
     theory = analytic_fall_theory(law, grid, frame=frame)
-    assert np.array_equal(theory.joint.values, _dense_ridge(law, grid, frame))
+    dense = _dense_ridge(law, grid, frame)
+    assert np.array_equal(theory.joint.values, dense)
+    for built, expected in zip((theory.lo, theory.hi, theory.band), _row_bands(dense)):
+        assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
+    mass = integrate(theory.joint)
+    assert abs(_band_mass(theory) - mass) <= 1e-15 * mass
 
 
 def test_analytic_theory_on_a_box_reaching_zero_is_refused():

@@ -1,0 +1,220 @@
+"""A fixed corpus of CLI runs, recorded so that two versions can be compared.
+
+The corpus covers the theory paths end to end: ``analytic-theory`` on five
+grids, ``build-theory`` in both modes, 18 ``infer`` and ``predict`` runs
+against analytic, log-frame, linear-grid and empirical theories (one and two
+readings, ``--out``, every reading kind, and three refusals), and
+``convert`` of a theory to CSV and to JSON.  27 runs in all.
+
+    PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
+    python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
+
+``record`` runs the corpus with whichever ``inferspace`` is on ``sys.path``,
+in a fresh temporary directory and with relative paths, and writes one JSON
+record per run: its argv, exit code, stdout and stderr, and what it wrote.
+A density or CSV file is recorded by its sha256 (and a JSON file also by its
+parsed contents).  A theory file is recorded by its members, each as dtype,
+shape and the sha256 of its bytes, with the header as text, and by the
+sha256 of the joint and μ factors that ``read_theory`` gives back; the
+archive's own bytes carry timestamps and are not compared.
+
+``compare`` diffs two recordings.  Every float in a JSON report or JSON file
+must agree to 1e-12 relative; everything else must match exactly.  It prints
+each difference and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FLOAT_RTOL = 1e-12
+
+DEFAULT = "default"
+SMALL = "L:log:1:10:201,T:log:0.4515:1.4279:201"
+LINEAR = "L:lin:0.5:20:301,T:lin:0.25:2.5:257"
+LOG_FRAME = f"L:lin:0:{math.log(10.0)!r}:701,T:lin:{math.log(0.4515)!r}:{math.log(1.4279)!r}:653"
+
+# (name, argv); every theory is built before the runs that read it.
+RUNS = [
+    ("analytic-default", ["analytic-theory", "--grid", DEFAULT, "--out", "default"]),
+    ("analytic-spikes", ["analytic-theory", "--grid", DEFAULT, "--sigma", "1e-300",
+                         "--out", "spikes"]),
+    ("analytic-log-frame", ["analytic-theory", "--grid", LOG_FRAME, "--frame", "log",
+                            "--out", "logframe"]),
+    ("analytic-linear", ["analytic-theory", "--grid", LINEAR, "--sigma", "0.01",
+                         "--out", "linear"]),
+    ("analytic-small", ["analytic-theory", "--grid", SMALL, "--sigma", "0.05", "--out", "small"]),
+    ("build-set-L", ["build-theory", "--n", "20000", "--compare-analytic", "--seed", "1849",
+                     "--out", "campL"]),
+    ("build-set-T", ["build-theory", "--n", "20000", "--compare-analytic", "--mode", "set_T",
+                     "--seed", "1850", "--out", "campT"]),
+    ("infer-T", ["infer", "--theory", "default", "--measure", "T:lognormal:1.0:0.005"]),
+    ("infer-T-and-L", ["infer", "--theory", "default", "--measure", "T:lognormal:0.8:0.005",
+                       "--measure", "L:lognormal:3.14:0.02", "--query", "L"]),
+    ("infer-out", ["infer", "--theory", "default", "--measure", "T:lognormal:1.2:0.005",
+                   "--query", "L", "--out", "post-L.json"]),
+    ("infer-L-query-T", ["infer", "--theory", "default", "--measure", "L:lognormal:4.0:0.02"]),
+    ("infer-boxcar", ["infer", "--theory", "default", "--measure", "T:boxcar:1.0:0.01"]),
+    ("infer-noninformative", ["infer", "--theory", "default", "--measure", "T:noninformative",
+                              "--query", "T"]),
+    ("predict-T", ["predict", "--theory", "default", "--known", "T:lognormal:0.9:0.005",
+                   "--query", "L"]),
+    ("predict-L-out", ["predict", "--theory", "default", "--known", "L:lognormal:5.0:0.01",
+                       "--query", "T", "--out", "post-T.json"]),
+    ("infer-spikes", ["infer", "--theory", "spikes", "--measure", "T:lognormal:1.0:0.05"]),
+    ("infer-log-frame", ["infer", "--theory", "logframe", "--measure", "T:gaussian:0.0:0.005"]),
+    ("predict-log-frame", ["predict", "--theory", "logframe", "--known", "L:gaussian:1.5:0.01",
+                           "--query", "T"]),
+    ("infer-linear", ["infer", "--theory", "linear", "--measure", "T:gaussian:1.0:0.01"]),
+    ("infer-linear-L", ["infer", "--theory", "linear", "--measure", "L:gaussian:8.0:0.1",
+                        "--query", "T"]),
+    ("infer-small-wide", ["infer", "--theory", "small", "--measure", "T:lognormal:1.3:0.3"]),
+    ("infer-empirical-L", ["infer", "--theory", "campL", "--measure", "T:lognormal:1.0:0.05"]),
+    ("predict-empirical-T", ["predict", "--theory", "campT", "--known", "L:lognormal:4.9:0.05",
+                             "--query", "T"]),
+    ("refuse-unknown-axis", ["infer", "--theory", "default", "--measure",
+                             "T:lognormal:1.0:0.005", "--query", "Z"]),
+    ("refuse-off-grid", ["infer", "--theory", "default", "--measure", "T:lognormal:9.0:0.01"]),
+    ("refuse-contradiction", ["infer", "--theory", "small", "--measure", "T:boxcar:0.5:0.01",
+                              "--measure", "L:boxcar:9.5:0.1"]),
+    ("convert-csv", ["convert", "--in", "small.npz", "--out", "small.csv"]),
+    ("convert-json", ["convert", "--in", "small.npz", "--out", "small.json"]),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _array(a: np.ndarray) -> dict:
+    return {"dtype": str(a.dtype), "shape": list(a.shape), "sha256": _sha(a.tobytes())}
+
+
+def _theory_record(path: Path, read_theory) -> dict:
+    with np.load(path) as z:
+        members = {k: (str(z[k]) if k == "header" else _array(z[k])) for k in z.files}
+    theory = read_theory(path)
+    return {
+        "members": members,
+        "joint": _array(theory.joint.values),
+        "mu": [_array(f) for f in theory.mu_factors],
+    }
+
+
+def _file_record(path: Path, read_theory) -> dict:
+    if path.suffix == ".npz":
+        return _theory_record(path, read_theory)
+    out = {"sha256": _sha(path.read_bytes())}
+    if path.suffix == ".json":
+        out["json"] = json.loads(path.read_text(encoding="utf-8"))
+    return out
+
+
+def record(out_path: Path) -> None:
+    """Run the corpus with the ``inferspace`` on ``sys.path`` and write one
+    JSON record per run to ``out_path``."""
+    from inferspace.cli import main
+    from inferspace.io import read_theory
+
+    out_path = out_path.resolve()
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        home = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for name, argv in RUNS:
+                before = set(os.listdir("."))
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                written = sorted(set(os.listdir(".")) - before)
+                lines.append({
+                    "name": name,
+                    "argv": argv,
+                    "exit": code,
+                    "stdout": stdout.getvalue(),
+                    "stderr": stderr.getvalue(),
+                    "files": {f: _file_record(Path(f), read_theory) for f in written},
+                })
+        finally:
+            os.chdir(home)
+    out_path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+
+
+def _diff(a, b, where: str) -> list[str]:
+    """Where ``a`` and ``b`` differ: floats beyond FLOAT_RTOL, anything else
+    at all."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or abs(a - b) <= FLOAT_RTOL * max(abs(a), abs(b)):
+            return []
+        return [f"{where}: {a!r} != {b!r}"]
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return [f"{where}: keys {sorted(a)} != {sorted(b)}"]
+        return [d for k in a for d in _diff(a[k], b[k], f"{where}.{k}")]
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [f"{where}: length {len(a)} != {len(b)}"]
+        return [d for i, (x, y) in enumerate(zip(a, b)) for d in _diff(x, y, f"{where}[{i}]")]
+    return [] if type(a) is type(b) and a == b else [f"{where}: {a!r} != {b!r}"]
+
+
+def _report(run: dict):
+    """The run's stdout as JSON, so its floats compare to a tolerance."""
+    try:
+        return json.loads(run["stdout"])
+    except json.JSONDecodeError:
+        return run["stdout"]
+
+
+def compare(a_path: Path, b_path: Path) -> list[str]:
+    """Every difference between two recordings."""
+    a, b = ([json.loads(line) for line in p.read_text(encoding="utf-8").splitlines()]
+            for p in (a_path, b_path))
+    if [r["name"] for r in a] != [r["name"] for r in b]:
+        return ["the recordings hold different runs"]
+    diffs = []
+    for ra, rb in zip(a, b):
+        name = ra["name"]
+        for key in ("argv", "exit", "stderr"):
+            diffs += _diff(ra[key], rb[key], f"{name}.{key}")
+        diffs += _diff(_report(ra), _report(rb), f"{name}.stdout")
+        files_a, files_b = ra["files"], rb["files"]
+        if files_a.keys() != files_b.keys():
+            diffs.append(f"{name}.files: {sorted(files_a)} != {sorted(files_b)}")
+            continue
+        for f in files_a:
+            fa, fb = files_a[f], files_b[f]
+            if "json" in fa and "json" in fb:
+                # A JSON file's floats compare to the tolerance, not its bytes.
+                fa, fb = fa["json"], fb["json"]
+            diffs += _diff(fa, fb, f"{name}.files[{f}]")
+    return diffs
+
+
+def _main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "record":
+        record(Path(argv[1]))
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        diffs = compare(Path(argv[1]), Path(argv[2]))
+        for d in diffs:
+            print(d)
+        print(f"{len(diffs)} difference(s)")
+        return 1 if diffs else 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))
