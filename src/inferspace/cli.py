@@ -222,6 +222,27 @@ def _default_query(grid: Grid, models, requested: str | None) -> str:
 _BUILD_GRID = "L:log:0.5:20:300,T:log:0.25:2.5:300"
 
 
+def _blurred_width(sigma_length: float, sigma_time: float) -> float:
+    """The width of the analytic ridge a campaign converges to.
+
+    The empirical ridge is the theory ridge blurred by the instruments:
+    each accumulated bump has the instrument widths, and its center is
+    scattered by the same noise, so the blur enters twice in quadrature.
+    A width that float64 cannot hold as a finite positive number is a
+    ConfigInvalid naming the two flags.
+    """
+    try:
+        sigma = math.sqrt(2.0 * (sigma_length**2 + 4.0 * sigma_time**2))
+    except OverflowError:
+        sigma = math.inf
+    if not 0.0 < sigma < math.inf:
+        raise ConfigInvalid(
+            f"--compare-analytic needs a finite blurred width √(2(σ_L² + 4σ_T²)) > 0, "
+            f"but --sigma-length {sigma_length!r} and --sigma-time {sigma_time!r} give {sigma!r}"
+        )
+    return sigma
+
+
 def _cmd_build_theory(p: argparse.Namespace) -> int:
     grid = parse_grid(p.grid)
     if grid.ndim != 2:
@@ -232,6 +253,9 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
         MeasurementModel(parameter=length_name, kind=LOGNORMAL, center=1.0, width=p.sigma_length),
         MeasurementModel(parameter=time_name, kind=LOGNORMAL, center=1.0, width=p.sigma_time),
     ]
+    if p.compare_analytic:
+        # Refused before the campaign runs, so a refusal writes no file.
+        sigma_eff = _blurred_width(p.sigma_length, p.sigma_time)
     theory = run_campaign(law, instruments, p.n, p.mode, p.seed, grid)
     written = write_theory(theory, p.out)
     report = {
@@ -241,10 +265,6 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
         "mass": _band_mass(theory),
     }
     if p.compare_analytic:
-        # The empirical ridge is the theory ridge blurred by the instruments:
-        # each accumulated bump has the instrument widths, and its center is
-        # scattered by the same noise, so the blur enters twice in quadrature.
-        sigma_eff = math.sqrt(2.0 * (p.sigma_length**2 + 4.0 * p.sigma_time**2))
         wide = FallingBodyLaw(
             g=p.g, sigma_theory=sigma_eff, length_axis=length_name, time_axis=time_name
         )

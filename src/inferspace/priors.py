@@ -73,9 +73,11 @@ def noninformative_profile(axis: Axis) -> np.ndarray:
     return np.ones(axis.count)
 
 
-def _overlap_fraction(axis: Axis, lo: float, hi: float, window: slice = slice(None)) -> np.ndarray:
+def _overlap_fraction(
+    axis: Axis, lo, hi, window: slice = slice(None), out: np.ndarray | None = None
+) -> np.ndarray:
     """Fraction of each node's quadrature cell covered by [lo, hi], for the
-    nodes in ``window``.
+    nodes in ``window``, written into ``out`` if given.
 
     Wide intervals give the exact 0/1 indicator except at the two straddled
     edge cells; intervals thinner than a cell keep their full mass in that
@@ -83,7 +85,11 @@ def _overlap_fraction(axis: Axis, lo: float, hi: float, window: slice = slice(No
     """
     edges = axis.cell_boundaries
     left, right = edges[:-1][window], edges[1:][window]
-    return np.maximum(np.minimum(right, hi) - np.maximum(left, lo), 0.0) / (right - left)
+    out = np.maximum(left, lo, out=out)
+    np.subtract(np.minimum(right, hi), out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out /= right - left
+    return out
 
 
 def prior_factors(spec: PriorSpec, grid: Grid) -> tuple[np.ndarray, ...]:
@@ -185,15 +191,25 @@ class MeasurementModel:
 
 
 def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
-    """Unnormalized density values of the model on one axis."""
-    if model.kind == BOXCAR and math.isfinite(model.width):
+    """Unnormalized density values of the model on one axis: its centre
+    factor at ``model.center`` times its node factor."""
+    kind = _profile_kind(model, axis)
+    if kind == BOXCAR:
         lo = model.center - model.width
         hi = model.center + model.width
         if hi <= axis.lower or lo >= axis.upper:
             raise InvalidBounds(
                 f"boxcar [{lo}, {hi}] does not meet the axis {axis.name!r} box"
             )
-    return measurement_profiles(model, axis, model.center, slice(None))
+    profile = profile_centre_factors(
+        model, axis, np.array([model.center]), slice(None), np.empty((1, axis.count))
+    )[0]
+    if kind == LOGNORMAL:
+        # Dividing by x applies the 1/x node factor with one rounding, not two.
+        profile /= axis.nodes
+    else:
+        profile *= profile_node_factor(model, axis)
+    return profile
 
 
 def _profile_kind(model: MeasurementModel, axis: Axis) -> str:
@@ -210,35 +226,62 @@ def _profile_kind(model: MeasurementModel, axis: Axis) -> str:
     return kind
 
 
-def measurement_profiles(
-    model: MeasurementModel, axis: Axis, centers, window: slice
-) -> np.ndarray:
-    """The model's unnormalized profile at each of ``centers``, on the nodes
-    of ``axis`` in ``window``.
+def _profile_coordinate(kind: str, axis: Axis, window: slice = slice(None)) -> np.ndarray:
+    """The nodes in ``window`` in the coordinate a profile of ``kind`` is
+    gaussian in: ln x for lognormal, x otherwise."""
+    if kind != LOGNORMAL:
+        return axis.nodes[window]
+    if axis.spacing == LOGARITHMIC:
+        return axis.param_nodes[window]
+    return np.log(axis.nodes[window])
 
-    ``model.center`` is ignored.  An array of k centers gives one row per
-    center, shape (k, nodes in window); a scalar gives one profile.  A boxcar
-    that misses the box gives a row of zeros.  A node many widths from a
-    center overflows (x − c)/width on the way; its value is then the 0 it
-    rounds to, without a warning.
+
+def profile_node_factor(model: MeasurementModel, axis: Axis) -> np.ndarray:
+    """The factor of the model's profile that does not depend on the
+    reading, over the nodes of ``axis``: 1/x for lognormal, the
+    noninformative profile for boxcar and noninformative, and 1 for
+    gaussian."""
+    kind = _profile_kind(model, axis)
+    if kind == GAUSSIAN:
+        return np.ones(axis.count)
+    if kind == LOGNORMAL:
+        return 1.0 / axis.nodes
+    return noninformative_profile(axis)
+
+
+def profile_centre_factors(
+    model: MeasurementModel, axis: Axis, centers: np.ndarray, window: slice, out: np.ndarray
+) -> np.ndarray:
+    """The factor of the model's profile that depends on the reading, at
+    each of the k ``centers``, on the nodes of ``axis`` in ``window``,
+    written into ``out`` of shape (k, nodes in window) and returned.
+
+    It is exp(−½t²) for gaussian and lognormal, with t = (x − c)/width in x
+    or in ln x; the overlap fraction of each node's cell with [c − width,
+    c + width] for boxcar, 0 where the interval misses the box; and 1 for
+    noninformative.  The profile is this factor times
+    ``profile_node_factor``.  ``model.center`` is ignored.  A node many
+    widths from a center overflows t on the way; its factor is then the 0
+    it rounds to, without a warning.
     """
     kind = _profile_kind(model, axis)
-    x = axis.nodes[window]
-    c = np.asarray(centers, dtype=float)[..., None]
+    c = centers[:, None]
     if kind == NONINFORMATIVE:
-        return np.broadcast_to(noninformative_profile(axis)[window], c.shape[:-1] + x.shape).copy()
+        out.fill(1.0)
+        return out
+    if kind == BOXCAR:
+        return _overlap_fraction(axis, c - model.width, c + model.width, window, out)
+    # (u − c)/width, squared, times −½: the order ``measurement_profile``
+    # has always rounded in.
+    if kind == LOGNORMAL:
+        # one log per node and one per center, not one per (center, node) pair
+        c = np.log(c)
+    np.subtract(_profile_coordinate(kind, axis, window), c, out=out)
     with np.errstate(over="ignore"):
-        if kind == GAUSSIAN:
-            t = (x - c) / model.width
-            return np.exp(-0.5 * t * t)
-        if kind == LOGNORMAL:
-            # one log per node and one per center, not one per (center, node) pair
-            t = (np.log(x) - np.log(c)) / model.width
-            return np.exp(-0.5 * t * t) / x
-        # boxcar: the noninformative prior restricted between the bounds
-        return noninformative_profile(axis)[window] * _overlap_fraction(
-            axis, c - model.width, c + model.width, window
-        )
+        out /= model.width
+        np.square(out, out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
 
 
 # 2·ln 2⁵³: a gaussian factor exp(−t²/2) falls below 2⁻⁵³ of exp(−t₀²/2)
@@ -262,32 +305,58 @@ def profile_windows(model: MeasurementModel, axis: Axis, centers) -> tuple[np.nd
     - boxcar keeps exactly the cells its interval [c − w, c + w] overlaps;
     - noninformative keeps the whole axis.
 
-    ``tools/oracles/campaign_window.py`` derives these half-widths.
+    These are ``profile_window_bounds`` of each center's
+    ``profile_window_keys``.  ``tools/oracles/campaign_window.py`` derives
+    the half-widths.
+    """
+    return profile_window_bounds(model, axis, *profile_window_keys(model, axis, centers))
+
+
+def profile_window_keys(model: MeasurementModel, axis: Axis, centers) -> tuple[np.ndarray, np.ndarray]:
+    """The keys ``low``, ``high`` of each center's profile window: c ∓ reach
+    in x (gaussian) or ln x (lognormal), c ∓ width for boxcar, and ∓∞ for
+    noninformative.
+
+    ``profile_window_bounds`` turns keys into node bounds by a binary
+    search, which is monotone in its key.  So the union of several centers'
+    windows is the window of their least ``low`` and greatest ``high``, and
+    a campaign searches once per block of readings, not once per reading.
     """
     kind = _profile_kind(model, axis)
     c = np.asarray(centers, dtype=float)
     w = model.width
     if kind == NONINFORMATIVE:
-        return np.zeros(c.shape, dtype=np.intp), np.full(c.shape, axis.count, dtype=np.intp)
+        return np.full(c.shape, -math.inf), np.full(c.shape, math.inf)
     if kind == BOXCAR:
-        edges = axis.cell_boundaries
-        return (
-            np.searchsorted(edges[1:], c - w, side="right"),
-            np.searchsorted(edges[:-1], c + w, side="left"),
-        )
+        return c - w, c + w
     slack = _WINDOW_T2
-    u, uc = axis.nodes, c
+    u, uc = _profile_coordinate(kind, axis), c
     if kind == LOGNORMAL:
         slack += 2.0 * math.log(axis.upper / axis.lower)
-        u, uc = np.log(u), np.log(uc)
+        uc = np.log(uc)
     j = np.clip(np.searchsorted(u, uc), 1, axis.count - 1)
     with np.errstate(over="ignore"):
         t0 = np.minimum(np.abs(uc - u[j - 1]), np.abs(u[j] - uc)) / w
         reach = w * np.sqrt(t0 * t0 + slack)
-    return (
-        np.searchsorted(u, uc - reach, side="left"),
-        np.searchsorted(u, uc + reach, side="right"),
-    )
+    return uc - reach, uc + reach
+
+
+def profile_window_bounds(
+    model: MeasurementModel, axis: Axis, low: np.ndarray, high: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node index bounds ``lo``, ``hi`` of the windows with keys ``low``,
+    ``high`` from ``profile_window_keys``: the nodes within [low, high] in
+    the profile's coordinate, or for boxcar the cells that [low, high]
+    overlaps."""
+    kind = _profile_kind(model, axis)
+    if kind == BOXCAR:
+        edges = axis.cell_boundaries
+        return (
+            np.searchsorted(edges[1:], low, side="right"),
+            np.searchsorted(edges[:-1], high, side="left"),
+        )
+    u = _profile_coordinate(kind, axis)
+    return np.searchsorted(u, low, side="left"), np.searchsorted(u, high, side="right")
 
 
 def null_information_density(grid: Grid) -> Density:

@@ -42,20 +42,25 @@ from .priors import (
     MeasurementModel,
     PriorSpec,
     jeffreys_ppf,
-    measurement_profiles,
     outer_values,
     prior_factors,
-    profile_windows,
+    profile_centre_factors,
+    profile_node_factor,
+    profile_window_bounds,
+    profile_window_keys,
 )
 
 SET_L = "set_L"
 SET_T = "set_T"
-# Bytes of one block of per-axis experiment profiles in ``run_campaign``, had
-# they spanned a whole axis: a block holds as many experiments as that allows.
-# Its profiles span only the block's window, the union of its experiments'
+# Bytes of one block of per-axis centre factors in ``run_campaign``, had they
+# spanned a whole axis: a block holds as many experiments as that allows.
+# Its factors span only the block's window, the union of its experiments'
 # windows, which stays narrow because the experiments are sorted by reading:
-# on the 300² build grid a block of 109 spans about 75 L and 150 T nodes, a
-# ninth of the grid.  Larger blocks widen the union and hold more memory.
+# on the 300² build grid a block of 109 spans on average 70 L and 143 T
+# nodes, a ninth of the grid.  Larger blocks widen the union a little and
+# hold more memory: 1 MiB blocks (74 L and 149 T nodes) made the benchmark's
+# 20000-experiment build-theory about 10% faster, but raised its peak RSS by
+# about 0.5 MB.
 _BLOCK_BYTES = 1 << 18
 # Rows of the grid per block of ``analytic_fall_theory``'s ridge, evaluated on
 # the union of the rows' bands of nonzero nodes.  On a slanted ridge that
@@ -386,17 +391,24 @@ def run_campaign(
     ``measurement_profile`` at its readings), normalized, to within 2⁻⁵³ of
     each experiment's peak.  The experiments are sorted by their axis-0
     reading (OR is a sum, so the order is free) and added a block at a
-    time.  Every experiment density is separable, so a block adds ``Aᵀ·B``
-    to the joint, where the rows of ``A`` and ``B`` are the per-axis
-    profiles, scaled so that each experiment carries unit mass.  The
-    profiles are evaluated only on the block's node window on each axis,
-    the union of its experiments' ``profile_windows``, and the product lands
-    on that window of the joint; outside it each profile is below 2⁻⁵³ of
-    its largest node value, and the joint keeps an exact zero where every
-    experiment's window misses.  An experiment whose density has no finite
-    positive mass on the grid cannot be normalized; ``ZeroMass`` then
-    reports how many.  The theory's μ is the Jeffreys 1/(LT), which refuses
-    a box that is not positive before anything is drawn.
+    time.  Every experiment density is separable, and each per-axis
+    profile is a centre factor, which depends on the reading, times a node
+    factor, which does not (``profile_centre_factors``,
+    ``profile_node_factor``).  So a block adds ``Aᵀ·B`` to the joint, where
+    the rows of ``A`` and ``B`` are the centre factors, scaled so that each
+    experiment has unit mass against the node factors times the weights;
+    the node factors scale the finished joint, once per node.  The centre
+    factors are evaluated only on the block's node window on each axis,
+    the union of its experiments' ``profile_windows``, and the product
+    lands on that window of the joint; outside it each profile is below
+    2⁻⁵³ of its largest node value, and the joint keeps an exact zero where
+    every experiment's window misses.  A block's window is found by one
+    binary search of its least and greatest ``profile_window_keys``, which
+    gives the same nodes as the union of one search per reading.  An
+    experiment whose density has no finite positive mass on the grid cannot
+    be normalized; ``ZeroMass`` then reports how many.  The theory's μ is
+    the Jeffreys 1/(LT), which refuses a box that is not positive before
+    anything is drawn.
     """
     if n_experiments <= 0:
         raise EmptyInput(f"need at least one experiment, got {n_experiments}")
@@ -416,20 +428,50 @@ def run_campaign(
     r0 = _observe(m0, true[ax0.name], rng)
     r1 = _observe(m1, true[ax1.name], rng)
 
-    rows = max(1, _BLOCK_BYTES // (8 * max(grid.shape)))
-    starts = range(0, n_experiments, rows)
-    order = np.argsort(r0, kind="stable")
-    r0, r1 = r0[order], r1[order]
-    windows = zip(
-        starts, *_block_windows(m0, ax0, r0, starts), *_block_windows(m1, ax1, r1, starts)
+    acc = _accumulate((r0, r1), (m0, m1), grid)
+    # Frozen, so the Density shares it instead of copying it.
+    acc.setflags(write=False)
+    return TheoryDensity.from_joint(
+        Density(grid, acc),
+        mu,
+        Provenance("empirical", n_experiments=n_experiments, master_seed=master_seed),
     )
+
+
+def _accumulate(readings, instruments, grid: Grid) -> np.ndarray:
+    """The OR of the experiments whose readings on the grid's two axes are
+    ``readings``, taken by ``instruments`` (both in grid-axis order): the sum
+    over the experiments of their joint densities, each of unit mass.
+
+    The experiments are sorted by their axis-0 reading and added a block at
+    a time, as ``Aᵀ·B`` on the block's node windows (see ``run_campaign``).
+    The rows of ``A`` and ``B`` are the experiments' centre factors, scaled
+    so that each experiment has unit mass against the node factors; the
+    node factors are applied to the finished sum, once per node.
+    """
+    (m0, m1), (ax0, ax1) = instruments, grid.axes
+    order = np.argsort(readings[0], kind="stable")
+    r0, r1 = (r[order] for r in readings)
+    n = r0.size
+    rows = max(1, min(n, _BLOCK_BYTES // (8 * max(grid.shape))))
+    f0, f1 = profile_node_factor(m0, ax0), profile_node_factor(m1, ax1)
+    fw0, fw1 = f0 * ax0.weights, f1 * ax1.weights
+    # One buffer per axis, which each block's centre factors are written into.
+    buf0, buf1 = np.empty(rows * ax0.count), np.empty(rows * ax1.count)
     acc = np.zeros(grid.shape)
+    starts = np.arange(0, n, rows)
+    windows = zip(
+        starts.tolist(),
+        *_block_windows(m0, ax0, r0, starts),
+        *_block_windows(m1, ax1, r1, starts),
+    )
     dropped = 0
     for start, lo0, hi0, lo1, hi1 in windows:
         block, w0, w1 = slice(start, start + rows), slice(lo0, hi0), slice(lo1, hi1)
-        a = measurement_profiles(m0, ax0, r0[block], w0)
-        b = measurement_profiles(m1, ax1, r1[block], w1)
-        mass = (a @ ax0.weights[w0]) * (b @ ax1.weights[w1])
+        k, n0, n1 = r0[block].size, hi0 - lo0, hi1 - lo1
+        a = profile_centre_factors(m0, ax0, r0[block], w0, buf0[: k * n0].reshape(k, n0))
+        b = profile_centre_factors(m1, ax1, r1[block], w1, buf1[: k * n1].reshape(k, n1))
+        mass = (a @ fw0[w0]) * (b @ fw1[w1])
         # A mass of 0, or one so small that its reciprocal overflows, is none.
         with np.errstate(divide="ignore", over="ignore"):
             scale = 1.0 / mass
@@ -438,20 +480,21 @@ def run_campaign(
         a *= np.where(kept, scale, 0.0)[:, None]
         acc[w0, w1] += a.T @ b
     if dropped:
-        raise ZeroMass(f"{dropped} of {n_experiments} experiment(s) have no mass on the grid")
-    return TheoryDensity.from_joint(
-        Density(grid, acc),
-        mu,
-        Provenance("empirical", n_experiments=n_experiments, master_seed=master_seed),
-    )
+        raise ZeroMass(f"{dropped} of {n} experiment(s) have no mass on the grid")
+    acc *= f0[:, None]
+    acc *= f1
+    return acc
 
 
-def _block_windows(model: MeasurementModel, axis: Axis, centers: np.ndarray, starts: range):
+def _block_windows(model: MeasurementModel, axis: Axis, centers: np.ndarray, starts: np.ndarray):
     """The node bounds ``lo``, ``hi`` of each block of ``centers`` starting at
-    ``starts``: the union of the block's profile windows."""
-    lo, hi = profile_windows(model, axis, centers)
-    idx = np.asarray(starts)
-    return np.minimum.reduceat(lo, idx).tolist(), np.maximum.reduceat(hi, idx).tolist()
+    ``starts``: the union of the block's profile windows, found by one
+    search of the block's least and greatest window key."""
+    low, high = profile_window_keys(model, axis, centers)
+    lo, hi = profile_window_bounds(
+        model, axis, np.minimum.reduceat(low, starts), np.maximum.reduceat(high, starts)
+    )
+    return lo.tolist(), hi.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from inferspace import (
     write_theory,
 )
 from inferspace.cli import (
+    _BUILD_GRID,
     _paradox_conclusion,
     main,
     parse_axis,
@@ -65,6 +66,7 @@ from inferspace.cli import (
     parse_measurement,
 )
 from inferspace.inference import _posterior_marginal
+from inferspace.theory import _BLOCK_BYTES
 
 from conftest import conditional_theory, gaussian_density
 
@@ -633,6 +635,30 @@ def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
     assert inferred <= 1.15 * grid_bytes
 
 
+def test_campaign_stays_within_its_memory_budget():
+    """On the 300² build grid, a campaign of 2000 experiments allocates at
+    most the accumulator, the theory's bands, the two buffers a block's
+    centre factors are written into, and a quarter of a grid array: the
+    block's product, numpy's buffer for adding it into a window of the
+    joint, the masks ``_row_bands`` finds the bands with, and 1-D arrays.
+    The node factors scale the accumulator in place and the windows come
+    from 1-D keys, so a grid-sized temporary in either breaks the budget."""
+    grid = parse_grid(_BUILD_GRID)
+    law = FallingBodyLaw()
+    instruments = [MeasurementModel("L", LOGNORMAL, 1.0, 0.05),
+                   MeasurementModel("T", LOGNORMAL, 1.0, 0.05)]
+    # A first call, so the modules it imports are not counted.
+    run_campaign(law, instruments, 200, SET_L, 1, grid)
+
+    n = 2000
+    theory, allocated = _allocated(lambda: run_campaign(law, instruments, n, SET_L, 7, grid))
+    grid_bytes = 8 * grid.node_count
+    rows = min(n, _BLOCK_BYTES // (8 * max(grid.shape)))
+    buffers = 8 * rows * sum(grid.shape)
+    bands = theory.lo.nbytes + theory.hi.nbytes + theory.band.nbytes
+    assert allocated <= grid_bytes + bands + buffers + 0.25 * grid_bytes
+
+
 # ---------------------------------------------------------------------------
 # CLI: theories and inference
 # ---------------------------------------------------------------------------
@@ -848,6 +874,26 @@ class TestCliInference:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: axis 'L': the reciprocal prior needs a positive box\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flag, width",
+        [("--sigma-length", "inf"), ("--sigma-time", "inf"), ("--sigma-time", "1e200")],
+    )
+    def test_build_theory_compare_without_a_finite_blurred_width_exits_config(
+        self, tmp_path, capsys, flag, width
+    ):
+        """An infinite instrument width is a noninformative instrument, which
+        a campaign takes, but ``--compare-analytic`` needs a finite blurred
+        width √(2(σ_L² + 4σ_T²)).  It is refused before the campaign runs,
+        naming the width flags, and no file is written."""
+        code = main(["build-theory", "--n", "5", flag, width, "--compare-analytic",
+                     "--out", str(tmp_path / "f")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--sigma-length" in captured.err and "--sigma-time" in captured.err
+        assert f"{flag} {float(width)!r}" in captured.err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -34,7 +34,8 @@ from inferspace import (
     sample_prior,
     total_variation,
 )
-from inferspace.priors import measurement_profiles, profile_windows
+from inferspace.priors import profile_centre_factors, profile_node_factor, profile_windows
+from inferspace.theory import _block_windows
 
 # log10(1 + 1/d); derived in tools/oracles/benford_probs.py
 BENFORD = [
@@ -260,15 +261,21 @@ def _axis_and_reading(draw, name):
 @given(_axis_and_reading("x"), _axis_and_reading("y"))
 def test_windowed_profile_matches_the_dense_one(first, second):
     """Each axis's profile, kept only on its window, drops nodes below 2⁻⁵³ of
-    its largest node value; its mass agrees with the dense full-axis mass to
-    a few ε, and the normalized product to 1e-12 of its peak."""
+    its largest node value; its mass, taken as a campaign takes it (centre
+    factors against node factor times weights), agrees with the dense
+    full-axis mass to a few ε, and the normalized product to 1e-12 of its
+    peak."""
     factors = []
     for axis, model in (first, second):
         dense = _dense_profile(model, axis)
         (lo,), (hi,) = profile_windows(model, axis, np.array([model.center]))
         window = slice(lo, hi)
+        centre = profile_centre_factors(
+            model, axis, np.array([model.center]), window, np.empty((1, hi - lo))
+        )[0]
+        node = profile_node_factor(model, axis)
         kept = np.zeros(axis.count)
-        kept[window] = measurement_profiles(model, axis, model.center, window)
+        kept[window] = centre * node[window]
         outside = np.ones(axis.count, dtype=bool)
         outside[window] = False
         peak = dense.max()
@@ -277,7 +284,7 @@ def test_windowed_profile_matches_the_dense_one(first, second):
         assume(peak == 0.0 or peak >= 2.0**53 * np.finfo(float).tiny)
         assert np.all(dense[outside] < 2.0**-53 * peak) or peak == 0.0
         dense_mass = dense @ axis.weights
-        kept_mass = kept[window] @ axis.weights[window]
+        kept_mass = centre @ (node * axis.weights)[window]
         if peak == 0.0:
             # a boxcar that misses the box, or a profile that underflows at
             # every node, has no mass either way
@@ -288,3 +295,37 @@ def test_windowed_profile_matches_the_dense_one(first, second):
     (dense0, kept0), (dense1, kept1) = factors
     dense = np.multiply.outer(dense0, dense1)
     assert np.max(np.abs(np.multiply.outer(kept0, kept1) - dense)) <= 1e-12 * dense.max()
+
+
+@settings(max_examples=300)
+@given(_axis_and_reading("x"), st.data())
+def test_block_windows_are_the_union_of_the_reading_windows(axis_and_model, data):
+    """A campaign's block windows, one search of each block's least and
+    greatest window key, are exactly the least ``lo`` and greatest ``hi`` of
+    its readings' ``profile_windows``: unsorted readings inside the box,
+    straddling an edge or up to 40 widths past it (boxcars that miss it),
+    and the NaN readings of a noninformative instrument."""
+    axis, model = axis_and_model
+    log = model.kind == LOGNORMAL
+    lower, upper = (math.log(axis.lower), math.log(axis.upper)) if log else (axis.lower, axis.upper)
+    width = model.width if math.isfinite(model.width) else upper - lower
+    spots = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    offsets = st.tuples(spots, st.floats(-40.0, 40.0))
+    u = np.array([
+        lower + s * (upper - lower) + k * width
+        for s, k in data.draw(st.lists(offsets, min_size=1, max_size=40))
+    ])
+    with np.errstate(over="ignore"):
+        readings = np.exp(u) if log else u
+    if model.kind == NONINFORMATIVE:
+        # a noninformative instrument reads nothing
+        readings = np.full(u.size, math.nan)
+    else:
+        # A campaign refuses a reading float64 cannot hold.
+        assume(np.all(np.isfinite(readings)) and (not log or np.all(readings > 0.0)))
+    cuts = data.draw(st.sets(st.integers(1, max(1, readings.size - 1))))
+    starts = np.array(sorted({0} | {c for c in cuts if c < readings.size}))
+    lo, hi = profile_windows(model, axis, readings)
+    block_lo, block_hi = _block_windows(model, axis, readings, starts)
+    assert block_lo == np.minimum.reduceat(lo, starts).tolist()
+    assert block_hi == np.maximum.reduceat(hi, starts).tolist()

@@ -43,6 +43,7 @@ from inferspace import (
     TheoryDensity,
 )
 from inferspace.priors import profile_windows
+import inferspace.theory as theory_module
 from inferspace.theory import _BLOCK_BYTES, _band_mass, _row_bands
 
 from conftest import conditional_theory
@@ -307,12 +308,16 @@ def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
     ],
     ids=["lognormal", "boxcar"],
 )
-def test_campaign_counts_experiments_without_mass(instruments):
+def test_campaign_counts_experiments_without_mass(instruments, monkeypatch):
     """set_T up to T = 2.5 reaches L = 30.7.  The campaign counts the
-    experiments with no mass on the grid and raises ZeroMass with that count."""
+    experiments with no mass on the grid and raises ZeroMass with that count,
+    also when a whole block of them misses the box."""
     law = FallingBodyLaw()
     grid = _fall_grid(101)
     n = 200
+    # Blocks of 8 experiments: the readings are sorted, so several blocks
+    # hold only L readings past the box.
+    monkeypatch.setattr(theory_module, "_BLOCK_BYTES", 8 * 8 * 101)
     dropped = 0
     for r in _reference_readings(law, instruments, SET_T, 5, n, grid):
         try:

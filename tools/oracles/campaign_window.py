@@ -3,6 +3,11 @@
 A campaign adds each experiment's profile only on a window of nodes.  Every
 node it drops must hold less than 2^-53 of the profile's largest value on
 the axis's nodes, so that the drop changes no float64 sum that value enters.
+Each reading's window is the nodes within c -/+ half-width, in x or ln x.
+The campaign evaluates a block of readings on the union of their windows,
+which it finds by one binary search of the block's least c - half-width and
+greatest c + half-width: a search is monotone in its key, so that union is
+exactly the one that a search per reading gives.
 
 With t the distance from the centre c in widths w, and t0 that of the node
 nearest the centre (for a centre past the box, t0 = d, its distance past the
