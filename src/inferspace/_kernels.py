@@ -13,10 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def backend() -> str:
-    return "numpy"
-
-
 def _cell(nodes: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left node index of each point's cell and its clipped fraction across it."""
     i = np.clip(np.searchsorted(nodes, u, side="right") - 1, 0, nodes.size - 2)

@@ -22,7 +22,6 @@ from .density import Density, _mass, integrate, require_same_space
 from .errors import (
     ConfigInvalid,
     EmptyInput,
-    NegativeScalar,
     NeutralZero,
     NotNormalized,
     SupportViolation,
@@ -70,14 +69,6 @@ def and_combine(p: Density, q: Density, mu: Density) -> Density:
     ok = ~zero_mu
     np.divide(num, mu_v, out=out, where=ok)
     return p.with_values(out)
-
-
-def scale(lam: float, p: Density) -> Density:
-    """Scalar weighting of a state; weights are nonnegative by the algebra."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam < 0.0:
-        raise NegativeScalar(f"scalar weight must be finite and >= 0, got {lam!r}")
-    return p.with_values(lam * p.values)
 
 
 def fuzzy_or(p: Density, q: Density) -> Density:

@@ -64,10 +64,6 @@ class NeutralZero(NumericalError):
     pointwise product does not."""
 
 
-class NegativeScalar(ConfigurationError):
-    """Scalar weights in the density algebra must be nonnegative."""
-
-
 class SupportViolation(NumericalError):
     """An operand is positive outside the support allowed by its partner."""
 

@@ -19,12 +19,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidGrid, OutOfDomain, UnknownAxis
+from .errors import InvalidGrid, OutOfDomain, SchemaError, UnknownAxis
 
 LINEAR = "linear"
 LOGARITHMIC = "logarithmic"
 
 _SPACINGS = (LINEAR, LOGARITHMIC)
+
+
+def header_int(h: dict, key: str) -> int:
+    """``h[key]`` if it is a JSON integer.  A float is refused rather than
+    truncated, and a bool is not an integer here."""
+    value = h[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -148,7 +157,7 @@ class Axis:
             spacing=str(h["spacing"]),
             lower=float(h["lower"]),
             upper=float(h["upper"]),
-            count=int(h["count"]),
+            count=header_int(h, "count"),
             units=str(h.get("units", "")),
         )
 

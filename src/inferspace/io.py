@@ -89,7 +89,7 @@ def density_from_dict(doc: dict) -> Density:
         raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != FORMAT_NAME:
         raise SchemaError(f"not a density document: format is {doc.get('format')!r}")
-    if int(doc.get("version", -1)) != FORMAT_VERSION:
+    if doc.get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported document version {doc.get('version')!r}")
     try:
         axes = tuple(Axis.from_header(h) for h in doc["axes"])

@@ -1,9 +1,10 @@
-"""Noninformative priors and instrument measurement densities.
+"""The noninformative prior and instrument measurement densities.
 
 The null-information state for a positive quantity whose scale carries no
-preferred unit is the reciprocal density 1/x (constant in the log frame); on
-an unconstrained linear axis it is uniform.  Position in a spherical-shell
-volume gets r²·sinθ.  Non-normalizable priors are truncated to the grid box.
+preferred unit is the reciprocal (Jeffreys) density 1/x, constant in the log
+frame; on an unconstrained linear axis it is uniform.  The reciprocal prior is
+not normalizable, so it is truncated to the grid box, or for sampling to
+explicit bounds.
 
 Measurement models turn one instrument reading into a density over its
 parameter's axis: ``gaussian`` (linear axes only — symmetric additive noise
@@ -25,15 +26,13 @@ from .errors import ConfigInvalid, InvalidBounds, ModelAxisMismatch
 from .grids import LOGARITHMIC, Axis, Grid
 
 JEFFREYS = "jeffreys_reciprocal"
-UNIFORM = "uniform"
-SPHERICAL = "spherical_position"
 
 GAUSSIAN = "gaussian"
 LOGNORMAL = "lognormal"
 BOXCAR = "boxcar"
 NONINFORMATIVE = "noninformative"
 
-_PRIOR_KINDS = (JEFFREYS, UNIFORM, SPHERICAL)
+_PRIOR_KINDS = (JEFFREYS,)
 _MODEL_KINDS = (GAUSSIAN, LOGNORMAL, BOXCAR, NONINFORMATIVE)
 
 # The narrowest lognormal float64 can represent.  Its width is a spread of
@@ -48,9 +47,10 @@ _LOGNORMAL_MIN_WIDTH = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """A noninformative prior kind plus optional per-axis support bounds.
+    """The reciprocal prior plus optional per-axis sampling bounds.
 
-    ``bounds`` is one (lower, upper) pair per axis; None means the grid box.
+    ``bounds`` is one (lower, upper) pair per axis; ``sample_prior`` needs
+    them.
     """
 
     kind: str
@@ -92,63 +92,18 @@ def _overlap_fraction(
     return out
 
 
-def prior_factors(spec: PriorSpec, grid: Grid) -> tuple[np.ndarray, ...]:
-    """The prior as one factor per axis, truncated to its bounds (or the box).
-
-    Every prior kind here is separable: the prior on the grid is the outer
-    product of these factors.
-    """
-    if spec.bounds is not None and len(spec.bounds) != grid.ndim:
-        raise InvalidBounds(
-            f"{len(spec.bounds)} bound pair(s) for a {grid.ndim}D grid"
-        )
-    if spec.kind == SPHERICAL:
-        shapes = _spherical_shapes(grid)
-    elif spec.kind == JEFFREYS:
-        for ax in grid.axes:
-            if ax.lower <= 0.0:
-                raise InvalidBounds(
-                    f"axis {ax.name!r}: the reciprocal prior needs a positive box"
-                )
-        shapes = [1.0 / ax.nodes for ax in grid.axes]
-    else:
-        shapes = [np.ones(ax.count) for ax in grid.axes]
-    if spec.bounds is None:
-        return tuple(shapes)
-    return tuple(
-        shape * _bounds_factor(spec, i, ax) for i, (shape, ax) in enumerate(zip(shapes, grid.axes))
-    )
+def jeffreys_factors(grid: Grid) -> tuple[np.ndarray, ...]:
+    """The reciprocal prior on the grid box, one factor 1/x per axis: the
+    prior is their outer product."""
+    for ax in grid.axes:
+        if ax.lower <= 0.0:
+            raise InvalidBounds(f"axis {ax.name!r}: the reciprocal prior needs a positive box")
+    return tuple(1.0 / ax.nodes for ax in grid.axes)
 
 
 def outer_values(factors) -> np.ndarray:
     """The grid array of a separable density: the outer product of its factors."""
     return factors[0] if len(factors) == 1 else np.multiply.outer(factors[0], factors[1])
-
-
-def make_prior(spec: PriorSpec, grid: Grid) -> Density:
-    """Evaluate the prior on the grid, truncated to its bounds (or the box)."""
-    return Density(grid, outer_values(prior_factors(spec, grid)))
-
-
-def _bounds_factor(spec: PriorSpec, i: int, ax: Axis) -> np.ndarray:
-    lo, hi = spec.bounds[i]
-    if lo < ax.lower - 1e-12 * abs(ax.lower) or hi > ax.upper + 1e-12 * abs(ax.upper):
-        raise InvalidBounds(
-            f"prior bounds ({lo}, {hi}) leave the axis {ax.name!r} box "
-            f"[{ax.lower}, {ax.upper}]"
-        )
-    return _overlap_fraction(ax, lo, hi)
-
-
-def _spherical_shapes(grid: Grid) -> list[np.ndarray]:
-    if grid.ndim != 2:
-        raise InvalidBounds("the spherical position prior lives on a 2D (r, θ) grid")
-    r_ax, th_ax = grid.axes
-    if r_ax.lower < 0.0:
-        raise InvalidBounds(f"radius axis {r_ax.name!r} must start at r >= 0")
-    if th_ax.lower < 0.0 or th_ax.upper > math.pi + 1e-12:
-        raise InvalidBounds(f"polar axis {th_ax.name!r} must stay inside [0, π]")
-    return [r_ax.nodes**2, np.sin(th_ax.nodes)]
 
 
 # ---------------------------------------------------------------------------
@@ -398,36 +353,20 @@ def jeffreys_ppf(u: np.ndarray, lower: float, upper: float) -> np.ndarray:
 
 
 def sample_prior(spec: PriorSpec, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` samples from a truncated prior by inverse-CDF.
+    """Draw ``n`` samples from the reciprocal prior truncated to the spec's
+    bounds, by inverse-CDF.
 
-    Requires explicit bounds on the PriorSpec.  Returns shape (n,) for one
-    axis and (n, k) for k axes.
+    Requires explicit positive bounds on the PriorSpec.  Returns shape (n,)
+    for one axis and (n, k) for k axes.
     """
     if spec.bounds is None:
         raise InvalidBounds("sampling needs explicit bounds on the PriorSpec")
     if seed < 0:
         raise ConfigInvalid(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    if spec.kind == SPHERICAL:
-        if len(spec.bounds) != 2:
-            raise InvalidBounds("spherical sampling needs (r, θ) bounds")
-        (r_lo, r_hi), (t_lo, t_hi) = spec.bounds
-        if r_lo < 0.0 or t_lo < 0.0 or t_hi > math.pi + 1e-12:
-            raise InvalidBounds("spherical bounds must satisfy r >= 0 and θ in [0, π]")
-        u = rng.uniform(size=n)
-        r = np.cbrt(r_lo**3 + (r_hi**3 - r_lo**3) * u)
-        v = rng.uniform(size=n)
-        c_lo, c_hi = math.cos(t_lo), math.cos(t_hi)
-        theta = np.arccos(c_lo - v * (c_lo - c_hi))
-        return np.column_stack([r, theta])
-
     cols = []
     for lo, hi in spec.bounds:
-        u = rng.uniform(size=n)
-        if spec.kind == JEFFREYS:
-            if lo <= 0.0:
-                raise InvalidBounds("the reciprocal prior needs positive bounds")
-            cols.append(jeffreys_ppf(u, lo, hi))
-        else:
-            cols.append(lo + (hi - lo) * u)
+        if lo <= 0.0:
+            raise InvalidBounds("the reciprocal prior needs positive bounds")
+        cols.append(jeffreys_ppf(rng.uniform(size=n), lo, hi))
     return cols[0] if len(cols) == 1 else np.column_stack(cols)

@@ -32,18 +32,16 @@ from .errors import (
     NonFinite,
     ZeroMass,
 )
-from .grids import LOGARITHMIC, Axis, Grid
+from .grids import LOGARITHMIC, Axis, Grid, header_int
 from .priors import (
     BOXCAR,
     GAUSSIAN,
-    JEFFREYS,
     LOGNORMAL,
     NONINFORMATIVE,
     MeasurementModel,
-    PriorSpec,
+    jeffreys_factors,
     jeffreys_ppf,
     outer_values,
-    prior_factors,
     profile_centre_factors,
     profile_node_factor,
     profile_window_bounds,
@@ -119,11 +117,9 @@ class Provenance:
 
     @staticmethod
     def from_dict(d: dict) -> "Provenance":
-        return Provenance(
-            kind=str(d["kind"]),
-            n_experiments=None if d.get("n_experiments") is None else int(d["n_experiments"]),
-            master_seed=None if d.get("master_seed") is None else int(d["master_seed"]),
-        )
+        n_experiments, master_seed = (None if d.get(key) is None else header_int(d, key)
+                                      for key in ("n_experiments", "master_seed"))
+        return Provenance(str(d["kind"]), n_experiments, master_seed)
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
@@ -418,7 +414,7 @@ def run_campaign(
         raise ConfigInvalid(f"master seed must be >= 0, got {master_seed}")
     _locate_fall_axes(law, grid)
     by_axis = _instruments_by_axis(instruments, grid)
-    mu = prior_factors(PriorSpec(JEFFREYS), grid)
+    mu = jeffreys_factors(grid)
 
     ax0, ax1 = grid.axes
     m0, m1 = by_axis[ax0.name], by_axis[ax1.name]
@@ -560,7 +556,7 @@ def analytic_fall_theory(
     if frame == "linear":
         il, _ = _locate_fall_axes(law, grid)
         # Refuses a box that is not positive, so every ln below is finite.
-        mu = prior_factors(PriorSpec(JEFFREYS), grid)
+        mu = jeffreys_factors(grid)
         coords = [np.log(ax.nodes) for ax in grid.axes]
 
         def ridge(x0, x1):

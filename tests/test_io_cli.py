@@ -25,7 +25,6 @@ from hypothesis.extra import numpy as hnp
 
 import inferspace
 from inferspace import (
-    JEFFREYS,
     LOGNORMAL,
     SET_L,
     Axis,
@@ -36,7 +35,6 @@ from inferspace import (
     IOFailure,
     MeasurementModel,
     NonFinite,
-    PriorSpec,
     Provenance,
     SchemaError,
     TheoryDensity,
@@ -45,7 +43,6 @@ from inferspace import (
     density_from_dict,
     density_to_dict,
     integrate,
-    make_prior,
     noninformative_profile,
     normalize,
     predict,
@@ -130,9 +127,10 @@ class TestDensityFiles:
 
     def test_unsupported_version_raises(self):
         doc = density_to_dict(_sample_density())
-        doc["version"] = 999
-        with pytest.raises(SchemaError):
-            density_from_dict(doc)
+        for version in (999, math.inf, "1"):
+            doc["version"] = version
+            with pytest.raises(SchemaError, match="unsupported document version"):
+                density_from_dict(doc)
 
     def test_value_count_mismatch_raises(self):
         doc = density_to_dict(_sample_density())
@@ -310,7 +308,7 @@ def _from_conditional(grid):
     decay = np.arange(d_ax.count)
     slices = [normalize(Density(Grid.of(d_ax), np.exp(-decay / (k + 3))))
               for k in range(i_ax.count)]
-    return conditional_theory(slices, make_prior(PriorSpec(JEFFREYS), Grid.of(i_ax)))
+    return conditional_theory(slices, Density(Grid.of(i_ax), 1.0 / i_ax.nodes))
 
 
 class TestTheoryFiles:
@@ -1142,6 +1140,40 @@ class TestCliInference:
         assert captured.err.startswith(f"error: {th}")
         if damage in expected:
             assert expected[damage] in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, field, literal",
+    [("density", "count", "1e400"), ("density", "count", "23.9"), ("density", "count", "true"),
+     ("theory", "count", "1e400"), ("theory", "count", "23.9"), ("theory", "count", '"23"'),
+     ("theory", "n_experiments", "1e400"), ("theory", "master_seed", "123.9")],
+)
+def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, field, literal):
+    """A count, experiment count or seed that is not a JSON integer is a
+    schema error naming the field: not an overflow traceback, and not
+    truncated into a file that reads as another."""
+    placeholder = "__field__"
+    if kind == "density":
+        doc = density_to_dict(_sample_density())
+        doc["axes"][0][field] = placeholder
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc).replace(f'"{placeholder}"', literal))
+        argv = ["convert", "--in", str(path), "--out", str(tmp_path / "o.csv")]
+    else:
+        path = tmp_path / "th.npz"
+        write_theory(_sample_theory(), path)
+        with np.load(path) as z:
+            members = {k: z[k] for k in z.files}
+        header = json.loads(str(members["header"]))
+        (header["axes"][0] if field == "count" else header["provenance"])[field] = placeholder
+        text = json.dumps(header).replace(f'"{placeholder}"', literal)
+        np.savez(path, **{**members, "header": np.array(text)})
+        argv = ["infer", "--theory", str(path), "--measure", "L:lognormal:1:0.1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"'{field}' must be a JSON integer" in captured.err
 
 
 # ---------------------------------------------------------------------------

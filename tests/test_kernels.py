@@ -13,7 +13,6 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy.interpolate import RegularGridInterpolator
 
-from inferspace import backend
 from inferspace._kernels import interpolate, locate
 
 
@@ -96,9 +95,6 @@ def test_tensor_call_equals_scattered_call_and_matches_scipy(case):
 
 
 class TestBackendSelection:
-    def test_backend_reports_what_is_loaded(self):
-        assert backend() == "numpy"
-
     def test_import_emits_no_warning(self):
         code = textwrap.dedent(
             """

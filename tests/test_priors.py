@@ -1,4 +1,4 @@
-"""Noninformative priors, measurement models, first-digit law, sampling."""
+"""The reciprocal prior, measurement models, first-digit law, sampling."""
 
 import math
 
@@ -13,8 +13,6 @@ from inferspace import (
     GAUSSIAN,
     BOXCAR,
     NONINFORMATIVE,
-    UNIFORM,
-    SPHERICAL,
     Axis,
     Density,
     Grid,
@@ -24,7 +22,6 @@ from inferspace import (
     PriorSpec,
     benford_digit_probabilities,
     jeffreys_ppf,
-    make_prior,
     measurement_density,
     measurement_profile,
     normalize,
@@ -34,7 +31,13 @@ from inferspace import (
     sample_prior,
     total_variation,
 )
-from inferspace.priors import profile_centre_factors, profile_node_factor, profile_windows
+from inferspace.priors import (
+    jeffreys_factors,
+    outer_values,
+    profile_centre_factors,
+    profile_node_factor,
+    profile_windows,
+)
 from inferspace.theory import _block_windows
 
 # log10(1 + 1/d); derived in tools/oracles/benford_probs.py
@@ -53,47 +56,28 @@ BENFORD = [
 
 def test_jeffreys_prior_is_reciprocal():
     ax = Axis.logarithmic("T", 0.1, 10.0, 101)
-    p = make_prior(PriorSpec(JEFFREYS), Grid.of(ax))
-    np.testing.assert_allclose(p.values * ax.nodes, p.values[0] * ax.nodes[0], rtol=1e-12)
+    (f,) = jeffreys_factors(Grid.of(ax))
+    np.testing.assert_allclose(f * ax.nodes, f[0] * ax.nodes[0], rtol=1e-12)
 
 
 def test_jeffreys_joint_is_product_of_reciprocals():
     grid = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 21), Axis.logarithmic("T", 0.1, 5.0, 19))
-    p = make_prior(PriorSpec(JEFFREYS), grid)
+    p = outer_values(jeffreys_factors(grid))
     ml, mt = np.meshgrid(grid.axes[0].nodes, grid.axes[1].nodes, indexing="ij")
-    np.testing.assert_allclose(p.values * ml * mt, p.values[0, 0] * ml[0, 0] * mt[0, 0], rtol=1e-12)
+    np.testing.assert_allclose(p * ml * mt, p[0, 0] * ml[0, 0] * mt[0, 0], rtol=1e-12)
 
 
 def test_jeffreys_needs_positive_box():
     grid = Grid.of(Axis.linear("x", 0.0, 1.0, 11))
     with pytest.raises(InvalidBounds):
-        make_prior(PriorSpec(JEFFREYS), grid)
-
-
-def test_uniform_prior_flat_and_bounded():
-    ax = Axis.linear("x", 0.0, 2.0, 41)
-    p = make_prior(PriorSpec(UNIFORM, bounds=((0.5, 1.5),)), Grid.of(ax))
-    nodes = ax.nodes
-    inside = (nodes > 0.55) & (nodes < 1.45)
-    outside = (nodes < 0.45) | (nodes > 1.55)
-    assert np.all(p.values[inside] == p.values[inside][0])
-    assert np.all(p.values[outside] == 0.0)
-
-
-def test_spherical_prior_shape():
-    grid = Grid.of(Axis.linear("r", 0.0, 2.0, 21), Axis.linear("theta", 0.0, np.pi, 19))
-    p = make_prior(PriorSpec(SPHERICAL), grid)
-    r, th = grid.axes[0].nodes, grid.axes[1].nodes
-    np.testing.assert_allclose(p.values, np.multiply.outer(r**2, np.sin(th)), rtol=1e-12)
-    with pytest.raises(InvalidBounds):
-        make_prior(PriorSpec(SPHERICAL), Grid.of(Axis.linear("r", 0.0, 1.0, 5)))
+        jeffreys_factors(grid)
 
 
 def test_degenerate_bounds_rejected():
     with pytest.raises(InvalidBounds):
-        PriorSpec(UNIFORM, bounds=((1.0, 1.0),))
+        PriorSpec(JEFFREYS, bounds=((1.0, 1.0),))
     with pytest.raises(InvalidBounds):
-        PriorSpec(UNIFORM, bounds=((2.0, 1.0),))
+        PriorSpec(JEFFREYS, bounds=((2.0, 1.0),))
 
 
 def test_null_information_density_matches_spacing():
@@ -168,11 +152,11 @@ def test_measurement_density_fills_other_axes():
 def test_jeffreys_reciprocal_pair_consistency():
     """The scale prior keeps its form under nu = 1/T."""
     ax = Axis.logarithmic("T", 0.1, 10.0, 301)
-    p = normalize(make_prior(PriorSpec(JEFFREYS), Grid.of(ax)))
+    p = normalize(Density(Grid.of(ax), 1.0 / ax.nodes))
     m = reciprocal_map()
     img = m.image_axis(ax, name="nu")
     pushed = push_forward(p, m, Grid.of(img))
-    direct = normalize(make_prior(PriorSpec(JEFFREYS), Grid.of(img)))
+    direct = normalize(Density(Grid.of(img), 1.0 / img.nodes))
     rel = np.abs(pushed.values - direct.values) / direct.values.max()
     assert rel.max() < 1e-6
 
@@ -198,19 +182,12 @@ def _empirical_density(ax: Axis, draws: np.ndarray) -> Density:
 def test_sample_prior_converges_in_total_variation():
     ax = Axis.logarithmic("x", 0.1, 10.0, 41)
     spec = PriorSpec(JEFFREYS, bounds=((0.1, 10.0),))
-    target = normalize(make_prior(spec, Grid.of(ax)))
+    target = normalize(Density(Grid.of(ax), 1.0 / ax.nodes))
     tvs = []
     for n in (1_000, 10_000, 100_000):
         draws = sample_prior(spec, n, seed=314159)
         tvs.append(total_variation(_empirical_density(ax, draws), target))
     assert tvs[0] > tvs[1] > tvs[2], tvs
-
-
-def test_sample_prior_uniform_mean():
-    spec = PriorSpec(UNIFORM, bounds=((0.0, 1.0),))
-    draws = sample_prior(spec, 100_000, seed=8)
-    assert draws.mean() == pytest.approx(0.5, abs=0.005)
-    assert draws.min() >= 0.0 and draws.max() <= 1.0
 
 
 def _dense_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:

@@ -1,31 +1,25 @@
 """Every public name, and every method and property, has a caller outside
 the tests.
 
-A name in ``inferspace.__all__`` stays only if the package itself uses it
+A name in ``inferspace.__all__`` stays only if the package itself reads it
 (outside ``__init__.py``), an acceptance test or the README quick start
-imports it, or the benchmark driver names it.  A method or property of a
-class in the package stays only if one of the same four reads it as an
-attribute.  A name that only unit tests
-call is dead weight: it goes, and a test that used it as an oracle keeps a
-copy of what it needs.
+imports it, or the benchmark driver names it.  A package read counts only
+where it resolves to the module-level name: a local variable that happens to
+share the name is no caller.  A method or property of a class in the package
+stays only if one of the same four reads it as an attribute.  A name that
+only unit tests call is dead weight: it goes, and a test that used it as an
+oracle keeps a copy of what it needs.
 """
 
 import ast
 import re
+import symtable
 from pathlib import Path
 
 import inferspace
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "inferspace"
-
-# Names kept without such a caller, with the reason.
-EXEMPT = {
-    "make_prior": "the README documents it as the way to evaluate uniform, bounded and "
-                  "spherical priors; without it prior_factors' spherical and bounds "
-                  "branches would have no caller but tests",
-}
-
 
 # Methods and properties kept without such a caller, with the reason.
 EXEMPT_MEMBERS = {
@@ -34,9 +28,19 @@ EXEMPT_MEMBERS = {
 }
 
 
-def _loads(tree: ast.AST) -> set[str]:
-    return {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+def _global_loads(source: str) -> set[str]:
+    """The names ``source`` reads as module-level names: at module scope, or
+    in a function, class, lambda or comprehension that does not bind the
+    name itself or take it from an enclosing function."""
+    module = symtable.symtable(source, "<package module>", "exec")
+    found = {sym.get_name() for sym in module.get_symbols() if sym.is_referenced()}
+    scopes = module.get_children()
+    while scopes:
+        scope = scopes.pop()
+        found |= {sym.get_name() for sym in scope.get_symbols()
+                  if sym.is_referenced() and sym.is_global()}
+        scopes += scope.get_children()
+    return found
 
 
 def _imports(tree: ast.AST) -> set[str]:
@@ -63,13 +67,12 @@ def _sources() -> dict[str, list[str]]:
     }
 
 
-def _callers() -> dict[str, set[str]]:
+def _callers(sources: dict[str, list[str]]) -> dict[str, set[str]]:
     """The public names each caller uses."""
-    sources = _sources()
     (acceptance,), (quick_start,), (bench,) = (
         sources[caller] for caller in ("acceptance", "README", "perfbench"))
     return {
-        "package": set().union(*map(_loads, map(ast.parse, sources["package"]))),
+        "package": set().union(*map(_global_loads, sources["package"])),
         "acceptance": _imports(ast.parse(acceptance)),
         "README": _imports(ast.parse(quick_start)),
         "perfbench": set(re.findall(r"\w+", bench)),
@@ -93,20 +96,35 @@ def _members() -> list[tuple[str, str]]:
             and not (fn.name.startswith("__") and fn.name.endswith("__"))]
 
 
+def _uncalled(names, sources: dict[str, list[str]]) -> list[str]:
+    callers = _callers(sources)
+    return [name for name in names if not any(name in found for found in callers.values())]
+
+
 def test_every_public_name_has_a_caller():
-    callers = _callers()
-    uncalled = [name for name in inferspace.__all__
-                if name != "__version__" and name not in EXEMPT
-                and not any(name in found for found in callers.values())]
+    public = [name for name in inferspace.__all__ if name != "__version__"]
+    uncalled = _uncalled(public, _sources())
     assert uncalled == [], f"no caller outside the tests: {uncalled}"
 
 
-def test_exempt_names_are_public_and_still_uncalled():
-    """An exemption lapses once the name gets a caller or leaves ``__all__``."""
-    callers = _callers()
-    for name in EXEMPT:
-        assert name in inferspace.__all__
-        assert not any(name in found for found in callers.values()), name
+def test_a_local_of_the_same_name_is_no_caller():
+    """``scale`` read only as a local, a parameter or an enclosing
+    function's variable is uncalled; read as the module-level function, in
+    any scope, it is called."""
+    shadowed = (
+        "def weigh(p, w):\n"
+        "    scale = 2.0 * w\n"
+        "    return p * scale\n"
+        "def spread(scale):\n"
+        "    return [scale * k for k in range(3)]\n"
+        "def outer():\n"
+        "    scale = 1.0\n"
+        "    return lambda x: scale * x\n"
+    )
+    called = "def weigh(p):\n    return [scale(k, p) for k in range(3)]\n"
+    for package, expected in ((shadowed, ["scale"]), (called, [])):
+        sources = {"package": [package], "acceptance": [""], "README": [""], "perfbench": [""]}
+        assert _uncalled(["scale"], sources) == expected
 
 
 def test_every_method_and_property_has_a_caller():
