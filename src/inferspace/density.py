@@ -51,21 +51,8 @@ class Density:
             raise InvalidGrid(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        # min and max see any NaN or infinity without a grid-sized temporary.
-        lo, hi = vals.min(), vals.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise NonFinite("density values must be finite")
-        if lo < 0.0:
-            raise NegativeDensity(f"density values must be >= 0, min is {lo!r}")
-        # Own a frozen C-contiguous copy; arrays arriving already frozen are
-        # shared (they came from another Density and cannot change).
-        if vals.flags.writeable:
-            vals = vals.copy() if vals.flags.c_contiguous else np.ascontiguousarray(vals)
-            vals.setflags(write=False)
-        elif not vals.flags.c_contiguous:
-            vals = np.ascontiguousarray(vals)
-            vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _check_values(vals)
+        object.__setattr__(self, "values", _frozen(vals))
         if not self.frame:
             object.__setattr__(self, "frame", default_frame(self.grid))
 
@@ -84,6 +71,29 @@ class Density:
 
     def with_values(self, values: np.ndarray, normalized: bool = False) -> "Density":
         return Density(self.grid, values, frame=self.frame, normalized=normalized)
+
+
+def _check_values(values: np.ndarray) -> None:
+    """Refuse density values that are not all finite (NonFinite) or not all
+    >= 0 (NegativeDensity)."""
+    if values.size:
+        # min and max see any NaN or infinity without a temporary of the
+        # values' size.
+        lo, hi = values.min(), values.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise NonFinite("density values must be finite")
+        if lo < 0.0:
+            raise NegativeDensity(f"density values must be >= 0, min is {lo!r}")
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """``values`` as a frozen C-contiguous array: shared if it already is
+    one (it came from another Density or a theory and cannot change),
+    copied if not."""
+    if values.flags.writeable or not values.flags.c_contiguous:
+        values = np.array(values, order="C")
+        values.setflags(write=False)
+    return values
 
 
 def require_same_space(p: Density, q: Density) -> None:

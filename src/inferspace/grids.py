@@ -27,13 +27,24 @@ LOGARITHMIC = "logarithmic"
 _SPACINGS = (LINEAR, LOGARITHMIC)
 
 
-def header_int(h: dict, key: str) -> int:
-    """``h[key]`` if it is a JSON integer.  A float is refused rather than
-    truncated, and a bool is not an integer here."""
+_JSON_KINDS = {int: "integer", float: "number", str: "string", bool: "boolean"}
+
+
+def header_value(h: dict, key: str, kind: type, default=None):
+    """``h[key]`` if it is a JSON value of ``kind`` (int, float, str or
+    bool), or ``default``, if given, where ``key`` is absent.  Nothing is
+    coerced: a float is not truncated to an integer, a string is not a
+    number, and a bool is not a number.  A number comes back as a float."""
+    if default is not None and key not in h:
+        return default
     value = h[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{key!r} must be a JSON integer, got {value!r}")
-    return value
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) is not (kind is bool) or not isinstance(value, accepted):
+        raise SchemaError(f"{key!r} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise SchemaError(f"{key!r} must be a JSON number within float64's range") from None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -153,12 +164,12 @@ class Axis:
     @staticmethod
     def from_header(h: dict) -> "Axis":
         return Axis(
-            name=str(h["name"]),
-            spacing=str(h["spacing"]),
-            lower=float(h["lower"]),
-            upper=float(h["upper"]),
-            count=header_int(h, "count"),
-            units=str(h.get("units", "")),
+            name=header_value(h, "name", str),
+            spacing=header_value(h, "spacing", str),
+            lower=header_value(h, "lower", float),
+            upper=header_value(h, "upper", float),
+            count=header_value(h, "count", int),
+            units=header_value(h, "units", str, ""),
         )
 
 

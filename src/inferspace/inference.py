@@ -29,22 +29,16 @@ from .density import (
     require_same_space,
     scale_to_unit_mass,
 )
-from .errors import (
-    InvalidGrid,
-    NeutralZero,
-    OutOfDomain,
-    ZeroMass,
-    ZeroSlice,
-)
+from .errors import InvalidGrid, OutOfDomain, ZeroMass, ZeroSlice
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 from .priors import (
     BOXCAR,
-    GAUSSIAN,
     LOGNORMAL,
+    NONINFORMATIVE,
     MeasurementModel,
     measurement_density,
     measurement_profile,
-    noninformative_profile,
+    reading_centre_factor,
 )
 from .theory import TheoryDensity
 
@@ -88,72 +82,48 @@ def _share_on_box(m: MeasurementModel, ax: Axis) -> float:
 
 
 def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
-    """fₖ = ∏ₘ ρₘ,ₖ/μₖ on each axis k of the theory, over the readings m.
+    """fₖ = ∏ₘ ρₘ,ₖ/μₖ on each axis k of the theory, over the readings m of
+    axis k.
 
-    ρₘ,ₖ is reading m's profile if it measures axis k, else the
-    noninformative profile of axis k.  The checks here are the whole failure
-    diagnosis of the readings, all but the last on 1D arrays: a reading
-    centred off its axis, a profile without mass, readings whose product on
-    one axis has none, and μ = 0
-    where the joint times the readings is positive (NeutralZero).
+    A reading says nothing about the axes it does not measure: its density
+    there is μ, which cancels, so an axis that no reading measures keeps
+    fₖ = 1.  A noninformative reading, or one of infinite width, is no
+    reading.  A boxcar is μₖ restricted to its interval, so its ρ/μₖ is its
+    centre factor, the overlap of each node's cell with the interval; a
+    gaussian or lognormal reading's ρ is its measurement profile.  μ is
+    positive at every node (``TheoryDensity`` refuses a zero).  The checks
+    here are the whole failure diagnosis of the readings, on 1D arrays: a
+    reading centred off its axis, a reading without mass, and readings
+    whose product on one axis has none.
     """
     grid = theory.grid
-    on_axis = [[] for _ in grid.axes]
+    factors = [np.ones(ax.count) for ax in grid.axes]
     for m in models:
         k = grid.axis_index(m.parameter)
         ax = grid.axes[k]
-        profile = measurement_profile(m, ax)
-        centred_off = not ax.lower <= m.center <= ax.upper
-        if m.kind in (GAUSSIAN, LOGNORMAL) and math.isfinite(m.width) and centred_off:
-            share = _share_on_box(m, ax)
-            if share < _MIN_SHARE_ON_BOX:
-                # Only the reading's far tail reaches the box, and the
-                # posterior would pile up at the box's edge.
-                raise OutOfDomain(
-                    f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) "
-                    f"lies off the grid: its centre is outside {m.parameter} in "
-                    f"[{ax.lower!r}, {ax.upper!r}], with {share:.2g} of its mass on the box"
-                )
-        if not np.dot(profile, ax.weights) > 0.0:
+        if m.kind == NONINFORMATIVE or not math.isfinite(m.width):
+            continue
+        if m.kind == BOXCAR:
+            f = reading_centre_factor(m, ax)
+        else:
+            f = measurement_profile(m, ax) / theory.mu_factors[k]
+            if not ax.lower <= m.center <= ax.upper:
+                share = _share_on_box(m, ax)
+                if share < _MIN_SHARE_ON_BOX:
+                    # Only the reading's far tail reaches the box, and the
+                    # posterior would pile up at the box's edge.
+                    raise OutOfDomain(
+                        f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) "
+                        f"lies off the grid: its centre is outside {m.parameter} in "
+                        f"[{ax.lower!r}, {ax.upper!r}], with {share:.2g} of its mass on the box"
+                    )
+        if not np.dot(f, ax.weights) > 0.0:
             raise _no_mass(m, ax)
-        on_axis[k].append(profile)
-    rhos = [
-        profiles + [noninformative_profile(ax)] * (len(models) - len(profiles))
-        for ax, profiles in zip(grid.axes, on_axis)
-    ]
-    products = [np.prod(r, axis=0) for r in rhos]
-    for ax, product in zip(grid.axes, products):
-        if not np.dot(product, ax.weights) > 0.0:
+        factors[k] *= f
+    for ax, f in zip(grid.axes, factors):
+        if not np.dot(f, ax.weights) > 0.0:
             raise ZeroMass("the measurements contradict each other: their AND has no mass")
-    undefined = _undefined_nodes(theory, products)
-    if undefined:
-        raise NeutralZero(
-            f"the theory times the readings is positive on {undefined} node(s) where μ vanishes"
-        )
-    factors = []
-    for mu_k, r in zip(theory.mu_factors, rhos):
-        f = np.ones(mu_k.size)
-        for rho in r:
-            f *= np.divide(rho, mu_k, out=np.zeros(mu_k.size), where=mu_k > 0.0)
-        factors.append(f)
     return factors
-
-
-def _undefined_nodes(theory: TheoryDensity, products) -> int:
-    """How many nodes have μ = 0 but joint · ⊗ₖ productₖ > 0.
-
-    Only the joint's band values are read, and only when some μₖ vanishes,
-    so a μ without zeros costs no pass over the joint.
-    """
-    vanishing = [mu_k == 0.0 for mu_k in theory.mu_factors]
-    if not any(v.any() for v in vanishing):
-        return 0
-    num, undefined = theory.band, False
-    nodes = np.unravel_index(theory._nodes(), theory.grid.shape)
-    for node, v, p in zip(nodes, vanishing, products):
-        num = num * p[node]
-        undefined = undefined | v[node]
-    return int(np.count_nonzero(undefined & (num > 0.0)))
 
 
 def _support(f: np.ndarray) -> slice:
@@ -172,19 +142,17 @@ def intersect(
 
         σ = joint · ⊗ₖ fₖ,   fₖ = ∏ₘ ρₘ,ₖ / μₖ,
 
-    where ρₘ,ₖ is reading m's profile on axis k, or the noninformative
-    profile of axis k if m measures another axis.  This is exactly the dense
-    fold joint · ∏ₘ ρₘ / μᴹ.  σ is an exact zero wherever some fₖ is, so it
-    is scaled and normalized only on the window that runs from the first to
-    the last nonzero entry of each fₖ, and the rest of the theory's grid
-    holds zeros.
+    over the readings m of axis k (``_reading_factors``), and fₖ = 1 on an
+    axis that no reading measures.  This is exactly the dense fold
+    joint · ∏ₘ ρₘ / μᴹ, where each ρₘ is μ on the axes m does not measure.
+    σ is an exact zero wherever some fₖ is, so it is scaled and normalized
+    only on the window that runs from the first to the last nonzero entry
+    of each fₖ, and the rest of the theory's grid holds zeros.
 
     Raises OutOfDomain for a gaussian or lognormal reading centred off the
     grid with under 1% of its mass on the box, ZeroMass for a reading in
     the box that no node resolves, ZeroMass when the readings contradict
-    each other or the theory, NeutralZero where μ vanishes but the theory
-    times the readings does not, and NonFinite when the AND's mass
-    overflows.
+    each other or the theory, and NonFinite when the AND's mass overflows.
     """
     joint = theory.joint
     factors = _reading_factors(theory, [reading, *more])

@@ -39,7 +39,7 @@ import numpy as np
 
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
-from .grids import Axis, Grid
+from .grids import Axis, Grid, header_value
 from .theory import Provenance, TheoryDensity, _band_mass
 
 FORMAT_NAME = "inferspace-density"
@@ -95,8 +95,8 @@ def density_from_dict(doc: dict) -> Density:
         axes = tuple(Axis.from_header(h) for h in doc["axes"])
         grid = Grid.of(*axes)
         values = np.asarray(doc["values"], dtype=np.float64).reshape(grid.shape)
-        frame = str(doc.get("frame", ""))
-        normalized = bool(doc.get("normalized", False))
+        frame = header_value(doc, "frame", str, "")
+        normalized = header_value(doc, "normalized", bool, False)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed density document: {exc}") from exc
     d = Density(grid, values, frame=frame, normalized=normalized)
@@ -241,8 +241,8 @@ def _theory_from_archive(archive) -> TheoryDensity:
     header = _header(archive["header"])
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
-        frame = str(header["frame"])
-        normalized = bool(header["normalized"])
+        frame = header_value(header, "frame", str)
+        normalized = header_value(header, "normalized", bool)
         provenance = Provenance.from_dict(header["provenance"])
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc

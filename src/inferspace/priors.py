@@ -11,7 +11,12 @@ parameter's axis: ``gaussian`` (linear axes only — symmetric additive noise
 is inconsistent with a positivity constraint), ``lognormal`` (multiplicative
 noise; widens into the reciprocal prior as width → ∞), ``boxcar`` (the
 noninformative prior restricted between two bounds), and ``noninformative``
-(no reading at all).
+(no reading at all).  Against a theory the noninformative prior is the
+theory's own μ: a boxcar is μ restricted to its interval, so ANDed in it
+weighs each node by the share of its cell inside the interval, and a
+noninformative reading is μ itself, which ANDs to nothing.  On its own
+grid, ``measurement_density`` takes the noninformative factor of each axis
+from its spacing (``noninformative_profile``).
 """
 
 from __future__ import annotations
@@ -148,23 +153,29 @@ class MeasurementModel:
 def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
     """Unnormalized density values of the model on one axis: its centre
     factor at ``model.center`` times its node factor."""
-    kind = _profile_kind(model, axis)
-    if kind == BOXCAR:
+    profile = reading_centre_factor(model, axis)
+    if _profile_kind(model, axis) == LOGNORMAL:
+        # Dividing by x applies the 1/x node factor with one rounding, not two.
+        profile /= axis.nodes
+    else:
+        profile *= profile_node_factor(model, axis)
+    return profile
+
+
+def reading_centre_factor(model: MeasurementModel, axis: Axis) -> np.ndarray:
+    """The model's centre factor at ``model.center`` on every node of
+    ``axis``.  A boxcar whose interval misses the box is refused with
+    InvalidBounds."""
+    if _profile_kind(model, axis) == BOXCAR:
         lo = model.center - model.width
         hi = model.center + model.width
         if hi <= axis.lower or lo >= axis.upper:
             raise InvalidBounds(
                 f"boxcar [{lo}, {hi}] does not meet the axis {axis.name!r} box"
             )
-    profile = profile_centre_factors(
+    return profile_centre_factors(
         model, axis, np.array([model.center]), slice(None), np.empty((1, axis.count))
     )[0]
-    if kind == LOGNORMAL:
-        # Dividing by x applies the 1/x node factor with one rounding, not two.
-        profile /= axis.nodes
-    else:
-        profile *= profile_node_factor(model, axis)
-    return profile
 
 
 def _profile_kind(model: MeasurementModel, axis: Axis) -> str:
@@ -326,8 +337,11 @@ def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") ->
     """The model's density on ``grid``.
 
     On the model's own axis the measurement profile applies; any other axis
-    carries the noninformative factor, so on a joint grid the result is ready
-    to intersect with a theory.
+    carries the noninformative factor of its spacing, 1/x on log axes and 1
+    on linear ones.  ANDed with a theory by ``and_combine``, it agrees with
+    ``intersect`` only on axes where that factor is the theory's μ factor;
+    the Jeffreys μ is 1/x on linear axes too, and ``intersect`` takes each
+    reading against the theory's own μ.
     """
     idx = grid.axis_index(model.parameter)
     factors = [

@@ -10,7 +10,8 @@ here the free-fall law L = ½gT² wrapped in a narrow lognormal ridge.
 Theories carry their null-information density μ alongside the joint, because
 every later conjunction needs the same μ the theory was built against.  Every
 μ here is separable (the Jeffreys 1/(LT), the flat log-frame μ, μ(i)⊗μ(d)),
-so a theory keeps it as one factor per axis.
+so a theory keeps it as one factor per axis, positive at every node, since
+the AND divides by it.
 """
 
 from __future__ import annotations
@@ -22,17 +23,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import Density, default_frame
+from .density import Density, _check_values, _frozen, default_frame
 from .errors import (
     ConfigInvalid,
     EmptyInput,
     GridMismatch,
     InvalidGrid,
     NegativeDensity,
+    NeutralZero,
     NonFinite,
     ZeroMass,
 )
-from .grids import LOGARITHMIC, Axis, Grid, header_int
+from .grids import LOGARITHMIC, Axis, Grid, header_value
 from .priors import (
     BOXCAR,
     GAUSSIAN,
@@ -117,18 +119,9 @@ class Provenance:
 
     @staticmethod
     def from_dict(d: dict) -> "Provenance":
-        n_experiments, master_seed = (None if d.get(key) is None else header_int(d, key)
+        n_experiments, master_seed = (None if d.get(key) is None else header_value(d, key, int)
                                       for key in ("n_experiments", "master_seed"))
-        return Provenance(str(d["kind"]), n_experiments, master_seed)
-
-
-def _frozen(values: np.ndarray) -> np.ndarray:
-    """``values`` as a frozen C-contiguous array: shared if it already is
-    one, copied if not."""
-    if values.flags.writeable or not values.flags.c_contiguous:
-        values = np.array(values)
-        values.setflags(write=False)
-    return values
+        return Provenance(header_value(d, "kind", str), n_experiments, master_seed)
 
 
 def _frozen_factor(axis: Axis, factor) -> np.ndarray:
@@ -139,9 +132,12 @@ def _frozen_factor(axis: Axis, factor) -> np.ndarray:
         )
     if not np.all(np.isfinite(f)):
         raise NonFinite(f"the μ factor on axis {axis.name!r} must be finite")
-    if np.any(f < 0.0):
-        raise NegativeDensity(
-            f"the μ factor on axis {axis.name!r} must be >= 0, min is {f.min()!r}"
+    if not np.all(f > 0.0):
+        # AND divides by μ, so a zero leaves it undefined.
+        j = int(np.argmin(f))
+        raise (NegativeDensity if f[j] < 0.0 else NeutralZero)(
+            f"the μ factor on axis {axis.name!r} must be > 0, but is {float(f[j])!r} at "
+            f"node {j} ({axis.name} = {float(axis.nodes[j])!r})"
         )
     return _frozen(f)
 
@@ -202,13 +198,7 @@ class TheoryDensity:
         if band.shape != (int((hi - lo).sum()),):
             raise InvalidGrid(f"band of shape {band.shape} for rows whose bands "
                               f"hold {int((hi - lo).sum())} values")
-        # min and max see any NaN or infinity without a band-sized temporary.
-        if band.size:
-            least, most = band.min(), band.max()
-            if not (np.isfinite(least) and np.isfinite(most)):
-                raise NonFinite("density values must be finite")
-            if least < 0.0:
-                raise NegativeDensity(f"density values must be >= 0, min is {least!r}")
+        _check_values(band)
         for name, values in (("lo", lo), ("hi", hi), ("band", band)):
             object.__setattr__(self, name, _frozen(values))
         if not self.frame:

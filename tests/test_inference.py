@@ -49,6 +49,7 @@ from inferspace import (
     intersect,
     marginalize,
     measurement_density,
+    measurement_profile,
     noninformative_profile,
     normalize,
     null_information_density,
@@ -64,7 +65,7 @@ from inferspace import (
 from inferspace.inference import (_mapped_grid, _posterior_marginal, _reading_factors,
                                   _share_on_box)
 
-from conftest import PACKAGE_MODULES, boxcar_density, conditional_theory, gaussian_density
+from conftest import PACKAGE_MODULES, boxcar_density, gaussian_density
 
 LAW = FallingBodyLaw(g=9.81, length_axis="L", time_axis="T")
 
@@ -205,36 +206,27 @@ class TestIntersect:
             intersect(theory, narrow)
 
 
-    def test_mu_vanishing_only_where_the_theory_has_no_mass_is_harmless(self):
-        """μ(i) = 0 on nodes where the conditional theory has no mass: ANDing a
-        reading that is positive there is defined and equals the dense AND."""
-        i_ax = Axis.logarithmic("L", 1.0, 10.0, 21)
-        d_ax = Axis.logarithmic("T", 0.45, 1.43, 19)
-        mu_i = np.ones(21)
-        mu_i[:5] = 0.0
-        shape = normalize(Density(Grid.of(d_ax), np.exp(-((np.log(d_ax.nodes) / 0.2) ** 2))))
-        theory = conditional_theory([shape] * 21, Density(Grid.of(i_ax), mu_i))
-        reading = MeasurementModel("L", LOGNORMAL, 3.0, 0.5)
-        rho = measurement_density(reading, theory.joint.grid, frame=theory.joint.frame)
-        factored = intersect(theory, reading).values
-        dense = normalize(and_combine(theory.joint, rho, theory.mu)).values
-        assert np.max(np.abs(factored - dense)) <= 1e-12 * np.max(dense)
-
     def test_mu_vanishing_where_the_theory_has_mass_is_neutral_zero(self):
-        """Where μ = 0 but the joint times the reading is not, the AND is
-        undefined; a node where both factors of μ vanish counts once."""
+        """AND divides by μ, so a theory's μ must be positive at every node:
+        a zero factor is refused with NeutralZero naming its axis and node.
+        The generic and_combine, which takes μ as a density, refuses only
+        where μ = 0 but the product is positive; a node where both factors
+        of μ vanish counts once there."""
         grid = Grid.of(Axis.linear("L", 1.0, 2.0, 7), Axis.linear("T", 1.0, 2.0, 5))
+        joint = Density(grid, np.ones((7, 5)))
         mu_l, mu_t = np.ones(7), np.ones(5)
         mu_l[[0, 3]] = 0.0
         mu_t[[1]] = 0.0
-        theory = TheoryDensity.from_joint(Density(grid, np.ones((7, 5))), [mu_l, mu_t],
-                                          Provenance("analytic"))
+        with pytest.raises(NeutralZero, match=r"axis 'L' must be > 0, but is 0\.0 at node 0 "
+                                              r"\(L = 1\.0\)"):
+            TheoryDensity.from_joint(joint, [mu_l, mu_t], Provenance("analytic"))
+        with pytest.raises(NeutralZero, match=r"axis 'T' .* at node 1 \(T = 1\.25\)"):
+            TheoryDensity.from_joint(joint, [np.ones(7), mu_t], Provenance("analytic"))
         reading = MeasurementModel("T", GAUSSIAN, 1.5, 0.3)
         # 2 rows of 5 and 1 column of 7 nodes, which share 2 nodes
         with pytest.raises(NeutralZero, match=r"on 15 node\(s\)"):
-            and_combine(theory.joint, measurement_density(reading, grid), theory.mu)
-        with pytest.raises(NeutralZero, match=r"on 15 node\(s\)"):
-            intersect(theory, reading)
+            and_combine(joint, measurement_density(reading, grid),
+                        Density(grid, np.outer(mu_l, mu_t)))
 
 
 def _draw_axis(draw, name):
@@ -245,12 +237,18 @@ def _draw_axis(draw, name):
 
 
 def _draw_random_theory(draw, axes, mu_levels=(0.5, 1.0, 2.0)):
+    """A theory of random joint and μ values on ``axes``, or None where a
+    drawn μ has a zero, once NeutralZero has refused it."""
     grid = Grid.of(*axes)
     joint = Density(grid, draw(hnp.arrays(np.float64, grid.shape, elements=st.floats(0.0, 10.0))))
     # some μ values of exactly 1 make some, not all, of a factor's entries 1
     levels = st.floats(0.1, 10.0) | st.sampled_from(mu_levels)
     mu = [draw(hnp.arrays(np.float64, ax.count, elements=levels)) for ax in axes]
-    return TheoryDensity.from_joint(joint, mu, Provenance("analytic"))
+    if all(f.all() for f in mu):
+        return TheoryDensity.from_joint(joint, mu, Provenance("analytic"))
+    with pytest.raises(NeutralZero, match=r"must be > 0, but is 0\.0 at node"):
+        TheoryDensity.from_joint(joint, mu, Provenance("analytic"))
+    return None
 
 
 def _draw_reading(draw, ax):
@@ -294,22 +292,42 @@ def _window_kinds(theory, readings):
     return kinds
 
 
+def _reading_density(m, theory):
+    """Reading ``m`` as a density on the theory's grid, against its μ: μ on
+    every axis ``m`` does not measure, and on its own axis its profile, or
+    for a boxcar the share of each node's cell inside its interval times μ
+    there.  A noninformative reading is μ."""
+    factors = list(theory.mu_factors)
+    if m.kind != NONINFORMATIVE:
+        k = theory.grid.axis_index(m.parameter)
+        ax = theory.grid.axes[k]
+        if m.kind == BOXCAR:
+            left, right = ax.cell_boundaries[:-1], ax.cell_boundaries[1:]
+            inside = np.minimum(right, m.center + m.width) - np.maximum(left, m.center - m.width)
+            factors[k] = np.maximum(inside, 0.0) / (right - left) * factors[k]
+        else:
+            factors[k] = measurement_profile(m, ax)
+    return Density(theory.grid, np.multiply.outer(*factors), frame=theory.frame)
+
+
 def test_factored_and_equals_the_dense_fold():
     """ANDing readings as 1D factors gives the dense fold joint·∏ρₘ/μᴹ, one
-    and_combine per reading, to 1e-12 of the peak; where the fold has no
-    posterior, neither has the factored AND.  The drawn cases include
-    windows of nonzero factors strictly inside an axis and at either edge."""
+    and_combine per reading, to 1e-12 of the peak, where each ρₘ is the
+    reading against the theory's μ (``_reading_density``); where the fold
+    has no posterior, neither has the factored AND.  μ is drawn at random
+    on linear and log axes.  The drawn cases include windows of nonzero
+    factors strictly inside an axis and at either edge."""
     windows = Counter()
 
     @settings(max_examples=150)
     @given(_theories_and_readings())
     def check(case):
         theory, readings = case
-        grid, mu = theory.joint.grid, theory.mu
+        mu = theory.mu
         try:
-            combined = measurement_density(readings[0], grid)
+            combined = _reading_density(readings[0], theory)
             for m in readings[1:]:
-                combined = and_combine(combined, measurement_density(m, grid), mu)
+                combined = and_combine(combined, _reading_density(m, theory), mu)
             dense = normalize(and_combine(theory.joint, combined, mu)).values
         except InferenceSpaceError as exc:
             with pytest.raises(type(exc)):
@@ -348,14 +366,17 @@ def _draw_off_box(draw, m, ax):
 
 @st.composite
 def _marginal_cases(draw):
-    """(kind, theory, readings, query): a random 2-D or 1-D theory whose μ
-    may vanish, the analytic fall ridge, or a small campaign, ANDed with one
-    to three readings, some centred off the box."""
+    """(kind, theory, readings, query): a random 2-D or 1-D theory, the
+    analytic fall ridge, or a small campaign, ANDed with one to three
+    readings, some centred off the box.  A random μ may vanish, which the
+    theory refuses: the case is then ("μ = 0", None, [], None)."""
     kind = draw(st.sampled_from(["random", "1-D", "analytic", "empirical"]))
     if kind in ("random", "1-D"):
         names = ("L", "T") if kind == "random" else ("L",)
         levels = (0.0, 0.5, 1.0, 2.0) if draw(st.booleans()) else (0.5, 1.0, 2.0)
         theory = _draw_random_theory(draw, [_draw_axis(draw, name) for name in names], levels)
+        if theory is None:
+            return "μ = 0", None, [], None
     else:
         grid = _draw_fall_grid(draw)
         law = FallingBodyLaw(9.81, draw(st.sampled_from([0.05, 0.2])))
@@ -386,13 +407,16 @@ def test_posterior_marginal_equals_the_marginal_of_the_posterior():
     marginal of the normalized 2-D posterior to 1e-12 of its peak, on both
     query axes, and refuses what the 2-D posterior refuses with the same
     error.  The drawn cases include every kind of theory, windows at either
-    edge of an axis, and each refusal."""
+    edge of an axis, and each refusal, a μ with a zero among them."""
     seen = Counter()
 
     @settings(max_examples=400)
     @given(_marginal_cases())
     def check(case):
         kind, theory, readings, query = case
+        if theory is None:
+            seen["NeutralZero"] += 1
+            return
         try:
             expected = marginalize(intersect(theory, *readings), query).values
         except InferenceSpaceError as exc:
@@ -412,6 +436,37 @@ def test_posterior_marginal_equals_the_marginal_of_the_posterior():
     wanted = ["random", "1-D", "analytic", "empirical", "query axis 0", "query axis 1",
               "inside", "low edge", "high edge", "OutOfDomain", "ZeroMass", "NeutralZero"]
     assert all(seen[k] for k in wanted), seen
+
+
+# The built-in fall box.
+_FALL_BOX = (("L", 1.0, 10.0), ("T", 0.45152364098573, 1.4278431229270645))
+
+
+@pytest.fixture(scope="module")
+def spaced_theories():
+    """The analytic theory of σ = 0.01 on linear and on log axes of the
+    built-in box, 1401 nodes each, which resolve its ridge either way."""
+    law = FallingBodyLaw(9.81, 0.01)
+    return [analytic_fall_theory(law, Grid.of(*(make(*axis, 1401) for axis in _FALL_BOX)))
+            for make in (Axis.linear, Axis.logarithmic)]
+
+
+@pytest.mark.parametrize(
+    "readings, query",
+    [([MeasurementModel("T", LOGNORMAL, 1.0, 0.3)], "L"),
+     ([MeasurementModel("T", LOGNORMAL, 1.0, 0.3), MeasurementModel("L", NONINFORMATIVE)], "L"),
+     ([MeasurementModel("T", BOXCAR, 1.0, 0.3)], "L"),
+     ([MeasurementModel("L", LOGNORMAL, 5.0, 0.3)], "T")],
+    ids=["lognormal", "lognormal-and-noninformative", "boxcar", "L-reading-T-query"],
+)
+def test_posterior_does_not_depend_on_the_spacing_of_the_axes(spaced_theories, readings, query):
+    """The marginal ``infer`` and ``predict`` report has the same mean and
+    sd, to 1e-4, on linear and on log axes of one resolved box: a reading
+    says nothing about the axes it does not measure, whatever their node
+    spacing, and a noninformative reading says nothing at all."""
+    linear, log = (summarize(_posterior_marginal(t, readings, query)) for t in spaced_theories)
+    assert linear.mean == pytest.approx(log.mean, rel=1e-4)
+    assert linear.sd == pytest.approx(log.sd, rel=1e-4)
 
 
 def test_property_tests_draw_from_the_package_constants_alone():

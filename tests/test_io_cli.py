@@ -512,7 +512,7 @@ def _theories(draw):
         axes.append(make(name, lower, upper, count, units))
     grid = Grid.of(*axes)
     factors = [
-        draw(hnp.arrays(np.float64, ax.count, elements=st.floats(0.0, 1e300)))
+        draw(hnp.arrays(np.float64, ax.count, elements=_positive))
         for ax in axes
     ]
     joint = Density(grid, draw(_joint_layouts(grid.shape)), frame=draw(st.text(max_size=8)))
@@ -1053,9 +1053,9 @@ class TestCliInference:
         "damage",
         ["truncated", "not-a-zip", "empty", "wrong-format", "wrong-version",
          "missing-member", "bare-array", "wrong-shape", "non-finite", "factor-dtype",
-         "factor-non-finite", "factor-negative", "bit-flip", "lo-above-hi", "hi-past-row",
-         "negative-lo", "band-lengths", "lo-float", "hi-int32", "lo-length", "band-2d",
-         "band-float32", "missing-band"],
+         "factor-non-finite", "factor-negative", "factor-zero", "bit-flip", "lo-above-hi",
+         "hi-past-row", "negative-lo", "band-lengths", "lo-float", "hi-int32", "lo-length",
+         "band-2d", "band-float32", "missing-band"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
         th = tmp_path / "th.npz"
@@ -1068,6 +1068,7 @@ class TestCliInference:
         expected = {
             "bit-flip": "Bad CRC-32 for file 'band.npy'",
             "non-finite": "must be finite",
+            "factor-zero": "axis 'T' must be > 0, but is 0.0 at node 2 (T = 0.25)",
             "bare-array": "bare array",
             "missing-band": "missing member(s) ['band']",
             "lo-above-hi": "0 <= lo <= hi <= 17",
@@ -1119,6 +1120,9 @@ class TestCliInference:
         elif damage in ("factor-non-finite", "factor-negative"):
             members["mu_0"][2] = np.inf if damage == "factor-non-finite" else -1.0
             np.savez(th, **members)
+        elif damage == "factor-zero":
+            members["mu_1"][2] = 0.0
+            np.savez(th, **members)
         elif damage == "bit-flip":
             # The archive is stored uncompressed: flip one byte of the band's
             # values, past the member's local header and the .npy header.
@@ -1142,20 +1146,36 @@ class TestCliInference:
             assert expected[damage] in captured.err
 
 
+# The JSON type each typed header field must have.
+_FIELD_TYPES = {"count": "integer", "n_experiments": "integer", "master_seed": "integer",
+                "lower": "number", "upper": "number", "name": "string", "spacing": "string",
+                "units": "string", "frame": "string", "kind": "string", "normalized": "boolean"}
+
+
 @pytest.mark.parametrize(
     "kind, field, literal",
     [("density", "count", "1e400"), ("density", "count", "23.9"), ("density", "count", "true"),
      ("theory", "count", "1e400"), ("theory", "count", "23.9"), ("theory", "count", '"23"'),
-     ("theory", "n_experiments", "1e400"), ("theory", "master_seed", "123.9")],
+     ("theory", "n_experiments", "1e400"), ("theory", "master_seed", "123.9"),
+     ("density", "lower", "true"), ("density", "upper", '"20"'), ("density", "name", "5"),
+     ("density", "spacing", '["logarithmic"]'), ("density", "units", "7"),
+     ("density", "frame", '["x"]'), ("density", "normalized", '"false"'),
+     ("theory", "lower", "false"), ("theory", "upper", "[20]"), ("theory", "name", "null"),
+     ("theory", "frame", "5"), ("theory", "normalized", "1"), ("theory", "kind", "3"),
+     pytest.param("density", "upper", "1" + "0" * 400, id="density-upper-10**400")],
 )
 def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, field, literal):
-    """A count, experiment count or seed that is not a JSON integer is a
-    schema error naming the field: not an overflow traceback, and not
-    truncated into a file that reads as another."""
+    """A typed header field whose value is not of its JSON type is a schema
+    error naming the field: a count, experiment count or seed must be an
+    integer, a bound a number, a name, spacing, unit, frame or provenance
+    kind a string, and the normalized flag a boolean.  Nothing is coerced:
+    not an overflow traceback (an integer past float64's range as a bound
+    included), and not truncated or converted into a file that reads as
+    another."""
     placeholder = "__field__"
     if kind == "density":
         doc = density_to_dict(_sample_density())
-        doc["axes"][0][field] = placeholder
+        (doc if field in ("frame", "normalized") else doc["axes"][0])[field] = placeholder
         path = tmp_path / "d.json"
         path.write_text(json.dumps(doc).replace(f'"{placeholder}"', literal))
         argv = ["convert", "--in", str(path), "--out", str(tmp_path / "o.csv")]
@@ -1165,7 +1185,12 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
         with np.load(path) as z:
             members = {k: z[k] for k in z.files}
         header = json.loads(str(members["header"]))
-        (header["axes"][0] if field == "count" else header["provenance"])[field] = placeholder
+        if field in ("frame", "normalized"):
+            header[field] = placeholder
+        elif field in ("kind", "n_experiments", "master_seed"):
+            header["provenance"][field] = placeholder
+        else:
+            header["axes"][0][field] = placeholder
         text = json.dumps(header).replace(f'"{placeholder}"', literal)
         np.savez(path, **{**members, "header": np.array(text)})
         argv = ["infer", "--theory", str(path), "--measure", "L:lognormal:1:0.1"]
@@ -1173,7 +1198,7 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert f"'{field}' must be a JSON integer" in captured.err
+    assert f"'{field}' must be a JSON {_FIELD_TYPES[field]}" in captured.err
 
 
 # ---------------------------------------------------------------------------

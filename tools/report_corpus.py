@@ -1,10 +1,10 @@
 """A fixed corpus of CLI runs, recorded so that two versions can be compared.
 
 The corpus covers the theory paths end to end: ``analytic-theory`` on five
-grids, ``build-theory`` in both modes, 18 ``infer`` and ``predict`` runs
+grids, ``build-theory`` in both modes, 21 ``infer`` and ``predict`` runs
 against analytic, log-frame, linear-grid and empirical theories (one and two
 readings, ``--out``, every reading kind, and three refusals), and
-``convert`` of a theory to CSV and to JSON.  27 runs in all.
+``convert`` of a theory to CSV and to JSON.  30 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -78,6 +78,11 @@ RUNS = [
     ("infer-linear", ["infer", "--theory", "linear", "--measure", "T:gaussian:1.0:0.01"]),
     ("infer-linear-L", ["infer", "--theory", "linear", "--measure", "L:gaussian:8.0:0.1",
                         "--query", "T"]),
+    ("infer-linear-lognormal", ["infer", "--theory", "linear", "--measure",
+                                "T:lognormal:1.0:0.3"]),
+    ("infer-linear-noninformative-L", ["infer", "--theory", "linear", "--measure",
+                                       "T:lognormal:1.0:0.3", "--measure", "L:noninformative"]),
+    ("infer-linear-boxcar", ["infer", "--theory", "linear", "--measure", "T:boxcar:1.0:0.3"]),
     ("infer-small-wide", ["infer", "--theory", "small", "--measure", "T:lognormal:1.3:0.3"]),
     ("infer-empirical-L", ["infer", "--theory", "campL", "--measure", "T:lognormal:1.0:0.05"]),
     ("predict-empirical-T", ["predict", "--theory", "campT", "--known", "L:lognormal:4.9:0.05",
