@@ -101,7 +101,7 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
     for m in models:
         k = grid.axis_index(m.parameter)
         ax = grid.axes[k]
-        if m.kind == NONINFORMATIVE or not math.isfinite(m.width):
+        if m.kind == NONINFORMATIVE:
             continue
         if m.kind == BOXCAR:
             f = reading_centre_factor(m, ax)

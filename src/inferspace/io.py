@@ -127,7 +127,9 @@ def read_density(path: str | Path) -> Density:
             doc = json.load(fh)
     except OSError as exc:
         raise IOFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, bytes that are not UTF-8, or an integer past
+        # Python's int-string limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     return density_from_dict(doc)
 

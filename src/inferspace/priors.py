@@ -14,9 +14,11 @@ noninformative prior restricted between two bounds), and ``noninformative``
 (no reading at all).  Against a theory the noninformative prior is the
 theory's own μ: a boxcar is μ restricted to its interval, so ANDed in it
 weighs each node by the share of its cell inside the interval, and a
-noninformative reading is μ itself, which ANDs to nothing.  On its own
-grid, ``measurement_density`` takes the noninformative factor of each axis
-from its spacing (``noninformative_profile``).
+noninformative reading is μ itself, which ANDs to nothing.  A theory
+carries its own μ; ``null_information_density`` is the μ of a bare grid,
+for the generic algebra, and the noninformative factor that
+``measurement_density`` and ``measurement_profile`` use.  It is the one
+place where an axis's spacing picks a null factor.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class PriorSpec:
                     raise InvalidBounds(f"degenerate prior bounds ({lo}, {hi})")
 
 
-def noninformative_profile(axis: Axis) -> np.ndarray:
-    """The per-axis null-information factor: 1/x on log axes, 1 on linear."""
+def _null_factor(axis: Axis) -> np.ndarray:
+    """A bare axis's null-information factor: 1/x on log axes, 1 on linear."""
     if axis.spacing == LOGARITHMIC:
         return 1.0 / axis.nodes
     return np.ones(axis.count)
@@ -121,7 +123,8 @@ class MeasurementModel:
 
     ``center`` is the reading, ``width`` its scale: the standard deviation for
     gaussian, the log-standard-deviation for lognormal, the half-width for
-    boxcar.  Infinite width degrades any kind to noninformative.
+    boxcar.  Infinite width degrades any kind to noninformative: ``kind``
+    is then ``NONINFORMATIVE``.
     """
 
     parameter: str
@@ -136,7 +139,9 @@ class MeasurementModel:
             )
         if not self.width > 0.0:
             raise InvalidBounds(f"measurement width must be > 0, got {self.width!r}")
-        if self.kind != NONINFORMATIVE and math.isfinite(self.width):
+        if math.isinf(self.width):
+            object.__setattr__(self, "kind", NONINFORMATIVE)
+        if self.kind != NONINFORMATIVE:
             if not np.isfinite(self.center):
                 raise InvalidBounds(f"{self.kind} measurement needs a finite center")
             if self.kind == LOGNORMAL and self.center <= 0.0:
@@ -158,7 +163,7 @@ def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
         # Dividing by x applies the 1/x node factor with one rounding, not two.
         profile /= axis.nodes
     else:
-        profile *= profile_node_factor(model, axis)
+        profile *= profile_node_factor(model, axis, _null_factor(axis))
     return profile
 
 
@@ -181,7 +186,7 @@ def reading_centre_factor(model: MeasurementModel, axis: Axis) -> np.ndarray:
 def _profile_kind(model: MeasurementModel, axis: Axis) -> str:
     """The model's kind as profiled on ``axis``, refusing a kind the axis
     cannot carry."""
-    kind = model.kind if math.isfinite(model.width) else NONINFORMATIVE
+    kind = model.kind
     if kind == GAUSSIAN and axis.spacing == LOGARITHMIC:
         raise ModelAxisMismatch(
             f"axis {axis.name!r}: a gaussian cannot model a positivity-"
@@ -202,17 +207,17 @@ def _profile_coordinate(kind: str, axis: Axis, window: slice = slice(None)) -> n
     return np.log(axis.nodes[window])
 
 
-def profile_node_factor(model: MeasurementModel, axis: Axis) -> np.ndarray:
+def profile_node_factor(model: MeasurementModel, axis: Axis, mu: np.ndarray) -> np.ndarray:
     """The factor of the model's profile that does not depend on the
-    reading, over the nodes of ``axis``: 1/x for lognormal, the
-    noninformative profile for boxcar and noninformative, and 1 for
-    gaussian."""
+    reading, over the nodes of ``axis``: 1/x for lognormal, 1 for gaussian,
+    and for boxcar and noninformative the noninformative factor ``mu`` on
+    the axis, which it returns as it is."""
     kind = _profile_kind(model, axis)
     if kind == GAUSSIAN:
         return np.ones(axis.count)
     if kind == LOGNORMAL:
         return 1.0 / axis.nodes
-    return noninformative_profile(axis)
+    return mu
 
 
 def profile_centre_factors(
@@ -255,15 +260,18 @@ def profile_centre_factors(
 _WINDOW_T2 = 106.0 * math.log(2.0)
 
 
-def profile_windows(model: MeasurementModel, axis: Axis, centers) -> tuple[np.ndarray, np.ndarray]:
-    """Node index bounds ``lo``, ``hi`` of each center's profile window.
+def profile_window_keys(model: MeasurementModel, axis: Axis, centers) -> tuple[np.ndarray, np.ndarray]:
+    """The keys ``low``, ``high`` of each center's profile window: c ∓ reach
+    in x (gaussian) or ln x (lognormal), c ∓ width for boxcar, and ∓∞ for
+    noninformative.
 
-    Outside nodes ``lo:hi`` the model's profile at that center is below 2⁻⁵³
-    of its largest value on the axis's nodes, so dropping it changes no
-    float64 sum that the largest value enters.  The largest value sits at
-    the node nearest the center, which is the box edge for a center past
-    it; so an off-box reading keeps its mass on the edge nodes.  With t the
-    distance from the center in widths and t₀ that of the nearest node:
+    Outside the nodes of a window (``profile_window_bounds`` of its keys)
+    the model's profile at that center is below 2⁻⁵³ of its largest value
+    on the axis's nodes, so dropping it changes no float64 sum that the
+    largest value enters.  The largest value sits at the node nearest the
+    center, which is the box edge for a center past it; so an off-box
+    reading keeps its mass on the edge nodes.  With t the distance from the
+    center in widths and t₀ that of the nearest node:
 
     - gaussian keeps t² ≤ t₀² + 2 ln 2⁵³, with t in x;
     - lognormal does the same in ln x, plus 2 ln(upper/lower) for its 1/x
@@ -271,17 +279,7 @@ def profile_windows(model: MeasurementModel, axis: Axis, centers) -> tuple[np.nd
     - boxcar keeps exactly the cells its interval [c − w, c + w] overlaps;
     - noninformative keeps the whole axis.
 
-    These are ``profile_window_bounds`` of each center's
-    ``profile_window_keys``.  ``tools/oracles/campaign_window.py`` derives
-    the half-widths.
-    """
-    return profile_window_bounds(model, axis, *profile_window_keys(model, axis, centers))
-
-
-def profile_window_keys(model: MeasurementModel, axis: Axis, centers) -> tuple[np.ndarray, np.ndarray]:
-    """The keys ``low``, ``high`` of each center's profile window: c ∓ reach
-    in x (gaussian) or ln x (lognormal), c ∓ width for boxcar, and ∓∞ for
-    noninformative.
+    ``tools/oracles/campaign_window.py`` derives the half-widths.
 
     ``profile_window_bounds`` turns keys into node bounds by a binary
     search, which is monotone in its key.  So the union of several centers'
@@ -326,10 +324,11 @@ def profile_window_bounds(
 
 
 def null_information_density(grid: Grid) -> Density:
-    """μ matched to the grid's working coordinates: 1/x on logarithmic axes,
-    flat on linear ones.  This is the density carrying no information in the
-    coordinates the grid itself uses."""
-    factors = [noninformative_profile(ax) for ax in grid.axes]
+    """The μ of a bare grid, matched to its working coordinates: 1/x on
+    logarithmic axes, flat on linear ones.  This is the density carrying no
+    information in the coordinates the grid itself uses.  A theory carries
+    its own μ, which need not be this one."""
+    factors = [_null_factor(ax) for ax in grid.axes]
     return Density(grid, outer_values(factors))
 
 
@@ -337,15 +336,15 @@ def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") ->
     """The model's density on ``grid``.
 
     On the model's own axis the measurement profile applies; any other axis
-    carries the noninformative factor of its spacing, 1/x on log axes and 1
-    on linear ones.  ANDed with a theory by ``and_combine``, it agrees with
-    ``intersect`` only on axes where that factor is the theory's μ factor;
-    the Jeffreys μ is 1/x on linear axes too, and ``intersect`` takes each
-    reading against the theory's own μ.
+    carries its factor of ``null_information_density``, 1/x on log axes and
+    1 on linear ones.  ANDed with a theory by ``and_combine``, it agrees
+    with ``intersect`` only on axes where that factor is the theory's μ
+    factor; the Jeffreys μ is 1/x on linear axes too, and ``intersect``
+    takes each reading against the theory's own μ.
     """
     idx = grid.axis_index(model.parameter)
     factors = [
-        measurement_profile(model, ax) if i == idx else noninformative_profile(ax)
+        measurement_profile(model, ax) if i == idx else _null_factor(ax)
         for i, ax in enumerate(grid.axes)
     ]
     return Density(grid, outer_values(factors), frame=frame)

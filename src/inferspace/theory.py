@@ -11,7 +11,9 @@ Theories carry their null-information density μ alongside the joint, because
 every later conjunction needs the same μ the theory was built against.  Every
 μ here is separable (the Jeffreys 1/(LT), the flat log-frame μ, μ(i)⊗μ(d)),
 so a theory keeps it as one factor per axis, positive at every node, since
-the AND divides by it.
+the AND divides by it.  A campaign's μ is its only noninformative density:
+the independent values are drawn from it, and it is the node factor of a
+boxcar or noninformative instrument, so an axis's spacing changes no theory.
 """
 
 from __future__ import annotations
@@ -310,18 +312,6 @@ def _true_values(law: FallingBodyLaw, mode: str, i_value: np.ndarray) -> dict[st
     return {law.time_axis: i_value, law.length_axis: law.fall_length(i_value)}
 
 
-def _independent_values(axis: Axis, u: np.ndarray) -> np.ndarray:
-    """Independent values for uniforms ``u`` under the noninformative prior
-    on their axis: reciprocal on logarithmic axes, uniform on linear ones."""
-    if axis.spacing == LOGARITHMIC:
-        return jeffreys_ppf(u, axis.lower, axis.upper)
-    return axis.lower + (axis.upper - axis.lower) * u
-
-
-def _noise_kind(model: MeasurementModel) -> str:
-    return model.kind if math.isfinite(model.width) else NONINFORMATIVE
-
-
 def _observe(model: MeasurementModel, true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Readings around the true values, one noise variate each from ``rng``:
     a standard normal for lognormal and gaussian, a uniform for boxcar.
@@ -332,8 +322,7 @@ def _observe(model: MeasurementModel, true: np.ndarray, rng: np.random.Generator
     that underflows to 0) means the width is too wide to simulate:
     ConfigInvalid names the instrument and its width.
     """
-    kind = _noise_kind(model)
-    w = model.width
+    kind, w = model.kind, model.width
     if kind == NONINFORMATIVE:
         return np.full(true.shape, math.nan)
     variate = rng.random(true.size) if kind == BOXCAR else rng.standard_normal(true.size)
@@ -366,26 +355,29 @@ def run_campaign(
 
     The campaign draws from the one generator ``default_rng(master_seed)``:
     first ``n_experiments`` uniforms that pick the independent values from
-    the noninformative prior on its axis, then, for each informative
-    instrument in grid-axis order, one noise variate per experiment.  The
-    experiments are therefore independent and identically distributed, and
-    the campaign is reproducible from the master seed alone.  The readings
-    are computed as arrays.
+    the theory's μ on its axis, the Jeffreys 1/x on any spacing
+    (``jeffreys_ppf``), then, for each informative instrument in grid-axis
+    order, one noise variate per experiment.  The experiments are therefore
+    independent and identically distributed, and the campaign is
+    reproducible from the master seed alone.  The readings are computed as
+    arrays.
 
     The result equals the one-experiment-at-a-time OR-fold, which adds each
     experiment's joint density (the outer product of its instruments'
-    ``measurement_profile`` at its readings), normalized, to within 2⁻⁵³ of
-    each experiment's peak.  The experiments are sorted by their axis-0
+    profiles at its readings), normalized, to within 2⁻⁵³ of each
+    experiment's peak.  The experiments are sorted by their axis-0
     reading (OR is a sum, so the order is free) and added a block at a
     time.  Every experiment density is separable, and each per-axis
     profile is a centre factor, which depends on the reading, times a node
     factor, which does not (``profile_centre_factors``,
-    ``profile_node_factor``).  So a block adds ``Aᵀ·B`` to the joint, where
-    the rows of ``A`` and ``B`` are the centre factors, scaled so that each
-    experiment has unit mass against the node factors times the weights;
-    the node factors scale the finished joint, once per node.  The centre
+    ``profile_node_factor``); a boxcar or noninformative instrument's node
+    factor is μ's factor on its axis, so an axis's spacing changes no
+    theory.  So a block adds ``Aᵀ·B`` to the joint, where the rows of ``A``
+    and ``B`` are the centre factors, scaled so that each experiment has
+    unit mass against the node factors times the weights; the node factors
+    scale the finished joint, once per node.  The centre
     factors are evaluated only on the block's node window on each axis,
-    the union of its experiments' ``profile_windows``, and the product
+    the union of its experiments' profile windows, and the product
     lands on that window of the joint; outside it each profile is below
     2⁻⁵³ of its largest node value, and the joint keeps an exact zero where
     every experiment's window misses.  A block's window is found by one
@@ -410,11 +402,12 @@ def run_campaign(
     m0, m1 = by_axis[ax0.name], by_axis[ax1.name]
     i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
     rng = np.random.default_rng(master_seed)
-    true = _true_values(law, mode, _independent_values(i_axis, rng.random(n_experiments)))
+    i_value = jeffreys_ppf(rng.random(n_experiments), i_axis.lower, i_axis.upper)
+    true = _true_values(law, mode, i_value)
     r0 = _observe(m0, true[ax0.name], rng)
     r1 = _observe(m1, true[ax1.name], rng)
 
-    acc = _accumulate((r0, r1), (m0, m1), grid)
+    acc = _accumulate((r0, r1), (m0, m1), grid, mu)
     # Frozen, so the Density shares it instead of copying it.
     acc.setflags(write=False)
     return TheoryDensity.from_joint(
@@ -424,10 +417,12 @@ def run_campaign(
     )
 
 
-def _accumulate(readings, instruments, grid: Grid) -> np.ndarray:
+def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     """The OR of the experiments whose readings on the grid's two axes are
     ``readings``, taken by ``instruments`` (both in grid-axis order): the sum
-    over the experiments of their joint densities, each of unit mass.
+    over the experiments of their joint densities, each of unit mass.  ``mu``
+    holds the theory's μ factors, the node factors of boxcar and
+    noninformative instruments.
 
     The experiments are sorted by their axis-0 reading and added a block at
     a time, as ``Aᵀ·B`` on the block's node windows (see ``run_campaign``).
@@ -440,7 +435,7 @@ def _accumulate(readings, instruments, grid: Grid) -> np.ndarray:
     r0, r1 = (r[order] for r in readings)
     n = r0.size
     rows = max(1, min(n, _BLOCK_BYTES // (8 * max(grid.shape))))
-    f0, f1 = profile_node_factor(m0, ax0), profile_node_factor(m1, ax1)
+    f0, f1 = (profile_node_factor(m, ax, f) for m, ax, f in zip(instruments, grid.axes, mu))
     fw0, fw1 = f0 * ax0.weights, f1 * ax1.weights
     # One buffer per axis, which each block's centre factors are written into.
     buf0, buf1 = np.empty(rows * ax0.count), np.empty(rows * ax1.count)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import settings
 
 import inferspace
-from inferspace import (Axis, Density, Grid, Provenance, TheoryDensity, noninformative_profile,
-                        normalize)
+from inferspace import (Axis, Density, Grid, Provenance, TheoryDensity, normalize,
+                        null_information_density)
 
 # Property tests draw the same examples on every run, so a tier-1 verdict
 # cannot change between runs of the same code; no deadline, since a slow
@@ -65,5 +65,5 @@ def conditional_theory(slices, mu_i: Density) -> TheoryDensity:
     (i_axis,), (d_axis,) = mu_i.grid.axes, slices[0].grid.axes
     joint = mu_i.values[:, None] * np.array([s.values for s in slices])
     return TheoryDensity.from_joint(Density(Grid.of(i_axis, d_axis), joint),
-                                    (mu_i.values, noninformative_profile(d_axis)),
+                                    (mu_i.values, null_information_density(Grid.of(d_axis)).values),
                                     Provenance("from_conditional"))

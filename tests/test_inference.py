@@ -50,7 +50,6 @@ from inferspace import (
     marginalize,
     measurement_density,
     measurement_profile,
-    noninformative_profile,
     normalize,
     null_information_density,
     predict,
@@ -131,7 +130,7 @@ class TestIntersect:
         joint = Density(grid, np.outer(narrow / axl.nodes, 1.0 / axt.nodes))
         theory = TheoryDensity.from_joint(
             joint=joint,
-            mu_factors=[noninformative_profile(ax) for ax in grid.axes],
+            mu_factors=[1.0 / ax.nodes for ax in grid.axes],
             provenance=Provenance(kind="analytic"),
         )
         far = MeasurementModel(parameter="L", kind=BOXCAR, center=9.0, width=1.0)

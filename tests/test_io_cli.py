@@ -43,8 +43,8 @@ from inferspace import (
     density_from_dict,
     density_to_dict,
     integrate,
-    noninformative_profile,
     normalize,
+    null_information_density,
     predict,
     read_density,
     read_theory,
@@ -269,7 +269,7 @@ def _sample_theory(kind="empirical"):
     joint = _sample_density()
     return TheoryDensity.from_joint(
         joint=joint,
-        mu_factors=[noninformative_profile(ax) for ax in joint.grid.axes],
+        mu_factors=[null_information_density(Grid.of(ax)).values for ax in joint.grid.axes],
         provenance=Provenance(kind=kind, n_experiments=7, master_seed=123),
     )
 
@@ -743,7 +743,7 @@ class TestCliInference:
         """``--query`` must name an axis of the theory, on a 1-D theory as on
         a 2-D one."""
         ax = Axis.logarithmic("L", 1.0, 10.0, 101)
-        profile = noninformative_profile(ax)
+        profile = 1.0 / ax.nodes
         theory = TheoryDensity.from_joint(Density(Grid.of(ax), profile), [profile],
                                           Provenance("analytic"))
         argv = ["infer", "--theory", str(write_theory(theory, tmp_path / "one")),
@@ -758,7 +758,7 @@ class TestCliInference:
         refused as an overflow (exit 3), without numpy's warning."""
         axes = [Axis.logarithmic(name, 1.0, 1e6, 11) for name in ("L", "T")]
         theory = TheoryDensity.from_joint(Density(Grid.of(*axes), np.full((11, 11), 1e300)),
-                                          [noninformative_profile(ax) for ax in axes],
+                                          [1.0 / ax.nodes for ax in axes],
                                           Provenance("analytic"))
         th = str(write_theory(theory, tmp_path / "huge"))
         assert main(["infer", "--theory", th, "--measure", "T:noninformative"]) == 3
@@ -873,6 +873,20 @@ class TestCliInference:
         assert captured.out == ""
         assert captured.err == "error: axis 'L': the reciprocal prior needs a positive box\n"
         assert not list(tmp_path.iterdir())
+
+    def test_build_theory_on_linear_axes_converges_to_the_analytic_theory(
+        self, tmp_path, capsys
+    ):
+        """The campaign draws from and weighs by its μ, the Jeffreys 1/(LT),
+        on linear axes as on log ones, so its theory converges to the
+        instrument-blurred analytic ridge whatever the axes' spacing."""
+        code, doc = run_cli(
+            ["build-theory", "--grid", "L:lin:0.5:20:300,T:lin:0.25:2.5:300", "--n", "20000",
+             "--compare-analytic", "--out", str(tmp_path / "lin")],
+            capsys,
+        )
+        assert code == 0
+        assert doc["kl_sym_vs_analytic"] < 0.01
 
     @pytest.mark.parametrize(
         "flag, width",
@@ -1199,6 +1213,26 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
     assert code == 2
     assert captured.out == ""
     assert f"'{field}' must be a JSON {_FIELD_TYPES[field]}" in captured.err
+
+
+@pytest.mark.parametrize("damage", ["int-past-the-string-limit", "not-utf-8"])
+def test_density_file_json_cannot_read_exits_config(tmp_path, capsys, damage):
+    """Python's json refuses an integer literal of more than 4300 digits, and
+    a file that is not UTF-8, with a plain ValueError: ``convert --in``
+    reports either as a schema error, not a traceback."""
+    doc = density_to_dict(_sample_density())
+    path = tmp_path / "d.json"
+    if damage == "not-utf-8":
+        path.write_bytes(b"\xff" + json.dumps(doc).encode())
+    else:
+        doc["axes"][0]["upper"] = "__upper__"
+        path.write_text(json.dumps(doc).replace('"__upper__"', "1" + "0" * 5000))
+    code = main(["convert", "--in", str(path), "--out", str(tmp_path / "o.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert not (tmp_path / "o.csv").exists()
 
 
 # ---------------------------------------------------------------------------

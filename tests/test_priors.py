@@ -36,7 +36,8 @@ from inferspace.priors import (
     outer_values,
     profile_centre_factors,
     profile_node_factor,
-    profile_windows,
+    profile_window_bounds,
+    profile_window_keys,
 )
 from inferspace.theory import _block_windows
 
@@ -85,6 +86,14 @@ def test_null_information_density_matches_spacing():
     mu = null_information_density(grid)
     expected = np.multiply.outer(1.0 / grid.axes[0].nodes, np.ones(9))
     np.testing.assert_allclose(mu.values, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("kind", [LOGNORMAL, GAUSSIAN, BOXCAR])
+def test_infinite_width_makes_a_noninformative_model(kind):
+    """An infinite width says nothing: the model is noninformative, decided
+    once when it is made, and its center is not checked."""
+    for center in (1.0, -1.0, math.nan):
+        assert MeasurementModel("T", kind, center, math.inf).kind == NONINFORMATIVE
 
 
 def test_wide_lognormal_degrades_to_reciprocal():
@@ -245,12 +254,13 @@ def test_windowed_profile_matches_the_dense_one(first, second):
     factors = []
     for axis, model in (first, second):
         dense = _dense_profile(model, axis)
-        (lo,), (hi,) = profile_windows(model, axis, np.array([model.center]))
+        keys = profile_window_keys(model, axis, np.array([model.center]))
+        (lo,), (hi,) = profile_window_bounds(model, axis, *keys)
         window = slice(lo, hi)
         centre = profile_centre_factors(
             model, axis, np.array([model.center]), window, np.empty((1, hi - lo))
         )[0]
-        node = profile_node_factor(model, axis)
+        node = profile_node_factor(model, axis, null_information_density(Grid.of(axis)).values)
         kept = np.zeros(axis.count)
         kept[window] = centre * node[window]
         outside = np.ones(axis.count, dtype=bool)
@@ -279,7 +289,7 @@ def test_windowed_profile_matches_the_dense_one(first, second):
 def test_block_windows_are_the_union_of_the_reading_windows(axis_and_model, data):
     """A campaign's block windows, one search of each block's least and
     greatest window key, are exactly the least ``lo`` and greatest ``hi`` of
-    its readings' ``profile_windows``: unsorted readings inside the box,
+    its readings' windows: unsorted readings inside the box,
     straddling an edge or up to 40 widths past it (boxcars that miss it),
     and the NaN readings of a noninformative instrument."""
     axis, model = axis_and_model
@@ -302,7 +312,7 @@ def test_block_windows_are_the_union_of_the_reading_windows(axis_and_model, data
         assume(np.all(np.isfinite(readings)) and (not log or np.all(readings > 0.0)))
     cuts = data.draw(st.sets(st.integers(1, max(1, readings.size - 1))))
     starts = np.array(sorted({0} | {c for c in cuts if c < readings.size}))
-    lo, hi = profile_windows(model, axis, readings)
+    lo, hi = profile_window_bounds(model, axis, *profile_window_keys(model, axis, readings))
     block_lo, block_hi = _block_windows(model, axis, readings, starts)
     assert block_lo == np.minimum.reduceat(lo, starts).tolist()
     assert block_hi == np.maximum.reduceat(hi, starts).tolist()

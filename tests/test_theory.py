@@ -37,12 +37,14 @@ from inferspace import (
     normalize,
     null_information_density,
     or_combine,
+    predict,
     product_map,
     push_forward,
     run_campaign,
+    summarize,
     TheoryDensity,
 )
-from inferspace.priors import profile_windows
+from inferspace.priors import profile_window_bounds, profile_window_keys, reading_centre_factor
 import inferspace.theory as theory_module
 from inferspace.theory import _BLOCK_BYTES, _band_mass, _row_bands
 
@@ -181,14 +183,15 @@ def _reference_readings(law, instruments, mode, master_seed, n, grid):
 
     Written from public pieces only, so that it checks how the campaign draws
     its readings from the one generator ``default_rng(master_seed)``: n
-    uniforms pick the independent values from the noninformative prior on
-    their axis, the law gives the other true values, and each informative
-    instrument then takes n noise variates, in grid-axis order.  Experiment i
-    takes the i-th of each.  A noninformative instrument reads nothing."""
+    uniforms pick the independent values from the theory's μ, the Jeffreys
+    1/x on either spacing, the law gives the other true values, and each
+    informative instrument then takes n noise variates, in grid-axis order.
+    Experiment i takes the i-th of each.  A noninformative instrument reads
+    nothing."""
     rng = np.random.default_rng(master_seed)
     i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
     lo, hi, u = i_axis.lower, i_axis.upper, rng.random(n)
-    i_value = lo + (hi - lo) * u if i_axis.spacing == "linear" else lo * (hi / lo) ** u
+    i_value = lo * (hi / lo) ** u
     if mode == SET_L:
         true = {law.length_axis: i_value, law.time_axis: law.fall_time(i_value)}
     else:
@@ -210,14 +213,22 @@ def _reference_readings(law, instruments, mode, master_seed, n, grid):
 
 def _reference_experiment(instruments, reading, grid):
     """One experiment's joint density: the outer product of its instruments'
-    profiles at its readings."""
+    profiles at its readings.  A gaussian or lognormal profile is its
+    ``measurement_profile``; a boxcar is the theory's μ, 1/x on either
+    spacing, restricted to its interval, and a noninformative instrument's
+    profile is that μ."""
     by_axis = {m.parameter: m for m in instruments}
     profiles = []
     for ax in grid.axes:
         m = by_axis[ax.name]
-        if m.kind != NONINFORMATIVE:
-            m = replace(m, center=reading[ax.name])
-        profiles.append(measurement_profile(m, ax))
+        if m.kind == NONINFORMATIVE:
+            profiles.append(1.0 / ax.nodes)
+            continue
+        m = replace(m, center=reading[ax.name])
+        if m.kind == BOXCAR:
+            profiles.append(reading_centre_factor(m, ax) / ax.nodes)
+        else:
+            profiles.append(measurement_profile(m, ax))
     return Density(grid, np.multiply.outer(*profiles))
 
 
@@ -267,6 +278,29 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed
         assert campaign_mu.tobytes() == (1.0 / ax.nodes).tobytes()
 
 
+@pytest.fixture(scope="module", params=[SET_L, SET_T])
+def spaced_campaigns(request):
+    """One seed-7 campaign of 20000 experiments on linear and on log axes
+    of the box L 0.5–20, T 0.25–2.5, 300 nodes each."""
+    return [
+        run_campaign(FallingBodyLaw(), _instruments(), 20000, request.param, master_seed=7,
+                     grid=Grid.of(make("L", 0.5, 20.0, 300), make("T", 0.25, 2.5, 300)))
+        for make in (Axis.linear, Axis.logarithmic)
+    ]
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.8])
+def test_campaign_does_not_depend_on_the_spacing_of_the_axes(spaced_campaigns, c):
+    """A campaign draws its independent values from its μ and weighs its
+    instruments by it, on any spacing, so the same experiments on linear
+    and on log axes of one box predict L from a T reading with the same
+    mean and sd, to 2e-3."""
+    known = MeasurementModel("T", LOGNORMAL, c, 0.02)
+    linear, log = (summarize(predict(t, known, query="L")) for t in spaced_campaigns)
+    assert linear.mean == pytest.approx(log.mean, rel=2e-3)
+    assert linear.sd == pytest.approx(log.sd, rel=2e-3)
+
+
 def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
     """On the CLI's build box, set_T reaches T = 2.5 and so L = 30.7 on an L
     axis that ends at 20.  Readings past L = 20 still put dense mass on the
@@ -285,7 +319,8 @@ def test_campaign_keeps_the_edge_mass_of_readings_past_the_box():
         # normalizes, so it has mass, and its largest values lie on the L = 20 row
         values = normalize(_reference_experiment(instruments, r, grid)).values
         assert values[-1].max() == values.max()
-    lo, hi = profile_windows(instruments[0], grid.axes[0], [r["L"] for r in past])
+    keys = profile_window_keys(instruments[0], grid.axes[0], [r["L"] for r in past])
+    lo, hi = profile_window_bounds(instruments[0], grid.axes[0], *keys)
     assert np.all(lo < hi) and np.all(hi == grid.axes[0].count)
     slow = _or_fold(_reference_experiment(instruments, r, grid) for r in readings)
     assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12

@@ -1,10 +1,10 @@
 """A fixed corpus of CLI runs, recorded so that two versions can be compared.
 
 The corpus covers the theory paths end to end: ``analytic-theory`` on five
-grids, ``build-theory`` in both modes, 21 ``infer`` and ``predict`` runs
-against analytic, log-frame, linear-grid and empirical theories (one and two
-readings, ``--out``, every reading kind, and three refusals), and
-``convert`` of a theory to CSV and to JSON.  30 runs in all.
+grids, ``build-theory`` in both modes and on the linear grid, 23 ``infer``
+and ``predict`` runs against analytic, log-frame, linear-grid and empirical
+theories (one and two readings, ``--out``, every reading kind, and three
+refusals), and ``convert`` of a theory to CSV and to JSON.  33 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -58,6 +58,8 @@ RUNS = [
                      "--out", "campL"]),
     ("build-set-T", ["build-theory", "--n", "20000", "--compare-analytic", "--mode", "set_T",
                      "--seed", "1850", "--out", "campT"]),
+    ("build-linear", ["build-theory", "--grid", LINEAR, "--n", "20000", "--compare-analytic",
+                      "--seed", "1851", "--out", "campLin"]),
     ("infer-T", ["infer", "--theory", "default", "--measure", "T:lognormal:1.0:0.005"]),
     ("infer-T-and-L", ["infer", "--theory", "default", "--measure", "T:lognormal:0.8:0.005",
                        "--measure", "L:lognormal:3.14:0.02", "--query", "L"]),
@@ -87,6 +89,8 @@ RUNS = [
     ("infer-empirical-L", ["infer", "--theory", "campL", "--measure", "T:lognormal:1.0:0.05"]),
     ("predict-empirical-T", ["predict", "--theory", "campT", "--known", "L:lognormal:4.9:0.05",
                              "--query", "T"]),
+    ("predict-empirical-linear", ["predict", "--theory", "campLin", "--known",
+                                  "T:lognormal:1.0:0.02", "--query", "L"]),
     ("refuse-unknown-axis", ["infer", "--theory", "default", "--measure",
                              "T:lognormal:1.0:0.005", "--query", "Z"]),
     ("refuse-off-grid", ["infer", "--theory", "default", "--measure", "T:lognormal:9.0:0.01"]),
