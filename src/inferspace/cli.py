@@ -243,10 +243,18 @@ def _blurred_width(sigma_length: float, sigma_time: float) -> float:
     return sigma
 
 
+def _fall_grid(spec: str) -> Grid:
+    """The grid of a fall theory: two axes, the length axis first, then time.
+    A first axis named T or a second named L would swap the law's roles."""
+    grid = parse_grid(spec)
+    if grid.ndim != 2 or grid.names[0] == "T" or grid.names[1] == "L":
+        raise ConfigInvalid(f"the fall grid takes two axes, the length axis first, then "
+                            f"time, but its axes are {', '.join(grid.names)}")
+    return grid
+
+
 def _cmd_build_theory(p: argparse.Namespace) -> int:
-    grid = parse_grid(p.grid)
-    if grid.ndim != 2:
-        raise ConfigInvalid("building a theory needs two axes: length then time")
+    grid = _fall_grid(p.grid)
     length_name, time_name = grid.names
     law = FallingBodyLaw(g=p.g, length_axis=length_name, time_axis=time_name)
     instruments = [
@@ -278,9 +286,7 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
 
 
 def _cmd_analytic_theory(p: argparse.Namespace) -> int:
-    grid = parse_grid(p.grid)
-    if grid.ndim != 2:
-        raise ConfigInvalid("the fall theory needs two axes: length then time")
+    grid = _fall_grid(p.grid)
     law = FallingBodyLaw(
         g=p.g,
         sigma_theory=p.sigma,
@@ -467,6 +473,7 @@ def _cmd_convert(p: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _GRID_HELP = '"default" or two axis shorthands joined by a comma'
+_FALL_GRID_HELP = _GRID_HELP + ": the length axis first, then time"
 _THEORY_HELP = "theory file <base>.npz (format version 4)"
 _SEED = 20260819
 
@@ -479,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("build-theory", help="simulate a fall campaign and accumulate it")
-    sp.add_argument("--grid", default=_BUILD_GRID, help=_GRID_HELP)
+    sp.add_argument("--grid", default=_BUILD_GRID, help=_FALL_GRID_HELP)
     sp.add_argument("--n", type=int, default=2000, help="number of experiments")
     sp.add_argument(
         "--mode", choices=[SET_L, SET_T], default=SET_L, help="which parameter experiments set"
@@ -498,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_build_theory)
 
     sp = sub.add_parser("analytic-theory", help="write the closed-form fall theory")
-    sp.add_argument("--grid", default=_DEFAULT_FALL_GRID, help=_GRID_HELP)
+    sp.add_argument("--grid", default=_DEFAULT_FALL_GRID, help=_FALL_GRID_HELP)
     sp.add_argument("--frame", choices=["linear", "log"], default="linear")
     sp.add_argument("--g", type=float, default=9.81)
     sp.add_argument("--sigma", type=float, default=1e-3, help="ridge width in log space")

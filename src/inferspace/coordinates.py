@@ -2,7 +2,8 @@
 
 All Jacobian bookkeeping lives here: a pushed density is the pull-back
 ``q(y) = p(x(y)) · |dx/dy|`` evaluated at the target grid's nodes, so states
-keep their meaning as densities with respect to whatever frame they live in.
+keep their meaning as densities with respect to the coordinates of the grid
+they live on: the target grid is the pushed density's frame.
 Maps carry closed-form forward, inverse, and derivative callables; nothing in
 the package differentiates numerically.
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from ._kernels import interpolate, locate
 from .algebra import _rel_diff, and_combine, or_combine
-from .density import Density, default_frame
+from .density import Density
 from .errors import DomainMismatch, GridMismatch, InvalidGrid, SingularJacobian
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 
@@ -224,7 +225,6 @@ def push_forward(
     d: Density,
     m: CoordinateMap | Map2D,
     target_grid: Grid,
-    frame: str = "",
     outside: Literal["error", "zero"] = "error",
 ) -> Density:
     """Reexpress ``d`` on ``target_grid`` through map ``m``.
@@ -240,7 +240,7 @@ def push_forward(
     then ``PullBack.apply``; to push several densities on one grid through
     one map, build the pull-back once and apply it to each.
     """
-    return pull_back(d.grid, m, target_grid, outside).apply(d, frame)
+    return pull_back(d.grid, m, target_grid, outside).apply(d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +256,7 @@ class PullBack:
     det: np.ndarray
     inside: np.ndarray | None
 
-    def apply(self, d: Density, frame: str = "") -> Density:
+    def apply(self, d: Density) -> Density:
         """The push-forward of ``d``, a density on ``source``, onto ``target``."""
         if d.grid.axes != self.source.axes:
             raise GridMismatch(
@@ -266,8 +266,7 @@ class PullBack:
         vals = interpolate(self.located, d.values) / self.det
         if self.inside is not None:
             vals = np.where(self.inside, vals, 0.0)
-        frame = frame or default_frame(self.target)
-        return Density(self.target, np.broadcast_to(vals, self.target.shape), frame=frame)
+        return Density(self.target, np.broadcast_to(vals, self.target.shape))
 
 
 def pull_back(

@@ -3,7 +3,9 @@
 A :class:`Density` stores one nonnegative value per grid node.  Values are
 densities with respect to the grid's own coordinates (``p(x)``, not the
 volumetric density and not the log-frame density); masses come from the grid's
-node-centered quadrature weights.  Instances are immutable: the value array is
+node-centered quadrature weights.  The grid is the density's parameter space
+(axis names, spacing, bounds and node count), and the algebra combines two
+densities only on the same grid.  Instances are immutable: the value array is
 frozen and every operation returns a new object.
 """
 
@@ -26,23 +28,18 @@ from .errors import (
 from .grids import Grid
 
 
-def default_frame(grid: Grid) -> str:
-    return ",".join(grid.names)
-
-
 @dataclass(frozen=True, eq=False)
 class Density:
-    """Nonnegative density values over a grid, tagged with a frame label.
+    """Nonnegative density values over a grid.
 
-    ``frame`` identifies the working coordinates so that states pushed into a
-    different frame are never combined with states that were not.
-    ``normalized`` records whether the density was last normalized over the
-    box; operations that break it reset the flag.
+    The grid is the density's parameter space: two densities share a space
+    exactly when their grids have the same axes.  ``normalized`` records
+    whether the density was last normalized over the box; operations that
+    break it reset the flag.
     """
 
     grid: Grid
     values: np.ndarray
-    frame: str = ""
     normalized: bool = False
 
     def __post_init__(self) -> None:
@@ -53,8 +50,6 @@ class Density:
             )
         _check_values(vals)
         object.__setattr__(self, "values", _frozen(vals))
-        if not self.frame:
-            object.__setattr__(self, "frame", default_frame(self.grid))
 
     # -- constructors -------------------------------------------------------
 
@@ -70,7 +65,7 @@ class Density:
     # -- basics -------------------------------------------------------------
 
     def with_values(self, values: np.ndarray, normalized: bool = False) -> "Density":
-        return Density(self.grid, values, frame=self.frame, normalized=normalized)
+        return Density(self.grid, values, normalized=normalized)
 
 
 def _check_values(values: np.ndarray) -> None:
@@ -97,14 +92,12 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 
 def require_same_space(p: Density, q: Density) -> None:
-    """Raise GridMismatch unless p and q share grid and frame."""
+    """Raise GridMismatch unless p and q are on the same grid."""
     if p.grid.axes != q.grid.axes:
         raise GridMismatch(
             f"operands on different grids: {p.grid.names}{p.grid.shape} "
             f"vs {q.grid.names}{q.grid.shape}"
         )
-    if p.frame != q.frame:
-        raise GridMismatch(f"operands in different frames: {p.frame!r} vs {q.frame!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +166,7 @@ def marginalize(d: Density, keep: str) -> Density:
     else:
         vals = w @ d.values
     out_grid = Grid.of(d.grid.axes[idx])
-    return Density(out_grid, vals, frame=d.grid.axes[idx].name, normalized=d.normalized)
+    return Density(out_grid, vals, normalized=d.normalized)
 
 
 # ---------------------------------------------------------------------------

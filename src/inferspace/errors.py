@@ -36,7 +36,7 @@ class UnknownAxis(ConfigurationError):
 
 
 class GridMismatch(ConfigurationError):
-    """Operands live on different grids or frames."""
+    """Operands live on different grids."""
 
 
 class NonFinite(NumericalError):

@@ -157,8 +157,6 @@ def intersect(
     joint = theory.joint
     factors = _reading_factors(theory, [reading, *more])
     scaled = [k for k, f in enumerate(factors) if not np.all(f == 1.0)]
-    if joint.normalized and not scaled:
-        return joint
     window = tuple(_support(f) for f in factors)
     vals = np.zeros(joint.grid.shape)
     sub, src = vals[window], joint.values[window]
@@ -192,9 +190,8 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
     o the other axis and w_o its quadrature weights, normalized over
     ``intersect``'s window.  The contraction runs over the theory's band
     values alone: a sum over each row's band for q = 0, a sum over each
-    column's values for q = 1 (and for a 1-D theory, whose one row is the
-    joint).  It raises what ``intersect`` raises, and UnknownAxis for a
-    ``query`` the theory lacks.
+    column's values for q = 1.  It raises what ``intersect`` raises, and
+    UnknownAxis for a ``query`` the theory lacks.
     """
     grid = theory.grid
     q = grid.axis_index(query)
@@ -202,9 +199,7 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
     ax, wq = grid.axes[q], _support(factors[q])
     # An overflow here leaves a mass that is not finite, which scaling refuses.
     with np.errstate(over="ignore", invalid="ignore"):
-        if grid.ndim == 1:
-            src = theory._column_sums(np.ones(1))
-        elif q == 0:
+        if q == 0:
             src = theory._row_sums(factors[1] * grid.axes[1].weights)
         else:
             src = theory._column_sums(factors[0] * grid.axes[0].weights)
@@ -214,8 +209,7 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
     _scale_posterior(sub, [ax.weights[wq]], out=sub)
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    frame = theory.frame if grid.ndim == 1 else ax.name
-    return Density(Grid.of(ax), vals, frame=frame, normalized=True)
+    return Density(Grid.of(ax), vals, normalized=True)
 
 
 def predict(theory: TheoryDensity, known: MeasurementModel, query: str) -> Density:
@@ -259,7 +253,7 @@ def _normalized_slice(d: Density, free_ax: Axis, pts: np.ndarray, empty: str) ->
     mass = float(np.dot(vals, free_ax.weights))
     if mass <= 0.0:
         raise ZeroSlice(empty)
-    return Density(Grid.of(free_ax), vals / mass, frame=free_ax.name, normalized=True)
+    return Density(Grid.of(free_ax), vals / mass, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -479,10 +473,9 @@ def borel_kolmogorov_demo(
     if np.max(np.abs(u_probe - probe_x)) > 1e-9 * scale:
         raise InvalidGrid("the demonstration needs a map that fixes the first coordinate")
 
-    lab = f"mapped:{map2d.kind}"
     push = pull_back(joint.grid, map2d, _mapped_grid(joint, map2d), outside="zero")
-    pushed = push.apply(joint, frame=lab)
-    mu_pushed = push.apply(mu, frame=lab)
+    pushed = push.apply(joint)
+    mu_pushed = push.apply(mu)
 
     # Naive conditioning, original frame: slice at y = y0.
     native = conditional_density(joint, ax1.name, slice_value)
@@ -501,7 +494,7 @@ def borel_kolmogorov_demo(
 
     # Band conditioning: AND with a thin boxcar around y0, in both frames.
     band_native, band_rho, width = band_conditional(joint, mu, slice_value, width_cells)
-    band_rho_pushed = push.apply(band_rho, frame=lab)
+    band_rho_pushed = push.apply(band_rho)
     band_mapped = _and_marginal(pushed, band_rho_pushed, mu_pushed)
     tv_band = total_variation(band_native, band_mapped)
 
@@ -538,7 +531,7 @@ def band_conditional(
     band_model = MeasurementModel(
         parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
     )
-    band_rho = measurement_density(band_model, joint.grid, frame=joint.frame)
+    band_rho = measurement_density(band_model, joint.grid)
     return _and_marginal(joint, band_rho, mu), band_rho, float(width)
 
 

@@ -1,18 +1,21 @@
 """Reading and writing densities and theories.
 
-Densities travel as self-describing JSON: axis headers, frame label,
-normalization flag, and the value array flattened row-major over axis order.
-CSV export is one row per node for plotting.  Both are export formats.
+Densities travel as self-describing JSON: axis headers, normalization flag,
+and the value array flattened row-major over axis order.  The axes are the
+density's whole parameter space; a ``"frame"`` key, which older files carry,
+is ignored.  CSV export is one row per node for plotting.  Both are export
+formats.
 
-A theory is one uncompressed ``<base>.npz`` archive, format version 4.  The
-joint is stored by its rows, ``values.reshape(-1, shape[-1])`` (a 1-D theory
-is one row): ``lo`` and ``hi`` (int64) hold each row's first and
-one-past-the-last nonzero column, ``lo == hi`` for an all-zero row, and
-``band`` (float64, 1-D) holds the values between them, row after row,
-interior zeros included.  One ``mu_<k>`` array per axis k holds μ's factor
-on that axis, and a ``header``, a 0-d string array, holds JSON with the
-format name and version, the axis headers, the frame, the joint's
-normalization flag and the provenance record.  Every value reads back bit for
+A theory is one uncompressed ``<base>.npz`` archive, format version 4, over a
+2D grid.  The joint is stored by its rows: ``lo`` and ``hi`` (int64) hold
+each row's first and one-past-the-last nonzero column, ``lo == hi`` for an
+all-zero row, and ``band`` (float64, 1-D) holds the values between them, row
+after row, interior zeros included.  One ``mu_<k>`` array per axis k holds
+μ's factor on that axis, and a ``header``, a 0-d string array, holds JSON
+with the format name and version, the axis headers and the provenance
+record.  The header also carries ``"frame"`` (the axis names joined by a
+comma) and ``"normalized": false`` for the readers of format 4 that expect
+them; they are not read back.  Every value reads back bit for
 bit, and the arrays go straight into the ``TheoryDensity``, which holds the
 joint by the same bands: no dense joint is built.  Only version 4 is read; a
 file of an older version is refused by its header's version, and rerunning
@@ -40,7 +43,7 @@ import numpy as np
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid, header_value
-from .theory import Provenance, TheoryDensity, _band_mass
+from .theory import Provenance, TheoryDensity
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
@@ -78,7 +81,6 @@ def density_to_dict(d: Density) -> dict:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "axes": [ax.to_header() for ax in d.grid.axes],
-        "frame": d.frame,
         "normalized": d.normalized,
         "values": d.values.ravel().tolist(),
     }
@@ -95,23 +97,16 @@ def density_from_dict(doc: dict) -> Density:
         axes = tuple(Axis.from_header(h) for h in doc["axes"])
         grid = Grid.of(*axes)
         values = np.asarray(doc["values"], dtype=np.float64).reshape(grid.shape)
-        frame = header_value(doc, "frame", str, "")
         normalized = header_value(doc, "normalized", bool, False)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed density document: {exc}") from exc
-    d = Density(grid, values, frame=frame, normalized=normalized)
-    _check_normalized_flag(d.normalized, lambda: integrate(d))
+    d = Density(grid, values, normalized=normalized)
+    # The flag lets the AND and ``summarize`` skip normalizing, so a density
+    # flagged normalized must have unit mass to 1e-9.
+    mass = integrate(d) if normalized else 1.0
+    if not abs(mass - 1.0) <= 1e-9:
+        raise SchemaError(f"the density is flagged normalized but its mass is {mass!r}")
     return d
-
-
-def _check_normalized_flag(normalized: bool, mass) -> None:
-    """Refuse a density flagged normalized whose mass is more than 1e-9 from
-    1: the flag lets the AND and ``summarize`` skip normalizing.  ``mass()``
-    is integrated only when the flag is set."""
-    if normalized:
-        m = mass()
-        if not abs(m - 1.0) <= 1e-9:
-            raise SchemaError(f"the density is flagged normalized but its mass is {m!r}")
 
 
 def write_density(d: Density, path: str | Path) -> None:
@@ -172,8 +167,8 @@ def _theory_header(t: TheoryDensity) -> str:
             "format": THEORY_FORMAT_NAME,
             "version": THEORY_FORMAT_VERSION,
             "axes": [ax.to_header() for ax in t.grid.axes],
-            "frame": t.frame,
-            "normalized": t.normalized,
+            "frame": ",".join(t.grid.names),
+            "normalized": False,
             "provenance": t.provenance.as_dict(),
         }
     )
@@ -243,8 +238,6 @@ def _theory_from_archive(archive) -> TheoryDensity:
     header = _header(archive["header"])
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
-        frame = header_value(header, "frame", str)
-        normalized = header_value(header, "normalized", bool)
         provenance = Provenance.from_dict(header["provenance"])
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
@@ -254,12 +247,9 @@ def _theory_from_archive(archive) -> TheoryDensity:
     mu = [_member(archive, name, np.float64, (ax.count,))
           for name, ax in zip(mu_names, grid.axes)]
     try:
-        theory = TheoryDensity(grid, lo, hi, band, mu, provenance,
-                               frame=frame, normalized=normalized)
+        return TheoryDensity(grid, lo, hi, band, mu, provenance)
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
-    _check_normalized_flag(normalized, lambda: _band_mass(theory))
-    return theory
 
 
 def read_theory(path: str | Path) -> TheoryDensity:

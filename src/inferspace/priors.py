@@ -332,7 +332,7 @@ def null_information_density(grid: Grid) -> Density:
     return Density(grid, outer_values(factors))
 
 
-def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") -> Density:
+def measurement_density(model: MeasurementModel, grid: Grid) -> Density:
     """The model's density on ``grid``.
 
     On the model's own axis the measurement profile applies; any other axis
@@ -347,7 +347,7 @@ def measurement_density(model: MeasurementModel, grid: Grid, frame: str = "") ->
         measurement_profile(model, ax) if i == idx else _null_factor(ax)
         for i, ax in enumerate(grid.axes)
     ]
-    return Density(grid, outer_values(factors), frame=frame)
+    return Density(grid, outer_values(factors))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ so a theory keeps it as one factor per axis, positive at every node, since
 the AND divides by it.  A campaign's μ is its only noninformative density:
 the independent values are drawn from it, and it is the node factor of a
 boxcar or noninformative instrument, so an axis's spacing changes no theory.
+A theory lives on a 2D grid of the law's length and time axes, and that grid
+is its whole parameter space.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import Density, _check_values, _frozen, default_frame
+from .density import Density, _check_values, _frozen
 from .errors import (
     ConfigInvalid,
     EmptyInput,
@@ -159,10 +161,10 @@ def _row_bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TheoryDensity:
-    """A joint density over (independent, dependent), its μ and its origin.
+    """A joint density over a 2D grid, its μ and its origin; any other grid
+    raises InvalidGrid.
 
-    The joint is held as a theory file stores it, by its rows
-    ``values.reshape(-1, shape[-1])`` (a 1-D theory is one row): ``lo`` and
+    The joint is held as a theory file stores it, by its rows: ``lo`` and
     ``hi`` (int64) hold each row's first and one-past-the-last nonzero
     column, ``lo == hi == 0`` for an all-zero row, and ``band`` (float64,
     1-D) the values between them, row after row, interior zeros included.
@@ -180,17 +182,15 @@ class TheoryDensity:
     band: np.ndarray
     mu_factors: tuple[np.ndarray, ...]
     provenance: Provenance
-    frame: str = ""
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         axes = self.grid.axes
-        if len(self.mu_factors) != len(axes):
-            raise InvalidGrid(f"{len(self.mu_factors)} μ factor(s) for a {len(axes)}D grid")
+        if len(axes) != 2 or len(self.mu_factors) != 2:
+            raise InvalidGrid(f"a theory lives on a 2D grid with one μ factor per axis, "
+                              f"not {len(axes)} axes and {len(self.mu_factors)} factors")
         factors = tuple(_frozen_factor(ax, f) for ax, f in zip(axes, self.mu_factors))
         object.__setattr__(self, "mu_factors", factors)
-        ncols = axes[-1].count
-        nrows = self.grid.node_count // ncols
+        nrows, ncols = self.grid.shape
         lo, hi = (np.asarray(a, dtype=np.int64) for a in (self.lo, self.hi))
         if lo.shape != (nrows,) or hi.shape != (nrows,):
             raise InvalidGrid(f"row bounds of shapes {lo.shape} and {hi.shape} for {nrows} rows")
@@ -203,19 +203,17 @@ class TheoryDensity:
         _check_values(band)
         for name, values in (("lo", lo), ("hi", hi), ("band", band)):
             object.__setattr__(self, name, _frozen(values))
-        if not self.frame:
-            object.__setattr__(self, "frame", default_frame(self.grid))
 
     @classmethod
     def from_joint(cls, joint: Density, mu_factors, provenance: Provenance) -> "TheoryDensity":
         """The theory whose joint is the dense ``joint``, held by its bands."""
         values = joint.values
+        # Reshaped, so a joint that is not 2D reaches the grid check.
         lo, hi, band = _row_bands(values.reshape(-1, values.shape[-1]))
         for a in (lo, hi, band):
             # Frozen, so the theory shares these fresh arrays instead of copying them.
             a.setflags(write=False)
-        return cls(joint.grid, lo, hi, band, mu_factors, provenance,
-                   frame=joint.frame, normalized=joint.normalized)
+        return cls(joint.grid, lo, hi, band, mu_factors, provenance)
 
     @cached_property
     def _starts(self) -> np.ndarray:
@@ -251,7 +249,7 @@ class TheoryDensity:
 
     def _column_sums(self, h: np.ndarray) -> np.ndarray:
         """Σ over each column of band · h[row]: h · joint, one entry per
-        column of the 2-D joint."""
+        column."""
         product = np.repeat(h, self.hi - self.lo)
         product *= self.band
         return np.bincount(self._cols, product, minlength=self.grid.shape[-1])
@@ -269,23 +267,22 @@ class TheoryDensity:
             values.ravel()[self._nodes()] = self.band
             # Frozen, so the Density shares this fresh array instead of copying it.
             values.setflags(write=False)
-        return Density(self.grid, values, frame=self.frame, normalized=self.normalized)
+        return Density(self.grid, values)
 
     @property
     def mu(self) -> Density:
-        """μ as a dense density on the theory's grid and frame, built on each
+        """μ as a dense density on the theory's grid, built on each
         access for the generic algebra."""
         values = outer_values(self.mu_factors)
         values.setflags(write=False)
-        return Density(self.grid, values, frame=self.frame)
+        return Density(self.grid, values)
 
 
 def _band_mass(theory: TheoryDensity) -> float:
     """Quadrature of the theory's joint over the box, from its bands: the
     weighted column sums, then their weighted sum, in ``integrate``'s order."""
-    weights = theory.grid.weight_arrays()
-    h = np.ones(1) if theory.grid.ndim == 1 else weights[0]
-    return float(theory._column_sums(h) @ weights[-1])
+    w0, w1 = theory.grid.weight_arrays()
+    return float(theory._column_sums(w0) @ w1)
 
 
 # ---------------------------------------------------------------------------

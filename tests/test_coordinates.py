@@ -291,10 +291,10 @@ def test_one_pull_back_pushes_each_density_as_push_forward_does(name, outside):
     densities = [Density(src, rng.uniform(0.1, 2.0, src.shape)) for _ in range(3)]
     push = pull_back(src, m, target, outside=outside)
     for d in densities:
-        pushed = push.apply(d, frame="mapped")
-        expected = push_forward(d, m, target, frame="mapped", outside=outside)
+        pushed = push.apply(d)
+        expected = push_forward(d, m, target, outside=outside)
         assert np.array_equal(pushed.values, expected.values)
-        assert (pushed.grid, pushed.frame) == (expected.grid, expected.frame)
+        assert pushed.grid == expected.grid == target
     if outside == "zero":
         assert np.any(pushed.values == 0.0)
     finer = Grid.of(*(replace(ax, count=ax.count + 1) for ax in src.axes))

@@ -160,13 +160,13 @@ def test_evaluate_2d_nodes_and_outside():
         evaluate(d, np.array([1.0, 2.5]))
 
 
-def test_require_same_space_rejects_frames_and_grids():
+def test_require_same_space_compares_grids_only():
+    """Two densities share a space exactly when their grids have the same
+    axes: node count, bounds, spacing and name each tell grids apart."""
     g1 = Grid.of(Axis.linear("x", 0.0, 1.0, 5))
-    g2 = Grid.of(Axis.linear("x", 0.0, 1.0, 6))
     a = Density(g1, np.ones(5))
-    b = Density(g2, np.ones(6))
-    with pytest.raises(GridMismatch):
-        require_same_space(a, b)
-    c = Density(g1, np.ones(5), frame="mapped:log")
-    with pytest.raises(GridMismatch):
-        require_same_space(a, c)
+    require_same_space(a, Density(Grid.of(Axis.linear("x", 0.0, 1.0, 5)), np.zeros(5)))
+    for other in (Axis.linear("x", 0.0, 1.0, 6), Axis.linear("x", 0.0, 2.0, 5),
+                  Axis.logarithmic("x", 0.5, 1.0, 5), Axis.linear("y", 0.0, 1.0, 5)):
+        with pytest.raises(GridMismatch):
+            require_same_space(a, Density(Grid.of(other), np.ones(other.count)))

@@ -306,7 +306,7 @@ def _reading_density(m, theory):
             factors[k] = np.maximum(inside, 0.0) / (right - left) * factors[k]
         else:
             factors[k] = measurement_profile(m, ax)
-    return Density(theory.grid, np.multiply.outer(*factors), frame=theory.frame)
+    return Density(theory.grid, np.multiply.outer(*factors))
 
 
 def test_factored_and_equals_the_dense_fold():
@@ -365,15 +365,14 @@ def _draw_off_box(draw, m, ax):
 
 @st.composite
 def _marginal_cases(draw):
-    """(kind, theory, readings, query): a random 2-D or 1-D theory, the
+    """(kind, theory, readings, query): a random theory, the
     analytic fall ridge, or a small campaign, ANDed with one to three
     readings, some centred off the box.  A random μ may vanish, which the
     theory refuses: the case is then ("μ = 0", None, [], None)."""
-    kind = draw(st.sampled_from(["random", "1-D", "analytic", "empirical"]))
-    if kind in ("random", "1-D"):
-        names = ("L", "T") if kind == "random" else ("L",)
+    kind = draw(st.sampled_from(["random", "analytic", "empirical"]))
+    if kind == "random":
         levels = (0.0, 0.5, 1.0, 2.0) if draw(st.booleans()) else (0.5, 1.0, 2.0)
-        theory = _draw_random_theory(draw, [_draw_axis(draw, name) for name in names], levels)
+        theory = _draw_random_theory(draw, [_draw_axis(draw, name) for name in "LT"], levels)
         if theory is None:
             return "μ = 0", None, [], None
     else:
@@ -432,7 +431,7 @@ def test_posterior_marginal_equals_the_marginal_of_the_posterior():
         seen.update(_window_kinds(theory, readings))
 
     check()
-    wanted = ["random", "1-D", "analytic", "empirical", "query axis 0", "query axis 1",
+    wanted = ["random", "analytic", "empirical", "query axis 0", "query axis 1",
               "inside", "low edge", "high edge", "OutOfDomain", "ZeroMass", "NeutralZero"]
     assert all(seen[k] for k in wanted), seen
 
@@ -493,7 +492,7 @@ class TestPredict:
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
         model = MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1)
         via_model = predict(theory, model, query="L")
-        rho = measurement_density(model, theory.joint.grid, frame=theory.joint.frame)
+        rho = measurement_density(model, theory.joint.grid)
         via_density = normalize(marginalize(and_combine(theory.joint, rho, theory.mu), "L"))
         assert_allclose(via_model.values, via_density.values, rtol=1e-12)
 

@@ -4,7 +4,6 @@ CLI tests call ``main(argv)`` in process and parse the JSON it prints; exit
 codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 """
 
-import contextlib
 import json
 import math
 import os
@@ -34,11 +33,9 @@ from inferspace import (
     Grid,
     IOFailure,
     MeasurementModel,
-    NonFinite,
     Provenance,
     SchemaError,
     TheoryDensity,
-    ZeroMass,
     analytic_fall_theory,
     density_from_dict,
     density_to_dict,
@@ -75,7 +72,7 @@ def _sample_density():
     )
     rng = np.random.default_rng(99)
     vals = rng.uniform(0.1, 3.0, grid.shape)
-    return normalize(Density(grid, vals, frame="lab"))
+    return normalize(Density(grid, vals))
 
 
 def run_cli(argv, capsys):
@@ -98,8 +95,25 @@ class TestDensityFiles:
         back = read_density(path)
         assert back.grid == d.grid
         assert np.array_equal(back.values, d.values)
-        assert back.frame == "lab"
         assert back.normalized is True
+        assert "frame" not in json.loads(path.read_text())
+
+    @pytest.mark.parametrize("frame", ["mapped:shear", ["x"], 5, None],
+                             ids=["mapped-shear", "list", "number", "null"])
+    def test_a_frame_key_of_an_older_file_is_ignored(self, tmp_path, capsys, frame):
+        """Older density files carry a ``"frame"`` label, of any JSON type
+        once hand-edited: it is read past, and the file reads as without it."""
+        d = _sample_density()
+        doc = density_to_dict(d)
+        doc["frame"] = frame
+        back = density_from_dict(doc)
+        assert back.grid == d.grid and np.array_equal(back.values, d.values)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        assert main(["convert", "--in", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == density_to_dict(d)
+        capsys.readouterr()
 
     def test_dict_round_trip(self):
         d = _sample_density()
@@ -275,14 +289,12 @@ def _sample_theory(kind="empirical"):
 
 
 def assert_same_theory(back: TheoryDensity, theory: TheoryDensity) -> None:
-    """Bit for bit: grid, joint and μ factor bytes, frame, flag and provenance."""
+    """Bit for bit: grid, joint and μ factor bytes, and provenance."""
     assert back.joint.grid.axes == theory.joint.grid.axes
     assert len(back.mu_factors) == len(theory.mu_factors)
     for b, t in ((back.joint.values, theory.joint.values),
                  *zip(back.mu_factors, theory.mu_factors)):
         assert b.dtype == np.float64 and b.shape == t.shape and b.tobytes() == t.tobytes()
-    assert back.joint.frame == theory.joint.frame
-    assert back.joint.normalized is theory.joint.normalized
     assert back.provenance == theory.provenance
 
 
@@ -382,21 +394,21 @@ class TestTheoryFiles:
         monkeypatch.setattr(np.lib.format, "write_array", real)
         assert_same_theory(read_theory(target), old)
 
-    def test_joint_flagged_normalized_needs_unit_mass(self, tmp_path, capsys):
-        """A joint flagged normalized with mass 2 would pass through the AND
-        unscaled: the reader refuses it and ``infer`` exits 2."""
+    def test_header_frame_and_flag_are_written_and_not_read(self, tmp_path):
+        """The header still holds ``"frame": "L,T"`` and ``"normalized":
+        false`` for the readers of format 4 that expect them, but nothing
+        reads them back: a header whose frame and flag say otherwise, or are
+        of another JSON type, reads as the same theory."""
         theory = _sample_theory()
-        joint = theory.joint.with_values(2.0 * theory.joint.values, normalized=True)
-        write_theory(TheoryDensity.from_joint(joint, theory.mu_factors, theory.provenance),
-                     tmp_path / "th")
-        with pytest.raises(SchemaError, match="flagged normalized but its mass is 2.0"):
-            read_theory(tmp_path / "th")
-        code = main(["infer", "--theory", str(tmp_path / "th.npz"),
-                     "--measure", "T:gaussian:1:0.1", "--query", "L"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "flagged normalized but its mass is 2.0" in captured.err
+        path = write_theory(theory, tmp_path / "th")
+        with np.load(path) as z:
+            members = {k: z[k] for k in z.files}
+        header = json.loads(str(members["header"]))
+        assert (header["frame"], header["normalized"]) == ("L,T", False)
+        for frame, normalized in (("mapped:shear", True), (5, 1), (None, "false")):
+            header.update(frame=frame, normalized=normalized)
+            np.savez(path, **{**members, "header": np.array(json.dumps(header))})
+            assert_same_theory(read_theory(path), theory)
 
     def test_version_one_json_triple_is_not_read(self, tmp_path, capsys):
         """The version-1 theory, a density JSON with ``.mu.json`` and
@@ -453,8 +465,8 @@ def _write_version_two(path, joint, mu_values, provenance):
         "format": "inferspace-theory",
         "version": 2,
         "axes": [ax.to_header() for ax in joint.grid.axes],
-        "frame": joint.frame,
-        "normalized": {"joint": joint.normalized, "mu": False},
+        "frame": ",".join(joint.grid.names),
+        "normalized": {"joint": False, "mu": False},
         "provenance": provenance.as_dict(),
     }
     np.savez(path, header=np.array(json.dumps(header)), joint=joint.values, mu=mu_values)
@@ -467,8 +479,8 @@ def _write_version_three(path, theory):
         "format": "inferspace-theory",
         "version": 3,
         "axes": [ax.to_header() for ax in joint.grid.axes],
-        "frame": joint.frame,
-        "normalized": joint.normalized,
+        "frame": ",".join(joint.grid.names),
+        "normalized": False,
         "provenance": theory.provenance.as_dict(),
     }
     factors = {f"mu_{k}": f for k, f in enumerate(theory.mu_factors)}
@@ -501,7 +513,7 @@ def _joint_layouts(draw, shape):
 
 @st.composite
 def _theories(draw):
-    names = draw(st.lists(_names, min_size=1, max_size=2, unique=True))
+    names = draw(st.lists(_names, min_size=2, max_size=2, unique=True))
     axes = []
     for name in names:
         lower = draw(st.floats(1e-3, 1e3))
@@ -515,11 +527,7 @@ def _theories(draw):
         draw(hnp.arrays(np.float64, ax.count, elements=_positive))
         for ax in axes
     ]
-    joint = Density(grid, draw(_joint_layouts(grid.shape)), frame=draw(st.text(max_size=8)))
-    if draw(st.booleans()):
-        # A file may flag its joint normalized only at unit mass.
-        with contextlib.suppress(ZeroMass, NonFinite):
-            joint = normalize(joint)
+    joint = Density(grid, draw(_joint_layouts(grid.shape)))
     seeds = st.none() | st.integers(0, 2**63 - 1)
     return TheoryDensity.from_joint(
         joint=joint,
@@ -537,13 +545,9 @@ def test_theory_file_round_trip_is_bit_exact(theory):
         assert_same_theory(read_theory(path), theory)
         with np.load(path) as z:
             lo, hi, band = z["lo"], z["hi"], z["band"]
-    # One band per row of values.reshape(-1, shape[-1]): a 1-D theory is one row.
-    rows = values.reshape(-1, values.shape[-1])
-    assert lo.shape == hi.shape == (len(rows),)
-    if values.ndim == 1:
-        assert lo.shape == (1,)
+    assert lo.shape == hi.shape == (len(values),)
     # Each band runs from its row's first nonzero value to its last.
-    for row, a, b in zip(rows, lo, hi):
+    for row, a, b in zip(values, lo, hi):
         nonzero = np.flatnonzero(row)
         assert (a, b) == ((nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0))
     assert band.size == int((hi - lo).sum())
@@ -554,17 +558,16 @@ def test_theory_file_round_trip_is_bit_exact(theory):
 def test_bands_of_a_joint_rebuild_it_bit_for_bit(data):
     """A theory holds a dense joint by its row bands: its ``joint`` rebuilds
     every value, -0.0 included, for every layout a theory file stores."""
-    axes = [Axis.linear(name, 0.0, 1.0, data.draw(st.integers(1, 6)) + 1) for name in
-            data.draw(st.sampled_from([("x",), ("x", "y")]))]
+    axes = [Axis.linear(name, 0.0, 1.0, data.draw(st.integers(1, 6)) + 1) for name in ("x", "y")]
     grid = Grid.of(*axes)
     values = data.draw(_joint_layouts(grid.shape))
     if data.draw(st.booleans()):
         values[tuple(data.draw(st.integers(0, n - 1)) for n in grid.shape)] *= -0.0
-    d = Density(grid, values, frame="lab", normalized=data.draw(st.booleans()))
+    d = Density(grid, values)
     theory = TheoryDensity.from_joint(d, [np.ones(ax.count) for ax in axes], Provenance("x"))
     back = theory.joint
     assert back.values.tobytes() == d.values.tobytes()
-    assert (back.grid, back.frame, back.normalized) == (d.grid, d.frame, d.normalized)
+    assert back.grid == d.grid
 
 
 def _allocated(call):
@@ -739,19 +742,30 @@ class TestCliInference:
         assert main(["infer", "--theory", th]) == 2
         capsys.readouterr()
 
-    def test_query_absent_from_a_1d_theory_exits_config(self, tmp_path, capsys):
-        """``--query`` must name an axis of the theory, on a 1-D theory as on
-        a 2-D one."""
+    def test_one_dimensional_theory_file_exits_config(self, tmp_path, capsys):
+        """A theory lives on a 2D grid: a format-4 file written by hand over
+        one axis, whose members are otherwise consistent, exits 2."""
         ax = Axis.logarithmic("L", 1.0, 10.0, 101)
-        profile = 1.0 / ax.nodes
-        theory = TheoryDensity.from_joint(Density(Grid.of(ax), profile), [profile],
-                                          Provenance("analytic"))
-        argv = ["infer", "--theory", str(write_theory(theory, tmp_path / "one")),
+        header = {"format": "inferspace-theory", "version": 4, "axes": [ax.to_header()],
+                  "frame": "L", "normalized": False, "provenance": {"kind": "analytic"}}
+        path = tmp_path / "one.npz"
+        np.savez(path, header=np.array(json.dumps(header)), lo=np.zeros(1, np.int64),
+                 hi=np.full(1, ax.count, np.int64), band=1.0 / ax.nodes, mu_0=1.0 / ax.nodes)
+        with pytest.raises(SchemaError, match="2D grid"):
+            read_theory(path)
+        assert main(["infer", "--theory", str(path), "--measure", "L:lognormal:3:0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ") and "2D grid" in captured.err
+
+    def test_query_absent_from_the_theory_exits_config(self, tmp_path, capsys):
+        """``--query`` must name an axis of the theory."""
+        argv = ["infer", "--theory", str(write_theory(_sample_theory(), tmp_path / "th")),
                 "--measure", "L:lognormal:3:0.1"]
         code, doc = run_cli(argv, capsys)
-        assert code == 0 and doc["axis"] == "L"
-        assert main(argv + ["--query", "T"]) == 2
-        assert "no axis named 'T'" in capsys.readouterr().err
+        assert code == 0 and doc["axis"] == "T"
+        assert main(argv + ["--query", "x"]) == 2
+        assert "no axis named 'x'" in capsys.readouterr().err
 
     def test_overflowing_posterior_mass_exits_numerical(self, tmp_path, capsys):
         """A theory whose AND with a reading has a mass beyond float64 is
@@ -1045,6 +1059,25 @@ class TestCliInference:
         assert f"but axis {named} is logarithmic" in captured.err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["analytic-theory", "--grid", "T:log:1:20:401,L:log:0.45:2.02:401"],
+         ["build-theory", "--grid", "T:log:0.25:2.5:300,L:log:0.5:20:300"],
+         ["build-theory", "--grid", "T:log:0.25:2.5:30,x:log:0.5:20:30"],
+         ["analytic-theory", "--grid", "x:log:1:10:41,L:log:0.45:1.43:41"]],
+        ids=["analytic-swapped", "build-swapped", "build-T-first", "analytic-L-second"],
+    )
+    def test_fall_grid_with_swapped_axes_exits_config(self, tmp_path, capsys, argv):
+        """The fall commands take the length axis first, then time: a grid
+        whose first axis is named T or whose second is named L would put
+        lengths on the time axis, so it exits 2 and writes no file."""
+        code = main([*argv, "--out", str(tmp_path / "th")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "the length axis first, then time" in captured.err
+        assert not list(tmp_path.iterdir())
+
     def test_grid_too_large_to_allocate_exits_config(self, capsys):
         code = main(["paradox", "--count", "1000000"])
         captured = capsys.readouterr()
@@ -1163,7 +1196,7 @@ class TestCliInference:
 # The JSON type each typed header field must have.
 _FIELD_TYPES = {"count": "integer", "n_experiments": "integer", "master_seed": "integer",
                 "lower": "number", "upper": "number", "name": "string", "spacing": "string",
-                "units": "string", "frame": "string", "kind": "string", "normalized": "boolean"}
+                "units": "string", "kind": "string", "normalized": "boolean"}
 
 
 @pytest.mark.parametrize(
@@ -1173,23 +1206,23 @@ _FIELD_TYPES = {"count": "integer", "n_experiments": "integer", "master_seed": "
      ("theory", "n_experiments", "1e400"), ("theory", "master_seed", "123.9"),
      ("density", "lower", "true"), ("density", "upper", '"20"'), ("density", "name", "5"),
      ("density", "spacing", '["logarithmic"]'), ("density", "units", "7"),
-     ("density", "frame", '["x"]'), ("density", "normalized", '"false"'),
+     ("density", "normalized", '"false"'),
      ("theory", "lower", "false"), ("theory", "upper", "[20]"), ("theory", "name", "null"),
-     ("theory", "frame", "5"), ("theory", "normalized", "1"), ("theory", "kind", "3"),
+     ("theory", "kind", "3"),
      pytest.param("density", "upper", "1" + "0" * 400, id="density-upper-10**400")],
 )
 def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, field, literal):
     """A typed header field whose value is not of its JSON type is a schema
     error naming the field: a count, experiment count or seed must be an
-    integer, a bound a number, a name, spacing, unit, frame or provenance
-    kind a string, and the normalized flag a boolean.  Nothing is coerced:
+    integer, a bound a number, a name, spacing, unit or provenance kind a
+    string, and a density's normalized flag a boolean.  Nothing is coerced:
     not an overflow traceback (an integer past float64's range as a bound
     included), and not truncated or converted into a file that reads as
     another."""
     placeholder = "__field__"
     if kind == "density":
         doc = density_to_dict(_sample_density())
-        (doc if field in ("frame", "normalized") else doc["axes"][0])[field] = placeholder
+        (doc if field == "normalized" else doc["axes"][0])[field] = placeholder
         path = tmp_path / "d.json"
         path.write_text(json.dumps(doc).replace(f'"{placeholder}"', literal))
         argv = ["convert", "--in", str(path), "--out", str(tmp_path / "o.csv")]
@@ -1199,9 +1232,7 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
         with np.load(path) as z:
             members = {k: z[k] for k in z.files}
         header = json.loads(str(members["header"]))
-        if field in ("frame", "normalized"):
-            header[field] = placeholder
-        elif field in ("kind", "n_experiments", "master_seed"):
+        if field in ("kind", "n_experiments", "master_seed"):
             header["provenance"][field] = placeholder
         else:
             header["axes"][0][field] = placeholder

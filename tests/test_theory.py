@@ -410,7 +410,7 @@ def test_theory_density_checks_and_freezes_its_mu_factors():
     assert all(not f.flags.writeable for f in theory.mu_factors)
     ones[0] = 5.0
     assert theory.mu_factors[0][0] == 1.0
-    assert theory.mu.values.shape == (11, 11) and theory.mu.frame == joint.frame
+    assert theory.mu.values.shape == (11, 11) and theory.mu.grid == joint.grid
     for factors, error in (
         ([np.ones(11)], InvalidGrid),
         ([np.ones(11), np.ones(10)], InvalidGrid),
@@ -419,6 +419,18 @@ def test_theory_density_checks_and_freezes_its_mu_factors():
     ):
         with pytest.raises(error):
             TheoryDensity.from_joint(joint, factors, Provenance("analytic"))
+
+
+def test_theory_density_needs_a_two_dimensional_grid():
+    """A theory lives on a 2D grid: one axis, with bands and a μ factor that
+    would fit it, raises InvalidGrid."""
+    ax = Axis.logarithmic("L", 1.0, 10.0, 11)
+    with pytest.raises(InvalidGrid, match="2D grid"):
+        TheoryDensity(Grid.of(ax), np.zeros(1), np.full(1, 11), 1.0 / ax.nodes,
+                      [1.0 / ax.nodes], Provenance("analytic"))
+    with pytest.raises(InvalidGrid, match="2D grid"):
+        TheoryDensity.from_joint(Density(Grid.of(ax), 1.0 / ax.nodes), [1.0 / ax.nodes],
+                                 Provenance("analytic"))
 
 
 def test_theory_density_checks_and_freezes_its_bands():
@@ -431,7 +443,6 @@ def test_theory_density_checks_and_freezes_its_bands():
     band[0] = 5.0
     assert theory.joint.values.tobytes() == np.array(
         [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 2.0, -0.0]]).tobytes()
-    assert theory.frame == "L,T" and theory.normalized is False
     for bands, error in (
         ((lo[:2], hi[:2], band), InvalidGrid),
         ((lo, np.array([2, 0, 4]), np.ones(5)), InvalidGrid),
@@ -584,7 +595,6 @@ def test_analytic_theory_frame_consistency():
         linear_frame.joint,
         product_map(log_map(), log_map()),
         log_grid,
-        frame=direct.joint.frame,
     )
     peak = direct.joint.values.max()
     assert np.max(np.abs(direct.joint.values - pushed.values)) / peak < 1e-4

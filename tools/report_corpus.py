@@ -1,10 +1,11 @@
 """A fixed corpus of CLI runs, recorded so that two versions can be compared.
 
 The corpus covers the theory paths end to end: ``analytic-theory`` on five
-grids, ``build-theory`` in both modes and on the linear grid, 23 ``infer``
-and ``predict`` runs against analytic, log-frame, linear-grid and empirical
-theories (one and two readings, ``--out``, every reading kind, and three
-refusals), and ``convert`` of a theory to CSV and to JSON.  33 runs in all.
+grids and its refusal of a grid that names time first, ``build-theory`` in
+both modes and on the linear grid, 23 ``infer`` and ``predict`` runs against
+analytic, log-frame, linear-grid and empirical theories (one and two
+readings, ``--out``, every reading kind, and three refusals), and
+``convert`` of a theory to CSV and to JSON.  34 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -54,6 +55,8 @@ RUNS = [
     ("analytic-linear", ["analytic-theory", "--grid", LINEAR, "--sigma", "0.01",
                          "--out", "linear"]),
     ("analytic-small", ["analytic-theory", "--grid", SMALL, "--sigma", "0.05", "--out", "small"]),
+    ("refuse-swapped-grid", ["analytic-theory", "--grid", "T:log:1:20:401,L:log:0.45:2.02:401",
+                             "--out", "swapped"]),
     ("build-set-L", ["build-theory", "--n", "20000", "--compare-analytic", "--seed", "1849",
                      "--out", "campL"]),
     ("build-set-T", ["build-theory", "--n", "20000", "--compare-analytic", "--mode", "set_T",
