@@ -14,10 +14,11 @@ after row, interior zeros included.  One ``mu_<k>`` array per axis k holds
 μ's factor on that axis, and a ``header``, a 0-d string array, holds JSON
 with the format name and version, the axis headers and the provenance
 record.  The header also carries ``"frame"`` (the axis names joined by a
-comma) and ``"normalized": false`` for the readers of format 4 that expect
-them; they are not read back.  Every value reads back bit for
-bit, and the arrays go straight into the ``TheoryDensity``, which holds the
-joint by the same bands: no dense joint is built.  Only version 4 is read; a
+comma) and ``"normalized": false``; the reader checks them as format 4
+always has (a string, and a boolean that, when true, needs a joint of unit
+mass), but keeps neither.  Every value reads back bit for bit, and the
+arrays go straight into the ``TheoryDensity``, which holds the joint by the
+same bands: no dense joint is built.  Only version 4 is read; a
 file of an older version is refused by its header's version, and rerunning
 the command that wrote it rebuilds it.
 
@@ -43,7 +44,7 @@ import numpy as np
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid, header_value
-from .theory import Provenance, TheoryDensity
+from .theory import Provenance, TheoryDensity, _band_mass
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
@@ -94,19 +95,22 @@ def density_from_dict(doc: dict) -> Density:
     if doc.get("version") != FORMAT_VERSION:
         raise SchemaError(f"unsupported document version {doc.get('version')!r}")
     try:
-        axes = tuple(Axis.from_header(h) for h in doc["axes"])
-        grid = Grid.of(*axes)
+        grid = Grid.of(*(Axis.from_header(h) for h in doc["axes"]))
         values = np.asarray(doc["values"], dtype=np.float64).reshape(grid.shape)
         normalized = header_value(doc, "normalized", bool, False)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed density document: {exc}") from exc
     d = Density(grid, values, normalized=normalized)
-    # The flag lets the AND and ``summarize`` skip normalizing, so a density
-    # flagged normalized must have unit mass to 1e-9.
-    mass = integrate(d) if normalized else 1.0
-    if not abs(mass - 1.0) <= 1e-9:
-        raise SchemaError(f"the density is flagged normalized but its mass is {mass!r}")
+    # The flag lets the AND and ``summarize`` skip normalizing.
+    _check_normalized_flag(normalized, lambda: integrate(d))
     return d
+
+
+def _check_normalized_flag(normalized: bool, mass) -> None:
+    """Refuse a file flagged normalized whose ``mass()`` is more than 1e-9
+    from 1; ``mass`` is called only when the flag is set."""
+    if normalized and not abs((m := mass()) - 1.0) <= 1e-9:
+        raise SchemaError(f"the density is flagged normalized but its mass is {m!r}")
 
 
 def write_density(d: Density, path: str | Path) -> None:
@@ -238,6 +242,9 @@ def _theory_from_archive(archive) -> TheoryDensity:
     header = _header(archive["header"])
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
+        # Format 4's frame and flag are checked as ever, though not kept.
+        header_value(header, "frame", str)
+        normalized = header_value(header, "normalized", bool)
         provenance = Provenance.from_dict(header["provenance"])
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
@@ -247,9 +254,11 @@ def _theory_from_archive(archive) -> TheoryDensity:
     mu = [_member(archive, name, np.float64, (ax.count,))
           for name, ax in zip(mu_names, grid.axes)]
     try:
-        return TheoryDensity(grid, lo, hi, band, mu, provenance)
+        theory = TheoryDensity(grid, lo, hi, band, mu, provenance)
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
+    _check_normalized_flag(normalized, lambda: _band_mass(theory))
+    return theory
 
 
 def read_theory(path: str | Path) -> TheoryDensity:

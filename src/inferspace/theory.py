@@ -248,8 +248,7 @@ class TheoryDensity:
         return out
 
     def _column_sums(self, h: np.ndarray) -> np.ndarray:
-        """Σ over each column of band · h[row]: h · joint, one entry per
-        column."""
+        """Σ over each column of band · h[row]: h · joint, one entry per column."""
         product = np.repeat(h, self.hi - self.lo)
         product *= self.band
         return np.bincount(self._cols, product, minlength=self.grid.shape[-1])

@@ -394,21 +394,44 @@ class TestTheoryFiles:
         monkeypatch.setattr(np.lib.format, "write_array", real)
         assert_same_theory(read_theory(target), old)
 
-    def test_header_frame_and_flag_are_written_and_not_read(self, tmp_path):
+    def test_header_frame_and_flag_are_written_and_not_kept(self, tmp_path):
         """The header still holds ``"frame": "L,T"`` and ``"normalized":
-        false`` for the readers of format 4 that expect them, but nothing
-        reads them back: a header whose frame and flag say otherwise, or are
-        of another JSON type, reads as the same theory."""
+        false`` for the readers of format 4 that expect them.  The reader
+        checks them but keeps neither: a header whose frame names another
+        space, or whose flag is set on a joint of unit mass, reads as the
+        same theory."""
         theory = _sample_theory()
+        assert integrate(theory.joint) == pytest.approx(1.0, abs=1e-12)
         path = write_theory(theory, tmp_path / "th")
         with np.load(path) as z:
             members = {k: z[k] for k in z.files}
         header = json.loads(str(members["header"]))
         assert (header["frame"], header["normalized"]) == ("L,T", False)
-        for frame, normalized in (("mapped:shear", True), (5, 1), (None, "false")):
+        for frame, normalized in (("mapped:shear", False), ("T,L", True)):
             header.update(frame=frame, normalized=normalized)
             np.savez(path, **{**members, "header": np.array(json.dumps(header))})
             assert_same_theory(read_theory(path), theory)
+
+    def test_joint_flagged_normalized_needs_unit_mass(self, tmp_path, capsys):
+        """A header flagged normalized over a joint of mass 2 is refused by
+        the reader, as format 4 always has been, and ``infer`` exits 2."""
+        theory = _sample_theory()
+        joint = theory.joint.with_values(2.0 * theory.joint.values)
+        path = write_theory(TheoryDensity.from_joint(joint, theory.mu_factors,
+                                                     theory.provenance), tmp_path / "th")
+        with np.load(path) as z:
+            members = {k: z[k] for k in z.files}
+        header = json.loads(str(members["header"]))
+        header["normalized"] = True
+        np.savez(path, **{**members, "header": np.array(json.dumps(header))})
+        with pytest.raises(SchemaError, match="flagged normalized but its mass is 2.0"):
+            read_theory(path)
+        code = main(["infer", "--theory", str(path),
+                     "--measure", "T:gaussian:1:0.1", "--query", "L"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "flagged normalized but its mass is 2.0" in captured.err
 
     def test_version_one_json_triple_is_not_read(self, tmp_path, capsys):
         """The version-1 theory, a density JSON with ``.mu.json`` and
@@ -1196,7 +1219,7 @@ class TestCliInference:
 # The JSON type each typed header field must have.
 _FIELD_TYPES = {"count": "integer", "n_experiments": "integer", "master_seed": "integer",
                 "lower": "number", "upper": "number", "name": "string", "spacing": "string",
-                "units": "string", "kind": "string", "normalized": "boolean"}
+                "units": "string", "frame": "string", "kind": "string", "normalized": "boolean"}
 
 
 @pytest.mark.parametrize(
@@ -1208,14 +1231,15 @@ _FIELD_TYPES = {"count": "integer", "n_experiments": "integer", "master_seed": "
      ("density", "spacing", '["logarithmic"]'), ("density", "units", "7"),
      ("density", "normalized", '"false"'),
      ("theory", "lower", "false"), ("theory", "upper", "[20]"), ("theory", "name", "null"),
-     ("theory", "kind", "3"),
+     ("theory", "frame", "5"), ("theory", "normalized", "1"), ("theory", "kind", "3"),
      pytest.param("density", "upper", "1" + "0" * 400, id="density-upper-10**400")],
 )
 def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, field, literal):
     """A typed header field whose value is not of its JSON type is a schema
     error naming the field: a count, experiment count or seed must be an
-    integer, a bound a number, a name, spacing, unit or provenance kind a
-    string, and a density's normalized flag a boolean.  Nothing is coerced:
+    integer, a bound a number, a name, spacing, unit, theory frame or
+    provenance kind a string, and the normalized flag a boolean.  Nothing is
+    coerced:
     not an overflow traceback (an integer past float64's range as a bound
     included), and not truncated or converted into a file that reads as
     another."""
@@ -1232,7 +1256,9 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
         with np.load(path) as z:
             members = {k: z[k] for k in z.files}
         header = json.loads(str(members["header"]))
-        if field in ("kind", "n_experiments", "master_seed"):
+        if field in ("frame", "normalized"):
+            header[field] = placeholder
+        elif field in ("kind", "n_experiments", "master_seed"):
             header["provenance"][field] = placeholder
         else:
             header["axes"][0][field] = placeholder
