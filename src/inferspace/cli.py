@@ -15,6 +15,14 @@ Shorthand grammars:
 Each option's built-in default is declared once, on its argparse option,
 and its value reaches the handler through the flag alone.  All stochastic
 commands take an explicit ``--seed`` and are reproducible from it.
+
+One table, ``_COMMANDS``, holds each subcommand's help line, the function
+that adds its options, and its handler.  ``main`` builds only the parser of
+the subcommand that ``argv[0]`` names, with the prog the full parser gives
+it, so a command does not pay for the other seven.  ``build_parser()``
+builds the full parser from the same table.  ``main`` hands it the rest:
+no arguments, ``--help``, an unknown subcommand, and arguments the
+subcommand does not take, so their usage, help and errors are as before.
 """
 
 from __future__ import annotations
@@ -478,14 +486,7 @@ _THEORY_HELP = "theory file <base>.npz (format version 4)"
 _SEED = 20260819
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="inferspace",
-        description="Densities on grids with OR/AND combination, theories, and inference.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("build-theory", help="simulate a fall campaign and accumulate it")
+def _build_theory_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", default=_BUILD_GRID, help=_FALL_GRID_HELP)
     sp.add_argument("--n", type=int, default=2000, help="number of experiments")
     sp.add_argument(
@@ -502,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="report symmetric KL against the instrument-blurred analytic ridge",
     )
-    sp.set_defaults(handler=_cmd_build_theory)
 
-    sp = sub.add_parser("analytic-theory", help="write the closed-form fall theory")
+
+def _analytic_theory_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", default=_DEFAULT_FALL_GRID, help=_FALL_GRID_HELP)
     sp.add_argument("--frame", choices=["linear", "log"], default="linear")
     sp.add_argument("--g", type=float, default=9.81)
@@ -512,55 +513,100 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--out", default="analytic-theory.npz", help="theory file, written as <base>.npz"
     )
-    sp.set_defaults(handler=_cmd_analytic_theory)
 
-    sp = sub.add_parser("infer", help="intersect a theory with measurements")
+
+def _infer_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
     sp.add_argument("--measure", action="append", help="AXIS:KIND:CENTER:WIDTH (repeatable)")
     sp.add_argument("--query", help="axis to summarize (default: the unmeasured one)")
     sp.add_argument("--out", help="write the queried marginal density here")
-    sp.set_defaults(handler=_cmd_infer)
 
-    sp = sub.add_parser("predict", help="posterior for one axis given another")
+
+def _predict_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
     sp.add_argument("--known", help="AXIS:KIND:CENTER:WIDTH")
     sp.add_argument("--query", help="axis to summarize (default: the other one)")
     sp.add_argument("--out")
-    sp.set_defaults(handler=_cmd_infer)
 
-    sp = sub.add_parser("benford", help="first-digit law from the scale-invariant prior")
+
+def _benford_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--lower", type=float, default=1.0, help="sampling box lower bound")
     sp.add_argument("--upper", type=float, default=1e6, help="sampling box upper bound")
     sp.add_argument(
         "--n", type=int, default=0, help="empirical check sample count (0 = analytic only)"
     )
     sp.add_argument("--seed", type=int, default=_SEED)
-    sp.set_defaults(handler=_cmd_benford)
 
-    sp = sub.add_parser("paradox", help="conditioning on a slice vs a thin band, two frames")
+
+def _paradox_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--count", type=int, default=300, help="nodes per axis")
     sp.add_argument("--slice-value", type=float, default=1.0)
     sp.add_argument("--width-cells", type=float, default=2.0)
     sp.add_argument("--sigma-sum", type=float, default=0.35)
     sp.add_argument("--sigma-diff", type=float, default=0.7)
-    sp.set_defaults(handler=_cmd_paradox)
 
-    sp = sub.add_parser("axioms", help="check the OR/AND axioms on sampled densities")
+
+def _axioms_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid", default=_AXIOMS_GRID, help=_GRID_HELP)
     sp.add_argument("--triples", type=int, default=25)
     sp.add_argument("--seed", type=int, default=_SEED)
     sp.add_argument("--tol", type=float, default=1e-12)
-    sp.set_defaults(handler=_cmd_axioms)
 
-    sp = sub.add_parser(
-        "convert", help="push a density file through coordinate maps and/or reformat it"
-    )
+
+def _convert_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--in", dest="src", help="density .json, or theory .npz (exports its joint)")
     sp.add_argument("--out", help="output path, format by extension (.json or .csv)")
     sp.add_argument("--map", action="append", help="AXIS:KIND[:ARGS] (repeatable)")
-    sp.set_defaults(handler=_cmd_convert)
 
+
+# Each subcommand's help line, the function that adds its options, and its
+# handler, in the order ``--help`` lists them.
+_COMMANDS = {
+    "build-theory": ("simulate a fall campaign and accumulate it",
+                     _build_theory_options, _cmd_build_theory),
+    "analytic-theory": ("write the closed-form fall theory",
+                        _analytic_theory_options, _cmd_analytic_theory),
+    "infer": ("intersect a theory with measurements", _infer_options, _cmd_infer),
+    "predict": ("posterior for one axis given another", _predict_options, _cmd_infer),
+    "benford": ("first-digit law from the scale-invariant prior",
+                _benford_options, _cmd_benford),
+    "paradox": ("conditioning on a slice vs a thin band, two frames",
+                _paradox_options, _cmd_paradox),
+    "axioms": ("check the OR/AND axioms on sampled densities", _axioms_options, _cmd_axioms),
+    "convert": ("push a density file through coordinate maps and/or reformat it",
+                _convert_options, _cmd_convert),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and every subcommand's parser."""
+    parser = argparse.ArgumentParser(
+        prog="inferspace",
+        description="Densities on grids with OR/AND combination, theories, and inference.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, handler) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        add_options(sp)
+        sp.set_defaults(handler=handler)
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` with the parser of the subcommand it names alone, as
+    the full parser would parse it.  No subcommand, an unknown one, and
+    arguments the subcommand does not take go to the full parser, which
+    prints the top-level usage and error."""
+    if argv and argv[0] in _COMMANDS:
+        _, add_options, handler = _COMMANDS[argv[0]]
+        # The prog the full parser gives this subcommand's parser.
+        sp = argparse.ArgumentParser(prog=f"inferspace {argv[0]}")
+        add_options(sp)
+        sp.set_defaults(command=argv[0], handler=handler)
+        args, extra = sp.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -574,10 +620,10 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parse_args(argv)
         except SystemExit as exc:
             # argparse prints --help into stdout's buffer and ignores a failed
             # write; a help that cannot be written is an IOFailure, not exit 0.

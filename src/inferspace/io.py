@@ -16,11 +16,15 @@ with the format name and version, the axis headers and the provenance
 record.  The header also carries ``"frame"`` (the axis names joined by a
 comma) and ``"normalized": false``; the reader checks them as format 4
 always has (a string, and a boolean that, when true, needs a joint of unit
-mass), but keeps neither.  Every value reads back bit for bit, and the
-arrays go straight into the ``TheoryDensity``, which holds the joint by the
-same bands: no dense joint is built.  Only version 4 is read; a
-file of an older version is refused by its header's version, and rerunning
-the command that wrote it rebuilds it.
+mass), but keeps neither.  The reader takes each member's bytes from the zip
+with ``ZipFile.read``, which checks their CRC, parses the ``.npy`` header
+with ``numpy.lib.format`` (refusing an object dtype, and data shorter than
+the header's shape), and makes a read-only array that shares those bytes:
+the members ``np.load`` would give, without its copies.  Every value reads
+back bit for bit, and the arrays go straight into the ``TheoryDensity``,
+which holds the joint by the same bands: no dense joint is built.  Only
+version 4 is read; a file of an older version is refused by its header's
+version, and rerunning the command that wrote it rebuilds it.
 
 Every writer goes through a temporary file in the target's directory that is
 synced and renamed onto the target, so the target is always either whole or
@@ -40,6 +44,7 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
@@ -204,42 +209,73 @@ def _header(raw: np.ndarray) -> dict:
     return header
 
 
-def _member(archive, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
-    values = archive[name]
+def _npy(data: bytes) -> np.ndarray:
+    """The array held by the bytes of one ``.npy`` member.  It shares
+    ``data``, so it is read-only; bytes past its data are ignored, as
+    ``np.load`` ignores them."""
+    fh = io.BytesIO(data)
+    version = npy_format.read_magic(fh)
+    if version == (1, 0):
+        shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
+    elif version in ((2, 0), (3, 0)):
+        # Version 3 differs from 2 only by a UTF-8 header, which the
+        # numeric and string dtypes of a theory never need.
+        shape, fortran_order, dtype = npy_format.read_array_header_2_0(fh)
+    else:
+        raise ValueError(f"unsupported .npy format version {version}")
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    count, start = math.prod(shape), fh.tell()
+    if len(data) - start < count * dtype.itemsize:
+        raise ValueError(f"EOF: reading array data, expected {count * dtype.itemsize} "
+                         f"bytes got {len(data) - start}")
+    values = np.frombuffer(data, dtype, count, start)
+    return values.reshape(shape[::-1]).T if fortran_order else values.reshape(shape)
+
+
+def _member(read, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    values = read(name)
     if values.dtype != dtype or values.shape != shape:
         raise SchemaError(
             f"member {name!r} is {values.dtype}{values.shape}, "
             f"expected {np.dtype(dtype)}{shape}"
         )
-    # Frozen, so TheoryDensity shares the freshly read array instead of copying it.
-    values.setflags(write=False)
     return values
 
 
-def _bands(archive, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bands(read, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The joint's row bands ``lo``, ``hi`` and ``band``, each checked for its
     dtype and shape, and the bands for lying within their rows."""
     ncols = shape[-1]
     nrows = math.prod(shape[:-1])
-    lo = _member(archive, "lo", np.int64, (nrows,))
-    hi = _member(archive, "hi", np.int64, (nrows,))
+    lo = _member(read, "lo", np.int64, (nrows,))
+    hi = _member(read, "hi", np.int64, (nrows,))
     if not np.all((lo >= 0) & (lo <= hi) & (hi <= ncols)):
         raise SchemaError(f"row bands are not all 0 <= lo <= hi <= {ncols}")
-    band = _member(archive, "band", np.float64, (int((hi - lo).sum()),))
+    band = _member(read, "band", np.float64, (int((hi - lo).sum()),))
     return lo, hi, band
 
 
-def _members(archive, names) -> None:
-    missing = [m for m in names if m not in archive.files]
+def _members(stored: dict[str, str], names) -> None:
+    missing = [m for m in names if m not in stored]
     if missing:
         raise SchemaError(f"not a theory archive: missing member(s) {missing}")
 
 
-def _theory_from_archive(archive) -> TheoryDensity:
+def _theory_from_archive(archive: zipfile.ZipFile) -> TheoryDensity:
+    # Each member by the name np.load gives it: the entry's name with any
+    # ".npy" stripped, an entry stored without the suffix taken first.
+    names = archive.namelist()
+    stored = {n[:-4]: n for n in names if n.endswith(".npy")}
+    stored.update((n, n) for n in names if not n.endswith(".npy"))
+
+    def read(name: str) -> np.ndarray:
+        return _npy(archive.read(stored[name]))
+
     # The version is checked before the members, so an older file is
     # refused by its version rather than by the members it lacks.
-    _members(archive, ("header",))
-    header = _header(archive["header"])
+    _members(stored, ("header",))
+    header = _header(read("header"))
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
         # Format 4's frame and flag are checked as ever, though not kept.
@@ -249,9 +285,9 @@ def _theory_from_archive(archive) -> TheoryDensity:
     except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
     mu_names = [f"mu_{k}" for k in range(grid.ndim)]
-    _members(archive, ("lo", "hi", "band", *mu_names))
-    lo, hi, band = _bands(archive, grid.shape)
-    mu = [_member(archive, name, np.float64, (ax.count,))
+    _members(stored, ("lo", "hi", "band", *mu_names))
+    lo, hi, band = _bands(read, grid.shape)
+    mu = [_member(read, name, np.float64, (ax.count,))
           for name, ax in zip(mu_names, grid.axes)]
     try:
         theory = TheoryDensity(grid, lo, hi, band, mu, provenance)
@@ -264,24 +300,27 @@ def _theory_from_archive(archive) -> TheoryDensity:
 def read_theory(path: str | Path) -> TheoryDensity:
     """Read the theory at ``<base>.npz`` (format version 4)."""
     target = _theory_path(path)
-    # A damaged zip fails in np.load or on reading a member, depending on
-    # where the damage is; a file of another kind fails in np.load.
+    # A damaged zip fails on opening it or on reading a member, depending on
+    # where the damage is; a damaged member fails on parsing its bytes.
     damaged = (EOFError, ValueError, zipfile.BadZipFile, zlib.error)
-    # The file is opened here, not by np.load: np.load leaves a file it
-    # opened itself open when the zip directory is damaged.
     try:
         fh = target.open("rb")
     except OSError as exc:
         raise IOFailure(f"cannot read {target}: {exc}") from exc
     with fh:
         try:
-            archive = np.load(fh, allow_pickle=False)
+            magic = fh.read(len(npy_format.MAGIC_PREFIX))
+            if magic == npy_format.MAGIC_PREFIX:
+                raise SchemaError(f"{target} holds a bare array, not a theory archive")
+            # What np.load takes for a zip: a local file header, or the end
+            # record an empty archive starts with.
+            if not magic.startswith((b"PK\x03\x04", b"PK\x05\x06")):
+                raise SchemaError(f"{target} is not a theory archive: it is not a zip file")
+            archive = zipfile.ZipFile(fh)
         except OSError as exc:
             raise IOFailure(f"cannot read {target}: {exc}") from exc
         except damaged as exc:
             raise SchemaError(f"{target} is not a theory archive: {exc}") from exc
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise SchemaError(f"{target} holds a bare array, not a theory archive")
         with archive:
             try:
                 return _theory_from_archive(archive)

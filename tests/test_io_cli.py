@@ -4,6 +4,8 @@ CLI tests call ``main(argv)`` in process and parse the JSON it prints; exit
 codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 """
 
+import argparse
+import io
 import json
 import math
 import os
@@ -50,9 +52,12 @@ from inferspace import (
     write_density,
     write_theory,
 )
+from inferspace import cli
 from inferspace.cli import (
     _BUILD_GRID,
     _paradox_conclusion,
+    _parse_args,
+    build_parser,
     main,
     parse_axis,
     parse_grid,
@@ -634,6 +639,95 @@ def test_theory_file_io_stays_within_its_memory_budget(tmp_path):
     assert_same_theory(back, theory)
 
 
+def test_reading_the_default_theory_allocates_little_beyond_what_it_returns(tmp_path):
+    """A warm ``read_theory`` of the default 1401² theory peaks at most 1.25
+    times the bytes of ``lo``, ``hi``, ``band`` and the μ factors it returns:
+    each member's bytes are read from the zip once, and its array shares
+    them."""
+    law = FallingBodyLaw(9.81, 1e-3)
+    path = write_theory(analytic_fall_theory(law, parse_grid("default")), tmp_path / "t")
+    read_theory(path)  # a first call, so the modules it imports are not counted
+
+    back, read = _allocated(lambda: read_theory(path))
+    returned = sum(a.nbytes for a in (back.lo, back.hi, back.band, *back.mu_factors))
+    assert read <= 1.25 * returned
+
+
+def _members_of(theory: TheoryDensity, tmp_path) -> dict[str, np.ndarray]:
+    """The arrays ``np.load`` reads from ``theory``'s file."""
+    with np.load(write_theory(theory, tmp_path / "members")) as z:
+        return {k: z[k] for k in z.files}
+
+
+@pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+def test_members_of_every_npy_version_read_back_bit_for_bit(tmp_path, version):
+    """Members written in any ``.npy`` format version numpy reads give back
+    the theory they were written from."""
+    theory = _sample_theory()
+    th = tmp_path / "th.npz"
+    with zipfile.ZipFile(th, "w") as z:
+        for k, v in _members_of(theory, tmp_path).items():
+            with z.open(f"{k}.npy", "w") as fh:
+                np.lib.format.write_array(fh, v, version=version)
+    assert_same_theory(read_theory(th), theory)
+
+
+# Dtypes a member is drawn in: the ones format 4 stores, others of each kind,
+# a foreign byte order, and objects, which np.savez pickles.
+_DRAWN_DTYPES = ["<i8", "<f8", "<i4", "<f4", "u1", "?", "<c16", ">i8", ">f8", "<U24", "S24",
+                 "O"]
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_drawn_member_dtypes_and_shapes_are_read_as_np_load_reads_them(data):
+    """``np.savez`` archives whose members have drawn dtypes and shapes, C or
+    Fortran order, are read as a theory or refused with a configuration
+    error (exit 2), never another error.  They are read exactly when every
+    member ``np.load`` reads has the dtype and shape format 4 asks for (a
+    0-d string for the header), and then their arrays are ``np.load``'s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        members = _members_of(_sample_theory(), Path(tmp))
+        # At most two members are redrawn, each keeping its shape or dtype
+        # half the time, so that many archives are still theories.
+        for name in data.draw(st.lists(st.sampled_from(sorted(members)), max_size=2,
+                                       unique=True)):
+            flat = members[name].ravel()
+            n = flat.size
+            shape = members[name].shape
+            if data.draw(st.booleans()):
+                shape = data.draw(st.sampled_from([(), (1, n), (n, 1), (n - 1,), (2, n // 2)]))
+            values = flat[:math.prod(shape)].reshape(shape)
+            dtype = values.dtype
+            if data.draw(st.booleans()):
+                dtype = np.dtype(data.draw(st.sampled_from(
+                    [dtype.newbyteorder(), "S512"] if name == "header" else _DRAWN_DTYPES)))
+            order = data.draw(st.sampled_from("CF"))
+            members[name] = np.array(values.astype(dtype), order=order)
+        th = Path(tmp) / "th.npz"
+        np.savez(th, **members)
+        with np.load(th, allow_pickle=False) as z:
+            try:
+                loaded = {k: z[k] for k in z.files}
+            except ValueError:  # a pickled member
+                loaded = None
+        expected = _members_of(_sample_theory(), Path(tmp))
+        wanted = loaded is not None and all(
+            loaded[k].ndim == 0 and loaded[k].dtype.kind == "U" if k == "header"
+            else (loaded[k].dtype, loaded[k].shape) == (v.dtype, v.shape)
+            for k, v in expected.items())
+        try:
+            back = read_theory(th)
+        except ConfigurationError:
+            back = None
+    assert (back is not None) == wanted
+    if back is not None:
+        for k in ("lo", "hi", "band"):
+            assert getattr(back, k).tobytes() == loaded[k].tobytes()
+        for k, f in enumerate(back.mu_factors):
+            assert f.tobytes() == loaded[f"mu_{k}"].tobytes()
+
+
 def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
     """On the analytic theory, ``predict`` allocates under 0.05 grid arrays:
     its marginal is one contraction of the joint, and no posterior joint is
@@ -1125,7 +1219,8 @@ class TestCliInference:
          "missing-member", "bare-array", "wrong-shape", "non-finite", "factor-dtype",
          "factor-non-finite", "factor-negative", "factor-zero", "bit-flip", "lo-above-hi",
          "hi-past-row", "negative-lo", "band-lengths", "lo-float", "hi-int32", "lo-length",
-         "band-2d", "band-float32", "missing-band"],
+         "band-2d", "band-float32", "missing-band", "object-member", "short-member",
+         "npy-header", "npy-magic"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
         th = tmp_path / "th.npz"
@@ -1150,6 +1245,17 @@ class TestCliInference:
             "lo-length": "member 'lo' is int64(22,), expected int64(23,)",
             "band-2d": "member 'band' is float64(1, 391), expected float64(391,)",
             "band-float32": "member 'band' is float32(391,), expected float64(391,)",
+            "object-member": "Object arrays cannot be loaded when allow_pickle=False",
+            "short-member": "EOF: reading array data, expected 3128 bytes got 3120",
+            "npy-header": "Header does not contain the correct keys",
+            "npy-magic": "the magic string is not correct",
+        }
+        # Each member's .npy bytes as np.savez stores them, for the cases
+        # that damage those bytes; the zip's CRC is computed over the damage.
+        altered = {
+            "short-member": ("band", lambda raw: raw[:-8]),
+            "npy-header": ("lo", lambda raw: raw.replace(b"'descr'", b"'dexcr'", 1)),
+            "npy-magic": ("mu_0", lambda raw: b"\x93NUMPX" + raw[6:]),
         }
         damaged = {
             # Each of these three leaves the band lengths summing to band.size.
@@ -1205,6 +1311,16 @@ class TestCliInference:
             th.write_bytes(bytes(raw))
         elif damage in damaged:
             np.savez(th, **{**members, **damaged[damage]})
+        elif damage == "object-member":
+            np.savez(th, **{**members, "mu_1": members["mu_1"].astype(object)})
+        elif damage in altered:
+            name, alter = altered[damage]
+            with zipfile.ZipFile(th, "w") as z:
+                for k, v in members.items():
+                    buf = io.BytesIO()
+                    np.save(buf, v)
+                    raw = buf.getvalue()
+                    z.writestr(f"{k}.npy", alter(raw) if k == name else raw)
         else:
             band[0] = np.nan
             np.savez(th, **members)
@@ -1383,6 +1499,87 @@ class TestCliAuxiliary:
             main(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# CLI: parsing
+# ---------------------------------------------------------------------------
+
+# One valid argv per subcommand, past its name, that sets some options.
+_VALID_ARGS = {
+    "build-theory": ["--n", "5", "--mode", "set_T", "--compare-analytic"],
+    "analytic-theory": ["--frame", "log", "--sigma", "0.01"],
+    "infer": ["--measure", "T:gaussian:1:0.1", "--measure", "L:noninformative"],
+    "predict": ["--known", "T:gaussian:1:0.1", "--query", "L"],
+    "benford": ["--n", "10", "--upper", "100"],
+    "paradox": ["--count", "9"],
+    "axioms": ["--tol", "0", "--seed", "3"],
+    "convert": ["--in", "a.json", "--map", "x:log", "--map", "y:power:2"],
+}
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser inside the full ``build_parser()``."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _parsed(parse, argv, capsys):
+    """What ``parse(argv)`` returns or exits with, and what it printed."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(argv)
+
+
+def test_valid_subcommand_argv_is_parsed_by_that_subcommand_alone(monkeypatch):
+    """A valid argv gives the Namespace the full parser gives, with the same
+    keys, defaults, ``command`` and ``handler``, and the full parser is not
+    built for it."""
+    expected = {name: [_full_parse([name]), _full_parse([name, *args])]
+                for name, args in _VALID_ARGS.items()}
+    monkeypatch.setattr(cli, "build_parser", None)  # calling it would raise
+    for name, args in _VALID_ARGS.items():
+        assert [_parse_args([name]), _parse_args([name, *args])] == expected[name]
+    assert list(_VALID_ARGS) == list(_subparsers())
+
+
+@pytest.mark.parametrize("name", list(_VALID_ARGS))
+def test_subcommand_help_and_errors_match_the_full_parser(name, capsys):
+    """For each subcommand, ``main`` prints the full parser's ``--help`` and
+    exits as it does; and for each of its options that takes a value, the
+    same error and exit code when the value is missing, and when its type or
+    choices refuse it."""
+    argvs = [[name, "--help"]]
+    for action in _subparsers()[name]._actions:
+        if action.option_strings and action.nargs is None:
+            argvs.append([name, action.option_strings[0]])
+            if action.type is not None or action.choices is not None:
+                argvs.append([name, action.option_strings[0], "x"])
+    for argv in argvs:
+        ours = _parsed(main, argv, capsys)
+        assert ours == _parsed(_full_parse, argv, capsys)
+        assert ours[0] == ("exit", 0 if argv[-1] == "--help" else 2)
+    assert len(argvs) > 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["bogus"], ["infer", "--bogus", "1"], ["paradox", "--count", "x", "--y"]],
+    ids=["no-arguments", "help", "unknown-command", "unrecognized", "bad-type-and-unrecognized"],
+)
+def test_top_level_usage_and_errors_come_from_the_full_parser(argv, capsys):
+    """No subcommand, an unknown one, and arguments a subcommand does not
+    take print the full parser's usage and message."""
+    ours = _parsed(main, argv, capsys)
+    assert ours == _parsed(_full_parse, argv, capsys)
+    assert ours[0][0] == "exit"
 
 
 def _run_cli_process(argv, stdout, stderr) -> subprocess.CompletedProcess:

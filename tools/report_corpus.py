@@ -5,14 +5,19 @@ grids and its refusal of a grid that names time first, ``build-theory`` in
 both modes and on the linear grid, 23 ``infer`` and ``predict`` runs against
 analytic, log-frame, linear-grid and empirical theories (one and two
 readings, ``--out``, every reading kind, and three refusals), and
-``convert`` of a theory to CSV and to JSON.  34 runs in all.
+``convert`` of a theory to CSV and to JSON.  It also covers the parser and
+the theory reader's refusals: no arguments, ``--help``, ``infer --help`` and
+``build-theory --help``, an unknown subcommand, an argument ``infer`` does
+not take, a value of the wrong type, and ``infer`` on a bare ``.npy`` array
+and on a theory with one bit flipped.  43 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
 
 ``record`` runs the corpus with whichever ``inferspace`` is on ``sys.path``,
 in a fresh temporary directory and with relative paths, and writes one JSON
-record per run: its argv, exit code, stdout and stderr, and what it wrote.
+record per run: its argv, exit code (argparse's exit status where it exits),
+stdout and stderr, and what it wrote.
 A density or CSV file is recorded by its sha256 (and a JSON file also by its
 parsed contents).  A theory file is recorded by its members, each as dtype,
 shape and the sha256 of its bytes, with the header as text, and by the
@@ -32,8 +37,10 @@ import io
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +108,38 @@ RUNS = [
                               "--measure", "L:boxcar:9.5:0.1"]),
     ("convert-csv", ["convert", "--in", "small.npz", "--out", "small.csv"]),
     ("convert-json", ["convert", "--in", "small.npz", "--out", "small.json"]),
+    ("no-arguments", []),
+    ("help", ["--help"]),
+    ("infer-help", ["infer", "--help"]),
+    ("build-theory-help", ["build-theory", "--help"]),
+    ("unknown-command", ["bogus", "--n", "1"]),
+    ("unrecognized-arguments", ["infer", "--bogus", "1"]),
+    ("bad-type", ["paradox", "--count", "x"]),
+    ("refuse-bare-array", ["infer", "--theory", "bare", "--measure", "T:lognormal:1.0:0.05"]),
+    ("refuse-bit-flip", ["infer", "--theory", "flipped", "--measure", "T:lognormal:1.0:0.05"]),
 ]
+
+
+def _bare_array() -> None:
+    """``bare.npz``: a lone ``.npy`` array where a theory archive should be."""
+    with open("bare.npz", "wb") as fh:
+        np.save(fh, np.arange(5.0))
+
+
+def _bit_flip() -> None:
+    """``flipped.npz``: ``small.npz`` with one bit of its band's last value
+    flipped.  The archive is stored uncompressed, so the byte lies at a known
+    offset past the member's local header."""
+    raw = bytearray(Path("small.npz").read_bytes())
+    with zipfile.ZipFile("small.npz") as z:
+        info = z.getinfo("band.npy")
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 8] ^= 0x01
+    Path("flipped.npz").write_bytes(bytes(raw))
+
+
+# Inputs a run reads that no earlier run writes, made just before it.
+PREPARE = {"refuse-bare-array": _bare_array, "refuse-bit-flip": _bit_flip}
 
 
 def _sha(data: bytes) -> str:
@@ -139,16 +177,22 @@ def record(out_path: Path) -> None:
     from inferspace.io import read_theory
 
     out_path = out_path.resolve()
+    os.environ["COLUMNS"] = "80"  # argparse wraps its help and usage to this width
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         home = os.getcwd()
         os.chdir(tmp)
         try:
             for name, argv in RUNS:
+                if name in PREPARE:
+                    PREPARE[name]()
                 before = set(os.listdir("."))
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(argv)
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse's help, usage and errors
+                        code = exc.code
                 written = sorted(set(os.listdir(".")) - before)
                 lines.append({
                     "name": name,
