@@ -36,8 +36,7 @@ from .priors import (
     LOGNORMAL,
     NONINFORMATIVE,
     MeasurementModel,
-    measurement_density,
-    measurement_profile,
+    profile_node_factor,
     reading_centre_factor,
 )
 from .theory import TheoryDensity
@@ -64,15 +63,20 @@ def _no_mass(m: MeasurementModel, ax: Axis) -> ZeroMass:
 
 
 # The least share of a reading's mass that must lie on the box when its centre
-# is outside: 1% keeps readings centred up to 2.33 widths past the edge.
+# is outside: 1% keeps readings centred up to 2.33 widths past the edge, and
+# boxcars up to 0.98 half-widths past it.
 _MIN_SHARE_ON_BOX = 0.01
 
 
 def _share_on_box(m: MeasurementModel, ax: Axis) -> float:
-    """The share of a gaussian reading's mass on its axis's box, in x, or of
-    a lognormal one's, in ln x, for a centre outside the box.  A lognormal
-    reading has no mass at x <= 0, where a linear box may reach."""
+    """The share of a reading's mass on its axis's box, for a centre outside
+    the box: a boxcar's overlap with the box over its length 2w, in x; a
+    gaussian's mass, in x; a lognormal's, in ln x.  A lognormal reading has
+    no mass at x <= 0, where a linear box may reach."""
     c, edges = m.center, (ax.lower, ax.upper)
+    if m.kind == BOXCAR:
+        inside = min(c + m.width, ax.upper) - max(c - m.width, ax.lower)
+        return max(inside, 0.0) / (2.0 * m.width)
     if m.kind == LOGNORMAL:
         c, edges = math.log(c), [math.log(x) if x > 0.0 else -math.inf for x in edges]
     near, far = sorted(abs(x - c) for x in edges)
@@ -88,35 +92,34 @@ def _reading_factors(theory: TheoryDensity, models) -> list[np.ndarray]:
     A reading says nothing about the axes it does not measure: its density
     there is μ, which cancels, so an axis that no reading measures keeps
     fₖ = 1.  A noninformative reading, or one of infinite width, is no
-    reading.  A boxcar is μₖ restricted to its interval, so its ρ/μₖ is its
-    centre factor, the overlap of each node's cell with the interval; a
-    gaussian or lognormal reading's ρ is its measurement profile.  μ is
-    positive at every node (``TheoryDensity`` refuses a zero).  The checks
-    here are the whole failure diagnosis of the readings, on 1D arrays: a
-    reading centred off its axis, a reading without mass, and readings
-    whose product on one axis has none.
+    reading.  Any other reading's ρ is its centre factor times its node
+    factor against μₖ, and node/μₖ is exactly 1 for a boxcar (its node
+    factor is μₖ) and for a lognormal on a Jeffreys theory (both are 1/x).
+    μ is positive at every node (``TheoryDensity`` refuses a zero).  The
+    checks here are the whole failure diagnosis of the readings, on 1D
+    arrays: a reading centred off its axis, a reading without mass, and
+    readings whose product on one axis has none.
     """
     grid = theory.grid
     factors = [np.ones(ax.count) for ax in grid.axes]
     for m in models:
         k = grid.axis_index(m.parameter)
-        ax = grid.axes[k]
+        ax, mu = grid.axes[k], theory.mu_factors[k]
         if m.kind == NONINFORMATIVE:
             continue
-        if m.kind == BOXCAR:
-            f = reading_centre_factor(m, ax)
-        else:
-            f = measurement_profile(m, ax) / theory.mu_factors[k]
-            if not ax.lower <= m.center <= ax.upper:
-                share = _share_on_box(m, ax)
-                if share < _MIN_SHARE_ON_BOX:
-                    # Only the reading's far tail reaches the box, and the
-                    # posterior would pile up at the box's edge.
-                    raise OutOfDomain(
-                        f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) "
-                        f"lies off the grid: its centre is outside {m.parameter} in "
-                        f"[{ax.lower!r}, {ax.upper!r}], with {share:.2g} of its mass on the box"
-                    )
+        f = reading_centre_factor(m, ax)
+        f *= profile_node_factor(m, ax, mu) / mu
+        if not ax.lower <= m.center <= ax.upper:
+            share = _share_on_box(m, ax)
+            if share < _MIN_SHARE_ON_BOX:
+                # Only the reading's far tail, or a sliver of its interval,
+                # reaches the box, and the posterior would pile up at the
+                # box's edge.
+                raise OutOfDomain(
+                    f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) "
+                    f"lies off the grid: its centre is outside {m.parameter} in "
+                    f"[{ax.lower!r}, {ax.upper!r}], with {share:.2g} of its mass on the box"
+                )
         if not np.dot(f, ax.weights) > 0.0:
             raise _no_mass(m, ax)
         factors[k] *= f
@@ -149,10 +152,10 @@ def intersect(
     only on the window that runs from the first to the last nonzero entry
     of each fₖ, and the rest of the theory's grid holds zeros.
 
-    Raises OutOfDomain for a gaussian or lognormal reading centred off the
-    grid with under 1% of its mass on the box, ZeroMass for a reading in
-    the box that no node resolves, ZeroMass when the readings contradict
-    each other or the theory, and NonFinite when the AND's mass overflows.
+    Raises OutOfDomain for a reading centred off the grid with under 1% of
+    its mass on the box, ZeroMass for a reading in the box that no node
+    resolves, ZeroMass when the readings contradict each other or the
+    theory, and NonFinite when the AND's mass overflows.
     """
     joint = theory.joint
     factors = _reading_factors(theory, [reading, *more])
@@ -518,11 +521,12 @@ def band_conditional(
     """Condition a 2D joint on a band of its second axis around ``slice_value``.
 
     The band is a boxcar reading ``width_cells`` cells wide, the cell being
-    that of the second axis's node nearest ``slice_value``.  The joint is
-    ANDed with it, marginalized onto the first axis and normalized.  Returns
-    the conditional, the band as a measurement density on the joint's grid,
-    and the band's width.  As the band thins, the conditional approaches the
-    exact slice ``conditional_density``.
+    that of the second axis's node nearest ``slice_value``: ``mu``
+    restricted to the band, each node weighed by the share of its cell
+    inside it.  The joint is ANDed with it, marginalized onto the first
+    axis and normalized.  Returns the conditional, the band as a density on
+    the joint's grid, and the band's width.  As the band thins, the
+    conditional approaches the exact slice ``conditional_density``.
     """
     ax1 = joint.grid.axes[1]
     j = int(np.argmin(np.abs(ax1.nodes - slice_value)))
@@ -531,7 +535,7 @@ def band_conditional(
     band_model = MeasurementModel(
         parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
     )
-    band_rho = measurement_density(band_model, joint.grid)
+    band_rho = mu.with_values(mu.values * reading_centre_factor(band_model, ax1))
     return _and_marginal(joint, band_rho, mu), band_rho, float(width)
 
 

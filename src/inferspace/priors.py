@@ -1,4 +1,4 @@
-"""The noninformative prior and instrument measurement densities.
+"""The noninformative prior and instrument measurement models.
 
 The null-information state for a positive quantity whose scale carries no
 preferred unit is the reciprocal (Jeffreys) density 1/x, constant in the log
@@ -11,14 +11,16 @@ parameter's axis: ``gaussian`` (linear axes only — symmetric additive noise
 is inconsistent with a positivity constraint), ``lognormal`` (multiplicative
 noise; widens into the reciprocal prior as width → ∞), ``boxcar`` (the
 noninformative prior restricted between two bounds), and ``noninformative``
-(no reading at all).  Against a theory the noninformative prior is the
-theory's own μ: a boxcar is μ restricted to its interval, so ANDed in it
-weighs each node by the share of its cell inside the interval, and a
-noninformative reading is μ itself, which ANDs to nothing.  A theory
-carries its own μ; ``null_information_density`` is the μ of a bare grid,
-for the generic algebra, and the noninformative factor that
-``measurement_density`` and ``measurement_profile`` use.  It is the one
-place where an axis's spacing picks a null factor.
+(no reading at all).  A reading's density on its axis is a centre factor,
+which depends on the reading (``reading_centre_factor``,
+``profile_centre_factors``), times a node factor, which does not
+(``profile_node_factor``).  The node factor of a boxcar or noninformative
+reading is the μ it is taken against: a theory's own μ, so a boxcar is μ
+restricted to its interval and weighs each node by the share of its cell
+inside the interval, and a noninformative reading is μ itself, which ANDs
+to nothing.  ``null_information_density`` is the μ of a bare grid, for the
+generic algebra, and the one place where an axis's spacing picks a null
+factor.
 """
 
 from __future__ import annotations
@@ -155,29 +157,9 @@ class MeasurementModel:
                 )
 
 
-def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
-    """Unnormalized density values of the model on one axis: its centre
-    factor at ``model.center`` times its node factor."""
-    profile = reading_centre_factor(model, axis)
-    if _profile_kind(model, axis) == LOGNORMAL:
-        # Dividing by x applies the 1/x node factor with one rounding, not two.
-        profile /= axis.nodes
-    else:
-        profile *= profile_node_factor(model, axis, _null_factor(axis))
-    return profile
-
-
 def reading_centre_factor(model: MeasurementModel, axis: Axis) -> np.ndarray:
     """The model's centre factor at ``model.center`` on every node of
-    ``axis``.  A boxcar whose interval misses the box is refused with
-    InvalidBounds."""
-    if _profile_kind(model, axis) == BOXCAR:
-        lo = model.center - model.width
-        hi = model.center + model.width
-        if hi <= axis.lower or lo >= axis.upper:
-            raise InvalidBounds(
-                f"boxcar [{lo}, {hi}] does not meet the axis {axis.name!r} box"
-            )
+    ``axis``: 0 everywhere for a boxcar whose interval misses the box."""
     return profile_centre_factors(
         model, axis, np.array([model.center]), slice(None), np.empty((1, axis.count))
     )[0]
@@ -231,9 +213,12 @@ def profile_centre_factors(
     or in ln x; the overlap fraction of each node's cell with [c − width,
     c + width] for boxcar, 0 where the interval misses the box; and 1 for
     noninformative.  The profile is this factor times
-    ``profile_node_factor``.  ``model.center`` is ignored.  A node many
-    widths from a center overflows t on the way; its factor is then the 0
-    it rounds to, without a warning.
+    ``profile_node_factor``.  A campaign evaluates it for a block of
+    readings at a time; ``intersect`` for one reading at a time
+    (``reading_centre_factor``), whose profile it divides by the theory's
+    μ.  ``model.center`` is ignored.  A node many widths from a center
+    overflows t on the way; its factor is then the 0 it rounds to, without
+    a warning.
     """
     kind = _profile_kind(model, axis)
     c = centers[:, None]
@@ -242,8 +227,7 @@ def profile_centre_factors(
         return out
     if kind == BOXCAR:
         return _overlap_fraction(axis, c - model.width, c + model.width, window, out)
-    # (u − c)/width, squared, times −½: the order ``measurement_profile``
-    # has always rounded in.
+    # (u − c)/width, squared, times −½, rounded in that order.
     if kind == LOGNORMAL:
         # one log per node and one per center, not one per (center, node) pair
         c = np.log(c)
@@ -329,24 +313,6 @@ def null_information_density(grid: Grid) -> Density:
     information in the coordinates the grid itself uses.  A theory carries
     its own μ, which need not be this one."""
     factors = [_null_factor(ax) for ax in grid.axes]
-    return Density(grid, outer_values(factors))
-
-
-def measurement_density(model: MeasurementModel, grid: Grid) -> Density:
-    """The model's density on ``grid``.
-
-    On the model's own axis the measurement profile applies; any other axis
-    carries its factor of ``null_information_density``, 1/x on log axes and
-    1 on linear ones.  ANDed with a theory by ``and_combine``, it agrees
-    with ``intersect`` only on axes where that factor is the theory's μ
-    factor; the Jeffreys μ is 1/x on linear axes too, and ``intersect``
-    takes each reading against the theory's own μ.
-    """
-    idx = grid.axis_index(model.parameter)
-    factors = [
-        measurement_profile(model, ax) if i == idx else _null_factor(ax)
-        for i, ax in enumerate(grid.axes)
-    ]
     return Density(grid, outer_values(factors))
 
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import settings
 
 import inferspace
-from inferspace import (Axis, Density, Grid, Provenance, TheoryDensity, normalize,
-                        null_information_density)
+from inferspace import (Axis, Density, Grid, MeasurementModel, Provenance, TheoryDensity,
+                        normalize, null_information_density)
+from inferspace.priors import (LOGNORMAL, _null_factor, _profile_kind, outer_values,
+                               profile_node_factor, reading_centre_factor)
 
 # Property tests draw the same examples on every run, so a tier-1 verdict
 # cannot change between runs of the same code; no deadline, since a slow
@@ -67,3 +69,37 @@ def conditional_theory(slices, mu_i: Density) -> TheoryDensity:
     return TheoryDensity.from_joint(Density(Grid.of(i_axis, d_axis), joint),
                                     (mu_i.values, null_information_density(Grid.of(d_axis)).values),
                                     Provenance("from_conditional"))
+
+
+# A reading as a density on a bare grid, against the grid's own
+# null-information μ: the reference that the AND of a theory with readings
+# is checked against.
+
+def measurement_profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
+    """Unnormalized density values of the model on one axis: its centre
+    factor at ``model.center`` times its node factor."""
+    profile = reading_centre_factor(model, axis)
+    if _profile_kind(model, axis) == LOGNORMAL:
+        # Dividing by x applies the 1/x node factor with one rounding, not two.
+        profile /= axis.nodes
+    else:
+        profile *= profile_node_factor(model, axis, _null_factor(axis))
+    return profile
+
+
+def measurement_density(model: MeasurementModel, grid: Grid) -> Density:
+    """The model's density on ``grid``.
+
+    On the model's own axis the measurement profile applies; any other axis
+    carries its factor of ``null_information_density``, 1/x on log axes and
+    1 on linear ones.  ANDed with a theory by ``and_combine``, it agrees
+    with ``intersect`` only on axes where that factor is the theory's μ
+    factor; the Jeffreys μ is 1/x on linear axes too, and ``intersect``
+    takes each reading against the theory's own μ.
+    """
+    idx = grid.axis_index(model.parameter)
+    factors = [
+        measurement_profile(model, ax) if i == idx else _null_factor(ax)
+        for i, ax in enumerate(grid.axes)
+    ]
+    return Density(grid, outer_values(factors))

@@ -48,8 +48,6 @@ from inferspace import (
     integrate,
     intersect,
     marginalize,
-    measurement_density,
-    measurement_profile,
     normalize,
     null_information_density,
     predict,
@@ -63,8 +61,10 @@ from inferspace import (
 )
 from inferspace.inference import (_mapped_grid, _posterior_marginal, _reading_factors,
                                   _share_on_box)
+from inferspace.priors import reading_centre_factor
 
-from conftest import PACKAGE_MODULES, boxcar_density, gaussian_density
+from conftest import (PACKAGE_MODULES, boxcar_density, gaussian_density, measurement_density,
+                      measurement_profile)
 
 LAW = FallingBodyLaw(g=9.81, length_axis="L", time_axis="T")
 
@@ -146,6 +146,39 @@ class TestIntersect:
             intersect(theory, off)
         with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid"):
             predict(theory, off, "L")
+
+    @pytest.mark.parametrize(
+        "center, width, share",
+        [(2.05, 0.1, 0.25), (0.45, 0.1, 0.25), (2.1, 0.1, 0.0), (2.2, 0.1, 0.0),
+         (-1.0, 5.0, 0.15)],
+    )
+    def test_share_of_an_off_box_boxcar_is_its_overlap(self, center, width, share):
+        """A boxcar's share on the box [0.5, 2.0] is the length of its
+        interval there over its length 2w, 0 where it misses the box."""
+        axis = Axis.linear("T", 0.5, 2.0, 41)
+        got = _share_on_box(MeasurementModel("T", BOXCAR, center, width), axis)
+        assert got == pytest.approx(share, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("center, width", [(1.6030, 0.00305), (9.0, 0.1), (0.3, 0.2)])
+    def test_boxcar_off_the_grid_raises_out_of_domain(self, center, width):
+        """A boxcar centred outside the box with under 1% of its interval on
+        it lies off the grid: a sliver of it would pile the whole posterior
+        on the edge node, and one that misses the box has nothing there."""
+        theory = _fall_theory(sigma=0.05, nl=61, nt=61)
+        off = MeasurementModel("T", BOXCAR, center, width)
+        with pytest.raises(OutOfDomain, match=rf"T={center!r} \(boxcar, .* off the grid"):
+            intersect(theory, off)
+        with pytest.raises(OutOfDomain, match=rf"T={center!r} \(boxcar, .* off the grid"):
+            predict(theory, off, "L")
+
+    @pytest.mark.parametrize("center, width", [(1.6 + 1e-12, 0.05), (1.599, 5.0), (0.6, 1e-6)])
+    def test_boxcar_that_keeps_its_share_on_the_box_is_anded(self, center, width):
+        """A boxcar centred just past the box's edge keeps half of itself on
+        the box, and one centred inside is never refused, however much of
+        its interval lies outside."""
+        theory = _fall_theory(sigma=0.05, nl=61, nt=61)
+        post = intersect(theory, MeasurementModel("T", BOXCAR, center, width))
+        assert post.normalized
 
     @pytest.mark.parametrize(
         "axis, kind, center, width",
@@ -338,6 +371,96 @@ def test_factored_and_equals_the_dense_fold():
 
     check()
     assert all(windows[k] for k in ("inside", "low edge", "high edge")), windows
+
+
+def _overlap(m, ax):
+    """The share of each node's cell of ``ax`` inside boxcar ``m``'s interval."""
+    left, right = ax.cell_boundaries[:-1], ax.cell_boundaries[1:]
+    inside = np.minimum(right, m.center + m.width) - np.maximum(left, m.center - m.width)
+    return np.maximum(inside, 0.0) / (right - left)
+
+
+@pytest.mark.parametrize("spacing", ["linear", "logarithmic"])
+def test_reading_factor_on_a_jeffreys_theory_is_its_centre_factor(spaced_theories, spacing):
+    """On a Jeffreys theory, linear or log axes alike, a lognormal reading's
+    node factor 1/x is the theory's μ factor, so its factor is exactly its
+    centre factor, exp(−½t²); and a boxcar's node factor is μ itself, so
+    its factor is exactly its cell overlap."""
+    theory = spaced_theories[0 if spacing == "linear" else 1]
+    readings = [MeasurementModel("T", LOGNORMAL, 1.0, 0.3), MeasurementModel("L", LOGNORMAL, 5.0, 0.05),
+                MeasurementModel("T", BOXCAR, 0.9, 0.05), MeasurementModel("L", BOXCAR, 7.3, 1.1)]
+    for m in readings:
+        k = theory.grid.axis_index(m.parameter)
+        ax = theory.grid.axes[k]
+        f = _reading_factors(theory, [m])[k]
+        expected = reading_centre_factor(m, ax) if m.kind == LOGNORMAL else _overlap(m, ax)
+        assert np.array_equal(f, expected), m
+
+
+def _parent_factor(m, ax, mu):
+    """A reading's factor as it was computed through its density on a bare
+    axis: a boxcar's cell overlap, any other reading's profile over μ."""
+    if m.kind == BOXCAR:
+        return _overlap(m, ax)
+    return measurement_profile(m, ax) / mu
+
+
+@st.composite
+def _frame_theories_and_readings(draw):
+    """A Jeffreys theory (μ = 1/x, on positive linear or log axes) or a
+    log-frame one (μ = 1, on linear axes of ln L and ln T, which may be
+    negative), and one reading centred in the box: boxcar, gaussian on a
+    linear axis, and lognormal on a Jeffreys theory's."""
+    frame = draw(st.sampled_from(["jeffreys", "log frame"]))
+    if frame == "jeffreys":
+        axes = [_draw_axis(draw, name) for name in "LT"]
+        mu = [1.0 / ax.nodes for ax in axes]
+    else:
+        axes = []
+        for name in "LT":
+            lower = draw(st.floats(-3.0, 3.0))
+            axes.append(Axis.linear(name, lower, lower + draw(st.floats(0.5, 5.0)),
+                                    draw(st.integers(3, 40))))
+        mu = [np.ones(ax.count) for ax in axes]
+    grid = Grid.of(*axes)
+    theory = TheoryDensity.from_joint(Density(grid, np.ones(grid.shape)), mu,
+                                      Provenance("analytic"))
+    ax = draw(st.sampled_from(axes))
+    kinds = [BOXCAR] + [GAUSSIAN] * (ax.spacing == "linear") + [LOGNORMAL] * (frame == "jeffreys")
+    kind = draw(st.sampled_from(kinds))
+    log = kind == LOGNORMAL
+    lower, upper = (math.log(ax.lower), math.log(ax.upper)) if log else (ax.lower, ax.upper)
+    center = lower + (upper - lower) * draw(st.floats(0.0, 1.0))
+    width = (upper - lower) / (ax.count - 1) * 2.0 ** draw(st.floats(0.0, 7.0))
+    return frame, theory, MeasurementModel(ax.name, kind, math.exp(center) if log else center, width)
+
+
+def test_reading_factors_match_the_bare_axis_profile_over_mu():
+    """Taken against the theory's μ by centre factor × node factor / μ, a
+    reading's factor is within 4 ulp of its profile on the bare axis over
+    μ, and bit-equal to it for a boxcar and on a log-frame theory, where
+    node / μ is exactly 1.  The drawn cases cover every kind on both
+    frames."""
+    seen = Counter()
+
+    @settings(max_examples=300)
+    @given(_frame_theories_and_readings())
+    def check(case):
+        frame, theory, m = case
+        k = theory.grid.axis_index(m.parameter)
+        ax, mu = theory.grid.axes[k], theory.mu_factors[k]
+        f = _reading_factors(theory, [m])[k]
+        expected = _parent_factor(m, ax, mu)
+        if m.kind == BOXCAR or frame == "log frame":
+            assert np.array_equal(f, expected)
+        else:
+            assert np.all(np.abs(f - expected) <= 4 * np.spacing(np.maximum(f, expected)))
+        seen[(frame, m.kind)] += 1
+
+    check()
+    wanted = [("jeffreys", BOXCAR), ("jeffreys", GAUSSIAN), ("jeffreys", LOGNORMAL),
+              ("log frame", BOXCAR), ("log frame", GAUSSIAN)]
+    assert all(seen[k] for k in wanted), seen
 
 
 def _draw_fall_grid(draw):
@@ -704,6 +827,16 @@ class TestBorelKolmogorovDemo:
         expected = normalize(marginalize(and_combine(joint, band, mu), "x"))
         assert np.array_equal(cond.values, expected.values)
         assert cond.normalized and cond.grid.axes == (joint.grid.axes[0],)
+        # The band is μ restricted to it: each node weighed by the share of
+        # its cell inside the band, up to the rounding of one product and
+        # one quotient; exactly where a cell is wholly in or out.
+        overlap = np.broadcast_to(_overlap(MeasurementModel("y", BOXCAR, 1.05, width), y),
+                                  band.grid.shape)
+        ratio = band.values / mu.values
+        whole = (overlap == 0.0) | (overlap == 1.0)
+        assert np.array_equal(ratio[whole], overlap[whole])
+        assert not whole.all()
+        assert_allclose(ratio, overlap, rtol=2 * np.finfo(float).eps, atol=0.0)
 
     def test_affine_control_shows_no_paradox(self):
         """A pure rescale has constant Jacobian, so both naive slicing and

@@ -1101,6 +1101,32 @@ class TestCliInference:
         assert "lies off the grid" in captured.err
         assert captured.err.rstrip().endswith(f"with {share} of its mass on the box")
 
+    @pytest.mark.parametrize(
+        "reading, share",
+        [("1.43:0.01", None), ("1.4379:0.01005", "0.0025"), ("5.0:0.1", "0")],
+    )
+    def test_boxcar_centred_off_the_box_is_refused_by_its_overlap(
+        self, tmp_path, capsys, reading, share
+    ):
+        """A boxcar's share on the box is its overlap over its length 2w.
+        [1.42, 1.44] keeps 40% of itself below T = 1.4279 and is ANDed;
+        [1.42785, 1.44795] keeps 0.25%, a sliver that would put the whole
+        posterior on the edge node, and [4.9, 5.1] misses the box: both lie
+        off the grid, a numerical failure like any other reading's."""
+        th = str(tmp_path / "th")
+        run_cli(["analytic-theory", "--grid", SMALL_GRID, "--sigma", "0.05", "--out", th], capsys)
+        code = main(["infer", "--theory", th, "--measure", f"T:boxcar:{reading}"])
+        captured = capsys.readouterr()
+        if share is None:
+            assert code == 0
+            assert json.loads(captured.out)["axis"] == "L"
+            return
+        assert code == 3
+        assert captured.out == ""
+        assert f"the reading T={reading.split(':')[0]} (boxcar, " in captured.err
+        assert "lies off the grid" in captured.err
+        assert captured.err.rstrip().endswith(f"with {share} of its mass on the box")
+
     def test_under_resolved_reading_in_the_box_exits_numerical(self, tmp_path, capsys):
         """T = 0.9871 lies in the box, but a width of 1e-4 underflows at every
         node of a 41-node axis: the error says so instead of "off the grid"."""

@@ -22,8 +22,6 @@ from inferspace import (
     PriorSpec,
     benford_digit_probabilities,
     jeffreys_ppf,
-    measurement_density,
-    measurement_profile,
     normalize,
     null_information_density,
     push_forward,
@@ -38,6 +36,7 @@ from inferspace.priors import (
     profile_node_factor,
     profile_window_bounds,
     profile_window_keys,
+    reading_centre_factor,
 )
 from inferspace.theory import _block_windows
 
@@ -88,6 +87,13 @@ def test_null_information_density_matches_spacing():
     np.testing.assert_allclose(mu.values, expected, rtol=1e-15)
 
 
+def _profile(model: MeasurementModel, axis: Axis) -> np.ndarray:
+    """The model's density on a bare ``axis``: its centre factor times its
+    node factor, taken against the axis's null-information μ."""
+    mu = null_information_density(Grid.of(axis)).values
+    return reading_centre_factor(model, axis) * profile_node_factor(model, axis, mu)
+
+
 @pytest.mark.parametrize("kind", [LOGNORMAL, GAUSSIAN, BOXCAR])
 def test_infinite_width_makes_a_noninformative_model(kind):
     """An infinite width says nothing: the model is noninformative, decided
@@ -98,7 +104,7 @@ def test_infinite_width_makes_a_noninformative_model(kind):
 
 def test_wide_lognormal_degrades_to_reciprocal():
     ax = Axis.logarithmic("T", 0.1, 10.0, 201)
-    prof = measurement_profile(
+    prof = _profile(
         MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=1e6), ax
     )
     flat = prof * ax.nodes
@@ -108,13 +114,13 @@ def test_wide_lognormal_degrades_to_reciprocal():
 def test_infinite_width_degrades_to_noninformative():
     ax = Axis.logarithmic("T", 0.1, 10.0, 51)
     model = MeasurementModel(parameter="T", kind=LOGNORMAL, center=3.0)
-    np.testing.assert_array_equal(measurement_profile(model, ax), 1.0 / ax.nodes)
+    np.testing.assert_array_equal(_profile(model, ax), 1.0 / ax.nodes)
 
 
 def test_box_wide_boxcar_is_noninformative():
     ax = Axis.logarithmic("T", 0.1, 10.0, 51)
     model = MeasurementModel(parameter="T", kind=BOXCAR, center=5.05, width=100.0)
-    np.testing.assert_allclose(measurement_profile(model, ax), 1.0 / ax.nodes, rtol=1e-12)
+    np.testing.assert_allclose(_profile(model, ax), 1.0 / ax.nodes, rtol=1e-12)
 
 
 def test_lognormal_mode_sits_below_center():
@@ -123,7 +129,7 @@ def test_lognormal_mode_sits_below_center():
     Closed form checked in tools/oracles/lognormal_pushforward.py.
     """
     ax = Axis.logarithmic("T", 0.9, 1.1, 2001)
-    prof = measurement_profile(
+    prof = _profile(
         MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1), ax
     )
     mode = ax.nodes[np.argmax(prof)]
@@ -133,14 +139,14 @@ def test_lognormal_mode_sits_below_center():
 def test_gaussian_rejected_on_log_axis():
     ax = Axis.logarithmic("T", 0.1, 10.0, 51)
     with pytest.raises(ModelAxisMismatch):
-        measurement_profile(
+        _profile(
             MeasurementModel(parameter="T", kind=GAUSSIAN, center=1.0, width=0.1), ax
         )
 
 
 def test_lognormal_vanishes_toward_zero():
     ax = Axis.logarithmic("T", 1e-8, 10.0, 101)
-    prof = measurement_profile(
+    prof = _profile(
         MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1), ax
     )
     assert np.all(np.isfinite(prof))
@@ -148,10 +154,12 @@ def test_lognormal_vanishes_toward_zero():
 
 
 def test_measurement_density_fills_other_axes():
+    """A reading as a density on a bare grid is the grid's μ times the
+    reading's centre factor on its own axis."""
     grid = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 21), Axis.logarithmic("T", 0.1, 5.0, 19))
-    d = measurement_density(
-        MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.2), grid
-    )
+    model = MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.2)
+    d = null_information_density(grid)
+    d = d.with_values(d.values * reading_centre_factor(model, grid.axes[1]))
     # Separable: reciprocal in L times the instrument profile in T.
     col = d.values[0, :] * grid.axes[0].nodes[0]
     for i in range(21):

@@ -33,7 +33,6 @@ from inferspace import (
     integrate,
     log_map,
     marginalize,
-    measurement_profile,
     normalize,
     null_information_density,
     or_combine,
@@ -48,7 +47,7 @@ from inferspace.priors import profile_window_bounds, profile_window_keys, readin
 import inferspace.theory as theory_module
 from inferspace.theory import _BLOCK_BYTES, _band_mass, _row_bands
 
-from conftest import conditional_theory
+from conftest import conditional_theory, measurement_profile
 
 G = 9.81
 

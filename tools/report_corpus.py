@@ -2,14 +2,14 @@
 
 The corpus covers the theory paths end to end: ``analytic-theory`` on five
 grids and its refusal of a grid that names time first, ``build-theory`` in
-both modes and on the linear grid, 23 ``infer`` and ``predict`` runs against
+both modes and on the linear grid, 25 ``infer`` and ``predict`` runs against
 analytic, log-frame, linear-grid and empirical theories (one and two
-readings, ``--out``, every reading kind, and three refusals), and
+readings, ``--out``, every reading kind, and five refusals), and
 ``convert`` of a theory to CSV and to JSON.  It also covers the parser and
 the theory reader's refusals: no arguments, ``--help``, ``infer --help`` and
 ``build-theory --help``, an unknown subcommand, an argument ``infer`` does
 not take, a value of the wrong type, and ``infer`` on a bare ``.npy`` array
-and on a theory with one bit flipped.  43 runs in all.
+and on a theory with one bit flipped.  45 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -104,6 +104,9 @@ RUNS = [
     ("refuse-unknown-axis", ["infer", "--theory", "default", "--measure",
                              "T:lognormal:1.0:0.005", "--query", "Z"]),
     ("refuse-off-grid", ["infer", "--theory", "default", "--measure", "T:lognormal:9.0:0.01"]),
+    ("refuse-boxcar-off-grid", ["infer", "--theory", "default", "--measure", "T:boxcar:9.0:0.1"]),
+    ("refuse-boxcar-sliver", ["infer", "--theory", "small", "--measure",
+                              "T:boxcar:1.4379:0.01005"]),
     ("refuse-contradiction", ["infer", "--theory", "small", "--measure", "T:boxcar:0.5:0.01",
                               "--measure", "L:boxcar:9.5:0.1"]),
     ("convert-csv", ["convert", "--in", "small.npz", "--out", "small.csv"]),
