@@ -74,11 +74,9 @@ from .io import read_density, read_theory, write_csv, write_density, write_theor
 from .priors import (
     BOXCAR,
     GAUSSIAN,
-    JEFFREYS,
     LOGNORMAL,
     NONINFORMATIVE,
     MeasurementModel,
-    PriorSpec,
     benford_digit_probabilities,
     null_information_density,
     sample_prior,
@@ -88,6 +86,7 @@ from .theory import (
     SET_T,
     FallingBodyLaw,
     _band_mass,
+    _fall_axes,
     analytic_fall_theory,
     run_campaign,
 )
@@ -251,23 +250,13 @@ def _blurred_width(sigma_length: float, sigma_time: float) -> float:
     return sigma
 
 
-def _fall_grid(spec: str) -> Grid:
-    """The grid of a fall theory: two axes, the length axis first, then time.
-    A first axis named T or a second named L would swap the law's roles."""
-    grid = parse_grid(spec)
-    if grid.ndim != 2 or grid.names[0] == "T" or grid.names[1] == "L":
-        raise ConfigInvalid(f"the fall grid takes two axes, the length axis first, then "
-                            f"time, but its axes are {', '.join(grid.names)}")
-    return grid
-
-
 def _cmd_build_theory(p: argparse.Namespace) -> int:
-    grid = _fall_grid(p.grid)
-    length_name, time_name = grid.names
-    law = FallingBodyLaw(g=p.g, length_axis=length_name, time_axis=time_name)
+    grid = parse_grid(p.grid)
+    length, time = _fall_axes(grid)
+    law = FallingBodyLaw(g=p.g)
     instruments = [
-        MeasurementModel(parameter=length_name, kind=LOGNORMAL, center=1.0, width=p.sigma_length),
-        MeasurementModel(parameter=time_name, kind=LOGNORMAL, center=1.0, width=p.sigma_time),
+        MeasurementModel(parameter=length.name, kind=LOGNORMAL, center=1.0, width=p.sigma_length),
+        MeasurementModel(parameter=time.name, kind=LOGNORMAL, center=1.0, width=p.sigma_time),
     ]
     if p.compare_analytic:
         # Refused before the campaign runs, so a refusal writes no file.
@@ -281,10 +270,7 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
         "mass": _band_mass(theory),
     }
     if p.compare_analytic:
-        wide = FallingBodyLaw(
-            g=p.g, sigma_theory=sigma_eff, length_axis=length_name, time_axis=time_name
-        )
-        reference = analytic_fall_theory(wide, grid)
+        reference = analytic_fall_theory(FallingBodyLaw(g=p.g, sigma_theory=sigma_eff), grid)
         report["sigma_analytic"] = sigma_eff
         report["kl_sym_vs_analytic"] = symmetric_kl(
             normalize(theory.joint), normalize(reference.joint)
@@ -294,14 +280,8 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
 
 
 def _cmd_analytic_theory(p: argparse.Namespace) -> int:
-    grid = _fall_grid(p.grid)
-    law = FallingBodyLaw(
-        g=p.g,
-        sigma_theory=p.sigma,
-        length_axis=grid.names[0],
-        time_axis=grid.names[1],
-    )
-    theory = analytic_fall_theory(law, grid, frame=p.frame)
+    grid = parse_grid(p.grid)
+    theory = analytic_fall_theory(FallingBodyLaw(g=p.g, sigma_theory=p.sigma), grid, frame=p.frame)
     written = write_theory(theory, p.out)
     _emit({"out": str(written), "frame": p.frame, "mass": _band_mass(theory)})
     return 0
@@ -337,8 +317,7 @@ def _cmd_benford(p: argparse.Namespace) -> int:
         "digits": {str(d): float(probs[d - 1]) for d in range(1, 10)}
     }
     if p.n > 0:
-        spec = PriorSpec(JEFFREYS, bounds=((p.lower, p.upper),))
-        draws = sample_prior(spec, p.n, p.seed)
+        draws = sample_prior(p.lower, p.upper, p.n, p.seed)
         leading = (draws / 10.0 ** np.floor(np.log10(draws))).astype(int)
         freqs = np.bincount(leading, minlength=10)[1:10] / len(draws)
         report["sampled"] = {str(d): float(freqs[d - 1]) for d in range(1, 10)}

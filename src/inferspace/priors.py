@@ -34,14 +34,11 @@ from .density import Density
 from .errors import ConfigInvalid, InvalidBounds, ModelAxisMismatch
 from .grids import LOGARITHMIC, Axis, Grid
 
-JEFFREYS = "jeffreys_reciprocal"
-
 GAUSSIAN = "gaussian"
 LOGNORMAL = "lognormal"
 BOXCAR = "boxcar"
 NONINFORMATIVE = "noninformative"
 
-_PRIOR_KINDS = (JEFFREYS,)
 _MODEL_KINDS = (GAUSSIAN, LOGNORMAL, BOXCAR, NONINFORMATIVE)
 
 # The narrowest lognormal float64 can represent.  Its width is a spread of
@@ -53,27 +50,6 @@ _LOGNORMAL_MIN_WIDTH = float(np.finfo(np.float64).eps)
 # ---------------------------------------------------------------------------
 # priors
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PriorSpec:
-    """The reciprocal prior plus optional per-axis sampling bounds.
-
-    ``bounds`` is one (lower, upper) pair per axis; ``sample_prior`` needs
-    them.
-    """
-
-    kind: str
-    bounds: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PRIOR_KINDS:
-            raise InvalidBounds(f"unknown prior kind {self.kind!r}; expected one of {_PRIOR_KINDS}")
-        if self.bounds is not None:
-            object.__setattr__(self, "bounds", tuple(tuple(map(float, b)) for b in self.bounds))
-            for lo, hi in self.bounds:
-                if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                    raise InvalidBounds(f"degenerate prior bounds ({lo}, {hi})")
-
 
 def _null_factor(axis: Axis) -> np.ndarray:
     """A bare axis's null-information factor: 1/x on log axes, 1 on linear."""
@@ -331,21 +307,18 @@ def jeffreys_ppf(u: np.ndarray, lower: float, upper: float) -> np.ndarray:
     return lower * np.power(upper / lower, u)
 
 
-def sample_prior(spec: PriorSpec, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` samples from the reciprocal prior truncated to the spec's
-    bounds, by inverse-CDF.
+def sample_prior(lower: float, upper: float, n: int, seed: int) -> np.ndarray:
+    """``n`` draws from the reciprocal prior truncated to [lower, upper], by
+    inverse-CDF: ``jeffreys_ppf`` of ``n`` uniforms from ``default_rng(seed)``.
 
-    Requires explicit positive bounds on the PriorSpec.  Returns shape (n,)
-    for one axis and (n, k) for k axes.
+    Bounds that are not finite with lower < upper, a negative seed and a
+    bound that is not positive are refused, in that order.
     """
-    if spec.bounds is None:
-        raise InvalidBounds("sampling needs explicit bounds on the PriorSpec")
+    lower, upper = float(lower), float(upper)
+    if not (np.isfinite(lower) and np.isfinite(upper) and lower < upper):
+        raise InvalidBounds(f"degenerate prior bounds ({lower}, {upper})")
     if seed < 0:
         raise ConfigInvalid(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    cols = []
-    for lo, hi in spec.bounds:
-        if lo <= 0.0:
-            raise InvalidBounds("the reciprocal prior needs positive bounds")
-        cols.append(jeffreys_ppf(rng.uniform(size=n), lo, hi))
-    return cols[0] if len(cols) == 1 else np.column_stack(cols)
+    if lower <= 0.0:
+        raise InvalidBounds("the reciprocal prior needs positive bounds")
+    return jeffreys_ppf(np.random.default_rng(seed).random(n), lower, upper)

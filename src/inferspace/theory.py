@@ -14,8 +14,8 @@ so a theory keeps it as one factor per axis, positive at every node, since
 the AND divides by it.  A campaign's μ is its only noninformative density:
 the independent values are drawn from it, and it is the node factor of a
 boxcar or noninformative instrument, so an axis's spacing changes no theory.
-A theory lives on a 2D grid of the law's length and time axes, and that grid
-is its whole parameter space.
+A theory lives on a 2D grid, and that grid is its whole parameter space; a
+fall theory's grid takes the length axis first, then time.
 """
 
 from __future__ import annotations
@@ -84,14 +84,12 @@ class FallingBodyLaw:
     """Free fall from rest: L = ½ g T², with a lognormal theory width.
 
     ``sigma_theory`` is the log-space half-width of the ridge the analytic
-    theory wraps around the law.  Axis names locate length and time on joint
-    grids.
+    theory wraps around the law.  On a joint grid the law's roles go by
+    position: axis 0 is length and axis 1 is time (``_fall_axes``).
     """
 
     g: float = 9.81
     sigma_theory: float = 1e-3
-    length_axis: str = "L"
-    time_axis: str = "T"
 
     def __post_init__(self) -> None:
         if not (self.g > 0.0 and np.isfinite(self.g)):
@@ -288,10 +286,14 @@ def _band_mass(theory: TheoryDensity) -> float:
 # simulated campaigns
 # ---------------------------------------------------------------------------
 
-def _locate_fall_axes(law: FallingBodyLaw, grid: Grid) -> tuple[int, int]:
-    il = grid.axis_index(law.length_axis)
-    it = grid.axis_index(law.time_axis)
-    return il, it
+def _fall_axes(grid: Grid) -> tuple[Axis, Axis]:
+    """The length and time axes of a fall grid: its two axes, the length axis
+    first.  A first axis named T or a second named L would swap the law's
+    roles, so InvalidGrid refuses it."""
+    if grid.ndim != 2 or grid.names[0] == "T" or grid.names[1] == "L":
+        raise InvalidGrid(f"the fall grid takes two axes, the length axis first, then "
+                          f"time, but its axes are {', '.join(grid.names)}")
+    return grid.axes
 
 
 def _instruments_by_axis(instruments: Sequence[MeasurementModel], grid: Grid) -> dict:
@@ -302,10 +304,11 @@ def _instruments_by_axis(instruments: Sequence[MeasurementModel], grid: Grid) ->
     return by_axis
 
 
-def _true_values(law: FallingBodyLaw, mode: str, i_value: np.ndarray) -> dict[str, np.ndarray]:
+def _true_values(law: FallingBodyLaw, mode: str, i_value: np.ndarray):
+    """The true (length, time) of experiments whose independent values are ``i_value``."""
     if mode == SET_L:
-        return {law.length_axis: i_value, law.time_axis: law.fall_time(i_value)}
-    return {law.time_axis: i_value, law.length_axis: law.fall_length(i_value)}
+        return i_value, law.fall_time(i_value)
+    return law.fall_length(i_value), i_value
 
 
 def _observe(model: MeasurementModel, true: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -349,9 +352,11 @@ def run_campaign(
 ) -> TheoryDensity:
     """Simulate and accumulate a whole measurement campaign.
 
-    The campaign draws from the one generator ``default_rng(master_seed)``:
-    first ``n_experiments`` uniforms that pick the independent values from
-    the theory's μ on its axis, the Jeffreys 1/x on any spacing
+    The grid takes the length axis first, then time (``_fall_axes``), and
+    each axis needs one instrument, matched to it by name.  The campaign
+    draws from the one generator ``default_rng(master_seed)``: first
+    ``n_experiments`` uniforms that pick the independent values from the
+    theory's μ on its axis, the Jeffreys 1/x on any spacing
     (``jeffreys_ppf``), then, for each informative instrument in grid-axis
     order, one noise variate per experiment.  The experiments are therefore
     independent and identically distributed, and the campaign is
@@ -390,18 +395,17 @@ def run_campaign(
         raise InvalidGrid(f"mode must be {SET_L!r} or {SET_T!r}, got {mode!r}")
     if master_seed < 0:
         raise ConfigInvalid(f"master seed must be >= 0, got {master_seed}")
-    _locate_fall_axes(law, grid)
+    length, time = _fall_axes(grid)
     by_axis = _instruments_by_axis(instruments, grid)
     mu = jeffreys_factors(grid)
 
-    ax0, ax1 = grid.axes
-    m0, m1 = by_axis[ax0.name], by_axis[ax1.name]
-    i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
+    m0, m1 = by_axis[length.name], by_axis[time.name]
+    i_axis = length if mode == SET_L else time
     rng = np.random.default_rng(master_seed)
     i_value = jeffreys_ppf(rng.random(n_experiments), i_axis.lower, i_axis.upper)
-    true = _true_values(law, mode, i_value)
-    r0 = _observe(m0, true[ax0.name], rng)
-    r1 = _observe(m1, true[ax1.name], rng)
+    true_length, true_time = _true_values(law, mode, i_value)
+    r0 = _observe(m0, true_length, rng)
+    r1 = _observe(m1, true_time, rng)
 
     acc = _accumulate((r0, r1), (m0, m1), grid, mu)
     # Frozen, so the Density shares it instead of copying it.
@@ -486,22 +490,21 @@ def _gaussian_ridge(zeta: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(zeta, out=zeta)
 
 
-def _ridge_blocks(coords, length_index: int, log_half_g: float, sigma: float):
+def _ridge_blocks(coords, log_half_g: float, sigma: float):
     """The (rows, cols) slices of the grid where the ridge can be nonzero,
     one per block of ``_RIDGE_BLOCK_ROWS`` rows that has any such node.
 
-    ``coords`` are the two axes' nodes as ln L and ln T (or λ and τ), and
-    ζ = ln L − ln ½g − 2 ln T.  exp(−½(ζ/σ)²) is an exact float64 zero
-    wherever |ζ| > σ·√(2·746), so each row's nonzero nodes lie in one range
-    of the other axis, found by ``searchsorted`` and widened by one node on
+    ``coords`` are the two axes' nodes as ln L and ln T (or λ and τ), the
+    length axis first, and ζ = ln L − ln ½g − 2 ln T.  exp(−½(ζ/σ)²) is an
+    exact float64 zero wherever |ζ| > σ·√(2·746), so each row's nonzero
+    nodes lie in one range of the other axis, found by ``searchsorted`` and widened by one node on
     each side for the rounding between this separable ζ and the formula the
     values are computed with.  A block's columns are the union of its rows'.
     """
     rows, cols = coords
-    p, q = (1.0, -2.0) if length_index == 0 else (-2.0, 1.0)
     reach = sigma * math.sqrt(2.0 * 746.0)  # inf for a σ above about 4.6e306
-    centre = log_half_g - p * rows
-    ends = ((centre - reach) / q, (centre + reach) / q)
+    centre = log_half_g - rows
+    ends = ((centre - reach) / -2.0, (centre + reach) / -2.0)
     lo = np.searchsorted(cols, np.minimum(*ends), side="left") - 1
     hi = np.searchsorted(cols, np.maximum(*ends), side="right") + 1
     starts = np.arange(0, rows.size, _RIDGE_BLOCK_ROWS)
@@ -519,11 +522,12 @@ def analytic_fall_theory(
 ) -> TheoryDensity:
     """The lognormal ridge around L = ½gT², with μ = 1/(LT).
 
-    ``frame="linear"`` expects axes named by the law (any spacing); the
-    marginals are then proportional to 1/L and 1/T.  ``frame="log"`` expects
-    linear axes carrying λ = ln L, τ = ln T in (length, time) order, and
-    refuses a logarithmic axis with InvalidGrid; there the ridge is a plain
-    Gaussian band and μ is constant.
+    The grid takes the length axis first, then time (``_fall_axes``).
+    ``frame="linear"`` takes them as L and T on any spacing; the marginals
+    are then proportional to 1/L and 1/T.  ``frame="log"`` takes linear
+    axes carrying λ = ln L and τ = ln T, and refuses a logarithmic axis
+    with InvalidGrid; there the ridge is a plain Gaussian band and μ is
+    constant.
 
     The ridge is evaluated only on blocks of nodes where float64 can hold a
     nonzero value (``_ridge_blocks``); every other node is an exact zero,
@@ -531,17 +535,17 @@ def analytic_fall_theory(
     of its own size, and only its rows' bands are kept, so no grid-sized
     array is built.  ``tools/oracles/ridge_support.py``
     locates float64's exp underflow and checks the bands over a σ sweep.
+    A ridge with no mass on the box (``_band_mass``) raises ZeroMass.
     """
+    length, time = _fall_axes(grid)
     sigma = law.sigma_theory
     log_half_g = math.log(0.5 * law.g)
     if frame == "linear":
-        il, _ = _locate_fall_axes(law, grid)
         # Refuses a box that is not positive, so every ln below is finite.
         mu = jeffreys_factors(grid)
         coords = [np.log(ax.nodes) for ax in grid.axes]
 
-        def ridge(x0, x1):
-            lv, tv = (x0, x1) if il == 0 else (x1, x0)
+        def ridge(lv, tv):
             vals = lv / (0.5 * law.g * tv * tv)
             _gaussian_ridge(np.log(vals, out=vals), sigma)
             scale = lv * tv
@@ -549,8 +553,6 @@ def analytic_fall_theory(
             return vals
 
     elif frame == "log":
-        if grid.ndim != 2:
-            raise InvalidGrid("the log-frame theory lives on a 2D grid")
         for ax in grid.axes:
             if ax.spacing == LOGARITHMIC:
                 # The ridge would be evaluated on raw L and T values.
@@ -558,7 +560,6 @@ def analytic_fall_theory(
                     f"the log-frame theory needs linear axes carrying λ = ln L and "
                     f"τ = ln T, but axis {ax.name!r} is logarithmic"
                 )
-        il = 0
         mu = tuple(np.ones(ax.count) for ax in grid.axes)
         coords = [ax.nodes for ax in grid.axes]
 
@@ -569,13 +570,10 @@ def analytic_fall_theory(
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
     # A g or sigma so extreme that the ridge over- or underflows is not
     # warned about: it leaves no mass, which is refused below.
-    (nodes0, nodes1), (w0, w1) = (ax.nodes for ax in grid.axes), grid.weight_arrays()
-    lo, hi, bands = np.zeros(grid.shape[0], np.int64), np.zeros(grid.shape[0], np.int64), []
-    mass = 0.0
+    lo, hi, bands = np.zeros(length.count, np.int64), np.zeros(length.count, np.int64), []
     with np.errstate(all="ignore"):
-        for rows, cols in _ridge_blocks(coords, il, log_half_g, sigma):
-            block = ridge(nodes0[rows, None], nodes1[None, cols])
-            mass += w0[rows] @ block @ w1[cols]
+        for rows, cols in _ridge_blocks(coords, log_half_g, sigma):
+            block = ridge(length.nodes[rows, None], time.nodes[None, cols])
             a, b, band = _row_bands(block)
             found = b > 0
             lo[rows], hi[rows] = a + cols.start * found, b + cols.start * found
@@ -585,10 +583,10 @@ def analytic_fall_theory(
         # Frozen, so the theory shares these fresh arrays instead of copying them.
         a.setflags(write=False)
     theory = TheoryDensity(grid, lo, hi, band, mu, Provenance("analytic"))
-    if not mass > 0.0:
+    if not _band_mass(theory) > 0.0:
         box = ", ".join(f"{ax.name} in [{ax.lower}, {ax.upper}]" for ax in grid.axes)
         raise ZeroMass(
-            f"the fall law {law.length_axis} = ½·g·{law.time_axis}² with g={law.g!r} and "
+            f"the fall law {length.name} = ½·g·{time.name}² with g={law.g!r} and "
             f"sigma={sigma!r} puts no mass on the box {box}"
         )
     return theory

@@ -66,7 +66,7 @@ from inferspace.priors import reading_centre_factor
 from conftest import (PACKAGE_MODULES, boxcar_density, gaussian_density, measurement_density,
                       measurement_profile)
 
-LAW = FallingBodyLaw(g=9.81, length_axis="L", time_axis="T")
+LAW = FallingBodyLaw(g=9.81)
 
 # Posterior modes under a tight measurement of the other variable, from the
 # brute-force 1D quadrature oracle in tools/oracles/fall_posterior_mode.py.
@@ -80,7 +80,7 @@ def _fall_theory(sigma, nl=301, nt=301, l_box=(2.0, 12.0), t_box=(0.6, 1.6)):
         Axis.logarithmic("T", t_box[0], t_box[1], nt),
     )
     return analytic_fall_theory(
-        FallingBodyLaw(g=9.81, sigma_theory=sigma, length_axis="L", time_axis="T"),
+        FallingBodyLaw(g=9.81, sigma_theory=sigma),
         grid,
     )
 
@@ -847,7 +847,7 @@ class TestBorelKolmogorovDemo:
         assert report.tv_band <= 1e-9
 
     def test_affine_control_on_a_theory_with_its_mu(self):
-        law = FallingBodyLaw(g=9.81, sigma_theory=0.05, length_axis="L", time_axis="T")
+        law = FallingBodyLaw(g=9.81, sigma_theory=0.05)
         grid = Grid.of(
             Axis.logarithmic("L", 1.0, 10.0, 201),
             Axis.logarithmic("T", law.fall_time(1.0), law.fall_time(10.0), 201),

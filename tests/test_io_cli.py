@@ -1207,13 +1207,17 @@ class TestCliInference:
         [["analytic-theory", "--grid", "T:log:1:20:401,L:log:0.45:2.02:401"],
          ["build-theory", "--grid", "T:log:0.25:2.5:300,L:log:0.5:20:300"],
          ["build-theory", "--grid", "T:log:0.25:2.5:30,x:log:0.5:20:30"],
-         ["analytic-theory", "--grid", "x:log:1:10:41,L:log:0.45:1.43:41"]],
-        ids=["analytic-swapped", "build-swapped", "build-T-first", "analytic-L-second"],
+         ["analytic-theory", "--grid", "x:log:1:10:41,L:log:0.45:1.43:41"],
+         ["build-theory", "--grid", "L:log:1:10:50"],
+         ["analytic-theory", "--grid", "L:log:1:10:50"]],
+        ids=["analytic-swapped", "build-swapped", "build-T-first", "analytic-L-second",
+             "build-one-axis", "analytic-one-axis"],
     )
     def test_fall_grid_with_swapped_axes_exits_config(self, tmp_path, capsys, argv):
-        """The fall commands take the length axis first, then time: a grid
-        whose first axis is named T or whose second is named L would put
-        lengths on the time axis, so it exits 2 and writes no file."""
+        """The fall commands take two axes, the length axis first, then time:
+        a grid of one axis has no time axis, and one whose first axis is named
+        T or whose second is named L would put lengths on the time axis, so
+        each exits 2 and writes no file."""
         code = main([*argv, "--out", str(tmp_path / "th")])
         captured = capsys.readouterr()
         assert code == 2

@@ -8,18 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inferspace import (
-    JEFFREYS,
     LOGNORMAL,
     GAUSSIAN,
     BOXCAR,
     NONINFORMATIVE,
     Axis,
+    ConfigInvalid,
     Density,
     Grid,
     InvalidBounds,
     MeasurementModel,
     ModelAxisMismatch,
-    PriorSpec,
     benford_digit_probabilities,
     jeffreys_ppf,
     normalize,
@@ -75,9 +74,20 @@ def test_jeffreys_needs_positive_box():
 
 def test_degenerate_bounds_rejected():
     with pytest.raises(InvalidBounds):
-        PriorSpec(JEFFREYS, bounds=((1.0, 1.0),))
+        sample_prior(1.0, 1.0, 10, seed=0)
     with pytest.raises(InvalidBounds):
-        PriorSpec(JEFFREYS, bounds=((2.0, 1.0),))
+        sample_prior(2.0, 1.0, 10, seed=0)
+
+
+def test_sample_prior_refuses_in_order():
+    """Degenerate bounds first, then a negative seed, then a bound that is
+    not positive."""
+    with pytest.raises(InvalidBounds, match="degenerate prior bounds"):
+        sample_prior(0.0, 0.0, 10, seed=-1)
+    with pytest.raises(ConfigInvalid, match="seed must be >= 0"):
+        sample_prior(0.0, 1.0, 10, seed=-1)
+    with pytest.raises(InvalidBounds, match="needs positive bounds"):
+        sample_prior(0.0, 1.0, 10, seed=0)
 
 
 def test_null_information_density_matches_spacing():
@@ -196,13 +206,22 @@ def _empirical_density(ax: Axis, draws: np.ndarray) -> Density:
     return Density(Grid.of(ax), vals)
 
 
+@pytest.mark.parametrize("lo, hi, n, seed", [(0.1, 10.0, 1000, 0), (1.0, 1e6, 257, 7),
+                                             (2.5, 3.5, 1, 2**40), (1e-3, 1.0, 0, 11)])
+def test_sample_prior_is_the_ppf_of_one_generators_uniforms(lo, hi, n, seed):
+    """The prior's draws are the inverse CDF of n uniforms from
+    default_rng(seed), bit for bit, so a seed names one stream of draws."""
+    expected = jeffreys_ppf(np.random.default_rng(seed).random(n), lo, hi)
+    draws = sample_prior(lo, hi, n, seed)
+    assert draws.dtype == expected.dtype and draws.tobytes() == expected.tobytes()
+
+
 def test_sample_prior_converges_in_total_variation():
     ax = Axis.logarithmic("x", 0.1, 10.0, 41)
-    spec = PriorSpec(JEFFREYS, bounds=((0.1, 10.0),))
     target = normalize(Density(Grid.of(ax), 1.0 / ax.nodes))
     tvs = []
     for n in (1_000, 10_000, 100_000):
-        draws = sample_prior(spec, n, seed=314159)
+        draws = sample_prior(0.1, 10.0, n, seed=314159)
         tvs.append(total_variation(_empirical_density(ax, draws), target))
     assert tvs[0] > tvs[1] > tvs[2], tvs
 

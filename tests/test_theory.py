@@ -188,13 +188,14 @@ def _reference_readings(law, instruments, mode, master_seed, n, grid):
     Experiment i takes the i-th of each.  A noninformative instrument reads
     nothing."""
     rng = np.random.default_rng(master_seed)
-    i_axis = grid.axis(law.length_axis if mode == SET_L else law.time_axis)
+    length, time = grid.axes
+    i_axis = length if mode == SET_L else time
     lo, hi, u = i_axis.lower, i_axis.upper, rng.random(n)
     i_value = lo * (hi / lo) ** u
     if mode == SET_L:
-        true = {law.length_axis: i_value, law.time_axis: law.fall_time(i_value)}
+        true = {length.name: i_value, time.name: law.fall_time(i_value)}
     else:
-        true = {law.time_axis: i_value, law.length_axis: law.fall_length(i_value)}
+        true = {time.name: i_value, length.name: law.fall_length(i_value)}
     by_axis = {m.parameter: m for m in instruments}
     readings = {}
     for ax in grid.axes:
@@ -512,8 +513,7 @@ def _dense_ridge(law, grid, frame):
     sigma = law.sigma_theory
     with np.errstate(all="ignore"):
         if frame == "linear":
-            mesh = grid.meshes()
-            lv, tv = mesh[grid.axis_index("L")], mesh[grid.axis_index("T")]
+            lv, tv = grid.meshes()
             zeta = np.log(lv / (0.5 * law.g * tv * tv))
             return np.exp(-0.5 * np.square(zeta / sigma)) * (1.0 / (lv * tv))
         lam, tau = grid.meshes()
@@ -536,12 +536,11 @@ _DEFAULT_T = Axis.logarithmic("T", 0.45152364098573, 1.4278431229270645, 1401)
          "linear"),
         ((Axis.logarithmic("L", 0.5, 20.0, 300), Axis.logarithmic("T", 0.25, 2.5, 300)), 0.158,
          "linear"),
-        ((_DEFAULT_T, _DEFAULT_L), 1e-3, "linear"),
         ((Axis.linear("L", 0.0, math.log(10.0), 701),
           Axis.linear("T", math.log(0.4515), math.log(1.4279), 653)), 1e-3, "log"),
     ],
     ids=["sigma-1e-300", "sigma-1e-4", "sigma-1e-3", "sigma-3", "sigma-1e300", "leaves-the-box",
-         "linear-axes", "97-T-nodes", "build-grid-wide", "T-first", "log-frame"],
+         "linear-axes", "97-T-nodes", "build-grid-wide", "log-frame"],
 )
 def test_banded_ridge_equals_the_formula_at_every_node(axes, sigma, frame):
     """The ridge is evaluated only where float64 can hold a nonzero value;
@@ -557,6 +556,25 @@ def test_banded_ridge_equals_the_formula_at_every_node(axes, sigma, frame):
         assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
     mass = integrate(theory.joint)
     assert abs(_band_mass(theory) - mass) <= 1e-15 * mass
+
+
+@pytest.mark.parametrize("builder", ["analytic", "campaign"])
+@pytest.mark.parametrize(
+    "axes",
+    [(Axis.logarithmic("T", 0.25, 2.5, 30), Axis.logarithmic("L", 0.5, 20.0, 30)),
+     (Axis.logarithmic("L", 0.5, 20.0, 30),)],
+    ids=["T-first", "one-axis"],
+)
+def test_fall_builders_refuse_a_grid_that_is_not_length_then_time(axes, builder):
+    """The fall law's roles go by position: axis 0 is length and axis 1 is
+    time.  A grid of one axis, or one whose first axis is named T, is refused
+    before anything is built."""
+    grid = Grid.of(*axes)
+    with pytest.raises(InvalidGrid, match="the length axis first, then time"):
+        if builder == "analytic":
+            analytic_fall_theory(FallingBodyLaw(), grid)
+        else:
+            run_campaign(FallingBodyLaw(), _campaign_instruments("lognormal"), 10, SET_L, 0, grid)
 
 
 def test_analytic_theory_on_a_box_reaching_zero_is_refused():

@@ -2,14 +2,16 @@
 
 The corpus covers the theory paths end to end: ``analytic-theory`` on five
 grids and its refusal of a grid that names time first, ``build-theory`` in
-both modes and on the linear grid, 25 ``infer`` and ``predict`` runs against
-analytic, log-frame, linear-grid and empirical theories (one and two
-readings, ``--out``, every reading kind, and five refusals), and
-``convert`` of a theory to CSV and to JSON.  It also covers the parser and
+both modes and on the linear grid and its refusal of a one-axis grid, 25
+``infer`` and ``predict`` runs against analytic, log-frame, linear-grid and
+empirical theories (one and two readings, ``--out``, every reading kind,
+and five refusals), ``convert`` of a theory to CSV and to JSON, and
+``benford``'s sampled check and its refusal of a lower bound of 0.  It also
+covers the parser and
 the theory reader's refusals: no arguments, ``--help``, ``infer --help`` and
 ``build-theory --help``, an unknown subcommand, an argument ``infer`` does
 not take, a value of the wrong type, and ``infer`` on a bare ``.npy`` array
-and on a theory with one bit flipped.  45 runs in all.
+and on a theory with one bit flipped.  48 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -64,6 +66,7 @@ RUNS = [
     ("analytic-small", ["analytic-theory", "--grid", SMALL, "--sigma", "0.05", "--out", "small"]),
     ("refuse-swapped-grid", ["analytic-theory", "--grid", "T:log:1:20:401,L:log:0.45:2.02:401",
                              "--out", "swapped"]),
+    ("refuse-one-axis-grid", ["build-theory", "--grid", "L:log:1:10:50", "--out", "oneaxis"]),
     ("build-set-L", ["build-theory", "--n", "20000", "--compare-analytic", "--seed", "1849",
                      "--out", "campL"]),
     ("build-set-T", ["build-theory", "--n", "20000", "--compare-analytic", "--mode", "set_T",
@@ -111,6 +114,8 @@ RUNS = [
                               "--measure", "L:boxcar:9.5:0.1"]),
     ("convert-csv", ["convert", "--in", "small.npz", "--out", "small.csv"]),
     ("convert-json", ["convert", "--in", "small.npz", "--out", "small.json"]),
+    ("benford-sampled", ["benford", "--n", "1000", "--seed", "7"]),
+    ("refuse-benford-bounds", ["benford", "--n", "10", "--lower", "0"]),
     ("no-arguments", []),
     ("help", ["--help"]),
     ("infer-help", ["infer", "--help"]),
