@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -158,34 +158,28 @@ class Realization:
 
     tag: str
     neutral: Density
-
-    def combine_or(self, p: Density, q: Density) -> Density:
-        if self.tag == MAX_MIN:
-            return fuzzy_or(p, q)
-        return or_combine(p, q)
-
-    def combine_and(self, p: Density, q: Density) -> Density:
-        if self.tag == MAX_MIN:
-            return fuzzy_and(p, q)
-        if self.tag == PRODUCT_NO_MU:
-            require_same_space(p, q)
-            return p.with_values(p.values * q.values)
-        return and_combine(p, q, self.neutral)
+    combine_or: Callable[[Density, Density], Density]
+    combine_and: Callable[[Density, Density], Density]
 
     @staticmethod
     def sum_product(mu: Density) -> "Realization":
-        return Realization(SUM_PRODUCT, mu)
+        return Realization(SUM_PRODUCT, mu, or_combine, lambda p, q: and_combine(p, q, mu))
 
     @staticmethod
     def max_min(grid: Grid) -> "Realization":
         ones = Density.from_callable(grid, lambda *m: np.ones(grid.shape))
-        return Realization(MAX_MIN, ones)
+        return Realization(MAX_MIN, ones, fuzzy_or, fuzzy_and)
 
     @staticmethod
     def broken_product(mu: Density) -> "Realization":
         """Negative control: claims μ as neutral but multiplies without /μ,
         so the neutral-element axiom must fail on non-constant μ."""
-        return Realization(PRODUCT_NO_MU, mu)
+        return Realization(PRODUCT_NO_MU, mu, or_combine, _product_no_mu)
+
+
+def _product_no_mu(p: Density, q: Density) -> Density:
+    require_same_space(p, q)
+    return p.with_values(p.values * q.values)
 
 
 @dataclass(frozen=True)

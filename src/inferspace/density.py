@@ -33,14 +33,13 @@ class Density:
     """Nonnegative density values over a grid.
 
     The grid is the density's parameter space: two densities share a space
-    exactly when their grids have the same axes.  ``normalized`` records
-    whether the density was last normalized over the box; operations that
-    break it reset the flag.
+    exactly when their grids have the same axes.  A density carries no mass
+    of its own: OR and AND never renormalize, and ``normalize`` is the one
+    way to unit mass.
     """
 
     grid: Grid
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -64,8 +63,8 @@ class Density:
 
     # -- basics -------------------------------------------------------------
 
-    def with_values(self, values: np.ndarray, normalized: bool = False) -> "Density":
-        return Density(self.grid, values, normalized=normalized)
+    def with_values(self, values: np.ndarray) -> "Density":
+        return Density(self.grid, values)
 
 
 def _check_values(values: np.ndarray) -> None:
@@ -151,7 +150,7 @@ def normalize(d: Density) -> Density:
     vals = scale_to_unit_mass(d.values, d.grid.weight_arrays(), np.empty(d.values.shape))
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    return d.with_values(vals, normalized=True)
+    return d.with_values(vals)
 
 
 def marginalize(d: Density, keep: str) -> Density:
@@ -166,7 +165,7 @@ def marginalize(d: Density, keep: str) -> Density:
     else:
         vals = w @ d.values
     out_grid = Grid.of(d.grid.axes[idx])
-    return Density(out_grid, vals, normalized=d.normalized)
+    return Density(out_grid, vals)
 
 
 # ---------------------------------------------------------------------------

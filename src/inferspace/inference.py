@@ -138,19 +138,17 @@ def _support(f: np.ndarray) -> slice:
 def intersect(
     theory: TheoryDensity, reading: MeasurementModel, *more: MeasurementModel
 ) -> Density:
-    """The theory ANDed with one or more readings, normalized.
+    """The theory ANDed with one or more readings, at unit mass.
 
     With μ = ⊗ₖ μₖ, ANDing the theory with readings m is a scaling of the
     joint by one factor per axis,
 
-        σ = joint · ⊗ₖ fₖ,   fₖ = ∏ₘ ρₘ,ₖ / μₖ,
+        σ = joint · (f₀ ⊗ f₁),   fₖ = ∏ₘ ρₘ,ₖ / μₖ,
 
     over the readings m of axis k (``_reading_factors``), and fₖ = 1 on an
     axis that no reading measures.  This is exactly the dense fold
     joint · ∏ₘ ρₘ / μᴹ, where each ρₘ is μ on the axes m does not measure.
-    σ is an exact zero wherever some fₖ is, so it is scaled and normalized
-    only on the window that runs from the first to the last nonzero entry
-    of each fₖ, and the rest of the theory's grid holds zeros.
+    σ is one broadcast over the theory's grid, scaled to unit mass.
 
     Raises OutOfDomain for a reading centred off the grid with under 1% of
     its mass on the box, ZeroMass for a reading in the box that no node
@@ -158,19 +156,13 @@ def intersect(
     theory, and NonFinite when the AND's mass overflows.
     """
     joint = theory.joint
-    factors = _reading_factors(theory, [reading, *more])
-    scaled = [k for k, f in enumerate(factors) if not np.all(f == 1.0)]
-    window = tuple(_support(f) for f in factors)
-    vals = np.zeros(joint.grid.shape)
-    sub, src = vals[window], joint.values[window]
-    for k in scaled:
-        f = factors[k][window[k]].reshape((-1,) + (1,) * (joint.grid.ndim - 1 - k))
-        src = np.multiply(src, f, out=sub)
-    weights = [ax.weights[w] for ax, w in zip(joint.grid.axes, window)]
-    _scale_posterior(src, weights, out=sub)
+    f0, f1 = _reading_factors(theory, [reading, *more])
+    vals = joint.values * f0[:, None]
+    vals *= f1
+    _scale_posterior(vals, joint.grid.weight_arrays(), out=vals)
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    return joint.with_values(vals, normalized=True)
+    return joint.with_values(vals)
 
 
 def _scale_posterior(values: np.ndarray, weights, out: np.ndarray) -> None:
@@ -190,8 +182,9 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
 
         f_q ⊙ (joint · (f_o ⊙ w_o)),
 
-    o the other axis and w_o its quadrature weights, normalized over
-    ``intersect``'s window.  The contraction runs over the theory's band
+    o the other axis and w_o its quadrature weights, scaled to unit mass
+    over the nodes from the first to the last nonzero entry of f_q (zeros
+    elsewhere).  The contraction runs over the theory's band
     values alone: a sum over each row's band for q = 0, a sum over each
     column's values for q = 1.  It raises what ``intersect`` raises, and
     UnknownAxis for a ``query`` the theory lacks.
@@ -212,7 +205,7 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
     _scale_posterior(sub, [ax.weights[wq]], out=sub)
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    return Density(Grid.of(ax), vals, normalized=True)
+    return Density(Grid.of(ax), vals)
 
 
 def predict(theory: TheoryDensity, known: MeasurementModel, query: str) -> Density:
@@ -256,7 +249,7 @@ def _normalized_slice(d: Density, free_ax: Axis, pts: np.ndarray, empty: str) ->
     mass = float(np.dot(vals, free_ax.weights))
     if mass <= 0.0:
         raise ZeroSlice(empty)
-    return Density(Grid.of(free_ax), vals / mass, normalized=True)
+    return Density(Grid.of(free_ax), vals / mass)
 
 
 # ---------------------------------------------------------------------------
@@ -327,29 +320,29 @@ def _refined_argmax(ax: Axis, vals: np.ndarray) -> float:
 
 def summarize(d: Density) -> Summary:
     """Mean, spread, median, modes, and the central 68% and 95% intervals of
-    a 1D density."""
+    a 1D density of any positive mass (ZeroMass for none): the mean and sd
+    are moments of ``normalize(d)``, and the rest does not depend on scale."""
     if d.grid.ndim != 1:
         raise InvalidGrid("summaries are for 1D densities; marginalize first")
-    dn = d if d.normalized else normalize(d)
-    ax = dn.grid.axes[0]
+    ax = d.grid.axes[0]
     x = ax.nodes
     w = ax.weights
-    pv = dn.values
-    mean = float(np.sum(x * pv * w))
-    var = float(np.sum((x - mean) ** 2 * pv * w))
+    pn = normalize(d).values
+    mean = float(np.sum(x * pn * w))
+    var = float(np.sum((x - mean) ** 2 * pn * w))
     sd = math.sqrt(max(var, 0.0))
     central = (0.68, 0.95)
     qs = [0.5]
     for c in central:
         qs += [0.5 * (1.0 - c), 0.5 * (1.0 + c)]
-    quts = _quantiles(ax, pv, qs)
+    quts = _quantiles(ax, d.values, qs)
     median = float(quts[0])
     intervals = {
         c: (float(quts[1 + 2 * i]), float(quts[2 + 2 * i])) for i, c in enumerate(central)
     }
-    mode = _refined_argmax(ax, pv)
+    mode = _refined_argmax(ax, d.values)
     if ax.spacing == LOGARITHMIC:
-        mode_log = _refined_argmax(ax, pv * x)
+        mode_log = _refined_argmax(ax, d.values * x)
     else:
         mode_log = math.nan
     return Summary(
@@ -386,9 +379,7 @@ class ParadoxReport:
     tv_naive: float
     tv_band: float
     native_conditional: Density
-    mapped_conditional: Density
     band_native: Density
-    band_mapped: Density
 
     def as_dict(self) -> dict:
         return {
@@ -509,9 +500,7 @@ def borel_kolmogorov_demo(
         tv_naive=tv_naive,
         tv_band=tv_band,
         native_conditional=native,
-        mapped_conditional=mapped_cond,
         band_native=band_native,
-        band_mapped=band_mapped,
     )
 
 

@@ -1,10 +1,11 @@
 """Reading and writing densities and theories.
 
-Densities travel as self-describing JSON: axis headers, normalization flag,
-and the value array flattened row-major over axis order.  The axes are the
-density's whole parameter space; a ``"frame"`` key, which older files carry,
-is ignored.  CSV export is one row per node for plotting.  Both are export
-formats.
+Densities travel as self-describing JSON: axis headers and the value array
+flattened row-major over axis order.  The axes are the density's whole
+parameter space.  Older files may carry a ``"frame"`` key, which is ignored,
+and a ``"normalized"`` flag, which must be a boolean and, when true, needs
+unit mass to 1e-9; neither is kept.  CSV export is one row per node for
+plotting.  Both are export formats.
 
 A theory is one uncompressed ``<base>.npz`` archive, format version 4, over a
 2D grid.  The joint is stored by its rows: ``lo`` and ``hi`` (int64) hold
@@ -87,7 +88,6 @@ def density_to_dict(d: Density) -> dict:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "axes": [ax.to_header() for ax in d.grid.axes],
-        "normalized": d.normalized,
         "values": d.values.ravel().tolist(),
     }
 
@@ -105,8 +105,7 @@ def density_from_dict(doc: dict) -> Density:
         normalized = header_value(doc, "normalized", bool, False)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed density document: {exc}") from exc
-    d = Density(grid, values, normalized=normalized)
-    # The flag lets the AND and ``summarize`` skip normalizing.
+    d = Density(grid, values)
     _check_normalized_flag(normalized, lambda: integrate(d))
     return d
 
@@ -245,13 +244,11 @@ def _member(read, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
 
 def _bands(read, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The joint's row bands ``lo``, ``hi`` and ``band``, each checked for its
-    dtype and shape, and the bands for lying within their rows."""
-    ncols = shape[-1]
+    dtype and shape; ``TheoryDensity`` checks that they lie within their
+    rows."""
     nrows = math.prod(shape[:-1])
     lo = _member(read, "lo", np.int64, (nrows,))
     hi = _member(read, "hi", np.int64, (nrows,))
-    if not np.all((lo >= 0) & (lo <= hi) & (hi <= ncols)):
-        raise SchemaError(f"row bands are not all 0 <= lo <= hi <= {ncols}")
     band = _member(read, "band", np.float64, (int((hi - lo).sum()),))
     return lo, hi, band
 

@@ -339,7 +339,7 @@ def test_criterion_9_information_content_identities():
     drift = abs(i_after - i_before)
 
     ax = Axis.linear("z", 0.0, 1.0, 100)
-    half = Density(Grid.of(ax), np.where(ax.nodes < 0.5, 2.0, 0.0), normalized=True)
+    half = Density(Grid.of(ax), np.where(ax.nodes < 0.5, 2.0, 0.0))
     i_half = information_content(half, null_information_density(Grid.of(ax)))
 
     ok = abs(i_null) <= 1e-9 and drift <= 1e-6 and abs(i_half - math.log(2.0)) <= 1e-6

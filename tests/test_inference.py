@@ -115,7 +115,6 @@ class TestIntersect:
         post = intersect(
             theory, MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1)
         )
-        assert post.normalized
         assert math.isclose(integrate(post), 1.0, rel_tol=1e-9)
 
     def test_contradictory_measurement_raises(self):
@@ -178,7 +177,7 @@ class TestIntersect:
         its interval lies outside."""
         theory = _fall_theory(sigma=0.05, nl=61, nt=61)
         post = intersect(theory, MeasurementModel("T", BOXCAR, center, width))
-        assert post.normalized
+        assert math.isclose(integrate(post), 1.0, rel_tol=1e-9)
 
     @pytest.mark.parametrize(
         "axis, kind, center, width",
@@ -548,7 +547,7 @@ def test_posterior_marginal_equals_the_marginal_of_the_posterior():
             seen[type(exc).__name__] += 1
             return
         marginal = _posterior_marginal(theory, readings, query)
-        assert marginal.normalized
+        assert math.isclose(integrate(marginal), 1.0, rel_tol=1e-9)
         assert np.max(np.abs(marginal.values - expected)) <= 1e-12 * np.max(expected)
         seen.update([kind, f"query axis {theory.joint.grid.axis_index(query)}"])
         seen.update(_window_kinds(theory, readings))
@@ -781,6 +780,23 @@ class TestSummaries:
         assert math.isclose(s.mode, 0.5, abs_tol=1e-6)
         assert math.isclose(s.median, 0.5, abs_tol=1e-6)
 
+    @pytest.mark.parametrize("c", [2.0, 0.5])
+    def test_summary_does_not_depend_on_scale(self, c):
+        """A density and c times it have one summary: the median, intervals
+        and both modes bit for bit, the mean and sd to 1e-15 relative.  A
+        density without mass has none."""
+        theory = _fall_theory(sigma=0.05, nl=121, nt=121)
+        marginal = predict(theory, MeasurementModel("T", LOGNORMAL, 1.0, 0.05), "L")
+        ax = Axis.linear("x", 0.0, 1.0, 301)
+        for d in (marginal, Density(Grid.of(ax), ax.nodes**2)):
+            s, sc = summarize(d), summarize(d.with_values(c * d.values))
+            assert (sc.median, sc.intervals) == (s.median, s.intervals)
+            assert np.array_equal([sc.mode, sc.mode_log], [s.mode, s.mode_log], equal_nan=True)
+            assert math.isclose(sc.mean, s.mean, rel_tol=1e-15)
+            assert math.isclose(sc.sd, s.sd, rel_tol=1e-15)
+        with pytest.raises(ZeroMass):
+            summarize(Density(Grid.of(ax), np.zeros(ax.count)))
+
 
 # ---------------------------------------------------------------------------
 # curved-slice conditioning
@@ -826,7 +842,8 @@ class TestBorelKolmogorovDemo:
         assert width == 3.0 * (y.cell_boundaries[j + 1] - y.cell_boundaries[j])
         expected = normalize(marginalize(and_combine(joint, band, mu), "x"))
         assert np.array_equal(cond.values, expected.values)
-        assert cond.normalized and cond.grid.axes == (joint.grid.axes[0],)
+        assert math.isclose(integrate(cond), 1.0, rel_tol=1e-9)
+        assert cond.grid.axes == (joint.grid.axes[0],)
         # The band is μ restricted to it: each node weighed by the share of
         # its cell inside the band, up to the rounding of one product and
         # one quotient; exactly where a cell is wholly in or out.

@@ -100,8 +100,7 @@ class TestDensityFiles:
         back = read_density(path)
         assert back.grid == d.grid
         assert np.array_equal(back.values, d.values)
-        assert back.normalized is True
-        assert "frame" not in json.loads(path.read_text())
+        assert not {"frame", "normalized"} & json.loads(path.read_text()).keys()
 
     @pytest.mark.parametrize("frame", ["mapped:shear", ["x"], 5, None],
                              ids=["mapped-shear", "list", "number", "null"])
@@ -162,17 +161,22 @@ class TestDensityFiles:
             density_from_dict([1, 2, 3])
 
     def test_normalized_flag_needs_unit_mass(self, tmp_path, capsys):
-        """A document flagged normalized must carry unit mass to 1e-9, or
-        ``intersect`` and ``summarize`` would trust a wrong flag."""
+        """The flag is no longer written, but a document flagged normalized,
+        as older files are, must carry unit mass to 1e-9: one that does
+        reads, and one that does not is refused."""
         d = _sample_density()
+
+        def flagged(factor):
+            doc = density_to_dict(d.with_values(factor * d.values))
+            assert "normalized" not in doc
+            return {**doc, "normalized": True}
+
         for factor in (1.0 + 1e-12, 1.0):
-            doc = density_to_dict(d.with_values(factor * d.values, normalized=True))
-            assert density_from_dict(doc).normalized is True
+            assert np.array_equal(density_from_dict(flagged(factor)).values, factor * d.values)
         for factor in (1.0 + 1e-8, 2.0):
-            doc = density_to_dict(d.with_values(factor * d.values, normalized=True))
             with pytest.raises(SchemaError, match="flagged normalized but its mass is"):
-                density_from_dict(doc)
-        write_density(d.with_values(2.0 * d.values, normalized=True), tmp_path / "d.json")
+                density_from_dict(flagged(factor))
+        (tmp_path / "d.json").write_text(json.dumps(flagged(2.0)))
         out = tmp_path / "o.csv"
         code = main(["convert", "--in", str(tmp_path / "d.json"), "--out", str(out)])
         captured = capsys.readouterr()

@@ -6,12 +6,13 @@ both modes and on the linear grid and its refusal of a one-axis grid, 25
 ``infer`` and ``predict`` runs against analytic, log-frame, linear-grid and
 empirical theories (one and two readings, ``--out``, every reading kind,
 and five refusals), ``convert`` of a theory to CSV and to JSON, and
-``benford``'s sampled check and its refusal of a lower bound of 0.  It also
+``benford``'s sampled check and its refusal of a lower bound of 0,
+``axioms``, and ``paradox`` at 60 nodes and at its default 300.  It also
 covers the parser and
 the theory reader's refusals: no arguments, ``--help``, ``infer --help`` and
 ``build-theory --help``, an unknown subcommand, an argument ``infer`` does
 not take, a value of the wrong type, and ``infer`` on a bare ``.npy`` array
-and on a theory with one bit flipped.  48 runs in all.
+and on a theory with one bit flipped.  51 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -116,6 +117,9 @@ RUNS = [
     ("convert-json", ["convert", "--in", "small.npz", "--out", "small.json"]),
     ("benford-sampled", ["benford", "--n", "1000", "--seed", "7"]),
     ("refuse-benford-bounds", ["benford", "--n", "10", "--lower", "0"]),
+    ("axioms", ["axioms"]),
+    ("paradox-60", ["paradox", "--count", "60"]),
+    ("paradox", ["paradox"]),
     ("no-arguments", []),
     ("help", ["--help"]),
     ("infer-help", ["infer", "--help"]),
