@@ -42,10 +42,13 @@ _KL_CHUNK = 1 << 13
 
 def or_combine(p: Density, q: Density, *more: Density) -> Density:
     """Disjunction: pointwise sum.  Mass is additive; never renormalizes."""
-    acc = None
-    for d in (p, q, *more):
+    for d in (q, *more):
         require_same_space(p, d)
-        acc = d.values if acc is None else acc + d.values
+    acc = p.values + q.values
+    for d in more:
+        acc += d.values
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    acc.setflags(write=False)
     return p.with_values(acc)
 
 
@@ -53,21 +56,28 @@ def and_combine(p: Density, q: Density, mu: Density) -> Density:
     """Conjunction: pointwise product divided by the null-information μ.
 
     Where μ = 0 and p·q = 0 the limit 0 is used; where μ = 0 but p·q > 0
-    the conjunction is undefined and NeutralZero is raised.
+    the conjunction is undefined and NeutralZero is raised.  The product is
+    the one grid-sized array: it is divided in place, and only a μ with a
+    zero node pays for masks.
     """
     require_same_space(p, q)
     require_same_space(p, mu)
-    num = p.values * q.values
+    out = p.values * q.values
     mu_v = mu.values
-    zero_mu = mu_v == 0.0
-    if np.any(zero_mu & (num > 0.0)):
-        n_bad = int(np.count_nonzero(zero_mu & (num > 0.0)))
-        raise NeutralZero(
-            f"product is positive on {n_bad} node(s) where the neutral density vanishes"
-        )
-    out = np.zeros_like(num)
-    ok = ~zero_mu
-    np.divide(num, mu_v, out=out, where=ok)
+    ok = True
+    if mu_v.min() == 0.0:
+        zero_mu = mu_v == 0.0
+        n_bad = int(np.count_nonzero(zero_mu & (out > 0.0)))
+        if n_bad:
+            raise NeutralZero(
+                f"product is positive on {n_bad} node(s) where the neutral density vanishes"
+            )
+        # The limit is +0.0, whatever the sign of a zero product.
+        out[zero_mu] = 0.0
+        ok = ~zero_mu
+    np.divide(out, mu_v, out=out, where=ok)
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    out.setflags(write=False)
     return p.with_values(out)
 
 

@@ -248,16 +248,20 @@ class PullBack:
     """Where the push-forward of densities on ``source`` through one map
     reads them: the located preimages of ``target``'s nodes, the forward
     Jacobian determinant there, and, with ``outside="zero"``, which
-    preimages lie inside the source box (``None`` otherwise)."""
+    preimages lie inside the source box (``None`` otherwise).  ``nodes``
+    holds the row-major flat indices of the target nodes pulled back, in
+    the order of the located preimages, or is ``None`` for all of them."""
 
     source: Grid
     target: Grid
     located: tuple
     det: np.ndarray
     inside: np.ndarray | None
+    nodes: np.ndarray | None = None
 
     def apply(self, d: Density) -> Density:
-        """The push-forward of ``d``, a density on ``source``, onto ``target``."""
+        """The push-forward of ``d``, a density on ``source``, onto ``target``;
+        0 at every target node not pulled back."""
         if d.grid.axes != self.source.axes:
             raise GridMismatch(
                 f"a pull-back from {self.source.names}{self.source.shape} cannot push "
@@ -266,6 +270,11 @@ class PullBack:
         vals = interpolate(self.located, d.values) / self.det
         if self.inside is not None:
             vals = np.where(self.inside, vals, 0.0)
+        if self.nodes is not None:
+            vals, picked = np.zeros(self.target.shape), vals
+            vals.reshape(-1)[self.nodes] = picked
+        # A read-only view of the target's shape, so the Density shares this
+        # fresh array instead of copying it.
         return Density(self.target, np.broadcast_to(vals, self.target.shape))
 
 
@@ -277,24 +286,49 @@ def pull_back(
 ) -> PullBack:
     """Locate the preimages of ``target_grid``'s nodes under ``m`` on
     ``source``, as ``push_forward`` does, once for any number of densities."""
+    points = [ax.nodes for ax in target_grid.axes]
+    if len(points) == 2:
+        # A column of u and a row of v: preimages, masks and Jacobians
+        # broadcast from them, so a separable map keeps a column and a row
+        # throughout.
+        points = [points[0][:, None], points[1][None, :]]
+    return _pull_back(source, m, target_grid, points, None, outside)
+
+
+def _pull_back_nodes(
+    source: Grid, m: Map2D, target_grid: Grid, flat: np.ndarray, outside: str
+) -> PullBack:
+    """``pull_back`` of only the target nodes at the row-major flat indices
+    ``flat``; its ``apply`` writes 0 at every other node."""
+    rows, cols = np.unravel_index(flat, target_grid.shape)
+    u, v = target_grid.axes
+    return _pull_back(source, m, target_grid, [u.nodes[rows], v.nodes[cols]], flat, outside)
+
+
+def _pull_back(
+    source: Grid,
+    m: CoordinateMap | Map2D,
+    target_grid: Grid,
+    points: list,
+    nodes: np.ndarray | None,
+    outside: str,
+) -> PullBack:
+    """Locate the preimages under ``m`` of target ``points``, one coordinate
+    array per axis, broadcastable together, on ``source``: the target
+    grid's nodes, or those at the flat indices ``nodes``."""
     ndim = 1 if isinstance(m, CoordinateMap) else 2
     if source.ndim != ndim or target_grid.ndim != ndim:
         raise InvalidGrid(f"{ndim}D maps push {ndim}D densities")
     axes = source.axes
-    nodes = [ax.nodes for ax in target_grid.axes]
     if ndim == 1:
         factors = (m,)
         inverse = lambda y: (m.inverse(y),)
         det_forward = lambda x: np.abs(m.dforward(x))
     else:
         factors, inverse, det_forward = m.separable or (), m.inverse, m.det_forward
-        # A column of u and a row of v: preimages, masks and Jacobians
-        # broadcast from them, so a separable map keeps a column and a row
-        # throughout.
-        nodes = [nodes[0][:, None], nodes[1][None, :]]
     for factor, ax in zip(factors, axes):
         factor.check_domain(ax)
-    pre, inside = zip(*(_clip_or_flag(ax, x, outside) for ax, x in zip(axes, inverse(*nodes))))
+    pre, inside = zip(*(_clip_or_flag(ax, x, outside) for ax, x in zip(axes, inverse(*points))))
     det = np.asarray(det_forward(*pre), dtype=float)
     if not np.all(np.isfinite(det)) or np.any(det == 0.0):
         raise SingularJacobian(f"{m.kind!r} map has a singular Jacobian at some preimages")
@@ -303,7 +337,7 @@ def pull_back(
         tuple(ax.param_of(x) for ax, x in zip(axes, pre)),
     )
     mask = functools.reduce(np.logical_and, inside) if outside == "zero" else None
-    return PullBack(source, target_grid, located, det, mask)
+    return PullBack(source, target_grid, located, det, mask, nodes)
 
 
 def _clip_or_flag(ax: Axis, x, outside: str):

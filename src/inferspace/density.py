@@ -164,8 +164,9 @@ def marginalize(d: Density, keep: str) -> Density:
         vals = d.values @ w
     else:
         vals = w @ d.values
-    out_grid = Grid.of(d.grid.axes[idx])
-    return Density(out_grid, vals)
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    vals.setflags(write=False)
+    return Density(Grid.of(d.grid.axes[idx]), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +190,14 @@ def evaluate(d: Density, points: np.ndarray) -> np.ndarray:
         pts = pts.reshape(1, 2) if scalar else pts
         cols = (pts[:, 0], pts[:, 1])
     d.grid.require_inside(cols)
-    axes = d.grid.axes
-    located = locate(
-        tuple(ax.param_nodes for ax in axes),
-        tuple(ax.param_of(ax.clip(c)) for ax, c in zip(axes, cols)),
-    )
-    out = interpolate(located, d.values)
+    out = interpolate(_locate_points(d.grid, cols), d.values)
     return float(out[0]) if scalar else out
+
+
+def _locate_points(grid: Grid, cols) -> tuple:
+    """``locate`` of the points whose coordinates per axis are ``cols`` on
+    ``grid``'s nodes, each clipped to the box first."""
+    return locate(
+        tuple(ax.param_nodes for ax in grid.axes),
+        tuple(ax.param_of(ax.clip(c)) for ax, c in zip(grid.axes, cols)),
+    )

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import and_combine, total_variation
-from .coordinates import Map2D, _lattice_axis, pull_back
+from .coordinates import Map2D, _lattice_axis, _pull_back_nodes
 from .density import (
     Density,
+    _locate_points,
     evaluate,
     marginalize,
     normalize,
@@ -443,9 +444,19 @@ def borel_kolmogorov_demo(
     conjunction of states is frame-covariant while a zero-width slice is not.
     On a map whose image of the node lattice is itself a lattice
     (``_mapped_grid``), such as the shear on log–log axes of equal steps, the
-    pushes are interpolation free and the agreement is to round-off;
-    elsewhere it is up to interpolation error.  The joint, μ and the band
-    are pushed through one pull-back of the map.
+    pushes are interpolation free and the agreement is to round-off, except
+    where the band reaches a y-box edge node: that node has half a cell in
+    y but is an interior node of the v axis with a full cell, so the frames
+    weigh it differently; elsewhere the agreement is up to interpolation
+    error.
+
+    The joint, μ and the band are pushed through one pull-back of the map,
+    of only the mapped-frame nodes that the band and the slice read
+    (``_read_nodes``): one run of v-nodes per row where the pushed band can
+    be nonzero, and the corners around each point of the image curve.  Every
+    other node is written as 0.  The pushed band is an exact 0 there, so the
+    AND is too, and the slice does not read it: the reports are bit for bit
+    those of pulling back every node.
 
     The map must keep the first coordinate fixed (u = x), so the two frames
     share an axis along which the conditionals can be compared.
@@ -467,7 +478,14 @@ def borel_kolmogorov_demo(
     if np.max(np.abs(u_probe - probe_x)) > 1e-9 * scale:
         raise InvalidGrid("the demonstration needs a map that fixes the first coordinate")
 
-    push = pull_back(joint.grid, map2d, _mapped_grid(joint, map2d), outside="zero")
+    # The mapped frame, the event's image curve v = v(x, y0) in it, and the
+    # band; the pull-back locates only the frame's nodes that they read.
+    target = _mapped_grid(joint, map2d)
+    x_nodes = ax0.nodes
+    _, v_curve = map2d.forward(x_nodes, np.full(ax0.count, float(slice_value)))
+    band_rho, width = _band(ax1, mu, slice_value, width_cells)
+    read = _read_nodes(target, map2d, band_rho, (x_nodes, v_curve))
+    push = _pull_back_nodes(joint.grid, map2d, target, read, "zero")
     pushed = push.apply(joint)
     mu_pushed = push.apply(mu)
 
@@ -475,9 +493,7 @@ def borel_kolmogorov_demo(
     native = conditional_density(joint, ax1.name, slice_value)
 
     # Naive conditioning, mapped frame: sample the pushed density along the
-    # image curve v = v(x, y0) and renormalize over the shared axis.
-    x_nodes = ax0.nodes
-    _, v_curve = map2d.forward(x_nodes, np.full(ax0.count, float(slice_value)))
+    # image curve and renormalize over the shared axis.
     mapped_cond = _normalized_slice(
         pushed,
         ax0,
@@ -487,9 +503,8 @@ def borel_kolmogorov_demo(
     tv_naive = total_variation(native, mapped_cond)
 
     # Band conditioning: AND with a thin boxcar around y0, in both frames.
-    band_native, band_rho, width = band_conditional(joint, mu, slice_value, width_cells)
-    band_rho_pushed = push.apply(band_rho)
-    band_mapped = _and_marginal(pushed, band_rho_pushed, mu_pushed)
+    band_native = _and_marginal(joint, band_rho, mu)
+    band_mapped = _and_marginal(pushed, push.apply(band_rho), mu_pushed)
     tv_band = total_variation(band_native, band_mapped)
 
     return ParadoxReport(
@@ -517,15 +532,63 @@ def band_conditional(
     the joint's grid, and the band's width.  As the band thins, the
     conditional approaches the exact slice ``conditional_density``.
     """
-    ax1 = joint.grid.axes[1]
+    band_rho, width = _band(joint.grid.axes[1], mu, slice_value, width_cells)
+    return _and_marginal(joint, band_rho, mu), band_rho, width
+
+
+def _band(ax1: Axis, mu: Density, slice_value: float, width_cells: float) -> tuple[Density, float]:
+    """``band_conditional``'s band on axis ``ax1`` and its width."""
     j = int(np.argmin(np.abs(ax1.nodes - slice_value)))
     bnd = ax1.cell_boundaries
     width = width_cells * (bnd[j + 1] - bnd[j])
     band_model = MeasurementModel(
         parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
     )
-    band_rho = mu.with_values(mu.values * reading_centre_factor(band_model, ax1))
-    return _and_marginal(joint, band_rho, mu), band_rho, float(width)
+    vals = mu.values * reading_centre_factor(band_model, ax1)
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    vals.setflags(write=False)
+    return mu.with_values(vals), float(width)
+
+
+def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> np.ndarray:
+    """The sorted flat indices of the nodes of ``target``, the mapped
+    frame, that the demonstration reads: where the pushed ``band`` can be
+    nonzero, and the corners that evaluating the pushed joint along
+    ``curve`` (x and v per point) reads.
+
+    The band is nonzero only on a run of y-nodes.  Its push at a target
+    node reads the two source nodes of the cell that holds the node's
+    preimage, so it can be nonzero only where that preimage lies between
+    the y-nodes just outside the run.  The map fixes x, so v(x, ·) is
+    monotone along each target row, and these nodes form one run per row,
+    between the images v(x, ·) of those two y-nodes; it is widened by one
+    node on each side, so that rounding in the inverse map cannot leave a
+    node out.  If one of the two is a box-edge node, the run goes on to the
+    end of its row: a target node past that edge's image pulls back outside
+    the box, where its value is 0, or within the box's edge slack, where it
+    is clipped onto the edge node.
+    """
+    x, y = band.grid.axes
+    v = target.axes[1]
+    rows = np.flatnonzero(np.any(band.values, axis=0))
+    if rows.size:
+        lo, hi = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 1, y.count - 1)
+        _, ends = m.forward(x.nodes[:, None], y.nodes[[lo, hi]][None, :])
+        v_lo, v_hi = np.broadcast_to(ends, (x.count, 2)).T
+        rising = v_lo < v_hi
+        if lo == 0:
+            v_lo = np.where(rising, -np.inf, np.inf)
+        if hi == y.count - 1:
+            v_hi = np.where(rising, np.inf, -np.inf)
+        first = np.searchsorted(v.nodes, np.minimum(v_lo, v_hi), side="left") - 1
+        stop = np.searchsorted(v.nodes, np.maximum(v_lo, v_hi), side="right") + 1
+        cols = np.arange(v.count)
+        read = (cols >= first[:, None]) & (cols < stop[:, None])
+    else:
+        read = np.zeros(target.shape, dtype=bool)
+    flat, corners = _locate_points(target, curve)
+    read.reshape(-1)[flat[:, None] + np.array([offset for offset, _ in corners])] = True
+    return np.flatnonzero(read)
 
 
 def _and_marginal(joint: Density, rho: Density, mu: Density) -> Density:

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ settings.load_profile("deterministic")
 # any test module, so that set is the same whichever tests are selected.
 PACKAGE_MODULES = [importlib.import_module(f"inferspace.{m.name}")
                    for m in pkgutil.iter_modules(inferspace.__path__)]
+
+
+def allocated(call):
+    """``call()`` and the peak bytes numpy and Python allocated during it."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from inferspace import (
     Axis,
     Density,
     Grid,
+    NeutralZero,
     Realization,
     ZeroMass,
     and_combine,
@@ -97,6 +98,39 @@ def test_and_disjoint_is_contradiction():
     assert np.all(meet.values == 0.0)
     with pytest.raises(ZeroMass):
         normalize(meet)
+
+
+def _and_reference(p, q, mu):
+    """The AND by its formula: p·q/μ, +0.0 where μ = 0 and p·q = 0."""
+    num = p.values * q.values
+    zero_mu = mu.values == 0.0
+    if np.any(zero_mu & (num > 0.0)):
+        raise NeutralZero("product is positive where the neutral density vanishes")
+    out = np.zeros_like(num)
+    np.divide(num, mu.values, out=out, where=~zero_mu)
+    return out
+
+
+# Density values with exact zeros of both signs among them.
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-300, 1e3))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=2), st.data())
+def test_and_matches_its_formula_bit_for_bit(shape, data):
+    """and_combine gives the formula's bits, μ's zero nodes included, and
+    raises NeutralZero exactly where the formula has no limit."""
+    grid = Grid.of(*(Axis.linear(name, 0.0, 1.0, n) for name, n in zip("xy", shape)))
+    p, q, mu = (Density(grid, data.draw(hnp.arrays(np.float64, grid.shape, elements=_VALUES)))
+                for _ in range(3))
+    try:
+        expected = _and_reference(p, q, mu)
+    except NeutralZero:
+        with pytest.raises(NeutralZero):
+            and_combine(p, q, mu)
+        return
+    got = and_combine(p, q, mu).values
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("lam", [2.0, 3.0, 5.0])

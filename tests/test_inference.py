@@ -44,12 +44,14 @@ from inferspace import (
     band_conditional,
     borel_kolmogorov_demo,
     conditional_density,
+    evaluate,
     exp_map,
     integrate,
     intersect,
     marginalize,
     normalize,
     null_information_density,
+    power_map,
     predict,
     product_map,
     push_forward,
@@ -59,12 +61,13 @@ from inferspace import (
     summarize,
     total_variation,
 )
+from inferspace.coordinates import pull_back
 from inferspace.inference import (_mapped_grid, _posterior_marginal, _reading_factors,
                                   _share_on_box)
 from inferspace.priors import reading_centre_factor
 
-from conftest import (PACKAGE_MODULES, boxcar_density, gaussian_density, measurement_density,
-                      measurement_profile)
+from conftest import (PACKAGE_MODULES, allocated, boxcar_density, gaussian_density,
+                      measurement_density, measurement_profile)
 
 LAW = FallingBodyLaw(g=9.81)
 
@@ -802,6 +805,15 @@ class TestSummaries:
 # curved-slice conditioning
 # ---------------------------------------------------------------------------
 
+# (u, v) = (x, x + y): it fixes x, and x + y is on no lattice in v or ln v.
+_SUM_MAP = Map2D(
+    kind="sum",
+    forward=lambda x, y: (x, x + y),
+    inverse=lambda u, v: (u, v - u),
+    det_forward=lambda x, y: np.ones(np.broadcast(x, y).shape),
+)
+
+
 def _correlated_joint(count=201, sigma_sum=1.0, sigma_diff=0.4):
     """A log-space correlated Gaussian on a symmetric log-log box.
 
@@ -924,19 +936,13 @@ class TestBorelKolmogorovDemo:
         """(u, v) = (x, x + y) fixes x, but x + y is on no lattice in v or
         ln v: the target gets 4·(n₀ + n₁) nodes and the pushes interpolate."""
         joint, mu = _correlated_joint(count=41)
-        sum_map = Map2D(
-            kind="sum",
-            forward=lambda x, y: (x, x + y),
-            inverse=lambda u, v: (u, v - u),
-            det_forward=lambda x, y: np.ones(np.broadcast(x, y).shape),
-        )
         x, y = joint.grid.axes
-        v = _mapped_grid(joint, sum_map).axes[1]
+        v = _mapped_grid(joint, _SUM_MAP).axes[1]
         assert (v.spacing, v.count) == (LOGARITHMIC, 4 * (41 + 41))
         assert (v.lower, v.upper) == (x.lower + y.lower, x.upper + y.upper)
         # The map's Jacobian is 1, so both frames agree up to interpolation
         # error, which is no longer zero.
-        report = borel_kolmogorov_demo(joint, mu, sum_map, 1.0)
+        report = borel_kolmogorov_demo(joint, mu, _SUM_MAP, 1.0)
         assert report.map_kind == "sum"
         assert 0.0 < report.tv_naive < 1e-2
         assert 0.0 < report.tv_band < 1e-2
@@ -971,3 +977,89 @@ class TestBorelKolmogorovDemo:
         joint, mu = _correlated_joint(count=101)
         with pytest.raises(OutOfDomain):
             borel_kolmogorov_demo(joint, mu, shear_map(), 99.0)
+
+    def test_band_where_mu_vanishes_has_no_mass(self):
+        """A band over rows where μ is 0 is 0 everywhere: nothing of the
+        mapped frame is nonzero under it, and its AND has no mass."""
+        joint, mu = _correlated_joint(count=41)
+        j = int(np.argmin(np.abs(joint.grid.axes[1].nodes - 1.0)))
+        vals = mu.values.copy()
+        vals[:, j - 3:j + 4] = 0.0
+        with pytest.raises(ZeroMass):
+            borel_kolmogorov_demo(joint, Density(joint.grid, vals), shear_map(), 1.0)
+
+    def test_shear_demo_stays_within_its_memory_budget(self):
+        """At the CLI's 300 nodes the mapped frame has 300 × 599 nodes: the
+        pushed joint, μ and band are 1.4 MB each, and the demo peaks at
+        under 9 MB, where pulling back every node of the frame peaks at
+        18 MB."""
+        joint, mu = _correlated_joint(count=300, sigma_sum=0.35, sigma_diff=0.7)
+        report, peak = allocated(lambda: borel_kolmogorov_demo(joint, mu, shear_map(), 1.0))
+        assert report.tv_band < report.tv_naive
+        assert peak <= 9e6
+
+
+_DEMO_MAPS = {
+    "shear": shear_map(),
+    "affine": affine_map_2d(1.0, 0.0, 2.0, 0.0),
+    "sum": _SUM_MAP,
+    "power": product_map(affine_map(1.0), power_map(1.7)),
+}
+
+
+def _dense_demo(joint, mu, m, y0, width_cells):
+    """The demonstration's four outputs with every node of the mapped frame
+    pulled back and ANDed."""
+    x = joint.grid.axes[0]
+    push = pull_back(joint.grid, m, _mapped_grid(joint, m), outside="zero")
+    pushed, mu_pushed = push.apply(joint), push.apply(mu)
+    native = conditional_density(joint, "y", y0)
+    _, v = m.forward(x.nodes, np.full(x.count, y0))
+    along = evaluate(pushed, np.column_stack([x.nodes, v]))
+    mapped = Density(Grid.of(x), along / float(np.dot(along, x.weights)))
+    band_native, band, _ = band_conditional(joint, mu, y0, width_cells)
+    band_mapped = normalize(marginalize(and_combine(pushed, push.apply(band), mu_pushed), "x"))
+    return (total_variation(native, mapped), total_variation(band_native, band_mapped),
+            band_native, native)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    count=st.integers(3, 61),
+    name=st.sampled_from(sorted(_DEMO_MAPS)),
+    where=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    width_cells=st.floats(0.3, 40.0),
+)
+def test_demo_reads_the_mapped_frame_as_a_dense_pull_back_does(count, name, where, width_cells):
+    """The demonstration pulls back only the mapped-frame nodes that its band
+    and its slice read; every other node is an exact 0 of the AND, so its
+    outputs match a dense pull-back of the whole frame bit for bit, at
+    slices across the box and on both of its edges."""
+    joint, mu = _correlated_joint(count=count)
+    y = joint.grid.axes[1]
+    y0 = float(y.nodes[0] * (y.nodes[-1] / y.nodes[0]) ** where)
+    y0 = min(max(y0, y.lower), y.upper)
+    report = borel_kolmogorov_demo(joint, mu, _DEMO_MAPS[name], y0, width_cells=width_cells)
+    tv_naive, tv_band, band_native, native = _dense_demo(joint, mu, _DEMO_MAPS[name], y0,
+                                                         width_cells)
+    assert report.tv_naive == tv_naive
+    assert report.tv_band == tv_band
+    assert report.band_native.values.tobytes() == band_native.values.tobytes()
+    assert report.native_conditional.values.tobytes() == native.values.tobytes()
+
+
+@pytest.mark.parametrize("edge", [0, -1], ids=["lower", "upper"])
+def test_band_at_a_box_edge_reads_every_node_clipped_onto_the_edge(edge):
+    """On y in [1e9, 1e9 + 10] the box's edge slack of 1e-9·1e9 is a whole
+    cell, so target nodes up to a cell past the edge's image pull back
+    inside the box and onto the edge node.  A band at that edge is nonzero
+    there, and the demonstration reads those nodes as the dense push does."""
+    grid = Grid.of(Axis.linear("x", 0.5, 2.0, 11), Axis.linear("y", 1e9, 1e9 + 10.0, 11))
+    joint = Density.from_callable(
+        grid, lambda x, y: np.exp(-((x - 1.0) ** 2) - 0.1 * (y - 1e9 - 3.0) ** 2)
+    )
+    mu = null_information_density(grid)
+    y0 = float(grid.axes[1].nodes[edge])
+    report = borel_kolmogorov_demo(joint, mu, _SUM_MAP, y0)
+    tv_naive, tv_band, _, _ = _dense_demo(joint, mu, _SUM_MAP, y0, 2.0)
+    assert (report.tv_naive, report.tv_band) == (tv_naive, tv_band)

@@ -13,7 +13,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
@@ -67,7 +66,7 @@ from inferspace.cli import (
 from inferspace.inference import _posterior_marginal
 from inferspace.theory import _BLOCK_BYTES
 
-from conftest import conditional_theory, gaussian_density
+from conftest import allocated, conditional_theory, gaussian_density
 
 
 def _sample_density():
@@ -602,18 +601,6 @@ def test_bands_of_a_joint_rebuild_it_bit_for_bit(data):
     assert back.grid == d.grid
 
 
-def _allocated(call):
-    """``call()`` and the peak bytes numpy and Python allocated during it."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_theory_file_io_stays_within_its_memory_budget(tmp_path):
     """On the analytic theory, building it allocates under 0.2 grid arrays
     and writing at most 0.3, and reading at most 0.15: the row bands, which
@@ -630,10 +617,10 @@ def test_theory_file_io_stays_within_its_memory_budget(tmp_path):
     path = write_theory(theory, tmp_path / "t")
     _posterior_marginal(read_theory(path), [known], "L")
 
-    _, built = _allocated(lambda: analytic_fall_theory(law, grid))
-    _, written = _allocated(lambda: write_theory(theory, path))
-    back, read = _allocated(lambda: read_theory(path))
-    _, inferred = _allocated(lambda: _posterior_marginal(read_theory(path), [known], "L"))
+    _, built = allocated(lambda: analytic_fall_theory(law, grid))
+    _, written = allocated(lambda: write_theory(theory, path))
+    back, read = allocated(lambda: read_theory(path))
+    _, inferred = allocated(lambda: _posterior_marginal(read_theory(path), [known], "L"))
     assert built < 0.2 * grid_bytes
     assert written <= 0.3 * grid_bytes
     assert read <= 0.15 * grid_bytes
@@ -652,7 +639,7 @@ def test_reading_the_default_theory_allocates_little_beyond_what_it_returns(tmp_
     path = write_theory(analytic_fall_theory(law, parse_grid("default")), tmp_path / "t")
     read_theory(path)  # a first call, so the modules it imports are not counted
 
-    back, read = _allocated(lambda: read_theory(path))
+    back, read = allocated(lambda: read_theory(path))
     returned = sum(a.nbytes for a in (back.lo, back.hi, back.band, *back.mu_factors))
     assert read <= 1.25 * returned
 
@@ -749,8 +736,8 @@ def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
     main(argv)
     capsys.readouterr()
 
-    _, predicted = _allocated(lambda: predict(theory, known, "L"))
-    code, inferred = _allocated(lambda: main(argv))
+    _, predicted = allocated(lambda: predict(theory, known, "L"))
+    code, inferred = allocated(lambda: main(argv))
     assert json.loads(capsys.readouterr().out)["axis"] == "L"
     assert code == 0
     assert predicted < 0.05 * grid_bytes
@@ -773,12 +760,12 @@ def test_campaign_stays_within_its_memory_budget():
     run_campaign(law, instruments, 200, SET_L, 1, grid)
 
     n = 2000
-    theory, allocated = _allocated(lambda: run_campaign(law, instruments, n, SET_L, 7, grid))
+    theory, peak = allocated(lambda: run_campaign(law, instruments, n, SET_L, 7, grid))
     grid_bytes = 8 * grid.node_count
     rows = min(n, _BLOCK_BYTES // (8 * max(grid.shape)))
     buffers = 8 * rows * sum(grid.shape)
     bands = theory.lo.nbytes + theory.hi.nbytes + theory.band.nbytes
-    assert allocated <= grid_bytes + bands + buffers + 0.25 * grid_bytes
+    assert peak <= grid_bytes + bands + buffers + 0.25 * grid_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ both modes and on the linear grid and its refusal of a one-axis grid, 25
 empirical theories (one and two readings, ``--out``, every reading kind,
 and five refusals), ``convert`` of a theory to CSV and to JSON, and
 ``benford``'s sampled check and its refusal of a lower bound of 0,
-``axioms``, and ``paradox`` at 60 nodes and at its default 300.  It also
-covers the parser and
-the theory reader's refusals: no arguments, ``--help``, ``infer --help`` and
-``build-theory --help``, an unknown subcommand, an argument ``infer`` does
-not take, a value of the wrong type, and ``infer`` on a bare ``.npy`` array
-and on a theory with one bit flipped.  51 runs in all.
+``axioms``, and ``paradox`` at 60 nodes and at its default 300, at 5 and 7
+nodes (where its band reaches a y-box edge node), with a slice at the lower
+box edge, and with a sub-cell band at the upper edge.  It also covers the
+parser and the theory reader's refusals: no arguments, ``--help``, ``infer
+--help`` and ``build-theory --help``, an unknown subcommand, an argument
+``infer`` does not take, a value of the wrong type, and ``infer`` on a bare
+``.npy`` array and on a theory with one bit flipped.  55 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -120,6 +121,11 @@ RUNS = [
     ("axioms", ["axioms"]),
     ("paradox-60", ["paradox", "--count", "60"]),
     ("paradox", ["paradox"]),
+    ("paradox-5", ["paradox", "--count", "5"]),
+    ("paradox-7", ["paradox", "--count", "7"]),
+    ("paradox-lower-edge", ["paradox", "--slice-value", "0.2465969639416065"]),
+    ("paradox-upper-edge-sub-cell", ["paradox", "--count", "7", "--slice-value",
+                                     "4.0551999668446745", "--width-cells", "0.5"]),
     ("no-arguments", []),
     ("help", ["--help"]),
     ("infer-help", ["infer", "--help"]),
