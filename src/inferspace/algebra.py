@@ -244,37 +244,22 @@ def check_axioms(
         raise ConfigInvalid(f"tol must be finite and >= 0, got {tol!r}")
     if len(triples) == 0:
         raise EmptyInput("no triples to check; an empty batch would pass vacuously")
-    eq_names = (
-        "or_commutative",
-        "or_associative",
-        "and_commutative",
-        "and_associative",
-        "distributive",
-        "neutral_element",
-    )
-    worst = {name: 0.0 for name in eq_names}
+    v_or, v_and = realization.combine_or, realization.combine_and
+    worst: dict[str, float] = {}
     support_bad = {"or_support": 0, "and_support": 0}
 
     for p, q, r in triples:
-        v_or = realization.combine_or
-        v_and = realization.combine_and
-        worst["or_commutative"] = max(worst["or_commutative"], _rel_diff(v_or(p, q), v_or(q, p)))
-        worst["or_associative"] = max(
-            worst["or_associative"], _rel_diff(v_or(v_or(p, q), r), v_or(p, v_or(q, r)))
+        # (axiom, left side, right side), in check order.
+        equalities = (
+            ("or_commutative", v_or(p, q), v_or(q, p)),
+            ("or_associative", v_or(v_or(p, q), r), v_or(p, v_or(q, r))),
+            ("and_commutative", v_and(p, q), v_and(q, p)),
+            ("and_associative", v_and(v_and(p, q), r), v_and(p, v_and(q, r))),
+            ("distributive", v_and(p, v_or(q, r)), v_or(v_and(p, q), v_and(p, r))),
+            ("neutral_element", v_and(p, realization.neutral), p),
         )
-        worst["and_commutative"] = max(
-            worst["and_commutative"], _rel_diff(v_and(p, q), v_and(q, p))
-        )
-        worst["and_associative"] = max(
-            worst["and_associative"], _rel_diff(v_and(v_and(p, q), r), v_and(p, v_and(q, r)))
-        )
-        worst["distributive"] = max(
-            worst["distributive"],
-            _rel_diff(v_and(p, v_or(q, r)), v_or(v_and(p, q), v_and(p, r))),
-        )
-        worst["neutral_element"] = max(
-            worst["neutral_element"], _rel_diff(v_and(p, realization.neutral), p)
-        )
+        for name, left, right in equalities:
+            worst[name] = max(worst.get(name, 0.0), _rel_diff(left, right))
 
         both = v_or(p, q)
         support_bad["or_support"] += int(
@@ -285,7 +270,7 @@ def check_axioms(
             np.count_nonzero((meet.values != 0.0) & ((p.values == 0.0) | (q.values == 0.0)))
         )
 
-    checks = [AxiomCheck(name, worst[name] <= tol, worst[name]) for name in eq_names]
+    checks = [AxiomCheck(name, value <= tol, value) for name, value in worst.items()]
     checks += [
         AxiomCheck(name, count == 0, float(count)) for name, count in support_bad.items()
     ]

@@ -64,12 +64,7 @@ from .errors import (
     SingularJacobian,
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
-from .inference import (
-    _posterior_marginal,
-    band_conditional,
-    borel_kolmogorov_demo,
-    summarize,
-)
+from .inference import band_conditional, borel_kolmogorov_demo, predict, summarize
 from .io import read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
     BOXCAR,
@@ -302,7 +297,7 @@ def _cmd_infer(p: argparse.Namespace) -> int:
         specs = p.measure
     theory = read_theory(p.theory)
     models = [parse_measurement(s) for s in specs]
-    post = _posterior_marginal(theory, models, _default_query(theory.grid, models, p.query))
+    post = predict(theory, *models, query=_default_query(theory.grid, models, p.query))
     if p.out:
         write_density(post, p.out)
     _emit(summarize(post).as_dict())

@@ -219,9 +219,6 @@ class Grid:
                 return i
         raise UnknownAxis(f"no axis named {name!r}; have {self.names}")
 
-    def axis(self, name: str) -> Axis:
-        return self.axes[self.axis_index(name)]
-
     # -- geometry -----------------------------------------------------------
 
     @property

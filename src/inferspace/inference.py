@@ -3,9 +3,9 @@
 Inference here is one operation: AND the theory with whatever is known, then
 read off the axis of interest.  The AND of a state of information with
 another is itself a state of information, so ``intersect`` returns the
-posterior as a plain normalized ``Density``.  ``predict`` and the CLI's
-``infer`` and ``predict`` want only its marginal on one axis, ready for
-``summarize``; they take it from the theory's row bands by one
+posterior as a plain normalized ``Density``.  ``predict``, which the CLI's
+``infer`` and ``predict`` both call, gives only its marginal on one axis,
+ready for ``summarize``; it takes it from the theory's row bands by one
 contraction, without building the joint or the 2D posterior.  Conditioning
 on an exact value is the degenerate limit of ANDing with an ever-thinner
 band, and keeping that limit honest across coordinate changes is what the
@@ -149,7 +149,9 @@ def intersect(
     over the readings m of axis k (``_reading_factors``), and fₖ = 1 on an
     axis that no reading measures.  This is exactly the dense fold
     joint · ∏ₘ ρₘ / μᴹ, where each ρₘ is μ on the axes m does not measure.
-    σ is one broadcast over the theory's grid, scaled to unit mass.
+    σ is one broadcast over the theory's grid, scaled to unit mass
+    (``_scale_posterior``).  ``predict`` takes σ's marginal on one axis
+    from the same factors and the same scaling, without σ.
 
     Raises OutOfDomain for a reading centred off the grid with under 1% of
     its mass on the box, ZeroMass for a reading in the box that no node
@@ -175,24 +177,30 @@ def _scale_posterior(values: np.ndarray, weights, out: np.ndarray) -> None:
         raise ZeroMass(f"the measurement contradicts the theory: {exc}") from exc
 
 
-def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
-    """``marginalize(intersect(theory, *readings), query)`` without the
-    posterior joint.
+def predict(
+    theory: TheoryDensity, reading: MeasurementModel, *more: MeasurementModel, query: str
+) -> Density:
+    """What the theory says about ``query`` given one or more readings: the
+    marginal on that axis of ``intersect(theory, reading, *more)``, without
+    the posterior joint.
 
-    σ = joint · ⊗ₖ fₖ, so its marginal on axis q is
+    It takes the readings as ``intersect`` does, through the same per-axis
+    factors fₖ (``_reading_factors``).  σ = joint · ⊗ₖ fₖ, so its marginal
+    on axis q is
 
         f_q ⊙ (joint · (f_o ⊙ w_o)),
 
     o the other axis and w_o its quadrature weights, scaled to unit mass
     over the nodes from the first to the last nonzero entry of f_q (zeros
-    elsewhere).  The contraction runs over the theory's band
-    values alone: a sum over each row's band for q = 0, a sum over each
-    column's values for q = 1.  It raises what ``intersect`` raises, and
-    UnknownAxis for a ``query`` the theory lacks.
+    elsewhere), as ``intersect`` scales σ (``_scale_posterior``).  The
+    contraction runs over the theory's band values alone: a sum over each
+    row's band for q = 0, a sum over each column's values for q = 1.  It
+    raises what ``intersect`` raises, and UnknownAxis for a ``query`` the
+    theory lacks.
     """
     grid = theory.grid
     q = grid.axis_index(query)
-    factors = _reading_factors(theory, readings)
+    factors = _reading_factors(theory, [reading, *more])
     ax, wq = grid.axes[q], _support(factors[q])
     # An overflow here leaves a mass that is not finite, which scaling refuses.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -207,13 +215,6 @@ def _posterior_marginal(theory: TheoryDensity, readings, query: str) -> Density:
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
     return Density(Grid.of(ax), vals)
-
-
-def predict(theory: TheoryDensity, known: MeasurementModel, query: str) -> Density:
-    """What the theory says about ``query`` given one known reading: the
-    normalized marginal of their AND on that axis, taken from the joint
-    without building the posterior joint."""
-    return _posterior_marginal(theory, [known], query)
 
 
 def conditional_density(joint: Density, fixed_axis: str, fixed_value: float) -> Density:

@@ -58,11 +58,9 @@ def _null_factor(axis: Axis) -> np.ndarray:
     return np.ones(axis.count)
 
 
-def _overlap_fraction(
-    axis: Axis, lo, hi, window: slice = slice(None), out: np.ndarray | None = None
-) -> np.ndarray:
+def _overlap_fraction(axis: Axis, lo, hi, window: slice, out: np.ndarray) -> np.ndarray:
     """Fraction of each node's quadrature cell covered by [lo, hi], for the
-    nodes in ``window``, written into ``out`` if given.
+    nodes in ``window``, written into ``out`` and returned.
 
     Wide intervals give the exact 0/1 indicator except at the two straddled
     edge cells; intervals thinner than a cell keep their full mass in that
@@ -186,13 +184,13 @@ def profile_centre_factors(
     written into ``out`` of shape (k, nodes in window) and returned.
 
     It is exp(−½t²) for gaussian and lognormal, with t = (x − c)/width in x
-    or in ln x; the overlap fraction of each node's cell with [c − width,
-    c + width] for boxcar, 0 where the interval misses the box; and 1 for
-    noninformative.  The profile is this factor times
-    ``profile_node_factor``.  A campaign evaluates it for a block of
-    readings at a time; ``intersect`` for one reading at a time
-    (``reading_centre_factor``), whose profile it divides by the theory's
-    μ.  ``model.center`` is ignored.  A node many widths from a center
+    or in ln x (``_gaussian_kernel``, which the fall ridge shares); the
+    overlap fraction of each node's cell with [c − width, c + width] for
+    boxcar, 0 where the interval misses the box; and 1 for noninformative.
+    The profile is this factor times ``profile_node_factor``.  A campaign
+    evaluates it for a block of readings at a time; ``intersect`` for one
+    reading at a time (``reading_centre_factor``), whose profile it divides
+    by the theory's μ.  ``model.center`` is ignored.  A node many widths from a center
     overflows t on the way; its factor is then the 0 it rounds to, without
     a warning.
     """
@@ -203,16 +201,26 @@ def profile_centre_factors(
         return out
     if kind == BOXCAR:
         return _overlap_fraction(axis, c - model.width, c + model.width, window, out)
-    # (u − c)/width, squared, times −½, rounded in that order.
     if kind == LOGNORMAL:
         # one log per node and one per center, not one per (center, node) pair
         c = np.log(c)
     np.subtract(_profile_coordinate(kind, axis, window), c, out=out)
     with np.errstate(over="ignore"):
-        out /= model.width
-        np.square(out, out=out)
-    out *= -0.5
-    return np.exp(out, out=out)
+        return _gaussian_kernel(out, model.width)
+
+
+def _gaussian_kernel(u: np.ndarray, width: float) -> np.ndarray:
+    """exp(−½(u/width)²), computed in place over ``u`` and returned: divide
+    by the width, square, multiply by −½, exp, rounded in that order.  It is
+    the gaussian and lognormal centre factor, with u = x − c in x or in
+    ln x (``profile_centre_factors``), and the fall ridge of
+    ``theory.analytic_fall_theory``, with u = ζ.  A u many widths out
+    overflows u² to inf, and numpy warns about that unless the caller
+    ignores it; the factor there is the 0 it rounds to."""
+    u /= width
+    np.square(u, out=u)
+    u *= -0.5
+    return np.exp(u, out=u)
 
 
 # 2·ln 2⁵³: a gaussian factor exp(−t²/2) falls below 2⁻⁵³ of exp(−t₀²/2)

@@ -45,6 +45,7 @@ from .priors import (
     LOGNORMAL,
     NONINFORMATIVE,
     MeasurementModel,
+    _gaussian_kernel,
     jeffreys_factors,
     jeffreys_ppf,
     outer_values,
@@ -296,14 +297,6 @@ def _fall_axes(grid: Grid) -> tuple[Axis, Axis]:
     return grid.axes
 
 
-def _instruments_by_axis(instruments: Sequence[MeasurementModel], grid: Grid) -> dict:
-    by_axis = {m.parameter: m for m in instruments}
-    missing = set(grid.names) - set(by_axis)
-    if missing:
-        raise GridMismatch(f"no instrument for axis(es) {sorted(missing)}")
-    return by_axis
-
-
 def _true_values(law: FallingBodyLaw, mode: str, i_value: np.ndarray):
     """The true (length, time) of experiments whose independent values are ``i_value``."""
     if mode == SET_L:
@@ -353,8 +346,10 @@ def run_campaign(
     """Simulate and accumulate a whole measurement campaign.
 
     The grid takes the length axis first, then time (``_fall_axes``), and
-    each axis needs one instrument, matched to it by name.  The campaign
-    draws from the one generator ``default_rng(master_seed)``: first
+    each axis needs exactly one instrument, matched to it by name as a
+    reading is: UnknownAxis refuses an instrument for an axis the grid
+    lacks, and GridMismatch a second instrument for an axis or none.  The
+    campaign draws from the one generator ``default_rng(master_seed)``: first
     ``n_experiments`` uniforms that pick the independent values from the
     theory's μ on its axis, the Jeffreys 1/x on any spacing
     (``jeffreys_ppf``), then, for each informative instrument in grid-axis
@@ -396,10 +391,19 @@ def run_campaign(
     if master_seed < 0:
         raise ConfigInvalid(f"master seed must be >= 0, got {master_seed}")
     length, time = _fall_axes(grid)
-    by_axis = _instruments_by_axis(instruments, grid)
+    # Each instrument's axis by the rule readings use (``Grid.axis_index``).
+    models = [None] * grid.ndim
+    for m in instruments:
+        k = grid.axis_index(m.parameter)
+        if models[k] is not None:
+            raise GridMismatch(f"two instruments for axis {m.parameter!r}")
+        models[k] = m
+    missing = [name for name, m in zip(grid.names, models) if m is None]
+    if missing:
+        raise GridMismatch(f"no instrument for axis(es) {sorted(missing)}")
     mu = jeffreys_factors(grid)
 
-    m0, m1 = by_axis[length.name], by_axis[time.name]
+    m0, m1 = models
     i_axis = length if mode == SET_L else time
     rng = np.random.default_rng(master_seed)
     i_value = jeffreys_ppf(rng.random(n_experiments), i_axis.lower, i_axis.upper)
@@ -437,8 +441,6 @@ def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     rows = max(1, min(n, _BLOCK_BYTES // (8 * max(grid.shape))))
     f0, f1 = (profile_node_factor(m, ax, f) for m, ax, f in zip(instruments, grid.axes, mu))
     fw0, fw1 = f0 * ax0.weights, f1 * ax1.weights
-    # One buffer per axis, which each block's centre factors are written into.
-    buf0, buf1 = np.empty(rows * ax0.count), np.empty(rows * ax1.count)
     acc = np.zeros(grid.shape)
     starts = np.arange(0, n, rows)
     windows = zip(
@@ -450,8 +452,8 @@ def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     for start, lo0, hi0, lo1, hi1 in windows:
         block, w0, w1 = slice(start, start + rows), slice(lo0, hi0), slice(lo1, hi1)
         k, n0, n1 = r0[block].size, hi0 - lo0, hi1 - lo1
-        a = profile_centre_factors(m0, ax0, r0[block], w0, buf0[: k * n0].reshape(k, n0))
-        b = profile_centre_factors(m1, ax1, r1[block], w1, buf1[: k * n1].reshape(k, n1))
+        a = profile_centre_factors(m0, ax0, r0[block], w0, np.empty((k, n0)))
+        b = profile_centre_factors(m1, ax1, r1[block], w1, np.empty((k, n1)))
         mass = (a @ fw0[w0]) * (b @ fw1[w1])
         # A mass of 0, or one so small that its reciprocal overflows, is none.
         with np.errstate(divide="ignore", over="ignore"):
@@ -481,14 +483,6 @@ def _block_windows(model: MeasurementModel, axis: Axis, centers: np.ndarray, sta
 # ---------------------------------------------------------------------------
 # analytic theory
 # ---------------------------------------------------------------------------
-
-def _gaussian_ridge(zeta: np.ndarray, sigma: float) -> np.ndarray:
-    """exp(−½(ζ/σ)²), computed in place over ``zeta``."""
-    zeta /= sigma
-    np.square(zeta, out=zeta)
-    zeta *= -0.5
-    return np.exp(zeta, out=zeta)
-
 
 def _ridge_blocks(coords, log_half_g: float, sigma: float):
     """The (rows, cols) slices of the grid where the ridge can be nonzero,
@@ -527,7 +521,10 @@ def analytic_fall_theory(
     are then proportional to 1/L and 1/T.  ``frame="log"`` takes linear
     axes carrying λ = ln L and τ = ln T, and refuses a logarithmic axis
     with InvalidGrid; there the ridge is a plain Gaussian band and μ is
-    constant.
+    constant.  In both frames the ridge is exp(−½(ζ/σ)²) of
+    ζ = ln L − ln ½g − 2 ln T, taken in place by ``priors._gaussian_kernel``,
+    the kernel of a gaussian or lognormal reading's centre factor
+    (``profile_centre_factors``).
 
     The ridge is evaluated only on blocks of nodes where float64 can hold a
     nonzero value (``_ridge_blocks``); every other node is an exact zero,
@@ -547,7 +544,7 @@ def analytic_fall_theory(
 
         def ridge(lv, tv):
             vals = lv / (0.5 * law.g * tv * tv)
-            _gaussian_ridge(np.log(vals, out=vals), sigma)
+            _gaussian_kernel(np.log(vals, out=vals), sigma)
             scale = lv * tv
             vals *= np.divide(1.0, scale, out=scale)
             return vals
@@ -564,7 +561,7 @@ def analytic_fall_theory(
         coords = [ax.nodes for ax in grid.axes]
 
         def ridge(lam, tau):
-            return _gaussian_ridge(lam - log_half_g - 2.0 * tau, sigma)
+            return _gaussian_kernel(lam - log_half_g - 2.0 * tau, sigma)
 
     else:
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")

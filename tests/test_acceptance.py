@@ -222,14 +222,14 @@ def test_criterion_6_tight_measurements_invert_the_law():
     mode_l = summarize(predict(
         theory,
         MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=1e-3),
-        "L",
+        query="L",
     )).mode
     t_forward = time.perf_counter() - t0
     t0 = time.perf_counter()
     mode_t = summarize(predict(
         theory,
         MeasurementModel(parameter="L", kind=LOGNORMAL, center=4.905, width=1e-3),
-        "T",
+        query="T",
     )).mode
     t_reverse = time.perf_counter() - t0
     err_l = abs(mode_l / 4.905 - 1.0)

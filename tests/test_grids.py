@@ -67,9 +67,9 @@ def test_grid_shape_and_axis_lookup():
     assert g.ndim == 2
     assert g.shape == (41, 33)
     assert g.names == ("L", "T")
-    assert g.axis("T").count == 33
+    assert g.axes[g.axis_index("T")].count == 33
     with pytest.raises(UnknownAxis):
-        g.axis("Z")
+        g.axis_index("Z")
     with pytest.raises(InvalidGrid):
         Grid.of(Axis.linear("L", 0.0, 1.0, 5), Axis.linear("L", 0.0, 1.0, 5))
 

@@ -62,8 +62,7 @@ from inferspace import (
     total_variation,
 )
 from inferspace.coordinates import pull_back
-from inferspace.inference import (_mapped_grid, _posterior_marginal, _reading_factors,
-                                  _share_on_box)
+from inferspace.inference import _mapped_grid, _reading_factors, _share_on_box
 from inferspace.priors import reading_centre_factor
 
 from conftest import (PACKAGE_MODULES, allocated, boxcar_density, gaussian_density,
@@ -147,7 +146,7 @@ class TestIntersect:
         with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid.* \[0\.6, 1\.6\]"):
             intersect(theory, off)
         with pytest.raises(OutOfDomain, match=r"T=5\.0 .* off the grid"):
-            predict(theory, off, "L")
+            predict(theory, off, query="L")
 
     @pytest.mark.parametrize(
         "center, width, share",
@@ -171,7 +170,7 @@ class TestIntersect:
         with pytest.raises(OutOfDomain, match=rf"T={center!r} \(boxcar, .* off the grid"):
             intersect(theory, off)
         with pytest.raises(OutOfDomain, match=rf"T={center!r} \(boxcar, .* off the grid"):
-            predict(theory, off, "L")
+            predict(theory, off, query="L")
 
     @pytest.mark.parametrize("center, width", [(1.6 + 1e-12, 0.05), (1.599, 5.0), (0.6, 1e-6)])
     def test_boxcar_that_keeps_its_share_on_the_box_is_anded(self, center, width):
@@ -544,12 +543,12 @@ def test_posterior_marginal_equals_the_marginal_of_the_posterior():
             expected = marginalize(intersect(theory, *readings), query).values
         except InferenceSpaceError as exc:
             with pytest.raises(InferenceSpaceError) as refused:
-                _posterior_marginal(theory, readings, query)
+                predict(theory, *readings, query=query)
             assert type(refused.value) is type(exc)
             assert str(refused.value) == str(exc)
             seen[type(exc).__name__] += 1
             return
-        marginal = _posterior_marginal(theory, readings, query)
+        marginal = predict(theory, *readings, query=query)
         assert math.isclose(integrate(marginal), 1.0, rel_tol=1e-9)
         assert np.max(np.abs(marginal.values - expected)) <= 1e-12 * np.max(expected)
         seen.update([kind, f"query axis {theory.joint.grid.axis_index(query)}"])
@@ -587,7 +586,7 @@ def test_posterior_does_not_depend_on_the_spacing_of_the_axes(spaced_theories, r
     sd, to 1e-4, on linear and on log axes of one resolved box: a reading
     says nothing about the axes it does not measure, whatever their node
     spacing, and a noninformative reading says nothing at all."""
-    linear, log = (summarize(_posterior_marginal(t, readings, query)) for t in spaced_theories)
+    linear, log = (summarize(predict(t, *readings, query=query)) for t in spaced_theories)
     assert linear.mean == pytest.approx(log.mean, rel=1e-4)
     assert linear.sd == pytest.approx(log.sd, rel=1e-4)
 
@@ -620,6 +619,13 @@ class TestPredict:
         rho = measurement_density(model, theory.joint.grid)
         via_density = normalize(marginalize(and_combine(theory.joint, rho, theory.mu), "L"))
         assert_allclose(via_model.values, via_density.values, rtol=1e-12)
+
+    def test_query_is_keyword_only(self):
+        """Readings are positional, as in ``intersect``, so a query given
+        positionally is refused before anything is computed."""
+        theory = _fall_theory(sigma=0.05, nl=61, nt=61)
+        with pytest.raises(TypeError, match="query"):
+            predict(theory, MeasurementModel("T", LOGNORMAL, 1.0, 0.1), "L")
 
     def test_tight_time_measurement_centers_length_on_the_law(self):
         """Knowing T = 1.0 s almost exactly pins L at g/2 = 4.905 m, the value
@@ -789,7 +795,7 @@ class TestSummaries:
         and both modes bit for bit, the mean and sd to 1e-15 relative.  A
         density without mass has none."""
         theory = _fall_theory(sigma=0.05, nl=121, nt=121)
-        marginal = predict(theory, MeasurementModel("T", LOGNORMAL, 1.0, 0.05), "L")
+        marginal = predict(theory, MeasurementModel("T", LOGNORMAL, 1.0, 0.05), query="L")
         ax = Axis.linear("x", 0.0, 1.0, 301)
         for d in (marginal, Density(Grid.of(ax), ax.nodes**2)):
             s, sc = summarize(d), summarize(d.with_values(c * d.values))

@@ -63,7 +63,6 @@ from inferspace.cli import (
     parse_map,
     parse_measurement,
 )
-from inferspace.inference import _posterior_marginal
 from inferspace.theory import _BLOCK_BYTES
 
 from conftest import allocated, conditional_theory, gaussian_density
@@ -615,12 +614,12 @@ def test_theory_file_io_stays_within_its_memory_budget(tmp_path):
     grid_bytes = theory.joint.values.nbytes
     # A first call of each, so the modules they import are not counted.
     path = write_theory(theory, tmp_path / "t")
-    _posterior_marginal(read_theory(path), [known], "L")
+    predict(read_theory(path), known, query="L")
 
     _, built = allocated(lambda: analytic_fall_theory(law, grid))
     _, written = allocated(lambda: write_theory(theory, path))
     back, read = allocated(lambda: read_theory(path))
-    _, inferred = allocated(lambda: _posterior_marginal(read_theory(path), [known], "L"))
+    _, inferred = allocated(lambda: predict(read_theory(path), known, query="L"))
     assert built < 0.2 * grid_bytes
     assert written <= 0.3 * grid_bytes
     assert read <= 0.15 * grid_bytes
@@ -732,11 +731,11 @@ def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
     argv = ["infer", "--theory", str(write_theory(theory, tmp_path / "t")),
             "--measure", "T:lognormal:1.0:0.005"]
     # A first call of each, so the modules they import are not counted.
-    predict(theory, known, "L")
+    predict(theory, known, query="L")
     main(argv)
     capsys.readouterr()
 
-    _, predicted = allocated(lambda: predict(theory, known, "L"))
+    _, predicted = allocated(lambda: predict(theory, known, query="L"))
     code, inferred = allocated(lambda: main(argv))
     assert json.loads(capsys.readouterr().out)["axis"] == "L"
     assert code == 0

@@ -6,7 +6,8 @@ A name in ``inferspace.__all__`` stays only if the package itself reads it
 imports it, or the benchmark driver names it.  A package read counts only
 where it resolves to the module-level name: a local variable that happens to
 share the name is no caller.  A method or property of a class in the package
-stays only if one of the same four reads it as an attribute.  A name that
+stays only if one of the same four reads it as an attribute; a read of
+``self.<name>`` counts only for a member of the class it is read in.  A name that
 only unit tests call is dead weight: it goes, and a test that used it as an
 oracle keeps a copy of what it needs.
 """
@@ -50,7 +51,20 @@ def _imports(tree: ast.AST) -> set[str]:
 
 
 def _attributes(tree: ast.AST) -> set[str]:
-    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    """The attribute reads in ``tree``: ``C.name`` for a read of
+    ``self.name`` inside class C, the bare ``name`` for any other."""
+    found = set()
+
+    def visit(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                own = (cls is not None and isinstance(child.value, ast.Name)
+                       and child.value.id == "self")
+                found.add(f"{cls}.{child.attr}" if own else child.attr)
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
+    return found
 
 
 def _sources() -> dict[str, list[str]]:
@@ -79,17 +93,17 @@ def _callers(sources: dict[str, list[str]]) -> dict[str, set[str]]:
     }
 
 
-def _attribute_callers() -> dict[str, set[str]]:
-    """The attribute names each caller reads."""
-    return {caller: set().union(*map(_attributes, map(ast.parse, texts)))
-            for caller, texts in _sources().items()}
+def _attribute_reads(sources: dict[str, list[str]]) -> set[str]:
+    """The attribute reads of all four callers, as ``_attributes`` gives them."""
+    return set().union(*(_attributes(ast.parse(text))
+                         for texts in sources.values() for text in texts))
 
 
-def _members() -> list[tuple[str, str]]:
+def _members(package: list[str]) -> list[tuple[str, str]]:
     """(class, member) for every method and property, dunders aside, of a
-    class defined in the package."""
+    class defined in the ``package`` sources."""
     return [(cls.name, fn.name)
-            for tree in map(ast.parse, _sources()["package"])
+            for tree in map(ast.parse, package)
             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for fn in cls.body
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -99,6 +113,13 @@ def _members() -> list[tuple[str, str]]:
 def _uncalled(names, sources: dict[str, list[str]]) -> list[str]:
     callers = _callers(sources)
     return [name for name in names if not any(name in found for found in callers.values())]
+
+
+def _uncalled_members(sources: dict[str, list[str]]) -> list[str]:
+    """``class.member`` for each member of a package class that no caller reads."""
+    reads = _attribute_reads(sources)
+    return [f"{cls}.{name}" for cls, name in _members(sources["package"])
+            if name not in reads and f"{cls}.{name}" not in reads]
 
 
 def test_every_public_name_has_a_caller():
@@ -127,19 +148,31 @@ def test_a_local_of_the_same_name_is_no_caller():
         assert _uncalled(["scale"], sources) == expected
 
 
+def test_a_self_read_in_another_class_is_no_caller():
+    """``Grid.axis`` read only as ``self.axis`` inside another class, which
+    reads its own field of that name, is uncalled; read on any other object,
+    or as ``self.axis`` inside ``Grid``, it is called."""
+    grid = "class Grid:\n    def axis(self, name):\n        return name\n"
+    other = "class Summary:\n    def as_dict(self):\n        return {'axis': self.axis}\n"
+    on_object = "def width(grid):\n    return grid.axis('T')\n"
+    on_self = "class Grid:\n    def axis(self, name):\n        return self.axis(name)\n"
+    for package, uncalled in (([grid, other], True), ([grid, other, on_object], False),
+                              ([on_self], False)):
+        sources = {"package": package, "acceptance": [""], "README": [""], "perfbench": [""]}
+        assert ("Grid.axis" in _uncalled_members(sources)) is uncalled
+
+
 def test_every_method_and_property_has_a_caller():
-    callers = _attribute_callers()
-    uncalled = [f"{cls}.{name}" for cls, name in _members()
-                if f"{cls}.{name}" not in EXEMPT_MEMBERS
-                and not any(name in found for found in callers.values())]
+    uncalled = [qualified for qualified in _uncalled_members(_sources())
+                if qualified not in EXEMPT_MEMBERS]
     assert uncalled == [], f"no caller outside the tests: {uncalled}"
 
 
 def test_exempt_members_exist_and_are_still_uncalled():
     """An exemption lapses once the member gets a caller or is gone."""
-    callers = _attribute_callers()
-    members = {f"{cls}.{name}" for cls, name in _members()}
+    sources = _sources()
+    members = {f"{cls}.{name}" for cls, name in _members(sources["package"])}
+    uncalled = _uncalled_members(sources)
     for qualified in EXEMPT_MEMBERS:
         assert qualified in members
-        name = qualified.split(".")[1]
-        assert not any(name in found for found in callers.values()), qualified
+        assert qualified in uncalled, qualified

@@ -42,6 +42,7 @@ from inferspace import (
     run_campaign,
     summarize,
     TheoryDensity,
+    UnknownAxis,
 )
 from inferspace.priors import profile_window_bounds, profile_window_keys, reading_centre_factor
 import inferspace.theory as theory_module
@@ -132,8 +133,26 @@ def test_set_t_mode_swaps_independent_axis():
 def test_missing_instrument_rejected():
     law = FallingBodyLaw()
     grid = _fall_grid(51)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(GridMismatch, match=r"no instrument for axis\(es\) \['T'\]"):
         run_campaign(law, _instruments()[:1], 1, SET_L, master_seed=1, grid=grid)
+
+
+def test_second_instrument_for_an_axis_rejected():
+    """Two instruments for one axis are refused, not one of them dropped."""
+    length, time = _instruments()
+    wider = replace(length, width=10.0 * length.width)
+    with pytest.raises(GridMismatch, match=r"two instruments for axis 'L'"):
+        run_campaign(FallingBodyLaw(), [length, wider, time], 1, SET_L, master_seed=1,
+                     grid=_fall_grid(51))
+
+
+def test_instrument_for_an_axis_the_grid_lacks_rejected():
+    """An instrument is matched to its axis as a reading is, so one for an
+    axis the grid lacks is refused, not ignored."""
+    stray = MeasurementModel("X", LOGNORMAL, 1.0, 0.1)
+    with pytest.raises(UnknownAxis, match=r"no axis named 'X'"):
+        run_campaign(FallingBodyLaw(), [*_instruments(), stray], 1, SET_L, master_seed=1,
+                     grid=_fall_grid(51))
 
 
 def test_experiment_whose_mass_is_below_float64_reach_has_no_mass():

@@ -5,15 +5,17 @@ grids and its refusal of a grid that names time first, ``build-theory`` in
 both modes and on the linear grid and its refusal of a one-axis grid, 25
 ``infer`` and ``predict`` runs against analytic, log-frame, linear-grid and
 empirical theories (one and two readings, ``--out``, every reading kind,
-and five refusals), ``convert`` of a theory to CSV and to JSON, and
-``benford``'s sampled check and its refusal of a lower bound of 0,
-``axioms``, and ``paradox`` at 60 nodes and at its default 300, at 5 and 7
-nodes (where its band reaches a y-box edge node), with a slice at the lower
-box edge, and with a sub-cell band at the upper edge.  It also covers the
-parser and the theory reader's refusals: no arguments, ``--help``, ``infer
---help`` and ``build-theory --help``, an unknown subcommand, an argument
-``infer`` does not take, a value of the wrong type, and ``infer`` on a bare
-``.npy`` array and on a theory with one bit flipped.  55 runs in all.
+and five refusals), ``convert`` of a theory to CSV and to JSON, to JSON
+through log and power maps, and its refusal of an affine map whose images
+of the log axis lie on no lattice, ``benford``'s sampled check and its
+refusal of a lower bound of 0, ``axioms``, and ``paradox`` at 60 nodes and
+at its default 300, at 5 and 7 nodes (where its band reaches a y-box edge
+node), with a slice at the lower box edge, and with a sub-cell band at the
+upper edge.  It also covers the parser and the theory reader's refusals:
+no arguments, ``--help``, ``infer --help`` and ``build-theory --help``, an
+unknown subcommand, an argument ``infer`` does not take, a value of the
+wrong type, and ``infer`` on a bare ``.npy`` array and on a theory with one
+bit flipped.  58 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -116,6 +118,12 @@ RUNS = [
                               "--measure", "L:boxcar:9.5:0.1"]),
     ("convert-csv", ["convert", "--in", "small.npz", "--out", "small.csv"]),
     ("convert-json", ["convert", "--in", "small.npz", "--out", "small.json"]),
+    ("convert-map-log", ["convert", "--in", "small.npz", "--out", "small-log.json",
+                         "--map", "L:log", "--map", "T:log"]),
+    ("convert-map-power", ["convert", "--in", "small.npz", "--out", "small-pow.json",
+                           "--map", "L:power:0.5"]),
+    ("refuse-map-off-lattice", ["convert", "--in", "small.npz", "--out", "small-aff.json",
+                                "--map", "L:affine:2:1"]),
     ("benford-sampled", ["benford", "--n", "1000", "--seed", "7"]),
     ("refuse-benford-bounds", ["benford", "--n", "10", "--lower", "0"]),
     ("axioms", ["axioms"]),
