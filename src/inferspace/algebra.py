@@ -249,23 +249,22 @@ def check_axioms(
     support_bad = {"or_support": 0, "and_support": 0}
 
     for p, q, r in triples:
+        both, meet = v_or(p, q), v_and(p, q)
         # (axiom, left side, right side), in check order.
         equalities = (
-            ("or_commutative", v_or(p, q), v_or(q, p)),
-            ("or_associative", v_or(v_or(p, q), r), v_or(p, v_or(q, r))),
-            ("and_commutative", v_and(p, q), v_and(q, p)),
-            ("and_associative", v_and(v_and(p, q), r), v_and(p, v_and(q, r))),
-            ("distributive", v_and(p, v_or(q, r)), v_or(v_and(p, q), v_and(p, r))),
+            ("or_commutative", both, v_or(q, p)),
+            ("or_associative", v_or(both, r), v_or(p, v_or(q, r))),
+            ("and_commutative", meet, v_and(q, p)),
+            ("and_associative", v_and(meet, r), v_and(p, v_and(q, r))),
+            ("distributive", v_and(p, v_or(q, r)), v_or(meet, v_and(p, r))),
             ("neutral_element", v_and(p, realization.neutral), p),
         )
         for name, left, right in equalities:
             worst[name] = max(worst.get(name, 0.0), _rel_diff(left, right))
 
-        both = v_or(p, q)
         support_bad["or_support"] += int(
             np.count_nonzero((both.values != 0.0) & (p.values == 0.0) & (q.values == 0.0))
         ) + int(np.count_nonzero((both.values == 0.0) & ((p.values != 0.0) | (q.values != 0.0))))
-        meet = v_and(p, q)
         support_bad["and_support"] += int(
             np.count_nonzero((meet.values != 0.0) & ((p.values == 0.0) | (q.values == 0.0)))
         )

@@ -80,7 +80,6 @@ from .theory import (
     SET_L,
     SET_T,
     FallingBodyLaw,
-    _band_mass,
     _fall_axes,
     analytic_fall_theory,
     run_campaign,
@@ -262,7 +261,7 @@ def _cmd_build_theory(p: argparse.Namespace) -> int:
         "out": str(written),
         "n_experiments": p.n,
         "mode": p.mode,
-        "mass": _band_mass(theory),
+        "mass": theory._band_mass,
     }
     if p.compare_analytic:
         reference = analytic_fall_theory(FallingBodyLaw(g=p.g, sigma_theory=sigma_eff), grid)
@@ -278,7 +277,7 @@ def _cmd_analytic_theory(p: argparse.Namespace) -> int:
     grid = parse_grid(p.grid)
     theory = analytic_fall_theory(FallingBodyLaw(g=p.g, sigma_theory=p.sigma), grid, frame=p.frame)
     written = write_theory(theory, p.out)
-    _emit({"out": str(written), "frame": p.frame, "mass": _band_mass(theory)})
+    _emit({"out": str(written), "frame": p.frame, "mass": theory._band_mass})
     return 0
 
 

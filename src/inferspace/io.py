@@ -50,7 +50,7 @@ from numpy.lib import format as npy_format
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
 from .grids import Axis, Grid, header_value
-from .theory import Provenance, TheoryDensity, _band_mass
+from .theory import Provenance, TheoryDensity
 
 FORMAT_NAME = "inferspace-density"
 FORMAT_VERSION = 1
@@ -83,15 +83,6 @@ def _replacing(target: Path, mode: str = "wb"):
 # density JSON
 # ---------------------------------------------------------------------------
 
-def density_to_dict(d: Density) -> dict:
-    return {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "axes": [ax.to_header() for ax in d.grid.axes],
-        "values": d.values.ravel().tolist(),
-    }
-
-
 def density_from_dict(doc: dict) -> Density:
     if not isinstance(doc, dict):
         raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
@@ -118,9 +109,22 @@ def _check_normalized_flag(normalized: bool, mass) -> None:
 
 
 def write_density(d: Density, path: str | Path) -> None:
+    """Write ``d`` as a JSON document and a newline: its format, version,
+    axis headers and values, flattened row-major, byte for byte as
+    ``json.dump`` writes them.  ``json.dumps``, whose C encoder is faster
+    than the pure one ``json.dump`` runs, encodes the values a grid row at a
+    time, so a 2-D density's values never become one string."""
+    doc = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+           "axes": [ax.to_header() for ax in d.grid.axes], "values": []}
+    # The document with no values, cut before the list's closing "]}".
+    head = json.dumps(doc)[:-2]
     with _replacing(Path(path), "w") as fh:
-        json.dump(density_to_dict(d), fh)
-        fh.write("\n")
+        fh.write(head)
+        sep = ""
+        for row in d.values.reshape(-1, d.grid.shape[-1]):
+            fh.write(sep + json.dumps(row.tolist())[1:-1])
+            sep = ", "
+        fh.write("]}\n")
 
 
 def read_density(path: str | Path) -> Density:
@@ -290,7 +294,7 @@ def _theory_from_archive(archive: zipfile.ZipFile) -> TheoryDensity:
         theory = TheoryDensity(grid, lo, hi, band, mu, provenance)
     except InferenceSpaceError as exc:
         raise SchemaError(f"invalid theory values: {exc}") from exc
-    _check_normalized_flag(normalized, lambda: _band_mass(theory))
+    _check_normalized_flag(normalized, lambda: theory._band_mass)
     return theory
 
 

@@ -221,36 +221,63 @@ class TheoryDensity:
         return np.cumsum(lengths) - lengths
 
     @cached_property
-    def _cols(self) -> np.ndarray:
-        """The column of each band value, computed once per theory.  It is
-        left writable, as np.bincount copies a read-only index array."""
-        cols = np.repeat(self.lo - self._starts, self.hi - self.lo)
+    def _band_mass(self) -> float:
+        """Quadrature of the joint over the box, from its bands, computed
+        once per theory: the weighted column sums, then their weighted sum,
+        in ``integrate``'s order."""
+        w0, w1 = self.grid.weight_arrays()
+        return float(self._column_sums(w0) @ w1)
+
+    def _run(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The values of ``rows``, a slice of whole rows in steps of one,
+        which are one run of ``band``; where each row's values start in that
+        run; and the column of each value.  The column index is fresh and
+        writable, as np.bincount copies a read-only one."""
+        lengths = self.hi[rows] - self.lo[rows]
+        starts = self._starts[rows]
+        offset = int(starts[0]) if starts.size else 0
+        starts = starts - offset
+        cols = np.repeat(self.lo[rows] - starts, lengths)
         cols += np.arange(cols.size)
-        return cols
+        return self.band[offset:offset + cols.size], starts, cols
 
-    def _nodes(self) -> np.ndarray:
-        """The index of each band value's node in the flattened grid."""
-        ncols = self.grid.shape[-1]
-        nodes = np.repeat(np.arange(0, self.grid.node_count, ncols), self.hi - self.lo)
-        nodes += self._cols
-        return nodes
+    def _rows_meeting(self, rows: slice, cols: slice) -> slice:
+        """The rows in ``rows`` from the first to the last whose band meets
+        the columns ``cols`` or begins with -0.0.
 
-    def _row_sums(self, g: np.ndarray) -> np.ndarray:
-        """Σ over each row's band of band · g[column]: joint · g, one entry per row."""
-        product = g[self._cols]
-        product *= self.band
+        Over any other row of ``rows``, Σ band · g is +0.0 for a g that is
+        +0.0 outside ``cols``: each product is ±0.0, and the first is +0.0,
+        as a band begins with a value that is not +0.0 bitwise, a positive
+        one unless it is -0.0.  A row of -0.0 alone sums to -0.0, so a row
+        that begins with -0.0 is kept."""
+        lo, hi = self.lo[rows], self.hi[rows]
+        full = np.flatnonzero(lo < hi)
+        keep = (lo[full] < cols.stop) & (hi[full] > cols.start)
+        keep |= np.signbit(self.band[self._starts[rows][full]])
+        kept = full[keep] + rows.indices(self.lo.size)[0]
+        return slice(int(kept[0]), int(kept[-1]) + 1) if kept.size else slice(0, 0)
+
+    def _row_sums(self, g: np.ndarray, rows: slice) -> np.ndarray:
+        """Σ over each row's band of band · g[column] for the rows in
+        ``rows``, a slice of whole rows: joint · g, one entry per row of the
+        grid, 0 outside ``rows``."""
+        values, starts, cols = self._run(rows)
+        product = g[cols]
+        product *= values
         out = np.zeros(self.lo.size)
         if product.size:
             # reduceat's sum over an empty row would be the next row's first value.
-            full = self.hi > self.lo
-            out[full] = np.add.reduceat(product, self._starts[full])
+            full = self.hi[rows] > self.lo[rows]
+            out[rows][full] = np.add.reduceat(product, starts[full])
         return out
 
-    def _column_sums(self, h: np.ndarray) -> np.ndarray:
-        """Σ over each column of band · h[row]: h · joint, one entry per column."""
-        product = np.repeat(h, self.hi - self.lo)
-        product *= self.band
-        return np.bincount(self._cols, product, minlength=self.grid.shape[-1])
+    def _column_sums(self, h: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """Σ over each column of band · h[row] for the rows in ``rows``, a
+        slice of whole rows: h · joint over those rows, one entry per column."""
+        values, _, cols = self._run(rows)
+        product = np.repeat(h[rows], self.hi[rows] - self.lo[rows])
+        product *= values
+        return np.bincount(cols, product, minlength=self.grid.shape[-1])
 
     @property
     def joint(self) -> Density:
@@ -261,8 +288,11 @@ class TheoryDensity:
             # Density shares it, as it is frozen.
             values = self.band.reshape(self.grid.shape)
         else:
+            _, _, nodes = self._run(slice(None))
+            ncols = self.grid.shape[-1]
+            nodes += np.repeat(np.arange(0, self.grid.node_count, ncols), self.hi - self.lo)
             values = np.zeros(self.grid.shape)
-            values.ravel()[self._nodes()] = self.band
+            values.ravel()[nodes] = self.band
             # Frozen, so the Density shares this fresh array instead of copying it.
             values.setflags(write=False)
         return Density(self.grid, values)
@@ -274,13 +304,6 @@ class TheoryDensity:
         values = outer_values(self.mu_factors)
         values.setflags(write=False)
         return Density(self.grid, values)
-
-
-def _band_mass(theory: TheoryDensity) -> float:
-    """Quadrature of the theory's joint over the box, from its bands: the
-    weighted column sums, then their weighted sum, in ``integrate``'s order."""
-    w0, w1 = theory.grid.weight_arrays()
-    return float(theory._column_sums(w0) @ w1)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +555,8 @@ def analytic_fall_theory(
     of its own size, and only its rows' bands are kept, so no grid-sized
     array is built.  ``tools/oracles/ridge_support.py``
     locates float64's exp underflow and checks the bands over a σ sweep.
-    A ridge with no mass on the box (``_band_mass``) raises ZeroMass.
+    A ridge with no mass on the box (``TheoryDensity._band_mass``) raises
+    ZeroMass.
     """
     length, time = _fall_axes(grid)
     sigma = law.sigma_theory
@@ -580,7 +604,7 @@ def analytic_fall_theory(
         # Frozen, so the theory shares these fresh arrays instead of copying them.
         a.setflags(write=False)
     theory = TheoryDensity(grid, lo, hi, band, mu, Provenance("analytic"))
-    if not _band_mass(theory) > 0.0:
+    if not theory._band_mass > 0.0:
         box = ", ".join(f"{ax.name} in [{ax.lower}, {ax.upper}]" for ax in grid.axes)
         raise ZeroMass(
             f"the fall law {length.name} = ½·g·{time.name}² with g={law.g!r} and "

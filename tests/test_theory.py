@@ -46,7 +46,7 @@ from inferspace import (
 )
 from inferspace.priors import profile_window_bounds, profile_window_keys, reading_centre_factor
 import inferspace.theory as theory_module
-from inferspace.theory import _BLOCK_BYTES, _band_mass, _row_bands
+from inferspace.theory import _BLOCK_BYTES, _row_bands
 
 from conftest import conditional_theory, measurement_profile
 
@@ -173,7 +173,7 @@ def test_accumulated_mass_counts_experiments():
     for n in (1, 7):
         theory = run_campaign(law, _instruments(), n, SET_L, master_seed=3, grid=grid)
         assert integrate(theory.joint) == pytest.approx(n, rel=1e-12)
-        assert abs(_band_mass(theory) - integrate(theory.joint)) <= 1e-15 * n
+        assert abs(theory._band_mass - integrate(theory.joint)) <= 1e-15 * n
         assert theory.provenance.n_experiments == n
     with pytest.raises(EmptyInput):
         run_campaign(law, _instruments(), 0, SET_L, master_seed=3, grid=grid)
@@ -574,7 +574,7 @@ def test_banded_ridge_equals_the_formula_at_every_node(axes, sigma, frame):
     for built, expected in zip((theory.lo, theory.hi, theory.band), _row_bands(dense)):
         assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
     mass = integrate(theory.joint)
-    assert abs(_band_mass(theory) - mass) <= 1e-15 * mass
+    assert abs(theory._band_mass - mass) <= 1e-15 * mass
 
 
 @pytest.mark.parametrize("builder", ["analytic", "campaign"])

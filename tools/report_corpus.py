@@ -2,10 +2,11 @@
 
 The corpus covers the theory paths end to end: ``analytic-theory`` on five
 grids and its refusal of a grid that names time first, ``build-theory`` in
-both modes and on the linear grid and its refusal of a one-axis grid, 25
+both modes and on the linear grid and its refusal of a one-axis grid, 29
 ``infer`` and ``predict`` runs against analytic, log-frame, linear-grid and
 empirical theories (one and two readings, ``--out``, every reading kind,
-and five refusals), ``convert`` of a theory to CSV and to JSON, to JSON
+readings at the edges of the default theory's box, a narrow reading on an
+empirical theory, and five refusals), ``convert`` of a theory to CSV and to JSON, to JSON
 through log and power maps, and its refusal of an affine map whose images
 of the log axis lie on no lattice, ``benford``'s sampled check and its
 refusal of a lower bound of 0, ``axioms``, and ``paradox`` at 60 nodes and
@@ -15,7 +16,7 @@ upper edge.  It also covers the parser and the theory reader's refusals:
 no arguments, ``--help``, ``infer --help`` and ``build-theory --help``, an
 unknown subcommand, an argument ``infer`` does not take, a value of the
 wrong type, and ``infer`` on a bare ``.npy`` array and on a theory with one
-bit flipped.  58 runs in all.
+bit flipped.  62 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -108,6 +109,14 @@ RUNS = [
                              "--query", "T"]),
     ("predict-empirical-linear", ["predict", "--theory", "campLin", "--known",
                                   "T:lognormal:1.0:0.02", "--query", "L"]),
+    ("infer-T-lower-edge", ["infer", "--theory", "default", "--measure",
+                            "T:lognormal:0.4516:0.005"]),
+    ("infer-T-upper-edge", ["infer", "--theory", "default", "--measure",
+                            "T:lognormal:1.4278:0.005"]),
+    ("infer-L-lower-edge-query-T", ["infer", "--theory", "default", "--measure",
+                                    "L:lognormal:1.0:0.02", "--query", "T"]),
+    ("infer-empirical-narrow", ["infer", "--theory", "campL", "--measure",
+                                "T:lognormal:1.0:0.005"]),
     ("refuse-unknown-axis", ["infer", "--theory", "default", "--measure",
                              "T:lognormal:1.0:0.005", "--query", "Z"]),
     ("refuse-off-grid", ["infer", "--theory", "default", "--measure", "T:lognormal:9.0:0.01"]),
