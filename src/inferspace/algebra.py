@@ -62,11 +62,19 @@ def and_combine(p: Density, q: Density, mu: Density) -> Density:
     """
     require_same_space(p, q)
     require_same_space(p, mu)
-    out = p.values * q.values
-    mu_v = mu.values
+    out = _and_values(p.values, q.values, mu.values)
+    # Frozen, so the Density shares this fresh array instead of copying it.
+    out.setflags(write=False)
+    return p.with_values(out)
+
+
+def _and_values(p: np.ndarray, q: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``and_combine``'s rule on value arrays of one shape: p·q/μ in a fresh
+    array, +0.0 where μ = 0, and NeutralZero where μ = 0 but p·q > 0."""
+    out = p * q
     ok = True
-    if mu_v.min() == 0.0:
-        zero_mu = mu_v == 0.0
+    if mu.min() == 0.0:
+        zero_mu = mu == 0.0
         n_bad = int(np.count_nonzero(zero_mu & (out > 0.0)))
         if n_bad:
             raise NeutralZero(
@@ -75,10 +83,8 @@ def and_combine(p: Density, q: Density, mu: Density) -> Density:
         # The limit is +0.0, whatever the sign of a zero product.
         out[zero_mu] = 0.0
         ok = ~zero_mu
-    np.divide(out, mu_v, out=out, where=ok)
-    # Frozen, so the Density shares this fresh array instead of copying it.
-    out.setflags(write=False)
-    return p.with_values(out)
+    np.divide(out, mu, out=out, where=ok)
+    return out
 
 
 def fuzzy_or(p: Density, q: Density) -> Density:

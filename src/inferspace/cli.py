@@ -326,6 +326,10 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
                         ("--width-cells", p.width_cells)):
         if not (math.isfinite(value) and value > 0.0):
             raise ConfigInvalid(f"{flag} must be finite and > 0, got {value}")
+    for flag, value in (("--sigma-sum", p.sigma_sum), ("--sigma-diff", p.sigma_diff)):
+        # The joint divides by 2σ², and 0/0 has no limit to take.
+        if 2 * value * value == 0.0:
+            raise ConfigInvalid(f"{flag} {value!r} is too small: 2σ² underflows to 0 in float64")
     if not math.isfinite(p.slice_value):
         raise ConfigInvalid(f"--slice-value must be finite, got {p.slice_value}")
     lim = math.exp(1.4)
@@ -336,21 +340,27 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
 
     def correlated(x, y):
         u, v = np.log(x), np.log(y)
-        return np.exp(-((u + v) ** 2) / (2 * a * a) - ((u - v) ** 2) / (2 * b * b)) / (x * y)
+        # A width far below the node spacing sends an exponent to -inf, and
+        # its exp to the exact 0 it tends to.
+        with np.errstate(over="ignore"):
+            return np.exp(-((u + v) ** 2) / (2 * a * a) - ((u - v) ** 2) / (2 * b * b)) / (x * y)
 
     joint = normalize(Density.from_callable(grid, correlated))
     mu = null_information_density(grid)
     y0 = p.slice_value
-    curved = borel_kolmogorov_demo(joint, mu, shear_map(), y0, width_cells=p.width_cells)
-    control = borel_kolmogorov_demo(
-        joint, mu, affine_map_2d(1.0, 0.0, 2.0, 0.0), y0, width_cells=p.width_cells
+    curved, control = borel_kolmogorov_demo(
+        joint, mu, (shear_map(), affine_map_2d(1.0, 0.0, 2.0, 0.0)), y0,
+        width_cells=p.width_cells,
     )
 
     # Width sweep: the AND-band conditional converges to the exact slice as
     # the band thins, which is the sense in which AND recovers conditioning.
+    # The demonstrations' own band is the entry of --width-cells.
     recovery = {
         str(cells): total_variation(
-            curved.native_conditional, band_conditional(joint, mu, y0, cells)[0]
+            curved.native_conditional,
+            curved.band_native if cells == p.width_cells
+            else band_conditional(joint, mu, y0, cells)[0],
         )
         for cells in (8.0, 4.0, 2.0)
     }

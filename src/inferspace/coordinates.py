@@ -246,22 +246,22 @@ def push_forward(
 @dataclass(frozen=True, eq=False)
 class PullBack:
     """Where the push-forward of densities on ``source`` through one map
-    reads them: the located preimages of ``target``'s nodes, the forward
+    reads them: the located preimages of nodes of ``target``, the forward
     Jacobian determinant there, and, with ``outside="zero"``, which
-    preimages lie inside the source box (``None`` otherwise).  ``nodes``
-    holds the row-major flat indices of the target nodes pulled back, in
-    the order of the located preimages, or is ``None`` for all of them."""
+    preimages lie inside the source box (``None`` otherwise).
+    ``pull_back`` locates every node of ``target``, and ``apply`` pushes a
+    density onto them all; ``_pull_back_nodes`` locates some of them, and
+    ``values`` gives a density's pushed values there."""
 
     source: Grid
     target: Grid
     located: tuple
     det: np.ndarray
     inside: np.ndarray | None
-    nodes: np.ndarray | None = None
 
-    def apply(self, d: Density) -> Density:
-        """The push-forward of ``d``, a density on ``source``, onto ``target``;
-        0 at every target node not pulled back."""
+    def values(self, d: Density) -> np.ndarray:
+        """The push-forward of ``d``, a density on ``source``, at the nodes
+        pulled back, as a fresh array: 0 where a preimage is outside."""
         if d.grid.axes != self.source.axes:
             raise GridMismatch(
                 f"a pull-back from {self.source.names}{self.source.shape} cannot push "
@@ -270,12 +270,15 @@ class PullBack:
         vals = interpolate(self.located, d.values) / self.det
         if self.inside is not None:
             vals = np.where(self.inside, vals, 0.0)
-        if self.nodes is not None:
-            vals, picked = np.zeros(self.target.shape), vals
-            vals.reshape(-1)[self.nodes] = picked
-        # A read-only view of the target's shape, so the Density shares this
-        # fresh array instead of copying it.
-        return Density(self.target, np.broadcast_to(vals, self.target.shape))
+        return vals
+
+    def apply(self, d: Density) -> Density:
+        """The push-forward of ``d``, a density on ``source``, onto every
+        node of ``target``."""
+        vals = self.values(d).reshape(self.target.shape)
+        # Frozen, so the Density shares this fresh array instead of copying it.
+        vals.setflags(write=False)
+        return Density(self.target, vals)
 
 
 def pull_back(
@@ -292,17 +295,17 @@ def pull_back(
         # broadcast from them, so a separable map keeps a column and a row
         # throughout.
         points = [points[0][:, None], points[1][None, :]]
-    return _pull_back(source, m, target_grid, points, None, outside)
+    return _pull_back(source, m, target_grid, points, outside)
 
 
 def _pull_back_nodes(
     source: Grid, m: Map2D, target_grid: Grid, flat: np.ndarray, outside: str
 ) -> PullBack:
     """``pull_back`` of only the target nodes at the row-major flat indices
-    ``flat``; its ``apply`` writes 0 at every other node."""
+    ``flat``, whose pushed values ``PullBack.values`` gives in that order."""
     rows, cols = np.unravel_index(flat, target_grid.shape)
     u, v = target_grid.axes
-    return _pull_back(source, m, target_grid, [u.nodes[rows], v.nodes[cols]], flat, outside)
+    return _pull_back(source, m, target_grid, [u.nodes[rows], v.nodes[cols]], outside)
 
 
 def _pull_back(
@@ -310,12 +313,11 @@ def _pull_back(
     m: CoordinateMap | Map2D,
     target_grid: Grid,
     points: list,
-    nodes: np.ndarray | None,
     outside: str,
 ) -> PullBack:
     """Locate the preimages under ``m`` of target ``points``, one coordinate
     array per axis, broadcastable together, on ``source``: the target
-    grid's nodes, or those at the flat indices ``nodes``."""
+    grid's nodes, or some of them."""
     ndim = 1 if isinstance(m, CoordinateMap) else 2
     if source.ndim != ndim or target_grid.ndim != ndim:
         raise InvalidGrid(f"{ndim}D maps push {ndim}D densities")
@@ -337,7 +339,7 @@ def _pull_back(
         tuple(ax.param_of(x) for ax, x in zip(axes, pre)),
     )
     mask = functools.reduce(np.logical_and, inside) if outside == "zero" else None
-    return PullBack(source, target_grid, located, det, mask, nodes)
+    return PullBack(source, target_grid, located, det, mask)
 
 
 def _clip_or_flag(ax: Axis, x, outside: str):

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .algebra import and_combine, total_variation
+from ._kernels import interpolate
+from .algebra import _and_values, and_combine, total_variation
 from .coordinates import Map2D, _lattice_axis, _pull_back_nodes
 from .density import (
     Density,
@@ -248,15 +250,14 @@ def conditional_density(joint: Density, fixed_axis: str, fixed_value: float) -> 
     else:
         pts = np.column_stack([free_ax.nodes, fixed_col])
     return _normalized_slice(
-        joint, free_ax, pts, f"joint density vanishes along {fixed_axis}={fixed_value!r}"
+        evaluate(joint, pts), free_ax, f"joint density vanishes along {fixed_axis}={fixed_value!r}"
     )
 
 
-def _normalized_slice(d: Density, free_ax: Axis, pts: np.ndarray, empty: str) -> Density:
-    """``d`` at ``pts``, one point per node of ``free_ax``, normalized as a
-    density over ``free_ax``; ZeroSlice with the message ``empty`` if it has
-    no mass there."""
-    vals = evaluate(d, pts)
+def _normalized_slice(vals: np.ndarray, free_ax: Axis, empty: str) -> Density:
+    """``vals``, one value per node of ``free_ax``, normalized as a density
+    over ``free_ax``; ZeroSlice with the message ``empty`` if they have no
+    mass there."""
     mass = float(np.dot(vals, free_ax.weights))
     if mass <= 0.0:
         raise ZeroSlice(empty)
@@ -438,11 +439,12 @@ def _mapped_grid(joint: Density, m: Map2D) -> Grid:
 def borel_kolmogorov_demo(
     joint: Density,
     mu: Density,
-    map2d: Map2D,
+    maps: Sequence[Map2D],
     slice_value: float,
     width_cells: float = 2.0,
-) -> ParadoxReport:
-    """Condition on the second axis two ways, in two coordinate frames.
+) -> list[ParadoxReport]:
+    """Condition on the second axis two ways, in the original frame and in
+    the frame of each map of ``maps``; one report per map, in their order.
 
     The event is {y = slice_value}.  Naive conditioning slices the density
     along the event and renormalizes; done in the original frame and again in
@@ -460,15 +462,18 @@ def borel_kolmogorov_demo(
     weigh it differently; elsewhere the agreement is up to interpolation
     error.
 
-    The joint, μ and the band are pushed through one pull-back of the map,
-    of only the mapped-frame nodes that the band and the slice read
+    The original frame's slice, band and band conditional are computed once
+    and shared by every report.  In each mapped frame the joint, μ and the
+    band are pushed to only the nodes that the band and the slice read
     (``_read_nodes``): one run of v-nodes per row where the pushed band can
-    be nonzero, and the corners around each point of the image curve.  Every
-    other node is written as 0.  The pushed band is an exact 0 there, so the
-    AND is too, and the slice does not read it: the reports are bit for bit
-    those of pulling back every node.
+    be nonzero, and the corners around each point of the image curve.  They
+    are ANDed there; the AND is written into one zeroed frame, the one
+    array of the mapped frame's size, which is marginalized.  The pushed
+    band is an exact 0 at every other node, so the AND is too, and the
+    slice does not read it: the reports are bit for bit those of pulling
+    back and ANDing every node.
 
-    The map must keep the first coordinate fixed (u = x), so the two frames
+    Each map must keep the first coordinate fixed (u = x), so the two frames
     share an axis along which the conditionals can be compared.
     """
     require_same_space(joint, mu)
@@ -480,53 +485,60 @@ def borel_kolmogorov_demo(
             f"slice value {slice_value!r} outside axis {ax1.name!r} box"
         )
 
-    # The map must act as (x, y) -> (x, v(x, y)).
+    # Each map must act as (x, y) -> (x, v(x, y)); its mapped frame.
     probe_y = np.full(3, float(slice_value))
     probe_x = np.array([ax0.lower, ax0.nodes[ax0.count // 2], ax0.upper])
-    u_probe, _ = map2d.forward(probe_x, probe_y)
     scale = max(abs(ax0.lower), abs(ax0.upper))
-    if np.max(np.abs(u_probe - probe_x)) > 1e-9 * scale:
-        raise InvalidGrid("the demonstration needs a map that fixes the first coordinate")
+    targets = []
+    for map2d in maps:
+        u_probe, _ = map2d.forward(probe_x, probe_y)
+        if np.max(np.abs(u_probe - probe_x)) > 1e-9 * scale:
+            raise InvalidGrid("the demonstration needs a map that fixes the first coordinate")
+        targets.append(_mapped_grid(joint, map2d))
 
-    # The mapped frame, the event's image curve v = v(x, y0) in it, and the
-    # band; the pull-back locates only the frame's nodes that they read.
-    target = _mapped_grid(joint, map2d)
-    x_nodes = ax0.nodes
-    _, v_curve = map2d.forward(x_nodes, np.full(ax0.count, float(slice_value)))
-    band_rho, width = _band(ax1, mu, slice_value, width_cells)
-    read = _read_nodes(target, map2d, band_rho, (x_nodes, v_curve))
-    push = _pull_back_nodes(joint.grid, map2d, target, read, "zero")
-    pushed = push.apply(joint)
-    mu_pushed = push.apply(mu)
-
-    # Naive conditioning, original frame: slice at y = y0.
+    # The original frame: naive conditioning slices at y = y0, band
+    # conditioning ANDs with a thin boxcar around y0.
     native = conditional_density(joint, ax1.name, slice_value)
-
-    # Naive conditioning, mapped frame: sample the pushed density along the
-    # image curve and renormalize over the shared axis.
-    mapped_cond = _normalized_slice(
-        pushed,
-        ax0,
-        np.column_stack([x_nodes, v_curve]),
-        "pushed density vanishes along the image curve",
-    )
-    tv_naive = total_variation(native, mapped_cond)
-
-    # Band conditioning: AND with a thin boxcar around y0, in both frames.
+    band_rho, width = _band(ax1, mu, slice_value, width_cells)
     band_native = _and_marginal(joint, band_rho, mu)
-    band_mapped = _and_marginal(pushed, push.apply(band_rho), mu_pushed)
-    tv_band = total_variation(band_native, band_mapped)
 
-    return ParadoxReport(
-        map_kind=map2d.kind,
-        slice_axis=ax1.name,
-        slice_value=float(slice_value),
-        band_width=width,
-        tv_naive=tv_naive,
-        tv_band=tv_band,
-        native_conditional=native,
-        band_native=band_native,
-    )
+    x_nodes = ax0.nodes
+    reports = []
+    for map2d, target in zip(maps, targets):
+        # The event's image curve v = v(x, y0) in the mapped frame, and the
+        # pushes to the frame's nodes that the band and the curve read.
+        _, v_curve = map2d.forward(x_nodes, np.full(ax0.count, float(slice_value)))
+        curve = (x_nodes, v_curve)
+        target.require_inside(curve)
+        read, at, along = _read_nodes(target, map2d, band_rho, curve)
+        push = _pull_back_nodes(joint.grid, map2d, target, read, "zero")
+        pushed, mu_pushed, band_pushed = (push.values(d) for d in (joint, mu, band_rho))
+
+        # Naive conditioning, mapped frame: the pushed density along the
+        # image curve, renormalized over the shared axis.
+        mapped_cond = _normalized_slice(
+            interpolate(along, pushed[at]), ax0, "pushed density vanishes along the image curve"
+        )
+
+        # Band conditioning, mapped frame: the AND at the read nodes, 0 at
+        # every other node of the frame.
+        frame = np.zeros(target.shape)
+        frame.reshape(-1)[read] = _and_values(pushed, band_pushed, mu_pushed)
+        # Frozen, so the Density shares this array instead of copying it.
+        frame.setflags(write=False)
+        band_mapped = normalize(marginalize(Density(target, frame), ax0.name))
+
+        reports.append(ParadoxReport(
+            map_kind=map2d.kind,
+            slice_axis=ax1.name,
+            slice_value=float(slice_value),
+            band_width=width,
+            tv_naive=total_variation(native, mapped_cond),
+            tv_band=total_variation(band_native, band_mapped),
+            native_conditional=native,
+            band_native=band_native,
+        ))
+    return reports
 
 
 def band_conditional(
@@ -560,11 +572,18 @@ def _band(ax1: Axis, mu: Density, slice_value: float, width_cells: float) -> tup
     return mu.with_values(vals), float(width)
 
 
-def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> np.ndarray:
-    """The sorted flat indices of the nodes of ``target``, the mapped
-    frame, that the demonstration reads: where the pushed ``band`` can be
-    nonzero, and the corners that evaluating the pushed joint along
-    ``curve`` (x and v per point) reads.
+def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
+    """The nodes of ``target``, the mapped frame, that the demonstration
+    reads: where the pushed ``band`` can be nonzero, and the corners that
+    evaluating the pushed joint along ``curve`` (x and v per point) reads.
+
+    Returns their sorted flat indices, built from each row's run and the
+    corners with no mask of the frame; ``at``, the place among them of
+    each point's corners, one row per point; and ``along``, the curve's
+    location over the table ``values[at]``, for ``values`` pushed to those
+    nodes.  Through it ``interpolate`` reads the same corners, with the
+    same weights and in the same order, as ``evaluate`` of the whole
+    pushed frame does.
 
     The band is nonzero only on a run of y-nodes.  Its push at a target
     node reads the two source nodes of the cell that holds the node's
@@ -580,6 +599,9 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> np.ndarray:
     """
     x, y = band.grid.axes
     v = target.axes[1]
+    flat, corners = _locate_points(target, curve)
+    nodes = flat[:, None] + np.array([offset for offset, _ in corners])
+    read = nodes.ravel()
     rows = np.flatnonzero(np.any(band.values, axis=0))
     if rows.size:
         lo, hi = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 1, y.count - 1)
@@ -590,15 +612,23 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> np.ndarray:
             v_lo = np.where(rising, -np.inf, np.inf)
         if hi == y.count - 1:
             v_hi = np.where(rising, np.inf, -np.inf)
-        first = np.searchsorted(v.nodes, np.minimum(v_lo, v_hi), side="left") - 1
-        stop = np.searchsorted(v.nodes, np.maximum(v_lo, v_hi), side="right") + 1
-        cols = np.arange(v.count)
-        read = (cols >= first[:, None]) & (cols < stop[:, None])
-    else:
-        read = np.zeros(target.shape, dtype=bool)
-    flat, corners = _locate_points(target, curve)
-    read.reshape(-1)[flat[:, None] + np.array([offset for offset, _ in corners])] = True
-    return np.flatnonzero(read)
+        first = np.maximum(np.searchsorted(v.nodes, np.minimum(v_lo, v_hi), side="left") - 1, 0)
+        stop = np.minimum(np.searchsorted(v.nodes, np.maximum(v_lo, v_hi), side="right") + 1,
+                          v.count)
+        lengths = stop - first
+        # Row r's run starts at r·(v nodes) + first[r]; runs are laid end to
+        # end, as ``TheoryDensity._run`` lays out its columns.
+        runs = np.repeat(np.arange(x.count) * v.count + first - (np.cumsum(lengths) - lengths),
+                         lengths)
+        runs += np.arange(runs.size)
+        read = np.concatenate([runs, read])
+    # Sorted, then each repeat dropped: np.unique takes ten times as long
+    # here, as it hashes first.
+    read = np.sort(read)
+    read = read[np.concatenate(([True], read[1:] != read[:-1]))]
+    at = np.searchsorted(read, nodes)
+    along = (np.arange(0, at.size, at.shape[1]), tuple(enumerate(w for _, w in corners)))
+    return read, at, along
 
 
 def _and_marginal(joint: Density, rho: Density, mu: Density) -> Density:

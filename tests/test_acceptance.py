@@ -179,8 +179,8 @@ def test_criterion_4_band_conditioning_recovers_the_conditional():
     joint, mu = _correlated_joint(301)
     tvs = []
     for cells in (8.0, 4.0, 2.0):
-        report = borel_kolmogorov_demo(
-            joint, mu, affine_map_2d(1.0, 0.0, 2.0, 0.0), 1.0, width_cells=cells
+        (report,) = borel_kolmogorov_demo(
+            joint, mu, [affine_map_2d(1.0, 0.0, 2.0, 0.0)], 1.0, width_cells=cells
         )
         tvs.append(total_variation(report.band_native, report.native_conditional))
     ok = tvs[0] > tvs[1] > tvs[2] and tvs[2] <= 1e-3
@@ -302,8 +302,9 @@ def test_criterion_8_conditioning_paradox_and_its_resolution():
     (TV > 0.01) while AND-band conditionals agree within 1e-3; under an
     affine control both agree within 1e-6."""
     joint, mu = _correlated_joint(301)
-    sheared = borel_kolmogorov_demo(joint, mu, shear_map(), 1.0)
-    control = borel_kolmogorov_demo(joint, mu, affine_map_2d(1.0, 0.0, 2.0, 0.0), 1.0)
+    sheared, control = borel_kolmogorov_demo(
+        joint, mu, [shear_map(), affine_map_2d(1.0, 0.0, 2.0, 0.0)], 1.0
+    )
     ok = (
         sheared.tv_naive > 0.01
         and sheared.tv_band <= 1e-3

@@ -1635,6 +1635,53 @@ class TestCliAuxiliary:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be {must}, got {float(value)}\n"
 
+    @pytest.mark.parametrize("flag", ["--sigma-sum", "--sigma-diff"])
+    def test_paradox_width_whose_square_underflows_is_refused(self, flag, capsys):
+        """2σ² of 1e-200 underflows to 0, and the joint's exponent would be
+        0/0 on its ridge: refused before the joint is built."""
+        code = main(["paradox", "--count", "21", flag, "1e-200"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} 1e-200 is too small: 2σ² underflows to 0 in float64\n"
+        )
+
+    def test_paradox_width_whose_exponent_overflows_gives_exact_zeros(self, capsys):
+        """2σ² of 1e-160 is a subnormal, so the exponent goes to -inf off the
+        ridge; its exp is the exact 0, with no warning (the suite turns
+        warnings into errors)."""
+        code = main(["paradox", "--count", "21", "--sigma-diff", "1e-160"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["sheared"]["map_kind"] == "shear"
+
+    @pytest.mark.parametrize("width_cells, band_ands", [("2", 3), ("3", 4)])
+    def test_paradox_conditions_the_native_frame_once(self, width_cells, band_ands, capsys,
+                                                      monkeypatch):
+        """One command slices the native frame once, for both maps, and ANDs
+        a native band once per distinct width: the demonstrations' band is
+        the sweep's entry of ``--width-cells``.  The mapped frames' ANDs
+        are taken at their read nodes, not through ``and_combine``."""
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(inferspace.inference, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(inferspace.inference, name, call)
+
+        counted("conditional_density")
+        counted("and_combine")
+        code, doc = run_cli(["paradox", "--count", "21", "--width-cells", width_cells], capsys)
+        assert code == 0
+        assert doc["sheared"]["band_width"] == doc["affine_control"]["band_width"]
+        assert calls == {"conditional_density": 1, "and_combine": band_ands}
+
     @pytest.mark.parametrize(
         "argv",
         [
