@@ -339,11 +339,23 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
     a, b = p.sigma_sum, p.sigma_diff
 
     def correlated(x, y):
+        """exp(-(u + v)²/(2a²) - (u - v)²/(2b²)) / (x·y), u = ln x and
+        v = ln y: the exponent in one array and x·y in a second."""
         u, v = np.log(x), np.log(y)
         # A width far below the node spacing sends an exponent to -inf, and
         # its exp to the exact 0 it tends to.
         with np.errstate(over="ignore"):
-            return np.exp(-((u + v) ** 2) / (2 * a * a) - ((u - v) ** 2) / (2 * b * b)) / (x * y)
+            out = np.add(u, v)
+            np.square(out, out=out)
+            np.negative(out, out=out)
+            out /= 2 * a * a
+            diff = np.subtract(u, v)
+            np.square(diff, out=diff)
+            diff /= 2 * b * b
+            out -= diff
+            np.exp(out, out=out)
+            out /= np.multiply(x, y, out=diff)
+        return out
 
     joint = normalize(Density.from_callable(grid, correlated))
     mu = null_information_density(grid)
@@ -376,22 +388,35 @@ def _cmd_paradox(p: argparse.Namespace) -> int:
     return 0
 
 
+# The least fall in the recovery sweep's TV at each halving of the band for
+# it to count as converging; a first-order fall is 2-fold.
+_CONVERGING_FALL = 1.5
+
+
 def _paradox_conclusion(tv_naive: float, tv_band: float, recovery: dict[str, float]) -> str:
     """What the sheared run and the recovery sweep (widest band first) show:
     whether band conditioning agreed across frames better than slicing, and
-    whether the band conditional nears the slice at each thinner band."""
+    whether the band conditional converges to the slice: whether each
+    thinner band of the sweep cuts its TV at least 1.5-fold, or else the
+    first step that does not."""
     if tv_band < tv_naive:
         frames = ("slice conditioning moved by tv_naive under the shear while band "
                   "conditioning agreed across frames to tv_band")
     else:
         frames = ("band conditioning moved by tv_band under the shear, no less than slice "
                   "conditioning's tv_naive")
-    tvs = list(recovery.values())
-    if all(a > b for a, b in zip(tvs, tvs[1:])):
+    sweep = list(recovery.items())
+    slow = next(((a, b) for a, b in zip(sweep, sweep[1:]) if not a[1] >= _CONVERGING_FALL * b[1]),
+                None)
+    if slow is None:
         sweep = "the band conditional converges to the exact slice as the band thins"
     else:
+        (wide, tv_wide), (thin, tv_thin) = slow
         sweep = ("the band conditional does not near the exact slice at every thinner band "
-                 f"of the {'/'.join(recovery)}-cell sweep")
+                 f"of the {'/'.join(recovery)}-cell sweep: from {wide} to {thin} cells its "
+                 f"TV goes from {tv_wide:.3g} to {tv_thin:.3g}, a ratio of "
+                 f"{tv_wide / tv_thin:.2f}, under the {_CONVERGING_FALL}-fold fall that "
+                 "converging takes")
     return f"{frames}, and {sweep}"
 
 

@@ -78,29 +78,37 @@ class CoordinateMap:
 def _lattice_axis(name: str, images, log_first: bool, most: int) -> Axis | None:
     """The axis ``name`` from the smallest image to the largest whose nodes
     form a uniform lattice, in its spacing coordinate, on which every image
-    lies to 1e-6 steps, if one of at most ``most`` nodes exists.
+    lies to 1e-6 steps, if one of at most ``most`` nodes exists; ``None``
+    for images that are not all finite or that collapse to one value.
 
     Both spacings are tried, ln first when ``log_first`` and every image is
-    > 0; the step is the smallest gap between distinct images.
+    > 0; the step is the smallest gap between distinct images.  The images
+    are sorted once, into a copy; the log, the gaps, the lattice position
+    k of each image and its distance from the nearest integer are then
+    written into two work buffers the size of that copy.
     """
     s = np.sort(np.asarray(images, dtype=float).ravel())
-    if not (np.all(np.isfinite(s)) and s[-1] > s[0]):
+    # The sort puts a NaN last and an infinity at an end.
+    if not (np.isfinite(s[0]) and np.isfinite(s[-1]) and s[-1] > s[0]):
         return None
+    work, k = np.empty_like(s), np.empty_like(s)
     spacings = [LINEAR]
     if s[0] > 0.0:
         spacings.insert(0 if log_first else 1, LOGARITHMIC)
     for spacing in spacings:
-        t = np.log(s) if spacing == LOGARITHMIC else s
+        t = np.log(s, out=work) if spacing == LOGARITHMIC else s
         lo, span = t[0], t[-1] - t[0]
-        gaps = np.diff(t)
+        gaps = np.subtract(t[1:], t[:-1], out=k[:-1])
         # Gaps below this are rounding between images of one lattice point.
-        gaps = gaps[gaps > 1e-9 * max(span, abs(t[0]), abs(t[-1]))]
-        if gaps.size == 0:
+        step = gaps.min(where=gaps > 1e-9 * max(span, abs(t[0]), abs(t[-1])), initial=np.inf)
+        if step == np.inf:
             continue
-        steps = round(span / float(gaps.min()))
+        steps = round(span / float(step))
         if steps < most:
-            k = (t - lo) * (steps / span)
-            if float(np.max(np.abs(k - np.round(k)))) <= 1e-6:
+            np.subtract(t, lo, out=k)
+            k *= steps / span
+            k -= np.round(k, out=work)
+            if float(np.max(np.abs(k, out=k))) <= 1e-6:
                 return Axis(name, spacing, float(s[0]), float(s[-1]), steps + 1)
     return None
 
@@ -342,11 +350,16 @@ def _pull_back(
     return PullBack(source, target_grid, located, det, mask)
 
 
+# How far past the source box, relative to its largest |edge|, a preimage
+# still counts as inside it.
+_EDGE_RTOL = 1e-9
+
+
 def _clip_or_flag(ax: Axis, x, outside: str):
     """Preimages clipped into the box, and which were inside it to a
-    relative slack of 1e-9."""
+    relative slack of ``_EDGE_RTOL``."""
     x = np.asarray(x, dtype=float)
-    inside = ax.contains(x, rtol=1e-9)
+    inside = ax.contains(x, rtol=_EDGE_RTOL)
     if outside == "error" and not np.all(inside):
         worst = float(np.max(np.maximum(ax.lower - x, x - ax.upper)))
         raise DomainMismatch(

@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import interpolate
-from .algebra import _and_values, and_combine, total_variation
-from .coordinates import Map2D, _lattice_axis, _pull_back_nodes
+from .algebra import _and_values, total_variation
+from .coordinates import _EDGE_RTOL, Map2D, _lattice_axis, _pull_back_nodes
 from .density import (
     Density,
     _locate_points,
@@ -417,20 +417,24 @@ def _mapped_grid(joint: Density, m: Map2D) -> Grid:
     log axis of 2n − 1 nodes.  A map whose images miss every lattice, or
     whose lattice would be larger, gets 4·(n₀ + n₁) nodes over the range of
     its images.
+
+    The search returns no lattice for images that are not all finite or
+    that collapse to one value, so only then are the images checked for
+    those two faults, each an InvalidGrid.
     """
     ax0, ax1 = joint.grid.axes
     with np.errstate(all="ignore"):
         _, v = m.forward(ax0.nodes[:, None], ax1.nodes[None, :])
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise InvalidGrid(f"{m.kind!r} map sends some nodes of the box to a non-finite v")
-    vlo, vhi = float(v.min()), float(v.max())
-    if not vhi > vlo:
-        raise InvalidGrid(f"map collapses the second coordinate: range [{vlo}, {vhi}]")
     both_log = ax0.spacing == LOGARITHMIC and ax1.spacing == LOGARITHMIC
     count = 4 * (ax0.count + ax1.count)
     axis = _lattice_axis("v", v, both_log, count)
     if axis is None:
+        if not np.all(np.isfinite(v)):
+            raise InvalidGrid(f"{m.kind!r} map sends some nodes of the box to a non-finite v")
+        vlo, vhi = float(v.min()), float(v.max())
+        if not vhi > vlo:
+            raise InvalidGrid(f"map collapses the second coordinate: range [{vlo}, {vhi}]")
         spacing = LOGARITHMIC if both_log and vlo > 0.0 else LINEAR
         axis = Axis("v", spacing, vlo, vhi, count)
     return Grid.of(ax0, axis)
@@ -499,8 +503,8 @@ def borel_kolmogorov_demo(
     # The original frame: naive conditioning slices at y = y0, band
     # conditioning ANDs with a thin boxcar around y0.
     native = conditional_density(joint, ax1.name, slice_value)
-    band_rho, width = _band(ax1, mu, slice_value, width_cells)
-    band_native = _and_marginal(joint, band_rho, mu)
+    band_rho, width, cols = _band(ax1, mu, slice_value, width_cells)
+    band_native = _and_marginal(joint, band_rho, mu, cols)
 
     x_nodes = ax0.nodes
     reports = []
@@ -554,22 +558,27 @@ def band_conditional(
     the joint's grid, and the band's width.  As the band thins, the
     conditional approaches the exact slice ``conditional_density``.
     """
-    band_rho, width = _band(joint.grid.axes[1], mu, slice_value, width_cells)
-    return _and_marginal(joint, band_rho, mu), band_rho, width
+    band_rho, width, cols = _band(joint.grid.axes[1], mu, slice_value, width_cells)
+    return _and_marginal(joint, band_rho, mu, cols), band_rho, width
 
 
-def _band(ax1: Axis, mu: Density, slice_value: float, width_cells: float) -> tuple[Density, float]:
-    """``band_conditional``'s band on axis ``ax1`` and its width."""
+def _band(
+    ax1: Axis, mu: Density, slice_value: float, width_cells: float
+) -> tuple[Density, float, slice]:
+    """``band_conditional``'s band on axis ``ax1``, its width, and the
+    columns from the first to the last where its cell-overlap factor on
+    ``ax1`` is nonzero: the band is an exact 0 in every other column."""
     j = int(np.argmin(np.abs(ax1.nodes - slice_value)))
     bnd = ax1.cell_boundaries
     width = width_cells * (bnd[j + 1] - bnd[j])
     band_model = MeasurementModel(
         parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
     )
-    vals = mu.values * reading_centre_factor(band_model, ax1)
+    factor = reading_centre_factor(band_model, ax1)
+    vals = mu.values * factor
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    return mu.with_values(vals), float(width)
+    return mu.with_values(vals), float(width), _support(factor)
 
 
 def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
@@ -592,10 +601,13 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
     monotone along each target row, and these nodes form one run per row,
     between the images v(x, ·) of those two y-nodes; it is widened by one
     node on each side, so that rounding in the inverse map cannot leave a
-    node out.  If one of the two is a box-edge node, the run goes on to the
-    end of its row: a target node past that edge's image pulls back outside
-    the box, where its value is 0, or within the box's edge slack, where it
-    is clipped onto the edge node.
+    node out.  If one of the two is a box-edge node, the run ends instead at
+    the image of that edge moved out by the box's relative slack
+    (``_EDGE_RTOL``, as ``_clip_or_flag`` applies it), widened by one node
+    in the same way: a target node within the slack is clipped onto the
+    edge node, and one past it pulls back outside the box, where its value
+    is 0.  Where the map gives no finite image past the edge, the row is
+    read whole.
     """
     x, y = band.grid.axes
     v = target.axes[1]
@@ -605,16 +617,21 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
     rows = np.flatnonzero(np.any(band.values, axis=0))
     if rows.size:
         lo, hi = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 1, y.count - 1)
-        _, ends = m.forward(x.nodes[:, None], y.nodes[[lo, hi]][None, :])
-        v_lo, v_hi = np.broadcast_to(ends, (x.count, 2)).T
-        rising = v_lo < v_hi
+        y_ends = y.nodes[[lo, hi]]
+        slack = _EDGE_RTOL * max(abs(y.lower), abs(y.upper))
         if lo == 0:
-            v_lo = np.where(rising, -np.inf, np.inf)
+            y_ends[0] = y.lower - slack
         if hi == y.count - 1:
-            v_hi = np.where(rising, np.inf, -np.inf)
-        first = np.maximum(np.searchsorted(v.nodes, np.minimum(v_lo, v_hi), side="left") - 1, 0)
-        stop = np.minimum(np.searchsorted(v.nodes, np.maximum(v_lo, v_hi), side="right") + 1,
-                          v.count)
+            y_ends[1] = y.upper + slack
+        with np.errstate(all="ignore"):
+            _, ends = m.forward(x.nodes[:, None], y_ends[None, :])
+        v_lo, v_hi = np.broadcast_to(ends, (x.count, 2)).T
+        low, high = np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)
+        # A NaN end, past an edge where the map is undefined, is NaN in both.
+        whole = np.isnan(low)
+        low[whole], high[whole] = -np.inf, np.inf
+        first = np.maximum(np.searchsorted(v.nodes, low, side="left") - 1, 0)
+        stop = np.minimum(np.searchsorted(v.nodes, high, side="right") + 1, v.count)
         lengths = stop - first
         # Row r's run starts at r·(v nodes) + first[r]; runs are laid end to
         # end, as ``TheoryDensity._run`` lays out its columns.
@@ -631,6 +648,19 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
     return read, at, along
 
 
-def _and_marginal(joint: Density, rho: Density, mu: Density) -> Density:
-    """joint AND rho, marginalized onto the first axis and normalized."""
-    return normalize(marginalize(and_combine(joint, rho, mu), joint.grid.names[0]))
+def _and_marginal(joint: Density, rho: Density, mu: Density, cols: slice) -> Density:
+    """joint AND rho, marginalized onto the first axis and normalized, for a
+    ``rho`` on ``mu``'s grid that is an exact 0 outside the columns ``cols``.
+
+    ``and_combine``'s rule (``_and_values``) runs on those columns alone,
+    and its result is written into one zeroed frame, which is marginalized.
+    Outside them joint·rho is 0, so the AND there is the 0 written and
+    NeutralZero cannot fire: the marginal sums the same frame as that of
+    ``and_combine(joint, rho, mu)``.
+    """
+    require_same_space(joint, mu)
+    frame = np.zeros(joint.grid.shape)
+    frame[:, cols] = _and_values(joint.values[:, cols], rho.values[:, cols], mu.values[:, cols])
+    # Frozen, so the Density shares this array instead of copying it.
+    frame.setflags(write=False)
+    return normalize(marginalize(Density(joint.grid, frame), joint.grid.names[0]))

@@ -35,7 +35,7 @@ from inferspace import (
     verify_invariance,
 )
 from inferspace.algebra import _rel_diff
-from inferspace.coordinates import pull_back
+from inferspace.coordinates import _lattice_axis, pull_back
 
 from conftest import gaussian_density
 
@@ -143,6 +143,62 @@ def test_image_axis_refuses_images_that_overflow():
     """exp(1000) is not a float64: no lattice, and no overflow warning."""
     with pytest.raises(DomainMismatch, match="lie on no uniform linear or log lattice"):
         exp_map().image_axis(Axis.logarithmic("L", 1.0, 1000.0, 11))
+
+
+def _lattice_axis_step_by_step(name, images, log_first, most):
+    """``_lattice_axis`` with a fresh array at each step: the oracle that
+    the search in two work buffers must match."""
+    s = np.sort(np.asarray(images, dtype=float).ravel())
+    if not (np.all(np.isfinite(s)) and s[-1] > s[0]):
+        return None
+    spacings = [LINEAR]
+    if s[0] > 0.0:
+        spacings.insert(0 if log_first else 1, LOGARITHMIC)
+    for spacing in spacings:
+        t = np.log(s) if spacing == LOGARITHMIC else s
+        lo, span = t[0], t[-1] - t[0]
+        gaps = np.diff(t)
+        gaps = gaps[gaps > 1e-9 * max(span, abs(t[0]), abs(t[-1]))]
+        if gaps.size == 0:
+            continue
+        steps = round(span / float(gaps.min()))
+        if steps < most:
+            k = (t - lo) * (steps / span)
+            if float(np.max(np.abs(k - np.round(k)))) <= 1e-6:
+                return Axis(name, spacing, float(s[0]), float(s[-1]), steps + 1)
+    return None
+
+
+@st.composite
+def _lattice_images(draw):
+    """Images on a linear or log lattice, with repeated points and rounding
+    noise; points on no lattice; sets with a NaN or an infinity; and
+    two-point sets."""
+    kind = draw(st.sampled_from(["linear", "log", "none", "non-finite", "two"]))
+    size = draw(st.integers(1, 60))
+    if kind in ("linear", "log"):
+        count = draw(st.integers(2, 40))
+        at = draw(hnp.arrays(int, size, elements=st.integers(0, count - 1)))
+        t = draw(st.floats(-5.0, 5.0)) + at * draw(st.floats(1e-3, 2.0))
+        images = np.exp(t) if kind == "log" else t
+        noise = draw(hnp.arrays(float, size, elements=st.floats(-1e-10, 1e-10)))
+        return images * (1.0 + noise)
+    if kind == "two":
+        size = 2
+    images = draw(hnp.arrays(float, size, elements=st.floats(-1e3, 1e3)))
+    if kind == "non-finite":
+        images[draw(st.integers(0, size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return images
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=_lattice_images(), log_first=st.booleans(), most=st.integers(1, 120))
+def test_lattice_search_in_work_buffers_finds_the_same_axis(images, log_first, most):
+    """The search writes each step into two work buffers with the same
+    arithmetic in the same order, so it returns the same axis, or none,
+    as a fresh array per step does."""
+    expected = _lattice_axis_step_by_step("v", images, log_first, most)
+    assert _lattice_axis("v", images, log_first, most) == expected
 
 
 def test_outside_zero_policy():

@@ -938,6 +938,24 @@ class TestBorelKolmogorovDemo:
         assert v == image
         assert np.array_equal(v.nodes, image.nodes)
 
+    @pytest.mark.parametrize(
+        "forward, message",
+        [(lambda x, y: (x, np.log(y - y.min())),
+          "'faulty' map sends some nodes of the box to a non-finite v"),
+         (lambda x, y: (x, 0.0 * y + 1.0),
+          "map collapses the second coordinate: range [1.0, 1.0]")],
+        ids=["non-finite", "collapsed"],
+    )
+    def test_mapped_frame_refuses_images_with_no_axis(self, forward, message):
+        """Images that are not all finite, or that collapse to one value,
+        lie on no lattice, and the fallback grid cannot span them."""
+        joint, _ = _correlated_joint(count=21)
+        faulty = Map2D(kind="faulty", forward=forward, inverse=_SUM_MAP.inverse,
+                       det_forward=_SUM_MAP.det_forward)
+        with pytest.raises(InvalidGrid) as excinfo:
+            _mapped_grid(joint, faulty)
+        assert str(excinfo.value) == message
+
     def test_map_off_every_lattice_falls_back_to_an_interpolated_grid(self):
         """(u, v) = (x, x + y) fixes x, but x + y is on no lattice in v or
         ln v: the target gets 4·(n₀ + n₁) nodes and the pushes interpolate."""
@@ -997,14 +1015,58 @@ class TestBorelKolmogorovDemo:
     def test_shear_demo_stays_within_its_memory_budget(self):
         """At the CLI's 300 nodes the mapped frame has 300 × 599 nodes, and
         the demo's one array of that size is the AND (1.4 MB); the joint, μ
-        and band are pushed to the 2.5k nodes it reads.  Its peak, 4.33 MB,
-        is the lattice search of ``_mapped_grid`` over the 90k node images.
-        The bound adds 0.67 MB, less than one more 300² array (0.72 MB).
-        Pulling back and ANDing every node of the frame peaks at 16 MB."""
+        and band are pushed to the 2.5k nodes it reads.  Its peak, 2.97 MB,
+        is the lattice search of ``_mapped_grid``: the 90k node images, their
+        sorted copy and two work buffers of that size.  The bound adds
+        0.63 MB, less than one more 300² array (0.72 MB).  Pulling back and
+        ANDing every node of the frame peaks at 16 MB."""
         joint, mu = _correlated_joint(count=300, sigma_sum=0.35, sigma_diff=0.7)
         (report,), peak = allocated(lambda: borel_kolmogorov_demo(joint, mu, [shear_map()], 1.0))
         assert report.tv_band < report.tv_naive
-        assert peak <= 5e6
+        assert peak <= 3.6e6
+
+    def test_edge_slices_read_no_more_of_the_mapped_frame_than_an_interior_one(
+        self, monkeypatch
+    ):
+        """A band that reaches a y-box edge node reads each row of the
+        mapped frame only to the image of the edge moved out by the box's
+        slack, not on to the row's end: at 300 nodes a slice on either box
+        edge reads fewer nodes than one at y = 1."""
+        joint, mu = _correlated_joint(count=300, sigma_sum=0.35, sigma_diff=0.7)
+        y = joint.grid.axes[1]
+        sizes = []
+        real = inferspace.inference._read_nodes
+
+        def counted(*args):
+            read = real(*args)
+            sizes.append(read[0].size)
+            return read
+
+        monkeypatch.setattr(inferspace.inference, "_read_nodes", counted)
+        for y0 in (1.0, y.lower, y.upper):
+            borel_kolmogorov_demo(joint, mu, [shear_map()], y0)
+        interior, lower, upper = sizes
+        assert lower <= interior and upper <= interior
+
+
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_demo_reads_whole_rows_where_the_map_is_undefined_past_an_edge(edge):
+    """A shear that is NaN past the y box reads every node of each row for
+    a band on that edge, and still matches the dense pull-back bit for bit."""
+    joint, mu = _correlated_joint(count=21)
+    y = joint.grid.axes[1]
+    lower, upper = y.lower, y.upper
+    guarded = Map2D(
+        kind="guarded-shear",
+        forward=lambda x, y: (x, x * y + 0.0 * np.sqrt((y - lower) * (upper - y))),
+        inverse=shear_map().inverse,
+        det_forward=shear_map().det_forward,
+    )
+    y0 = lower if edge == "lower" else upper
+    (report,) = borel_kolmogorov_demo(joint, mu, [guarded], y0)
+    tv_naive, tv_band, band_native, _ = _dense_demo(joint, mu, guarded, y0, 2.0)
+    assert (report.tv_naive, report.tv_band) == (tv_naive, tv_band)
+    assert report.band_native.values.tobytes() == band_native.values.tobytes()
 
 
 _DEMO_MAPS = {

@@ -1611,6 +1611,28 @@ class TestCliAuxiliary:
         assert ("does not near the exact slice at every thinner band of the "
                 "8.0/4.0/2.0-cell sweep" in text) is not shrinks
 
+    @pytest.mark.parametrize(
+        "recovery, slow_step",
+        [((6.0, 4.0, 2.0), None),
+         ((0.443, 0.439, 0.273), "from 8.0 to 4.0 cells its TV goes from 0.443 to 0.439, "
+                                 "a ratio of 1.01"),
+         ((1.44, 1.2, 1.0), "from 8.0 to 4.0 cells its TV goes from 1.44 to 1.2, "
+                            "a ratio of 1.20"),
+         ((6.0, 4.0, 2.75), "from 4.0 to 2.0 cells its TV goes from 4 to 2.75, "
+                            "a ratio of 1.45")],
+        ids=["1.5-fold", "flat-first", "slow-at-each", "slow-second"],
+    )
+    def test_paradox_converges_only_at_a_1p5_fold_fall_per_halving(self, recovery, slow_step):
+        """The sweep converges when each halving of the band cuts its TV at
+        least 1.5-fold, as 6 → 4 → 2 does exactly; a sweep that falls at
+        every step, but slower, does not, and the text names the first
+        slow step."""
+        text = _paradox_conclusion(0.3, 1e-15, dict(zip(("8.0", "4.0", "2.0"), recovery)))
+        assert ("converges to the exact slice as the band thins" in text) is (slow_step is None)
+        if slow_step is not None:
+            assert text.endswith(f"-cell sweep: {slow_step}, under the 1.5-fold fall that "
+                                 "converging takes")
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_axioms_tolerance_must_be_finite_and_nonnegative(self, tol, capsys):
         """nan or -1 would fail every check and inf pass every one."""
@@ -1662,8 +1684,9 @@ class TestCliAuxiliary:
                                                       monkeypatch):
         """One command slices the native frame once, for both maps, and ANDs
         a native band once per distinct width: the demonstrations' band is
-        the sweep's entry of ``--width-cells``.  The mapped frames' ANDs
-        are taken at their read nodes, not through ``and_combine``."""
+        the sweep's entry of ``--width-cells``.  A native band's AND is
+        ``_and_marginal``, on the band's columns; the mapped frames' ANDs
+        are taken at their read nodes, not through it."""
         calls = Counter()
 
         def counted(name):
@@ -1676,11 +1699,11 @@ class TestCliAuxiliary:
             monkeypatch.setattr(inferspace.inference, name, call)
 
         counted("conditional_density")
-        counted("and_combine")
+        counted("_and_marginal")
         code, doc = run_cli(["paradox", "--count", "21", "--width-cells", width_cells], capsys)
         assert code == 0
         assert doc["sheared"]["band_width"] == doc["affine_control"]["band_width"]
-        assert calls == {"conditional_density": 1, "and_combine": band_ands}
+        assert calls == {"conditional_density": 1, "_and_marginal": band_ands}
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,15 +10,16 @@ empirical theory, and five refusals), ``convert`` of a theory to CSV and to JSON
 through log and power maps, and its refusal of an affine map whose images
 of the log axis lie on no lattice, ``benford``'s sampled check and its
 refusal of a lower bound of 0, ``axioms``, and ``paradox`` at 60 nodes and
-at its default 300, at 5 and 7 nodes (where its band reaches a y-box edge
-node), with a slice at the lower box edge, with a sub-cell band at the
-upper edge, with bands of 4 cells (a width of its sweep) and 3 cells (none
+at its default 300, at 2, 5, 7 and 21 nodes (at 5 and 7 its band reaches
+a y-box edge node; at 2 and 21 its width sweep does not converge), with a
+slice at the lower and at the upper box edge, with a sub-cell band at the
+upper edge at 7 nodes, with bands of 4 cells (a width of its sweep) and 3 cells (none
 of them), with a --sigma-diff so narrow that its exponent overflows, and
 its refusal of a --sigma-sum whose 2σ² underflows.  It also covers the parser and the theory reader's refusals:
 no arguments, ``--help``, ``infer --help`` and ``build-theory --help``, an
 unknown subcommand, an argument ``infer`` does not take, a value of the
 wrong type, and ``infer`` on a bare ``.npy`` array and on a theory with one
-bit flipped.  66 runs in all.
+bit flipped.  69 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -142,7 +143,10 @@ RUNS = [
     ("paradox", ["paradox"]),
     ("paradox-5", ["paradox", "--count", "5"]),
     ("paradox-7", ["paradox", "--count", "7"]),
+    ("paradox-21", ["paradox", "--count", "21"]),
+    ("paradox-2", ["paradox", "--count", "2"]),
     ("paradox-lower-edge", ["paradox", "--slice-value", "0.2465969639416065"]),
+    ("paradox-upper-edge", ["paradox", "--slice-value", "4.0551999668446745"]),
     ("paradox-upper-edge-sub-cell", ["paradox", "--count", "7", "--slice-value",
                                      "4.0551999668446745", "--width-cells", "0.5"]),
     ("paradox-width-4", ["paradox", "--width-cells", "4"]),
