@@ -67,10 +67,9 @@ from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 from .inference import band_conditional, borel_kolmogorov_demo, predict, summarize
 from .io import read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
-    BOXCAR,
-    GAUSSIAN,
     LOGNORMAL,
     NONINFORMATIVE,
+    _MODEL_KINDS,
     MeasurementModel,
     benford_digit_probabilities,
     null_information_density,
@@ -91,7 +90,6 @@ _SPACING_TOKENS = {
     "log": LOGARITHMIC,
     "logarithmic": LOGARITHMIC,
 }
-_MEASUREMENT_KINDS = (GAUSSIAN, LOGNORMAL, BOXCAR, NONINFORMATIVE)
 
 # The built-in fall grid: one decade of length, the law-matched half decade
 # of time, fine enough that the sigma=0.001 ridge is resolved rather than
@@ -139,9 +137,9 @@ def parse_measurement(spec: str) -> MeasurementModel:
     if len(parts) < 2:
         raise ConfigInvalid(f"measurement {spec!r}: expected AXIS:KIND:CENTER:WIDTH")
     axis, kind = parts[0], parts[1].lower()
-    if kind not in _MEASUREMENT_KINDS:
+    if kind not in _MODEL_KINDS:
         raise ConfigInvalid(
-            f"measurement {spec!r}: kind must be one of {list(_MEASUREMENT_KINDS)}"
+            f"measurement {spec!r}: kind must be one of {list(_MODEL_KINDS)}"
         )
     if kind == NONINFORMATIVE:
         if len(parts) > 2:

@@ -39,10 +39,11 @@ from .priors import (
     LOGNORMAL,
     NONINFORMATIVE,
     MeasurementModel,
+    _profile_coordinate,
     profile_node_factor,
     reading_centre_factor,
 )
-from .theory import TheoryDensity
+from .theory import TheoryDensity, _ranges
 
 
 # ---------------------------------------------------------------------------
@@ -53,15 +54,12 @@ def _no_mass(m: MeasurementModel, ax: Axis) -> ZeroMass:
     """The error for a reading in the box whose profile has no mass on its
     axis: it is too narrow for the nodes there."""
     j = min(max(int(np.searchsorted(ax.nodes, m.center)), 1), ax.count - 1)
-    lo, hi = ax.nodes[j - 1], ax.nodes[j]
-    if m.kind == LOGNORMAL:
-        spacing, unit = math.log(hi / lo), f"ln {m.parameter}"
-    else:
-        spacing, unit = hi - lo, m.parameter
+    lo, hi = _profile_coordinate(m.kind, ax, slice(j - 1, j + 1))
+    unit = f"ln {m.parameter}" if m.kind == LOGNORMAL else m.parameter
     return ZeroMass(
         f"the reading {m.parameter}={m.center!r} ({m.kind}, width {m.width!r}) is "
         f"under-resolved: its profile underflows to zero at every node of {m.parameter}, "
-        f"whose spacing at {m.center!r} is {spacing:.3g} in {unit}, against the width {m.width!r}"
+        f"whose spacing at {m.center!r} is {hi - lo:.3g} in {unit}, against the width {m.width!r}"
     )
 
 
@@ -255,13 +253,16 @@ def conditional_density(joint: Density, fixed_axis: str, fixed_value: float) -> 
 
 
 def _normalized_slice(vals: np.ndarray, free_ax: Axis, empty: str) -> Density:
-    """``vals``, one value per node of ``free_ax``, normalized as a density
-    over ``free_ax``; ZeroSlice with the message ``empty`` if they have no
-    mass there."""
-    mass = float(np.dot(vals, free_ax.weights))
-    if mass <= 0.0:
-        raise ZeroSlice(empty)
-    return Density(Grid.of(free_ax), vals / mass)
+    """``vals``, a fresh array of one value per node of ``free_ax``, scaled
+    in place to unit mass over ``free_ax`` (``scale_to_unit_mass``):
+    ZeroSlice with the message ``empty`` if they have no mass there."""
+    try:
+        scale_to_unit_mass(vals, [free_ax.weights], out=vals)
+    except ZeroMass as exc:
+        raise ZeroSlice(empty) from exc
+    # Frozen, so the Density shares this array instead of copying it.
+    vals.setflags(write=False)
+    return Density(Grid.of(free_ax), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +472,10 @@ def borel_kolmogorov_demo(
     band are pushed to only the nodes that the band and the slice read
     (``_read_nodes``): one run of v-nodes per row where the pushed band can
     be nonzero, and the corners around each point of the image curve.  They
-    are ANDed there; the AND is written into one zeroed frame, the one
-    array of the mapped frame's size, which is marginalized.  The pushed
-    band is an exact 0 at every other node, so the AND is too, and the
-    slice does not read it: the reports are bit for bit those of pulling
-    back and ANDing every node.
+    are ANDed there, as the original frame's band is ANDed on its columns
+    (``_and_marginal``).  The pushed band is an exact 0 at every other
+    node, so the AND is too, and the slice does not read it: the reports
+    are bit for bit those of pulling back and ANDing every node.
 
     Each map must keep the first coordinate fixed (u = x), so the two frames
     share an axis along which the conditionals can be compared.
@@ -503,8 +503,7 @@ def borel_kolmogorov_demo(
     # The original frame: naive conditioning slices at y = y0, band
     # conditioning ANDs with a thin boxcar around y0.
     native = conditional_density(joint, ax1.name, slice_value)
-    band_rho, width, cols = _band(ax1, mu, slice_value, width_cells)
-    band_native = _and_marginal(joint, band_rho, mu, cols)
+    band_native, band_rho, width, cols = _band(joint, mu, slice_value, width_cells)
 
     x_nodes = ax0.nodes
     reports = []
@@ -514,7 +513,7 @@ def borel_kolmogorov_demo(
         _, v_curve = map2d.forward(x_nodes, np.full(ax0.count, float(slice_value)))
         curve = (x_nodes, v_curve)
         target.require_inside(curve)
-        read, at, along = _read_nodes(target, map2d, band_rho, curve)
+        read, at, along = _read_nodes(target, map2d, joint.grid, cols, curve)
         push = _pull_back_nodes(joint.grid, map2d, target, read, "zero")
         pushed, mu_pushed, band_pushed = (push.values(d) for d in (joint, mu, band_rho))
 
@@ -524,13 +523,9 @@ def borel_kolmogorov_demo(
             interpolate(along, pushed[at]), ax0, "pushed density vanishes along the image curve"
         )
 
-        # Band conditioning, mapped frame: the AND at the read nodes, 0 at
-        # every other node of the frame.
-        frame = np.zeros(target.shape)
-        frame.reshape(-1)[read] = _and_values(pushed, band_pushed, mu_pushed)
-        # Frozen, so the Density shares this array instead of copying it.
-        frame.setflags(write=False)
-        band_mapped = normalize(marginalize(Density(target, frame), ax0.name))
+        # Band conditioning, mapped frame: the AND at the read nodes.
+        band_mapped = _and_marginal(target, np.unravel_index(read, target.shape),
+                                    pushed, band_pushed, mu_pushed)
 
         reports.append(ParadoxReport(
             map_kind=map2d.kind,
@@ -558,16 +553,18 @@ def band_conditional(
     the joint's grid, and the band's width.  As the band thins, the
     conditional approaches the exact slice ``conditional_density``.
     """
-    band_rho, width, cols = _band(joint.grid.axes[1], mu, slice_value, width_cells)
-    return _and_marginal(joint, band_rho, mu, cols), band_rho, width
+    require_same_space(joint, mu)
+    return _band(joint, mu, slice_value, width_cells)[:3]
 
 
 def _band(
-    ax1: Axis, mu: Density, slice_value: float, width_cells: float
-) -> tuple[Density, float, slice]:
-    """``band_conditional``'s band on axis ``ax1``, its width, and the
-    columns from the first to the last where its cell-overlap factor on
-    ``ax1`` is nonzero: the band is an exact 0 in every other column."""
+    joint: Density, mu: Density, slice_value: float, width_cells: float
+) -> tuple[Density, Density, float, slice]:
+    """``band_conditional``'s conditional, band and width, and the columns
+    from the first to the last where the band's cell-overlap factor on the
+    second axis is nonzero: the band is an exact 0 in every other column,
+    so it is built and ANDed (``_and_marginal``) on those columns alone."""
+    ax1 = joint.grid.axes[1]
     j = int(np.argmin(np.abs(ax1.nodes - slice_value)))
     bnd = ax1.cell_boundaries
     width = width_cells * (bnd[j + 1] - bnd[j])
@@ -575,16 +572,23 @@ def _band(
         parameter=ax1.name, kind=BOXCAR, center=float(slice_value), width=width
     )
     factor = reading_centre_factor(band_model, ax1)
-    vals = mu.values * factor
+    cols = _support(factor)
+    on_band = (slice(None), cols)
+    rho = mu.values[on_band] * factor[cols]
+    vals = np.zeros(mu.values.shape)
+    vals[on_band] = rho
     # Frozen, so the Density shares this fresh array instead of copying it.
     vals.setflags(write=False)
-    return mu.with_values(vals), float(width), _support(factor)
+    cond = _and_marginal(joint.grid, on_band, joint.values[on_band], rho, mu.values[on_band])
+    return cond, mu.with_values(vals), float(width), cols
 
 
-def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
-    """The nodes of ``target``, the mapped frame, that the demonstration
-    reads: where the pushed ``band`` can be nonzero, and the corners that
-    evaluating the pushed joint along ``curve`` (x and v per point) reads.
+def _read_nodes(target: Grid, m: Map2D, grid: Grid, cols: slice, curve) -> tuple:
+    """The nodes of ``target``, the mapped frame of ``grid`` under ``m``,
+    that the demonstration reads: where the pushed band, an exact 0 outside
+    the columns ``cols`` of ``grid`` (``_band``), can be nonzero, and the
+    corners that evaluating the pushed joint along ``curve`` (x and v per
+    point) reads.
 
     Returns their sorted flat indices, built from each row's run and the
     corners with no mask of the frame; ``at``, the place among them of
@@ -594,7 +598,7 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
     same weights and in the same order, as ``evaluate`` of the whole
     pushed frame does.
 
-    The band is nonzero only on a run of y-nodes.  Its push at a target
+    The band is nonzero only on the run ``cols`` of y-nodes.  Its push at a target
     node reads the two source nodes of the cell that holds the node's
     preimage, so it can be nonzero only where that preimage lies between
     the y-nodes just outside the run.  The map fixes x, so v(x, ·) is
@@ -609,14 +613,13 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
     is 0.  Where the map gives no finite image past the edge, the row is
     read whole.
     """
-    x, y = band.grid.axes
+    x, y = grid.axes
     v = target.axes[1]
     flat, corners = _locate_points(target, curve)
     nodes = flat[:, None] + np.array([offset for offset, _ in corners])
     read = nodes.ravel()
-    rows = np.flatnonzero(np.any(band.values, axis=0))
-    if rows.size:
-        lo, hi = max(int(rows[0]) - 1, 0), min(int(rows[-1]) + 1, y.count - 1)
+    if cols.start < cols.stop:
+        lo, hi = max(cols.start - 1, 0), min(cols.stop, y.count - 1)
         y_ends = y.nodes[[lo, hi]]
         slack = _EDGE_RTOL * max(abs(y.lower), abs(y.upper))
         if lo == 0:
@@ -632,13 +635,8 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
         low[whole], high[whole] = -np.inf, np.inf
         first = np.maximum(np.searchsorted(v.nodes, low, side="left") - 1, 0)
         stop = np.minimum(np.searchsorted(v.nodes, high, side="right") + 1, v.count)
-        lengths = stop - first
-        # Row r's run starts at r·(v nodes) + first[r]; runs are laid end to
-        # end, as ``TheoryDensity._run`` lays out its columns.
-        runs = np.repeat(np.arange(x.count) * v.count + first - (np.cumsum(lengths) - lengths),
-                         lengths)
-        runs += np.arange(runs.size)
-        read = np.concatenate([runs, read])
+        row_starts = np.arange(x.count) * v.count
+        read = np.concatenate([_ranges(row_starts + first, row_starts + stop), read])
     # Sorted, then each repeat dropped: np.unique takes ten times as long
     # here, as it hashes first.
     read = np.sort(read)
@@ -648,19 +646,21 @@ def _read_nodes(target: Grid, m: Map2D, band: Density, curve) -> tuple:
     return read, at, along
 
 
-def _and_marginal(joint: Density, rho: Density, mu: Density, cols: slice) -> Density:
-    """joint AND rho, marginalized onto the first axis and normalized, for a
-    ``rho`` on ``mu``'s grid that is an exact 0 outside the columns ``cols``.
+def _and_marginal(grid: Grid, index, joint, rho, mu) -> Density:
+    """joint AND rho, marginalized onto the first axis of ``grid`` and
+    normalized, for the values ``joint``, ``rho`` and ``mu`` of three
+    densities on ``grid`` at its nodes ``index``, where rho is an exact 0
+    at every other node: ``(slice(None), cols)`` for a band on the columns
+    ``cols``, or the flat nodes a mapped frame reads, unravelled.
 
-    ``and_combine``'s rule (``_and_values``) runs on those columns alone,
-    and its result is written into one zeroed frame, which is marginalized.
-    Outside them joint·rho is 0, so the AND there is the 0 written and
-    NeutralZero cannot fire: the marginal sums the same frame as that of
-    ``and_combine(joint, rho, mu)``.
+    ``and_combine``'s rule (``_and_values``) runs at those nodes alone, and
+    its result is written into one zeroed frame, the one array of the
+    grid's size, which is marginalized.  At every other node joint·rho is
+    0, so the AND there is the 0 written and NeutralZero cannot fire: the
+    marginal sums the same frame as that of ``and_combine`` over the grid.
     """
-    require_same_space(joint, mu)
-    frame = np.zeros(joint.grid.shape)
-    frame[:, cols] = _and_values(joint.values[:, cols], rho.values[:, cols], mu.values[:, cols])
+    frame = np.zeros(grid.shape)
+    frame[index] = _and_values(joint, rho, mu)
     # Frozen, so the Density shares this array instead of copying it.
     frame.setflags(write=False)
-    return normalize(marginalize(Density(joint.grid, frame), joint.grid.names[0]))
+    return normalize(marginalize(Density(grid, frame), grid.names[0]))

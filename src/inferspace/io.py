@@ -21,9 +21,11 @@ mass), but keeps neither.  The reader takes each member's bytes from the zip
 with ``ZipFile.read``, which checks their CRC, parses the ``.npy`` header
 with ``numpy.lib.format`` (refusing an object dtype, and data shorter than
 the header's shape), and makes a read-only array that shares those bytes:
-the members ``np.load`` would give, without its copies.  Every value reads
-back bit for bit, and the arrays go straight into the ``TheoryDensity``,
-which holds the joint by the same bands: no dense joint is built.  Only
+the members ``np.load`` would give, without its copies.  It checks that
+each member is present and of its dtype; the ``TheoryDensity`` checks their
+shapes.  Every value reads back bit for bit, and the arrays go straight
+into the ``TheoryDensity``, which holds the joint by the same bands: no
+dense joint is built.  Only
 version 4 is read; a file of an older version is refused by its header's
 version, and rerunning the command that wrote it rebuilds it.
 
@@ -236,25 +238,14 @@ def _npy(data: bytes) -> np.ndarray:
     return values.reshape(shape[::-1]).T if fortran_order else values.reshape(shape)
 
 
-def _member(read, name: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+def _member(read, name: str, dtype) -> np.ndarray:
+    """The member ``name``, refused unless it is of ``dtype``, which the
+    ``TheoryDensity`` would convert it to; the theory checks its shape."""
     values = read(name)
-    if values.dtype != dtype or values.shape != shape:
-        raise SchemaError(
-            f"member {name!r} is {values.dtype}{values.shape}, "
-            f"expected {np.dtype(dtype)}{shape}"
-        )
+    if values.dtype != dtype:
+        raise SchemaError(f"member {name!r} is {values.dtype}{values.shape}, "
+                          f"expected {np.dtype(dtype)}{values.shape}")
     return values
-
-
-def _bands(read, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The joint's row bands ``lo``, ``hi`` and ``band``, each checked for its
-    dtype and shape; ``TheoryDensity`` checks that they lie within their
-    rows."""
-    nrows = math.prod(shape[:-1])
-    lo = _member(read, "lo", np.int64, (nrows,))
-    hi = _member(read, "hi", np.int64, (nrows,))
-    band = _member(read, "band", np.float64, (int((hi - lo).sum()),))
-    return lo, hi, band
 
 
 def _members(stored: dict[str, str], names) -> None:
@@ -287,9 +278,8 @@ def _theory_from_archive(archive: zipfile.ZipFile) -> TheoryDensity:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
     mu_names = [f"mu_{k}" for k in range(grid.ndim)]
     _members(stored, ("lo", "hi", "band", *mu_names))
-    lo, hi, band = _bands(read, grid.shape)
-    mu = [_member(read, name, np.float64, (ax.count,))
-          for name, ax in zip(mu_names, grid.axes)]
+    lo, hi = (_member(read, name, np.int64) for name in ("lo", "hi"))
+    band, *mu = (_member(read, name, np.float64) for name in ("band", *mu_names))
     try:
         theory = TheoryDensity(grid, lo, hi, band, mu, provenance)
     except InferenceSpaceError as exc:

@@ -158,6 +158,16 @@ def _row_bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lo, hi, rows[(cols >= lo[:, None]) & (cols < hi[:, None])]
 
 
+def _ranges(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of each range ``[first[i], stop[i])``, laid end to end
+    in the order of ``i``: a band's columns, or a frame's flat nodes.  The
+    array is fresh and writable, as np.bincount copies a read-only index."""
+    lengths = stop - first
+    out = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class TheoryDensity:
     """A joint density over a 2D grid, its μ and its origin; any other grid
@@ -231,15 +241,11 @@ class TheoryDensity:
     def _run(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The values of ``rows``, a slice of whole rows in steps of one,
         which are one run of ``band``; where each row's values start in that
-        run; and the column of each value.  The column index is fresh and
-        writable, as np.bincount copies a read-only one."""
-        lengths = self.hi[rows] - self.lo[rows]
+        run; and the column of each value (``_ranges``)."""
         starts = self._starts[rows]
         offset = int(starts[0]) if starts.size else 0
-        starts = starts - offset
-        cols = np.repeat(self.lo[rows] - starts, lengths)
-        cols += np.arange(cols.size)
-        return self.band[offset:offset + cols.size], starts, cols
+        cols = _ranges(self.lo[rows], self.hi[rows])
+        return self.band[offset:offset + cols.size], starts - offset, cols
 
     def _rows_meeting(self, rows: slice, cols: slice) -> slice:
         """The rows in ``rows`` from the first to the last whose band meets
@@ -288,9 +294,8 @@ class TheoryDensity:
             # Density shares it, as it is frozen.
             values = self.band.reshape(self.grid.shape)
         else:
-            _, _, nodes = self._run(slice(None))
-            ncols = self.grid.shape[-1]
-            nodes += np.repeat(np.arange(0, self.grid.node_count, ncols), self.hi - self.lo)
+            row_starts = np.arange(0, self.grid.node_count, self.grid.shape[-1])
+            nodes = _ranges(row_starts + self.lo, row_starts + self.hi)
             values = np.zeros(self.grid.shape)
             values.ravel()[nodes] = self.band
             # Frozen, so the Density shares this fresh array instead of copying it.

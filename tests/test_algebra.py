@@ -11,7 +11,9 @@ from inferspace import (
     Density,
     Grid,
     NeutralZero,
+    NotNormalized,
     Realization,
+    SupportViolation,
     ZeroMass,
     and_combine,
     check_axioms,
@@ -202,6 +204,28 @@ def test_information_half_box_is_ln2():
     half = boxcar_density(ax, -1.0, 0.4999999)
     assert integrate(half) == pytest.approx(1.0)
     assert information_content(half, mu) == pytest.approx(LN2, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [("unnormalized", NotNormalized, "needs a normalized density, mass is 2.0"),
+     ("mu-zero", ZeroMass, "the null-information density has mass 0.0"),
+     ("mu-vanishes", SupportViolation, "p is positive where the null-information density")],
+)
+def test_information_content_refusals(case, error, message):
+    """A p that is not normalized, a μ with no mass, and a p positive where
+    μ is 0 are each refused."""
+    grid = Grid.of(Axis.linear("x", 0.0, 1.0, 11))
+    mu = null_information_density(grid)
+    p = normalize(mu)
+    if case == "unnormalized":
+        p = _density(grid, 2.0 * p.values)
+    elif case == "mu-zero":
+        mu = _density(grid, np.zeros(11))
+    else:
+        mu = _density(grid, np.where(np.arange(11) == 5, 0.0, 1.0))
+    with pytest.raises(error, match=message):
+        information_content(p, mu)
 
 
 def test_information_invariant_under_pushforward():

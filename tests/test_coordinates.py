@@ -17,6 +17,7 @@ from inferspace import (
     DomainMismatch,
     Grid,
     GridMismatch,
+    InvalidGrid,
     SingularJacobian,
     affine_map,
     and_combine,
@@ -286,6 +287,16 @@ def test_outside_zero_in_2d_zeroes_exactly_the_nodes_that_leave_the_box():
     assert np.array_equal(pushed.values == 0.0, leaves)
     with pytest.raises(DomainMismatch):
         push_forward(p, shear_map(), target)
+
+
+def test_a_map_pushes_only_densities_of_its_dimension():
+    d = gaussian_density(Axis.linear("x", 0.0, 1.0, 11), 0.5, 0.1)
+    grid = Grid.of(Axis.linear("x", 0.0, 1.0, 11), Axis.linear("y", 0.0, 1.0, 11))
+    joint = Density(grid, np.ones(grid.shape))
+    with pytest.raises(InvalidGrid, match="1D maps push 1D densities"):
+        push_forward(joint, affine_map(2.0), grid)
+    with pytest.raises(InvalidGrid, match="2D maps push 2D densities"):
+        push_forward(d, shear_map(), d.grid)
 
 
 def test_separable_factor_domain_is_checked():

@@ -158,6 +158,8 @@ def test_evaluate_2d_nodes_and_outside():
         evaluate(d, np.array([0.4, 1.0]))
     with pytest.raises(OutOfDomain):
         evaluate(d, np.array([1.0, 2.5]))
+    with pytest.raises(OutOfDomain, match="a single 2D point needs 2 coordinates, got"):
+        evaluate(d, np.array([1.0, 1.0, 1.0]))
 
 
 def test_require_same_space_compares_grids_only():

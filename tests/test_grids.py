@@ -60,6 +60,10 @@ def test_invalid_axes_rejected():
         Axis.logarithmic("x", 0.0, 1.0, 10)  # log axis touching zero
     with pytest.raises(InvalidGrid):
         Axis.logarithmic("x", -1.0, 1.0, 10)
+    with pytest.raises(InvalidGrid, match="axis name must be a nonempty string"):
+        Axis.linear("", 0.0, 1.0, 10)
+    with pytest.raises(InvalidGrid, match="unknown spacing 'cubic'"):
+        Axis("x", "cubic", 0.0, 1.0, 10)
 
 
 def test_grid_shape_and_axis_lookup():
@@ -72,6 +76,12 @@ def test_grid_shape_and_axis_lookup():
         g.axis_index("Z")
     with pytest.raises(InvalidGrid):
         Grid.of(Axis.linear("L", 0.0, 1.0, 5), Axis.linear("L", 0.0, 1.0, 5))
+    with pytest.raises(InvalidGrid, match="grids are 1D or 2D, got 3 axes"):
+        Grid.of(*(Axis.linear(name, 0.0, 1.0, 5) for name in "xyz"))
+    # A list of axes is stored as a tuple, so the grid stays hashable.
+    listed = Grid(list(g.axes))
+    assert listed.axes == g.axes and isinstance(listed.axes, tuple)
+    assert hash(listed) == hash(g)
 
 
 def test_cell_volumes_tile_box():

@@ -32,6 +32,7 @@ from inferspace import (
     Map2D,
     MeasurementModel,
     NeutralZero,
+    NonFinite,
     OutOfDomain,
     Provenance,
     TheoryDensity,
@@ -710,6 +711,14 @@ class TestConditionalDensity:
         with pytest.raises(InvalidGrid):
             conditional_density(d, "x", 0.5)
 
+    def test_slice_whose_mass_overflows_raises_non_finite(self):
+        """A slice whose mass overflows float64 cannot be normalized: it is
+        refused by name, not returned as a conditional of mass 0."""
+        grid = Grid.of(Axis.linear("x", 0.0, 10.0, 11), Axis.linear("y", 0.0, 1.0, 11))
+        joint = Density(grid, np.full(grid.shape, 1e308))
+        with pytest.raises(NonFinite, match="its mass overflows float64"):
+            conditional_density(joint, "y", 0.5)
+
     def test_vanishing_slice_raises(self):
         grid = Grid.of(
             Axis.logarithmic("L", 1.0, 16.0, 81),
@@ -1001,6 +1010,11 @@ class TestBorelKolmogorovDemo:
         joint, mu = _correlated_joint(count=101)
         with pytest.raises(OutOfDomain):
             borel_kolmogorov_demo(joint, mu, [shear_map()], 99.0)
+
+    def test_one_dimensional_joint_raises(self):
+        d = Density(Grid.of(Axis.linear("x", 0.0, 1.0, 11)), np.ones(11))
+        with pytest.raises(InvalidGrid, match="the demonstration needs a 2D joint density"):
+            borel_kolmogorov_demo(d, d, [shear_map()], 0.5)
 
     def test_band_where_mu_vanishes_has_no_mass(self):
         """A band over rows where μ is 0 is 0 everywhere: nothing of the

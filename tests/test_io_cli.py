@@ -982,7 +982,8 @@ class TestCliInference:
         assert main(["infer", "--theory", th, "--measure", "T:banana:1:2"]) == 2
         assert main(["infer", "--theory", th, "--measure", "Z:lognormal:1:0.1"]) == 2
         assert main(["infer", "--theory", th]) == 2
-        capsys.readouterr()
+        assert main(["predict", "--theory", th, "--query", "L"]) == 2
+        assert "pass --known AXIS:KIND:CENTER:WIDTH" in capsys.readouterr().err
 
     def test_one_dimensional_theory_file_exits_config(self, tmp_path, capsys):
         """A theory lives on a 2D grid: a format-4 file written by hand over
@@ -1375,7 +1376,7 @@ class TestCliInference:
          "factor-non-finite", "factor-negative", "factor-zero", "bit-flip", "lo-above-hi",
          "hi-past-row", "negative-lo", "band-lengths", "lo-float", "hi-int32", "lo-length",
          "band-2d", "band-float32", "missing-band", "object-member", "short-member",
-         "npy-header", "npy-magic"],
+         "npy-header", "npy-magic", "header-not-json", "header-not-object", "npy-version-4"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
         th = tmp_path / "th.npz"
@@ -1394,16 +1395,19 @@ class TestCliInference:
             "lo-above-hi": "0 <= lo <= hi <= 17",
             "hi-past-row": "0 <= lo <= hi <= 17",
             "negative-lo": "0 <= lo <= hi <= 17",
-            "band-lengths": "member 'band' is float64(390,), expected float64(391,)",
+            "band-lengths": "band of shape (390,) for rows whose bands hold 391 values",
             "lo-float": "member 'lo' is float64(23,), expected int64(23,)",
             "hi-int32": "member 'hi' is int32(23,), expected int64(23,)",
-            "lo-length": "member 'lo' is int64(22,), expected int64(23,)",
-            "band-2d": "member 'band' is float64(1, 391), expected float64(391,)",
+            "lo-length": "row bounds of shapes (22,) and (23,) for 23 rows",
+            "band-2d": "band of shape (1, 391) for rows whose bands hold 391 values",
             "band-float32": "member 'band' is float32(391,), expected float64(391,)",
             "object-member": "Object arrays cannot be loaded when allow_pickle=False",
             "short-member": "EOF: reading array data, expected 3128 bytes got 3120",
             "npy-header": "Header does not contain the correct keys",
             "npy-magic": "the magic string is not correct",
+            "header-not-json": "header is not valid JSON",
+            "header-not-object": "header is a JSON list, expected an object",
+            "npy-version-4": "unsupported .npy format version (4, 0)",
         }
         # Each member's .npy bytes as np.savez stores them, for the cases
         # that damage those bytes; the zip's CRC is computed over the damage.
@@ -1411,6 +1415,7 @@ class TestCliInference:
             "short-member": ("band", lambda raw: raw[:-8]),
             "npy-header": ("lo", lambda raw: raw.replace(b"'descr'", b"'dexcr'", 1)),
             "npy-magic": ("mu_0", lambda raw: b"\x93NUMPX" + raw[6:]),
+            "npy-version-4": ("lo", lambda raw: raw[:6] + b"\x04\x00" + raw[8:]),
         }
         damaged = {
             # Each of these three leaves the band lengths summing to band.size.
@@ -1425,6 +1430,8 @@ class TestCliInference:
             "lo-length": {"lo": lo[:-1]},
             "band-2d": {"band": band.reshape(1, -1)},
             "band-float32": {"band": band.astype(np.float32)},
+            "header-not-json": {"header": np.array("{not json")},
+            "header-not-object": {"header": np.array("[4]")},
         }
         if damage == "truncated":
             th.write_bytes(th.read_bytes()[: th.stat().st_size // 2])
@@ -1679,14 +1686,14 @@ class TestCliAuxiliary:
         assert captured.err == ""
         assert json.loads(captured.out)["sheared"]["map_kind"] == "shear"
 
-    @pytest.mark.parametrize("width_cells, band_ands", [("2", 3), ("3", 4)])
-    def test_paradox_conditions_the_native_frame_once(self, width_cells, band_ands, capsys,
+    @pytest.mark.parametrize("width_cells, bands", [("2", 3), ("3", 4)])
+    def test_paradox_conditions_the_native_frame_once(self, width_cells, bands, capsys,
                                                       monkeypatch):
-        """One command slices the native frame once, for both maps, and ANDs
-        a native band once per distinct width: the demonstrations' band is
-        the sweep's entry of ``--width-cells``.  A native band's AND is
-        ``_and_marginal``, on the band's columns; the mapped frames' ANDs
-        are taken at their read nodes, not through it."""
+        """One command slices the native frame once, for both maps, and
+        builds a native band once per distinct width: the demonstrations'
+        band is the sweep's entry of ``--width-cells``.  Each native band is
+        built by ``_band``, and the mapped frames reuse the demonstration's
+        band."""
         calls = Counter()
 
         def counted(name):
@@ -1699,11 +1706,11 @@ class TestCliAuxiliary:
             monkeypatch.setattr(inferspace.inference, name, call)
 
         counted("conditional_density")
-        counted("_and_marginal")
+        counted("_band")
         code, doc = run_cli(["paradox", "--count", "21", "--width-cells", width_cells], capsys)
         assert code == 0
         assert doc["sheared"]["band_width"] == doc["affine_control"]["band_width"]
-        assert calls == {"conditional_density": 1, "_and_marginal": band_ands}
+        assert calls == {"conditional_density": 1, "_band": bands}
 
     @pytest.mark.parametrize(
         "argv",
@@ -1926,6 +1933,15 @@ class TestCliConvert:
         capsys.readouterr()
         assert code == 2
 
+    def test_axis_mapped_twice_exits_config(self, tmp_path, capsys):
+        src, _ = self._write_lognormal(tmp_path)
+        out = tmp_path / "o.json"
+        code = main(["convert", "--in", src, "--out", str(out), "--map", "x:log",
+                     "--map", "x:reciprocal"])
+        assert code == 2
+        assert "axis 'x' mapped twice" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "spec",
         ["x:affine:0", "x:affine:nan", "x:affine:1:inf", "x:power:0", "x:power:nan",
@@ -2009,3 +2025,12 @@ def test_shorthand_parsers_parse_or_raise_a_configuration_error(spec):
             parse(spec)
         except ConfigurationError:
             pass
+
+
+def test_axis_shorthand_bound_that_is_not_a_number_exits_config(capsys):
+    code = main(["axioms", "--grid", "x:lin:zero:1:9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: axis 'x:lin:zero:1:9': "
+                            "could not convert string to float: 'zero'\n")

@@ -154,6 +154,24 @@ def test_gaussian_rejected_on_log_axis():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, center, error, message",
+    [("cauchy", 1.0, ModelAxisMismatch, "unknown measurement kind 'cauchy'"),
+     (GAUSSIAN, math.nan, InvalidBounds, "gaussian measurement needs a finite center"),
+     (LOGNORMAL, 0.0, InvalidBounds, "lognormal measurement center must be > 0, got 0.0")],
+    ids=["unknown-kind", "centre-not-finite", "lognormal-centre-zero"],
+)
+def test_invalid_measurement_models_rejected(kind, center, error, message):
+    with pytest.raises(error, match=message):
+        MeasurementModel(parameter="T", kind=kind, center=center, width=0.1)
+
+
+def test_lognormal_rejected_on_a_box_that_is_not_positive():
+    ax = Axis.linear("T", 0.0, 2.0, 21)
+    with pytest.raises(ModelAxisMismatch, match="'T': lognormal needs a positive box"):
+        _profile(MeasurementModel(parameter="T", kind=LOGNORMAL, center=1.0, width=0.1), ax)
+
+
 def test_lognormal_vanishes_toward_zero():
     ax = Axis.logarithmic("T", 1e-8, 10.0, 101)
     prof = _profile(

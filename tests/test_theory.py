@@ -596,6 +596,21 @@ def test_fall_builders_refuse_a_grid_that_is_not_length_then_time(axes, builder)
             run_campaign(FallingBodyLaw(), _campaign_instruments("lognormal"), 10, SET_L, 0, grid)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: FallingBodyLaw(g=0.0), "g must be finite and > 0, got 0.0"),
+     (lambda: FallingBodyLaw(sigma_theory=math.inf), "sigma_theory must be finite and > 0"),
+     (lambda: run_campaign(FallingBodyLaw(), _instruments(), 10, "set_X", 0, _fall_grid(30)),
+      "mode must be 'set_L' or 'set_T', got 'set_X'"),
+     (lambda: analytic_fall_theory(FallingBodyLaw(), _fall_grid(30), frame="polar"),
+      "frame must be 'linear' or 'log', got 'polar'")],
+    ids=["g", "sigma-theory", "mode", "frame"],
+)
+def test_fall_law_and_builders_refuse_invalid_parameters(build, message):
+    with pytest.raises(InvalidGrid, match=message):
+        build()
+
+
 def test_analytic_theory_on_a_box_reaching_zero_is_refused():
     """The formula is not finite at L = 0, and μ = 1/(LT) is refused there."""
     grid = Grid.of(Axis.linear("L", 0.0, 10.0, 51), Axis.logarithmic("T", 0.45, 1.43, 51))
