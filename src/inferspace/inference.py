@@ -551,7 +551,8 @@ def band_conditional(
     inside it.  The joint is ANDed with it, marginalized onto the first
     axis and normalized.  Returns the conditional, the band as a density on
     the joint's grid, and the band's width.  As the band thins, the
-    conditional approaches the exact slice ``conditional_density``.
+    conditional approaches the exact slice ``conditional_density``.  A
+    band so thin that it covers no node of the second axis raises ZeroMass.
     """
     require_same_space(joint, mu)
     return _band(joint, mu, slice_value, width_cells)[:3]
@@ -573,6 +574,10 @@ def _band(
     )
     factor = reading_centre_factor(band_model, ax1)
     cols = _support(factor)
+    if cols.start == cols.stop:
+        # The AND would be 0 at every node, which has no mass to normalize.
+        raise ZeroMass(f"the band of width {float(width)!r} around {ax1.name} = "
+                       f"{float(slice_value)!r} covers no node of the {ax1.name} axis")
     on_band = (slice(None), cols)
     rho = mu.values[on_band] * factor[cols]
     vals = np.zeros(mu.values.shape)

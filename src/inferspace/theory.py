@@ -67,13 +67,6 @@ SET_T = "set_T"
 # 20000-experiment build-theory about 10% faster, but raised its peak RSS by
 # about 0.5 MB.
 _BLOCK_BYTES = 1 << 18
-# Rows of the grid per block of ``analytic_fall_theory``'s ridge, evaluated on
-# the union of the rows' bands of nonzero nodes.  On a slanted ridge that
-# union widens with every row, while each block costs a few numpy calls: on
-# the default 1401² grid at σ = 1e-3 one row's band is 49 of the 1401 T nodes
-# and a block of 32 rows spans 80 (64 rows span 112 and measured 10% slower,
-# 16 rows no faster).
-_RIDGE_BLOCK_ROWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +149,25 @@ def _row_bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi = np.where(found, ncols - nonzero[:, ::-1].argmax(axis=1), 0).astype(np.int64)
     cols = np.arange(ncols)
     return lo, hi, rows[(cols >= lo[:, None]) & (cols < hi[:, None])]
+
+
+def _run_bands(values: np.ndarray, first: np.ndarray, stop: np.ndarray):
+    """``_row_bands`` of rows whose values on the columns ``[first[i],
+    stop[i])`` are laid end to end in ``values``, every other node zero:
+    each row is trimmed to its first and last value that is not +0.0
+    bitwise, and ``values`` is the band when no row is trimmed."""
+    run_stops = np.cumsum(stop - first)
+    run_starts = run_stops - (stop - first)
+    nonzero = np.flatnonzero(values.view(np.int64) != 0)
+    i0, i1 = np.searchsorted(nonzero, run_starts), np.searchsorted(nonzero, run_stops)
+    found = i1 > i0
+    begin, end = nonzero[i0[found]], nonzero[i1[found] - 1] + 1
+    del nonzero  # so that the band is gathered beside no more than its index
+    lo, hi = np.zeros(first.size, np.int64), np.zeros(first.size, np.int64)
+    shift = (first - run_starts)[found]
+    lo[found], hi[found] = begin + shift, end + shift
+    trimmed = int((end - begin).sum()) < values.size
+    return lo, hi, values[_ranges(begin, end)] if trimmed else values
 
 
 def _ranges(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -431,15 +443,10 @@ def run_campaign(
         raise GridMismatch(f"no instrument for axis(es) {sorted(missing)}")
     mu = jeffreys_factors(grid)
 
-    m0, m1 = models
     i_axis = length if mode == SET_L else time
     rng = np.random.default_rng(master_seed)
-    i_value = jeffreys_ppf(rng.random(n_experiments), i_axis.lower, i_axis.upper)
-    true_length, true_time = _true_values(law, mode, i_value)
-    r0 = _observe(m0, true_length, rng)
-    r1 = _observe(m1, true_time, rng)
-
-    acc = _accumulate((r0, r1), (m0, m1), grid, mu)
+    readings = _sorted_readings(law, mode, models, i_axis, n_experiments, rng)
+    acc = _accumulate(readings, models, grid, mu)
     # Frozen, so the Density shares it instead of copying it.
     acc.setflags(write=False)
     return TheoryDensity.from_joint(
@@ -449,33 +456,47 @@ def run_campaign(
     )
 
 
+def _sorted_readings(law: FallingBodyLaw, mode: str, instruments, i_axis: Axis,
+                     n_experiments: int, rng: np.random.Generator):
+    """The campaign's readings on the grid's two axes, drawn as
+    ``run_campaign`` describes and sorted by the axis-0 reading.  The
+    independent and true values, the unsorted readings and the order die
+    on return, so none of them is alive while the blocks are added."""
+    i_value = jeffreys_ppf(rng.random(n_experiments), i_axis.lower, i_axis.upper)
+    true_length, true_time = _true_values(law, mode, i_value)
+    r0, r1 = (_observe(m, true, rng) for m, true in zip(instruments, (true_length, true_time)))
+    order = np.argsort(r0, kind="stable")
+    return r0[order], r1[order]
+
+
 def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     """The OR of the experiments whose readings on the grid's two axes are
-    ``readings``, taken by ``instruments`` (both in grid-axis order): the sum
-    over the experiments of their joint densities, each of unit mass.  ``mu``
-    holds the theory's μ factors, the node factors of boxcar and
-    noninformative instruments.
+    ``readings``, sorted by the axis-0 reading and taken by ``instruments``
+    (both in grid-axis order): the sum over the experiments of their joint
+    densities, each of unit mass.  ``mu`` holds the theory's μ factors, the
+    node factors of boxcar and noninformative instruments.
 
-    The experiments are sorted by their axis-0 reading and added a block at
-    a time, as ``Aᵀ·B`` on the block's node windows (see ``run_campaign``).
-    The rows of ``A`` and ``B`` are the experiments' centre factors, scaled
-    so that each experiment has unit mass against the node factors; the
-    node factors are applied to the finished sum, once per node.
+    The experiments are added a block at a time, as ``Aᵀ·B`` on the block's
+    node windows (see ``run_campaign``); sorted, a block's experiments lie
+    close together on axis 0, so its windows stay narrow.  The rows of
+    ``A`` and ``B`` are the experiments' centre factors, scaled so that
+    each experiment has unit mass against the node factors; the node
+    factors are applied to the finished sum, once per node.
     """
     (m0, m1), (ax0, ax1) = instruments, grid.axes
-    order = np.argsort(readings[0], kind="stable")
-    r0, r1 = (r[order] for r in readings)
+    r0, r1 = readings
     n = r0.size
     rows = max(1, min(n, _BLOCK_BYTES // (8 * max(grid.shape))))
     f0, f1 = (profile_node_factor(m, ax, f) for m, ax, f in zip(instruments, grid.axes, mu))
     fw0, fw1 = f0 * ax0.weights, f1 * ax1.weights
-    acc = np.zeros(grid.shape)
     starts = np.arange(0, n, rows)
     windows = zip(
         starts.tolist(),
         *_block_windows(m0, ax0, r0, starts),
         *_block_windows(m1, ax1, r1, starts),
     )
+    # Allocated after the windows, so that their keys are not alive beside it.
+    acc = np.zeros(grid.shape)
     dropped = 0
     for start, lo0, hi0, lo1, hi1 in windows:
         block, w0, w1 = slice(start, start + rows), slice(lo0, hi0), slice(lo1, hi1)
@@ -512,31 +533,6 @@ def _block_windows(model: MeasurementModel, axis: Axis, centers: np.ndarray, sta
 # analytic theory
 # ---------------------------------------------------------------------------
 
-def _ridge_blocks(coords, log_half_g: float, sigma: float):
-    """The (rows, cols) slices of the grid where the ridge can be nonzero,
-    one per block of ``_RIDGE_BLOCK_ROWS`` rows that has any such node.
-
-    ``coords`` are the two axes' nodes as ln L and ln T (or λ and τ), the
-    length axis first, and ζ = ln L − ln ½g − 2 ln T.  exp(−½(ζ/σ)²) is an
-    exact float64 zero wherever |ζ| > σ·√(2·746), so each row's nonzero
-    nodes lie in one range of the other axis, found by ``searchsorted`` and widened by one node on
-    each side for the rounding between this separable ζ and the formula the
-    values are computed with.  A block's columns are the union of its rows'.
-    """
-    rows, cols = coords
-    reach = sigma * math.sqrt(2.0 * 746.0)  # inf for a σ above about 4.6e306
-    centre = log_half_g - rows
-    ends = ((centre - reach) / -2.0, (centre + reach) / -2.0)
-    lo = np.searchsorted(cols, np.minimum(*ends), side="left") - 1
-    hi = np.searchsorted(cols, np.maximum(*ends), side="right") + 1
-    starts = np.arange(0, rows.size, _RIDGE_BLOCK_ROWS)
-    first = np.maximum(np.minimum.reduceat(lo, starts), 0)
-    last = np.minimum(np.maximum.reduceat(hi, starts), cols.size)
-    for start, c0, c1 in zip(starts.tolist(), first.tolist(), last.tolist()):
-        if c0 < c1:
-            yield slice(start, start + _RIDGE_BLOCK_ROWS), slice(c0, c1)
-
-
 def analytic_fall_theory(
     law: FallingBodyLaw,
     grid: Grid,
@@ -554,14 +550,17 @@ def analytic_fall_theory(
     the kernel of a gaussian or lognormal reading's centre factor
     (``profile_centre_factors``).
 
-    The ridge is evaluated only on blocks of nodes where float64 can hold a
-    nonzero value (``_ridge_blocks``); every other node is an exact zero,
-    as the formula would give there.  Each block is evaluated into an array
-    of its own size, and only its rows' bands are kept, so no grid-sized
-    array is built.  ``tools/oracles/ridge_support.py``
-    locates float64's exp underflow and checks the bands over a σ sweep.
-    A ridge with no mass on the box (``TheoryDensity._band_mass``) raises
-    ZeroMass.
+    The ridge is evaluated only where float64 can hold a nonzero value.
+    exp(−½(ζ/σ)²) is an exact zero once |ζ| > σ·√(2·746), so each row's
+    nonzero nodes lie in one range of columns, found by ``searchsorted``
+    and widened by a node on each side for the rounding between this
+    separable ζ and the formula.  The rows' ranges are laid end to end and
+    evaluated in one pass, each node by the formula's operations in its
+    order (½gT² once per column), and each row is trimmed to its nonzero
+    nodes (``_run_bands``), so no grid-sized array is built.
+    ``tools/oracles/ridge_support.py`` locates float64's exp underflow and
+    checks the bands over a σ sweep.  A ridge with no mass on the box
+    (``TheoryDensity._band_mass``) raises ZeroMass.
     """
     length, time = _fall_axes(grid)
     sigma = law.sigma_theory
@@ -569,12 +568,17 @@ def analytic_fall_theory(
     if frame == "linear":
         # Refuses a box that is not positive, so every ln below is finite.
         mu = jeffreys_factors(grid)
-        coords = [np.log(ax.nodes) for ax in grid.axes]
+        lam, tau = np.log(length.nodes), np.log(time.nodes)
+        half_g_t2 = 0.5 * law.g * time.nodes * time.nodes
 
-        def ridge(lv, tv):
-            vals = lv / (0.5 * law.g * tv * tv)
+        def ridge(first, stop):
+            col = _ranges(first, stop)
+            vals, t = np.take(half_g_t2, col), np.take(time.nodes, col)
+            del col  # so that at most three arrays of the nodes' size are live
+            scale = np.repeat(length.nodes, stop - first)
+            np.divide(scale, vals, out=vals)
             _gaussian_kernel(np.log(vals, out=vals), sigma)
-            scale = lv * tv
+            scale *= t
             vals *= np.divide(1.0, scale, out=scale)
             return vals
 
@@ -587,24 +591,25 @@ def analytic_fall_theory(
                     f"τ = ln T, but axis {ax.name!r} is logarithmic"
                 )
         mu = tuple(np.ones(ax.count) for ax in grid.axes)
-        coords = [ax.nodes for ax in grid.axes]
+        lam, tau = length.nodes, time.nodes
 
-        def ridge(lam, tau):
-            return _gaussian_kernel(lam - log_half_g - 2.0 * tau, sigma)
+        def ridge(first, stop):
+            # −2τ + (λ − ln ½g) rounds as (λ − ln ½g) − 2τ does.
+            vals = np.take(-2.0 * tau, _ranges(first, stop))
+            vals += np.repeat(lam - log_half_g, stop - first)
+            return _gaussian_kernel(vals, sigma)
 
     else:
         raise InvalidGrid(f"frame must be 'linear' or 'log', got {frame!r}")
+    reach = sigma * math.sqrt(2.0 * 746.0)  # inf for a σ above about 4.6e306
+    centre = log_half_g - lam
+    ends = ((centre - reach) / -2.0, (centre + reach) / -2.0)
+    first = np.maximum(np.searchsorted(tau, np.minimum(*ends), side="left") - 1, 0)
+    stop = np.minimum(np.searchsorted(tau, np.maximum(*ends), side="right") + 1, tau.size)
     # A g or sigma so extreme that the ridge over- or underflows is not
     # warned about: it leaves no mass, which is refused below.
-    lo, hi, bands = np.zeros(length.count, np.int64), np.zeros(length.count, np.int64), []
     with np.errstate(all="ignore"):
-        for rows, cols in _ridge_blocks(coords, log_half_g, sigma):
-            block = ridge(length.nodes[rows, None], time.nodes[None, cols])
-            a, b, band = _row_bands(block)
-            found = b > 0
-            lo[rows], hi[rows] = a + cols.start * found, b + cols.start * found
-            bands.append(band)
-    band = np.concatenate(bands) if bands else np.zeros(0)
+        lo, hi, band = _run_bands(ridge(first, stop), first, stop)
     for a in (lo, hi, band):
         # Frozen, so the theory shares these fresh arrays instead of copying them.
         a.setflags(write=False)

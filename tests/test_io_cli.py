@@ -30,6 +30,7 @@ from inferspace import (
     GAUSSIAN,
     LOGNORMAL,
     SET_L,
+    SET_T,
     Axis,
     ConfigurationError,
     Density,
@@ -879,27 +880,35 @@ def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
 
 
 def test_campaign_stays_within_its_memory_budget():
-    """On the 300² build grid, a campaign of 2000 experiments allocates at
-    most the accumulator, the theory's bands, the two buffers a block's
-    centre factors are written into, and a quarter of a grid array: the
-    block's product, numpy's buffer for adding it into a window of the
-    joint, the masks ``_row_bands`` finds the bands with, and 1-D arrays.
-    The node factors scale the accumulator in place and the windows come
-    from 1-D keys, so a grid-sized temporary in either breaks the budget."""
+    """On the 300² build grid, a campaign of 2000 or 20000 experiments, in
+    either mode, allocates at most the accumulator, the theory's bands, the
+    two buffers a block's centre factors are written into, and a quarter of
+    a grid array: the block's product, numpy's buffer for adding it into a
+    window of the joint, the masks ``_row_bands`` finds the bands with, and
+    1-D arrays.  The node factors scale the accumulator in place and the
+    windows come from 1-D keys, so a grid-sized temporary in either breaks
+    the budget.  At 20000 experiments the peak is also at most 2.0 MB: while
+    the independent and true values, the unsorted readings and their order
+    stayed alive through the blocks, and the accumulator beside the window
+    keys, it peaked at 2.83 MB; with only the sorted readings outliving
+    their draw, and the accumulator allocated after the windows, it peaks
+    at 1.69 MB."""
     grid = parse_grid(_BUILD_GRID)
     law = FallingBodyLaw()
     instruments = [MeasurementModel("L", LOGNORMAL, 1.0, 0.05),
                    MeasurementModel("T", LOGNORMAL, 1.0, 0.05)]
-    # A first call, so the modules it imports are not counted.
+    # A first call, so the modules it imports and the axes' nodes are not counted.
     run_campaign(law, instruments, 200, SET_L, 1, grid)
 
-    n = 2000
-    theory, peak = allocated(lambda: run_campaign(law, instruments, n, SET_L, 7, grid))
     grid_bytes = 8 * grid.node_count
-    rows = min(n, _BLOCK_BYTES // (8 * max(grid.shape)))
-    buffers = 8 * rows * sum(grid.shape)
-    bands = theory.lo.nbytes + theory.hi.nbytes + theory.band.nbytes
-    assert peak <= grid_bytes + bands + buffers + 0.25 * grid_bytes
+    for n, mode in ((2000, SET_L), (20000, SET_L), (20000, SET_T)):
+        theory, peak = allocated(lambda: run_campaign(law, instruments, n, mode, 7, grid))
+        rows = min(n, _BLOCK_BYTES // (8 * max(grid.shape)))
+        buffers = 8 * rows * sum(grid.shape)
+        bands = theory.lo.nbytes + theory.hi.nbytes + theory.band.nbytes
+        assert peak <= grid_bytes + bands + buffers + 0.25 * grid_bytes, (n, mode)
+        if n == 20000:
+            assert peak <= 2.0e6, mode
 
 
 # ---------------------------------------------------------------------------
@@ -1685,6 +1694,17 @@ class TestCliAuxiliary:
         assert code == 0
         assert captured.err == ""
         assert json.loads(captured.out)["sheared"]["map_kind"] == "shear"
+
+    def test_paradox_band_that_covers_no_node_is_refused(self, capsys):
+        """A band of 1e-300 cells is so thin that c ± w rounds to c and its
+        boxcar covers no node of y: the AND has no mass, exit 3 with one
+        line naming the width, and no traceback."""
+        code = main(["paradox", "--count", "21", "--width-cells", "1e-300"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == ("error: the band of width 1.4011436134826804e-301 around "
+                                "y = 1.0 covers no node of the y axis\n")
 
     @pytest.mark.parametrize("width_cells, bands", [("2", 3), ("3", 4)])
     def test_paradox_conditions_the_native_frame_once(self, width_cells, bands, capsys,

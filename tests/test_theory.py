@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inferspace import (
     BOXCAR,
@@ -575,6 +577,81 @@ def test_banded_ridge_equals_the_formula_at_every_node(axes, sigma, frame):
         assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
     mass = integrate(theory.joint)
     assert abs(theory._band_mass - mass) <= 1e-15 * mass
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_banded_ridge_equals_the_formula_on_drawn_grids(data):
+    """On drawn boxes, node counts, spacings, widths and frames, the theory's
+    row bands are those of the formula's dense array, bit for bit.
+
+    The time box is drawn in τ = ln T, and the length box around the
+    ridge's image of it, each end moved by up to e³, so that the ridge
+    crosses the box, leaves it through a side (the rows past it are all
+    zero) or misses it.  Node counts are drawn per axis, so most grids are
+    not commensurate with the ridge; a quarter of them are its image node
+    for node, where each row meets the ridge at a node up to rounding.  σ
+    is log-uniform over [1e-300, 1e300], from spikes that no node holds to
+    a flat ridge, or over [1e-5, 0.1], where a ridge spans from a node to a
+    whole row.  A ridge without mass on the box is refused; the formula's
+    own bands then have no mass either."""
+    # The shares of commensurate grids and of each σ range are drawn from
+    # a seeded generator, as hypothesis leans to its simplest values.
+    rnd = data.draw(st.randoms(use_true_random=False))
+    frame = data.draw(st.sampled_from(["linear", "log"]))
+    tau0 = data.draw(st.floats(-3.0, 3.0))
+    tau1 = tau0 + data.draw(st.floats(0.01, 3.0))
+    t_count = data.draw(st.integers(2, 300))
+    spacings = [Axis.linear, Axis.logarithmic] if frame == "linear" else [Axis.linear]
+    if rnd.random() < 0.25:
+        shifts, l_count, l_spacing = (0.0, 0.0), t_count, spacings[-1]
+        t_spacing = l_spacing
+    else:
+        shifts = (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(-3.0, 3.0)))
+        l_count = data.draw(st.integers(2, 300))
+        l_spacing, t_spacing = (data.draw(st.sampled_from(spacings)) for _ in "LT")
+    lam0, lam1 = sorted(math.log(0.5 * G) + 2.0 * tau + shift
+                        for tau, shift in zip((tau0, tau1), shifts))
+    lam1 = max(lam1, lam0 + 0.01)
+    # The log frame's axes carry λ and τ, the linear frame's L and T.
+    box = (lambda v: v) if frame == "log" else math.exp
+    grid = Grid.of(l_spacing("L", box(lam0), box(lam1), l_count),
+                   t_spacing("T", box(tau0), box(tau1), t_count))
+    # Half the draws take σ from the range where a ridge spans from a node
+    # to a whole row, which is a sliver of the log-uniform range.
+    exponent = rnd.uniform(-300.0, 300.0) if rnd.random() < 0.5 else rnd.uniform(-5.0, -1.0)
+    law = FallingBodyLaw(sigma_theory=10.0 ** exponent)
+    dense = _dense_ridge(law, grid, frame)
+    try:
+        theory = analytic_fall_theory(law, grid, frame=frame)
+    except ZeroMass:
+        ones = tuple(np.ones(n) for n in grid.shape)
+        assert not TheoryDensity.from_joint(Density(grid, dense), ones,
+                                            Provenance("analytic"))._band_mass > 0.0
+        return
+    for built, expected in zip((theory.lo, theory.hi, theory.band), _row_bands(dense)):
+        assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
+
+
+def test_banded_ridge_keeps_the_subnormal_edge_of_the_ridge():
+    """On rows whose nodes step about 0.002σ in ζ from the ridge out past
+    σ·√(2·746), each band ends at the formula's last nonzero node, a
+    subnormal.  float64's exp underflows to 0 only past ½(ζ/σ)² ≈ 745.13,
+    so a row range cut at a smaller reach than the theory's would drop
+    some 70 nonzero nodes, which the one node of widening does not
+    cover."""
+    sigma = 1e-3
+    lam0 = math.log(0.5 * G)
+    grid = Grid.of(Axis.linear("L", lam0, lam0 + 1e-12, 2),
+                   Axis.linear("T", 0.0, 19.4 * sigma, 20001))
+    law = FallingBodyLaw(sigma_theory=sigma)
+    theory = analytic_fall_theory(law, grid, frame="log")
+    for built, expected in zip((theory.lo, theory.hi, theory.band),
+                               _row_bands(_dense_ridge(law, grid, "log"))):
+        assert built.dtype == expected.dtype and built.tobytes() == expected.tobytes()
+    ends = theory.band[np.cumsum(theory.hi - theory.lo) - 1]
+    assert np.all((ends > 0.0) & (ends < np.finfo(np.float64).tiny))
+    assert np.all(theory.hi < grid.shape[1])
 
 
 @pytest.mark.parametrize("builder", ["analytic", "campaign"])

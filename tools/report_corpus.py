@@ -15,11 +15,12 @@ a y-box edge node; at 2 and 21 its width sweep does not converge), with a
 slice at the lower and at the upper box edge, with a sub-cell band at the
 upper edge at 7 nodes, with bands of 4 cells (a width of its sweep) and 3 cells (none
 of them), with a --sigma-diff so narrow that its exponent overflows, and
-its refusal of a --sigma-sum whose 2σ² underflows.  It also covers the parser and the theory reader's refusals:
-no arguments, ``--help``, ``infer --help`` and ``build-theory --help``, an
-unknown subcommand, an argument ``infer`` does not take, a value of the
-wrong type, and ``infer`` on a bare ``.npy`` array and on a theory with one
-bit flipped.  69 runs in all.
+its refusals of a --sigma-sum whose 2σ² underflows and of a band so thin
+that it covers no node.  It also covers the parser and the theory
+reader's refusals: no arguments, ``--help``, ``infer --help`` and
+``build-theory --help``, an unknown subcommand, an argument ``infer`` does
+not take, a value of the wrong type, and ``infer`` on a bare ``.npy``
+array and on a theory with one bit flipped.  70 runs in all.
 
     PYTHONPATH=src python tools/report_corpus.py record OUT.jsonl
     python tools/report_corpus.py compare PARENT.jsonl CHANGE.jsonl
@@ -27,7 +28,8 @@ bit flipped.  69 runs in all.
 ``record`` runs the corpus with whichever ``inferspace`` is on ``sys.path``,
 in a fresh temporary directory and with relative paths, and writes one JSON
 record per run: its argv, exit code (argparse's exit status where it exits),
-stdout and stderr, and what it wrote.
+stdout and stderr, and what it wrote.  A run that raises is recorded as
+exit 1, and ``record`` names it and exits 1 after writing the file.
 A density or CSV file is recorded by its sha256 (and a JSON file also by its
 parsed contents).  A theory file is recorded by its members, each as dtype,
 shape and the sha256 of its bytes, with the header as text, and by the
@@ -153,6 +155,7 @@ RUNS = [
     ("paradox-width-3", ["paradox", "--width-cells", "3"]),
     ("paradox-sigma-diff-1e-160", ["paradox", "--sigma-diff", "1e-160"]),
     ("refuse-paradox-sigma-sum-1e-200", ["paradox", "--sigma-sum", "1e-200"]),
+    ("refuse-paradox-band-on-no-node", ["paradox", "--count", "21", "--width-cells", "1e-300"]),
     ("no-arguments", []),
     ("help", ["--help"]),
     ("infer-help", ["infer", "--help"]),
@@ -215,15 +218,18 @@ def _file_record(path: Path, read_theory) -> dict:
     return out
 
 
-def record(out_path: Path) -> None:
-    """Run the corpus with the ``inferspace`` on ``sys.path`` and write one
-    JSON record per run to ``out_path``."""
+def record(out_path: Path) -> list[str]:
+    """Run the corpus with the ``inferspace`` on ``sys.path``, write one
+    JSON record per run to ``out_path`` and return the names of the runs
+    that raised.  A run that raises is recorded with exit 1 and its
+    traceback's last line on stderr, so the corpus of a newer change still
+    records on an older package; ``record`` then exits 1 all the same."""
     from inferspace.cli import main
     from inferspace.io import read_theory
 
     out_path = out_path.resolve()
     os.environ["COLUMNS"] = "80"  # argparse wraps its help and usage to this width
-    lines = []
+    lines, crashed = [], []
     with tempfile.TemporaryDirectory() as tmp:
         home = os.getcwd()
         os.chdir(tmp)
@@ -238,6 +244,10 @@ def record(out_path: Path) -> None:
                         code = main(argv)
                     except SystemExit as exc:  # argparse's help, usage and errors
                         code = exc.code
+                    except Exception as exc:  # as a process would end: exit 1, a traceback
+                        code = 1
+                        crashed.append(name)
+                        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
                 written = sorted(set(os.listdir(".")) - before)
                 lines.append({
                     "name": name,
@@ -250,6 +260,7 @@ def record(out_path: Path) -> None:
         finally:
             os.chdir(home)
     out_path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+    return crashed
 
 
 def _diff(a, b, where: str) -> list[str]:
@@ -305,8 +316,10 @@ def compare(a_path: Path, b_path: Path) -> list[str]:
 
 def _main(argv: list[str]) -> int:
     if len(argv) == 2 and argv[0] == "record":
-        record(Path(argv[1]))
-        return 0
+        crashed = record(Path(argv[1]))
+        for name in crashed:
+            print(f"{name} raised", file=sys.stderr)
+        return 1 if crashed else 0
     if len(argv) == 3 and argv[0] == "compare":
         diffs = compare(Path(argv[1]), Path(argv[2]))
         for d in diffs:
