@@ -65,7 +65,7 @@ from .errors import (
 )
 from .grids import LINEAR, LOGARITHMIC, Axis, Grid
 from .inference import band_conditional, borel_kolmogorov_demo, predict, summarize
-from .io import read_density, read_theory, write_csv, write_density, write_theory
+from .io import _theory_in, read_density, read_theory, write_csv, write_density, write_theory
 from .priors import (
     LOGNORMAL,
     NONINFORMATIVE,
@@ -446,8 +446,9 @@ def _cmd_axioms(p: argparse.Namespace) -> int:
 
 def _cmd_convert(p: argparse.Namespace) -> int:
     if not p.src or not p.out:
-        raise ConfigInvalid("convert needs --in SRC.{json,npz} and --out DEST.{json,csv}")
-    d = read_theory(p.src).joint if p.src.endswith(".npz") else read_density(p.src)
+        raise ConfigInvalid("convert needs --in SRC and --out DEST.{json,csv}")
+    theory = _theory_in(p.src)
+    d = theory.joint if theory is not None else read_density(p.src)
     mass_before = integrate(d)
     if p.map:
         maps = {}
@@ -488,7 +489,7 @@ def _cmd_convert(p: argparse.Namespace) -> int:
 
 _GRID_HELP = '"default" or two axis shorthands joined by a comma'
 _FALL_GRID_HELP = _GRID_HELP + ": the length axis first, then time"
-_THEORY_HELP = "theory file <base>.npz (format version 4)"
+_THEORY_HELP = "theory file <base>.theory (format version 5)"
 _SEED = 20260819
 
 
@@ -502,7 +503,7 @@ def _build_theory_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--g", type=float, default=9.81, help="gravitational acceleration")
     sp.add_argument("--sigma-length", type=float, default=0.05, help="length instrument width")
     sp.add_argument("--sigma-time", type=float, default=0.05, help="time instrument width")
-    sp.add_argument("--out", default="theory.npz", help="theory file, written as <base>.npz")
+    sp.add_argument("--out", default="theory", help="theory file, written as <base>.theory")
     sp.add_argument(
         "--compare-analytic",
         action=argparse.BooleanOptionalAction,
@@ -517,19 +518,19 @@ def _analytic_theory_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--g", type=float, default=9.81)
     sp.add_argument("--sigma", type=float, default=1e-3, help="ridge width in log space")
     sp.add_argument(
-        "--out", default="analytic-theory.npz", help="theory file, written as <base>.npz"
+        "--out", default="analytic-theory", help="theory file, written as <base>.theory"
     )
 
 
 def _infer_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
+    sp.add_argument("--theory", default="theory", help=_THEORY_HELP)
     sp.add_argument("--measure", action="append", help="AXIS:KIND:CENTER:WIDTH (repeatable)")
     sp.add_argument("--query", help="axis to summarize (default: the unmeasured one)")
     sp.add_argument("--out", help="write the queried marginal density here")
 
 
 def _predict_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--theory", default="theory.npz", help=_THEORY_HELP)
+    sp.add_argument("--theory", default="theory", help=_THEORY_HELP)
     sp.add_argument("--known", help="AXIS:KIND:CENTER:WIDTH")
     sp.add_argument("--query", help="axis to summarize (default: the other one)")
     sp.add_argument("--out")
@@ -560,7 +561,7 @@ def _axioms_options(sp: argparse.ArgumentParser) -> None:
 
 
 def _convert_options(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--in", dest="src", help="density .json, or theory .npz (exports its joint)")
+    sp.add_argument("--in", dest="src", help="density file, or theory file (exports its joint)")
     sp.add_argument("--out", help="output path, format by extension (.json or .csv)")
     sp.add_argument("--map", action="append", help="AXIS:KIND[:ARGS] (repeatable)")
 

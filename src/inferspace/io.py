@@ -7,27 +7,29 @@ and a ``"normalized"`` flag, which must be a boolean and, when true, needs
 unit mass to 1e-9; neither is kept.  CSV export is one row per node for
 plotting.  Both are export formats.
 
-A theory is one uncompressed ``<base>.npz`` archive, format version 4, over a
-2D grid.  The joint is stored by its rows: ``lo`` and ``hi`` (int64) hold
-each row's first and one-past-the-last nonzero column, ``lo == hi`` for an
-all-zero row, and ``band`` (float64, 1-D) holds the values between them, row
-after row, interior zeros included.  One ``mu_<k>`` array per axis k holds
-μ's factor on that axis, and a ``header``, a 0-d string array, holds JSON
-with the format name and version, the axis headers and the provenance
-record.  The header also carries ``"frame"`` (the axis names joined by a
-comma) and ``"normalized": false``; the reader checks them as format 4
-always has (a string, and a boolean that, when true, needs a joint of unit
-mass), but keeps neither.  The reader takes each member's bytes from the zip
-with ``ZipFile.read``, which checks their CRC, parses the ``.npy`` header
-with ``numpy.lib.format`` (refusing an object dtype, and data shorter than
-the header's shape), and makes a read-only array that shares those bytes:
-the members ``np.load`` would give, without its copies.  It checks that
-each member is present and of its dtype; the ``TheoryDensity`` checks their
-shapes.  Every value reads back bit for bit, and the arrays go straight
-into the ``TheoryDensity``, which holds the joint by the same bands: no
-dense joint is built.  Only
-version 4 is read; a file of an older version is refused by its header's
-version, and rerunning the command that wrote it rebuilds it.
+A theory is one flat file, ``<base>.theory``, format version 5, over a 2D
+grid.  Its first line is ``inferspace-theory 5 <crc>``, where ``<crc>`` is
+8 hex digits: the CRC-32 of every byte after that line.  A JSON line
+follows with the axis headers, the provenance record and ``band_length``,
+padded with spaces so that the data starts on a 64-byte boundary.  The
+header also carries ``"frame"`` (the axis names joined by a comma) and
+``"normalized": false``, as format 4's did; the reader checks them (a
+string, and a boolean that, when true, needs a joint of unit mass) but
+keeps neither.  The data is the joint by its rows: ``lo`` and ``hi``
+(little-endian int64, one per row) hold each row's first and
+one-past-the-last nonzero column, ``lo == hi`` for an all-zero row, then
+``band`` (float64) holds the values between them, row after row, interior
+zeros included, then one μ factor per axis (float64, one per node).  Each
+array is zero-padded to a multiple of 64 bytes.  Every size follows from
+the header, so a file of any other length is refused.
+
+The reader takes the whole file with one ``readinto`` into one uint8
+buffer, checks the CRC, makes the buffer read-only and hands aligned views
+of it to the ``TheoryDensity``, whose checks of every shape and value all
+run; the theory shares those views, so nothing is copied and no dense joint
+is built.  Every value reads back bit for bit.  A zip archive, as theory
+files of formats 2 to 4 were, is refused, as is a ``<base>.npz`` where no
+``<base>.theory`` is: rerunning the command that wrote it rebuilds it.
 
 Every writer goes through a temporary file in the target's directory that is
 synced and renamed onto the target, so the target is always either whole or
@@ -40,14 +42,12 @@ import contextlib
 import csv
 import io
 import json
-import math
 import os
-import zipfile
+import re
 import zlib
 from pathlib import Path
 
 import numpy as np
-from numpy.lib import format as npy_format
 
 from .density import Density, integrate
 from .errors import InferenceSpaceError, IOFailure, SchemaError
@@ -164,122 +164,120 @@ def write_csv(d: Density, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 THEORY_FORMAT_NAME = "inferspace-theory"
-THEORY_FORMAT_VERSION = 4
+THEORY_FORMAT_VERSION = 5
+
+_ALIGN = 64
+_ZEROS = bytes(_ALIGN)
+_ZIP_MAGIC = (b"PK\x03\x04", b"PK\x05\x06")
+# The first line: the format's name and version, and the CRC-32 of every
+# byte after the line as 8 hex digits.
+_PREFIX = f"{THEORY_FORMAT_NAME} ".encode()
+_FIRST_LINE = re.compile(re.escape(_PREFIX) + rb"([^ \n]+) ([0-9a-f]{8})\n")
+_FIRST_LINE_BYTES = len(f"{THEORY_FORMAT_NAME} {THEORY_FORMAT_VERSION} 01234567\n")
+_NEWLINE = re.compile(b"\n")
 
 
 def _theory_path(path: str | Path) -> Path:
-    """The file a theory named ``path`` lives in: ``<base>.npz``, where a
-    ``.json`` or ``.npz`` suffix is stripped to find ``<base>``."""
+    """The file a theory named ``path`` lives in: ``<base>.theory``, where a
+    ``.json``, ``.npz`` or ``.theory`` suffix is stripped to find ``<base>``."""
     path = Path(path)
-    base = path.with_suffix("") if path.suffix in (".json", ".npz") else path
-    return base.with_name(base.name + ".npz")
+    base = path.with_suffix("") if path.suffix in (".json", ".npz", ".theory") else path
+    return base.with_name(base.name + ".theory")
 
 
-def _theory_header(t: TheoryDensity) -> str:
-    return json.dumps(
+def _padding(nbytes: int) -> int:
+    return -nbytes % _ALIGN
+
+
+def _dtypes(ndim: int) -> tuple[str, ...]:
+    """The dtype of each array a theory file holds, in file order: ``lo``,
+    ``hi``, ``band``, then one μ factor per axis."""
+    return ("<i8", "<i8", "<f8", *["<f8"] * ndim)
+
+
+def _write_section(fh, values: np.ndarray) -> None:
+    """Write ``values``' bytes, zero-padded to a multiple of 64."""
+    fh.write(values)
+    fh.write(_ZEROS[:_padding(values.nbytes)])
+
+
+def write_theory(t: TheoryDensity, path: str | Path) -> Path:
+    """Write ``t`` atomically to ``<base>.theory`` and return that path."""
+    target = _theory_path(path)
+    arrays = (t.lo, t.hi, t.band, *t.mu_factors)
+    sections = [np.ascontiguousarray(a, d) for a, d in zip(arrays, _dtypes(t.grid.ndim))]
+    header = json.dumps(
         {
-            "format": THEORY_FORMAT_NAME,
-            "version": THEORY_FORMAT_VERSION,
             "axes": [ax.to_header() for ax in t.grid.axes],
             "frame": ",".join(t.grid.names),
             "normalized": False,
             "provenance": t.provenance.as_dict(),
+            "band_length": t.band.size,
         }
-    )
-
-
-def write_theory(t: TheoryDensity, path: str | Path) -> Path:
-    """Write ``t`` atomically to ``<base>.npz`` and return that path."""
-    target = _theory_path(path)
-    factors = {f"mu_{k}": f for k, f in enumerate(t.mu_factors)}
+    ).encode()
+    header += b" " * _padding(_FIRST_LINE_BYTES + len(header) + 1) + b"\n"
+    crc = zlib.crc32(header)
+    for s in sections:
+        crc = zlib.crc32(_ZEROS[:_padding(s.nbytes)], zlib.crc32(s, crc))
     with _replacing(target) as fh:
-        np.savez(fh, header=np.array(_theory_header(t)), lo=t.lo, hi=t.hi, band=t.band,
-                 **factors)
+        fh.write(f"{THEORY_FORMAT_NAME} {THEORY_FORMAT_VERSION} {crc:08x}\n".encode() + header)
+        for s in sections:
+            _write_section(fh, s)
     return target
 
 
-def _header(raw: np.ndarray) -> dict:
-    if raw.ndim != 0 or raw.dtype.kind != "U":
-        raise SchemaError(f"header is {raw.dtype}{raw.shape}, expected a 0-d string")
+def _older_file(path: Path) -> str:
+    return (f"{path} is a theory file of format 4 or older, or another zip archive; "
+            f"rerun the command that wrote it")
+
+
+def _theory_from_bytes(buf: np.ndarray) -> TheoryDensity:
+    """The theory whose file's bytes are ``buf``, a uint8 array that it
+    makes read-only; the theory's arrays are views of it."""
+    first = _FIRST_LINE.match(buf)
+    if first is None:
+        raise SchemaError(f"not a theory file: it does not begin with the line "
+                          f"'{THEORY_FORMAT_NAME} {THEORY_FORMAT_VERSION} <crc>'")
+    if first[1] != str(THEORY_FORMAT_VERSION).encode():
+        raise SchemaError(f"unsupported theory version {first[1].decode(errors='replace')}")
+    if zlib.crc32(buf[first.end():]) != int(first[2], 16):
+        raise SchemaError("the CRC-32 of its contents is not the one on its first line: "
+                          "the file is damaged")
+    end = _NEWLINE.search(buf, first.end())
+    if end is None:
+        raise SchemaError("its header line does not end")
     try:
-        header = json.loads(str(raw))
-    except json.JSONDecodeError as exc:
+        header = json.loads(buf[first.end():end.start()].tobytes())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise SchemaError(f"header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise SchemaError(f"header is a JSON {type(header).__name__}, expected an object")
-    if header.get("format") != THEORY_FORMAT_NAME:
-        raise SchemaError(f"not a theory archive: format is {header.get('format')!r}")
-    if header.get("version") != THEORY_FORMAT_VERSION:
-        raise SchemaError(f"unsupported theory version {header.get('version')!r}")
-    return header
-
-
-def _npy(data: bytes) -> np.ndarray:
-    """The array held by the bytes of one ``.npy`` member.  It shares
-    ``data``, so it is read-only; bytes past its data are ignored, as
-    ``np.load`` ignores them."""
-    fh = io.BytesIO(data)
-    version = npy_format.read_magic(fh)
-    if version == (1, 0):
-        shape, fortran_order, dtype = npy_format.read_array_header_1_0(fh)
-    elif version in ((2, 0), (3, 0)):
-        # Version 3 differs from 2 only by a UTF-8 header, which the
-        # numeric and string dtypes of a theory never need.
-        shape, fortran_order, dtype = npy_format.read_array_header_2_0(fh)
-    else:
-        raise ValueError(f"unsupported .npy format version {version}")
-    if dtype.hasobject:
-        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-    count, start = math.prod(shape), fh.tell()
-    if len(data) - start < count * dtype.itemsize:
-        raise ValueError(f"EOF: reading array data, expected {count * dtype.itemsize} "
-                         f"bytes got {len(data) - start}")
-    values = np.frombuffer(data, dtype, count, start)
-    return values.reshape(shape[::-1]).T if fortran_order else values.reshape(shape)
-
-
-def _member(read, name: str, dtype) -> np.ndarray:
-    """The member ``name``, refused unless it is of ``dtype``, which the
-    ``TheoryDensity`` would convert it to; the theory checks its shape."""
-    values = read(name)
-    if values.dtype != dtype:
-        raise SchemaError(f"member {name!r} is {values.dtype}{values.shape}, "
-                          f"expected {np.dtype(dtype)}{values.shape}")
-    return values
-
-
-def _members(stored: dict[str, str], names) -> None:
-    missing = [m for m in names if m not in stored]
-    if missing:
-        raise SchemaError(f"not a theory archive: missing member(s) {missing}")
-
-
-def _theory_from_archive(archive: zipfile.ZipFile) -> TheoryDensity:
-    # Each member by the name np.load gives it: the entry's name with any
-    # ".npy" stripped, an entry stored without the suffix taken first.
-    names = archive.namelist()
-    stored = {n[:-4]: n for n in names if n.endswith(".npy")}
-    stored.update((n, n) for n in names if not n.endswith(".npy"))
-
-    def read(name: str) -> np.ndarray:
-        return _npy(archive.read(stored[name]))
-
-    # The version is checked before the members, so an older file is
-    # refused by its version rather than by the members it lacks.
-    _members(stored, ("header",))
-    header = _header(read("header"))
     try:
         grid = Grid.of(*(Axis.from_header(h) for h in header["axes"]))
-        # Format 4's frame and flag are checked as ever, though not kept.
+        # The frame and flag format 4 wrote are written and checked as ever, not kept.
         header_value(header, "frame", str)
         normalized = header_value(header, "normalized", bool)
         provenance = Provenance.from_dict(header["provenance"])
-    except (InferenceSpaceError, KeyError, TypeError, ValueError) as exc:
+        band_length = header_value(header, "band_length", int)
+    # AttributeError: an axis header or the provenance that is not an object
+    except (InferenceSpaceError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed theory header: {exc!r}") from exc
-    mu_names = [f"mu_{k}" for k in range(grid.ndim)]
-    _members(stored, ("lo", "hi", "band", *mu_names))
-    lo, hi = (_member(read, name, np.int64) for name in ("lo", "hi"))
-    band, *mu = (_member(read, name, np.float64) for name in ("band", *mu_names))
+    if band_length < 0:
+        raise SchemaError(f"the band length {band_length} is negative")
+    start = end.end()
+    if start % _ALIGN:
+        raise SchemaError(f"its data starts at byte {start}, not on a {_ALIGN}-byte boundary")
+    # lo and hi hold one entry per row, a μ factor one per node of its axis.
+    sizes = [8 * n for n in (grid.shape[0], grid.shape[0], band_length, *grid.shape)]
+    expected = start + sum(n + _padding(n) for n in sizes)
+    if buf.size != expected:
+        raise SchemaError(f"the file is {buf.size} bytes, but its header gives {expected}")
+    buf.flags.writeable = False
+    arrays = []
+    for dtype, n in zip(_dtypes(grid.ndim), sizes):
+        arrays.append(buf[start:start + n].view(dtype))
+        start += n + _padding(n)
+    lo, hi, band, *mu = arrays
     try:
         theory = TheoryDensity(grid, lo, hi, band, mu, provenance)
     except InferenceSpaceError as exc:
@@ -288,34 +286,44 @@ def _theory_from_archive(archive: zipfile.ZipFile) -> TheoryDensity:
     return theory
 
 
-def read_theory(path: str | Path) -> TheoryDensity:
-    """Read the theory at ``<base>.npz`` (format version 4)."""
-    target = _theory_path(path)
-    # A damaged zip fails on opening it or on reading a member, depending on
-    # where the damage is; a damaged member fails on parsing its bytes.
-    damaged = (EOFError, ValueError, zipfile.BadZipFile, zlib.error)
+def _read_theory_file(target: Path) -> TheoryDensity:
     try:
-        fh = target.open("rb")
+        with open(target, "rb", buffering=0) as fh:
+            buf = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+            got = fh.readinto(buf)
     except OSError as exc:
         raise IOFailure(f"cannot read {target}: {exc}") from exc
-    with fh:
-        try:
-            magic = fh.read(len(npy_format.MAGIC_PREFIX))
-            if magic == npy_format.MAGIC_PREFIX:
-                raise SchemaError(f"{target} holds a bare array, not a theory archive")
-            # What np.load takes for a zip: a local file header, or the end
-            # record an empty archive starts with.
-            if not magic.startswith((b"PK\x03\x04", b"PK\x05\x06")):
-                raise SchemaError(f"{target} is not a theory archive: it is not a zip file")
-            archive = zipfile.ZipFile(fh)
-        except OSError as exc:
-            raise IOFailure(f"cannot read {target}: {exc}") from exc
-        except damaged as exc:
-            raise SchemaError(f"{target} is not a theory archive: {exc}") from exc
-        with archive:
-            try:
-                return _theory_from_archive(archive)
-            except SchemaError as exc:
-                raise SchemaError(f"{target}: {exc}") from exc
-            except damaged as exc:
-                raise SchemaError(f"{target} is a damaged theory archive: {exc}") from exc
+    if buf[:4].tobytes() in _ZIP_MAGIC:
+        raise SchemaError(_older_file(target))
+    try:
+        if got != buf.size:
+            raise SchemaError(f"it shrank to {got} bytes while it was read")
+        return _theory_from_bytes(buf)
+    except SchemaError as exc:
+        raise SchemaError(f"{target}: {exc}") from exc
+
+
+def read_theory(path: str | Path) -> TheoryDensity:
+    """Read the theory at ``<base>.theory`` (format version 5).  Where that
+    file is missing but ``<base>.npz`` is there, the older file is refused."""
+    target = _theory_path(path)
+    if not target.exists() and (older := target.with_suffix(".npz")).is_file():
+        raise SchemaError(_older_file(older))
+    return _read_theory_file(target)
+
+
+def _theory_in(path: str | Path) -> TheoryDensity | None:
+    """The theory ``path`` holds, judged by content as ``convert --in``
+    takes it, or None where it holds none, so it is a density file: ``path``
+    itself if it is a file that begins like a theory file or a zip (which is
+    refused as an older theory), else ``<base>.theory`` if ``path`` is not a
+    file and that one is."""
+    path = Path(path)
+    if not path.is_file():
+        return read_theory(path) if _theory_path(path).is_file() else None
+    try:
+        with path.open("rb") as fh:
+            head = fh.read(len(_PREFIX))
+    except OSError as exc:
+        raise IOFailure(f"cannot read {path}: {exc}") from exc
+    return _read_theory_file(path) if head == _PREFIX or head[:4] in _ZIP_MAGIC else None

@@ -5,16 +5,18 @@ codes follow the documented convention (0 ok, 2 configuration, 3 numerical).
 """
 
 import argparse
+import contextlib
+import functools
 import io
 import json
 import math
 import os
-import struct
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
-import zipfile
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -336,6 +338,36 @@ def assert_same_theory(back: TheoryDensity, theory: TheoryDensity) -> None:
     assert back.provenance == theory.provenance
 
 
+def _theory_file(header, sections, first_line="inferspace-theory 5") -> bytes:
+    """A theory file laid out as format 5 by a writer of the tests' own:
+    ``first_line`` and the CRC-32 of the rest, ``header`` (an object dumped
+    as JSON, or raw bytes) padded with spaces so that the data starts on a
+    64-byte boundary, then each section's bytes zero-padded to a multiple of
+    64.  The CRC is right, so a damaged layout reaches the check it names."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    text += b" " * (-(len(first_line) + 10 + len(text) + 1) % 64) + b"\n"
+    body = text + b"".join(bytes(s) + bytes(-len(bytes(s)) % 64) for s in sections)
+    return f"{first_line} {zlib.crc32(body):08x}\n".encode() + body
+
+
+def _theory_parts(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the arrays of a format-5 theory file, taken apart by
+    the tests' own parser: ``lo``, ``hi``, ``band``, ``mu_0``, ``mu_1``."""
+    raw = Path(path).read_bytes()
+    first, text, _ = raw.split(b"\n", 2)
+    header = json.loads(text)
+    nrows = header["axes"][0]["count"]
+    counts = {"lo": nrows, "hi": nrows, "band": header["band_length"],
+              **{f"mu_{k}": ax["count"] for k, ax in enumerate(header["axes"])}}
+    arrays, start = {}, len(first) + len(text) + 2
+    assert start % 64 == 0
+    for name, n in counts.items():
+        arrays[name] = np.frombuffer(raw, "<i8" if name in ("lo", "hi") else "<f8", n, start)
+        start += -(-8 * n // 64) * 64
+    assert start == len(raw)
+    return header, arrays
+
+
 def _analytic_linear(grid):
     return analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid)
 
@@ -365,8 +397,8 @@ class TestTheoryFiles:
     def test_one_file_and_round_trip(self, tmp_path):
         theory = _sample_theory()
         written = write_theory(theory, tmp_path / "theory.json")
-        assert written == tmp_path / "theory.npz"
-        assert sorted(os.listdir(tmp_path)) == ["theory.npz"]
+        assert written == tmp_path / "theory.theory"
+        assert sorted(os.listdir(tmp_path)) == ["theory.theory"]
         back = read_theory(tmp_path / "theory.json")
         assert np.array_equal(back.joint.values, theory.joint.values)
         assert np.array_equal(back.mu.values, theory.mu.values)
@@ -377,14 +409,14 @@ class TestTheoryFiles:
 
     def test_missing_theory_file_raises(self, tmp_path):
         write_theory(_sample_theory("analytic"), tmp_path / "theory.json")
-        (tmp_path / "theory.npz").unlink()
+        (tmp_path / "theory.theory").unlink()
         with pytest.raises(IOFailure):
             read_theory(tmp_path / "theory.json")
 
-    @pytest.mark.parametrize("name", ["theory", "theory.json", "theory.npz"])
+    @pytest.mark.parametrize("name", ["theory", "theory.json", "theory.npz", "theory.theory"])
     def test_every_spelling_names_one_file(self, tmp_path, name):
-        assert write_theory(_sample_theory(), tmp_path / name) == tmp_path / "theory.npz"
-        for spelling in ("theory", "theory.json", "theory.npz"):
+        assert write_theory(_sample_theory(), tmp_path / name) == tmp_path / "theory.theory"
+        for spelling in ("theory", "theory.json", "theory.npz", "theory.theory"):
             assert_same_theory(read_theory(tmp_path / spelling), _sample_theory())
 
     @pytest.mark.parametrize(
@@ -402,52 +434,49 @@ class TestTheoryFiles:
 
     @pytest.mark.parametrize("raised", [OSError, KeyboardInterrupt])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, raised):
-        """The array write dies partway through the member ``mu_0``, after
+        """The write dies partway through the section ``mu_0``, after
         ``band``: an absent target stays absent, a present one keeps its old
         bytes, and the temporary file is gone either way."""
-        real = np.lib.format.write_array
+        real = inferspace.io._write_section
 
-        def dies_mid_file(fp, array, *args, **kwargs):
-            if array is theory.mu_factors[0]:
-                fp.write(b"\x93NUMPY partial")
+        def dies_mid_file(fh, values):
+            if np.array_equal(values, theory.mu_factors[0]):
+                fh.write(values.tobytes()[:13])
                 raise raised("disk full")
-            return real(fp, array, *args, **kwargs)
+            return real(fh, values)
 
         theory = _sample_theory()
-        target = tmp_path / "theory.npz"
-        monkeypatch.setattr(np.lib.format, "write_array", dies_mid_file)
+        target = tmp_path / "theory.theory"
+        monkeypatch.setattr(inferspace.io, "_write_section", dies_mid_file)
         with pytest.raises(IOFailure if raised is OSError else raised):
             write_theory(theory, target)
         assert os.listdir(tmp_path) == []
 
-        monkeypatch.setattr(np.lib.format, "write_array", real)
+        monkeypatch.setattr(inferspace.io, "_write_section", real)
         old = _sample_theory("analytic")
         write_theory(old, target)
         before = target.read_bytes()
-        monkeypatch.setattr(np.lib.format, "write_array", dies_mid_file)
+        monkeypatch.setattr(inferspace.io, "_write_section", dies_mid_file)
         with pytest.raises(IOFailure if raised is OSError else raised):
             write_theory(theory, target)
-        assert os.listdir(tmp_path) == ["theory.npz"]
+        assert os.listdir(tmp_path) == ["theory.theory"]
         assert target.read_bytes() == before
-        monkeypatch.setattr(np.lib.format, "write_array", real)
+        monkeypatch.setattr(inferspace.io, "_write_section", real)
         assert_same_theory(read_theory(target), old)
 
     def test_header_frame_and_flag_are_written_and_not_kept(self, tmp_path):
         """The header still holds ``"frame": "L,T"`` and ``"normalized":
-        false`` for the readers of format 4 that expect them.  The reader
-        checks them but keeps neither: a header whose frame names another
-        space, or whose flag is set on a joint of unit mass, reads as the
-        same theory."""
+        false``, as format 4's did.  The reader checks them but keeps
+        neither: a header whose frame names another space, or whose flag is
+        set on a joint of unit mass, reads as the same theory."""
         theory = _sample_theory()
         assert integrate(theory.joint) == pytest.approx(1.0, abs=1e-12)
         path = write_theory(theory, tmp_path / "th")
-        with np.load(path) as z:
-            members = {k: z[k] for k in z.files}
-        header = json.loads(str(members["header"]))
+        header, arrays = _theory_parts(path)
         assert (header["frame"], header["normalized"]) == ("L,T", False)
         for frame, normalized in (("mapped:shear", False), ("T,L", True)):
             header.update(frame=frame, normalized=normalized)
-            np.savez(path, **{**members, "header": np.array(json.dumps(header))})
+            path.write_bytes(_theory_file(header, arrays.values()))
             assert_same_theory(read_theory(path), theory)
 
     def test_joint_flagged_normalized_needs_unit_mass(self, tmp_path, capsys):
@@ -457,11 +486,9 @@ class TestTheoryFiles:
         joint = theory.joint.with_values(2.0 * theory.joint.values)
         path = write_theory(TheoryDensity.from_joint(joint, theory.mu_factors,
                                                      theory.provenance), tmp_path / "th")
-        with np.load(path) as z:
-            members = {k: z[k] for k in z.files}
-        header = json.loads(str(members["header"]))
+        header, arrays = _theory_parts(path)
         header["normalized"] = True
-        np.savez(path, **{**members, "header": np.array(json.dumps(header))})
+        path.write_bytes(_theory_file(header, arrays.values()))
         with pytest.raises(SchemaError, match="flagged normalized but its mass is 2.0"):
             read_theory(path)
         code = main(["infer", "--theory", str(path),
@@ -474,21 +501,21 @@ class TestTheoryFiles:
     def test_version_one_json_triple_is_not_read(self, tmp_path, capsys):
         """The version-1 theory, a density JSON with ``.mu.json`` and
         ``.provenance.json`` beside it, is refused: the error names the
-        ``<base>.npz`` that is missing."""
+        ``<base>.theory`` that is missing."""
         grid = Grid.of(Axis.logarithmic("L", 1.0, 10.0, 21),
                        Axis.logarithmic("T", 0.4515, 1.4279, 21))
         theory = analytic_fall_theory(FallingBodyLaw(9.81, 0.05), grid)
         write_density(theory.joint, tmp_path / "old.json")
         write_density(theory.mu, tmp_path / "old.mu.json")
         (tmp_path / "old.provenance.json").write_text(json.dumps({"kind": "analytic"}))
-        with pytest.raises(IOFailure, match="old.npz"):
+        with pytest.raises(IOFailure, match="old.theory"):
             read_theory(tmp_path / "old")
         code = main(["infer", "--theory", str(tmp_path / "old.json"),
                      "--measure", "T:lognormal:1.0:0.05"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert str(tmp_path / "old.npz") in captured.err
+        assert str(tmp_path / "old.theory") in captured.err
 
     def test_version_two_file_is_not_read(self, tmp_path, capsys):
         """A version-2 file, which held μ as one dense member, is refused by
@@ -496,28 +523,53 @@ class TestTheoryFiles:
         theory = _sample_theory()
         _write_version_two(tmp_path / "v2.npz", theory.joint, theory.mu.values,
                            theory.provenance)
-        with pytest.raises(SchemaError, match="unsupported theory version 2"):
+        with pytest.raises(SchemaError, match="format 4 or older"):
             read_theory(tmp_path / "v2.npz")
         code = main(["infer", "--theory", str(tmp_path / "v2.npz"),
                      "--measure", "T:gaussian:1:0.1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {tmp_path / 'v2.npz'}: unsupported theory version 2\n"
+        assert captured.err == f"error: {_older_file(tmp_path / 'v2.npz')}\n"
 
     def test_version_three_file_is_not_read(self, tmp_path, capsys):
         """A version-3 file, which held the joint as one dense member, is
-        refused by its header's version, not by the members it lacks."""
+        refused as every zip is, naming the file."""
         theory = _sample_theory()
         _write_version_three(tmp_path / "v3.npz", theory)
-        with pytest.raises(SchemaError, match="unsupported theory version 3"):
+        with pytest.raises(SchemaError, match="format 4 or older"):
             read_theory(tmp_path / "v3.npz")
         code = main(["infer", "--theory", str(tmp_path / "v3.npz"),
                      "--measure", "T:gaussian:1:0.1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == f"error: {tmp_path / 'v3.npz'}: unsupported theory version 3\n"
+        assert captured.err == f"error: {_older_file(tmp_path / 'v3.npz')}\n"
+
+    @pytest.mark.parametrize("name", ["v4.npz", "v4.theory"])
+    def test_version_four_file_is_not_read(self, tmp_path, capsys, name):
+        """A version-4 file, the zip of ``.npy`` members that format 5
+        replaced, is refused under its own name and under the new one: any
+        zip is.  Where both files are there, the new one is read."""
+        theory = _sample_theory()
+        path = tmp_path / name
+        _write_version_four(path, theory)
+        code = main(["infer", "--theory", str(tmp_path / "v4"), "--measure", "T:gaussian:1:0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {_older_file(path)}\n"
+        assert main(["convert", "--in", str(path), "--out", str(tmp_path / "joint.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {_older_file(path)}\n"
+        if name == "v4.npz":
+            write_theory(theory, tmp_path / "v4.npz")
+            assert_same_theory(read_theory(path), theory)
+
+
+def _older_file(path) -> str:
+    """The refusal of a theory file older than format 5, or of any zip."""
+    return (f"{path} is a theory file of format 4 or older, or another zip archive; "
+            f"rerun the command that wrote it")
 
 
 def _write_version_two(path, joint, mu_values, provenance):
@@ -546,6 +598,22 @@ def _write_version_three(path, theory):
     }
     factors = {f"mu_{k}": f for k, f in enumerate(theory.mu_factors)}
     np.savez(path, header=np.array(json.dumps(header)), joint=joint.values, **factors)
+
+
+def _write_version_four(path, theory):
+    """A theory file as format version 4 wrote it: ``.npy`` members in a zip."""
+    header = {
+        "format": "inferspace-theory",
+        "version": 4,
+        "axes": [ax.to_header() for ax in theory.grid.axes],
+        "frame": ",".join(theory.grid.names),
+        "normalized": False,
+        "provenance": theory.provenance.as_dict(),
+    }
+    factors = {f"mu_{k}": f for k, f in enumerate(theory.mu_factors)}
+    with open(path, "wb") as fh:  # np.savez would append ".npz" to a ".theory" name
+        np.savez(fh, header=np.array(json.dumps(header)), lo=theory.lo, hi=theory.hi,
+                 band=theory.band, **factors)
 
 
 _names = st.sampled_from(["L", "T", "x", "time (s)", "λ"])
@@ -604,8 +672,8 @@ def test_theory_file_round_trip_is_bit_exact(theory):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_theory(theory, Path(tmp) / "t")
         assert_same_theory(read_theory(path), theory)
-        with np.load(path) as z:
-            lo, hi, band = z["lo"], z["hi"], z["band"]
+        _, arrays = _theory_parts(path)
+    lo, hi, band = arrays["lo"], arrays["hi"], arrays["band"]
     assert lo.shape == hi.shape == (len(values),)
     # Each band runs from its row's first nonzero value to its last.
     for row, a, b in zip(values, lo, hi):
@@ -768,8 +836,7 @@ def test_theory_file_io_stays_within_its_memory_budget(tmp_path):
 def test_reading_the_default_theory_allocates_little_beyond_what_it_returns(tmp_path):
     """A warm ``read_theory`` of the default 1401² theory peaks at most 1.25
     times the bytes of ``lo``, ``hi``, ``band`` and the μ factors it returns:
-    each member's bytes are read from the zip once, and its array shares
-    them."""
+    the file is read once into one buffer, and the arrays share it."""
     law = FallingBodyLaw(9.81, 1e-3)
     path = write_theory(analytic_fall_theory(law, parse_grid("default")), tmp_path / "t")
     read_theory(path)  # a first call, so the modules it imports are not counted
@@ -779,79 +846,67 @@ def test_reading_the_default_theory_allocates_little_beyond_what_it_returns(tmp_
     assert read <= 1.25 * returned
 
 
-def _members_of(theory: TheoryDensity, tmp_path) -> dict[str, np.ndarray]:
-    """The arrays ``np.load`` reads from ``theory``'s file."""
-    with np.load(write_theory(theory, tmp_path / "members")) as z:
-        return {k: z[k] for k in z.files}
+def test_exact_bytes_of_a_small_theory_file(tmp_path):
+    """A 3×4 theory: the first line with its CRC, the JSON header padded
+    with spaces to byte 128, then ``lo``, ``hi``, ``band``, ``mu_0`` and
+    ``mu_1``, little-endian, each zero-padded to a multiple of 64 bytes."""
+    grid = Grid.of(Axis.linear("x", 0.0, 2.0, 3), Axis.logarithmic("y", 1.0, 8.0, 4, "s"))
+    values = np.array([[0.0, 0.5, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+    mu = [np.ones(3), np.array([1.0, 0.5, 0.25, 0.125])]
+    theory = TheoryDensity.from_joint(Density(grid, values), mu, Provenance("analytic"))
+    header = (b'{"axes": [{"name": "x", "spacing": "linear", "lower": 0.0, "upper": 2.0, '
+              b'"count": 3, "units": ""}, {"name": "y", "spacing": "logarithmic", '
+              b'"lower": 1.0, "upper": 8.0, "count": 4, "units": "s"}], "frame": "x,y", '
+              b'"normalized": false, "provenance": {"kind": "analytic"}, "band_length": 4}')
+    body = (header + b" " * (320 - 29 - len(header) - 1) + b"\n"
+            + np.array([1, 0, 0], "<i8").tobytes() + bytes(40)
+            + np.array([4, 0, 1], "<i8").tobytes() + bytes(40)
+            + np.array([0.5, 0.0, 1.5, 2.0], "<f8").tobytes() + bytes(32)
+            + np.ones(3, "<f8").tobytes() + bytes(40)
+            + np.array([1.0, 0.5, 0.25, 0.125], "<f8").tobytes() + bytes(32))
+    assert len(body) + 29 == 320 + 4 * 64 + 64
+    path = write_theory(theory, tmp_path / "small")
+    assert path.read_bytes() == b"inferspace-theory 5 %08x\n" % zlib.crc32(body) + body
+    assert_same_theory(read_theory(path), theory)
 
 
-@pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
-def test_members_of_every_npy_version_read_back_bit_for_bit(tmp_path, version):
-    """Members written in any ``.npy`` format version numpy reads give back
-    the theory they were written from."""
-    theory = _sample_theory()
-    th = tmp_path / "th.npz"
-    with zipfile.ZipFile(th, "w") as z:
-        for k, v in _members_of(theory, tmp_path).items():
-            with z.open(f"{k}.npy", "w") as fh:
-                np.lib.format.write_array(fh, v, version=version)
-    assert_same_theory(read_theory(th), theory)
-
-
-# Dtypes a member is drawn in: the ones format 4 stores, others of each kind,
-# a foreign byte order, and objects, which np.savez pickles.
-_DRAWN_DTYPES = ["<i8", "<f8", "<i4", "<f4", "u1", "?", "<c16", ">i8", ">f8", "<U24", "S24",
-                 "O"]
-
-
-@settings(max_examples=80)
-@given(st.data())
-def test_drawn_member_dtypes_and_shapes_are_read_as_np_load_reads_them(data):
-    """``np.savez`` archives whose members have drawn dtypes and shapes, C or
-    Fortran order, are read as a theory or refused with a configuration
-    error (exit 2), never another error.  They are read exactly when every
-    member ``np.load`` reads has the dtype and shape format 4 asks for (a
-    0-d string for the header), and then their arrays are ``np.load``'s."""
+@functools.cache
+def _small_theory_file() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        members = _members_of(_sample_theory(), Path(tmp))
-        # At most two members are redrawn, each keeping its shape or dtype
-        # half the time, so that many archives are still theories.
-        for name in data.draw(st.lists(st.sampled_from(sorted(members)), max_size=2,
-                                       unique=True)):
-            flat = members[name].ravel()
-            n = flat.size
-            shape = members[name].shape
-            if data.draw(st.booleans()):
-                shape = data.draw(st.sampled_from([(), (1, n), (n, 1), (n - 1,), (2, n // 2)]))
-            values = flat[:math.prod(shape)].reshape(shape)
-            dtype = values.dtype
-            if data.draw(st.booleans()):
-                dtype = np.dtype(data.draw(st.sampled_from(
-                    [dtype.newbyteorder(), "S512"] if name == "header" else _DRAWN_DTYPES)))
-            order = data.draw(st.sampled_from("CF"))
-            members[name] = np.array(values.astype(dtype), order=order)
-        th = Path(tmp) / "th.npz"
-        np.savez(th, **members)
-        with np.load(th, allow_pickle=False) as z:
-            try:
-                loaded = {k: z[k] for k in z.files}
-            except ValueError:  # a pickled member
-                loaded = None
-        expected = _members_of(_sample_theory(), Path(tmp))
-        wanted = loaded is not None and all(
-            loaded[k].ndim == 0 and loaded[k].dtype.kind == "U" if k == "header"
-            else (loaded[k].dtype, loaded[k].shape) == (v.dtype, v.shape)
-            for k, v in expected.items())
-        try:
-            back = read_theory(th)
-        except ConfigurationError:
-            back = None
-    assert (back is not None) == wanted
-    if back is not None:
-        for k in ("lo", "hi", "band"):
-            assert getattr(back, k).tobytes() == loaded[k].tobytes()
-        for k, f in enumerate(back.mu_factors):
-            assert f.tobytes() == loaded[f"mu_{k}"].tobytes()
+        grid = Grid.of(Axis.linear("x", 0.0, 1.0, 3), Axis.linear("y", 0.0, 1.0, 4))
+        values = np.arange(12.0).reshape(3, 4)
+        theory = TheoryDensity.from_joint(Density(grid, values), [np.ones(3), np.ones(4)],
+                                          Provenance("analytic"))
+        return write_theory(theory, Path(tmp) / "t").read_bytes()
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_damaged_theory_file_is_never_read(data):
+    """Flipping any one bit of a written theory file, cutting it at any
+    length, or appending bytes to it, makes ``infer`` exit 2 with an error
+    naming the file, and ``read_theory`` refuse it with a configuration
+    error: a damaged file is never read back as a theory."""
+    raw = bytearray(_small_theory_file())
+    how = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+    if how == "flip":
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1))
+        raw[bit // 8] ^= 1 << (bit % 8)
+    elif how == "truncate":
+        del raw[data.draw(st.integers(0, len(raw) - 1)):]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=80))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.theory"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+            read_theory(path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["infer", "--theory", str(path), "--measure", "x:gaussian:0.5:0.2"])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert stderr.getvalue().startswith(f"error: {path}")
 
 
 def test_predict_and_infer_stay_within_their_memory_budget(tmp_path, capsys):
@@ -928,8 +983,8 @@ class TestCliInference:
         assert code == 0
         assert doc["frame"] == "linear"
         assert doc["mass"] > 0.0
-        assert doc["out"] == str(tmp_path / "th.npz")
-        assert (tmp_path / "th.npz").exists()
+        assert doc["out"] == str(tmp_path / "th.theory")
+        assert (tmp_path / "th.theory").exists()
 
         out = str(tmp_path / "posterior-L.json")
         code, doc = run_cli(
@@ -995,14 +1050,16 @@ class TestCliInference:
         assert "pass --known AXIS:KIND:CENTER:WIDTH" in capsys.readouterr().err
 
     def test_one_dimensional_theory_file_exits_config(self, tmp_path, capsys):
-        """A theory lives on a 2D grid: a format-4 file written by hand over
-        one axis, whose members are otherwise consistent, exits 2."""
+        """A theory lives on a 2D grid: a file written by hand over one axis,
+        whose sections are otherwise consistent, exits 2."""
         ax = Axis.logarithmic("L", 1.0, 10.0, 101)
-        header = {"format": "inferspace-theory", "version": 4, "axes": [ax.to_header()],
-                  "frame": "L", "normalized": False, "provenance": {"kind": "analytic"}}
-        path = tmp_path / "one.npz"
-        np.savez(path, header=np.array(json.dumps(header)), lo=np.zeros(1, np.int64),
-                 hi=np.full(1, ax.count, np.int64), band=1.0 / ax.nodes, mu_0=1.0 / ax.nodes)
+        header = {"axes": [ax.to_header()], "frame": "L", "normalized": False,
+                  "provenance": {"kind": "analytic"}, "band_length": 101 * 101}
+        path = tmp_path / "one.theory"
+        band = np.ones(101 * 101)
+        path.write_bytes(_theory_file(header, [np.zeros(101, np.int64),
+                                               np.full(101, ax.count, np.int64), band,
+                                               1.0 / ax.nodes]))
         with pytest.raises(SchemaError, match="2D grid"):
             read_theory(path)
         assert main(["infer", "--theory", str(path), "--measure", "L:lognormal:3:0.1"]) == 2
@@ -1094,7 +1151,7 @@ class TestCliInference:
         assert main(args + ["--out", str(tmp_path / "a.json")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
         capsys.readouterr()
-        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+        assert (tmp_path / "a.theory").read_bytes() == (tmp_path / "b.theory").read_bytes()
 
     def test_build_theory_set_t_on_the_default_grid(self, tmp_path, capsys):
         """Experiments whose length lands outside the L box still carry a
@@ -1380,127 +1437,129 @@ class TestCliInference:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "not-a-zip", "empty", "wrong-format", "wrong-version",
+        ["truncated", "not-a-theory", "empty", "wrong-format", "wrong-version",
          "missing-member", "bare-array", "wrong-shape", "non-finite", "factor-dtype",
          "factor-non-finite", "factor-negative", "factor-zero", "bit-flip", "lo-above-hi",
          "hi-past-row", "negative-lo", "band-lengths", "lo-float", "hi-int32", "lo-length",
-         "band-2d", "band-float32", "missing-band", "object-member", "short-member",
-         "npy-header", "npy-magic", "header-not-json", "header-not-object", "npy-version-4"],
+         "band-2d", "band-float32", "missing-band", "header-not-json", "header-not-object",
+         "axes-missing", "provenance-not-object", "negative-band-length", "unaligned",
+         "header-unended", "appended"],
     )
     def test_malformed_theory_file_exits_config(self, tmp_path, capsys, damage):
-        th = tmp_path / "th.npz"
+        """Each damage is written with a correct CRC-32, except the bit flip,
+        so that it reaches the check its error names."""
+        th = tmp_path / "th.theory"
         write_theory(_sample_theory(), th)
-        with np.load(th) as z:
-            members = {k: z[k] for k in z.files}
-        header = json.loads(str(members["header"]))
-        lo, hi, band = members["lo"], members["hi"], members["band"]
-        # What the error says, for the cases that damage the band members.
+        header, arrays = _theory_parts(th)
+        lo, hi, band, mu_0, mu_1 = (a.copy() for a in arrays.values())
+        # Every row of the sample is whole: lo == 0 and hi == 17 on its 23 rows.
+        assert not lo.any() and (hi == 17).all() and band.size == 391
+        size = len(th.read_bytes())
         expected = {
-            "bit-flip": "Bad CRC-32 for file 'band.npy'",
+            "truncated": f"the file is {size // 2} bytes, but its header gives {size}",
+            "not-a-theory": "not a theory file",
+            "empty": "not a theory file",
+            "wrong-format": "not a theory file",
+            "wrong-version": "unsupported theory version 4",
+            "missing-member": f"the file is {size - 192} bytes, but its header gives {size}",
+            "bare-array": "not a theory file",
+            "wrong-shape": f"the file is {size} bytes, but its header gives {size - 64}",
             "non-finite": "must be finite",
+            "factor-dtype": f"the file is {size - 64} bytes, but its header gives {size}",
+            "factor-non-finite": "the μ factor on axis 'L' must be finite",
+            "factor-negative": "axis 'L' must be > 0, but is -1.0 at node 2",
             "factor-zero": "axis 'T' must be > 0, but is 0.0 at node 2 (T = 0.25)",
-            "bare-array": "bare array",
-            "missing-band": "missing member(s) ['band']",
+            "bit-flip": "the CRC-32 of its contents is not the one on its first line",
             "lo-above-hi": "0 <= lo <= hi <= 17",
             "hi-past-row": "0 <= lo <= hi <= 17",
             "negative-lo": "0 <= lo <= hi <= 17",
             "band-lengths": "band of shape (390,) for rows whose bands hold 391 values",
-            "lo-float": "member 'lo' is float64(23,), expected int64(23,)",
-            "hi-int32": "member 'hi' is int32(23,), expected int64(23,)",
-            "lo-length": "row bounds of shapes (22,) and (23,) for 23 rows",
-            "band-2d": "band of shape (1, 391) for rows whose bands hold 391 values",
-            "band-float32": "member 'band' is float32(391,), expected float64(391,)",
-            "object-member": "Object arrays cannot be loaded when allow_pickle=False",
-            "short-member": "EOF: reading array data, expected 3128 bytes got 3120",
-            "npy-header": "Header does not contain the correct keys",
-            "npy-magic": "the magic string is not correct",
+            "lo-float": "0 <= lo <= hi <= 17",
+            "hi-int32": f"the file is {size - 64} bytes, but its header gives {size}",
+            "lo-length": "band of shape (391,) for rows whose bands hold 374 values",
+            "band-2d": "'band_length' must be a JSON integer, got [1, 391]",
+            "band-float32": f"the file is {size - 1536} bytes, but its header gives {size}",
+            "missing-band": f"the file is {size - 3136} bytes, but its header gives {size}",
             "header-not-json": "header is not valid JSON",
             "header-not-object": "header is a JSON list, expected an object",
-            "npy-version-4": "unsupported .npy format version (4, 0)",
+            "axes-missing": "malformed theory header: KeyError('axes')",
+            "provenance-not-object": "malformed theory header: AttributeError",
+            "negative-band-length": "the band length -1 is negative",
+            "unaligned": "not on a 64-byte boundary",
+            "header-unended": "its header line does not end",
+            "appended": f"the file is {size + 8} bytes, but its header gives {size}",
         }
-        # Each member's .npy bytes as np.savez stores them, for the cases
-        # that damage those bytes; the zip's CRC is computed over the damage.
-        altered = {
-            "short-member": ("band", lambda raw: raw[:-8]),
-            "npy-header": ("lo", lambda raw: raw.replace(b"'descr'", b"'dexcr'", 1)),
-            "npy-magic": ("mu_0", lambda raw: b"\x93NUMPX" + raw[6:]),
-            "npy-version-4": ("lo", lambda raw: raw[:6] + b"\x04\x00" + raw[8:]),
-        }
-        damaged = {
+        sections = {"lo": lo, "hi": hi, "band": band, "mu_0": mu_0, "mu_1": mu_1}
+        # Header changes and section replacements, written with a right CRC.
+        rewritten = {
             # Each of these three leaves the band lengths summing to band.size.
-            "lo-above-hi": {"lo": np.where(np.arange(23) == 3, 9, lo),
-                            "hi": np.where(np.arange(23) == 3, 8, hi),
-                            "band": band[:band.size - 18]},
-            "hi-past-row": {"lo": lo + (np.arange(23) == 0), "hi": hi + (np.arange(23) == 0)},
-            "negative-lo": {"lo": lo - (np.arange(23) == 0), "hi": hi - (np.arange(23) == 0)},
-            "band-lengths": {"band": band[:-1]},
-            "lo-float": {"lo": lo.astype(np.float64)},
-            "hi-int32": {"hi": hi.astype(np.int32)},
-            "lo-length": {"lo": lo[:-1]},
-            "band-2d": {"band": band.reshape(1, -1)},
-            "band-float32": {"band": band.astype(np.float32)},
-            "header-not-json": {"header": np.array("{not json")},
-            "header-not-object": {"header": np.array("[4]")},
+            "lo-above-hi": ({"band_length": 373},
+                            {"lo": np.where(np.arange(23) == 3, 9, lo),
+                             "hi": np.where(np.arange(23) == 3, 8, hi), "band": band[:373]}),
+            "hi-past-row": ({}, {"lo": lo + (np.arange(23) == 0), "hi": hi + (np.arange(23) == 0)}),
+            "negative-lo": ({}, {"lo": lo - (np.arange(23) == 0), "hi": hi - (np.arange(23) == 0)}),
+            "band-lengths": ({"band_length": 390}, {"band": band[:-1]}),
+            # Row 0 starts at column 1, so its lo is not 0, whose bytes are 0.0's.
+            "lo-float": ({"band_length": 390}, {"lo": (np.arange(23) == 0).astype(np.float64),
+                                                "band": band[1:]}),
+            "hi-int32": ({}, {"hi": hi.astype(np.int32)}),
+            "factor-dtype": ({}, {"mu_1": mu_1.astype(np.float32)}),
+            "band-float32": ({}, {"band": band.astype(np.float32)}),
+            "non-finite": ({}, {"band": np.where(np.arange(391) == 0, np.nan, band)}),
+            "factor-non-finite": ({}, {"mu_0": np.where(np.arange(23) == 2, np.inf, mu_0)}),
+            "factor-negative": ({}, {"mu_0": np.where(np.arange(23) == 2, -1.0, mu_0)}),
+            "factor-zero": ({}, {"mu_1": np.where(np.arange(17) == 2, 0.0, mu_1)}),
+            "missing-member": ({}, {"mu_1": b""}),
+            "missing-band": ({}, {"band": b""}),
+            # The header's axes disagree with the sections written for them.
+            "wrong-shape": ({"axes": [header["axes"][0], {**header["axes"][1], "count": 9}]},
+                            {}),
+            "lo-length": ({"axes": [{**header["axes"][0], "count": 22}, header["axes"][1]]},
+                          {}),
+            "band-2d": ({"band_length": [1, 391]}, {}),
+            "axes-missing": ({"axes": None}, {}),
+            "provenance-not-object": ({"provenance": "analytic"}, {}),
+            "negative-band-length": ({"band_length": -1}, {}),
         }
-        if damage == "truncated":
-            th.write_bytes(th.read_bytes()[: th.stat().st_size // 2])
-        elif damage == "not-a-zip":
+        if damage in rewritten:
+            changed, replaced = rewritten[damage]
+            new_header = {k: v for k, v in {**header, **changed}.items() if v is not None}
+            th.write_bytes(_theory_file(new_header, {**sections, **replaced}.values()))
+        elif damage in ("truncated", "appended", "bit-flip"):
+            raw = th.read_bytes()
+            if damage == "bit-flip":
+                # The band's last value: its bytes lie just before mu_0's section.
+                at = raw.index(mu_0.tobytes()) - (-band.nbytes % 64) - 1
+                th.write_bytes(raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+            else:
+                body = raw[29:size // 2] if damage == "truncated" else raw[29:] + bytes(8)
+                th.write_bytes(b"inferspace-theory 5 %08x\n" % zlib.crc32(body) + body)
+        elif damage == "not-a-theory":
             th.write_text("{}")
         elif damage == "empty":
             th.write_bytes(b"")
-        elif damage in ("wrong-format", "wrong-version"):
-            if damage == "wrong-format":
-                header["format"] = "inferspace-density"
-            else:
-                header["version"] = 1
-            np.savez(th, **{**members, "header": np.array(json.dumps(header))})
-        elif damage in ("missing-member", "missing-band"):
-            del members["mu_1" if damage == "missing-member" else "band"]
-            np.savez(th, **members)
         elif damage == "bare-array":
             with th.open("wb") as fh:
                 np.save(fh, band)
-        elif damage == "wrong-shape":
-            np.savez(th, **{**members, "mu_0": members["mu_0"][:-1]})
-        elif damage == "factor-dtype":
-            np.savez(th, **{**members, "mu_1": members["mu_1"].astype(np.float32)})
-        elif damage in ("factor-non-finite", "factor-negative"):
-            members["mu_0"][2] = np.inf if damage == "factor-non-finite" else -1.0
-            np.savez(th, **members)
-        elif damage == "factor-zero":
-            members["mu_1"][2] = 0.0
-            np.savez(th, **members)
-        elif damage == "bit-flip":
-            # The archive is stored uncompressed: flip one byte of the band's
-            # values, past the member's local header and the .npy header.
-            with zipfile.ZipFile(th) as z:
-                info = z.getinfo("band.npy")
-            raw = bytearray(th.read_bytes())
-            name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
-            start = info.header_offset + 30 + name_len + extra_len
-            raw[start + info.file_size - 8] ^= 0x01
-            th.write_bytes(bytes(raw))
-        elif damage in damaged:
-            np.savez(th, **{**members, **damaged[damage]})
-        elif damage == "object-member":
-            np.savez(th, **{**members, "mu_1": members["mu_1"].astype(object)})
-        elif damage in altered:
-            name, alter = altered[damage]
-            with zipfile.ZipFile(th, "w") as z:
-                for k, v in members.items():
-                    buf = io.BytesIO()
-                    np.save(buf, v)
-                    raw = buf.getvalue()
-                    z.writestr(f"{k}.npy", alter(raw) if k == name else raw)
-        else:
-            band[0] = np.nan
-            np.savez(th, **members)
+        elif damage in ("wrong-format", "wrong-version"):
+            first = "inferspace-density 5" if damage == "wrong-format" else "inferspace-theory 4"
+            th.write_bytes(_theory_file(header, sections.values(), first))
+        elif damage in ("header-not-json", "header-not-object"):
+            text = b"{not json" if damage == "header-not-json" else b"[4]"
+            th.write_bytes(_theory_file(text, sections.values()))
+        elif damage == "unaligned":
+            raw = _theory_file(header, sections.values())
+            body = raw[29:].replace(b"     \n", b"\n", 1)
+            th.write_bytes(b"inferspace-theory 5 %08x\n" % zlib.crc32(body) + body)
+        else:  # header-unended
+            body = json.dumps(header).encode()
+            th.write_bytes(b"inferspace-theory 5 %08x\n" % zlib.crc32(body) + body)
         code = main(["infer", "--theory", str(th), "--measure", "T:lognormal:1:0.1"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith(f"error: {th}")
-        if damage in expected:
-            assert expected[damage] in captured.err
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {th}: ")
+        assert expected[damage] in captured.err
 
 
 # The JSON type each typed header field must have.
@@ -1538,11 +1597,8 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
         path.write_text(json.dumps(doc).replace(f'"{placeholder}"', literal))
         argv = ["convert", "--in", str(path), "--out", str(tmp_path / "o.csv")]
     else:
-        path = tmp_path / "th.npz"
-        write_theory(_sample_theory(), path)
-        with np.load(path) as z:
-            members = {k: z[k] for k in z.files}
-        header = json.loads(str(members["header"]))
+        path = write_theory(_sample_theory(), tmp_path / "th")
+        header, arrays = _theory_parts(path)
         if field in ("frame", "normalized"):
             header[field] = placeholder
         elif field in ("kind", "n_experiments", "master_seed"):
@@ -1550,7 +1606,7 @@ def test_integer_header_field_must_be_a_json_integer(tmp_path, capsys, kind, fie
         else:
             header["axes"][0][field] = placeholder
         text = json.dumps(header).replace(f'"{placeholder}"', literal)
-        np.savez(path, **{**members, "header": np.array(text)})
+        path.write_bytes(_theory_file(text.encode(), arrays.values()))
         argv = ["infer", "--theory", str(path), "--measure", "L:lognormal:1:0.1"]
     code = main(argv)
     captured = capsys.readouterr()
@@ -2003,6 +2059,35 @@ class TestCliConvert:
             assert np.array_equal(read_density(out).values, theory.joint.values)
         else:
             assert len(out.read_text().strip().splitlines()) == 1 + 23 * 17
+
+    @pytest.mark.parametrize("src", ["th", "copied.bin"])
+    def test_theory_is_told_by_its_content_or_its_base(self, tmp_path, capsys, src):
+        """``convert --in`` takes a theory by every spelling ``--theory``
+        takes: ``th``, which is no file while ``th.theory`` is one, and a
+        file of any name that begins with a theory file's first line."""
+        theory = _sample_theory()
+        written = write_theory(theory, tmp_path / "th")
+        if src == "copied.bin":
+            (tmp_path / src).write_bytes(written.read_bytes())
+        out = tmp_path / "joint.json"
+        code, doc = run_cli(["convert", "--in", str(tmp_path / src), "--out", str(out)], capsys)
+        assert code == 0
+        assert doc["nodes"] == theory.grid.node_count
+        assert read_density(out).values.tobytes() == theory.joint.values.tobytes()
+
+    def test_extensionless_density_file_converts_as_a_density(self, tmp_path, capsys):
+        """A density file written by ``infer --out post`` is no theory,
+        though a theory ``post.theory`` lies beside it."""
+        th = str(write_theory(_sample_theory(), tmp_path / "post"))
+        post = str(tmp_path / "post")
+        code, _ = run_cli(["infer", "--theory", th, "--measure", "L:lognormal:3:0.1",
+                           "--out", post], capsys)
+        assert code == 0
+        out = tmp_path / "post.json"
+        code, doc = run_cli(["convert", "--in", post, "--out", str(out)], capsys)
+        assert code == 0
+        assert doc["nodes"] == 17
+        assert read_density(out).values.tobytes() == read_density(post).values.tobytes()
 
     def test_missing_input_flag_exits_config(self, tmp_path, capsys):
         code = main(["convert", "--out", str(tmp_path / "o.json")])

@@ -31,10 +31,11 @@ record per run: its argv, exit code (argparse's exit status where it exits),
 stdout and stderr, and what it wrote.  A run that raises is recorded as
 exit 1, and ``record`` names it and exits 1 after writing the file.
 A density or CSV file is recorded by its sha256 (and a JSON file also by its
-parsed contents).  A theory file is recorded by its members, each as dtype,
-shape and the sha256 of its bytes, with the header as text, and by the
-sha256 of the joint and μ factors that ``read_theory`` gives back; the
-archive's own bytes carry timestamps and are not compared.
+parsed contents).  A theory file is recorded under its base name, by what
+``read_theory`` gives back: the axis headers, the provenance, and ``lo``,
+``hi``, ``band`` and each μ factor as dtype, shape and the sha256 of its
+bytes.  So two versions that store a theory in different file formats
+compare by the theory they store.
 
 ``compare`` diffs two recordings.  Every float in a JSON report or JSON file
 must agree to 1e-12 relative; everything else must match exactly.  It prints
@@ -49,10 +50,8 @@ import io
 import json
 import math
 import os
-import struct
 import sys
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -168,22 +167,29 @@ RUNS = [
 ]
 
 
+def _theory_file(base: str) -> Path:
+    """The file the ``inferspace`` on ``sys.path`` keeps the theory ``base`` in."""
+    from inferspace.io import _theory_path
+
+    return _theory_path(base)
+
+
 def _bare_array() -> None:
-    """``bare.npz``: a lone ``.npy`` array where a theory archive should be."""
-    with open("bare.npz", "wb") as fh:
+    """``bare``: a lone ``.npy`` array where a theory file should be."""
+    with open(_theory_file("bare"), "wb") as fh:
         np.save(fh, np.arange(5.0))
 
 
 def _bit_flip() -> None:
-    """``flipped.npz``: ``small.npz`` with one bit of its band's last value
-    flipped.  The archive is stored uncompressed, so the byte lies at a known
-    offset past the member's local header."""
-    raw = bytearray(Path("small.npz").read_bytes())
-    with zipfile.ZipFile("small.npz") as z:
-        info = z.getinfo("band.npy")
-    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
-    raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 8] ^= 0x01
-    Path("flipped.npz").write_bytes(bytes(raw))
+    """``flipped``: the theory ``small`` with one bit of its band's last
+    value flipped.  Every format stores the band's bytes whole, so they are
+    found in the file by their value."""
+    from inferspace.io import read_theory
+
+    band = read_theory("small").band.tobytes()
+    raw = bytearray(_theory_file("small").read_bytes())
+    raw[raw.index(band) + len(band) - 8] ^= 0x01
+    _theory_file("flipped").write_bytes(bytes(raw))
 
 
 # Inputs a run reads that no earlier run writes, made just before it.
@@ -199,23 +205,23 @@ def _array(a: np.ndarray) -> dict:
 
 
 def _theory_record(path: Path, read_theory) -> dict:
-    with np.load(path) as z:
-        members = {k: (str(z[k]) if k == "header" else _array(z[k])) for k in z.files}
     theory = read_theory(path)
     return {
-        "members": members,
-        "joint": _array(theory.joint.values),
+        "axes": [ax.to_header() for ax in theory.grid.axes],
+        "provenance": theory.provenance.as_dict(),
+        **{k: _array(getattr(theory, k)) for k in ("lo", "hi", "band")},
         "mu": [_array(f) for f in theory.mu_factors],
     }
 
 
-def _file_record(path: Path, read_theory) -> dict:
-    if path.suffix == ".npz":
-        return _theory_record(path, read_theory)
+def _file_record(path: Path, read_theory) -> tuple[str, dict]:
+    """The name ``path`` is recorded under, and its record."""
+    if path == _theory_file(path.stem):
+        return f"{path.stem} (theory)", _theory_record(path, read_theory)
     out = {"sha256": _sha(path.read_bytes())}
     if path.suffix == ".json":
         out["json"] = json.loads(path.read_text(encoding="utf-8"))
-    return out
+    return path.name, out
 
 
 def record(out_path: Path) -> list[str]:
@@ -255,7 +261,7 @@ def record(out_path: Path) -> list[str]:
                     "exit": code,
                     "stdout": stdout.getvalue(),
                     "stderr": stderr.getvalue(),
-                    "files": {f: _file_record(Path(f), read_theory) for f in written},
+                    "files": dict(_file_record(Path(f), read_theory) for f in written),
                 })
         finally:
             os.chdir(home)
