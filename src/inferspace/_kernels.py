@@ -5,7 +5,8 @@ two steps: ``locate`` finds each point's cell and its corner weights, and
 ``interpolate`` reads a table of node values through them.  Evaluating a
 density does both once.  A push-forward locates the target nodes' preimages
 once per map and target grid, then interpolates every density it pushes that
-way through the same corners.
+way through the same corners.  ``ranges`` lays integer ranges end to end: a
+band's columns, or a frame's flat nodes.
 """
 
 from __future__ import annotations
@@ -56,4 +57,14 @@ def interpolate(located, values) -> np.ndarray:
     out = weight * values[offset:].take(flat)
     for offset, weight in rest:
         out += weight * values[offset:].take(flat)
+    return out
+
+
+def ranges(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of each range ``[first[i], stop[i])``, laid end to end
+    in the order of ``i``: a band's columns, or a frame's flat nodes.  The
+    array is fresh and writable, as np.bincount copies a read-only index."""
+    lengths = stop - first
+    out = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(out.size)
     return out

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import interpolate
+from ._kernels import interpolate, ranges
 from .algebra import _and_values, total_variation
 from .coordinates import _EDGE_RTOL, Map2D, _lattice_axis, _pull_back_nodes
 from .density import (
@@ -43,7 +43,7 @@ from .priors import (
     profile_node_factor,
     reading_centre_factor,
 )
-from .theory import TheoryDensity, _ranges
+from .theory import TheoryDensity
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +641,7 @@ def _read_nodes(target: Grid, m: Map2D, grid: Grid, cols: slice, curve) -> tuple
         first = np.maximum(np.searchsorted(v.nodes, low, side="left") - 1, 0)
         stop = np.minimum(np.searchsorted(v.nodes, high, side="right") + 1, v.count)
         row_starts = np.arange(x.count) * v.count
-        read = np.concatenate([_ranges(row_starts + first, row_starts + stop), read])
+        read = np.concatenate([ranges(row_starts + first, row_starts + stop), read])
     # Sorted, then each repeat dropped: np.unique takes ten times as long
     # here, as it hashes first.
     read = np.sort(read)

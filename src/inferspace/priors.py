@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import ranges
 from .density import Density
 from .errors import ConfigInvalid, InvalidBounds, ModelAxisMismatch
 from .grids import LOGARITHMIC, Axis, Grid
@@ -181,46 +182,162 @@ def profile_centre_factors(
 ) -> np.ndarray:
     """The factor of the model's profile that depends on the reading, at
     each of the k ``centers``, on the nodes of ``axis`` in ``window``,
-    written into ``out`` of shape (k, nodes in window) and returned.
+    written into ``out``, C-contiguous of shape (k, nodes in window), and
+    returned.
 
     It is exp(−½t²) for gaussian and lognormal, with t = (x − c)/width in x
-    or in ln x (``_gaussian_kernel``, which the fall ridge shares); the
-    overlap fraction of each node's cell with [c − width, c + width] for
-    boxcar, 0 where the interval misses the box; and 1 for noninformative.
-    The profile is this factor times ``profile_node_factor``.  A campaign
-    evaluates it for a block of readings at a time; ``intersect`` for one
-    reading at a time (``reading_centre_factor``), whose profile it divides
-    by the theory's μ.  ``model.center`` is ignored.  A node many widths from a center
-    overflows t on the way; its factor is then the 0 it rounds to, without
-    a warning.
+    or in ln x; the overlap fraction of each node's cell with
+    [c − width, c + width] for boxcar, 0 where the interval misses the box;
+    and 1 for noninformative.  The profile is this factor times
+    ``profile_node_factor``.  It is one block of
+    ``profile_centre_factor_blocks``, which a campaign runs for a block of
+    readings at a time; ``intersect`` takes one reading at a time
+    (``reading_centre_factor``), whose profile it divides by the theory's
+    μ, and one reading's gaussian factor is bit for bit the direct
+    evaluation of exp(−½t²).  ``model.center`` is ignored.  A node many
+    widths from a center has the factor 0, without a warning.
+    """
+    lo, hi, _ = window.indices(axis.count)
+    block = profile_centre_factor_blocks(
+        model, axis, centers, np.array([0]), np.array([lo]), np.array([hi]), out.reshape(-1)
+    )
+    with np.errstate(over="ignore"):
+        next(block)
+    return out
+
+
+def profile_centre_factor_blocks(model: MeasurementModel, axis: Axis, centers: np.ndarray,
+                                 starts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                                 scratch: np.ndarray):
+    """Yield the centre factors (``profile_centre_factors``) of each block
+    of ``centers``, those from ``starts[b]`` up to the next start, on the
+    nodes ``lo[b]:hi[b]`` of ``axis``: each a (k × nodes) view of the flat
+    ``scratch``, which the next block overwrites.
+
+    A gaussian or lognormal model's nodes are taken to its coordinate, x or
+    ln x, once, and its centres once each, ``_GROUP_BLOCKS`` blocks at a
+    time; each group of blocks is one ``gaussian_factor_blocks``, whose
+    work arrays then stay a few times the size of a block's.  Overflow on
+    the way is warned about unless the caller ignores it.
     """
     kind = _profile_kind(model, axis)
-    c = centers[:, None]
-    if kind == NONINFORMATIVE:
-        out.fill(1.0)
-        return out
-    if kind == BOXCAR:
-        return _overlap_fraction(axis, c - model.width, c + model.width, window, out)
-    if kind == LOGNORMAL:
-        # one log per node and one per center, not one per (center, node) pair
-        c = np.log(c)
-    np.subtract(_profile_coordinate(kind, axis, window), c, out=out)
-    with np.errstate(over="ignore"):
-        return _gaussian_kernel(out, model.width)
+    stops = [*starts[1:].tolist(), centers.size]
+    if kind in (GAUSSIAN, LOGNORMAL):
+        nodes = _profile_coordinate(kind, axis)
+        for g in range(0, starts.size, _GROUP_BLOCKS):
+            group = slice(g, g + _GROUP_BLOCKS)
+            first, stop = int(starts[g]), stops[min(g + _GROUP_BLOCKS, starts.size) - 1]
+            c = np.log(centers[first:stop]) if kind == LOGNORMAL else centers[first:stop]
+            yield from gaussian_factor_blocks(nodes, c, model.width, starts[group] - first,
+                                              lo[group], hi[group], scratch)
+        return
+    for s, e, l, h in zip(starts.tolist(), stops, lo.tolist(), hi.tolist()):
+        out = scratch[:(e - s) * (h - l)].reshape(e - s, h - l)
+        if kind == NONINFORMATIVE:
+            out.fill(1.0)
+        else:
+            c = centers[s:e, None]
+            _overlap_fraction(axis, c - model.width, c + model.width, slice(l, h), out)
+        yield out
 
 
 def _gaussian_kernel(u: np.ndarray, width: float) -> np.ndarray:
     """exp(−½(u/width)²), computed in place over ``u`` and returned: divide
     by the width, square, multiply by −½, exp, rounded in that order.  It is
-    the gaussian and lognormal centre factor, with u = x − c in x or in
-    ln x (``profile_centre_factors``), and the fall ridge of
-    ``theory.analytic_fall_theory``, with u = ζ.  A u many widths out
-    overflows u² to inf, and numpy warns about that unless the caller
+    the fall ridge of ``theory.analytic_fall_theory``, with u = ζ, and the
+    direct evaluation of ``gaussian_factor_blocks`` for a single centre or
+    a block of centres too spread out to share a reference, with u = x − c.  A u many widths
+    out overflows u² to inf, and numpy warns about that unless the caller
     ignores it; the factor there is the 0 it rounds to."""
     u /= width
     np.square(u, out=u)
     u *= -0.5
     return np.exp(u, out=u)
+
+
+# The widest half-spread of a block of centres, in widths from its midpoint,
+# for which ``gaussian_factor_blocks`` expands the square: its rounding is
+# then below (6·8² + 10·8 + 4)·2⁻⁵³ ≈ 5e-14 of the factor's largest value, 1.
+_EXPAND_MAX_WIDTHS = 8.0
+# Node distances, in widths, are clamped to this: exp(−½d²) is 0 past it,
+# and a clamped d times a centre's e stays finite.
+_FAR_WIDTHS = 1e100
+# Blocks of gaussian centre factors whose rows and columns are built at once.
+_GROUP_BLOCKS = 16
+
+
+def gaussian_factor_blocks(nodes: np.ndarray, centers: np.ndarray, width: float,
+                           starts: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                           scratch: np.ndarray):
+    """Yield exp(−½((x − c)/width)²) for each block of ``centers``, those
+    from ``starts[b]`` up to the next start (rows), on the ``nodes`` x in
+    ``lo[b]:hi[b]`` (columns): each a (k × nodes) view of the flat
+    ``scratch``, which the next block overwrites.  Nodes and centres are in
+    the profile's coordinate, x or ln x.
+
+    With the block's reference m, the midpoint of its centres,
+    d = (x − m)/width and e = (c − m)/width, the exponent −½(d − e)² is
+    −½d² + d·e − ½e²: one (k×3)·(3×n) product of the rows [1, e, e²] and
+    the columns [−½d², d, −½], then one exp in place, where the direct
+    evaluation takes five passes over the k×n factors.  The rows and
+    columns of every block are built before the first, in a few passes
+    over the centres and the windows' nodes (``_expanded_terms``).  The
+    rounding grows with E, the block's half-spread in widths, as the three
+    terms reach 2E² where their sum is near 0: a factor is within
+    (6E² + 10E + 4)·2⁻⁵³ of
+    exp(−½t²) at the exact t = (x − c)/width, against 2.3·2⁻⁵³ for the
+    direct evaluation, and within (2E² + 2)·2⁻⁵³ in the sweep of
+    ``tools/oracles/campaign_exponent.py``, which derives the bound.  So a block whose E exceeds
+    ``_EXPAND_MAX_WIDTHS`` takes each centre as its own reference, e = 0,
+    which is the direct evaluation (``_gaussian_kernel``).  So does a block
+    of one centre, such as a single reading: there e = 0, and the product
+    would give −½d², the direct evaluation bit for bit, only after
+    building its rows and columns.
+
+    d is clamped to ±``_FAR_WIDTHS``, so a node or centre many widths out
+    has the factor 0, never NaN.  Overflow on the way is warned about
+    unless the caller ignores it.
+    """
+    stops = [*starts[1:].tolist(), centers.size]
+    low = np.minimum.reduceat(centers, starts)
+    spread = np.maximum.reduceat(centers, starts) - low
+    sizes = np.subtract(stops, starts)
+    expand = (spread <= 2.0 * _EXPAND_MAX_WIDTHS * width) & (sizes > 1)
+    if expand.any():
+        ref = np.where(expand, low + 0.5 * spread, 0.0)
+        rows, cols = _expanded_terms(nodes, centers, width, ref, sizes, lo, hi)
+    ends = np.cumsum(hi - lo).tolist()
+    for s, t, l, h, end, expanded in zip(starts.tolist(), stops, lo.tolist(), hi.tolist(),
+                                         ends, expand.tolist()):
+        out = scratch[:(t - s) * (h - l)].reshape(t - s, h - l)
+        if expanded:
+            np.matmul(rows[s:t], cols[:, end - (h - l):end], out=out)
+            np.exp(out, out=out)
+        else:
+            np.subtract(nodes[l:h], centers[s:t, None], out=out)
+            _gaussian_kernel(out, width)
+        yield out
+
+
+def _expanded_terms(nodes, centers, width, ref, sizes, lo, hi):
+    """The rows [1, e, e²] of every centre and the columns [−½d², d, −½] of
+    every block's window, laid end to end, for the blocks of ``sizes``
+    centres and their references ``ref`` (``gaussian_factor_blocks``); d
+    is clamped to ±``_FAR_WIDTHS``."""
+    rows = np.empty((centers.size, 3))
+    rows[:, 0] = 1.0
+    e = np.subtract(centers, np.repeat(ref, sizes), out=rows[:, 1])
+    e /= width
+    np.square(e, out=rows[:, 2])
+    cols = np.empty((3, int((hi - lo).sum())))
+    d = np.take(nodes, ranges(lo, hi), out=cols[1])
+    d -= np.repeat(ref, hi - lo)
+    d /= width
+    np.clip(d, -_FAR_WIDTHS, _FAR_WIDTHS, out=d)
+    np.square(d, out=cols[0])
+    cols[0] *= -0.5
+    cols[2] = -0.5
+    return rows, cols
 
 
 # 2·ln 2⁵³: a gaussian factor exp(−t²/2) falls below 2⁻⁵³ of exp(−t₀²/2)

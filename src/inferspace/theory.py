@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels import ranges
 from .density import Density, _check_values, _frozen
 from .errors import (
     ConfigInvalid,
@@ -49,7 +50,7 @@ from .priors import (
     jeffreys_factors,
     jeffreys_ppf,
     outer_values,
-    profile_centre_factors,
+    profile_centre_factor_blocks,
     profile_node_factor,
     profile_window_bounds,
     profile_window_keys,
@@ -63,9 +64,10 @@ SET_T = "set_T"
 # windows, which stays narrow because the experiments are sorted by reading:
 # on the 300² build grid a block of 109 spans on average 70 L and 143 T
 # nodes, a ninth of the grid.  Larger blocks widen the union a little and
-# hold more memory: 1 MiB blocks (74 L and 149 T nodes) made the benchmark's
-# 20000-experiment build-theory about 10% faster, but raised its peak RSS by
-# about 0.5 MB.
+# hold more memory: 1 MiB blocks (436 experiments, 74 L and 149 T nodes)
+# made the 20000-experiment campaign about 14% faster in process (28.0 to
+# 24.1 ms), but raised its tracemalloc peak from 1.74 to 2.70 MB, past the
+# 2.0 MB that its memory test allows.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -167,17 +169,7 @@ def _run_bands(values: np.ndarray, first: np.ndarray, stop: np.ndarray):
     shift = (first - run_starts)[found]
     lo[found], hi[found] = begin + shift, end + shift
     trimmed = int((end - begin).sum()) < values.size
-    return lo, hi, values[_ranges(begin, end)] if trimmed else values
-
-
-def _ranges(first: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The integers of each range ``[first[i], stop[i])``, laid end to end
-    in the order of ``i``: a band's columns, or a frame's flat nodes.  The
-    array is fresh and writable, as np.bincount copies a read-only index."""
-    lengths = stop - first
-    out = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-    out += np.arange(out.size)
-    return out
+    return lo, hi, values[ranges(begin, end)] if trimmed else values
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,10 +245,10 @@ class TheoryDensity:
     def _run(self, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The values of ``rows``, a slice of whole rows in steps of one,
         which are one run of ``band``; where each row's values start in that
-        run; and the column of each value (``_ranges``)."""
+        run; and the column of each value (``ranges``)."""
         starts = self._starts[rows]
         offset = int(starts[0]) if starts.size else 0
-        cols = _ranges(self.lo[rows], self.hi[rows])
+        cols = ranges(self.lo[rows], self.hi[rows])
         return self.band[offset:offset + cols.size], starts - offset, cols
 
     def _rows_meeting(self, rows: slice, cols: slice) -> slice:
@@ -307,7 +299,7 @@ class TheoryDensity:
             values = self.band.reshape(self.grid.shape)
         else:
             row_starts = np.arange(0, self.grid.node_count, self.grid.shape[-1])
-            nodes = _ranges(row_starts + self.lo, row_starts + self.hi)
+            nodes = ranges(row_starts + self.lo, row_starts + self.hi)
             values = np.zeros(self.grid.shape)
             values.ravel()[nodes] = self.band
             # Frozen, so the Density shares this fresh array instead of copying it.
@@ -400,10 +392,12 @@ def run_campaign(
 
     The result equals the one-experiment-at-a-time OR-fold, which adds each
     experiment's joint density (the outer product of its instruments'
-    profiles at its readings), normalized, to within 2⁻⁵³ of each
-    experiment's peak.  The experiments are sorted by their axis-0
-    reading (OR is a sum, so the order is free) and added a block at a
-    time.  Every experiment density is separable, and each per-axis
+    profiles at its readings), normalized, to within a few 2⁻⁵³ of each
+    experiment's peak, and at most about 5e-14 of it where a block's
+    gaussian centre factors expand the square (below).  The experiments are
+    sorted by their axis-0 reading (OR is a sum, so the order is free;
+    tied readings take an unspecified but deterministic order) and added a
+    block at a time.  Every experiment density is separable, and each per-axis
     profile is a centre factor, which depends on the reading, times a node
     factor, which does not (``profile_centre_factors``,
     ``profile_node_factor``); a boxcar or noninformative instrument's node
@@ -411,7 +405,12 @@ def run_campaign(
     theory.  So a block adds ``Aᵀ·B`` to the joint, where the rows of ``A``
     and ``B`` are the centre factors, scaled so that each experiment has
     unit mass against the node factors times the weights; the node factors
-    scale the finished joint, once per node.  The centre
+    scale the finished joint, once per node.  A gaussian or lognormal
+    block's centre factors on an axis are one (k×3)·(3×n) product and one
+    exp: its exponents −½((x − c)/w)², expanded about the midpoint of its
+    readings, unless they spread more than 8 widths each side of it, where
+    the square's cancellation would cost more than about 5e-14
+    (``gaussian_factor_blocks``).  The centre
     factors are evaluated only on the block's node window on each axis,
     the union of its experiments' profile windows, and the product
     lands on that window of the joint; outside it each profile is below
@@ -459,13 +458,17 @@ def run_campaign(
 def _sorted_readings(law: FallingBodyLaw, mode: str, instruments, i_axis: Axis,
                      n_experiments: int, rng: np.random.Generator):
     """The campaign's readings on the grid's two axes, drawn as
-    ``run_campaign`` describes and sorted by the axis-0 reading.  The
-    independent and true values, the unsorted readings and the order die
-    on return, so none of them is alive while the blocks are added."""
+    ``run_campaign`` describes and sorted by the axis-0 reading.  The sort
+    is numpy's default kind, not a stable one, which is six times faster
+    here: distinct readings come out in the one order they have, and tied
+    ones, such as the NaN readings of a noninformative axis-0 instrument,
+    in an order that is deterministic but unspecified.  The independent
+    and true values, the unsorted readings and the order die on return,
+    so none of them is alive while the blocks are added."""
     i_value = jeffreys_ppf(rng.random(n_experiments), i_axis.lower, i_axis.upper)
     true_length, true_time = _true_values(law, mode, i_value)
     r0, r1 = (_observe(m, true, rng) for m, true in zip(instruments, (true_length, true_time)))
-    order = np.argsort(r0, kind="stable")
+    order = np.argsort(r0)
     return r0[order], r1[order]
 
 
@@ -479,9 +482,13 @@ def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     The experiments are added a block at a time, as ``Aᵀ·B`` on the block's
     node windows (see ``run_campaign``); sorted, a block's experiments lie
     close together on axis 0, so its windows stay narrow.  The rows of
-    ``A`` and ``B`` are the experiments' centre factors, scaled so that
-    each experiment has unit mass against the node factors; the node
-    factors are applied to the finished sum, once per node.
+    ``A`` and ``B`` are the experiments' centre factors, one block at a
+    time from ``profile_centre_factor_blocks`` into a scratch array per
+    axis, made once; they are scaled so that each experiment has unit mass
+    against the node factors, and the node factors are applied to the
+    finished sum, once per node.  The loop runs under one ``np.errstate``:
+    a mass of 0, or one so small that its reciprocal overflows, is none,
+    and a node many widths from a reading has the centre factor 0.
     """
     (m0, m1), (ax0, ax1) = instruments, grid.axes
     r0, r1 = readings
@@ -490,27 +497,26 @@ def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     f0, f1 = (profile_node_factor(m, ax, f) for m, ax, f in zip(instruments, grid.axes, mu))
     fw0, fw1 = f0 * ax0.weights, f1 * ax1.weights
     starts = np.arange(0, n, rows)
-    windows = zip(
-        starts.tolist(),
-        *_block_windows(m0, ax0, r0, starts),
-        *_block_windows(m1, ax1, r1, starts),
-    )
+    (lo0, hi0), (lo1, hi1) = (np.array(_block_windows(m, ax, r, starts))
+                              for m, ax, r in zip(instruments, grid.axes, readings))
     # Allocated after the windows, so that their keys are not alive beside it.
     acc = np.zeros(grid.shape)
     dropped = 0
-    for start, lo0, hi0, lo1, hi1 in windows:
-        block, w0, w1 = slice(start, start + rows), slice(lo0, hi0), slice(lo1, hi1)
-        k, n0, n1 = r0[block].size, hi0 - lo0, hi1 - lo1
-        a = profile_centre_factors(m0, ax0, r0[block], w0, np.empty((k, n0)))
-        b = profile_centre_factors(m1, ax1, r1[block], w1, np.empty((k, n1)))
-        mass = (a @ fw0[w0]) * (b @ fw1[w1])
-        # A mass of 0, or one so small that its reciprocal overflows, is none.
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = 1.0 / mass
-        kept = np.isfinite(scale) & (scale > 0.0)
-        dropped += int(np.count_nonzero(~kept))
-        a *= np.where(kept, scale, 0.0)[:, None]
-        acc[w0, w1] += a.T @ b
+    with np.errstate(divide="ignore", over="ignore"):
+        blocks = zip(
+            lo0.tolist(), hi0.tolist(), lo1.tolist(), hi1.tolist(),
+            profile_centre_factor_blocks(m0, ax0, r0, starts, lo0, hi0,
+                                         np.empty(rows * int((hi0 - lo0).max()))),
+            profile_centre_factor_blocks(m1, ax1, r1, starts, lo1, hi1,
+                                         np.empty(rows * int((hi1 - lo1).max()))),
+        )
+        for l0, h0, l1, h1, a, b in blocks:
+            w0, w1 = slice(l0, h0), slice(l1, h1)
+            scale = 1.0 / ((a @ fw0[w0]) * (b @ fw1[w1]))
+            kept = np.isfinite(scale) & (scale > 0.0)
+            dropped += int(np.count_nonzero(~kept))
+            a *= np.where(kept, scale, 0.0)[:, None]
+            acc[w0, w1] += a.T @ b
     if dropped:
         raise ZeroMass(f"{dropped} of {n} experiment(s) have no mass on the grid")
     acc *= f0[:, None]
@@ -572,7 +578,7 @@ def analytic_fall_theory(
         half_g_t2 = 0.5 * law.g * time.nodes * time.nodes
 
         def ridge(first, stop):
-            col = _ranges(first, stop)
+            col = ranges(first, stop)
             vals, t = np.take(half_g_t2, col), np.take(time.nodes, col)
             del col  # so that at most three arrays of the nodes' size are live
             scale = np.repeat(length.nodes, stop - first)
@@ -595,7 +601,7 @@ def analytic_fall_theory(
 
         def ridge(first, stop):
             # −2τ + (λ − ln ½g) rounds as (λ − ln ½g) − 2τ does.
-            vals = np.take(-2.0 * tau, _ranges(first, stop))
+            vals = np.take(-2.0 * tau, ranges(first, stop))
             vals += np.repeat(lam - log_half_g, stop - first)
             return _gaussian_kernel(vals, sigma)
 

@@ -29,6 +29,8 @@ from inferspace import (
     total_variation,
 )
 from inferspace.priors import (
+    _EXPAND_MAX_WIDTHS,
+    gaussian_factor_blocks,
     jeffreys_factors,
     outer_values,
     profile_centre_factors,
@@ -361,3 +363,66 @@ def test_block_windows_are_the_union_of_the_reading_windows(axis_and_model, data
     block_lo, block_hi = _block_windows(model, axis, readings, starts)
     assert block_lo == np.minimum.reduceat(lo, starts).tolist()
     assert block_hi == np.maximum.reduceat(hi, starts).tolist()
+
+
+@st.composite
+def _gaussian_blocks(draw):
+    """Sorted nodes and blocks of centres around a point m: each block's
+    half-spread E, in widths, on either side of ``_EXPAND_MAX_WIDTHS``, and
+    its node window anywhere on the axis."""
+    width = 10.0 ** draw(st.floats(-3.0, 1.0))
+    m = draw(st.floats(-50.0, 50.0))
+    reach = draw(st.floats(1.0, 40.0))
+    nodes = np.sort(m + width * reach * np.array(
+        draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=60))))
+    centres, starts, lo, hi = [], [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        half = draw(st.floats(0.0, 2.0 * _EXPAND_MAX_WIDTHS))
+        spots = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20))
+        starts.append(len(centres))
+        centres += [m + width * half * s for s in spots]
+        a, b = sorted(draw(st.tuples(*[st.integers(0, nodes.size)] * 2)))
+        lo.append(a)
+        hi.append(b)
+    return nodes, np.array(centres), width, *map(np.array, (starts, lo, hi))
+
+
+@settings(max_examples=300)
+@given(_gaussian_blocks())
+def test_expanded_gaussian_exponent_is_within_its_bound(blocks):
+    """Each block's factors, from the rank-3 product of the expanded square,
+    are within (6E² + 10E + 8)·2⁻⁵³ of the direct exp(−½((x − c)/w)²),
+    E being the block's half-spread in widths: the documented bound with
+    the direct evaluation's own rounding added.  A block with E past
+    ``_EXPAND_MAX_WIDTHS`` is the direct evaluation, bit for bit."""
+    nodes, centres, width, starts, lo, hi = blocks
+    scratch = np.empty(centres.size * nodes.size)
+    ends = [*starts[1:], centres.size]
+    for s, e, a, b, got in zip(starts, ends, lo, hi, gaussian_factor_blocks(
+            nodes, centres, width, starts, lo, hi, scratch)):
+        c = centres[s:e, None]
+        direct = np.exp(-0.5 * np.square((nodes[a:b] - c) / width))
+        half = (c.max() - c.min()) / (2.0 * width)
+        if half > _EXPAND_MAX_WIDTHS:
+            assert got.tobytes() == direct.tobytes()
+        else:
+            bound = (6.0 * half * half + 10.0 * half + 8.0) * 2.0**-53
+            assert np.all(np.abs(got - direct) <= bound)
+
+
+@pytest.mark.parametrize("centres, far", [
+    ([0.0], [0, 1, 3, 4]),
+    ([0.0, 0.0], [0, 1, 3, 4]),
+    ([0.0, 1e-10], [0, 1, 3, 4]),
+    ([1e300, 1e300], [0, 1, 2, 3]),
+])
+def test_gaussian_factors_far_out_are_zero_not_nan(centres, far):
+    """A node or a centre many widths out, where d overflows to inf, has
+    the factor 0: the expansion clamps d, so e·d stays finite at e = 0."""
+    nodes = np.array([-1e300, -1.0, 0.0, 1.0, 1e300])
+    centres = np.array(centres)
+    with np.errstate(over="ignore"):
+        (got,) = gaussian_factor_blocks(nodes, centres, 1e-10, np.array([0]), np.array([0]),
+                                        np.array([nodes.size]), np.empty(centres.size * nodes.size))
+    assert not np.any(np.isnan(got))
+    assert np.all(got[:, far] == 0.0)

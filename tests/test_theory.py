@@ -47,6 +47,7 @@ from inferspace import (
     UnknownAxis,
 )
 from inferspace.priors import profile_window_bounds, profile_window_keys, reading_centre_factor
+import inferspace.priors as priors_module
 import inferspace.theory as theory_module
 from inferspace.theory import _BLOCK_BYTES, _row_bands
 
@@ -297,6 +298,77 @@ def test_campaign_matches_streamed_accumulation(spacing, kind, mode, master_seed
     # μ is the Jeffreys 1/(LT)
     for ax, campaign_mu in zip(grid.axes, theory.mu_factors):
         assert campaign_mu.tobytes() == (1.0 / ax.nodes).tobytes()
+
+
+def _counting_direct_evaluations(monkeypatch):
+    """A list that grows by one for each block of gaussian centre factors
+    evaluated directly, centre by centre, instead of by the expansion."""
+    calls = []
+    kernel = priors_module._gaussian_kernel
+
+    def counting(u, width):
+        calls.append(u.shape)
+        return kernel(u, width)
+
+    monkeypatch.setattr(priors_module, "_gaussian_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spacing, kinds, block_rows, direct",
+    [
+        # Blocks of 8 sorted experiments span a few widths: each expands the square.
+        ("log", ((LOGNORMAL, 0.05), (LOGNORMAL, 0.05)), 8, False),
+        ("linear", ((GAUSSIAN, 0.5), (GAUSSIAN, 0.05)), 8, False),
+        # A narrow instrument: each full block spans more than 2·8 widths on
+        # both axes, so each takes its centres as their own references.
+        ("log", ((LOGNORMAL, 0.005), (LOGNORMAL, 0.005)), None, True),
+    ],
+    ids=["lognormal-expanded", "gaussian-expanded", "narrow-lognormal-direct"],
+)
+@pytest.mark.parametrize("mode", [SET_L, SET_T])
+def test_campaign_blocks_match_streamed_accumulation(spacing, kinds, block_rows, direct, mode,
+                                                      monkeypatch):
+    """Blocks whose centres share a reference and blocks too spread out for
+    one both reproduce the one-experiment-at-a-time fold to 1e-12."""
+    make = Axis.logarithmic if spacing == "log" else Axis.linear
+    t_box = (0.25, 2.5) if mode == SET_L else (0.35, 2.0)
+    grid = Grid.of(make("L", 0.5, 20.0, 151), make("T", *t_box, 151))
+    if block_rows is not None:
+        monkeypatch.setattr(theory_module, "_BLOCK_BYTES", 8 * block_rows * 151)
+    rows = theory_module._BLOCK_BYTES // (8 * 151)
+    n = 50 * rows + 3 if block_rows else rows + 83
+    instruments = [MeasurementModel(name, k, 1.0, w) for name, (k, w) in zip("LT", kinds)]
+    law = FallingBodyLaw()
+    calls = _counting_direct_evaluations(monkeypatch)
+    theory = run_campaign(law, instruments, n, mode, master_seed=41, grid=grid)
+    # Every block on both axes, or none.
+    assert len(calls) == (2 * math.ceil(n / rows) if direct else 0)
+    slow = _or_fold(
+        _reference_experiment(instruments, r, grid)
+        for r in _reference_readings(law, instruments, mode, 41, n, grid)
+    )
+    assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", [SET_L, SET_T])
+def test_campaign_with_a_noninformative_axis_0_instrument(mode):
+    """An axis-0 instrument that observes nothing reads NaN for every
+    experiment: the sort leaves the tied readings in an order of its own,
+    and the campaign still matches the fold and rebuilds bit for bit."""
+    grid = _fall_grid(101)
+    instruments = [MeasurementModel("L", NONINFORMATIVE),
+                   MeasurementModel("T", LOGNORMAL, 1.0, 0.05)]
+    law = FallingBodyLaw()
+    n = _BLOCK_BYTES // (8 * 101) + 83
+    theory = run_campaign(law, instruments, n, mode, master_seed=9, grid=grid)
+    slow = _or_fold(
+        _reference_experiment(instruments, r, grid)
+        for r in _reference_readings(law, instruments, mode, 9, n, grid)
+    )
+    assert np.max(np.abs(theory.joint.values - slow)) / slow.max() < 1e-12
+    again = run_campaign(law, instruments, n, mode, master_seed=9, grid=grid)
+    assert again.band.tobytes() == theory.band.tobytes()
 
 
 @pytest.fixture(scope="module", params=[SET_L, SET_T])
