@@ -47,6 +47,7 @@ from .priors import (
     NONINFORMATIVE,
     MeasurementModel,
     _gaussian_kernel,
+    _profile_coordinate,
     jeffreys_factors,
     jeffreys_ppf,
     outer_values,
@@ -64,11 +65,21 @@ SET_T = "set_T"
 # windows, which stays narrow because the experiments are sorted by reading:
 # on the 300² build grid a block of 109 spans on average 70 L and 143 T
 # nodes, a ninth of the grid.  Larger blocks widen the union a little and
-# hold more memory: 1 MiB blocks (436 experiments, 74 L and 149 T nodes)
-# made the 20000-experiment campaign about 14% faster in process (28.0 to
-# 24.1 ms), but raised its tracemalloc peak from 1.74 to 2.70 MB, past the
-# 2.0 MB that its memory test allows.
+# hold more memory.  With the products capped at ``_PRODUCT_MACS``, 1 MiB
+# blocks (436 experiments) ran the 20000-experiment campaign no faster in
+# process (29.9 against 29.4 ms, medians of 30) and raised its tracemalloc
+# peak from 1.71 to 2.54 MB, past the 2.0 MB that its memory test allows.
 _BLOCK_BYTES = 1 << 18
+# Most multiply-adds in one block product of ``_accumulate``.  numpy's
+# OpenBLAS 0.3.31 (scipy-openblas, two threads on a Haswell-class x86-64)
+# runs a dgemm on one thread while M·N·K ≤ 1e6: the worker thread took no
+# CPU time over thousands of 70 × k × 143, 100 × 100 × k and 30 × k × 300
+# products up to M·N·K = 1.000M and 0.999M, and took some from 1.001M and
+# 1.008M.  Threaded products are no faster at these sizes: uncapped, the
+# 300² campaign took 34.3 ms in process against 29.4 ms (medians of 25),
+# and the first threaded product after the process moves to another CPU
+# stalls for milliseconds.  A quarter of the cap took 32.1 ms, half 30.0.
+_PRODUCT_MACS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +428,14 @@ def run_campaign(
     2⁻⁵³ of its largest node value, and the joint keeps an exact zero where
     every experiment's window misses.  A block's window is found by one
     binary search of its least and greatest ``profile_window_keys``, which
-    gives the same nodes as the union of one search per reading.  An
+    gives the same nodes as the union of one search per reading.  Each
+    product is split into column chunks small enough that OpenBLAS runs it
+    on the calling thread (``_PRODUCT_MACS``): a second BLAS thread buys
+    nothing at these sizes and stalls after the process changes CPU.  An
     experiment whose density has no finite positive mass on the grid cannot
-    be normalized; ``ZeroMass`` then reports how many.  The theory's μ is
+    be normalized; ``ZeroMass`` then reports how many, and for one of them
+    its readings against the box and each width against the node spacing
+    there, the two ways a density misses every node.  The theory's μ is
     the Jeffreys 1/(LT), which refuses a box that is not positive before
     anything is drawn.
     """
@@ -489,6 +505,14 @@ def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
     finished sum, once per node.  The loop runs under one ``np.errstate``:
     a mass of 0, or one so small that its reciprocal overflows, is none,
     and a node many widths from a reading has the centre factor 0.
+
+    Each ``Aᵀ·B`` is split along the block's axis-1 window into column
+    chunks of at most ``_PRODUCT_MACS`` multiply-adds, so that OpenBLAS
+    runs every product on the calling thread; whole, most products on the
+    300² grids take 1–5M, past the size where it wakes a second thread.
+    Each chunk adds into its own columns of the window, so every node
+    still sums the same experiments.  ZeroMass names the first experiment
+    without mass (``_no_mass_cause``).
     """
     (m0, m1), (ax0, ax1) = instruments, grid.axes
     r0, r1 = readings
@@ -501,27 +525,58 @@ def _accumulate(readings, instruments, grid: Grid, mu) -> np.ndarray:
                               for m, ax, r in zip(instruments, grid.axes, readings))
     # Allocated after the windows, so that their keys are not alive beside it.
     acc = np.zeros(grid.shape)
-    dropped = 0
+    dropped, first = 0, None
     with np.errstate(divide="ignore", over="ignore"):
         blocks = zip(
-            lo0.tolist(), hi0.tolist(), lo1.tolist(), hi1.tolist(),
+            starts.tolist(), lo0.tolist(), hi0.tolist(), lo1.tolist(), hi1.tolist(),
             profile_centre_factor_blocks(m0, ax0, r0, starts, lo0, hi0,
                                          np.empty(rows * int((hi0 - lo0).max()))),
             profile_centre_factor_blocks(m1, ax1, r1, starts, lo1, hi1,
                                          np.empty(rows * int((hi1 - lo1).max()))),
         )
-        for l0, h0, l1, h1, a, b in blocks:
-            w0, w1 = slice(l0, h0), slice(l1, h1)
-            scale = 1.0 / ((a @ fw0[w0]) * (b @ fw1[w1]))
+        for s, l0, h0, l1, h1, a, b in blocks:
+            w0 = slice(l0, h0)
+            scale = 1.0 / ((a @ fw0[w0]) * (b @ fw1[l1:h1]))
             kept = np.isfinite(scale) & (scale > 0.0)
-            dropped += int(np.count_nonzero(~kept))
+            if not kept.all():
+                dropped += int(np.count_nonzero(~kept))
+                if first is None:
+                    first = s + int(np.argmin(kept))
             a *= np.where(kept, scale, 0.0)[:, None]
-            acc[w0, w1] += a.T @ b
+            step = max(1, _PRODUCT_MACS // max(1, a.size))
+            for c in range(l1, h1, step):
+                e = min(c + step, h1)
+                acc[w0, c:e] += a.T @ b[:, c - l1:e - l1]
     if dropped:
-        raise ZeroMass(f"{dropped} of {n} experiment(s) have no mass on the grid")
+        raise ZeroMass(f"{dropped} of {n} experiment(s) have no mass on the grid; "
+                       + _no_mass_cause(instruments, grid.axes, (r0[first], r1[first])))
     acc *= f0[:, None]
     acc *= f1
     return acc
+
+
+def _no_mass_cause(instruments, axes, readings) -> str:
+    """Why the experiment with ``readings`` may have no mass on the grid:
+    for each axis, its reading against the box, and its instrument's width
+    against the node spacing at the reading (at the nearest box edge for a
+    reading past it), in the coordinate the profile is taken in, ln x for
+    lognormal.  A reading far past the box, or a width far below the
+    spacing, leaves every node many widths from the reading."""
+    parts = []
+    for m, ax, r in zip(instruments, axes, readings):
+        if m.kind == NONINFORMATIVE:
+            parts.append(f"no {ax.name} reading ({m.kind})")
+            continue
+        where = "below" if r < ax.lower else "above" if r > ax.upper else "inside"
+        u = _profile_coordinate(m.kind, ax)
+        j = min(max(int(np.searchsorted(u, math.log(r) if m.kind == LOGNORMAL else r)), 1),
+                ax.count - 1)
+        spacing = float(u[j] - u[j - 1])
+        coordinate = f"ln {ax.name}" if m.kind == LOGNORMAL else ax.name
+        parts.append(f"{ax.name} = {r:.6g}, {where} the box [{ax.lower:.6g}, {ax.upper:.6g}], "
+                     f"where the {m.kind} width {m.width:.3g} meets a node spacing of "
+                     f"{spacing:.3g} in {coordinate} ({spacing / m.width:.3g} widths)")
+    return "one of them reads " + "; ".join(parts)
 
 
 def _block_windows(model: MeasurementModel, axis: Axis, centers: np.ndarray, starts: np.ndarray):

@@ -457,6 +457,120 @@ def test_campaign_counts_experiments_without_mass(instruments, monkeypatch):
         run_campaign(law, instruments, n, SET_T, master_seed=5, grid=grid)
 
 
+@pytest.mark.parametrize(
+    "law, instruments, n, t_upper, count, cause",
+    [
+        # A width 1.2e7 times narrower than the ln L node spacing: every node
+        # is millions of widths from every L reading.
+        (FallingBodyLaw(), _instruments(sigma_l=1e-9), 50, 2.5, "50",
+         r"L = [0-9.]+, inside the box \[0\.5, 20\], where the lognormal width 1e-09 "
+         r"meets a node spacing of 0\.0123 in ln L \(1\.23e\+07 widths\)"),
+        # T = √(2L/g) is about 1e-150, far below the T box.
+        (FallingBodyLaw(g=1e300), _instruments(), 5, 2.5, "5",
+         r"T = [0-9.]+e-15[0-9], below the box \[0\.25, 2\.5\], where the lognormal width "
+         r"0\.05 meets a node spacing of 0\.0077 in ln T \(0\.154 widths\)"),
+        # A T box that ends at 1 drops the experiments with L past about 5.2,
+        # and the block that holds the first of them also holds experiments
+        # with mass, which come before it.
+        (FallingBodyLaw(), _instruments(1e-3, 1e-3), 2000, 1.0, "[0-9]+",
+         r"T = 1\.0[0-9]+, above the box \[0\.25, 1\], where the lognormal width 0\.001 "),
+    ],
+    ids=["narrow-width", "readings-off-the-box", "some-readings-off-the-box"],
+)
+def test_campaign_without_mass_names_the_cause(law, instruments, n, t_upper, count, cause):
+    """ZeroMass gives the count, then one dropped experiment's readings, each
+    against the box and its instrument's width against the node spacing."""
+    grid = Grid.of(Axis.logarithmic("L", 0.5, 20.0, 300),
+                   Axis.logarithmic("T", 0.25, t_upper, 300))
+    with pytest.raises(ZeroMass, match=rf"^{count} of {n} experiment\(s\) have no mass on the "
+                                       rf"grid; one of them reads .*{cause}"):
+        run_campaign(law, instruments, n, SET_L, master_seed=5, grid=grid)
+
+
+def _spying_products(monkeypatch):
+    """Lists of the shape of each block of centre factors a campaign makes
+    and of the (M, N, K) of each 2-D product it takes of them."""
+    blocks, products = [], []
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            if self.ndim == 2 and np.ndim(other) == 2:
+                products.append((self.shape[0], other.shape[1], self.shape[1]))
+            return np.matmul(np.asarray(self), np.asarray(other))
+
+    factor_blocks = theory_module.profile_centre_factor_blocks
+
+    def spying(*args):
+        for block in factor_blocks(*args):
+            blocks.append(block.shape)
+            yield block.view(Spy)
+
+    monkeypatch.setattr(theory_module, "profile_centre_factor_blocks", spying)
+    return blocks, products
+
+
+_GENERAL_GRID = Grid.of(Axis.linear("L", 0.5, 20.0, 300), Axis.linear("T", 0.25, 2.5, 300))
+
+
+@pytest.mark.parametrize("macs", [1, 100_000], ids=["one-column", "ragged"])
+@pytest.mark.parametrize("mode", [SET_L, SET_T])
+def test_capped_block_products_only_regroup_the_sum(macs, mode, monkeypatch):
+    """Products split into column chunks of at most ``_PRODUCT_MACS``
+    multiply-adds, down to one column, give the uncapped joint to 1e-15 of
+    its largest value, with the same exact zeros."""
+    law, instruments = FallingBodyLaw(), _instruments()
+    monkeypatch.setattr(theory_module, "_PRODUCT_MACS", 1 << 62)
+    whole = run_campaign(law, instruments, 500, mode, master_seed=13, grid=_GENERAL_GRID)
+    monkeypatch.setattr(theory_module, "_PRODUCT_MACS", macs)
+    _, products = _spying_products(monkeypatch)
+    capped = run_campaign(law, instruments, 500, mode, master_seed=13, grid=_GENERAL_GRID)
+    widths = [n for _, n, _ in products]
+    if macs == 1:
+        assert set(widths) == {1}
+    else:
+        steps = [macs // (m * k) for m, _, k in products]
+        assert all(m * n * k <= macs for m, n, k in products)
+        assert any(n < step for n, step in zip(widths, steps))  # a ragged last chunk
+        assert any(n > 1 for n in widths)
+    whole, capped = whole.joint.values, capped.joint.values
+    assert np.max(np.abs(capped - whole)) <= 1e-15 * whole.max()
+    assert np.array_equal(capped == 0.0, whole == 0.0)
+
+
+def test_capped_block_products_pass_over_an_empty_window(monkeypatch):
+    """Blocks of boxcar readings that all miss the L box have an empty
+    window on axis 0, and no product; the campaign counts their
+    experiments as without mass, capped as uncapped."""
+    instruments = [MeasurementModel("L", BOXCAR, 1.0, 0.5), MeasurementModel("T", BOXCAR, 1.0, 0.05)]
+    monkeypatch.setattr(theory_module, "_BLOCK_BYTES", 8 * 8 * 101)
+    messages = []
+    for macs in (1 << 62, 1):
+        monkeypatch.setattr(theory_module, "_PRODUCT_MACS", macs)
+        blocks, _ = _spying_products(monkeypatch)
+        with pytest.raises(ZeroMass) as err:
+            run_campaign(FallingBodyLaw(), instruments, 200, SET_T, master_seed=5,
+                         grid=_fall_grid(101))
+        messages.append(str(err.value))
+    assert (8, 0) in blocks
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize(
+    "grid, n, mode",
+    [(_GENERAL_GRID, 2000, SET_L), (_GENERAL_GRID, 2000, SET_T), (_fall_grid(300), 20000, SET_L)],
+    ids=["general-set_L", "general-set_T", "build-grid"],
+)
+def test_campaign_products_stay_under_the_blas_threading_size(grid, n, mode, monkeypatch):
+    """Every block product of build-theory's campaigns, on the linear grid
+    and on the 300² log build grid, takes at most ``_PRODUCT_MACS``
+    multiply-adds, so OpenBLAS runs it on the calling thread."""
+    _, products = _spying_products(monkeypatch)
+    run_campaign(FallingBodyLaw(), _instruments(), n, mode, master_seed=23, grid=grid)
+    assert products
+    # OpenBLAS threads a dgemm past 1e6 multiply-adds.
+    assert max(m * n * k for m, n, k in products) <= theory_module._PRODUCT_MACS <= 1_000_000
+
+
 def test_campaign_builds_no_generator_per_experiment(monkeypatch):
     """A campaign draws from one generator, seeded by its master seed."""
     seeds = []
